@@ -396,7 +396,12 @@ func concurrent(sf float64, bits, maxClients, perClient, globalBudget int, opts 
 		m.SessionsTotal, m.DirectExecs, m.RowsProduced, float64(m.BytesOut)/(1<<20), m.StmtsPrepared, m.StmtsClosed)
 }
 
-// ops is E5/E6: per-operator cost at the chosen modulus width.
+// ops is E5/E6: per-operator cost at the chosen modulus width. A token
+// application costs whatever its w^Q costs, and the SP's helper-power memo
+// gives that three states, reported separately: "first touch" is a helper
+// the memo has never seen, "memo hit" repeats a (helper, token) pair, and
+// "fresh exponent" applies a new exponent to helpers the memo already
+// knows under another one (it exponentiates: the memo keys on the pair).
 func ops(bits int) {
 	secret, err := secure.Setup(bits, secure.DefaultValueBits, secure.DefaultMaskBits)
 	if err != nil {
@@ -406,37 +411,70 @@ func ops(bits int) {
 	ckA, _ := secret.NewColumnKey()
 	ckB, _ := secret.NewColumnKey()
 	flat, _ := secret.FlatKey()
-	rid, _ := secret.NewRowID()
-	wv := secret.RowHelper(rid)
-	ae, _ := secret.EncryptInt64(123456, rid, ckA)
-	be, _ := secret.EncryptInt64(-9876, rid, ckB)
+	const rows = 250
+	rids := make([]secure.RowID, rows)
+	ws := make([]*big.Int, rows)
+	aes := make([]*big.Int, rows)
+	bes := make([]*big.Int, rows)
+	for i := range rids {
+		rids[i], _ = secret.NewRowID()
+		ws[i] = secret.RowHelper(rids[i])
+		aes[i], _ = secret.EncryptInt64(123456+int64(i), rids[i], ckA)
+		bes[i], _ = secret.EncryptInt64(-9876-int64(i), rids[i], ckB)
+	}
 	tokU, _ := secret.KeyUpdateToken(ckA, ckB)
 	tokF, _ := secret.KeyUpdateToken(ckA, flat)
 
-	const iters = 2000
-	timeOp := func(name string, f func()) {
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			f()
+	// Every operator runs over the same rows in turn, rounds times over;
+	// prep, untimed, sets the memo state each round starts from.
+	const rounds = 8
+	timeOp := func(name string, prep func(), f func(i int)) {
+		var total time.Duration
+		for r := 0; r < rounds; r++ {
+			if prep != nil {
+				prep()
+			}
+			t0 := time.Now()
+			for i := 0; i < rows; i++ {
+				f(i)
+			}
+			total += time.Since(t0)
 		}
-		fmt.Printf("%-22s %10v/op\n", name, time.Since(t0)/iters)
+		fmt.Printf("%-34s %10v/op\n", name, total/(rounds*rows))
 	}
-	fmt.Printf("per-operator cost, %d-bit modulus (%d iterations)\n\n", bits, iters)
-	timeOp("encrypt", func() { _, _ = secret.EncryptInt64(424242, rid, ckA) })
-	timeOp("decrypt", func() { secret.Decrypt(ae, rid, ckA) })
-	timeOp("multiply (EE)", func() { secure.Multiply(ae, be, n) })
-	timeOp("add (same key)", func() { secure.AddShares(ae, ae, n) })
-	timeOp("key update", func() { secure.ApplyToken(tokU, ae, wv, n) })
-	timeOp("flatten (DET tag)", func() { secure.ApplyToken(tokF, ae, wv, n) })
-	timeOp("token generation", func() { _, _ = secret.KeyUpdateToken(ckA, ckB) })
+	tokenStates := func(name string, tok, other secure.Token) {
+		apply := func(i int) { secure.ApplyToken(tok, aes[i], ws[i], n) }
+		timeOp(name+" (first touch)", secure.ResetHelperPowers, apply)
+		timeOp(name+" (memo hit)", nil, apply)
+		timeOp(name+" (fresh exponent)", func() {
+			secure.ResetHelperPowers()
+			for i := range ws {
+				secure.ApplyToken(other, aes[i], ws[i], n)
+			}
+		}, apply)
+	}
+	fmt.Printf("per-operator cost, %d-bit modulus (%d rows x %d rounds)\n\n", bits, rows, rounds)
+	timeOp("encrypt", nil, func(i int) { _, _ = secret.EncryptInt64(424242, rids[i], ckA) })
+	timeOp("decrypt", nil, func(i int) { secret.Decrypt(aes[i], rids[i], ckA) })
+	timeOp("multiply (EE)", nil, func(i int) { secure.Multiply(aes[i], bes[i], n) })
+	timeOp("add (same key)", nil, func(i int) { secure.AddShares(aes[i], aes[i], n) })
+	tokenStates("key update", tokU, tokF)
+	tokenStates("flatten (DET tag)", tokF, tokU)
+	timeOp("token generation", nil, func(int) { _, _ = secret.KeyUpdateToken(ckA, ckB) })
 	half := new(big.Int).Rsh(n, 1)
 	mask, _ := secret.NewMaskValue()
 	ckR, _ := secret.NewColumnKey()
-	me, _ := secret.EncryptMask(mask, rid, ckR)
+	mes := make([]*big.Int, rows)
+	for i := range mes {
+		mes[i], _ = secret.EncryptMask(mask, rids[i], ckR)
+	}
+	tokBA, _ := secret.KeyUpdateToken(ckB, ckA)
 	rev, _ := secret.RevealToken(secret.MulKeys(ckA, ckR))
-	timeOp("compare (full)", func() {
-		diff := secure.SubShares(ae, secure.ApplyToken(tokU, be, wv, n), n)
-		masked := secure.Multiply(diff, me, n)
-		secure.MaskedSign(secure.ApplyToken(rev, masked, wv, n), half)
-	})
+	compare := func(i int) {
+		diff := secure.SubShares(aes[i], secure.ApplyToken(tokBA, bes[i], ws[i], n), n)
+		masked := secure.Multiply(diff, mes[i], n)
+		secure.MaskedSign(secure.ApplyToken(rev, masked, ws[i], n), half)
+	}
+	timeOp("compare, full (first touch)", secure.ResetHelperPowers, compare)
+	timeOp("compare, full (memo hit)", nil, compare)
 }

@@ -1,116 +1,62 @@
 package bigmod
 
-import (
-	"container/list"
-	"math/big"
-	"sync"
-)
+import "math/big"
 
 // Fixed-base windowed exponentiation.
 //
-// The SDB hot path exponentiates a small set of bases over and over: the
-// scheme generator g (every item-key derivation at the proxy) and each
-// stored row helper w (every token application at the SP, re-hit across
-// queries and key rotations). For a fixed base the square-and-multiply
-// squarings can be precomputed once into a radix-2^w comb table
+// The scheme has exactly one truly fixed base: the secret generator g,
+// which every item-key derivation and every row-helper mint at the proxy
+// exponentiates. For a fixed base the square-and-multiply squarings can be
+// precomputed once into a radix-2^w comb table
 //
 //	rows[i][j-1] = base^(j · 2^(w·i)) mod n   j ∈ [1, 2^w)
 //
 // after which base^e costs at most ceil(bits(e)/w) modular multiplications
 // and zero squarings — measured ~1.9x over big.Int.Exp at 512 bits.
 //
-// Cache invariants (see docs/parallel-execution.md):
-//
-//  1. A table is immutable once published; readers take it without locks.
-//  2. A table is built at most once per cache residency, by exactly one
-//     goroutine; concurrent callers fall back to plain Exp rather than
-//     block on the build.
-//  3. A table is only admitted when it fits the remaining memory budget.
-//     Admission never evicts another table, which prevents thrash when
-//     more hot bases exist than the budget can hold (e.g. one helper per
-//     TPC-H row): the overflow bases simply keep using plain Exp.
-//  4. The entry map is LRU-bounded; evicting an entry releases its table's
-//     budget share. In-flight users of an evicted table are unaffected
-//     (the table memory is reclaimed when they drop it).
-const (
-	// fbWindow is the comb radix exponent: 7 bits per digit, 127 table
-	// entries per digit row.
-	fbWindow = 7
-	// fbBuildThreshold is how many times a (base, n) pair must be seen
-	// before its table is built. Building costs ceil(bits/fbWindow) rows
-	// of 2^fbWindow−1 multiplications (~9,400 at 512 bits, the work of
-	// roughly a dozen plain exponentiations), and each warm call saves
-	// only about half an exponentiation — break-even is a few dozen
-	// reuses. The threshold keeps lukewarm bases (a row helper touched by
-	// a handful of tokens) on plain Exp; genuinely hot bases (the scheme
-	// generator, helpers re-hit across repeated queries and rotations)
-	// cross it quickly.
-	fbBuildThreshold = 32
-	// fbDefaultBudget bounds the total approximate memory held by cached
-	// tables.
-	fbDefaultBudget = 256 << 20
-	// fbMaxEntries bounds the metadata map; the least recently used
-	// entries (and their tables, if any) are dropped past it.
-	fbMaxEntries = 1 << 16
-)
+// A table belongs to whoever owns the base (secure.Secret holds the one
+// for g): it is built once, immutable afterwards and read without locks.
+// Row helpers are NOT fixed bases in this sense — each is raised to a
+// handful of distinct exponents, which internal/secure memoises as whole
+// powers instead (see secure/powmemo.go).
 
-// fbTable is a comb table for one (base, n) pair. For an odd modulus the
-// entries live in the MONTGOMERY domain (mrows, raw k-limb residues) so
-// the evaluation loop accumulates with REDC — each digit multiply costs
-// 2k² word multiply-adds instead of a full multiply plus trial division —
-// and converts out of the domain exactly once per exponentiation. Even
-// (degenerate) moduli keep the plain big.Int rows.
-type fbTable struct {
-	n     *big.Int
-	bits  int // max exponent width the table covers
-	mctx  *MontCtx
-	mrows [][][]big.Word // mrows[i][j-1] = ToMont(base^(j << (fbWindow*i)))
-	rows  [][]*big.Int   // plain fallback: rows[i][j-1] = base^(j << (fbWindow*i)) mod n
+// fbWindow is the comb radix exponent: 7 bits per digit, 127 table
+// entries per digit row (~600 KB and ~9,400 multiplications to build at
+// 512 bits, the work of roughly a dozen plain exponentiations).
+const fbWindow = 7
+
+// FixedBase is the comb table of one (base, n) pair. Entries live in the
+// Montgomery domain (raw k-limb residues) so the evaluation loop
+// accumulates with REDC — each digit multiply costs 2k² word
+// multiply-adds instead of a full multiply plus trial division — and
+// converts out of the domain exactly once per exponentiation. Even
+// (degenerate) moduli have no Montgomery form and keep no table: Exp
+// falls through to big.Int.Exp.
+type FixedBase struct {
+	base, n *big.Int
+	bits    int // max exponent width the table covers
+	mctx    *MontCtx
+	mrows   [][][]big.Word // mrows[i][j-1] = ToMont(base^(j << (fbWindow*i)))
 }
 
-// fbTableBytes estimates the footprint of a table over modulus n covering
-// bits-wide exponents, for budget accounting (admission happens before the
-// table exists).
-func fbTableBytes(n *big.Int, bits int) int {
-	numRows := (bits + fbWindow - 1) / fbWindow
-	wordBytes := (n.BitLen()+63)/64*8 + 48 // limbs + big.Int overhead
-	return numRows * ((1 << fbWindow) - 1) * wordBytes
-}
-
-// newFBTable precomputes the comb table covering exponents up to bits wide.
-func newFBTable(base, n *big.Int, bits int) *fbTable {
-	numRows := (bits + fbWindow - 1) / fbWindow
-	t := &fbTable{n: n, bits: bits, mctx: MontCtxFor(n)}
-	if t.mctx != nil {
-		t.buildMont(base, numRows)
+// NewFixedBase precomputes the comb table of base modulo n, covering
+// exponents up to n.BitLen() bits wide. It panics if n is nil or
+// non-positive, like Exp.
+func NewFixedBase(base, n *big.Int) *FixedBase {
+	if n == nil || n.Sign() <= 0 {
+		panic("bigmod: modulus must be positive")
+	}
+	t := &FixedBase{base: base, n: n, bits: n.BitLen(), mctx: MontCtxFor(n)}
+	if t.mctx == nil {
 		return t
 	}
-	t.rows = make([][]*big.Int, numRows)
-	b := new(big.Int).Mod(base, n) // b = base^(2^(fbWindow·i)) for row i
-	for i := 0; i < numRows; i++ {
-		row := make([]*big.Int, (1<<fbWindow)-1)
-		row[0] = new(big.Int).Set(b)
-		for j := 1; j < len(row); j++ {
-			row[j] = new(big.Int).Mul(row[j-1], b)
-			row[j].Mod(row[j], n)
-		}
-		t.rows[i] = row
-		if i+1 < numRows {
-			// next row's base: b^(2^fbWindow) = row[last] · b
-			b = new(big.Int).Mul(row[len(row)-1], b)
-			b.Mod(b, n)
-		}
-	}
-	return t
-}
-
-// buildMont precomputes Montgomery-domain rows. The build itself runs on
-// REDC (one ToMont for the base, then one REDC per entry), so table
-// construction gets the same per-multiply win as evaluation.
-func (t *fbTable) buildMont(base *big.Int, numRows int) {
+	// The build itself runs on REDC (one ToMont for the base, then one
+	// REDC per entry), so table construction gets the same per-multiply
+	// win as evaluation.
 	m := t.mctx
 	s := m.NewScratch()
 	k := m.Words()
+	numRows := (t.bits + fbWindow - 1) / fbWindow
 	bM := m.ToMont(s, base) // bM = ToMont(base^(2^(fbWindow·i))) for row i
 	t.mrows = make([][][]big.Word, numRows)
 	for i := 0; i < numRows; i++ {
@@ -127,225 +73,35 @@ func (t *fbTable) buildMont(base *big.Int, numRows int) {
 			m.MulTo(s, bM, row[len(row)-1], bM)
 		}
 	}
+	return t
 }
 
-// exp computes base^e mod n for e >= 0 with e.BitLen() <= t.bits.
-func (t *fbTable) exp(e *big.Int) *big.Int {
-	if t.mctx != nil {
-		s := t.mctx.NewScratch()
-		return t.mctx.FromMont(s, t.expMont(e, s))
+// Exp returns base^e mod n. Semantics match Exp / big.Int.Exp, including
+// negative exponents (the inverse of base^|e|, or nil when base is not
+// invertible). Exponents wider than the table (unreduced key exponents
+// can exceed n) take the plain path, which handles any width.
+func (t *FixedBase) Exp(e *big.Int) *big.Int {
+	mag := e
+	if e.Sign() < 0 {
+		mag = new(big.Int).Neg(e)
 	}
-	out := big.NewInt(1)
-	if t.n.Cmp(out) == 0 {
-		return out.SetInt64(0)
+	if t.mctx == nil || mag.BitLen() > t.bits {
+		return new(big.Int).Exp(t.base, e, t.n)
 	}
-	bits := e.BitLen()
-	for i := 0; i*fbWindow < bits; i++ {
-		d := 0
-		for k := 0; k < fbWindow; k++ {
-			d |= int(e.Bit(i*fbWindow+k)) << k
-		}
-		if d != 0 {
-			out.Mul(out, t.rows[i][d-1])
-			out.Mod(out, t.n)
-		}
-	}
-	return out
-}
-
-// expMont computes base^e (e ≥ 0, e.BitLen() <= t.bits) as a Montgomery
-// residue, accumulating entirely with REDC. Callers that keep working in
-// the domain (the token applier) use the residue directly; exp converts
-// out once.
-func (t *fbTable) expMont(e *big.Int, s *MontScratch) []big.Word {
+	s := t.mctx.NewScratch()
 	acc := t.mctx.One()
-	bits := e.BitLen()
-	for i := 0; i*fbWindow < bits; i++ {
+	for i := 0; i*fbWindow < mag.BitLen(); i++ {
 		d := 0
 		for k := 0; k < fbWindow; k++ {
-			d |= int(e.Bit(i*fbWindow+k)) << k
+			d |= int(mag.Bit(i*fbWindow+k)) << k
 		}
 		if d != 0 {
 			t.mctx.MulTo(s, acc, acc, t.mrows[i][d-1])
 		}
 	}
-	return acc
-}
-
-// fbState is an entry's lifecycle position.
-type fbState uint8
-
-const (
-	fbCounting fbState = iota // accumulating hits toward the threshold
-	fbBuilding                // one goroutine is precomputing the table
-	fbBuilt                   // table is live
-	fbDead                    // over budget at admission time; plain Exp forever
-)
-
-// fbEntry is one LRU slot. All fields are guarded by fbMu except table,
-// which is written once (before state flips to fbBuilt) and read-only after.
-type fbEntry struct {
-	key   string
-	hits  int
-	state fbState
-	table *fbTable
-	bytes int
-	elem  *list.Element
-}
-
-var (
-	fbMu     sync.Mutex
-	fbSlots  = make(map[string]*fbEntry)
-	fbLRU    = list.New() // front = most recent
-	fbBytes  int
-	fbBudget = fbDefaultBudget
-)
-
-// fbAcquire looks up (base, n), bumping hit count and LRU position. It
-// returns (table, entry): a non-nil table means "use the fast path"; a
-// non-nil entry with nil table means "this caller must build the table".
-// (nil, nil) means "use plain Exp".
-func fbAcquire(base, n *big.Int) (*fbTable, *fbEntry) {
-	// The key must be cheap: every SP-side token application passes
-	// through here. Raw big-endian bytes with a length prefix (no radix
-	// conversion, unambiguous concatenation).
-	bb, nb := base.Bytes(), n.Bytes()
-	kb := make([]byte, 0, 4+len(bb)+len(nb))
-	kb = append(kb, byte(len(bb)>>24), byte(len(bb)>>16), byte(len(bb)>>8), byte(len(bb)))
-	kb = append(kb, bb...)
-	kb = append(kb, nb...)
-	key := string(kb)
-	fbMu.Lock()
-	defer fbMu.Unlock()
-	e, ok := fbSlots[key]
-	if !ok {
-		e = &fbEntry{key: key}
-		e.elem = fbLRU.PushFront(e)
-		fbSlots[key] = e
-		for len(fbSlots) > fbMaxEntries {
-			fbEvictLocked()
-		}
-	} else {
-		fbLRU.MoveToFront(e.elem)
-	}
-	e.hits++
-	switch e.state {
-	case fbBuilt:
-		return e.table, nil
-	case fbBuilding, fbDead:
-		return nil, nil
-	}
-	if e.hits < fbBuildThreshold {
-		return nil, nil
-	}
-	// Admission control: a table that does not fit the remaining budget is
-	// never built, and never evicts an existing table to make room. The
-	// estimate is charged HERE, while the build is still in flight, so
-	// concurrent builders cannot collectively overshoot the budget.
-	est := fbTableBytes(n, n.BitLen())
-	if fbBytes+est > fbBudget {
-		e.state = fbDead
-		return nil, nil
-	}
-	e.bytes = est
-	fbBytes += est
-	e.state = fbBuilding
-	return nil, e
-}
-
-// fbPublish installs a freshly built table. Its budget share was charged
-// at admission; if the entry was evicted mid-build (which released that
-// share), the table is simply dropped.
-func fbPublish(e *fbEntry, t *fbTable) {
-	fbMu.Lock()
-	defer fbMu.Unlock()
-	if cur, present := fbSlots[e.key]; !present || cur != e {
-		return
-	}
-	e.table = t
-	e.state = fbBuilt
-}
-
-// fbEvictLocked drops the least recently used entry. Callers hold fbMu.
-func fbEvictLocked() {
-	back := fbLRU.Back()
-	if back == nil {
-		return
-	}
-	victim := back.Value.(*fbEntry)
-	fbLRU.Remove(back)
-	delete(fbSlots, victim.key)
-	fbBytes -= victim.bytes
-}
-
-// ExpCached is Exp with a fixed-base fast path: repeated exponentiations of
-// the same (base, n) pair — the generator g, a row helper w — hit a
-// precomputed comb table instead of paying full square-and-multiply.
-// Semantics match Exp / big.Int.Exp, including negative exponents (which
-// return the inverse of base^|exp|, or nil when base is not invertible).
-func ExpCached(base, exp, n *big.Int) *big.Int {
-	if n == nil || n.Sign() <= 0 {
-		panic("bigmod: modulus must be positive")
-	}
-	if base.Sign() <= 0 || base.Cmp(n) >= 0 {
-		// Out-of-range bases are rare (tokens always carry reduced
-		// material); keep them off the cache key space.
-		return new(big.Int).Exp(base, exp, n)
-	}
-	t, e := fbAcquire(base, n)
-	if t == nil && e == nil {
-		return new(big.Int).Exp(base, exp, n)
-	}
-	if e != nil {
-		t = newFBTable(base, n, n.BitLen())
-		fbPublish(e, t)
-	}
-	mag := exp
-	neg := exp.Sign() < 0
-	if neg {
-		mag = new(big.Int).Neg(exp)
-	}
-	if mag.BitLen() > t.bits {
-		// Exponent wider than the table (unreduced key exponents can
-		// exceed n); the plain path handles any width.
-		return new(big.Int).Exp(base, exp, n)
-	}
-	out := t.exp(mag)
-	if neg {
-		out = out.ModInverse(out, n)
+	out := t.mctx.FromMont(s, acc)
+	if e.Sign() < 0 {
+		out = out.ModInverse(out, t.n)
 	}
 	return out
-}
-
-// ExpCachedMont computes base^exp (exp ≥ 0) as a Montgomery residue of
-// ctx, which must be MontCtxFor(n). The comb fast path stays in the
-// Montgomery domain throughout (zero conversions when the table is warm);
-// cold or out-of-range cases pay one plain Exp plus one ToMont. The token
-// applier uses this to keep whole batches in the domain.
-func ExpCachedMont(ctx *MontCtx, s *MontScratch, base, exp, n *big.Int) []big.Word {
-	if base.Sign() > 0 && base.Cmp(n) < 0 {
-		t, e := fbAcquire(base, n)
-		if e != nil {
-			t = newFBTable(base, n, n.BitLen())
-			fbPublish(e, t)
-		}
-		// Residues are interchangeable between contexts over the same
-		// modulus (the domain is determined by n alone), so compare
-		// values, not pointers — a context-cache flush between the
-		// table build and this call must not disable the fast path.
-		if t != nil && t.mctx != nil && t.mctx.n.Cmp(ctx.n) == 0 && exp.BitLen() <= t.bits {
-			return t.expMont(exp, s)
-		}
-	}
-	return ctx.ToMont(s, new(big.Int).Exp(base, exp, n))
-}
-
-// FixedBaseCacheReset clears the table cache (tests and memory-pressure
-// hooks). It does not affect correctness, only warm-up cost.
-func FixedBaseCacheReset() {
-	fbMu.Lock()
-	defer fbMu.Unlock()
-	fbSlots = make(map[string]*fbEntry)
-	fbLRU.Init()
-	fbBytes = 0
 }

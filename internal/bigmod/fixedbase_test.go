@@ -20,33 +20,42 @@ func testModulus(t testing.TB, bits int) *big.Int {
 	return new(big.Int).Mul(p1, p2)
 }
 
-// TestExpCachedMatchesExp drives ExpCached through the cold path, the
-// threshold crossing and the warm table path, checking every result against
-// big.Int.Exp.
-func TestExpCachedMatchesExp(t *testing.T) {
-	FixedBaseCacheReset()
-	n := testModulus(t, 256)
-	base, err := RandInvertible(n)
-	if err != nil {
-		t.Fatal(err)
+func checkExp(t *testing.T, fb *FixedBase, base, e, n *big.Int) {
+	t.Helper()
+	want := new(big.Int).Exp(base, e, n)
+	got := fb.Exp(e)
+	if (got == nil) != (want == nil) {
+		t.Fatalf("exp %s: nil divergence got=%v want=%v", e, got, want)
 	}
-	for i := 0; i < 20; i++ {
-		e, err := rand.Int(rand.Reader, n)
+	if got != nil && got.Cmp(want) != 0 {
+		t.Fatalf("exp %s: got %s want %s", e, got, want)
+	}
+}
+
+// TestFixedBaseMatchesExp checks the comb evaluation against big.Int.Exp
+// over random exponents at several widths.
+func TestFixedBaseMatchesExp(t *testing.T) {
+	for _, bits := range []int{64, 256, 512} {
+		n := testModulus(t, bits)
+		base, err := RandInvertible(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := new(big.Int).Exp(base, e, n)
-		got := ExpCached(base, e, n)
-		if got.Cmp(want) != 0 {
-			t.Fatalf("iteration %d: ExpCached=%s want %s", i, got, want)
+		fb := NewFixedBase(base, n)
+		for i := 0; i < 20; i++ {
+			e, err := rand.Int(rand.Reader, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExp(t, fb, base, e, n)
 		}
 	}
 }
 
-// TestExpCachedEdgeExponents covers zero, one, small, negative and
-// wider-than-modulus exponents.
-func TestExpCachedEdgeExponents(t *testing.T) {
-	FixedBaseCacheReset()
+// TestFixedBaseEdges covers zero, one, small, negative and
+// wider-than-modulus exponents, out-of-range and non-invertible bases, and
+// degenerate (even, unit) moduli that have no Montgomery table.
+func TestFixedBaseEdges(t *testing.T) {
 	n := testModulus(t, 192)
 	base, err := RandInvertible(n)
 	if err != nil {
@@ -66,103 +75,48 @@ func TestExpCachedEdgeExponents(t *testing.T) {
 		wide,
 		new(big.Int).Neg(wide),
 	}
-	// Warm the table first so every edge case takes the fast path where
-	// it applies.
-	for i := 0; i < fbBuildThreshold+1; i++ {
-		ExpCached(base, big.NewInt(7), n)
+	p, _ := RandPrime(96) // shares no factor with n except by accident
+	factor := new(big.Int).Mul(p, big.NewInt(3))
+	cases := []struct{ base, n *big.Int }{
+		{base, n},
+		{new(big.Int).Add(n, big.NewInt(7)), n}, // base ≥ n
+		{big.NewInt(0), n},
+		{big.NewInt(3), factor},         // not invertible: negative e → nil
+		{big.NewInt(5), big.NewInt(14)}, // even modulus
+		{big.NewInt(5), big.NewInt(1)},  // unit modulus
 	}
-	for _, e := range exps {
-		want := new(big.Int).Exp(base, e, n)
-		got := ExpCached(base, e, n)
-		if (got == nil) != (want == nil) {
-			t.Fatalf("exp %s: nil divergence got=%v want=%v", e, got, want)
-		}
-		if got != nil && got.Cmp(want) != 0 {
-			t.Fatalf("exp %s: got %s want %s", e, got, want)
-		}
-	}
-}
-
-// TestExpCachedManyBases checks correctness when the admission budget is
-// exhausted: every entry crosses the build threshold but no table fits, so
-// all entries go dead and the plain path must serve every call.
-func TestExpCachedManyBases(t *testing.T) {
-	FixedBaseCacheReset()
-	oldBudget := fbBudget
-	fbBudget = 1 // nothing fits: all entries go fbDead
-	defer func() { fbBudget = oldBudget; FixedBaseCacheReset() }()
-
-	n := testModulus(t, 128)
-	for b := 0; b < 8; b++ {
-		base, err := RandInvertible(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < fbBuildThreshold+2; i++ {
-			e, err := rand.Int(rand.Reader, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := new(big.Int).Exp(base, e, n)
-			if got := ExpCached(base, e, n); got.Cmp(want) != 0 {
-				t.Fatalf("base %d iter %d: got %s want %s", b, i, got, want)
-			}
-		}
-	}
-	fbMu.Lock()
-	defer fbMu.Unlock()
-	if fbBytes != 0 {
-		t.Fatalf("admission budget of 1 byte admitted %d bytes of tables", fbBytes)
-	}
-	for _, e := range fbSlots {
-		if e.state != fbDead {
-			t.Fatalf("entry %q in state %d, want fbDead", e.key[:16], e.state)
+	for _, c := range cases {
+		fb := NewFixedBase(c.base, c.n)
+		for _, e := range exps {
+			checkExp(t, fb, c.base, e, c.n)
 		}
 	}
 }
 
-// TestExpCachedConcurrent hammers one shared base and several private bases
-// from many goroutines; run under -race this is the cache's thread-safety
-// proof (concurrent lookup, build and eviction).
-func TestExpCachedConcurrent(t *testing.T) {
-	FixedBaseCacheReset()
+// TestFixedBaseConcurrent evaluates one shared table from many goroutines;
+// under -race this is the proof that a built table is read-only.
+func TestFixedBaseConcurrent(t *testing.T) {
 	n := testModulus(t, 128)
-	shared, err := RandInvertible(n)
+	base, err := RandInvertible(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers = 8
+	fb := NewFixedBase(base, n)
 	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		w := w
+	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			private, err := RandInvertible(n)
-			if err != nil {
-				errs <- err.Error()
-				return
-			}
 			for i := 0; i < 40; i++ {
-				base := shared
-				if i%3 == int(w)%3 {
-					base = private
-				}
 				e := big.NewInt(int64(w*1000 + i*17 + 1))
-				want := new(big.Int).Exp(base, e, n)
-				if got := ExpCached(base, e, n); got.Cmp(want) != 0 {
-					errs <- "mismatch at worker " + e.String()
+				if fb.Exp(e).Cmp(new(big.Int).Exp(base, e, n)) != 0 {
+					t.Errorf("mismatch at worker %d exponent %s", w, e)
 					return
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Fatal(msg)
-	}
 }
 
 func BenchmarkExpPlain(b *testing.B) {
@@ -175,16 +129,13 @@ func BenchmarkExpPlain(b *testing.B) {
 	}
 }
 
-func BenchmarkExpCachedWarm(b *testing.B) {
-	FixedBaseCacheReset()
+func BenchmarkFixedBaseExp(b *testing.B) {
 	n := testModulus(b, 512)
 	base, _ := RandInvertible(n)
 	e, _ := rand.Int(rand.Reader, n)
-	for i := 0; i < fbBuildThreshold+1; i++ {
-		ExpCached(base, e, n)
-	}
+	fb := NewFixedBase(base, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ExpCached(base, e, n)
+		fb.Exp(e)
 	}
 }

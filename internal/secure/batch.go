@@ -11,20 +11,25 @@ import (
 // Batch token application.
 //
 // ApplyToken pays per row for work that is constant per token: reducing
-// and multiplying by P, and (for negative Q) a full ModInverse of the
-// helper power. A TokenApplier hoists the per-token work — the Montgomery
-// context, ToMont(P), |Q| and its sign — and applies the token to many
-// (ve, w) rows with:
+// and multiplying by P, and resolving where powers of the token's exponent
+// are memoised. A TokenApplier hoists the per-token work — the Montgomery
+// context, ToMont(P), |Q| and its sign, the exponent's table in the
+// helper-power memo (powmemo.go) — and applies the token to many (ve, w)
+// rows with:
 //
-//   - w^|Q| via the fixed-base comb evaluated entirely in the Montgomery
-//     domain (bigmod.ExpCachedMont), no conversions on the warm path;
+//   - w^Q taken from the memo when this (helper, exponent) pair has been
+//     raised before, by this statement or any earlier one; only a first
+//     touch pays a square-and-multiply;
 //   - the asymmetric Montgomery trick for the multiplies: montMul of a
 //     Montgomery-form operand by a normal-form operand yields the
 //     normal-form product in ONE REDC, so a non-Base row costs exactly
-//     two REDCs after the exponentiation (⊙ve, then ⊙P) and a Base row
-//     one, with zero trial divisions;
-//   - Montgomery's batch-inversion trick for negative Q: one ModInverse
-//     plus three REDCs per row instead of one ModInverse per row.
+//     two REDCs after the power (⊙ve, then ⊙P) and a Base row one, with
+//     zero trial divisions;
+//   - Montgomery's batch-inversion trick for the first touches of a
+//     negative-Q batch: one ModInverse plus three REDCs per row instead
+//     of one ModInverse per row;
+//   - no power at all for Q = 0 (the re-key of an already-flat share):
+//     one REDC by P.
 //
 // An applier is immutable after construction and safe for concurrent use;
 // scratch memory comes from an internal pool, so the engine's parallel
@@ -38,6 +43,7 @@ type TokenApplier struct {
 	pM   []big.Word      // ToMont(P)
 	qAbs *big.Int        // |Q|
 	qNeg bool
+	pows *powTable // memoised w^Q for this exponent; nil when Q = 0
 	pool sync.Pool // *applyScratch
 }
 
@@ -45,22 +51,26 @@ type applyScratch struct {
 	ms   *bigmod.MontScratch
 	tmp  []big.Word // k limbs
 	tmp2 []big.Word // k limbs
+	key  []byte     // helper bytes, fixed width (memo key)
 	buf  []big.Word // grown on demand (batch prefix products)
 }
 
 // NewTokenApplier hoists the per-token work for n. The token and modulus
 // are captured by value/reference and must not be mutated afterwards.
 func NewTokenApplier(t Token, n *big.Int) *TokenApplier {
-	a := &TokenApplier{tok: t.Clone(), n: n, qNeg: t.Q.Sign() < 0}
-	a.qAbs = a.tok.Q
+	t = t.Clone()
+	a := &TokenApplier{tok: t, n: n, qAbs: t.Q, qNeg: t.Q.Sign() < 0}
 	if a.qNeg {
-		a.qAbs = new(big.Int).Neg(a.tok.Q)
+		a.qAbs = new(big.Int).Neg(t.Q)
 	}
 	if n != nil && n.Sign() > 0 {
 		a.ctx = bigmod.MontCtxFor(n)
 	}
 	if a.ctx != nil {
 		a.pM = a.ctx.ToMont(a.ctx.NewScratch(), t.P)
+		if t.Q.Sign() != 0 {
+			a.pows = powers.table(n, t.Q, a.ctx.Words())
+		}
 	}
 	return a
 }
@@ -80,6 +90,7 @@ func (a *TokenApplier) scratch() *applyScratch {
 		ms:   a.ctx.NewScratch(),
 		tmp:  make([]big.Word, k),
 		tmp2: make([]big.Word, k),
+		key:  make([]byte, (a.n.BitLen()+7)/8),
 	}
 }
 
@@ -97,21 +108,52 @@ func errNotInvertible() error {
 		bigmod.ErrNotInvertible)
 }
 
-// finish computes the token output from yM = ToMont(w^Q) and ve, entirely
-// with asymmetric (one-REDC) multiplies. The result is normal-domain.
+// applyPlain is the big.Int form of a token application, for moduli
+// without a Montgomery context. It returns nil when Q is negative and w
+// is not invertible.
+func applyPlain(t Token, ve, w, n *big.Int) *big.Int {
+	out := bigmod.Exp(w, t.Q, n)
+	if out == nil {
+		return nil
+	}
+	out = bigmod.Mul(out, t.P, n)
+	if !t.Base {
+		out = bigmod.Mul(out, ve, n)
+	}
+	return out
+}
+
+// memoKey renders w as the memo's fixed-width key in s.key, or returns
+// nil for a helper outside [0, n), which bypasses the memo (stored
+// helpers are always reduced).
+func (a *TokenApplier) memoKey(s *applyScratch, w *big.Int) []byte {
+	if w.Sign() < 0 || w.Cmp(a.n) >= 0 {
+		return nil
+	}
+	return w.FillBytes(s.key)
+}
+
+// finish computes the token output from yM = ToMont(w^Q) (nil when Q = 0,
+// i.e. w^Q = 1) and ve, entirely with asymmetric (one-REDC) multiplies.
+// The result is normal-domain.
 func (a *TokenApplier) finish(s *applyScratch, yM []big.Word, ve *big.Int) *big.Int {
-	if a.tok.Base {
+	switch {
+	case a.tok.Base && yM == nil:
+		return new(big.Int).Mod(a.tok.P, a.n)
+	case a.tok.Base:
 		// out = P·y: yM ⊙ P with P normal-form leaves the product in
 		// the normal domain.
 		a.ctx.MulBig(s.ms, s.tmp, yM, a.tok.P)
-	} else {
+	case yM == nil:
+		// out = pM ⊙ ve = P·ve (normal).
+		a.ctx.MulBig(s.ms, s.tmp, a.pM, ve)
+	default:
 		// t = yM ⊙ ve = y·ve (normal); out = pM ⊙ t = P·y·ve (normal).
 		a.ctx.MulBig(s.ms, s.tmp, yM, ve)
 		a.ctx.MulTo(s.ms, s.tmp2, a.pM, s.tmp)
 		s.tmp, s.tmp2 = s.tmp2, s.tmp
 	}
-	out := new(big.Int).SetBits(append([]big.Word(nil), s.tmp...))
-	return out
+	return new(big.Int).SetBits(append([]big.Word(nil), s.tmp...))
 }
 
 // Apply transforms a single row: out = P·ve·w^Q mod n (P·w^Q for Base
@@ -119,7 +161,7 @@ func (a *TokenApplier) finish(s *applyScratch, yM []big.Word, ve *big.Int) *big.
 // non-invertible helper).
 func (a *TokenApplier) Apply(ve, w *big.Int) (*big.Int, error) {
 	if a.ctx == nil {
-		out := ApplyToken(a.tok, ve, w, a.n)
+		out := applyPlain(a.tok, ve, w, a.n)
 		if out == nil {
 			return nil, errNotInvertible()
 		}
@@ -127,22 +169,33 @@ func (a *TokenApplier) Apply(ve, w *big.Int) (*big.Int, error) {
 	}
 	s := a.scratch()
 	defer a.pool.Put(s)
-	yM := bigmod.ExpCachedMont(a.ctx, s.ms, w, a.qAbs, a.n)
-	if a.qNeg {
-		y := a.ctx.FromMont(s.ms, yM)
-		if y.ModInverse(y, a.n) == nil {
-			return nil, errNotInvertible()
+	if a.pows == nil {
+		return a.finish(s, nil, ve), nil
+	}
+	key := a.memoKey(s, w)
+	if key != nil {
+		if yM := a.pows.get(key); yM != nil {
+			powers.hits.Add(1)
+			return a.finish(s, yM, ve), nil
 		}
-		yM = a.ctx.ToMont(s.ms, y)
+	}
+	powers.misses.Add(1)
+	y := new(big.Int).Exp(w, a.tok.Q, a.n)
+	if y == nil {
+		return nil, errNotInvertible()
+	}
+	yM := a.ctx.ToMont(s.ms, y)
+	if key != nil {
+		powers.put(a.pows, key, yM)
 	}
 	return a.finish(s, yM, ve), nil
 }
 
 // ApplyBatch transforms rows i ∈ [0, len(ws)): out[i] = P·ves[i]·ws[i]^Q
 // mod n. For Base tokens ves may be nil. Negative-Q tokens amortize the
-// helper inversions across the whole batch (one ModInverse total); if ANY
-// helper is non-invertible the batch errors, exactly as each scalar
-// application would.
+// inversions of the helpers not yet memoised across the whole batch (one
+// ModInverse total); if ANY of those is non-invertible the batch errors,
+// exactly as each scalar application would.
 func (a *TokenApplier) ApplyBatch(ves, ws []*big.Int) ([]*big.Int, error) {
 	if len(ws) == 0 {
 		return nil, nil
@@ -151,42 +204,68 @@ func (a *TokenApplier) ApplyBatch(ves, ws []*big.Int) ([]*big.Int, error) {
 		return nil, fmt.Errorf("secure: batch length mismatch: %d shares, %d helpers", len(ves), len(ws))
 	}
 	out := make([]*big.Int, len(ws))
+	ve := func(i int) *big.Int {
+		if a.tok.Base {
+			return nil
+		}
+		return ves[i]
+	}
 	if a.ctx == nil {
 		for i, w := range ws {
-			var ve *big.Int
-			if !a.tok.Base {
-				ve = ves[i]
-			}
-			r := ApplyToken(a.tok, ve, w, a.n)
-			if r == nil {
+			if out[i] = applyPlain(a.tok, ve(i), w, a.n); out[i] == nil {
 				return nil, errNotInvertible()
 			}
-			out[i] = r
 		}
 		return out, nil
 	}
 	s := a.scratch()
 	defer a.pool.Put(s)
-	k := a.ctx.Words()
-	// Phase 1: yM[i] = ToMont(ws[i]^|Q|), comb-evaluated in-domain.
-	yMs := make([][]big.Word, len(ws))
-	for i, w := range ws {
-		yMs[i] = bigmod.ExpCachedMont(a.ctx, s.ms, w, a.qAbs, a.n)
-	}
-	if a.qNeg {
-		if err := a.batchInvMont(s, yMs, k); err != nil {
+	yMs := make([][]big.Word, len(ws)) // all nil when Q = 0
+	if a.pows != nil {
+		if err := a.batchPowers(s, ws, yMs); err != nil {
 			return nil, err
 		}
 	}
-	// Phase 2: two one-REDC multiplies per row (one for Base tokens).
+	// Two one-REDC multiplies per row (one for Base or Q = 0).
 	for i := range ws {
-		var ve *big.Int
-		if !a.tok.Base {
-			ve = ves[i]
-		}
-		out[i] = a.finish(s, yMs[i], ve)
+		out[i] = a.finish(s, yMs[i], ve(i))
 	}
 	return out, nil
+}
+
+// batchPowers fills yMs[i] = ToMont(ws[i]^Q): memo hits first, then the
+// misses raised to |Q|, inverted together when Q is negative, and
+// memoised.
+func (a *TokenApplier) batchPowers(s *applyScratch, ws []*big.Int, yMs [][]big.Word) error {
+	var missed []int
+	for i, w := range ws {
+		if key := a.memoKey(s, w); key != nil {
+			yMs[i] = a.pows.get(key)
+		}
+		if yMs[i] == nil {
+			yMs[i] = a.ctx.ToMont(s.ms, new(big.Int).Exp(w, a.qAbs, a.n))
+			missed = append(missed, i)
+		}
+	}
+	powers.hits.Add(int64(len(ws) - len(missed)))
+	powers.misses.Add(int64(len(missed)))
+	if a.qNeg && len(missed) > 0 {
+		// Only the fresh residues are inverted in place; memoised ones
+		// are shared and immutable.
+		fresh := make([][]big.Word, len(missed))
+		for j, i := range missed {
+			fresh[j] = yMs[i]
+		}
+		if err := a.batchInvMont(s, fresh, a.ctx.Words()); err != nil {
+			return err
+		}
+	}
+	for _, i := range missed {
+		if key := a.memoKey(s, ws[i]); key != nil {
+			powers.put(a.pows, key, yMs[i])
+		}
+	}
+	return nil
 }
 
 // batchInvMont replaces each Montgomery residue yMs[i] with its modular
@@ -254,7 +333,7 @@ func (s *Secret) NewMaskEncRequest(mask *big.Int, r RowID, ck ColumnKey) (EncReq
 }
 
 // EncryptBatch mints all requested shares with ONE modular inversion:
-// item keys are derived per request (through the fixed-base cache on g),
+// item keys are derived per request (through g's comb table),
 // then inverted together with Montgomery's batch trick. Semantically
 // identical to calling Encrypt/EncryptMask per request; an error means
 // some item key shared a factor with n (degenerate column key), the same

@@ -124,7 +124,7 @@ func TestApplyTokenBatchLengthMismatch(t *testing.T) {
 }
 
 // TestApplierApplyMatchesApplyToken checks the scalar entry point of a
-// long-lived applier, warm (comb-table) and cold.
+// long-lived applier, on first touch and memoised.
 func TestApplierApplyMatchesApplyToken(t *testing.T) {
 	s := batchSecret(t)
 	n := s.N()
@@ -141,7 +141,8 @@ func TestApplierApplyMatchesApplyToken(t *testing.T) {
 		}
 		tok := Token{P: new(big.Int).Rand(r, n), Q: q}
 		a := NewTokenApplier(tok, n)
-		// Hammer one helper past the comb build threshold.
+		// One helper, many shares: every application after the first
+		// is a memo hit.
 		for i := 0; i < 40; i++ {
 			ve := new(big.Int).Rand(r, n)
 			got, err := a.Apply(ve, w)

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync"
 
 	"sdb/internal/bigmod"
 )
@@ -50,6 +51,9 @@ type Secret struct {
 	g         *big.Int
 	domain    *bigmod.Domain
 	maskWidth int
+
+	gOnce  sync.Once
+	gTable *bigmod.FixedBase // comb table of g, built on first use
 }
 
 // Setup generates fresh key material: an RSA modulus of modulusBits bits, a

@@ -27,7 +27,15 @@ func (s *Secret) NewRowID() (RowID, error) {
 // SP. Tokens instruct the SP to raise w to secret-derived exponents; since
 // vk = m·w^x, the helper lets the SP re-key shares without knowing g.
 func (s *Secret) RowHelper(r RowID) *big.Int {
-	return bigmod.ExpCached(s.g, r.R, s.params.N)
+	return s.gExp(r.R)
+}
+
+// gExp returns g^e mod n through g's comb table. g is the one fixed base
+// of the scheme — every encrypt and decrypt derives an item key from it —
+// so its Secret builds the table on first use and keeps it.
+func (s *Secret) gExp(e *big.Int) *big.Int {
+	s.gOnce.Do(func() { s.gTable = bigmod.NewFixedBase(s.g, s.params.N) })
+	return s.gTable.Exp(e)
 }
 
 // ItemKey implements gen(r, ⟨m,x⟩) = m · g^(r·x mod φ(n)) mod n (Def. 1).
@@ -35,10 +43,7 @@ func (s *Secret) RowHelper(r RowID) *big.Int {
 func (s *Secret) ItemKey(r RowID, ck ColumnKey) *big.Int {
 	e := new(big.Int).Mul(r.R, ck.X)
 	e.Mod(e, s.phi)
-	// g is the hottest fixed base in the system: every encrypt and decrypt
-	// derives an item key from it.
-	ik := bigmod.ExpCached(s.g, e, s.params.N)
-	return bigmod.Mul(ck.M, ik, s.params.N)
+	return bigmod.Mul(ck.M, s.gExp(e), s.params.N)
 }
 
 // Encrypt implements E(v, vk) = v·vk⁻¹ mod n (Def. 2) for a signed

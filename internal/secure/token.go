@@ -111,21 +111,19 @@ func (s *Secret) ConstShareToken(c *big.Int, ck ColumnKey) (Token, error) {
 
 // ApplyToken is the SP-side UDF: out = P·ve·w^Q mod n (or P·w^Q for
 // constant-share tokens). It uses only public material — the token, the
-// stored share and the stored row helper. The w^Q exponentiation goes
-// through the fixed-base cache: a row helper touched by several tokens in
-// one query, or re-touched across queries and rotations, stops paying full
-// square-and-multiply.
+// stored share and the stored row helper. It is a one-row TokenApplier,
+// so the w^Q exponentiation goes through the helper-power memo (a row
+// helper touched by several tokens of one exponent, in one query or
+// across queries, is raised once) and a Q = 0 token is a single multiply
+// by P; callers applying one token to many rows should hold a
+// TokenApplier and pay the per-token setup once.
 // It returns nil when t.Q is negative and w is not invertible modulo n
 // (mirroring big.Int.Exp); stored helpers are always invertible, so a nil
 // here means corrupt or adversarial inputs.
 func ApplyToken(t Token, ve, w, n *big.Int) *big.Int {
-	out := bigmod.ExpCached(w, t.Q, n)
-	if out == nil {
+	out, err := NewTokenApplier(t, n).Apply(ve, w)
+	if err != nil {
 		return nil
-	}
-	out = bigmod.Mul(out, t.P, n)
-	if !t.Base {
-		out = bigmod.Mul(out, ve, n)
 	}
 	return out
 }

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"sdb/internal/secure"
 )
 
 // metrics is the server's counter block. Everything is a monotonic
@@ -98,6 +100,17 @@ func (s *Server) RegisterGauge(name string, fn func() int64) {
 		s.gauges.names = append(s.gauges.names, name)
 	}
 	s.gauges.byName[name] = fn
+}
+
+// registerHelperPowerGauges exports the process-wide helper-power memo of
+// internal/secure (the SP's token applications go through it). The memo
+// reports counts and sizes only, so nothing scraped here carries helper,
+// exponent or token material.
+func registerHelperPowerGauges(s *Server) {
+	s.RegisterGauge("sdb_helper_power_hits_total", func() int64 { return secure.HelperPowers().Hits })
+	s.RegisterGauge("sdb_helper_power_misses_total", func() int64 { return secure.HelperPowers().Misses })
+	s.RegisterGauge("sdb_helper_power_entries", func() int64 { return secure.HelperPowers().Entries })
+	s.RegisterGauge("sdb_helper_power_bytes", func() int64 { return secure.HelperPowers().Bytes })
 }
 
 // MetricsHandler serves /metrics (Prometheus text format) and /healthz.

@@ -101,6 +101,7 @@ func NewWithEngine(eng *engine.Engine) *Server {
 	}
 	s.maxStmts.Store(DefaultMaxSessionStmts)
 	s.maxFrame.Store(DefaultMaxFrameBytes)
+	registerHelperPowerGauges(s)
 	return s
 }
 

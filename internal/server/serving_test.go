@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -861,6 +862,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := p.Exec(`SELECT id, v FROM m`); err != nil {
 		t.Fatal(err)
 	}
+	// A SENSITIVE aggregate, twice: the SP flattens v with a token, so the
+	// helper-power memo misses on the first run and hits on the second.
+	for i := 0; i < 2; i++ {
+		if _, err := p.Exec(`SELECT SUM(v) FROM m`); err != nil {
+			t.Fatal(err)
+		}
+	}
 	srv.RegisterGauge("sdb_plan_cache_hits_total", func() int64 {
 		hits, _ := p.PlanCacheStats()
 		return int64(hits)
@@ -877,9 +885,26 @@ func TestMetricsEndpoint(t *testing.T) {
 		"sdb_bytes_in_total",
 		"sdb_budget_pool_limit_rows",
 		"sdb_plan_cache_hits_total",
+		"sdb_helper_power_hits_total",
+		"sdb_helper_power_misses_total",
+		"sdb_helper_power_entries",
+		"sdb_helper_power_bytes",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
+		}
+	}
+	// Every exported line is a name and a decimal count: no helper,
+	// exponent or token material can ride along.
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		if !regexp.MustCompile(`^[a-z_]+ -?[0-9]+$`).MatchString(line) {
+			t.Errorf("/metrics line is not `name count`: %q", line)
+		}
+	}
+	for _, zero := range []string{"sdb_helper_power_hits_total 0\n", "sdb_helper_power_misses_total 0\n",
+		"sdb_helper_power_entries 0\n", "sdb_helper_power_bytes 0\n"} {
+		if strings.Contains(body, zero) {
+			t.Errorf("/metrics gauge unexpectedly zero after a SENSITIVE aggregate: %q", zero)
 		}
 	}
 	// The CI smoke asserts the same: core counters must be nonzero on a

@@ -2,7 +2,7 @@
 # CI gate: docs link check, static checks, the full test suite, the race
 # detector over every package (the chunked parallel engine/proxy paths,
 # the streaming cursor pipeline, the parallel spilled-partition scheduler
-# and the bigmod fixed-base cache are exercised by dedicated concurrency
+# and the secure helper-power memo are exercised by dedicated concurrency
 # tests), a forced-tiny-budget spill regression pass, a planner-off
 # differential pass, an MVCC-off lock-mode differential pass, a
 # race-detected MVCC isolation pass (torn-read, no-stall,
@@ -10,8 +10,9 @@
 # race-detected concurrent spill pass, a
 # race-detected crash-recovery/durability pass (kill-point differential
 # harness + SIGKILL subprocess test), a race-detected Montgomery-core
-# pass (shared MontCtx / TokenApplier under concurrent workers), a
-# batch-vs-scalar token-application differential gate, a race-detected
+# pass (shared MontCtx / TokenApplier / helper-power memo under concurrent
+# workers), a batch-vs-scalar token-application differential gate, the
+# bench/ module's own vet and smoke test, a race-detected
 # concurrent-serving pass (multi-driver storm against an
 # admission-limited, pool-budgeted server), a live-server smoke that
 # curls /healthz and asserts nonzero /metrics counters, and a short fuzz
@@ -136,8 +137,20 @@ echo "== Montgomery core under the race detector"
 # driven by parallel goroutines with private scratch buffers, and one
 # shared secure.TokenApplier applying a token across concurrent worker
 # chunks — the exact sharing discipline the engine's chunked UPDATE path
-# and the proxy's parallel decrypt path rely on.
-go test -race ${SHORT_FLAG} -run Mont ./internal/bigmod ./internal/secure
+# and the proxy's parallel decrypt path rely on. The helper-power memo
+# tests ride along: concurrent appliers over overlapping helpers fill,
+# hit and evict one process-wide memo (and the differential against
+# big.Int.Exp runs cold, warm and under a forced tiny bound), and the
+# generator's comb table is evaluated from parallel goroutines.
+go test -race ${SHORT_FLAG} -run 'Mont|PowMemo|FixedBase' ./internal/bigmod ./internal/secure
+
+echo "== bench module (vet + smoke test)"
+# bench/ is a Go module of its own (sdb/bench, replace sdb => ..), so the
+# root `go vet ./...` / `go test ./...` neither build nor run it — a change
+# that deletes or renames an exported symbol it compiles against would
+# pass everything above. Its smoke test runs every workload at --scale
+# tiny against its oracle.
+(cd bench && go vet . && go test .)
 
 echo "== concurrent serving suite under the race detector"
 # The multi-driver serving storm and the engine-side pool tests again,
@@ -153,8 +166,8 @@ echo "== serving smoke (live sdb-server: /healthz + /metrics)"
 # Build the real binaries, boot a server with the metrics endpoint, push
 # one session of traffic through the shell client, and assert the health
 # and metrics endpoints report it: /healthz says ok, and the session /
-# byte counters are nonzero (a broken countingConn or metrics mux would
-# serve zeros). Uses fixed loopback ports; override with SDB_SMOKE_PORT
+# byte counters and the helper-power memo gauges are nonzero (a broken
+# countingConn or metrics mux would serve zeros). Uses fixed loopback ports; override with SDB_SMOKE_PORT
 # if they clash on a shared runner.
 SMOKE_PORT="${SDB_SMOKE_PORT:-7391}"
 SMOKE_METRICS_PORT=$((SMOKE_PORT + 1))
@@ -174,10 +187,13 @@ for i in $(seq 1 50); do
   sleep 0.1
   if [[ "$i" == 50 ]]; then echo "server never became healthy"; exit 1; fi
 done
-printf 'CREATE TABLE smoke (a INT, v INT SENSITIVE);\nINSERT INTO smoke VALUES (1, 10), (2, 20);\nSELECT a, v FROM smoke;\n\\q\n' \
+# The SENSITIVE aggregate runs twice: the SP flattens v with a token, which
+# misses the helper-power memo the first time and hits it the second.
+printf 'CREATE TABLE smoke (a INT, v INT SENSITIVE);\nINSERT INTO smoke VALUES (1, 10), (2, 20);\nSELECT a, v FROM smoke;\nSELECT SUM(v) FROM smoke;\nSELECT SUM(v) FROM smoke;\n\\q\n' \
   | "$SMOKE_DIR/sdb" shell -server "127.0.0.1:${SMOKE_PORT}" -secret "$SMOKE_DIR/do.key" >/dev/null
 METRICS=$(curl -fsS "http://127.0.0.1:${SMOKE_METRICS_PORT}/metrics")
-for counter in sdb_sessions_total sdb_frames_in_total sdb_bytes_in_total sdb_bytes_out_total; do
+for counter in sdb_sessions_total sdb_frames_in_total sdb_bytes_in_total sdb_bytes_out_total \
+    sdb_helper_power_hits_total sdb_helper_power_misses_total sdb_helper_power_entries sdb_helper_power_bytes; do
   if ! echo "$METRICS" | grep -E "^${counter} [1-9]" >/dev/null; then
     echo "metrics smoke: ${counter} is zero or missing:"
     echo "$METRICS"
