@@ -45,10 +45,14 @@ type opFixture struct {
 	ckA  secure.ColumnKey
 	ckB  secure.ColumnKey
 	flat secure.ColumnKey
-	rid  secure.RowID
+	rid  secure.RowID // modulus-wide, as Secret.NewRowID draws them
 	w    *big.Int
 	ae   *big.Int
 	be   *big.Int
+	// The same share under a row id of the width proxies draw (62 bits):
+	// its item key goes through the column key's own comb table.
+	shortRid secure.RowID
+	shortAe  *big.Int
 }
 
 var (
@@ -76,6 +80,8 @@ func fixture(b *testing.B, bits int) *opFixture {
 	f.w = s.RowHelper(f.rid)
 	f.ae, _ = s.EncryptInt64(123456, f.rid, f.ckA)
 	f.be, _ = s.EncryptInt64(-9876, f.rid, f.ckB)
+	f.shortRid, _ = secure.NewShortRowID()
+	f.shortAe, _ = s.EncryptInt64(123456, f.shortRid, f.ckA)
 	opFixtures[bits] = f
 	return f
 }
@@ -119,6 +125,38 @@ func BenchmarkOpSuite(b *testing.B) {
 			}
 			reportRows(b, 1, bits)
 		})
+		// encrypt/decrypt above use a modulus-wide row id, which no proxy
+		// draws; *-rid62 are the costs a proxy's rows see (item keys go
+		// through the column key's comb table), and -cold adds the first
+		// touch of a column key, which builds that table.
+		dec := f.s.NewDecryptor(f.ckA)
+		for _, op := range []struct {
+			name string
+			run  func(ck secure.ColumnKey) error
+			cold bool // a fresh column key per iteration, drawn untimed
+		}{
+			{"encrypt-rid62", func(ck secure.ColumnKey) error { _, err := f.s.EncryptInt64(424242, f.shortRid, ck); return err }, false},
+			{"decrypt-rid62", func(secure.ColumnKey) error { _, err := dec.Decrypt(f.shortAe, f.shortRid); return err }, false},
+			{"itemkey", func(ck secure.ColumnKey) error { f.s.ItemKey(f.rid, ck); return nil }, false},
+			{"itemkey-rid62", func(ck secure.ColumnKey) error { f.s.ItemKey(f.shortRid, ck); return nil }, false},
+			{"itemkey-rid62-cold", func(ck secure.ColumnKey) error { f.s.ItemKey(f.shortRid, ck); return nil }, true},
+		} {
+			op := op
+			b.Run(fmt.Sprintf("%s/n=%d", op.name, bits), func(b *testing.B) {
+				ck := f.ckA
+				for i := 0; i < b.N; i++ {
+					if op.cold {
+						b.StopTimer()
+						ck, _ = f.s.NewColumnKey()
+						b.StartTimer()
+					}
+					if err := op.run(ck); err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportRows(b, 1, bits)
+			})
+		}
 		// A token application costs whatever its w^Q costs, and the
 		// helper-power memo gives that three states: "first" touches a
 		// helper the memo has never seen, "hit" repeats one (helper,

@@ -402,6 +402,12 @@ func concurrent(sf float64, bits, maxClients, perClient, globalBudget int, opts 
 // the memo has never seen, "memo hit" repeats a (helper, token) pair, and
 // "fresh exponent" applies a new exponent to helpers the memo already
 // knows under another one (it exponentiates: the memo keys on the pair).
+//
+// DO-side costs follow the row id's width. Secret.NewRowID draws
+// modulus-wide ids, which no proxy does: proxy rows carry 62-bit ids
+// (secure.RowIDBits), whose item keys go through the column key's own comb
+// table. Both widths are reported, and the proxy width also cold — the
+// first item key under a column key, which builds that table.
 func ops(bits int) {
 	secret, err := secure.Setup(bits, secure.DefaultValueBits, secure.DefaultMaskBits)
 	if err != nil {
@@ -413,14 +419,18 @@ func ops(bits int) {
 	flat, _ := secret.FlatKey()
 	const rows = 250
 	rids := make([]secure.RowID, rows)
+	short := make([]secure.RowID, rows) // proxy-width row ids
 	ws := make([]*big.Int, rows)
 	aes := make([]*big.Int, rows)
 	bes := make([]*big.Int, rows)
+	shortAes := make([]*big.Int, rows)
 	for i := range rids {
 		rids[i], _ = secret.NewRowID()
+		short[i], _ = secure.NewShortRowID()
 		ws[i] = secret.RowHelper(rids[i])
 		aes[i], _ = secret.EncryptInt64(123456+int64(i), rids[i], ckA)
 		bes[i], _ = secret.EncryptInt64(-9876-int64(i), rids[i], ckB)
+		shortAes[i], _ = secret.EncryptInt64(123456+int64(i), short[i], ckA)
 	}
 	tokU, _ := secret.KeyUpdateToken(ckA, ckB)
 	tokF, _ := secret.KeyUpdateToken(ckA, flat)
@@ -454,8 +464,18 @@ func ops(bits int) {
 		}, apply)
 	}
 	fmt.Printf("per-operator cost, %d-bit modulus (%d rows x %d rounds)\n\n", bits, rows, rounds)
-	timeOp("encrypt", nil, func(i int) { _, _ = secret.EncryptInt64(424242, rids[i], ckA) })
-	timeOp("decrypt", nil, func(i int) { secret.Decrypt(aes[i], rids[i], ckA) })
+	timeOp("item key (n-wide row id)", nil, func(i int) { secret.ItemKey(rids[i], ckA) })
+	timeOp("encrypt (n-wide row id)", nil, func(i int) { _, _ = secret.EncryptInt64(424242, rids[i], ckA) })
+	timeOp("decrypt (n-wide row id)", nil, func(i int) { secret.Decrypt(aes[i], rids[i], ckA) })
+	timeOp("item key (62-bit row id)", nil, func(i int) { secret.ItemKey(short[i], ckA) })
+	timeOp("encrypt (62-bit row id)", nil, func(i int) { _, _ = secret.EncryptInt64(424242, short[i], ckA) })
+	timeOp("decrypt (62-bit row id)", nil, func(i int) { secret.Decrypt(shortAes[i], short[i], ckA) })
+	dec := secret.NewDecryptor(ckA)
+	timeOp("decrypt (62-bit, row kernel)", nil, func(i int) { _, _ = dec.Decrypt(shortAes[i], short[i]) })
+	timeOp("item key (62-bit, cold: builds table)", nil, func(i int) {
+		ck, _ := secret.NewColumnKey()
+		secret.ItemKey(short[i], ck)
+	})
 	timeOp("multiply (EE)", nil, func(i int) { secure.Multiply(aes[i], bes[i], n) })
 	timeOp("add (same key)", nil, func(i int) { secure.AddShares(aes[i], aes[i], n) })
 	tokenStates("key update", tokU, tokF)

@@ -61,7 +61,12 @@ func (d *Domain) EncodeInt64(v int64) (*big.Int, error) {
 // Decode maps a residue in [0, n) back to a signed integer: residues above
 // n/2 are interpreted as negative.
 func (d *Domain) Decode(w *big.Int) *big.Int {
-	r := new(big.Int).Mod(w, d.n)
+	return d.Signed(new(big.Int).Mod(w, d.n))
+}
+
+// Signed is Decode in place, for a residue the caller owns and knows to
+// be in [0, n) (a REDC output): no copy, no division.
+func (d *Domain) Signed(r *big.Int) *big.Int {
 	if r.Cmp(d.half) > 0 {
 		r.Sub(r, d.n)
 	}

@@ -4,32 +4,38 @@ import "math/big"
 
 // Fixed-base windowed exponentiation.
 //
-// The scheme has exactly one truly fixed base: the secret generator g,
-// which every item-key derivation and every row-helper mint at the proxy
-// exponentiates. For a fixed base the square-and-multiply squarings can be
-// precomputed once into a radix-2^w comb table
+// A base that is raised to many exponents can have the square-and-multiply
+// squarings precomputed once into a radix-2^w comb table
 //
 //	rows[i][j-1] = base^(j · 2^(w·i)) mod n   j ∈ [1, 2^w)
 //
 // after which base^e costs at most ceil(bits(e)/w) modular multiplications
-// and zero squarings — measured ~1.9x over big.Int.Exp at 512 bits.
+// and zero squarings. The table only has to be as wide as the exponents it
+// will see, which is what makes it affordable per base: the scheme has two
+// kinds of fixed base, both owned by secure.Secret —
 //
-// A table belongs to whoever owns the base (secure.Secret holds the one
-// for g): it is built once, immutable afterwards and read without locks.
-// Row helpers are NOT fixed bases in this sense — each is raised to a
-// handful of distinct exponents, which internal/secure memoises as whole
-// powers instead (see secure/powmemo.go).
+//   - the secret generator g, raised to modulus-wide exponents (row
+//     helpers, item keys of modulus-wide row ids): one table of
+//     ceil(bits(n)/w) digit rows;
+//   - h = g^x for every column key ⟨m, x⟩ in use, raised to a row id. The
+//     proxy's row ids are 62 bits wide, so such a table has 9 digit rows
+//     (~73 KB at 512 bits) and an item key costs ≤ 9 multiplies.
+//
+// A table is built once, immutable afterwards and read without locks. Row
+// helpers are NOT fixed bases in this sense — each is raised to a handful
+// of distinct exponents, which internal/secure memoises as whole powers
+// instead (see secure/powmemo.go).
 
 // fbWindow is the comb radix exponent: 7 bits per digit, 127 table
-// entries per digit row (~600 KB and ~9,400 multiplications to build at
-// 512 bits, the work of roughly a dozen plain exponentiations).
+// entries per digit row (at 512 bits ~8 KB and 127 multiplications per
+// row).
 const fbWindow = 7
 
 // FixedBase is the comb table of one (base, n) pair. Entries live in the
 // Montgomery domain (raw k-limb residues) so the evaluation loop
 // accumulates with REDC — each digit multiply costs 2k² word
 // multiply-adds instead of a full multiply plus trial division — and
-// converts out of the domain exactly once per exponentiation. Even
+// converts out of the domain at most once per exponentiation. Even
 // (degenerate) moduli have no Montgomery form and keep no table: Exp
 // falls through to big.Int.Exp.
 type FixedBase struct {
@@ -40,13 +46,13 @@ type FixedBase struct {
 }
 
 // NewFixedBase precomputes the comb table of base modulo n, covering
-// exponents up to n.BitLen() bits wide. It panics if n is nil or
-// non-positive, like Exp.
-func NewFixedBase(base, n *big.Int) *FixedBase {
+// exponents up to bits bits wide. It panics if n is nil or non-positive,
+// like Exp.
+func NewFixedBase(base, n *big.Int, bits int) *FixedBase {
 	if n == nil || n.Sign() <= 0 {
 		panic("bigmod: modulus must be positive")
 	}
-	t := &FixedBase{base: base, n: n, bits: n.BitLen(), mctx: MontCtxFor(n)}
+	t := &FixedBase{base: base, n: n, bits: bits, mctx: MontCtxFor(n)}
 	if t.mctx == nil {
 		return t
 	}
@@ -56,7 +62,7 @@ func NewFixedBase(base, n *big.Int) *FixedBase {
 	m := t.mctx
 	s := m.NewScratch()
 	k := m.Words()
-	numRows := (t.bits + fbWindow - 1) / fbWindow
+	numRows := (bits + fbWindow - 1) / fbWindow
 	bM := m.ToMont(s, base) // bM = ToMont(base^(2^(fbWindow·i))) for row i
 	t.mrows = make([][][]big.Word, numRows)
 	for i := 0; i < numRows; i++ {
@@ -76,6 +82,38 @@ func NewFixedBase(base, n *big.Int) *FixedBase {
 	return t
 }
 
+// Bytes returns the size of the table's entries.
+func (t *FixedBase) Bytes() int {
+	if t.mctx == nil {
+		return 0
+	}
+	return len(t.mrows) * ((1 << fbWindow) - 1) * t.mctx.Words() * (montWordBits / 8)
+}
+
+// Covers reports whether MulExpTo can evaluate base^e: there is a table,
+// and e is non-negative and no wider than it.
+func (t *FixedBase) Covers(e *big.Int) bool {
+	return t.mctx != nil && e.Sign() >= 0 && e.BitLen() <= t.bits
+}
+
+// MulExpTo multiplies the Montgomery residue acc (k limbs) by base^e in
+// place: one REDC per non-zero digit of e, no allocation, no conversion.
+// It is the evaluation entry for callers that stay in the domain and bring
+// their own scratch; e must satisfy Covers.
+func (t *FixedBase) MulExpTo(s *MontScratch, acc []big.Word, e *big.Int) {
+	w := e.Bits()
+	for i := 0; i*fbWindow < e.BitLen(); i++ {
+		wi, off := i*fbWindow/montWordBits, uint(i*fbWindow%montWordBits)
+		d := uint(w[wi]) >> off
+		if off+fbWindow > montWordBits && wi+1 < len(w) {
+			d |= uint(w[wi+1]) << (montWordBits - off)
+		}
+		if d &= 1<<fbWindow - 1; d != 0 {
+			t.mctx.MulTo(s, acc, acc, t.mrows[i][d-1])
+		}
+	}
+}
+
 // Exp returns base^e mod n. Semantics match Exp / big.Int.Exp, including
 // negative exponents (the inverse of base^|e|, or nil when base is not
 // invertible). Exponents wider than the table (unreduced key exponents
@@ -85,20 +123,12 @@ func (t *FixedBase) Exp(e *big.Int) *big.Int {
 	if e.Sign() < 0 {
 		mag = new(big.Int).Neg(e)
 	}
-	if t.mctx == nil || mag.BitLen() > t.bits {
+	if !t.Covers(mag) {
 		return new(big.Int).Exp(t.base, e, t.n)
 	}
 	s := t.mctx.NewScratch()
 	acc := t.mctx.One()
-	for i := 0; i*fbWindow < mag.BitLen(); i++ {
-		d := 0
-		for k := 0; k < fbWindow; k++ {
-			d |= int(mag.Bit(i*fbWindow+k)) << k
-		}
-		if d != 0 {
-			t.mctx.MulTo(s, acc, acc, t.mrows[i][d-1])
-		}
-	}
+	t.MulExpTo(s, acc, mag)
 	out := t.mctx.FromMont(s, acc)
 	if e.Sign() < 0 {
 		out = out.ModInverse(out, t.n)

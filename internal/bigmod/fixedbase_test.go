@@ -41,7 +41,7 @@ func TestFixedBaseMatchesExp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb := NewFixedBase(base, n)
+		fb := NewFixedBase(base, n, n.BitLen())
 		for i := 0; i < 20; i++ {
 			e, err := rand.Int(rand.Reader, n)
 			if err != nil {
@@ -86,10 +86,50 @@ func TestFixedBaseEdges(t *testing.T) {
 		{big.NewInt(5), big.NewInt(1)},  // unit modulus
 	}
 	for _, c := range cases {
-		fb := NewFixedBase(c.base, c.n)
+		fb := NewFixedBase(c.base, c.n, c.n.BitLen())
 		for _, e := range exps {
 			checkExp(t, fb, c.base, e, c.n)
 		}
+	}
+}
+
+// TestFixedBaseNarrowTable builds a table narrower than the modulus (the
+// per-column-key shape: 62-bit exponents) and checks it is sized by its
+// width, covers exactly that width, accumulates in the domain through
+// MulExpTo, and that Exp still answers for exponents past it.
+func TestFixedBaseNarrowTable(t *testing.T) {
+	n := testModulus(t, 256)
+	base, err := RandInvertible(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const width = 62
+	fb := NewFixedBase(base, n, width)
+	m := MontCtxFor(n)
+	s := m.NewScratch()
+	if want := 9 * 127 * m.Words() * montWordBits / 8; fb.Bytes() != want { // ⌈62/7⌉ digit rows of 127 entries
+		t.Fatalf("Bytes() = %d, want %d", fb.Bytes(), want)
+	}
+	top := new(big.Int).Lsh(big.NewInt(1), width)
+	v, _ := RandInvertible(n)
+	for _, e := range []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(127), big.NewInt(128),
+		new(big.Int).Sub(top, big.NewInt(1)), top, new(big.Int).Lsh(top, 3), big.NewInt(-5),
+	} {
+		checkExp(t, fb, base, e, n)
+		if covered := e.Sign() >= 0 && e.BitLen() <= width; fb.Covers(e) != covered {
+			t.Fatalf("Covers(%s) = %v", e, !covered)
+		} else if covered {
+			acc := m.ToMont(s, v)
+			fb.MulExpTo(s, acc, e)
+			want := Mul(v, new(big.Int).Exp(base, e, n), n)
+			if got := m.FromMont(s, acc); got.Cmp(want) != 0 {
+				t.Fatalf("MulExpTo(%s): got %s want %s", e, got, want)
+			}
+		}
+	}
+	if even := NewFixedBase(big.NewInt(5), big.NewInt(14), width); even.Covers(big.NewInt(3)) || even.Bytes() != 0 {
+		t.Fatal("an even modulus has no table to cover anything")
 	}
 }
 
@@ -101,7 +141,7 @@ func TestFixedBaseConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb := NewFixedBase(base, n)
+	fb := NewFixedBase(base, n, n.BitLen())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -133,7 +173,7 @@ func BenchmarkFixedBaseExp(b *testing.B) {
 	n := testModulus(b, 512)
 	base, _ := RandInvertible(n)
 	e, _ := rand.Int(rand.Reader, n)
-	fb := NewFixedBase(base, n)
+	fb := NewFixedBase(base, n, n.BitLen())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fb.Exp(e)

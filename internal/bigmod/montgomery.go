@@ -182,46 +182,71 @@ func cmpVV(x, y []big.Word) int {
 	return 0
 }
 
-// mulTo is the CIOS Montgomery multiplication core: z = x·y·R⁻¹ mod n.
+// mulTo is the Montgomery multiplication core: z = x·y·R⁻¹ mod n.
 // x must be exactly k limbs with value < n; y is little-endian with any
 // length ≤ k and value < n; z is k limbs and may alias x or y (the
 // accumulator lives in s.t until the final writeback). The result is
 // fully reduced (< n): with both inputs < n the pre-reduction value is
 // (x·y + q·n)/R < 2n, so one conditional subtraction suffices.
+//
+// Below montHybridWords limbs the loop is the finely integrated form of
+// CIOS: per word d of y, one pass over the limbs adds x·d and u·n (u
+// chosen so the low word cancels) through two carry chains and stores the
+// sum shifted down a word, so the accumulator is k+1 words, each read and
+// written once per pass.
 func (m *MontCtx) mulTo(s *MontScratch, z, x []big.Word, y []big.Word) {
 	k := m.k
 	if k >= montHybridWords {
 		m.mulToHybrid(s, z, x, y)
 		return
 	}
-	t := s.t[:2*k]
+	t := s.t[:k+1]
 	for i := range t {
 		t[i] = 0
 	}
-	var c big.Word
+	// The inner loop runs over limbs 1..k-1; equal-length views let the
+	// compiler drop its bounds checks.
+	x1 := x[1:k]
+	n1, tIn, tOut := m.nw[1:][:len(x1)], t[1:][:len(x1)], t[:len(x1)]
 	for i := 0; i < k; i++ {
-		var d big.Word
+		var d uint
 		if i < len(y) {
-			d = y[i]
+			d = uint(y[i])
 		}
-		c2 := addMulVVW(t[i:i+k], x, d)
-		u := t[i] * m.n0inv
-		c3 := addMulVVW(t[i:i+k], m.nw, u)
-		cx := c + c2
-		cy := cx + c3
-		t[i+k] = cy
-		if cx < c2 || cy < c3 {
-			c = 1
-		} else {
-			c = 0
+		// Word 0 fixes u; its sum is 0 mod 2^W by construction.
+		c1, lo := bits.Mul(uint(x[0]), d)
+		lo, c := bits.Add(lo, uint(t[0]), 0)
+		c1 += c
+		u := lo * uint(m.n0inv)
+		c2, lo2 := bits.Mul(u, uint(m.nw[0]))
+		_, c = bits.Add(lo2, lo, 0)
+		c2 += c
+		for j := range x1 {
+			hi, lo := bits.Mul(uint(x1[j]), d)
+			lo, c = bits.Add(lo, uint(tIn[j]), 0)
+			hi += c
+			lo, c = bits.Add(lo, c1, 0)
+			c1 = hi + c
+			hi, lo2 := bits.Mul(u, uint(n1[j]))
+			lo2, c = bits.Add(lo2, lo, 0)
+			hi += c
+			lo2, c = bits.Add(lo2, c2, 0)
+			c2 = hi + c
+			tOut[j] = big.Word(lo2)
 		}
+		// The running value stays below 2n < 2^(kW+1): t[k] is 0 or 1.
+		top, c := bits.Add(uint(t[k]), c1, 0)
+		top, cc := bits.Add(top, c2, 0)
+		t[k-1] = big.Word(top)
+		t[k] = big.Word(c + cc)
 	}
-	// Value = c·2^(kW) + t[k:2k] < 2n. The borrow of the truncated
+	nw := m.nw
+	// Value = t[k]·2^(kW) + t[:k] < 2n. The borrow of the truncated
 	// subtraction cancels the carry, so the k-limb result is exact.
-	if c != 0 || cmpVV(t[k:2*k], m.nw) >= 0 {
-		subVV(z, t[k:2*k], m.nw)
+	if t[k] != 0 || cmpVV(t[:k], nw) >= 0 {
+		subVV(z, t[:k], nw)
 	} else {
-		copy(z, t[k:2*k])
+		copy(z, t[:k])
 	}
 }
 

@@ -234,7 +234,7 @@ func TestMontCombMatchesPlain(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	n := randOddMod(r, 1024)
 	base := new(big.Int).Rand(r, n)
-	fb := NewFixedBase(base, n)
+	fb := NewFixedBase(base, n, n.BitLen())
 	for i := 0; i < 8; i++ {
 		e := new(big.Int).Rand(r, n)
 		if i%2 == 1 {

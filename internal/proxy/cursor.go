@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sdb/internal/engine"
-	"sdb/internal/parallel"
 	"sdb/internal/types"
 )
 
@@ -27,6 +26,7 @@ import (
 type Rows struct {
 	p    *Proxy
 	plan *selectPlan
+	kern *rowKernel // the plan resolved for this execution
 	cols []Column
 	keep []int // plan.out indices of user-visible columns
 
@@ -62,6 +62,7 @@ func newRows(ctx context.Context, p *Proxy, plan *selectPlan, it engine.RowItera
 	r := &Rows{
 		p:       p,
 		plan:    plan,
+		kern:    p.newRowKernel(plan),
 		ctx:     qctx,
 		cancel:  cancel,
 		it:      it,
@@ -122,13 +123,14 @@ func (r *Rows) fetchLoop() {
 	}
 }
 
-// materialize drains and decrypts the whole stream, then applies deferred
-// ordering and the post limit (the blocking plan shapes).
+// materialize drains the whole stream through the batch kernel, then
+// applies deferred ordering and the post limit (the blocking plan shapes)
+// before the hidden columns — the sort keys among them — are stripped.
 func (r *Rows) materialize() error {
-	enc := &engine.Result{Columns: r.it.Columns()}
+	defer r.it.Close()
+	var rows []types.Row
 	for {
 		if err := r.ctx.Err(); err != nil {
-			r.it.Close()
 			return err
 		}
 		t0 := time.Now()
@@ -138,20 +140,35 @@ func (r *Rows) materialize() error {
 			break
 		}
 		if err != nil {
-			r.it.Close()
 			return err
 		}
-		enc.Rows = append(enc.Rows, batch...)
+		t1 := time.Now()
+		dec, err := r.kern.decryptBatch(batch)
+		r.decryptNS += time.Since(t1).Nanoseconds()
+		if err != nil {
+			return err
+		}
+		rows = append(rows, dec...)
 	}
-	r.it.Close()
-	t1 := time.Now()
-	res, err := r.p.decryptResult(enc, r.plan)
-	if err != nil {
-		return err
-	}
-	r.decryptNS += time.Since(t1).Nanoseconds()
-	r.cur = res.Rows
+	r.cur = r.visible(r.plan.sortAndLimit(rows))
 	return nil
+}
+
+// visible strips the hidden columns (row ids, deferred order keys, AVG
+// counts) from decrypted plan-width rows, in place.
+func (r *Rows) visible(rows []types.Row) []types.Row {
+	if len(r.keep) == len(r.plan.out) {
+		return rows
+	}
+	for i, full := range rows {
+		out := full[:0]
+		for _, c := range r.keep {
+			out = append(out, full[c])
+		}
+		clear(full[len(out):]) // drop the row-id shares with the columns
+		rows[i] = out
+	}
+	return rows
 }
 
 // Columns describes the user-visible output columns.
@@ -193,13 +210,13 @@ func (r *Rows) Next() (types.Row, error) {
 			return nil, r.err
 		}
 		t0 := time.Now()
-		rows, err := r.decryptBatch(f.rows)
+		rows, err := r.kern.decryptBatch(f.rows)
 		r.decryptNS += time.Since(t0).Nanoseconds()
 		if err != nil {
 			r.err = err
 			return nil, err
 		}
-		r.cur, r.pos = rows, 0
+		r.cur, r.pos = r.visible(rows), 0
 	}
 }
 
@@ -225,25 +242,6 @@ func (r *Rows) peek() (types.Row, error) {
 	r.pos--
 	r.nRows--
 	return row, nil
-}
-
-// decryptBatch decrypts one encrypted batch on the pool and strips hidden
-// columns (row ids, deferred order keys, AVG counts).
-func (r *Rows) decryptBatch(enc []types.Row) ([]types.Row, error) {
-	return parallel.Map(r.p.pool, len(enc), func(i int) (types.Row, error) {
-		if len(enc[i]) != len(r.plan.out) {
-			return nil, fmt.Errorf("proxy: server row has %d columns, plan expects %d", len(enc[i]), len(r.plan.out))
-		}
-		full, err := r.p.decryptRow(enc[i], r.plan)
-		if err != nil {
-			return nil, err
-		}
-		out := make(types.Row, len(r.keep))
-		for j, c := range r.keep {
-			out[j] = full[c]
-		}
-		return out, nil
-	})
 }
 
 // Err returns the first error hit by the cursor (io.EOF excluded).

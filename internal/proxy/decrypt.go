@@ -5,30 +5,119 @@ import (
 	"math/big"
 	"sort"
 
-	"sdb/internal/engine"
 	"sdb/internal/parallel"
 	"sdb/internal/secure"
 	"sdb/internal/types"
 )
 
-// decryptResult turns an encrypted server result into plaintext per the
-// select plan, then applies deferred ordering and limits. Rows are
-// independent, so the per-row share decryptions (the dominant client-side
-// cost) run in parallel chunks on the proxy's pool.
-func (p *Proxy) decryptResult(srv *engine.Result, plan *selectPlan) (*Result, error) {
-	if len(srv.Columns) != len(plan.out) {
-		return nil, fmt.Errorf("proxy: server returned %d columns, plan expects %d", len(srv.Columns), len(plan.out))
-	}
-	rows, err := parallel.Map(p.pool, len(srv.Rows), func(i int) (types.Row, error) {
-		return p.decryptRow(srv.Rows[i], plan)
-	})
-	if err != nil {
-		return nil, err
-	}
+// rowKernel is a select plan resolved for one execution: a
+// secure.Decryptor per encrypted output column (Πm in Montgomery form plus
+// the comb table of every row-keyed factor, taken from the secret's memo
+// or built here on first touch). The plan itself stays key-and-index
+// data, so the plan cache pins no tables. decryptRow is the only place
+// server cells turn into plaintext, for the streaming cursor and the
+// materialising path alike, and the SP is not trusted to be well-formed:
+// every cell it reads is checked first and a bad one is an error.
+type rowKernel struct {
+	p    *Proxy
+	plan *selectPlan
+	dec  []*secure.Decryptor // by plan.out index; nil for omPlain
+}
 
-	// Deferred ORDER BY (encrypted sort keys are plaintext now).
-	if len(plan.postOrder) > 0 {
-		keys := plan.postOrder
+func (p *Proxy) newRowKernel(plan *selectPlan) *rowKernel {
+	k := &rowKernel{p: p, plan: plan, dec: make([]*secure.Decryptor, len(plan.out))}
+	for c := range plan.out {
+		switch oc := &plan.out[c]; oc.mode {
+		case omFlat, omAvg:
+			k.dec[c] = p.secret.NewDecryptor(oc.flatKey)
+		case omRowKey:
+			keys := make([]secure.ColumnKey, len(oc.factors))
+			for i, f := range oc.factors {
+				keys[i] = f.key
+			}
+			k.dec[c] = p.secret.NewDecryptor(keys...)
+		}
+	}
+	return k
+}
+
+// decryptBatch decrypts one encrypted batch in parallel chunks on the
+// proxy's pool; rows are independent.
+func (k *rowKernel) decryptBatch(enc []types.Row) ([]types.Row, error) {
+	return parallel.Map(k.p.pool, len(enc), func(i int) (types.Row, error) {
+		return k.decryptRow(enc[i])
+	})
+}
+
+// decryptRow decrypts one server row into a full plan-width row (hidden
+// columns included). It is called concurrently; everything it touches on
+// the proxy (scheme secret, SIES cipher, plan) is read-only here.
+func (k *rowKernel) decryptRow(srvRow types.Row) (types.Row, error) {
+	out := k.plan.out
+	if len(srvRow) != len(out) {
+		return nil, fmt.Errorf("proxy: server row has %d columns, plan expects %d", len(srvRow), len(out))
+	}
+	// Row ids decrypted so far, by server column: several output columns
+	// of one row share a join side's row id.
+	var rids []secure.RowID
+	var args [4]secure.RowID // a product of more than 4 row-keyed factors allocates
+
+	row := make(types.Row, len(out))
+	for c := range out {
+		oc := &out[c]
+		v := srvRow[c]
+		if oc.mode == omPlain || v.IsNull() {
+			row[c] = v
+			continue
+		}
+		if v.K != types.KindShare {
+			return nil, fmt.Errorf("proxy: column %q: expected share, got %s", oc.name, v.K)
+		}
+		ridArgs := args[:0]
+		for _, ri := range oc.rids {
+			if rids == nil {
+				rids = make([]secure.RowID, len(out))
+			}
+			if rids[ri].R == nil {
+				var err error
+				if rids[ri], err = k.p.decryptRowID(srvRow[ri]); err != nil {
+					return nil, fmt.Errorf("proxy: column %q: %w", out[ri].name, err)
+				}
+			}
+			ridArgs = append(ridArgs, rids[ri])
+		}
+		d, err := k.dec[c].Decrypt(v.B, ridArgs...)
+		if err != nil {
+			return nil, fmt.Errorf("proxy: column %q: %w", oc.name, err)
+		}
+		if oc.mode == omAvg {
+			cnt := srvRow[oc.cntIdx]
+			if !cnt.IsNull() && cnt.K != types.KindInt {
+				return nil, fmt.Errorf("proxy: column %q: expected integer count, got %s", oc.name, cnt.K)
+			}
+			if cnt.IsNull() || cnt.I == 0 {
+				row[c] = types.Null
+				continue
+			}
+			// Two extra decimal digits of precision for the mean.
+			d.Mul(d, big.NewInt(100)).Quo(d, big.NewInt(cnt.I))
+			if !d.IsInt64() {
+				return nil, fmt.Errorf("proxy: AVG overflow in column %q", oc.name)
+			}
+			row[c] = types.Value{K: types.KindDecimal, I: d.Int64()}
+			continue
+		}
+		if row[c], err = toValue(d, oc.kind); err != nil {
+			return nil, fmt.Errorf("proxy: column %q: %w", oc.name, err)
+		}
+	}
+	return row, nil
+}
+
+// sortAndLimit applies the plan's deferred ORDER BY (encrypted sort keys
+// are plaintext now) and LIMIT to fully decrypted plan-width rows.
+func (plan *selectPlan) sortAndLimit(rows []types.Row) []types.Row {
+	if keys := plan.postOrder; len(keys) > 0 {
 		sort.SliceStable(rows, func(a, b int) bool {
 			for _, k := range keys {
 				c := rows[a][k.srvIdx].Compare(rows[b][k.srvIdx])
@@ -46,143 +135,7 @@ func (p *Proxy) decryptResult(srv *engine.Result, plan *selectPlan) (*Result, er
 	if plan.postLimit != nil && int64(len(rows)) > *plan.postLimit {
 		rows = rows[:*plan.postLimit]
 	}
-
-	// Strip hidden columns (row ids, deferred order keys, AVG counts).
-	res := &Result{}
-	var keep []int
-	for c := range plan.out {
-		if plan.out[c].hidden {
-			continue
-		}
-		keep = append(keep, c)
-		oc := plan.out[c]
-		res.Columns = append(res.Columns, Column{Name: oc.name, Kind: oc.kind, Scale: oc.scale})
-	}
-	for _, row := range rows {
-		out := make(types.Row, len(keep))
-		for i, c := range keep {
-			out[i] = row[c]
-		}
-		res.Rows = append(res.Rows, out)
-	}
-	return res, nil
-}
-
-// decryptRow decrypts one server row per the plan's output modes. It is
-// called concurrently by decryptResult's chunks; everything it touches on
-// the proxy (scheme secret, SIES cipher, key store entries) is read-only
-// during query execution.
-func (p *Proxy) decryptRow(srvRow types.Row, plan *selectPlan) (types.Row, error) {
-	// Decrypted row ids are cached per alias: several output columns of
-	// one row may share a join side's row id.
-	ridCache := make(map[string]secure.RowID)
-	row := make(types.Row, len(plan.out))
-	for c := range plan.out {
-		oc := &plan.out[c]
-		v := srvRow[c]
-		switch oc.mode {
-		case omPlain:
-			row[c] = v
-
-		case omFlat:
-			if v.IsNull() {
-				row[c] = types.Null
-				continue
-			}
-			if v.K != types.KindShare {
-				return nil, fmt.Errorf("proxy: column %q: expected share, got %s", oc.name, v.K)
-			}
-			var d *big.Int
-			if oc.flatDec != nil {
-				// Pre-converted Montgomery decryptor: one REDC per row.
-				d = oc.flatDec.Decrypt(v.B)
-			} else {
-				var err error
-				if d, err = p.secret.DecryptFlat(v.B, oc.flatKey); err != nil {
-					return nil, err
-				}
-			}
-			pv, err := toValue(d, oc.kind)
-			if err != nil {
-				return nil, fmt.Errorf("proxy: column %q: %w", oc.name, err)
-			}
-			row[c] = pv
-
-		case omRowKey:
-			if v.IsNull() {
-				row[c] = types.Null
-				continue
-			}
-			if v.K != types.KindShare {
-				return nil, fmt.Errorf("proxy: column %q: expected share, got %s", oc.name, v.K)
-			}
-			vk := big.NewInt(1)
-			for _, f := range oc.factors {
-				var rid secure.RowID
-				if f.alias == "" {
-					// Flat factor inside a product: contributes m only.
-					vk.Mul(vk, f.key.M)
-					vk.Mod(vk, p.secret.N())
-					continue
-				}
-				ridIdx, ok := oc.ridCols[f.alias]
-				if !ok || ridIdx < 0 {
-					return nil, fmt.Errorf("proxy: missing row-id column for alias %q", f.alias)
-				}
-				if cached, ok := ridCache[f.alias]; ok {
-					rid = cached
-				} else {
-					packed := srvRow[ridIdx]
-					if packed.K != types.KindShare {
-						return nil, fmt.Errorf("proxy: row-id column for %q is not a share", f.alias)
-					}
-					var err error
-					rid, err = p.decryptRowID(packed.B)
-					if err != nil {
-						return nil, err
-					}
-					ridCache[f.alias] = rid
-				}
-				ik := p.secret.ItemKey(rid, f.key)
-				vk.Mul(vk, ik)
-				vk.Mod(vk, p.secret.N())
-			}
-			plain := p.secret.Domain().Decode(new(big.Int).Mod(new(big.Int).Mul(v.B, vk), p.secret.N()))
-			pv, err := toValue(plain, oc.kind)
-			if err != nil {
-				return nil, fmt.Errorf("proxy: column %q: %w", oc.name, err)
-			}
-			row[c] = pv
-
-		case omAvg:
-			if v.IsNull() {
-				row[c] = types.Null
-				continue
-			}
-			var sum *big.Int
-			if oc.flatDec != nil {
-				sum = oc.flatDec.Decrypt(v.B)
-			} else {
-				var err error
-				if sum, err = p.secret.DecryptFlat(v.B, oc.flatKey); err != nil {
-					return nil, err
-				}
-			}
-			cnt := srvRow[oc.cntIdx]
-			if cnt.IsNull() || cnt.I == 0 {
-				row[c] = types.Null
-				continue
-			}
-			// Two extra decimal digits of precision for the mean.
-			q := new(big.Int).Mul(sum, big.NewInt(100))
-			q.Quo(q, big.NewInt(cnt.I))
-			if !q.IsInt64() {
-				return nil, fmt.Errorf("proxy: AVG overflow in column %q", oc.name)
-			}
-			row[c] = types.Value{K: types.KindDecimal, I: q.Int64()}
-		}
-	}
-	return row, nil
+	return rows
 }
 
 // toValue converts a decrypted big integer into a typed value.

@@ -1,0 +1,260 @@
+package proxy
+
+import (
+	"context"
+	"fmt"
+	"math/big"
+	"strings"
+	"sync"
+	"testing"
+
+	"sdb/internal/engine"
+	"sdb/internal/secure"
+	"sdb/internal/types"
+)
+
+// tamperExec is a hostile (or buggy) service provider: it answers every
+// SELECT honestly and then lets the test corrupt the result. It offers
+// only the single-shot Executor, whose result the proxy wraps as a
+// one-batch stream — the same cursor and kernel a streamed result meets.
+type tamperExec struct {
+	Executor
+	tamper func(*engine.Result)
+}
+
+func (e tamperExec) ExecuteSQL(sql string) (*engine.Result, error) {
+	res, err := e.Executor.ExecuteSQL(sql)
+	if err == nil && strings.HasPrefix(sql, "SELECT") {
+		e.tamper(res)
+	}
+	return res, err
+}
+
+// firstCell returns the first cell of row 0 that satisfies pick.
+func firstCell(res *engine.Result, pick func(types.Value) bool) *types.Value {
+	for c := range res.Rows[0] {
+		if pick(res.Rows[0][c]) {
+			return &res.Rows[0][c]
+		}
+	}
+	panic("no such cell")
+}
+
+func isShare(v types.Value) bool { return v.K == types.KindShare }
+
+// TestHostileSPResultsError: a result the plan cannot decrypt — a share
+// cell without payload (wire.Value{K: share, IsSet: false} decodes to
+// B == nil), a share outside [0, n), a mangled row-id or AVG count cell, a
+// short row — must end in an error on the streaming and the materialising
+// path alike. Each of these panicked (nil dereference, index out of range)
+// or silently reduced before the row kernel validated its cells.
+func TestHostileSPResultsError(t *testing.T) {
+	p, eng := bankSystem(t)
+	n := p.secret.N()
+	lastShare := func(res *engine.Result) *types.Value { // the hidden row-id cell trails the row
+		row := res.Rows[0]
+		return &row[len(row)-1]
+	}
+	cases := []struct {
+		name, sql string
+		tamper    func(*engine.Result)
+	}{
+		{"row-keyed share without payload", `SELECT balance FROM accounts`,
+			func(r *engine.Result) { firstCell(r, isShare).B = nil }},
+		{"row-keyed share == n", `SELECT balance FROM accounts`,
+			func(r *engine.Result) { firstCell(r, isShare).B = new(big.Int).Set(n) }},
+		{"negative share", `SELECT balance FROM accounts`,
+			func(r *engine.Result) { firstCell(r, isShare).B = big.NewInt(-5) }},
+		{"row id without payload", `SELECT balance FROM accounts`,
+			func(r *engine.Result) { lastShare(r).B = nil }},
+		{"row id of the wrong kind", `SELECT balance FROM accounts`,
+			func(r *engine.Result) { *lastShare(r) = types.NewInt(7) }},
+		{"row id outside the SIES modulus", `SELECT balance FROM accounts`,
+			func(r *engine.Result) { lastShare(r).B = new(big.Int).Lsh(big.NewInt(1), 200) }},
+		{"flat share without payload", `SELECT SUM(balance) FROM accounts`,
+			func(r *engine.Result) { firstCell(r, isShare).B = nil }},
+		{"AVG sum without payload", `SELECT AVG(balance) FROM accounts`,
+			func(r *engine.Result) { firstCell(r, isShare).B = nil }},
+		{"AVG count of the wrong kind", `SELECT AVG(balance) FROM accounts`,
+			func(r *engine.Result) {
+				*firstCell(r, func(v types.Value) bool { return v.K == types.KindInt }) = types.NewString("5")
+			}},
+		{"short row, streaming", `SELECT id, balance FROM accounts`,
+			func(r *engine.Result) { r.Rows[2] = r.Rows[2][:1] }},
+		{"short row, materialising", `SELECT id, balance FROM accounts ORDER BY balance`,
+			func(r *engine.Result) { r.Rows[2] = r.Rows[2][:1] }},
+		{"share without payload, materialising", `SELECT id, balance FROM accounts ORDER BY balance LIMIT 2`,
+			func(r *engine.Result) { firstCell(r, isShare).B = nil }},
+		{"empty row", `SELECT id, balance FROM accounts ORDER BY balance`,
+			func(r *engine.Result) { r.Rows[0] = nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p.exec = tamperExec{Executor: eng, tamper: tc.tamper}
+			defer func() { p.exec = eng }()
+			res, err := p.Exec(tc.sql)
+			if err == nil {
+				t.Fatalf("tampered result decrypted to %v", res.Rows)
+			}
+			for _, secret := range keyMaterial(p, "accounts", "balance") {
+				if strings.Contains(err.Error(), secret) {
+					t.Fatalf("error carries key material: %v", err)
+				}
+			}
+		})
+	}
+	// The honest SP still decrypts, on both paths.
+	wantInts(t, colInts(mustP(t, p, `SELECT balance FROM accounts ORDER BY balance`), 0), -200, 300, 1200, 1200, 5000)
+}
+
+// keyMaterial renders what must never reach a log, an error or the SP of a
+// column key: x and m·g^x (the first entry of its table, times m), in
+// decimal and hex.
+func keyMaterial(p *Proxy, table, col string) []string {
+	meta, _ := p.store.Get(table)
+	ck, _ := meta.Key(col)
+	h := p.secret.ItemKey(secure.RowID{R: big.NewInt(1)}, ck)
+	var out []string
+	for _, v := range []*big.Int{ck.X, h} {
+		out = append(out, v.String(), v.Text(16))
+	}
+	return out
+}
+
+// TestKeyTableStatsAndRedaction: the stats accessor counts the tables the
+// proxy's statements touched, and neither it, the rewritten SQL nor the
+// plan's formatting shows x or g^x.
+func TestKeyTableStatsAndRedaction(t *testing.T) {
+	p, _ := bankSystem(t)
+	res := mustP(t, p, `SELECT balance, opened FROM accounts`)
+	st := p.KeyTableStats()
+	// balance, opened and the mask column were encrypted; nothing evicted.
+	if st.Tables != 3 || st.Builds != 3 || st.Evictions != 0 || st.Bytes == 0 {
+		t.Fatalf("KeyTableStats = %+v", st)
+	}
+	meta, _ := p.store.Get("accounts")
+	surfaces := []string{
+		fmt.Sprintf("%v %+v", st, st),
+		res.Stats.RewrittenSQL,
+		fmt.Sprintf("%v %+v", meta.Keys, meta.MaskKey),
+	}
+	for _, col := range []string{"balance", "opened"} {
+		for _, secret := range keyMaterial(p, "accounts", col) {
+			for _, s := range surfaces {
+				if strings.Contains(s, secret) {
+					t.Fatalf("key material of %s in %q", col, s)
+				}
+			}
+		}
+	}
+}
+
+// TestJoinProductRowIDsPerAlias: a product column whose factors come from
+// two aliases draws on both sides' row ids; the rewritten query ships each
+// side's row id once however many columns use it, and every row-keyed
+// column points at those cells (the kernel decrypts a cell at most once
+// per row).
+func TestJoinProductRowIDsPerAlias(t *testing.T) {
+	p := crossSystem(t)
+	stmt, err := p.Prepare(`SELECT h.qty, h.qty * pr.px, pr.px, 3 * h.qty
+		FROM holdings h JOIN prices pr ON h.sym = pr.sym ORDER BY h.hid`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stmt.Close()
+	out := stmt.plan.out
+	if len(out) != 6 || !out[4].hidden || !out[5].hidden {
+		t.Fatalf("want 4 visible columns and 2 hidden row ids, got %d columns", len(out))
+	}
+	h, pr := out[0].rids, out[2].rids
+	if len(h) != 1 || len(pr) != 1 || h[0] == pr[0] || h[0] < 4 || pr[0] < 4 {
+		t.Fatalf("row-id cells: h=%v pr=%v", h, pr)
+	}
+	if got := out[1].rids; len(got) != 2 || got[0] != h[0] || got[1] != pr[0] {
+		t.Fatalf("product column row ids = %v, want [%d %d]", got, h[0], pr[0])
+	}
+	if got := out[3].rids; len(got) != 1 || got[0] != h[0] {
+		t.Fatalf("second h column row ids = %v, want [%d]", got, h[0])
+	}
+	res, err := stmt.ExecContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantInts(t, colInts(res, 0), 10, 5, -2)
+	wantInts(t, colInts(res, 1), 1000, 150, -200)
+	wantInts(t, colInts(res, 2), 100, 30, 100)
+	wantInts(t, colInts(res, 3), 30, 15, -6)
+}
+
+// TestDecryptRacesTableBuildsAndRotation: parallel decrypt chunks of
+// several cursors race the first touch of a freshly rotated column's table
+// while another table's column keeps rotating (each rotation mints an x
+// the next read builds a table for). Run under -race by ci.sh.
+func TestDecryptRacesTableBuildsAndRotation(t *testing.T) {
+	p, _ := testSystem(t)
+	p.SetOptions(Options{Parallelism: 4, ChunkSize: 8})
+	mustP(t, p, `CREATE TABLE big (id INT, v INT SENSITIVE, w INT SENSITIVE)`)
+	mustP(t, p, `CREATE TABLE side (id INT, v INT SENSITIVE)`)
+	var vals []string
+	for i := 0; i < 96; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d, %d)", i, i*3, -i))
+	}
+	mustP(t, p, `INSERT INTO big VALUES `+strings.Join(vals, ", "))
+	mustP(t, p, `INSERT INTO side VALUES (1, 11), (2, 22), (3, 33)`)
+	// New x's for big: no table exists for them until the readers below
+	// all touch them at once.
+	for _, col := range []string{"v", "w"} {
+		if _, err := p.RotateColumn("big", col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	built := p.KeyTableStats().Builds
+
+	var wg sync.WaitGroup
+	var sideMu sync.RWMutex // a statement and a rotation of the same table exclude each other
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				res, err := p.Exec(`SELECT id, v, w, v * w FROM big`)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, row := range res.Rows {
+					if id := row[0].I; row[1].I != id*3 || row[2].I != -id || row[3].I != -3*id*id {
+						t.Errorf("row %v decrypted wrong", row)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 6; i++ {
+			sideMu.Lock()
+			_, err := p.RotateColumn("side", "v")
+			sideMu.Unlock()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sideMu.RLock()
+			res, err := p.Exec(`SELECT v FROM side ORDER BY id`)
+			sideMu.RUnlock()
+			if err != nil || len(res.Rows) != 3 || res.Rows[2][0].I != 33 {
+				t.Errorf("side after rotation %d: %v, %v", i, res, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	// big's new keys — v, w and the product's ⟨m_v·m_w, x_v+x_w⟩ (factors
+	// of one alias merge) — and side's six were each built exactly once.
+	if got := p.KeyTableStats().Builds - built; got != 9 {
+		t.Fatalf("%d tables built during the race, want 9", got)
+	}
+}

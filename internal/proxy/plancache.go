@@ -27,6 +27,8 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"sdb/internal/secure"
 )
 
 // defaultPlanCacheSize bounds the cache when Options.PlanCacheSize is 0.
@@ -135,3 +137,10 @@ func (p *Proxy) PlanCacheStats() (hits, misses uint64) {
 	}
 	return p.cache.hits.Load(), p.cache.misses.Load()
 }
+
+// KeyTableStats reports the counters of the scheme secret's memo of
+// per-column-key comb tables (secure/keytable.go): how many tables the
+// item keys of this proxy's encrypts and decrypts keep resident, their
+// size, and how many were built and evicted. Counters only — nothing of a
+// key is derivable from them.
+func (p *Proxy) KeyTableStats() secure.KeyTableStats { return p.secret.KeyTableStats() }

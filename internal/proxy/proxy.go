@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sdb/internal/bigmod"
 	"sdb/internal/engine"
 	"sdb/internal/parallel"
 	"sdb/internal/secure"
@@ -87,7 +86,9 @@ type Options struct {
 
 // rowIDBits bounds row ids to [1, 2^rowIDBits); the SIES modulus is
 // 2^rowIDBits and the encrypted row id is packed as cipher<<64 | nonce.
-const rowIDBits = 62
+// The width is secure.RowIDBits because item-key cost follows it: the
+// secret's per-column-key comb tables cover exactly this many bits.
+const rowIDBits = secure.RowIDBits
 
 // New creates a proxy over the given scheme secret and executor with
 // default (GOMAXPROCS-wide) parallelism.
@@ -464,21 +465,25 @@ func (p *Proxy) encryptInsertChunk(meta *TableMeta, table string, names []string
 // SIES-encrypted form (cipher<<64 | nonce).
 func (p *Proxy) newRowID() (secure.RowID, *big.Int, error) {
 	nonce := p.nonce.Add(1)
-	r, err := randRowID()
+	rid, err := secure.NewShortRowID()
 	if err != nil {
 		return secure.RowID{}, nil, err
 	}
-	enc, err := p.cipher.Encrypt(r, nonce)
+	enc, err := p.cipher.Encrypt(rid.R, nonce)
 	if err != nil {
 		return secure.RowID{}, nil, err
 	}
 	packed := new(big.Int).Lsh(enc, 64)
 	packed.Or(packed, new(big.Int).SetUint64(nonce))
-	return secure.RowID{R: r}, packed, nil
+	return rid, packed, nil
 }
 
-// decryptRowID unpacks and decrypts a row id shipped back in a result.
-func (p *Proxy) decryptRowID(packed *big.Int) (secure.RowID, error) {
+// decryptRowID unpacks and decrypts a row-id cell shipped back in a result.
+func (p *Proxy) decryptRowID(cell types.Value) (secure.RowID, error) {
+	packed := cell.B
+	if cell.K != types.KindShare || packed == nil || packed.Sign() < 0 {
+		return secure.RowID{}, fmt.Errorf("row id is not a packed share (%s)", cell.K)
+	}
 	nonce := new(big.Int).And(packed, maxUint64).Uint64()
 	enc := new(big.Int).Rsh(packed, 64)
 	r, err := p.cipher.Decrypt(enc, nonce)
@@ -517,9 +522,4 @@ func pow10(n int) int64 {
 		p *= 10
 	}
 	return p
-}
-
-// randRowID draws a uniform row id in [1, 2^rowIDBits).
-func randRowID() (*big.Int, error) {
-	return bigmod.Rand(new(big.Int).Lsh(big.NewInt(1), rowIDBits))
 }

@@ -78,16 +78,6 @@ type rewriter struct {
 
 func (rw *rewriter) n() *big.Int { return rw.p.secret.N() }
 
-// flatDecryptor pre-builds the Montgomery-form decryptor for a flat key;
-// nil (impossible for well-formed flat keys) falls back to DecryptFlat.
-func (rw *rewriter) flatDecryptor(ck secure.ColumnKey) *secure.FlatDecryptor {
-	d, err := rw.p.secret.NewFlatDecryptor(ck)
-	if err != nil {
-		return nil
-	}
-	return d
-}
-
 func (rw *rewriter) nHex() sqlparser.Expr { return sqlparser.HexLit{V: rw.n()} }
 
 func (rw *rewriter) findScope(alias string) *scope {

@@ -34,14 +34,9 @@ type outCol struct {
 	scale   int
 	mode    outMode
 	factors []factor         // omRowKey
-	ridCols map[string]int   // alias -> server column index of its row_id
+	rids    []int            // omRowKey: server column of the row id of each factor with an alias, in factor order
 	flatKey secure.ColumnKey // omFlat / omAvg (the SUM part)
-	// flatDec carries flatKey's m pre-converted to the Montgomery domain
-	// (one REDC per row instead of Mul+Mod). Built once at rewrite time,
-	// shared read-only by every parallel decrypt worker and every cached
-	// reuse of the plan.
-	flatDec *secure.FlatDecryptor
-	cntIdx  int // omAvg: server column index of COUNT
+	cntIdx  int              // omAvg: server column index of COUNT
 	hidden  bool
 }
 
@@ -110,8 +105,6 @@ func (rw *rewriter) rewriteSelect(s *sqlparser.Select, forSubquery bool) (*sqlpa
 	}
 
 	// 4. SELECT items.
-	ridCols := make(map[string]int) // alias -> planned hidden rid column
-	var pendingRID []string
 	for _, item := range items {
 		// Top-level AVG over encrypted data decomposes into SUM + COUNT.
 		if fc, ok := item.Expr.(*sqlparser.FuncCall); ok && strings.EqualFold(fc.Name, "avg") && len(fc.Args) == 1 {
@@ -131,7 +124,6 @@ func (rw *rewriter) rewriteSelect(s *sqlparser.Select, forSubquery bool) (*sqlpa
 				plan.out = append(plan.out, outCol{
 					name: name, kind: rv.kind, scale: rv.scale + 2,
 					mode: omAvg, flatKey: sumRV.enc.flatKey(), cntIdx: sumIdx + 1,
-					flatDec: rw.flatDecryptor(sumRV.enc.flatKey()),
 				})
 				plan.out = append(plan.out, outCol{name: "_cnt", kind: types.KindInt, mode: omPlain, hidden: true})
 				continue
@@ -160,20 +152,9 @@ func (rw *rewriter) rewriteSelect(s *sqlparser.Select, forSubquery bool) (*sqlpa
 			if rv.enc.isFlat() {
 				oc.mode = omFlat
 				oc.flatKey = rv.enc.flatKey()
-				oc.flatDec = rw.flatDecryptor(oc.flatKey)
 			} else {
 				oc.mode = omRowKey
 				oc.factors = rv.enc.factors
-				oc.ridCols = ridCols
-				for _, f := range rv.enc.factors {
-					if f.alias == "" {
-						continue
-					}
-					if _, ok := ridCols[f.alias]; !ok {
-						ridCols[f.alias] = -1 // reserve; index assigned below
-						pendingRID = append(pendingRID, f.alias)
-					}
-				}
 			}
 		}
 		out.Items = append(out.Items, sqlparser.SelectItem{Expr: rv.expr, Alias: fmt.Sprintf("_s%d", len(plan.out))})
@@ -243,20 +224,9 @@ func (rw *rewriter) rewriteSelect(s *sqlparser.Select, forSubquery bool) (*sqlpa
 			if rv.enc.isFlat() {
 				oc.mode = omFlat
 				oc.flatKey = rv.enc.flatKey()
-				oc.flatDec = rw.flatDecryptor(oc.flatKey)
 			} else {
 				oc.mode = omRowKey
 				oc.factors = rv.enc.factors
-				oc.ridCols = ridCols
-				for _, f := range rv.enc.factors {
-					if f.alias == "" {
-						continue
-					}
-					if _, ok := ridCols[f.alias]; !ok {
-						ridCols[f.alias] = -1
-						pendingRID = append(pendingRID, f.alias)
-					}
-				}
 			}
 			plan.postOrder = append(plan.postOrder, postKey{srvIdx: len(plan.out), desc: o.Desc})
 			out.Items = append(out.Items, sqlparser.SelectItem{Expr: rv.expr, Alias: fmt.Sprintf("_s%d", len(plan.out))})
@@ -296,14 +266,26 @@ func (rw *rewriter) rewriteSelect(s *sqlparser.Select, forSubquery bool) (*sqlpa
 	}
 
 	// 8. Hidden row-id columns for row-keyed outputs (the paper's §2.2
-	// "the row-id is added in the rewritten query").
-	for _, alias := range pendingRID {
-		ridCols[alias] = len(plan.out)
-		out.Items = append(out.Items, sqlparser.SelectItem{
-			Expr:  sqlparser.ColRef{Table: alias, Name: "row_id"},
-			Alias: fmt.Sprintf("_s%d", len(plan.out)),
-		})
-		plan.out = append(plan.out, outCol{name: "_rid_" + alias, kind: types.KindShare, mode: omPlain, hidden: true})
+	// "the row-id is added in the rewritten query"): one per alias, shipped
+	// once however many columns draw on it.
+	ridCols := make(map[string]int) // alias -> server column of its row_id
+	for c := range plan.out {
+		for _, f := range plan.out[c].factors {
+			if f.alias == "" {
+				continue
+			}
+			idx, ok := ridCols[f.alias]
+			if !ok {
+				idx = len(plan.out)
+				ridCols[f.alias] = idx
+				out.Items = append(out.Items, sqlparser.SelectItem{
+					Expr:  sqlparser.ColRef{Table: f.alias, Name: "row_id"},
+					Alias: fmt.Sprintf("_s%d", idx),
+				})
+				plan.out = append(plan.out, outCol{name: "_rid_" + f.alias, kind: types.KindShare, mode: omPlain, hidden: true})
+			}
+			plan.out[c].rids = append(plan.out[c].rids, idx)
+		}
 	}
 
 	if len(plan.postOrder) > 0 && len(out.GroupBy) > 0 {

@@ -356,45 +356,3 @@ func (s *Secret) EncryptBatch(reqs []EncRequest) ([]*big.Int, error) {
 	}
 	return out, nil
 }
-
-// FlatDecryptor decrypts shares under one flat key (x = 0) with the key's
-// m pre-converted to the Montgomery domain: each row is a single REDC
-// (asymmetric multiply) instead of a big.Int Mul+Mod. Immutable and safe
-// for concurrent use — the proxy caches one per output column in its
-// (shared, plan-cached) select plans.
-type FlatDecryptor struct {
-	domain *bigmod.Domain
-	n      *big.Int
-	ck     ColumnKey
-	ctx    *bigmod.MontCtx
-	mM     []big.Word // ToMont(ck.M)
-	pool   sync.Pool  // *bigmod.MontScratch
-}
-
-// NewFlatDecryptor precomputes the Montgomery form of ck.M. It errors on
-// non-flat keys, like DecryptFlat.
-func (s *Secret) NewFlatDecryptor(ck ColumnKey) (*FlatDecryptor, error) {
-	if ck.X.Sign() != 0 {
-		return nil, fmt.Errorf("secure: DecryptFlat needs a flat key, got x=%s", ck.X)
-	}
-	d := &FlatDecryptor{domain: s.domain, n: s.params.N, ck: ck, ctx: bigmod.MontCtxFor(s.params.N)}
-	if d.ctx != nil {
-		d.mM = d.ctx.ToMont(d.ctx.NewScratch(), ck.M)
-	}
-	return d, nil
-}
-
-// Decrypt decodes one flat share: Decode(ve·m mod n).
-func (d *FlatDecryptor) Decrypt(ve *big.Int) *big.Int {
-	if d.ctx == nil {
-		return d.domain.Decode(bigmod.Mul(ve, d.ck.M, d.n))
-	}
-	ms, ok := d.pool.Get().(*bigmod.MontScratch)
-	if !ok {
-		ms = d.ctx.NewScratch()
-	}
-	z := make([]big.Word, d.ctx.Words())
-	d.ctx.MulBig(ms, z, d.mM, ve)
-	d.pool.Put(ms)
-	return d.domain.Decode(new(big.Int).SetBits(z))
-}

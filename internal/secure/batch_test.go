@@ -195,36 +195,6 @@ func TestEncryptBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestFlatDecryptorMatchesDecryptFlat(t *testing.T) {
-	s := batchSecret(t)
-	ck, err := s.FlatKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := s.NewFlatDecryptor(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(14))
-	for i := 0; i < 50; i++ {
-		ve := new(big.Int).Rand(r, s.N())
-		want, err := s.DecryptFlat(ve, ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := d.Decrypt(ve); got.Cmp(want) != 0 {
-			t.Fatalf("iter %d: %v != %v", i, got, want)
-		}
-	}
-	nonFlat, err := s.NewColumnKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.NewFlatDecryptor(nonFlat); err == nil {
-		t.Fatal("expected error for non-flat key")
-	}
-}
-
 // TestTokenStringRedacted: formatting a token must not leak P or Q.
 func TestTokenStringRedacted(t *testing.T) {
 	p, _ := new(big.Int).SetString("123456789123456789123456789", 10)

@@ -30,8 +30,10 @@ func (ck ColumnKey) Equal(other ColumnKey) bool {
 	return ck.M.Cmp(other.M) == 0 && ck.X.Cmp(other.X) == 0
 }
 
+// String renders a REDACTED description, like Token.String: a column key
+// is the secret itself, so only the component widths survive formatting.
 func (ck ColumnKey) String() string {
-	return fmt.Sprintf("⟨m=%s, x=%s⟩", ck.M, ck.X)
+	return fmt.Sprintf("⟨m=<%d bits>, x=<%d bits>⟩", ck.M.BitLen(), ck.X.BitLen())
 }
 
 // valid reports whether the key components are in range for modulus n.

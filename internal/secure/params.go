@@ -54,6 +54,12 @@ type Secret struct {
 
 	gOnce  sync.Once
 	gTable *bigmod.FixedBase // comb table of g, built on first use
+
+	// Item keys of RowIDBits-wide row ids (keytable.go).
+	mctx   *bigmod.MontCtx // nil for a modulus without a Montgomery form
+	oneM   []big.Word      // ToMont(1)
+	tables keyTables       // comb tables of g^x per column key in use
+	pool   sync.Pool       // *keyScratch
 }
 
 // Setup generates fresh key material: an RSA modulus of modulusBits bits, a
@@ -107,7 +113,7 @@ func newSecret(p1, p2, g *big.Int, valueBits, maskBits int) (*Secret, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Secret{
+	s := &Secret{
 		params:    &Params{N: n},
 		p1:        new(big.Int).Set(p1),
 		p2:        new(big.Int).Set(p2),
@@ -115,7 +121,12 @@ func newSecret(p1, p2, g *big.Int, valueBits, maskBits int) (*Secret, error) {
 		g:         new(big.Int).Set(g),
 		domain:    domain,
 		maskWidth: maskBits,
-	}, nil
+		mctx:      bigmod.MontCtxFor(n),
+	}
+	if s.mctx != nil {
+		s.oneM = s.mctx.One()
+	}
+	return s, nil
 }
 
 // Params returns the public parameters (safe to ship to the SP).

@@ -1,6 +1,7 @@
 package secure
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -23,6 +24,16 @@ func (s *Secret) NewRowID() (RowID, error) {
 	return RowID{R: r}, nil
 }
 
+// NewShortRowID draws a random row id in [1, 2^RowIDBits): the width every
+// proxy-uploaded row carries, and the one item keys are cheap at.
+func NewShortRowID() (RowID, error) {
+	r, err := bigmod.Rand(new(big.Int).Lsh(one, RowIDBits))
+	if err != nil {
+		return RowID{}, err
+	}
+	return RowID{R: r}, nil
+}
+
 // RowHelper computes w = g^r mod n, the per-row public helper stored at the
 // SP. Tokens instruct the SP to raise w to secret-derived exponents; since
 // vk = m·w^x, the helper lets the SP re-key shares without knowing g.
@@ -34,16 +45,28 @@ func (s *Secret) RowHelper(r RowID) *big.Int {
 // of the scheme — every encrypt and decrypt derives an item key from it —
 // so its Secret builds the table on first use and keeps it.
 func (s *Secret) gExp(e *big.Int) *big.Int {
-	s.gOnce.Do(func() { s.gTable = bigmod.NewFixedBase(s.g, s.params.N) })
+	s.gOnce.Do(func() { s.gTable = bigmod.NewFixedBase(s.g, s.params.N, s.params.N.BitLen()) })
 	return s.gTable.Exp(e)
 }
 
 // ItemKey implements gen(r, ⟨m,x⟩) = m · g^(r·x mod φ(n)) mod n (Def. 1).
-// Only the DO can evaluate it: it needs g and φ(n).
+// Only the DO can evaluate it: it needs g and φ(n). A row id of at most
+// RowIDBits bits — every row id a proxy draws — goes through the column
+// key's own comb table as m·(g^x)^r, at most 9 multiplies (keytable.go);
+// wider ones take the modulus-wide exponent through g's table.
 func (s *Secret) ItemKey(r RowID, ck ColumnKey) *big.Int {
-	e := new(big.Int).Mul(r.R, ck.X)
-	e.Mod(e, s.phi)
-	return bigmod.Mul(ck.M, s.gExp(e), s.params.N)
+	if r.R.Sign() >= 0 && r.R.BitLen() <= RowIDBits {
+		if t := s.keyTable(ck.X); t != nil {
+			ks := s.scratch()
+			defer s.pool.Put(ks)
+			copy(ks.acc, s.oneM)
+			t.MulExpTo(ks.ms, ks.acc, r.R)
+			z := make([]big.Word, s.mctx.Words())
+			s.mctx.MulBig(ks.ms, z, ks.acc, ck.M)
+			return new(big.Int).SetBits(z)
+		}
+	}
+	return bigmod.Mul(ck.M, s.gPow(r.R, ck.X), s.params.N)
 }
 
 // Encrypt implements E(v, vk) = v·vk⁻¹ mod n (Def. 2) for a signed
@@ -88,7 +111,7 @@ func (s *Secret) DecryptInt64(ve *big.Int, r RowID, ck ColumnKey) (int64, error)
 // no row id is needed.
 func (s *Secret) DecryptFlat(ve *big.Int, ck ColumnKey) (*big.Int, error) {
 	if ck.X.Sign() != 0 {
-		return nil, fmt.Errorf("secure: DecryptFlat needs a flat key, got x=%s", ck.X)
+		return nil, errors.New("secure: DecryptFlat needs a flat key (x = 0)")
 	}
 	return s.domain.Decode(bigmod.Mul(ve, ck.M, s.params.N)), nil
 }

@@ -21,7 +21,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math/big"
+	"sync"
 )
 
 // KeySize is the secret key length in bytes.
@@ -29,8 +31,10 @@ const KeySize = 32
 
 // Cipher encrypts and decrypts values in Z_M under per-nonce additive pads.
 type Cipher struct {
-	key []byte
-	m   *big.Int
+	key  []byte
+	m    *big.Int
+	mask *big.Int  // m − 1 when m is a power of two (SDB's 2^62): reduce by masking
+	macs sync.Pool // keyed HMAC states (hash.Hash); keying one costs more than a pad
 }
 
 // New constructs a Cipher with the given secret key and modulus M.
@@ -43,6 +47,9 @@ func New(key []byte, m *big.Int) (*Cipher, error) {
 		return nil, errors.New("sies: modulus must be at least 2")
 	}
 	c := &Cipher{key: append([]byte(nil), key...), m: new(big.Int).Set(m)}
+	if m.TrailingZeroBits() == uint(m.BitLen()-1) {
+		c.mask = new(big.Int).Sub(m, big.NewInt(1))
+	}
 	return c, nil
 }
 
@@ -63,6 +70,15 @@ func (c *Cipher) M() *big.Int { return new(big.Int).Set(c.m) }
 // encrypted before the restart.
 func (c *Cipher) Key() []byte { return append([]byte(nil), c.key...) }
 
+// reduce maps v into [0, M) in place. For a power-of-two M that is a mask
+// (And is two's-complement on negative operands), with no division.
+func (c *Cipher) reduce(v *big.Int) *big.Int {
+	if c.mask != nil {
+		return v.And(v, c.mask)
+	}
+	return v.Mod(v, c.m)
+}
+
 // pad derives the additive one-time pad for an item nonce. The pad is a
 // pseudorandom element of Z_M obtained by expanding HMAC output until we
 // have enough bits, then reducing; the two extra blocks of slack keep the
@@ -75,8 +91,13 @@ func (c *Cipher) pad(nonce uint64) *big.Int {
 	buf := make([]byte, 0, need+sha256.Size)
 	var nb [8]byte
 	binary.BigEndian.PutUint64(nb[:], nonce)
+	mac, _ := c.macs.Get().(hash.Hash)
+	if mac == nil {
+		mac = hmac.New(sha256.New, c.key)
+	}
+	defer c.macs.Put(mac)
 	for counter := uint32(0); len(buf) < need; counter++ {
-		mac := hmac.New(sha256.New, c.key)
+		mac.Reset()
 		mac.Write(nb[:])
 		var cb [4]byte
 		binary.BigEndian.PutUint32(cb[:], counter)
@@ -84,7 +105,7 @@ func (c *Cipher) pad(nonce uint64) *big.Int {
 		buf = mac.Sum(buf)
 	}
 	p := new(big.Int).SetBytes(buf[:need])
-	return p.Mod(p, c.m)
+	return c.reduce(p)
 }
 
 // Encrypt returns E(v) = v + pad(nonce) mod M. The nonce must be unique per
@@ -96,7 +117,7 @@ func (c *Cipher) Encrypt(v *big.Int, nonce uint64) (*big.Int, error) {
 		return nil, fmt.Errorf("sies: plaintext %s outside [0, M)", v)
 	}
 	e := new(big.Int).Add(v, c.pad(nonce))
-	return e.Mod(e, c.m), nil
+	return c.reduce(e), nil
 }
 
 // Decrypt inverts Encrypt for the same nonce.
@@ -105,7 +126,7 @@ func (c *Cipher) Decrypt(e *big.Int, nonce uint64) (*big.Int, error) {
 		return nil, fmt.Errorf("sies: ciphertext %s outside [0, M)", e)
 	}
 	v := new(big.Int).Sub(e, c.pad(nonce))
-	return v.Mod(v, c.m), nil
+	return c.reduce(v), nil
 }
 
 // DecryptSum recovers the sum of plaintexts from the modular sum of
@@ -119,5 +140,5 @@ func (c *Cipher) DecryptSum(sum *big.Int, nonces []uint64) (*big.Int, error) {
 	for _, nonce := range nonces {
 		v.Sub(v, c.pad(nonce))
 	}
-	return v.Mod(v, c.m), nil
+	return c.reduce(v), nil
 }

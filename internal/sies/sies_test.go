@@ -179,3 +179,40 @@ func TestSumHomomorphismProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPowerOfTwoModulusMasks: for M = 2^k (SDB uses 2^62) reduction is a
+// mask; it must agree with division on pads, ciphertexts, plaintexts and
+// sums (whose intermediate goes negative), and other moduli keep dividing.
+func TestPowerOfTwoModulusMasks(t *testing.T) {
+	m := new(big.Int).Lsh(big.NewInt(1), 62)
+	masked := testCipher(t, m)
+	if masked.mask == nil {
+		t.Fatal("2^62 not recognised as a power of two")
+	}
+	divided, _ := New(masked.key, m)
+	divided.mask = nil
+	if odd := testCipher(t, big.NewInt(1000003)); odd.mask != nil {
+		t.Fatal("a prime modulus must not mask")
+	}
+	var sumM, sumD = new(big.Int), new(big.Int)
+	var nonces []uint64
+	for i, v := range []int64{0, 1, 1<<62 - 1, 123456789012345} {
+		nonce := uint64(1000 + i)
+		em, err1 := masked.Encrypt(big.NewInt(v), nonce)
+		ed, err2 := divided.Encrypt(big.NewInt(v), nonce)
+		if err1 != nil || err2 != nil || em.Cmp(ed) != 0 {
+			t.Fatalf("Encrypt(%d): mask %v (%v), division %v (%v)", v, em, err1, ed, err2)
+		}
+		if got, err := masked.Decrypt(em, nonce); err != nil || got.Int64() != v {
+			t.Fatalf("Decrypt(Encrypt(%d)) = %v, %v", v, got, err)
+		}
+		nonces = append(nonces, nonce)
+		sumM.Add(sumM, em).Mod(sumM, m)
+		sumD.Add(sumD, ed).Mod(sumD, m)
+	}
+	gm, _ := masked.DecryptSum(sumM, nonces)
+	gd, _ := divided.DecryptSum(sumD, nonces)
+	if gm.Cmp(gd) != 0 {
+		t.Fatalf("DecryptSum: mask %v, division %v", gm, gd)
+	}
+}

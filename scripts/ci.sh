@@ -10,14 +10,17 @@
 # race-detected concurrent spill pass, a
 # race-detected crash-recovery/durability pass (kill-point differential
 # harness + SIGKILL subprocess test), a race-detected Montgomery-core
-# pass (shared MontCtx / TokenApplier / helper-power memo under concurrent
-# workers), a batch-vs-scalar token-application differential gate, the
+# pass (shared MontCtx / TokenApplier / helper-power memo / per-column-key
+# table memo under concurrent workers, plus the item-key differential
+# against big.Int.Exp), a race-detected hostile-SP pass over the proxy's
+# row-decrypt kernel, a batch-vs-scalar token-application differential gate, the
 # bench/ module's own vet and smoke test, a race-detected
 # concurrent-serving pass (multi-driver storm against an
 # admission-limited, pool-budgeted server), a live-server smoke that
 # curls /healthz and asserts nonzero /metrics counters, and a short fuzz
 # smoke over every fuzz target (parser, proxy pipeline, wire encoding,
-# WAL records, Montgomery multiply/exponentiate vs math/big).
+# WAL records, Montgomery multiply/exponentiate and the item-key tables vs
+# math/big).
 #
 # Usage: scripts/ci.sh [-short]
 #   -short   skip the slow end-to-end suites (integration differential,
@@ -141,8 +144,21 @@ echo "== Montgomery core under the race detector"
 # tests ride along: concurrent appliers over overlapping helpers fill,
 # hit and evict one process-wide memo (and the differential against
 # big.Int.Exp runs cold, warm and under a forced tiny bound), and the
-# generator's comb table is evaluated from parallel goroutines.
-go test -race ${SHORT_FLAG} -run 'Mont|PowMemo|FixedBase' ./internal/bigmod ./internal/secure
+# generator's comb table is evaluated from parallel goroutines. So do the
+# per-column-key item-key tables: the differential of the table path
+# against m · big.Int.Exp(g, r·x mod φ, n) at every row-id width and
+# modulus shape, the memo-bound test, and first-touch table builds raced
+# from parallel workers.
+go test -race ${SHORT_FLAG} -run 'Mont|PowMemo|FixedBase|ItemKey|KeyTable|Decryptor' ./internal/bigmod ./internal/secure
+
+echo "== proxy row-decrypt kernel: hostile SP + table builds under the race detector"
+# The proxy decrypts what an untrusted SP sends: share cells without
+# payload, shares outside [0, n), mangled row-id and AVG-count cells and
+# short rows must all end in an error — on the streaming and the
+# materialising path — never a panic or a wrong answer. The race test has
+# parallel decrypt chunks of several cursors build a rotated column's
+# tables on first touch while another column keeps rotating.
+go test -race -count=1 -run 'HostileSP|DecryptRaces|JoinProduct|KeyTableStats' ./internal/proxy
 
 echo "== bench module (vet + smoke test)"
 # bench/ is a Go module of its own (sdb/bench, replace sdb => ..), so the
@@ -228,6 +244,7 @@ if [[ -z "${SHORT_FLAG}" ]]; then
   go test -run xxx -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
   go test -run xxx -fuzz FuzzMontMulVsBigInt -fuzztime 10s ./internal/bigmod
   go test -run xxx -fuzz FuzzMontExpVsBigInt -fuzztime 10s ./internal/bigmod
+  go test -run xxx -fuzz FuzzItemKeyTable -fuzztime 10s ./internal/secure
 fi
 
 echo "CI OK"
