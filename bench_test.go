@@ -614,7 +614,9 @@ func BenchmarkStreamScan(b *testing.B) {
 // spill-on-serial pins the serial spill schedule (partition pairs one at
 // a time); spill-on schedules spilled partitions across the worker pool
 // with double-buffered run-file reads and asserts the overlap actually
-// happened (SpillParallelism ≥ 2, PrefetchedBytes > 0). On a multi-core
+// happened (SpillParallelism ≥ 2, PrefetchedBytes > 0), that the scans
+// kept only the referenced columns (ScanCols < TableCols) and that the
+// spilled bytes were counted (SpilledBytes > 0). On a multi-core
 // runner spill-on should beat spill-on-serial by ≥ 1.5× (see
 // EXPERIMENTS.md); the ratio is not asserted because it is
 // machine-dependent.
@@ -698,6 +700,8 @@ func BenchmarkStreamScanJoinAgg(b *testing.B) {
 		check(b, peak, last)
 		b.ReportMetric(float64(peak), "peak-rows")
 		b.ReportMetric(float64(last.SpilledRows), "spilled-rows")
+		b.ReportMetric(float64(last.SpilledBytes), "spilled-bytes")
+		b.ReportMetric(float64(last.ScanCols), "scan-cols")
 		b.ReportMetric(float64(factRows*b.N)/b.Elapsed().Seconds(), "rows/s")
 	}
 
@@ -755,6 +759,13 @@ func BenchmarkStreamScanJoinAgg(b *testing.B) {
 			}
 			if stats.PrefetchedBytes == 0 {
 				b.Fatalf("no run-file bytes prefetched: %+v", stats)
+			}
+			// The query names three of the eight columns its two tables
+			// have: scans must not materialise the rest, and the bytes
+			// spilled — the one spill counter row width shows in — must be
+			// counted.
+			if stats.ScanCols >= stats.TableCols || stats.SpilledBytes == 0 {
+				b.Fatalf("scans kept %d/%d columns, %d bytes spilled", stats.ScanCols, stats.TableCols, stats.SpilledBytes)
 			}
 		})
 	})

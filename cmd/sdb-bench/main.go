@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/big"
 	"os"
@@ -131,7 +132,7 @@ func orDash(s string) string {
 }
 
 // deployment builds an SDB proxy + in-process SP loaded with TPC-H data.
-func deployment(sf float64, bits int, opts execOpts) *proxy.Proxy {
+func deployment(sf float64, bits int, opts execOpts) (*proxy.Proxy, *engine.Engine) {
 	secret, err := secure.Setup(bits, secure.DefaultValueBits, secure.DefaultMaskBits)
 	if err != nil {
 		log.Fatal(err)
@@ -154,7 +155,24 @@ func deployment(sf float64, bits int, opts execOpts) *proxy.Proxy {
 		log.Fatal(err)
 	}
 	fmt.Printf("loaded TPC-H SF %g in %v (%d-bit modulus)\n\n", sf, time.Since(start).Round(time.Millisecond), bits)
-	return p
+	return p, eng
+}
+
+// spStats runs a rewritten statement on the SP engine alone and returns its
+// execution stats: what the scans kept and what the operators spilled.
+func spStats(eng *engine.Engine, sql string) engine.ExecStats {
+	it, err := eng.QuerySQL(context.Background(), sql)
+	if err != nil {
+		log.Fatalf("sp stats: %v", err)
+	}
+	defer it.Close()
+	for {
+		if _, err := it.NextBatch(); err == io.EOF {
+			return it.(interface{ Stats() engine.ExecStats }).Stats()
+		} else if err != nil {
+			log.Fatalf("sp stats: %v", err)
+		}
+	}
 }
 
 func plainDeployment(sf float64, opts execOpts) *proxy.Proxy {
@@ -188,7 +206,7 @@ func plainDeployment(sf float64, opts execOpts) *proxy.Proxy {
 
 // breakdown is E3: client vs server cost per query.
 func breakdown(sf float64, bits int, opts execOpts) {
-	p := deployment(sf, bits, opts)
+	p, _ := deployment(sf, bits, opts)
 	w := tw()
 	fmt.Fprintln(w, "query\tparse\trewrite\tdecrypt\tclient\tserver\tclient share")
 	for _, q := range tpch.RunnableQueries() {
@@ -208,7 +226,7 @@ func breakdown(sf float64, bits int, opts execOpts) {
 
 // shipallExp is E7: SDB vs ship-everything across selectivities.
 func shipallExp(sf float64, bits int, opts execOpts) {
-	p := deployment(sf, bits, opts)
+	p, _ := deployment(sf, bits, opts)
 	ship := shipall.New(p)
 	w := tw()
 	fmt.Fprintln(w, "selectivity\tSDB\tship-all\trows shipped (ship-all)")
@@ -241,13 +259,16 @@ func shipallExp(sf float64, bits int, opts execOpts) {
 // through the prepared streaming API: each is prepared once (parse +
 // rewrite + token derivation paid up front), then executed and drained
 // through a decrypting cursor; the prepared re-execution column shows what
-// repeat executions cost once the rewrite is amortized.
+// repeat executions cost once the rewrite is amortized. The last two
+// columns are the SP's own accounting of the rewritten statement: columns
+// its scans materialised out of the columns the scanned tables have, and
+// bytes spilled (non-zero only under -mem-budget).
 func tpchExp(sf float64, bits int, opts execOpts) {
 	ctx := context.Background()
-	p := deployment(sf, bits, opts)
+	p, eng := deployment(sf, bits, opts)
 	plain := plainDeployment(sf, opts)
 	w := tw()
-	fmt.Fprintln(w, "query\tSDB first\tSDB prepared\tplaintext\toverhead")
+	fmt.Fprintln(w, "query\tSDB first\tSDB prepared\tplaintext\toverhead\tscan cols\tspilled")
 	for _, q := range tpch.RunnableQueries() {
 		t0 := time.Now()
 		stmt, err := p.PrepareContext(ctx, q.SQL)
@@ -259,7 +280,8 @@ func tpchExp(sf float64, bits int, opts execOpts) {
 		}
 		sdbTime := time.Since(t0)
 		t1 := time.Now()
-		if _, err := stmt.ExecContext(ctx); err != nil {
+		res, err := stmt.ExecContext(ctx)
+		if err != nil {
 			log.Fatalf("Q%d sdb (prepared): %v", q.Num, err)
 		}
 		preparedTime := time.Since(t1)
@@ -269,10 +291,11 @@ func tpchExp(sf float64, bits int, opts execOpts) {
 			log.Fatalf("Q%d plain: %v", q.Num, err)
 		}
 		plainTime := time.Since(t2)
-		fmt.Fprintf(w, "Q%d\t%v\t%v\t%v\t%.1fx\n", q.Num,
+		st := spStats(eng, res.Stats.RewrittenSQL)
+		fmt.Fprintf(w, "Q%d\t%v\t%v\t%v\t%.1fx\t%d/%d\t%d B\n", q.Num,
 			sdbTime.Round(time.Millisecond), preparedTime.Round(time.Millisecond),
 			plainTime.Round(time.Millisecond),
-			float64(sdbTime)/float64(plainTime))
+			float64(sdbTime)/float64(plainTime), st.ScanCols, st.TableCols, st.SpilledBytes)
 	}
 	w.Flush()
 }

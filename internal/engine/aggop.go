@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"sdb/internal/parallel"
@@ -146,27 +145,29 @@ func (op *hashAggOp) drain() error {
 				tbl = make(map[string]*aggGroup, op.groupHint/nparts)
 				partials[p] = tbl
 			}
+			// The key and its values are built in per-chunk scratch and
+			// copied only when a row opens a new group.
+			keyVals := make([]types.Value, len(op.keyExprs))
+			var key []byte
 			for i := lo; i < hi; i++ {
 				row := batch[i]
-				keyVals := make([]types.Value, len(op.keyExprs))
-				var sb strings.Builder
+				key = key[:0]
 				for j, ke := range op.keyExprs {
 					v, err := ke(row)
 					if err != nil {
 						return err
 					}
 					keyVals[j] = v
-					appendKeyPart(&sb, v)
+					key = v.AppendGroupKey(key)
 				}
-				key := sb.String()
-				g := tbl[key]
+				g := tbl[string(key)]
 				if g == nil {
-					ng, err := op.newGroup(keyVals, base+i)
+					ng, err := op.newGroup(append([]types.Value(nil), keyVals...), base+i)
 					if err != nil {
 						return err
 					}
 					g = ng
-					tbl[key] = g
+					tbl[string(key)] = g
 				}
 				for si := range op.specs {
 					vals, err := op.specs[si].evalArgs(row)

@@ -29,58 +29,23 @@ func isAggregateName(name string) bool {
 func collectAggregates(s *sqlparser.Select) []*sqlparser.FuncCall {
 	var out []*sqlparser.FuncCall
 	seen := make(map[string]bool)
-	var walk func(sqlparser.Expr)
-	walk = func(ex sqlparser.Expr) {
-		switch x := ex.(type) {
-		case *sqlparser.FuncCall:
-			if isAggregateName(x.Name) {
-				key := x.String()
-				if !seen[key] {
-					seen[key] = true
-					out = append(out, x)
-				}
-				return // don't descend into aggregate args
+	walk := func(ex sqlparser.Expr) {
+		walkExpr(ex, func(x sqlparser.Expr) bool {
+			fc, ok := x.(*sqlparser.FuncCall)
+			if !ok || !isAggregateName(fc.Name) {
+				return true
 			}
-			for _, a := range x.Args {
-				walk(a)
+			if key := fc.String(); !seen[key] {
+				seen[key] = true
+				out = append(out, fc)
 			}
-		case *sqlparser.BinaryExpr:
-			walk(x.L)
-			walk(x.R)
-		case *sqlparser.UnaryExpr:
-			walk(x.E)
-		case *sqlparser.BetweenExpr:
-			walk(x.E)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *sqlparser.InExpr:
-			walk(x.E)
-			for _, i := range x.List {
-				walk(i)
-			}
-		case *sqlparser.LikeExpr:
-			walk(x.E)
-			walk(x.Pattern)
-		case *sqlparser.IsNullExpr:
-			walk(x.E)
-		case *sqlparser.CaseExpr:
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-			if x.Else != nil {
-				walk(x.Else)
-			}
-		}
+			return false // don't descend into aggregate args
+		})
 	}
 	for _, item := range s.Items {
-		if !item.Star {
-			walk(item.Expr)
-		}
+		walk(item.Expr)
 	}
-	if s.Having != nil {
-		walk(s.Having)
-	}
+	walk(s.Having)
 	for _, o := range s.OrderBy {
 		walk(o.Expr)
 	}

@@ -15,7 +15,7 @@ import (
 func (e *Engine) execSelect(s *sqlparser.Select) (*Result, error) {
 	qs := e.newQuerySpill()
 	defer qs.close()
-	pl, err := e.planSelect(s, e.PinSnapshot(), qs)
+	pl, err := e.planQuery(s, e.PinSnapshot(), qs)
 	if err != nil {
 		return nil, err
 	}

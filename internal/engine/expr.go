@@ -20,6 +20,50 @@ type evalCtx struct {
 // compiledExpr evaluates against a bound row.
 type compiledExpr func(row types.Row) (types.Value, error)
 
+// walkExpr visits ex and every sub-expression, parents first; visit
+// returning false skips a node's children. The result is false when the
+// tree holds an expression form the walker does not know (nothing below
+// such a node is visited), so an analysis can fall back to its
+// conservative answer.
+func walkExpr(ex sqlparser.Expr, visit func(sqlparser.Expr) bool) bool {
+	if ex == nil || !visit(ex) {
+		return true
+	}
+	known := true
+	each := func(xs ...sqlparser.Expr) {
+		for _, x := range xs {
+			known = walkExpr(x, visit) && known
+		}
+	}
+	switch t := ex.(type) {
+	case sqlparser.ColRef, sqlparser.IntLit, sqlparser.DecLit, sqlparser.StrLit,
+		sqlparser.DateLit, sqlparser.BoolLit, sqlparser.NullLit, sqlparser.HexLit:
+	case *sqlparser.BinaryExpr:
+		each(t.L, t.R)
+	case *sqlparser.UnaryExpr:
+		each(t.E)
+	case *sqlparser.FuncCall:
+		each(t.Args...)
+	case *sqlparser.BetweenExpr:
+		each(t.E, t.Lo, t.Hi)
+	case *sqlparser.InExpr:
+		each(t.E)
+		each(t.List...)
+	case *sqlparser.LikeExpr:
+		each(t.E, t.Pattern)
+	case *sqlparser.IsNullExpr:
+		each(t.E)
+	case *sqlparser.CaseExpr:
+		for _, w := range t.Whens {
+			each(w.Cond, w.Then)
+		}
+		each(t.Else)
+	default:
+		return false
+	}
+	return known
+}
+
 // compile binds an expression against a relation's columns.
 func compile(ex sqlparser.Expr, rel *relation, ctx *evalCtx) (compiledExpr, error) {
 	switch x := ex.(type) {

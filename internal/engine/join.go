@@ -116,11 +116,28 @@ func (op *hashJoinOp) open(ctx context.Context) error {
 	return op.build()
 }
 
-// keyedRow is a computed join key: the composite key string plus a hash
-// partition (-1 marks a NULL key component, which never matches).
+// keyedRow is a computed join key: its hash (which picks the in-memory
+// index partition and the Grace spill partition alike) and, while the build
+// side is still resident, the composite key the index will own. ok is false
+// for a NULL key component, which never matches.
 type keyedRow struct {
 	key  string
-	part int
+	hash uint32
+	ok   bool
+}
+
+// keyRow computes one row's keyedRow; withKey materialises the key string.
+func keyRow(keys []compiledExpr, row types.Row, withKey bool) (keyedRow, error) {
+	var scratch [64]byte
+	key, hasNull, err := appendJoinKey(scratch[:0], keys, row)
+	if err != nil || hasNull {
+		return keyedRow{}, err
+	}
+	kr := keyedRow{hash: hashKey(key), ok: true}
+	if withKey {
+		kr.key = string(key)
+	}
+	return kr, nil
 }
 
 // build drains the right child and constructs the partitioned hash index,
@@ -144,22 +161,19 @@ func (op *hashJoinOp) build() error {
 		if err != nil {
 			return err
 		}
+		resident := !op.spilling
 		ks, err := parallel.Map(op.e.pool, len(batch), func(i int) (keyedRow, error) {
-			key, hasNull, err := joinKeyOf(op.rightKeys, batch[i])
-			if err != nil || hasNull {
-				return keyedRow{part: -1}, err
-			}
-			return keyedRow{key: key, part: int(hashKey(key) % uint32(nparts))}, nil
+			return keyRow(op.rightKeys, batch[i], resident)
 		})
 		if err != nil {
 			return err
 		}
 		if op.spilling {
 			for i, k := range ks {
-				if k.part < 0 {
+				if !k.ok {
 					continue // NULL join key: never matches
 				}
-				if err := op.writeBuildRow(k.key, int64(bseq+i), batch[i]); err != nil {
+				if err := op.writeBuildRow(k.hash, int64(bseq+i), batch[i]); err != nil {
 					return err
 				}
 			}
@@ -195,7 +209,7 @@ func (op *hashJoinOp) build() error {
 		for p := lo; p < hi; p++ {
 			part := make(map[string][]types.Row, op.buildHint/nparts)
 			for i, k := range keys {
-				if k.part == p {
+				if k.ok && int(k.hash%uint32(nparts)) == p {
 					part[k.key] = append(part[k.key], rows[i])
 				}
 			}
@@ -246,15 +260,17 @@ func (op *hashJoinOp) probe(batch []types.Row) error {
 	chunks := make([][]types.Row, op.e.pool.NumChunks(len(batch)))
 	err := op.e.pool.ForEachChunk(len(batch), func(chunk, lo, hi int) error {
 		var buf []types.Row
+		var key []byte
 		for i := lo; i < hi; i++ {
-			key, hasNull, err := joinKeyOf(op.leftKeys, batch[i])
-			if err != nil {
+			var hasNull bool
+			var err error
+			if key, hasNull, err = appendJoinKey(key[:0], op.leftKeys, batch[i]); err != nil {
 				return err
 			}
 			if hasNull {
 				continue
 			}
-			for _, rb := range op.parts[int(hashKey(key)%uint32(nparts))][key] {
+			for _, rb := range op.parts[hashKey(key)%uint32(nparts)][string(key)] {
 				row := op.joinRow(batch[i], rb)
 				if op.residual != nil {
 					ok, err := op.residual(row)
@@ -328,10 +344,10 @@ func (op *hashJoinOp) beginBuildSpill(rows []types.Row, keys []keyedRow) error {
 		op.probeFiles[p] = pf
 	}
 	for i, k := range keys {
-		if k.part < 0 {
+		if !k.ok {
 			continue
 		}
-		if err := op.writeBuildRow(k.key, int64(i), rows[i]); err != nil {
+		if err := op.writeBuildRow(k.hash, int64(i), rows[i]); err != nil {
 			return err
 		}
 	}
@@ -340,9 +356,9 @@ func (op *hashJoinOp) beginBuildSpill(rows []types.Row, keys []keyedRow) error {
 	return nil
 }
 
-func (op *hashJoinOp) writeBuildRow(key string, bseq int64, row types.Row) error {
+func (op *hashJoinOp) writeBuildRow(hash uint32, bseq int64, row types.Row) error {
 	op.qs.sess.AddSpilledRows(1)
-	return op.buildFiles[hashKey(key)%spillPartitions].write(taggedRow{a: bseq, row: row})
+	return op.buildFiles[hash%spillPartitions].write(taggedRow{a: bseq, row: row})
 }
 
 // nextSpilled serves the Grace join: the first pull runs the partition
@@ -376,21 +392,17 @@ func (op *hashJoinOp) graceJoin() error {
 			return err
 		}
 		ks, err := parallel.Map(op.e.pool, len(batch), func(i int) (keyedRow, error) {
-			key, hasNull, err := joinKeyOf(op.leftKeys, batch[i])
-			if err != nil || hasNull {
-				return keyedRow{part: -1}, err
-			}
-			return keyedRow{key: key}, nil
+			return keyRow(op.leftKeys, batch[i], false)
 		})
 		if err != nil {
 			return err
 		}
 		for i, k := range ks {
-			if k.part < 0 {
+			if !k.ok {
 				continue
 			}
 			op.qs.sess.AddSpilledRows(1)
-			rf := op.probeFiles[hashKey(k.key)%spillPartitions]
+			rf := op.probeFiles[k.hash%spillPartitions]
 			if err := rf.write(taggedRow{a: int64(pseq + i), row: batch[i]}); err != nil {
 				return err
 			}
@@ -484,6 +496,7 @@ func (op *hashJoinOp) joinResident(build, probe *runFile, reserved int) (*runFil
 		return nil, err
 	}
 	n := 0
+	var key []byte
 	for i := 0; ; i++ {
 		if i%1024 == 0 {
 			if err := op.ctx.Err(); err != nil {
@@ -497,11 +510,10 @@ func (op *hashJoinOp) joinResident(build, probe *runFile, reserved int) (*runFil
 		if err != nil {
 			return nil, err
 		}
-		key, _, err := joinKeyOf(op.rightKeys, tr.row)
-		if err != nil {
+		if key, _, err = appendJoinKey(key[:0], op.rightKeys, tr.row); err != nil {
 			return nil, err
 		}
-		table[key] = append(table[key], tr)
+		table[string(key)] = append(table[string(key)], tr)
 		n++
 	}
 	loaded = n
@@ -524,6 +536,7 @@ func (op *hashJoinOp) probeTable(table map[string][]taggedRow, probe *runFile) (
 	if err != nil {
 		return fail(err)
 	}
+	var key []byte
 	for i := 0; ; i++ {
 		if i%1024 == 0 {
 			if err := op.ctx.Err(); err != nil {
@@ -537,11 +550,10 @@ func (op *hashJoinOp) probeTable(table map[string][]taggedRow, probe *runFile) (
 		if err != nil {
 			return fail(err)
 		}
-		key, _, err := joinKeyOf(op.leftKeys, tr.row)
-		if err != nil {
+		if key, _, err = appendJoinKey(key[:0], op.leftKeys, tr.row); err != nil {
 			return fail(err)
 		}
-		for _, bt := range table[key] {
+		for _, bt := range table[string(key)] {
 			row := op.joinRow(tr.row, bt.row)
 			if op.residual != nil {
 				ok, err := op.residual(row)
@@ -583,6 +595,7 @@ func (op *hashJoinOp) repartition(build, probe *runFile, depth int) ([]*runFile,
 		if err != nil {
 			return fail(err)
 		}
+		var key []byte
 		for i := 0; ; i++ {
 			if i%1024 == 0 {
 				if err := op.ctx.Err(); err != nil {
@@ -596,8 +609,7 @@ func (op *hashJoinOp) repartition(build, probe *runFile, depth int) ([]*runFile,
 			if err != nil {
 				return fail(err)
 			}
-			key, _, err := joinKeyOf(keys, tr.row)
-			if err != nil {
+			if key, _, err = appendJoinKey(key[:0], keys, tr.row); err != nil {
 				return fail(err)
 			}
 			op.qs.sess.AddSpilledRows(1)
@@ -663,6 +675,7 @@ func (op *hashJoinOp) joinChunked(build, probe *runFile) ([]*runFile, error) {
 		}
 		table := make(map[string][]taggedRow)
 		got := 0
+		var key []byte
 		for got < reserved {
 			tr, err := br.read()
 			if err == io.EOF {
@@ -672,12 +685,11 @@ func (op *hashJoinOp) joinChunked(build, probe *runFile) ([]*runFile, error) {
 				op.qs.budget.Release(reserved)
 				return fail(err)
 			}
-			key, _, err := joinKeyOf(op.rightKeys, tr.row)
-			if err != nil {
+			if key, _, err = appendJoinKey(key[:0], op.rightKeys, tr.row); err != nil {
 				op.qs.budget.Release(reserved)
 				return fail(err)
 			}
-			table[key] = append(table[key], tr)
+			table[string(key)] = append(table[string(key)], tr)
 			got++
 		}
 		if got == 0 {
@@ -805,7 +817,7 @@ func (e *Engine) planJoin(left, right planNode, on sqlparser.Expr, qs *querySpil
 	lrel := &relation{cols: left.op.columns()}
 	rrel := &relation{cols: right.op.columns()}
 
-	eqs, rest := splitConjuncts(on)
+	eqs := splitConjuncts(on)
 	var leftKeys, rightKeys []compiledExpr
 	var residual []sqlparser.Expr
 	for _, eq := range eqs {
@@ -830,7 +842,6 @@ func (e *Engine) planJoin(left, right planNode, on sqlparser.Expr, qs *querySpil
 		}
 		residual = append(residual, eq)
 	}
-	residual = append(residual, rest...)
 
 	if len(leftKeys) > 0 {
 		var resid compiledExpr

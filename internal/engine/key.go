@@ -1,56 +1,47 @@
 package engine
 
-import (
-	"strconv"
-	"strings"
+import "sdb/internal/types"
 
-	"sdb/internal/types"
-)
-
-// appendKeyPart appends one value's group key to a composite hash key with a
-// length prefix. Plain concatenation is ambiguous across component
-// boundaries — ("ab","c") and ("a","bc") would concatenate identically — so
-// every component is framed as "<len>:<groupKey>", which makes the composite
-// encoding injective over value sequences.
-func appendKeyPart(sb *strings.Builder, v types.Value) {
-	k := v.GroupKey()
-	sb.WriteString(strconv.Itoa(len(k)))
-	sb.WriteByte(':')
-	sb.WriteString(k)
-}
+// Composite hash keys (join keys, group keys, DISTINCT rows) are the
+// concatenation of each component's types.Value.AppendGroupKey encoding.
+// Plain concatenation of value text would be ambiguous across component
+// boundaries — ("ab","c") and ("a","bc") — but every component of the
+// binary form is self-delimiting (a kind byte, then a fixed-width or
+// length-prefixed payload), so the composite is injective over value
+// sequences. Callers append into a reused scratch buffer and convert to a
+// string only where a map has to own the key.
 
 // rowKey renders a whole row as a composite hash key (DISTINCT dedup).
 func rowKey(row types.Row) string {
-	var sb strings.Builder
+	buf := make([]byte, 0, 16*len(row))
 	for _, v := range row {
-		appendKeyPart(&sb, v)
+		buf = v.AppendGroupKey(buf)
 	}
-	return sb.String()
+	return string(buf)
 }
 
-// joinKeyOf evaluates the join-key expressions over a row and returns the
-// composite key. hasNull reports a NULL component: SQL equality never
-// matches NULL, so rows with NULL keys are excluded from both build and
-// probe sides (matching the compiled `=` evaluator the nested-loop join
+// appendJoinKey evaluates the join-key expressions over a row and appends
+// the composite key to dst. hasNull reports a NULL component: SQL equality
+// never matches NULL, so rows with NULL keys are excluded from both build
+// and probe sides (matching the compiled `=` evaluator the nested-loop join
 // uses).
-func joinKeyOf(keys []compiledExpr, row types.Row) (key string, hasNull bool, err error) {
-	var sb strings.Builder
+func appendJoinKey(dst []byte, keys []compiledExpr, row types.Row) (key []byte, hasNull bool, err error) {
 	for _, k := range keys {
 		v, err := k(row)
 		if err != nil {
-			return "", false, err
+			return dst, false, err
 		}
 		if v.IsNull() {
-			return "", true, nil
+			return dst, true, nil
 		}
-		appendKeyPart(&sb, v)
+		dst = v.AppendGroupKey(dst)
 	}
-	return sb.String(), false, nil
+	return dst, false, nil
 }
 
 // hashKey is FNV-1a over the composite key, used to spread keys across
 // hash-partitioned parallel build/probe structures.
-func hashKey(s string) uint32 {
+func hashKey[K string | []byte](s K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/big"
 	"testing"
 
 	"sdb/internal/storage"
@@ -9,19 +10,93 @@ import (
 
 // TestKeyEncodingInjective is the regression for the concatenated-key
 // collision: ("ab","c") and ("a","bc") concatenate identically without
-// framing, so they used to share GROUP BY / DISTINCT / hash-join keys.
+// framing, so they used to share GROUP BY / DISTINCT / hash-join keys. The
+// binary form frames every component; these are the pairs that must differ
+// and the one that must not.
 func TestKeyEncodingInjective(t *testing.T) {
-	a := rowKey(types.Row{types.NewString("ab"), types.NewString("c")})
-	b := rowKey(types.Row{types.NewString("a"), types.NewString("bc")})
-	if a == b {
-		t.Fatalf("rowKey collision: %q", a)
+	str, share := types.NewString, func(b ...byte) types.Value { return types.NewShare(new(big.Int).SetBytes(b)) }
+	distinct := [][2]types.Row{
+		{{str("ab"), str("c")}, {str("a"), str("bc")}},
+		// Neither a separator nor a length prefix is forgeable from value text.
+		{{str("a|"), str("b")}, {str("a"), str("|b")}},
+		{{str("\x01a")}, {str(""), str("a")}},
+		{{types.NewInt(1)}, {types.NewDecimal(1)}},
+		{{types.NewInt(1)}, {types.NewBool(true)}},
+		{{types.NewInt(1)}, {types.NewDate(1)}},
+		{{str("")}, {types.Null}},
+		{{str("")}, {}},
+		{{share(1)}, {share(1, 0)}},
+		{{share()}, {types.Null}},
+		{{share(1), share(2)}, {share(1, 2)}},
 	}
-	// The component separator itself must not be forgeable from value text.
-	c := rowKey(types.Row{types.NewString("a|"), types.NewString("b")})
-	d := rowKey(types.Row{types.NewString("a"), types.NewString("|b")})
-	if c == d {
-		t.Fatalf("rowKey collision on separator bytes: %q", c)
+	for _, p := range distinct {
+		if rowKey(p[0]) == rowKey(p[1]) {
+			t.Errorf("rowKey collision: %v vs %v (%q)", p[0], p[1], rowKey(p[0]))
+		}
 	}
+	// Leading zero bytes do not change a residue, so they must not change
+	// its key: equal shares join and group together however they were built.
+	if rowKey(types.Row{share(0, 0, 7)}) != rowKey(types.Row{share(7)}) {
+		t.Errorf("equal shares encode differently")
+	}
+}
+
+// fuzzTuple decodes a value tuple from fuzz bytes: a count, then per value
+// a kind byte and a short payload (one byte for the int64-backed kinds, so
+// equal values of different kinds are common; up to three bytes for strings
+// and shares, so boundary-shifting collisions are reachable).
+func fuzzTuple(data []byte) (types.Row, []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	take := func(n int) []byte {
+		if n > len(data) {
+			n = len(data)
+		}
+		b := data[:n]
+		data = data[n:]
+		return b
+	}
+	row := make(types.Row, next()%4)
+	for i := range row {
+		switch k := types.Kind(next() % 7); k {
+		case types.KindNull:
+		case types.KindString:
+			row[i] = types.NewString(string(take(int(next() % 4))))
+		case types.KindShare:
+			row[i] = types.NewShare(new(big.Int).SetBytes(take(int(next() % 4))))
+		default:
+			row[i] = types.Value{K: k, I: int64(int8(next()))}
+		}
+	}
+	return row, data
+}
+
+// FuzzGroupKeyInjective: two value tuples share a composite key exactly
+// when they have the same length and agree, component by component, in
+// kind and in Compare.
+func FuzzGroupKeyInjective(f *testing.F) {
+	f.Add([]byte{2, 4, 2, 'a', 'b', 4, 1, 'c', 2, 4, 1, 'a', 4, 2, 'b', 'c'}) // ("ab","c") ("a","bc")
+	f.Add([]byte{1, 1, 1, 1, 2, 1})                                           // int 1, decimal 1
+	f.Add([]byte{1, 4, 0, 1, 0})                                              // "" vs NULL
+	f.Add([]byte{1, 6, 3, 0, 0, 7, 1, 6, 1, 7})                               // share 0x000007 vs 0x07
+	f.Add([]byte{2, 1, 5, 0, 2, 1, 5, 0})                                     // equal tuples
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, rest := fuzzTuple(data)
+		b, _ := fuzzTuple(rest)
+		same := len(a) == len(b)
+		for i := 0; same && i < len(a); i++ {
+			same = a[i].K == b[i].K && a[i].Compare(b[i]) == 0
+		}
+		if got := rowKey(a) == rowKey(b); got != same {
+			t.Fatalf("%v vs %v: keys equal = %v, values equal = %v", a, b, got, same)
+		}
+	})
 }
 
 // collisionEngine holds rows whose multi-column keys collide under naive

@@ -121,6 +121,15 @@ type ExecStats struct {
 	// PrefetchedBytes counts bytes the double-buffered run-file readers
 	// loaded ahead of consumption (disk latency overlapped with compute).
 	PrefetchedBytes int64
+	// SpilledBytes counts bytes written to spill files. The budget is
+	// counted in rows, so narrower rows leave Spills, SpilledRows and
+	// SpillFiles where they were and show here.
+	SpilledBytes int64
+	// ScanCols and TableCols sum, over the statement's table scans, the
+	// columns the scan materialises (hidden row-id/helper columns included)
+	// and the columns the scanned table has. They are equal only when
+	// nothing was pruned (every column named, or the planner pass off).
+	ScanCols, TableCols int
 }
 
 // ---- scan ----------------------------------------------------------------
@@ -130,8 +139,15 @@ type ExecStats struct {
 // mutating published slices — so the scan streams lock-free and is
 // unaffected by any write that commits after the statement pinned its
 // snapshot.
+//
+// The scan's schema is the table's narrowed to the columns the planner
+// keeps (see referencedColumns): storage is columnar, so a column nobody
+// references is never touched, and every operator above binds by name
+// against this schema and gets narrower with it.
 type scanOp struct {
 	schema []relCol
+	// data holds the kept stored columns; rowEnc/helper are nil unless the
+	// hidden row-id / helper column is kept.
 	data   [][]types.Value
 	rowEnc []*big.Int
 	helper []*big.Int
@@ -142,17 +158,55 @@ type scanOp struct {
 	pos int
 }
 
-// newScanOp scans the given pinned version of t (from the statement's
-// catalog snapshot).
-func newScanOp(t *storage.Table, v *storage.Version, alias string, batch int) *scanOp {
-	return &scanOp{
-		schema: tableSchema(t, alias),
-		data:   v.Cols,
-		rowEnc: v.RowEnc,
-		helper: v.Helper,
-		nrows:  v.NumRows(),
-		batch:  batch,
+// newScanOp scans the columns keep selects out of schema — the tableSchema
+// of the table whose pinned version v is (from the statement's catalog
+// snapshot).
+func newScanOp(schema []relCol, v *storage.Version, batch int, keep func(relCol) bool) *scanOp {
+	op := &scanOp{nrows: v.NumRows(), batch: batch}
+	for i, c := range schema {
+		if !keep(c) {
+			continue
+		}
+		op.schema = append(op.schema, c)
+		switch { // tableSchema order: stored columns, row id, helper
+		case i < len(v.Cols):
+			op.data = append(op.data, v.Cols[i])
+		case i == len(v.Cols):
+			op.rowEnc = v.RowEnc
+		default:
+			op.helper = v.Helper
+		}
 	}
+	return op
+}
+
+// versionRows materialises rows [lo, hi) of a pinned version: the given
+// stored-column vectors in order, then the row-id and helper shares for
+// whichever of rowEnc and helper is non-nil.
+func versionRows(data [][]types.Value, rowEnc, helper []*big.Int, lo, hi int) []types.Row {
+	width := len(data)
+	if rowEnc != nil {
+		width++
+	}
+	if helper != nil {
+		width++
+	}
+	out := make([]types.Row, hi-lo)
+	for i := range out {
+		r := lo + i
+		row := make(types.Row, len(data), width)
+		for c, col := range data {
+			row[c] = col[r]
+		}
+		if rowEnc != nil {
+			row = append(row, types.NewShare(rowEnc[r]))
+		}
+		if helper != nil {
+			row = append(row, types.NewShare(helper[r]))
+		}
+		out[i] = row
+	}
+	return out
 }
 
 func (op *scanOp) columns() []relCol { return op.schema }
@@ -173,18 +227,7 @@ func (op *scanOp) next() ([]types.Row, error) {
 	if hi > op.nrows {
 		hi = op.nrows
 	}
-	width := len(op.data)
-	out := make([]types.Row, hi-op.pos)
-	for i := range out {
-		r := op.pos + i
-		row := make(types.Row, width+2)
-		for c := 0; c < width; c++ {
-			row[c] = op.data[c][r]
-		}
-		row[width] = types.NewShare(op.rowEnc[r])
-		row[width+1] = types.NewShare(op.helper[r])
-		out[i] = row
-	}
+	out := versionRows(op.data, op.rowEnc, op.helper, op.pos, hi)
 	op.pos = hi
 	return out, nil
 }

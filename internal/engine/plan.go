@@ -22,6 +22,16 @@ type queryPlan struct {
 	qs *querySpill
 }
 
+// planQuery plans a whole statement: the statement-wide column analysis
+// first — part of the planner pass, so planner-off scans stay full width
+// and the on/off differentials check the pruning — then the operator tree.
+func (e *Engine) planQuery(s *sqlparser.Select, snap *Snapshot, qs *querySpill) (*queryPlan, error) {
+	if !e.plannerOff {
+		qs.refCols = referencedColumns(s)
+	}
+	return e.planSelect(s, snap, qs)
+}
+
 // planSelect compiles a SELECT into an operator tree:
 //
 //	scan/join → filter(WHERE) → hashAgg → filter(HAVING) → project
@@ -40,15 +50,22 @@ type queryPlan struct {
 func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill) (*queryPlan, error) {
 	ctx := e.evalCtx()
 
+	// A `*` in the select list expands over every visible column of this
+	// SELECT's FROM inputs, so its scans keep them all.
+	star := false
+	for _, item := range s.Items {
+		star = star || item.Star
+	}
+
 	// FROM + WHERE
 	var src planNode
 	var err error
 	if !e.plannerOff && s.Where != nil && len(s.From) > 0 {
-		if src, err = e.planFromWhere(s.From, s.Where, snap, qs); err != nil {
+		if src, err = e.planFromWhere(s.From, s.Where, star, snap, qs); err != nil {
 			return nil, err
 		}
 	} else {
-		if src, err = e.planFrom(s.From, snap, qs); err != nil {
+		if src, err = e.planFrom(s.From, star, snap, qs); err != nil {
 			return nil, err
 		}
 		if s.Where != nil {
@@ -136,14 +153,14 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 // refs cross-join left-deep; JOIN…ON plans hash or nested-loop joins).
 // WHERE-driven pushdown and comma-join conversion live in planFromWhere;
 // this path serves WHERE-less selects and the planner-off mode.
-func (e *Engine) planFrom(refs []sqlparser.TableRef, snap *Snapshot, qs *querySpill) (planNode, error) {
+func (e *Engine) planFrom(refs []sqlparser.TableRef, star bool, snap *Snapshot, qs *querySpill) (planNode, error) {
 	if len(refs) == 0 {
 		// SELECT without FROM: a single empty row.
 		return planNode{op: &valuesOp{rows: []types.Row{{}}}, est: 1}, nil
 	}
 	var src planNode
 	for i, ref := range refs {
-		r, err := e.planRef(ref, snap, qs)
+		r, err := e.planRef(ref, star, snap, qs)
 		if err != nil {
 			return planNode{}, err
 		}
@@ -156,7 +173,11 @@ func (e *Engine) planFrom(refs []sqlparser.TableRef, snap *Snapshot, qs *querySp
 	return src, nil
 }
 
-func (e *Engine) planRef(ref sqlparser.TableRef, snap *Snapshot, qs *querySpill) (planNode, error) {
+// planRef plans one FROM item. star marks a `*` in the enclosing select
+// list: table scans then keep every visible column on top of the
+// statement's referenced names (a subquery's scans answer to the
+// subquery's own select list instead).
+func (e *Engine) planRef(ref sqlparser.TableRef, star bool, snap *Snapshot, qs *querySpill) (planNode, error) {
 	switch r := ref.(type) {
 	case sqlparser.TableName:
 		ent, err := snap.table(r.Name)
@@ -167,7 +188,12 @@ func (e *Engine) planRef(ref sqlparser.TableRef, snap *Snapshot, qs *querySpill)
 		if alias == "" {
 			alias = r.Name
 		}
-		op := newScanOp(ent.t, ent.v, alias, e.batchRows())
+		full := tableSchema(ent.t, alias)
+		op := newScanOp(full, ent.v, e.batchRows(), func(c relCol) bool {
+			return qs.refCols == nil || qs.refCols[c.name] || (star && !c.hidden)
+		})
+		qs.scanCols += len(op.schema)
+		qs.tableCols += len(full)
 		return planNode{op: op, est: op.nrows}, nil
 
 	case *sqlparser.SubqueryRef:
@@ -182,11 +208,11 @@ func (e *Engine) planRef(ref sqlparser.TableRef, snap *Snapshot, qs *querySpill)
 		return planNode{op: &renameOp{child: sub.root, schema: schema}, est: sub.est}, nil
 
 	case *sqlparser.JoinRef:
-		left, err := e.planRef(r.Left, snap, qs)
+		left, err := e.planRef(r.Left, star, snap, qs)
 		if err != nil {
 			return planNode{}, err
 		}
-		right, err := e.planRef(r.Right, snap, qs)
+		right, err := e.planRef(r.Right, star, snap, qs)
 		if err != nil {
 			return planNode{}, err
 		}

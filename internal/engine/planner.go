@@ -129,6 +129,60 @@ func (e *Engine) buildJoinOp(left, right planNode, leftKeys, rightKeys []compile
 	return planNode{op: op, est: est}
 }
 
+// referencedColumns is the statement-wide analysis behind column pruning:
+// the lower-cased name of every ColRef in any clause of s or of a FROM
+// subquery at any depth. A scan may drop a stored column only when its name
+// is not in the set, i.e. when no expression of the statement could resolve
+// to it — qualifiers and scopes are deliberately ignored, which keeps too
+// much rather than too little and leaves every "ambiguous column" / "no
+// column" outcome exactly as the unpruned schemas produce it. nil (an
+// expression form the walker does not know) means prune nothing.
+func referencedColumns(s *sqlparser.Select) map[string]bool {
+	names := make(map[string]bool)
+	known := true
+	expr := func(ex sqlparser.Expr) {
+		known = walkExpr(ex, func(x sqlparser.Expr) bool {
+			if cr, ok := x.(sqlparser.ColRef); ok {
+				names[lowered(cr.Name)] = true
+			}
+			return true
+		}) && known
+	}
+	var sel func(*sqlparser.Select)
+	var from func(sqlparser.TableRef)
+	from = func(ref sqlparser.TableRef) {
+		switch r := ref.(type) {
+		case *sqlparser.JoinRef:
+			from(r.Left)
+			from(r.Right)
+			expr(r.On)
+		case *sqlparser.SubqueryRef:
+			sel(r.Sel)
+		}
+	}
+	sel = func(s *sqlparser.Select) {
+		for _, item := range s.Items {
+			expr(item.Expr)
+		}
+		for _, ref := range s.From {
+			from(ref)
+		}
+		expr(s.Where)
+		for _, g := range s.GroupBy {
+			expr(g)
+		}
+		expr(s.Having)
+		for _, o := range s.OrderBy {
+			expr(o.Expr)
+		}
+	}
+	sel(s)
+	if !known {
+		return nil
+	}
+	return names
+}
+
 // conjRefs reports which FROM inputs a conjunct's column references bind
 // to, as a bitmask over the input index. Columns resolve against the full
 // joined relation — exactly the resolution the naive post-join filter
@@ -137,64 +191,26 @@ func (e *Engine) buildJoinOp(left, right planNode, leftKeys, rightKeys []compile
 // returns ok=false, and the conjunct stays in the top-level residual
 // filter where compiling it reproduces the naive error.
 func conjRefs(ex sqlparser.Expr, joined *relation, offsets []int) (mask uint64, ok bool) {
-	ok = true
-	var walk func(sqlparser.Expr)
-	walk = func(x sqlparser.Expr) {
-		if !ok || x == nil {
-			return
+	resolved := true
+	known := walkExpr(ex, func(x sqlparser.Expr) bool {
+		cr, isCol := x.(sqlparser.ColRef)
+		if !isCol {
+			return true
 		}
-		switch t := x.(type) {
-		case sqlparser.ColRef:
-			idx, err := joined.resolve(t.Table, t.Name)
-			if err != nil {
-				ok = false
-				return
-			}
-			for i := 0; i+1 < len(offsets); i++ {
-				if idx >= offsets[i] && idx < offsets[i+1] {
-					mask |= uint64(1) << uint(i)
-					return
-				}
-			}
-			ok = false // outside every input (cannot happen)
-		case sqlparser.IntLit, sqlparser.DecLit, sqlparser.StrLit,
-			sqlparser.DateLit, sqlparser.BoolLit, sqlparser.NullLit,
-			sqlparser.HexLit:
-		case *sqlparser.BinaryExpr:
-			walk(t.L)
-			walk(t.R)
-		case *sqlparser.UnaryExpr:
-			walk(t.E)
-		case *sqlparser.FuncCall:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		case *sqlparser.BetweenExpr:
-			walk(t.E)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *sqlparser.InExpr:
-			walk(t.E)
-			for _, a := range t.List {
-				walk(a)
-			}
-		case *sqlparser.LikeExpr:
-			walk(t.E)
-			walk(t.Pattern)
-		case *sqlparser.IsNullExpr:
-			walk(t.E)
-		case *sqlparser.CaseExpr:
-			for _, w := range t.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-			walk(t.Else)
-		default:
-			ok = false
+		idx, err := joined.resolve(cr.Table, cr.Name)
+		if err != nil {
+			resolved = false
+			return true
 		}
-	}
-	walk(ex)
-	return mask, ok
+		for i := 0; i+1 < len(offsets); i++ {
+			if idx >= offsets[i] && idx < offsets[i+1] {
+				mask |= uint64(1) << uint(i)
+				break
+			}
+		}
+		return true
+	})
+	return mask, known && resolved
 }
 
 // classifiedConj is one WHERE conjunct with the set of FROM inputs it
@@ -213,12 +229,12 @@ type classifiedConj struct {
 // WHERE. Join order is the FROM order — reordering inputs would change
 // output order, which the planner never does; only the build side within a
 // step is chosen by size (see buildJoinOp).
-func (e *Engine) planFromWhere(refs []sqlparser.TableRef, where sqlparser.Expr, snap *Snapshot, qs *querySpill) (planNode, error) {
+func (e *Engine) planFromWhere(refs []sqlparser.TableRef, where sqlparser.Expr, star bool, snap *Snapshot, qs *querySpill) (planNode, error) {
 	nodes := make([]planNode, len(refs))
 	offsets := make([]int, len(refs)+1)
 	var full []relCol
 	for i, ref := range refs {
-		n, err := e.planRef(ref, snap, qs)
+		n, err := e.planRef(ref, star, snap, qs)
 		if err != nil {
 			return planNode{}, err
 		}
@@ -232,7 +248,7 @@ func (e *Engine) planFromWhere(refs []sqlparser.TableRef, where sqlparser.Expr, 
 
 	// Classify: push single-input conjuncts, queue bridging ones for the
 	// join steps, keep the rest for the top residual.
-	conjuncts, _ := splitConjuncts(where)
+	conjuncts := splitConjuncts(where)
 	var residual []sqlparser.Expr
 	perRef := make([][]sqlparser.Expr, len(refs))
 	var crossing []classifiedConj

@@ -11,6 +11,7 @@ package engine
 // intermediate row order) cannot show through.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -32,7 +33,7 @@ func planFor(t *testing.T, e *Engine, sql string) *queryPlan {
 	}
 	qs := e.newQuerySpill()
 	defer qs.close()
-	pl, err := e.planSelect(sel, e.PinSnapshot(), qs)
+	pl, err := e.planQuery(sel, e.PinSnapshot(), qs)
 	if err != nil {
 		t.Fatalf("plan %s: %v", sql, err)
 	}
@@ -262,13 +263,29 @@ func TestPlannerDifferential(t *testing.T) {
 				`SELECT DISTINCT l.k FROM l, r WHERE l.k = r.k ORDER BY l.k`,
 				fmt.Sprintf(`SELECT l.k, a FROM l, r WHERE l.k = r.k AND s = 's%d' ORDER BY l.k, a LIMIT %d`,
 					rng.Intn(6), 5+rng.Intn(40)),
+				// Column pruning: `*` at either level keeps its scope whole,
+				// aliases qualify, and a scan may keep nothing at all.
+				`SELECT * FROM l, r WHERE l.k = r.k ORDER BY l.k, a, s, b`,
+				fmt.Sprintf(`SELECT x.k, x.a, y.b FROM l AS x, r AS y WHERE x.k = y.k AND x.a > %d ORDER BY x.k, x.a, y.b`,
+					rng.Intn(30)),
+				fmt.Sprintf(`SELECT * FROM (SELECT * FROM l WHERE a > %d) q ORDER BY k, a, s`, rng.Intn(30)),
+				`SELECT q.k, r.b FROM (SELECT * FROM l) q, r WHERE q.k = r.k ORDER BY q.k, r.b`,
+				`SELECT * FROM (SELECT k, a FROM l) q JOIN r ON q.k = r.k ORDER BY q.k, a, b`,
+				`SELECT COUNT(*) FROM l`,
+				`SELECT COUNT(*) FROM l, r2`,
 			}
 			for _, sql := range queries {
-				want, _ := queryWithStats(t, off, sql)
-				got, _ := queryWithStats(t, on, sql)
+				want, stOff := queryWithStats(t, off, sql)
+				got, stOn := queryWithStats(t, on, sql)
 				requireSameRows(t, "planner-on: "+sql, got, want)
 				gotSpill, _ := queryWithStats(t, onSpill, sql)
 				requireSameRows(t, "planner-on spilled: "+sql, gotSpill, want)
+				// No query here names a hidden column, so the planner
+				// always has something to drop and the reference nothing.
+				if stOff.ScanCols != stOff.TableCols || stOn.ScanCols >= stOn.TableCols {
+					t.Fatalf("%s: scans kept %d/%d columns planner-off, %d/%d planner-on",
+						sql, stOff.ScanCols, stOff.TableCols, stOn.ScanCols, stOn.TableCols)
+				}
 			}
 		})
 	}
@@ -279,4 +296,86 @@ func newPlannerDiffEngine(t *testing.T, mode string, budget int) *Engine {
 	opts := spillOptions(budget, t.TempDir())
 	opts.Planner = mode
 	return NewWithOptions(storage.NewCatalog(), nil, opts)
+}
+
+// TestPruneScanCols pins what scans keep, statement by statement, through
+// ExecStats: l has 3 stored + 2 hidden columns, r has 2 + 2.
+func TestPruneScanCols(t *testing.T) {
+	on, off := plannerEngines(t)
+	for _, e := range []*Engine{on, off} {
+		mustExec(t, e, `CREATE TABLE l (k INT, a INT, s STRING)`)
+		mustExec(t, e, `CREATE TABLE r (k INT, b INT)`)
+		mustExec(t, e, `INSERT INTO l VALUES (1, 10, 'x'), (2, 20, 'y'), (2, 21, 'z')`)
+		mustExec(t, e, `INSERT INTO r VALUES (2, 200), (3, 300)`)
+	}
+	for _, tc := range []struct {
+		sql         string
+		scan, table int
+	}{
+		{`SELECT a FROM l`, 1, 5},
+		{`SELECT * FROM l`, 3, 5},
+		{`SELECT COUNT(*) FROM l`, 0, 5},
+		{`SELECT l.a FROM l, r WHERE l.k = r.k`, 3, 9}, // k is kept on both sides
+		{`SELECT q.k FROM (SELECT * FROM l) q`, 3, 5},
+		{`SELECT * FROM (SELECT a FROM l) q, r`, 3, 9}, // outer * covers r, not l
+		{`SELECT b FROM l JOIN r ON l.k = r.k ORDER BY s`, 4, 9},
+		{`SELECT row_id, sdb_w FROM r`, 2, 4},
+	} {
+		got, st := queryWithStats(t, on, tc.sql)
+		if st.ScanCols != tc.scan || st.TableCols != tc.table {
+			t.Errorf("%s: scans keep %d/%d columns, want %d/%d", tc.sql, st.ScanCols, st.TableCols, tc.scan, tc.table)
+		}
+		want, st := queryWithStats(t, off, tc.sql)
+		if st.ScanCols != tc.table || st.TableCols != tc.table {
+			t.Errorf("%s: planner off pruned: %d/%d", tc.sql, st.ScanCols, st.TableCols)
+		}
+		requireSameRows(t, tc.sql, got, want)
+	}
+	if res := mustExec(t, on, `SELECT COUNT(*) FROM l, r`); res.Rows[0][0].I != 6 {
+		t.Errorf("COUNT(*) over zero-column scans = %v, want 6", res.Rows[0][0])
+	}
+}
+
+// TestPruneErrorsUnchanged: a scan drops a column only when no reference
+// in the statement could resolve to it, so ambiguity and absence are
+// reported word for word as the full-width schemas report them.
+func TestPruneErrorsUnchanged(t *testing.T) {
+	off := newPlannerDiffEngine(t, "off", -1)
+	on := newPlannerDiffEngine(t, "on", -1)
+	onSpill := newPlannerDiffEngine(t, "on", 48)
+	for _, e := range []*Engine{off, on, onSpill} {
+		mustExec(t, e, `CREATE TABLE l (k INT, a INT, s STRING)`)
+		mustExec(t, e, `CREATE TABLE r (k INT, b INT)`)
+		mustExec(t, e, `INSERT INTO l VALUES (1, 10, 'x')`)
+		mustExec(t, e, `INSERT INTO r VALUES (1, 100)`)
+	}
+	queryErr := func(e *Engine, sql string) string {
+		it, err := e.QuerySQL(context.Background(), sql)
+		if err == nil {
+			_, err = Drain(it)
+		}
+		if err == nil {
+			t.Fatalf("%s: no error", sql)
+		}
+		return err.Error()
+	}
+	for _, sql := range []string{
+		`SELECT k FROM l, r`,
+		`SELECT l.a FROM l, r WHERE k = 1`,
+		`SELECT l.a FROM l JOIN r ON l.k = r.k WHERE k > 0`,
+		`SELECT k FROM (SELECT * FROM l) q, r`,
+		`SELECT nope FROM l`,
+		`SELECT l.a FROM l WHERE r.b = 1`,
+		`SELECT q.a FROM (SELECT k FROM l) q`,
+		`SELECT a FROM l ORDER BY b`,
+		`SELECT a, COUNT(*) FROM l GROUP BY nope`,
+		`SELECT * FROM l GROUP BY k`,
+	} {
+		want := queryErr(off, sql)
+		for _, e := range []*Engine{on, onSpill} {
+			if got := queryErr(e, sql); got != want {
+				t.Errorf("%s: error %q, planner off says %q", sql, got, want)
+			}
+		}
+	}
 }

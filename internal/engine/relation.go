@@ -82,19 +82,10 @@ func tableSchema(t *storage.Table, alias string) []relCol {
 // this remains for UPDATE, which needs a stable row set to evaluate SET
 // expressions against while it builds the replacement columns.
 func scanVersion(t *storage.Table, v *storage.Version, alias string) *relation {
-	rel := &relation{cols: tableSchema(t, alias)}
-	width := len(t.Schema.Columns)
-	rel.rows = make([]types.Row, v.NumRows())
-	for i := 0; i < v.NumRows(); i++ {
-		row := make(types.Row, width+2)
-		for c := 0; c < width; c++ {
-			row[c] = v.Cols[c][i]
-		}
-		row[width] = types.NewShare(v.RowEnc[i])
-		row[width+1] = types.NewShare(v.Helper[i])
-		rel.rows[i] = row
+	return &relation{
+		cols: tableSchema(t, alias),
+		rows: versionRows(v.Cols, v.RowEnc, v.Helper, 0, v.NumRows()),
 	}
-	return rel
 }
 
 // scanTable materialises the table's newest published version.
@@ -103,7 +94,7 @@ func scanTable(t *storage.Table, alias string) *relation {
 }
 
 // splitConjuncts flattens an AND tree into its conjuncts.
-func splitConjuncts(ex sqlparser.Expr) (conjuncts []sqlparser.Expr, rest []sqlparser.Expr) {
+func splitConjuncts(ex sqlparser.Expr) (conjuncts []sqlparser.Expr) {
 	var walk func(sqlparser.Expr)
 	walk = func(x sqlparser.Expr) {
 		if be, ok := x.(*sqlparser.BinaryExpr); ok && be.Op == "AND" {
@@ -114,7 +105,7 @@ func splitConjuncts(ex sqlparser.Expr) (conjuncts []sqlparser.Expr, rest []sqlpa
 		conjuncts = append(conjuncts, x)
 	}
 	walk(ex)
-	return conjuncts, nil
+	return conjuncts
 }
 
 func conjoin(exprs []sqlparser.Expr) sqlparser.Expr {

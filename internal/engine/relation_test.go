@@ -67,7 +67,7 @@ func TestCrossJoinCardinality(t *testing.T) {
 
 func TestSplitConjuncts(t *testing.T) {
 	e := mustExpr(t, "a = 1 AND b = 2 AND (c = 3 OR d = 4)")
-	conj, _ := splitConjuncts(e)
+	conj := splitConjuncts(e)
 	if len(conj) != 3 {
 		t.Errorf("conjuncts: %d", len(conj))
 	}

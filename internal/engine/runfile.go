@@ -47,7 +47,20 @@ func newSpillFile(qs *querySpill) (spillFile, error) {
 	if err != nil {
 		return spillFile{}, err
 	}
-	return spillFile{f: f, w: spill.NewWriter(f), sess: qs.sess}, nil
+	return spillFile{f: f, w: spill.NewWriter(spillCounter{f, &qs.spilledBytes}), sess: qs.sess}, nil
+}
+
+// spillCounter adds every buffer the spill encoder flushes to a file to
+// the query's SpilledBytes.
+type spillCounter struct {
+	f *os.File
+	n *atomic.Int64
+}
+
+func (c spillCounter) Write(p []byte) (int, error) {
+	n, err := c.f.Write(p)
+	c.n.Add(int64(n))
+	return n, err
 }
 
 // rewind flushes pending writes and positions a fresh double-buffered

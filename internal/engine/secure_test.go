@@ -8,6 +8,7 @@ import (
 
 	"sdb/internal/bigmod"
 	"sdb/internal/secure"
+	"sdb/internal/sqlparser"
 	"sdb/internal/storage"
 	"sdb/internal/types"
 )
@@ -199,4 +200,42 @@ func TestInsertRejectsPlaintextIntoSensitive(t *testing.T) {
 		t.Error("plaintext into sensitive column must fail")
 	}
 	_ = types.Null
+}
+
+// TestPruneHelperOnlySecureQuery: a rewritten query may name nothing of a
+// table but its hidden row helper (sdb_const materialises a share of a
+// constant from it). The scan then keeps that one column of five, and the
+// shares match the full-width planner-off scan's, in memory and spilled.
+func TestPruneHelperOnlySecureQuery(t *testing.T) {
+	vals := make([]int64, 40)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	f := newSecureFixture(t, vals)
+	tok, err := f.s.ConstShareToken(big.NewInt(77), f.ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql := fmt.Sprintf(`SELECT sdb_const(sdb_w, %s, %s, %s) AS c FROM enc ORDER BY c`,
+		hex(tok.P), sqlparser.HexLit{V: tok.Q}, hex(f.s.N()))
+	run := func(planner string, budget int) (*Result, ExecStats) {
+		opts := spillOptions(budget, t.TempDir())
+		opts.Planner = planner
+		f.eng.SetOptions(opts)
+		return queryWithStats(t, f.eng, sql)
+	}
+	want, st := run("off", -1)
+	if len(want.Rows) != len(vals) || st.ScanCols != 5 || st.TableCols != 5 {
+		t.Fatalf("planner off: %d rows, scan kept %d/%d columns", len(want.Rows), st.ScanCols, st.TableCols)
+	}
+	got, st := run("on", -1)
+	if st.ScanCols != 1 || st.TableCols != 5 {
+		t.Fatalf("planner on: scan kept %d/%d columns, want 1/5", st.ScanCols, st.TableCols)
+	}
+	requireSameRows(t, "helper-only, planner on", got, want)
+	got, st = run("on", 8)
+	if st.Spills == 0 || st.SpilledBytes == 0 {
+		t.Fatalf("budget 8 did not spill the sort: %+v", st)
+	}
+	requireSameRows(t, "helper-only, planner on, spilled", got, want)
 }

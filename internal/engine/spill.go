@@ -31,16 +31,24 @@ const maxSpillDepth = 2
 // query makes progress; the budget's headroom absorbs the overshoot.
 const minSpillChunkRows = 16
 
-// querySpill is the per-query execution context shared by every blocking
-// operator in one plan (including FROM-subquery subtrees): the memory
-// budget, the spill-file session, the query-wide resident-row high-water
-// mark blocking operators latch their drain peaks into, and the worker
-// bound spilled work (partition pairs, partition merges, run pre-merges)
-// is scheduled under.
+// querySpill is the per-query execution context shared by every operator
+// in one plan (including FROM-subquery subtrees): the memory budget, the
+// spill-file session, the query-wide resident-row high-water mark blocking
+// operators latch their drain peaks into, the worker bound spilled work
+// (partition pairs, partition merges, run pre-merges) is scheduled under,
+// and the statement's column analysis that scans narrow to.
 type querySpill struct {
 	budget *spill.Budget
 	sess   *spill.Session
 	peak   residentPeak
+
+	// refCols is the statement's referenced-column set (planQuery); nil
+	// keeps every scan at full width. scanCols/tableCols sum, over the
+	// statement's scans, the columns kept and the columns the tables have.
+	refCols             map[string]bool
+	scanCols, tableCols int
+	// spilledBytes counts bytes flushed to the query's spill files.
+	spilledBytes atomic.Int64
 
 	// workers bounds concurrent spilled-work tasks for this query;
 	// active/maxActive track how many actually ran at once (reported as
@@ -96,7 +104,7 @@ func (q *querySpill) close() {
 // the basis shifts every bucket by a constant and keys that collided
 // once would collide forever; the murmur-style finalizer avalanches the
 // seeded hash so same-bucket keys genuinely redistribute at each level.
-func hashKeySeed(s string, seed uint32) uint32 {
+func hashKeySeed[K string | []byte](s K, seed uint32) uint32 {
 	h := hashKey(s) ^ (seed * 0x9e3779b9)
 	h ^= h >> 16
 	h *= 0x85ebca6b

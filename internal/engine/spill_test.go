@@ -101,14 +101,21 @@ func requireSameRows(t *testing.T, label string, got, want *Result) {
 // stayed within its budget.
 func checkSpilled(t *testing.T, label string, st ExecStats, budget int) {
 	t.Helper()
+	checkSpilledPeak(t, label, st, budget, budget)
+}
+
+// checkSpilledPeak is checkSpilled for a query whose resident-row bound is
+// not the bare budget (an irreducible partition; see the caller).
+func checkSpilledPeak(t *testing.T, label string, st ExecStats, budget, peak int) {
+	t.Helper()
 	if st.BudgetRows != budget {
 		t.Fatalf("%s: BudgetRows = %d, want %d", label, st.BudgetRows, budget)
 	}
-	if st.Spills == 0 || st.SpilledRows == 0 || st.SpillFiles == 0 {
+	if st.Spills == 0 || st.SpilledRows == 0 || st.SpillFiles == 0 || st.SpilledBytes == 0 {
 		t.Fatalf("%s: expected spilling, got stats %+v", label, st)
 	}
-	if st.PeakResidentRows > budget {
-		t.Fatalf("%s: peak resident rows %d exceeds budget %d", label, st.PeakResidentRows, budget)
+	if st.PeakResidentRows > peak {
+		t.Fatalf("%s: peak resident rows %d exceeds %d (budget %d)", label, st.PeakResidentRows, peak, budget)
 	}
 }
 
@@ -220,8 +227,23 @@ func TestJoinSpillDuplicateKeySkew(t *testing.T) {
 // TestAggSpillMatchesInMemory forces grouped-state spilling across every
 // aggregate kind (COUNT, COUNT(x), COUNT(DISTINCT), SUM, SUM(DISTINCT),
 // AVG, MIN, MAX) with NULLs in both keys and arguments.
+//
+// Every query stays within the budget but the DISTINCT one, which is held
+// to the bound that actually applies. Its NULL group carries 11 distinct s
+// and 50 distinct v: 62 resident rows in one group, more than the 48 rows
+// this budget lets operators reserve (the rest is pipeline headroom), and a
+// single group cannot be split. partitionRuns documents the case: the
+// irreducible partition is force-reserved and the overage reported. The
+// other spill worker may at that moment hold a partition it was admitted
+// with, up to the full reservable 48, so the honest bound is their sum —
+// which worker gets there first is scheduling, and is why asserting the
+// bare budget here failed a few runs in a hundred under CPU load.
 func TestAggSpillMatchesInMemory(t *testing.T) {
-	const budget = 96
+	const (
+		budget     = 96
+		reservable = budget / 2 // spill.NewBudget caps headroom at half
+		nullGroup  = 1 + 11 + 50
+	)
 	mem := newSpillEngine(t, -1)
 	spl := newSpillEngine(t, budget)
 	for _, e := range []*Engine{mem, spl} {
@@ -238,22 +260,25 @@ func TestAggSpillMatchesInMemory(t *testing.T) {
 		}
 	})
 
-	for _, sql := range []string{
-		`SELECT grp, COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(s) FROM ev GROUP BY grp`,
-		`SELECT grp, COUNT(DISTINCT s), SUM(DISTINCT v) FROM ev GROUP BY grp`,
-		`SELECT grp, COUNT(*) FROM ev GROUP BY grp HAVING COUNT(*) > 5`,
-		`SELECT grp, SUM(v) FROM ev GROUP BY grp ORDER BY grp DESC`,
+	for _, q := range []struct {
+		sql  string
+		peak int
+	}{
+		{`SELECT grp, COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(s) FROM ev GROUP BY grp`, budget},
+		{`SELECT grp, COUNT(DISTINCT s), SUM(DISTINCT v) FROM ev GROUP BY grp`, reservable + nullGroup},
+		{`SELECT grp, COUNT(*) FROM ev GROUP BY grp HAVING COUNT(*) > 5`, budget},
+		{`SELECT grp, SUM(v) FROM ev GROUP BY grp ORDER BY grp DESC`, budget},
 	} {
-		want, wantSt := queryWithStats(t, mem, sql)
-		got, gotSt := queryWithStats(t, spl, sql)
+		want, wantSt := queryWithStats(t, mem, q.sql)
+		got, gotSt := queryWithStats(t, spl, q.sql)
 		if wantSt.Spills != 0 {
 			t.Fatalf("reference engine spilled: %+v", wantSt)
 		}
-		checkSpilled(t, sql, gotSt, budget)
+		checkSpilledPeak(t, q.sql, gotSt, budget, q.peak)
 		if len(want.Rows) < 300 {
-			t.Fatalf("%s: only %d groups, spill not forced", sql, len(want.Rows))
+			t.Fatalf("%s: only %d groups, spill not forced", q.sql, len(want.Rows))
 		}
-		requireSameRows(t, sql, got, want)
+		requireSameRows(t, q.sql, got, want)
 	}
 }
 

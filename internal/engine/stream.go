@@ -104,7 +104,7 @@ func (s *Stmt) Query(ctx context.Context) (RowIterator, error) {
 			defer s.e.execMu.RUnlock()
 		}
 		qs := s.e.newQuerySpill()
-		pl, err := s.e.planSelect(sel, s.e.PinSnapshot(), qs)
+		pl, err := s.e.planQuery(sel, s.e.PinSnapshot(), qs)
 		if err != nil {
 			qs.close()
 			return nil, err
@@ -174,6 +174,8 @@ func (it *opIterator) Stats() ExecStats {
 		st.SpillFiles = it.qs.sess.Files()
 		st.SpillParallelism = int(it.qs.maxActive.Load())
 		st.PrefetchedBytes = it.qs.sess.PrefetchedBytes()
+		st.SpilledBytes = it.qs.spilledBytes.Load()
+		st.ScanCols, st.TableCols = it.qs.scanCols, it.qs.tableCols
 	}
 	return st
 }

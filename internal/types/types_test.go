@@ -67,6 +67,21 @@ func TestGroupKeyDistinguishesKinds(t *testing.T) {
 	}
 }
 
+func TestAppendGroupKeyIsGroupKey(t *testing.T) {
+	wide := new(big.Int).Lsh(big.NewInt(1), 600) // longer than GroupKey's stack buffer
+	prefix := []byte("p")
+	for _, v := range []Value{Null, NewInt(-1), NewBool(true), NewString(""), NewString("héllo"),
+		NewShare(nil), NewShare(new(big.Int)), NewShare(big.NewInt(255)), NewShare(wide)} {
+		got := v.AppendGroupKey(prefix)
+		if string(got[:1]) != "p" || string(got[1:]) != v.GroupKey() {
+			t.Errorf("%v: AppendGroupKey %x, GroupKey %x", v, got, v.GroupKey())
+		}
+	}
+	if NewShare(nil).GroupKey() != NewShare(new(big.Int)).GroupKey() {
+		t.Error("a nil share is the zero residue")
+	}
+}
+
 func TestDates(t *testing.T) {
 	v, err := ParseDate("1995-06-17")
 	if err != nil {

@@ -9,6 +9,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"strings"
@@ -183,18 +184,41 @@ func (v Value) Equal(o Value) bool {
 	}
 }
 
-// GroupKey renders a value as a map key for hashing (GROUP BY, hash join).
-func (v Value) GroupKey() string {
+// AppendGroupKey appends the value's hash-key encoding (GROUP BY, DISTINCT,
+// hash join) to dst: the kind byte, then nothing for NULL, the 8 bytes of I
+// for the int64-backed kinds, or a uvarint length and the raw bytes for
+// strings and shares (a share is a residue in [0, n); its magnitude bytes
+// carry no leading zeros). Every component is self-delimiting, so the
+// concatenation over a value sequence is injective: two sequences encode
+// equal exactly when they agree kind for kind and value for value.
+func (v Value) AppendGroupKey(dst []byte) []byte {
+	dst = append(dst, byte(v.K))
 	switch v.K {
 	case KindNull:
-		return "∅"
+		return dst
 	case KindString:
-		return "s:" + v.S
+		dst = binary.AppendUvarint(dst, uint64(len(v.S)))
+		return append(dst, v.S...)
 	case KindShare:
-		return "e:" + v.B.Text(62)
+		n := 0
+		if v.B != nil {
+			n = (v.B.BitLen() + 7) / 8
+		}
+		dst = binary.AppendUvarint(dst, uint64(n))
+		if n > 0 {
+			dst = append(dst, make([]byte, n)...)
+			v.B.FillBytes(dst[len(dst)-n:])
+		}
+		return dst
 	default:
-		return fmt.Sprintf("%d:%d", v.K, v.I)
+		return binary.BigEndian.AppendUint64(dst, uint64(v.I))
 	}
+}
+
+// GroupKey returns AppendGroupKey's encoding as a map key.
+func (v Value) GroupKey() string {
+	var buf [48]byte
+	return string(v.AppendGroupKey(buf[:0]))
 }
 
 // String renders the value for display.

@@ -13,14 +13,15 @@
 # pass (shared MontCtx / TokenApplier / helper-power memo / per-column-key
 # table memo under concurrent workers, plus the item-key differential
 # against big.Int.Exp), a race-detected hostile-SP pass over the proxy's
-# row-decrypt kernel, a batch-vs-scalar token-application differential gate, the
+# row-decrypt kernel, a race-detected column-pruning / composite-key pass,
+# a batch-vs-scalar token-application differential gate, the
 # bench/ module's own vet and smoke test, a race-detected
 # concurrent-serving pass (multi-driver storm against an
 # admission-limited, pool-budgeted server), a live-server smoke that
 # curls /healthz and asserts nonzero /metrics counters, and a short fuzz
 # smoke over every fuzz target (parser, proxy pipeline, wire encoding,
 # WAL records, Montgomery multiply/exponentiate and the item-key tables vs
-# math/big).
+# math/big, composite hash-key injectivity).
 #
 # Usage: scripts/ci.sh [-short]
 #   -short   skip the slow end-to-end suites (integration differential,
@@ -160,6 +161,17 @@ echo "== proxy row-decrypt kernel: hostile SP + table builds under the race dete
 # tables on first touch while another column keeps rotating.
 go test -race -count=1 -run 'HostileSP|DecryptRaces|JoinProduct|KeyTableStats' ./internal/proxy
 
+echo "== column pruning + composite keys under the race detector"
+# Scans keep only the columns the statement names, and join/group/DISTINCT
+# keys are one binary encoding built in per-chunk scratch buffers inside
+# parallel workers. The pruning tests pin what scans keep (ExecStats
+# ScanCols/TableCols), that errors and `SELECT *` are word for word what
+# the full-width planner-off schemas produce, and a rewritten query naming
+# only the hidden helper column; the key tests pin injectivity (the fuzz
+# target's seed corpus runs here as a unit test) on the paths that share
+# the scratch buffers: hash join, GROUP BY, DISTINCT.
+go test -race -count=1 -run 'Prune|GroupKey|KeyEncoding|KeyCollisions' ./internal/engine ./internal/types
+
 echo "== bench module (vet + smoke test)"
 # bench/ is a Go module of its own (sdb/bench, replace sdb => ..), so the
 # root `go vet ./...` / `go test ./...` neither build nor run it — a change
@@ -227,8 +239,10 @@ echo "== bench smoke (peak-resident-rows + spill-budget assertions)"
 # BenchmarkStreamScanJoinAgg asserts a join+aggregate pipeline stays within
 # build-side + aggregation-state + O(batch) resident rows unbudgeted
 # (spill-off) and within the memory budget when forced to spill
-# (spill-on). All b.Fatal on violation, so this is a correctness gate,
-# not a measurement. BenchmarkPlanCache/warm additionally b.Fatals if the
+# (spill-on); the spill-on variant also asserts its scans kept fewer
+# columns than the tables have (ScanCols < TableCols) and that the bytes
+# it spilled were counted (SpilledBytes > 0). All b.Fatal on violation, so
+# this is a correctness gate, not a measurement. BenchmarkPlanCache/warm additionally b.Fatals if the
 # proxy's plan cache records zero hits for a repeated statement, and
 # BenchmarkApplyTokenBatch b.Fatals unless the batch-amortized Montgomery
 # token path produces shares identical to the scalar ApplyToken loop
@@ -245,6 +259,7 @@ if [[ -z "${SHORT_FLAG}" ]]; then
   go test -run xxx -fuzz FuzzMontMulVsBigInt -fuzztime 10s ./internal/bigmod
   go test -run xxx -fuzz FuzzMontExpVsBigInt -fuzztime 10s ./internal/bigmod
   go test -run xxx -fuzz FuzzItemKeyTable -fuzztime 10s ./internal/secure
+  go test -run xxx -fuzz FuzzGroupKeyInjective -fuzztime 10s ./internal/engine
 fi
 
 echo "CI OK"
