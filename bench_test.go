@@ -11,6 +11,7 @@ package sdb
 
 import (
 	"context"
+	"crypto/rand"
 	"fmt"
 	"io"
 	"math/big"
@@ -22,6 +23,7 @@ import (
 	"sdb/internal/baseline"
 	"sdb/internal/baseline/paillier"
 	"sdb/internal/baseline/shipall"
+	"sdb/internal/bigmod"
 	"sdb/internal/engine"
 	"sdb/internal/parallel"
 	"sdb/internal/proxy"
@@ -153,6 +155,36 @@ func BenchmarkOpSuite(b *testing.B) {
 					if err := op.run(ck); err != nil {
 						b.Fatal(err)
 					}
+				}
+				reportRows(b, 1, bits)
+			})
+		}
+		// What is left of a proxy-width decrypt is REDC multiplies modulo n:
+		// one mulTo per table digit of the 62-bit comb walk. CRT over the
+		// secret primes (DO only) would run them modulo a prime half as
+		// wide; these rows size that lever before anyone builds it.
+		halfPrime, err := rand.Prime(rand.Reader, bits/2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mod := range []struct {
+			name string
+			n    *big.Int
+		}{{"n", n}, {"halfprime", halfPrime}} {
+			m := bigmod.MontCtxFor(mod.n)
+			s := m.NewScratch()
+			x := m.ToMont(s, new(big.Int).Sub(mod.n, big.NewInt(12345)))
+			acc := append([]big.Word(nil), x...)
+			comb := bigmod.NewFixedBase(big.NewInt(3), mod.n, secure.RowIDBits)
+			b.Run(fmt.Sprintf("montmul-%s/n=%d", mod.name, bits), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					m.MulTo(s, acc, acc, x)
+				}
+				reportRows(b, 1, bits)
+			})
+			b.Run(fmt.Sprintf("combwalk62-%s/n=%d", mod.name, bits), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					comb.MulExpTo(s, acc, f.shortRid.R)
 				}
 				reportRows(b, 1, bits)
 			})

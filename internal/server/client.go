@@ -18,18 +18,21 @@ import (
 // proxy.Executor and proxy.StreamExecutor, so a Proxy can be pointed at a
 // server across the network exactly like at an in-process engine.
 //
-// Dial negotiates the protocol version: against a v2 server, one-shot
-// statements can run fused (QueryDirect, one round trip); against a v1
-// server, prepared statements execute as streamed row-batch cursors;
-// against a legacy (v0) server the client transparently falls back to
-// single-shot execution. The connection carries one request/response
-// exchange at a time (guarded by a mutex), so several statements and
-// cursors may interleave their batch fetches on one connection.
+// Dial opens the connection with the protocol hello. After it, one-shot
+// statements run fused (QueryDirect, one round trip), prepared statements
+// execute as streamed row-batch cursors, and writes go single-shot
+// (ExecuteSQL). The connection carries one request/response exchange at
+// a time (guarded by a mutex), so several statements and cursors may
+// interleave their batch fetches on one connection.
+//
+// The server is not trusted with memory either: the connection has no
+// frame cap (results are as large as the query makes them), but the frame
+// reader grows its buffer only as bytes arrive and the decoder sizes
+// nothing from a count the received bytes cannot back (wire.Conn).
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	wc   *wire.Conn
-	ver  uint8
 	// batch caps rows per fetched frame; 0 lets the server choose.
 	batch int
 	// trips counts framed round trips (the latency currency of the remote
@@ -37,39 +40,35 @@ type Client struct {
 	trips atomic.Int64
 }
 
-// Dial connects to a server and negotiates the protocol version. A legacy
-// server answers the version handshake with an error frame carrying
-// Ver == 0, which marks the connection as v0 (single-shot only); an error
-// frame with a nonzero Ver is a real refusal — admission rejection from a
-// server at its session limit — and fails the dial.
+// Dial connects to a server and exchanges the hello. An error frame in
+// answer is a refusal with the server's reason — admission rejection from
+// a server at its session limit, or a version it does not speak; an
+// answer that is not a frame of this protocol at all fails the handshake
+// with wire.ErrProtocol.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %s: %w", addr, err)
 	}
 	c := &Client{conn: conn, wc: wire.NewConn(conn)}
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpHello, Ver: wire.ProtocolV2})
+	resp, err := c.roundTrip(&wire.Request{Op: wire.OpHello})
+	switch {
+	case err != nil:
+		err = fmt.Errorf("server: handshake with %s: %w", addr, err)
+	case resp.Err != "":
+		err = fmt.Errorf("server: %s refused connection: %s", addr, resp.Err)
+	case resp.Ver != wire.ProtocolV2:
+		err = fmt.Errorf("server: handshake with %s: %w: server answered version %d", addr, wire.ErrProtocol, resp.Ver)
+	}
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("server: version handshake with %s: %w", addr, err)
+		return nil, err
 	}
-	if resp.Err != "" && resp.Ver >= wire.ProtocolV1 {
-		conn.Close()
-		return nil, fmt.Errorf("server: %s refused connection: %s", addr, resp.Err)
-	}
-	switch {
-	case resp.Ver >= wire.ProtocolV2:
-		c.ver = wire.ProtocolV2
-	case resp.Ver >= wire.ProtocolV1:
-		c.ver = wire.ProtocolV1
-	}
-	// A v0 server treats the handshake as an (empty) statement and answers
-	// with a parse error and Ver == 0: fall back to single-shot framing.
 	return c, nil
 }
 
-// Protocol returns the negotiated protocol version.
-func (c *Client) Protocol() uint8 { return c.ver }
+// Protocol returns the protocol version the connection speaks.
+func (c *Client) Protocol() uint8 { return wire.ProtocolV2 }
 
 // RoundTrips reports the framed request/response exchanges performed so
 // far — the number the fused op exists to shrink.
@@ -93,6 +92,7 @@ func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
 		return nil, errors.New("server: client closed")
 	}
 	c.trips.Add(1)
+	req.Ver = wire.ProtocolV2
 	if err := c.wc.SendRequest(req); err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
 }
 
 // ExecuteSQL sends one statement and waits for its whole encrypted result
-// (the v0 single-shot exchange; v1 servers still serve it).
+// in one frame (OpExec) — the write path.
 func (c *Client) ExecuteSQL(sql string) (*engine.Result, error) {
 	resp, err := c.roundTrip(&wire.Request{SQL: sql})
 	if err != nil {
@@ -113,17 +113,13 @@ func (c *Client) ExecuteSQL(sql string) (*engine.Result, error) {
 	if resp.Err != "" {
 		return nil, errors.New(resp.Err)
 	}
-	return wire.ToResult(resp), nil
+	return &engine.Result{Columns: resp.Columns, Rows: resp.Rows}, nil
 }
 
 // PrepareStream registers a statement server-side and returns a handle
-// whose Query streams row batches. On a legacy server the handle executes
-// single-shot and streams the materialized result locally.
+// whose Query streams row batches.
 func (c *Client) PrepareStream(sql string) (engine.PreparedStmt, error) {
-	if c.ver < wire.ProtocolV1 {
-		return &legacyStmt{c: c, sql: sql}, nil
-	}
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpPrepare, Ver: c.ver, SQL: sql})
+	resp, err := c.roundTrip(&wire.Request{Op: wire.OpPrepare, SQL: sql})
 	if err != nil {
 		return nil, err
 	}
@@ -133,30 +129,16 @@ func (c *Client) PrepareStream(sql string) (engine.PreparedStmt, error) {
 	return &remoteStmt{c: c, id: resp.StmtID}, nil
 }
 
-// QueryDirect runs one statement fused: on a v2 server, prepare + execute
-// + first batch cost a single round trip, and the server frees the
-// statement on its own when the stream ends — most one-shot results fit
-// the first frame, making the whole statement one exchange instead of
-// Prepare/Execute/Close's three. On older servers it falls back to the
-// equivalent unfused sequence, so callers need not care what was
-// negotiated.
+// QueryDirect runs one statement fused: prepare + execute + first batch
+// cost a single round trip, and the server frees the statement on its own
+// when the stream ends — most one-shot results fit the first frame, making
+// the whole statement one exchange instead of Prepare/Execute/Close's
+// three.
 func (c *Client) QueryDirect(ctx context.Context, sql string) (engine.RowIterator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if c.ver < wire.ProtocolV2 {
-		stmt, err := c.PrepareStream(sql)
-		if err != nil {
-			return nil, err
-		}
-		it, err := stmt.Query(ctx)
-		if err != nil {
-			stmt.Close()
-			return nil, err
-		}
-		return &ownedRows{RowIterator: it, stmt: stmt}, nil
-	}
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpExecuteDirect, Ver: c.ver, SQL: sql, MaxRows: c.batch})
+	resp, err := c.roundTrip(&wire.Request{Op: wire.OpExecuteDirect, SQL: sql, MaxRows: c.batch})
 	if err != nil {
 		return nil, err
 	}
@@ -172,26 +154,10 @@ func (c *Client) QueryDirect(ctx context.Context, sql string) (engine.RowIterato
 	return &remoteRows{
 		ctx:  ctx,
 		stmt: stmt,
-		cols: wire.ToColumns(resp.Columns),
-		cur:  wire.ToRows(resp.Rows),
+		cols: resp.Columns,
+		cur:  resp.Rows,
 		eos:  resp.EOS,
 	}, nil
-}
-
-// ownedRows binds a fallback statement's lifetime to its cursor: Close
-// tears both down, giving pre-v2 servers the same caller-visible
-// lifecycle as the fused path.
-type ownedRows struct {
-	engine.RowIterator
-	stmt engine.PreparedStmt
-}
-
-func (r *ownedRows) Close() error {
-	err := r.RowIterator.Close()
-	if cerr := r.stmt.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Close terminates the connection.
@@ -239,7 +205,7 @@ func (s *remoteStmt) Query(ctx context.Context) (engine.RowIterator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	resp, err := s.c.roundTrip(&wire.Request{Op: wire.OpExecute, Ver: s.c.ver, StmtID: s.id, MaxRows: s.c.batch})
+	resp, err := s.c.roundTrip(&wire.Request{Op: wire.OpExecute, StmtID: s.id, MaxRows: s.c.batch})
 	if err != nil {
 		return nil, err
 	}
@@ -249,8 +215,8 @@ func (s *remoteStmt) Query(ctx context.Context) (engine.RowIterator, error) {
 	return &remoteRows{
 		ctx:  ctx,
 		stmt: s,
-		cols: wire.ToColumns(resp.Columns),
-		cur:  wire.ToRows(resp.Rows),
+		cols: resp.Columns,
+		cur:  resp.Rows,
 		eos:  resp.EOS,
 	}, nil
 }
@@ -264,7 +230,7 @@ func (s *remoteStmt) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	resp, err := s.c.roundTrip(&wire.Request{Op: wire.OpClose, Ver: s.c.ver, StmtID: s.id})
+	resp, err := s.c.roundTrip(&wire.Request{Op: wire.OpClose, StmtID: s.id})
 	if err != nil {
 		return err
 	}
@@ -310,7 +276,7 @@ func (r *remoteRows) NextBatch() ([]types.Row, error) {
 		r.stmt.Close()
 		return nil, err
 	}
-	resp, err := r.stmt.c.roundTrip(&wire.Request{Op: wire.OpFetch, Ver: r.stmt.c.ver, StmtID: r.stmt.id, MaxRows: r.stmt.c.batch})
+	resp, err := r.stmt.c.roundTrip(&wire.Request{Op: wire.OpFetch, StmtID: r.stmt.id, MaxRows: r.stmt.c.batch})
 	if err != nil {
 		r.err = fmt.Errorf("server: stream interrupted: %w", err)
 		return nil, r.err
@@ -329,11 +295,11 @@ func (r *remoteRows) NextBatch() ([]types.Row, error) {
 			r.stmt.markClosed()
 		}
 		if len(resp.Rows) > 0 {
-			return wire.ToRows(resp.Rows), nil
+			return resp.Rows, nil
 		}
 		return nil, io.EOF
 	}
-	rows := wire.ToRows(resp.Rows)
+	rows := resp.Rows
 	if len(rows) == 0 {
 		// Defensive: a non-EOS empty frame would otherwise spin.
 		r.done = true
@@ -361,26 +327,6 @@ func (r *remoteRows) Close() error {
 		return r.stmt.Close()
 	}
 	// Best effort: connection teardown covers a failed reset.
-	r.stmt.c.roundTrip(&wire.Request{Op: wire.OpReset, Ver: r.stmt.c.ver, StmtID: r.stmt.id})
+	r.stmt.c.roundTrip(&wire.Request{Op: wire.OpReset, StmtID: r.stmt.id})
 	return nil
 }
-
-// legacyStmt emulates a prepared statement against a v0 server: Query
-// executes single-shot and streams the materialized result locally.
-type legacyStmt struct {
-	c   *Client
-	sql string
-}
-
-func (s *legacyStmt) Query(ctx context.Context) (engine.RowIterator, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err := s.c.ExecuteSQL(s.sql)
-	if err != nil {
-		return nil, err
-	}
-	return engine.NewSliceIterator(res.Columns, res.Rows, 1024), nil
-}
-
-func (s *legacyStmt) Close() error { return nil }

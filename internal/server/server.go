@@ -234,9 +234,8 @@ func (s *Server) Serve() error {
 }
 
 // rejectConn answers an over-limit connection with one admission-
-// rejection frame and closes it. The frame carries a nonzero Ver so
-// dialers can tell a live-but-full server from a legacy v0 one (whose
-// error frames have Ver == 0).
+// rejection frame and closes it; the dialer reads it in place of the
+// hello's answer.
 func (s *Server) rejectConn(conn net.Conn, max int) {
 	defer conn.Close()
 	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
@@ -277,9 +276,6 @@ type session struct {
 	srv    *Server
 	ctx    context.Context
 	cancel context.CancelFunc
-	// ver is the version negotiated by OpHello (v1 until then); echoed on
-	// session frames. Only the session's handle goroutine touches it.
-	ver uint8
 
 	mu    sync.Mutex
 	stmts map[uint64]*sessionStmt
@@ -407,7 +403,6 @@ func (s *Server) newSession() *session {
 		srv:    s,
 		ctx:    ctx,
 		cancel: cancel,
-		ver:    wire.ProtocolV1,
 		stmts:  make(map[uint64]*sessionStmt),
 	}
 }
@@ -446,21 +441,32 @@ func (s *Server) handle(conn net.Conn, sess *session) {
 		s.mu.Unlock()
 	}()
 	wc := wire.NewConnMaxFrame(&countingConn{Conn: conn, met: &s.met}, int(s.maxFrame.Load()))
+	send := func(resp *wire.Response) error {
+		if d := s.writeTimeout(); d > 0 {
+			conn.SetWriteDeadline(time.Now().Add(d))
+		}
+		resp.Ver = wire.ProtocolV2
+		return wc.SendResponse(resp)
+	}
+	read := wc.ReadHello // the first frame must be the hello
 	for {
 		if d := s.idleTimeout(); d > 0 {
 			conn.SetReadDeadline(time.Now().Add(d))
 		}
-		req, err := wc.ReadRequest()
+		req, err := read()
+		read = wc.ReadRequest
 		if err != nil {
-			if errors.Is(err, wire.ErrFrameTooLarge) {
+			// An oversize or foreign frame leaves the peer mid-payload (or
+			// mid-whatever it speaks), so the stream cannot be resynchronised:
+			// one best-effort error frame, then the connection goes.
+			oversize := errors.Is(err, wire.ErrFrameTooLarge)
+			if oversize {
 				s.met.framesOversize.Add(1)
-				// Best-effort notice; the gob stream is poisoned either way.
-				if d := s.writeTimeout(); d > 0 {
-					conn.SetWriteDeadline(time.Now().Add(d))
-				}
-				wc.SendResponse(&wire.Response{Ver: sess.ver, Err: err.Error()})
 			}
-			return // connection closed, timed out, or poisoned
+			if oversize || errors.Is(err, wire.ErrProtocol) {
+				send(&wire.Response{Err: err.Error()})
+			}
+			return // connection closed, timed out, or refused
 		}
 		s.met.framesIn.Add(1)
 		var resp *wire.Response
@@ -468,7 +474,7 @@ func (s *Server) handle(conn net.Conn, sess *session) {
 		case wire.OpExec:
 			resp = s.execute(sess, req)
 		case wire.OpHello:
-			resp = s.hello(sess, req)
+			resp = &wire.Response{}
 		case wire.OpPrepare:
 			resp = s.prepare(sess, req)
 		case wire.OpExecute:
@@ -481,37 +487,18 @@ func (s *Server) handle(conn net.Conn, sess *session) {
 			resp = s.resetStmt(sess, req)
 		case wire.OpExecuteDirect:
 			resp = s.executeDirect(sess, req)
-		default:
-			resp = &wire.Response{Ver: sess.ver, Err: fmt.Sprintf("server: unknown op %d", req.Op)}
 		}
-		if d := s.writeTimeout(); d > 0 {
-			conn.SetWriteDeadline(time.Now().Add(d))
-		}
-		if err := wc.SendResponse(resp); err != nil {
+		if err := send(resp); err != nil {
 			log.Printf("server: send response: %v", err)
 			return
 		}
 	}
 }
 
-// hello negotiates the session version: the server answers with the
-// highest version both sides speak, and the session's frames echo it.
-func (s *Server) hello(sess *session, req *wire.Request) *wire.Response {
-	v := req.Ver
-	if v == 0 {
-		v = wire.ProtocolV1 // pre-negotiation v1 dialers
-	}
-	if v > wire.ProtocolV2 {
-		v = wire.ProtocolV2
-	}
-	sess.ver = v
-	return &wire.Response{Ver: v}
-}
-
-// execute is the v0 single-shot path: run the statement under the session
+// execute is the single-shot path: run the statement under the session
 // context and materialize the whole result into one frame. Running under
-// sess.ctx is what lets a dropped connection or Server.Close cancel a
-// legacy query between batches — the same guarantee the session ops have.
+// sess.ctx is what lets a dropped connection or Server.Close cancel the
+// query between batches — the same guarantee the session ops have.
 func (s *Server) execute(sess *session, req *wire.Request) *wire.Response {
 	it, err := s.eng.QuerySQL(sess.ctx, req.SQL)
 	if err != nil {
@@ -529,14 +516,7 @@ func (s *Server) execute(sess *session, req *wire.Request) *wire.Response {
 		}
 		rows = append(rows, batch...)
 	}
-	resp := &wire.Response{}
-	if cols := it.Columns(); len(cols) > 0 {
-		resp.Columns = wire.FromColumns(cols)
-	}
-	if len(rows) > 0 {
-		resp.Rows = wire.FromRows(rows)
-	}
-	return resp
+	return &wire.Response{Columns: it.Columns(), Rows: rows}
 }
 
 // reserveStmtSlot claims one statement slot before the parse, counting
@@ -549,7 +529,7 @@ func (s *Server) reserveStmtSlot(sess *session) *wire.Response {
 	defer sess.mu.Unlock()
 	if len(sess.stmts)+sess.reserved >= max {
 		s.met.stmtsRejected.Add(1)
-		return &wire.Response{Ver: sess.ver,
+		return &wire.Response{
 			Err: fmt.Sprintf("server: session statement limit (%d) reached; close statements first", max)}
 	}
 	sess.reserved++
@@ -580,11 +560,11 @@ func (s *Server) prepare(sess *session, req *wire.Request) *wire.Response {
 	stmt, err := s.eng.Prepare(req.SQL)
 	if err != nil {
 		sess.releaseSlot()
-		return &wire.Response{Ver: sess.ver, Err: err.Error()}
+		return &wire.Response{Err: err.Error()}
 	}
 	s.met.stmtsPrepared.Add(1)
 	id := sess.commitStmt(&sessionStmt{stmt: stmt})
-	return &wire.Response{Ver: sess.ver, StmtID: id}
+	return &wire.Response{StmtID: id}
 }
 
 func (sess *session) get(id uint64) (*sessionStmt, *wire.Response) {
@@ -592,7 +572,7 @@ func (sess *session) get(id uint64) (*sessionStmt, *wire.Response) {
 	defer sess.mu.Unlock()
 	st, ok := sess.stmts[id]
 	if !ok {
-		return nil, &wire.Response{Ver: sess.ver, Err: fmt.Sprintf("server: unknown statement id %d", id)}
+		return nil, &wire.Response{Err: fmt.Sprintf("server: unknown statement id %d", id)}
 	}
 	return st, nil
 }
@@ -608,18 +588,18 @@ func (s *Server) executeStmt(sess *session, req *wire.Request) *wire.Response {
 	it, err := st.stmt.Query(qctx)
 	if err != nil {
 		cancel()
-		return &wire.Response{Ver: sess.ver, StmtID: req.StmtID, Err: err.Error()}
+		return &wire.Response{StmtID: req.StmtID, Err: err.Error()}
 	}
 	// Columns must be read before the producer starts: it may peek the
 	// first batch, and the iterator is single-owner after startCursor.
-	cols := wire.FromColumns(it.Columns())
+	cols := it.Columns()
 	st.cur = s.startCursor(qctx, cancel, it)
 	resp := s.nextFrame(sess, st, req)
 	resp.Columns = cols
 	return resp
 }
 
-// executeDirect is the fused v2 one-shot: prepare, execute and stream the
+// executeDirect is the fused one-shot: prepare, execute and stream the
 // first batch in a single round trip. If that batch ends the stream (or
 // fails), the statement is freed before the response leaves and StmtID
 // stays zero; otherwise the registered statement answers OpFetch and is
@@ -632,7 +612,7 @@ func (s *Server) executeDirect(sess *session, req *wire.Request) *wire.Response 
 	stmt, err := s.eng.Prepare(req.SQL)
 	if err != nil {
 		sess.releaseSlot()
-		return &wire.Response{Ver: sess.ver, Err: err.Error()}
+		return &wire.Response{Err: err.Error()}
 	}
 	s.met.stmtsPrepared.Add(1)
 	st := &sessionStmt{stmt: stmt, autoClose: true}
@@ -642,9 +622,9 @@ func (s *Server) executeDirect(sess *session, req *wire.Request) *wire.Response 
 	if err != nil {
 		cancel()
 		s.freeStmt(sess, id)
-		return &wire.Response{Ver: sess.ver, Err: err.Error()}
+		return &wire.Response{Err: err.Error()}
 	}
-	cols := wire.FromColumns(it.Columns())
+	cols := it.Columns()
 	st.cur = s.startCursor(qctx, cancel, it)
 	fused := *req
 	fused.StmtID = id
@@ -663,8 +643,7 @@ func (s *Server) fetch(sess *session, req *wire.Request) *wire.Response {
 		return errResp
 	}
 	if st.cur == nil {
-		return &wire.Response{Ver: sess.ver, StmtID: req.StmtID,
-			Err: "server: no open cursor (Execute first)"}
+		return &wire.Response{StmtID: req.StmtID, Err: "server: no open cursor (Execute first)"}
 	}
 	return s.nextFrame(sess, st, req)
 }
@@ -685,7 +664,7 @@ func (s *Server) freeStmt(sess *session, id uint64) {
 // closeStmt frees a statement and its cursor.
 func (s *Server) closeStmt(sess *session, req *wire.Request) *wire.Response {
 	s.freeStmt(sess, req.StmtID)
-	return &wire.Response{Ver: sess.ver, StmtID: req.StmtID}
+	return &wire.Response{StmtID: req.StmtID}
 }
 
 // resetStmt abandons a statement's open cursor, keeping it prepared.
@@ -695,7 +674,7 @@ func (s *Server) resetStmt(sess *session, req *wire.Request) *wire.Response {
 		return errResp
 	}
 	st.closeCursor()
-	return &wire.Response{Ver: sess.ver, StmtID: req.StmtID}
+	return &wire.Response{StmtID: req.StmtID}
 }
 
 // nextFrame pulls up to MaxRows rows from the cursor, carrying leftover
@@ -703,7 +682,7 @@ func (s *Server) resetStmt(sess *session, req *wire.Request) *wire.Response {
 // the cursor so the statement can be re-executed, and — for fused
 // statements — freeing the statement itself).
 func (s *Server) nextFrame(sess *session, st *sessionStmt, req *wire.Request) *wire.Response {
-	resp := &wire.Response{Ver: sess.ver, StmtID: req.StmtID}
+	resp := &wire.Response{StmtID: req.StmtID}
 	batch, eos, err := st.cur.nextRows(req.MaxRows)
 	switch {
 	case err == io.EOF:
@@ -719,7 +698,7 @@ func (s *Server) nextFrame(sess *session, st *sessionStmt, req *wire.Request) *w
 			s.freeStmt(sess, req.StmtID)
 		}
 	default:
-		resp.Rows = wire.FromRows(batch)
+		resp.Rows = batch
 		if eos {
 			resp.EOS = true
 			st.closeCursor()

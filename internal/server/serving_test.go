@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -74,9 +77,9 @@ func httpGet(t *testing.T, url string) string {
 	return string(body)
 }
 
-// TestExecRunsUnderSessionContext is the regression for the v0 OpExec
-// cancellation bug: the legacy single-shot path used to execute outside
-// the session context, so dropping the connection or Server.Close could
+// TestExecRunsUnderSessionContext is the regression for the OpExec
+// cancellation bug: the single-shot path used to execute outside the
+// session context, so dropping the connection or Server.Close could
 // not cancel it. Now a cancelled session refuses the query outright and a
 // live one still serves it.
 func TestExecRunsUnderSessionContext(t *testing.T) {
@@ -156,28 +159,55 @@ func TestPrepareLifecycleSymmetry(t *testing.T) {
 	})
 }
 
-// TestOversizeFrameDropped is the regression for unbounded frame reads: a
-// frame past the configured cap must be refused and the connection
-// dropped, not buffered into memory.
-func TestOversizeFrameDropped(t *testing.T) {
-	srv, addr := plainServer(t, 4)
-	srv.SetMaxFrameBytes(64 << 10)
-
+// rawSession dials the server and exchanges the hello by hand, for tests
+// that need to put their own bytes on the stream afterwards.
+func rawSession(t *testing.T, addr net.Addr) (net.Conn, *wire.Conn) {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	wc := wire.NewConn(conn)
-	// The server refuses the frame at its header and hangs up while most of
-	// the megabyte is still in flight, so the send itself may fail with a
+	if err := wc.SendRequest(&wire.Request{Op: wire.OpHello, Ver: wire.ProtocolV2}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := wc.ReadResponse(); err != nil || resp.Err != "" || resp.Ver != wire.ProtocolV2 {
+		t.Fatalf("hello: %+v, %v", resp, err)
+	}
+	return conn, wc
+}
+
+// TestOversizeFrameDropped pins the frame cap as exact: a frame whose
+// payload is exactly the cap is served, one byte more is refused on its
+// header with the size-limit error and the connection is dropped (the
+// peer is mid-payload; there is no frame boundary to resume at).
+func TestOversizeFrameDropped(t *testing.T) {
+	srv, addr := plainServer(t, 4)
+	const limit = 64 << 10
+	srv.SetMaxFrameBytes(limit)
+	// ver, stmt id and max rows take one byte each, the SQL length three.
+	sql := func(payload int) string { return `SELECT a FROM c -- ` + strings.Repeat("x", payload-6-19) }
+
+	_, wc := rawSession(t, addr)
+	if err := wc.SendRequest(&wire.Request{Op: wire.OpExec, Ver: wire.ProtocolV2, SQL: sql(limit)}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := wc.ReadResponse(); err != nil || strings.Contains(resp.Err, "size limit") {
+		t.Fatalf("frame of exactly the cap: %+v, %v", resp, err)
+	}
+	if got := srv.MetricsSnapshot().FramesOversize; got != 0 {
+		t.Fatalf("FramesOversize = %d after a frame at the cap, want 0", got)
+	}
+
+	// The server refuses the next frame at its header and hangs up while
+	// most of it is still in flight, so the send itself may fail with a
 	// connection reset: that is the drop under test, not a test failure.
-	sendErr := wc.SendRequest(&wire.Request{Op: wire.OpPrepare, Ver: wire.ProtocolV1,
-		SQL: strings.Repeat("x", 1<<20)})
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	sendErr := wc.SendRequest(&wire.Request{Op: wire.OpExec, Ver: wire.ProtocolV2, SQL: sql(limit + 1)})
 	if resp, err := wc.ReadResponse(); sendErr == nil && err == nil {
-		if resp.Err == "" || !strings.Contains(resp.Err, "size limit") {
-			t.Fatalf("oversize frame answered with %+v, want size-limit error", resp)
+		if !strings.Contains(resp.Err, "size limit") {
+			t.Fatalf("cap + 1 answered with %+v, want size-limit error", resp)
 		}
 		// After the error frame the connection must be gone.
 		if _, err := wc.ReadResponse(); err == nil {
@@ -247,8 +277,9 @@ func TestSlowLorisDropped(t *testing.T) {
 }
 
 // TestSessionAdmissionLimit checks the -max-sessions bound: connections
-// past it get one explanatory rejection frame (Dial fails hard instead of
-// falling back to v0), and a freed slot re-admits.
+// past it get one explanatory rejection frame, which Dial reports as the
+// server's refusal (not as a protocol mismatch), and a freed slot
+// re-admits.
 func TestSessionAdmissionLimit(t *testing.T) {
 	srv, addr := plainServer(t, 4)
 	srv.SetMaxSessions(2)
@@ -265,7 +296,7 @@ func TestSessionAdmissionLimit(t *testing.T) {
 	defer c2.Close()
 	waitFor(t, "two sessions admitted", func() bool { return srv.NumSessions() == 2 })
 
-	if _, err := Dial(addr.String()); err == nil || !strings.Contains(err.Error(), "session limit (2)") {
+	if _, err := Dial(addr.String()); err == nil || !strings.Contains(err.Error(), "session limit (2)") || errors.Is(err, wire.ErrProtocol) {
 		t.Fatalf("third dial: got %v, want session-limit refusal", err)
 	}
 	if got := srv.MetricsSnapshot().SessionsRejected; got != 1 {
@@ -281,75 +312,74 @@ func TestSessionAdmissionLimit(t *testing.T) {
 	c3.Close()
 }
 
-// TestV1ClientCompat drives the exact frames a v1 client sends — Hello
-// capped at v1, then Prepare/Execute/Fetch/Close — and checks the v2
-// server negotiates down and serves the stream unchanged. This is the
-// negotiation differential: an unmodified v1 client keeps working. The
-// second half replays the v0 single-shot shape (no hello at all).
-func TestV1ClientCompat(t *testing.T) {
-	_, addr := plainServer(t, 40)
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
+// TestHelloRefusesForeignPeers: a peer whose first bytes are not this
+// protocol's hello — a gob stream (what wire v0/v1 spoke), a wrong magic,
+// another version, a request without a hello before it — is answered with
+// one error frame naming the protocol and the connection is closed, with
+// no session state left behind.
+func TestHelloRefusesForeignPeers(t *testing.T) {
+	srv, addr := plainServer(t, 4)
+	var gobHello bytes.Buffer
+	if err := gob.NewEncoder(&gobHello).Encode(&wire.Request{Op: wire.OpHello, Ver: 1}); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	wc := wire.NewConn(conn)
-	exchange := func(req *wire.Request) *wire.Response {
-		t.Helper()
-		if err := wc.SendRequest(req); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := wc.ReadResponse()
+	hello := func(payload string) []byte {
+		return append([]byte{0, 0, 0, byte(len(payload)), byte(wire.OpHello)}, payload...)
+	}
+	var noHello bytes.Buffer
+	wire.NewConn(&noHello).SendRequest(&wire.Request{Op: wire.OpExec, Ver: wire.ProtocolV2, SQL: `SELECT a FROM c`})
+	for name, first := range map[string][]byte{
+		"gob peer":      gobHello.Bytes(),
+		"wrong magic":   hello("SDBX\x02"),
+		"wrong version": hello(wire.Magic + "\x03"),
+		"no hello":      noHello.Bytes(),
+	} {
+		conn, err := net.Dial("tcp", addr.String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(first); err != nil {
+			t.Fatal(err)
+		}
+		wc := wire.NewConn(conn)
+		resp, err := wc.ReadResponse()
+		if err != nil || !strings.Contains(resp.Err, wire.ErrProtocol.Error()) {
+			t.Fatalf("%s: answered %+v, %v; want the protocol refusal", name, resp, err)
+		}
+		if _, err := wc.ReadResponse(); err == nil {
+			t.Fatalf("%s: connection still open after the refusal", name)
+		}
+		conn.Close()
+	}
+	waitFor(t, "refused peers leave no session", func() bool { return srv.NumSessions() == 0 })
+	if m := srv.MetricsSnapshot(); m.FramesIn != 0 || m.FramesOversize != 0 {
+		t.Fatalf("refused peers counted as traffic: %+v", m)
 	}
 
-	hello := exchange(&wire.Request{Op: wire.OpHello, Ver: wire.ProtocolV1})
-	if hello.Ver != wire.ProtocolV1 {
-		t.Fatalf("v1 hello negotiated %d, want %d", hello.Ver, wire.ProtocolV1)
-	}
-	prep := exchange(&wire.Request{Op: wire.OpPrepare, Ver: wire.ProtocolV1, SQL: `SELECT a FROM c`})
-	if prep.Err != "" || prep.StmtID == 0 {
-		t.Fatalf("v1 prepare: %+v", prep)
-	}
-	n := 0
-	resp := exchange(&wire.Request{Op: wire.OpExecute, Ver: wire.ProtocolV1, StmtID: prep.StmtID, MaxRows: 16})
-	for {
-		if resp.Err != "" {
-			t.Fatalf("v1 stream: %s", resp.Err)
-		}
-		if resp.Ver != wire.ProtocolV1 {
-			t.Fatalf("session frame carries Ver %d after v1 negotiation", resp.Ver)
-		}
-		n += len(resp.Rows)
-		if resp.EOS {
-			break
-		}
-		resp = exchange(&wire.Request{Op: wire.OpFetch, Ver: wire.ProtocolV1, StmtID: prep.StmtID, MaxRows: 16})
-	}
-	if n != 40 {
-		t.Fatalf("v1 stream saw %d rows, want 40", n)
-	}
-	if resp := exchange(&wire.Request{Op: wire.OpClose, Ver: wire.ProtocolV1, StmtID: prep.StmtID}); resp.Err != "" {
-		t.Fatalf("v1 close: %s", resp.Err)
-	}
-
-	// v0: a one-field request frame straight away, whole result in one
-	// response frame.
-	conn0, err := net.Dial("tcp", addr.String())
+	// The other direction: dialing something that answers in gob fails the
+	// handshake as a protocol error — which is how a caller tells it from
+	// a full server (TestSessionAdmissionLimit), whose refusal carries the
+	// server's reason.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn0.Close()
-	wc0 := wire.NewConn(conn0)
-	if err := wc0.SendRequest(&wire.Request{SQL: `SELECT a FROM c`}); err != nil {
-		t.Fatal(err)
-	}
-	resp0, err := wc0.ReadResponse()
-	if err != nil || resp0.Err != "" || len(resp0.Rows) != 40 {
-		t.Fatalf("v0 single-shot: err=%v resp=%+v", err, resp0)
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		io.ReadFull(conn, make([]byte, 10)) // the dialer's hello
+		gob.NewEncoder(conn).Encode(&wire.Response{Err: "legacy server"})
+		conn.(*net.TCPConn).CloseWrite()
+		io.Copy(io.Discard, conn)
+	}()
+	if _, err := Dial(l.Addr().String()); err == nil || strings.Contains(err.Error(), "refused connection") ||
+		!strings.Contains(err.Error(), "handshake") {
+		t.Fatalf("dial to a gob-speaking server: %v, want a handshake failure", err)
 	}
 }
 
@@ -637,7 +667,7 @@ func checkServedUntorn(t *testing.T, pairs [][2]int64, label string, wantFirst i
 
 // TestSnapshotTornReadServing extends the engine-level torn-read family to
 // the wire paths: while an UPDATE is held mid-commit on the server, both a
-// v1-style prepared cursor and the v2 fused direct op must serve the
+// prepared cursor and the fused direct op must serve the
 // entirely-old rows; a cursor opened before the publish keeps serving them
 // after it; and a fresh statement sees the entirely-new rows.
 func TestSnapshotTornReadServing(t *testing.T) {
@@ -677,7 +707,7 @@ func TestSnapshotTornReadServing(t *testing.T) {
 	}
 	checkServedUntorn(t, drainPairs(t, it), "fused read before publish", 10)
 
-	// v1-style cursor pinned before the publish, drained after it.
+	// Prepared cursor pinned before the publish, drained after it.
 	stmt, err := client.PrepareStream(q)
 	if err != nil {
 		t.Fatal(err)

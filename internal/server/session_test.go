@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -12,11 +11,10 @@ import (
 	"sdb/internal/engine"
 	"sdb/internal/proxy"
 	"sdb/internal/secure"
-	"sdb/internal/storage"
 	"sdb/internal/wire"
 )
 
-// streamFixture stands up a server with small batches, a negotiated
+// streamFixture stands up a server with small batches, a connected
 // client, and a proxy loaded with enough rows to span several batches.
 type streamFixture struct {
 	srv    *Server
@@ -45,7 +43,7 @@ func newStreamFixture(t *testing.T, rows int) *streamFixture {
 	}
 	t.Cleanup(func() { client.Close() })
 	if client.Protocol() != wire.ProtocolV2 {
-		t.Fatalf("negotiated protocol %d, want %d", client.Protocol(), wire.ProtocolV2)
+		t.Fatalf("protocol %d, want %d", client.Protocol(), wire.ProtocolV2)
 	}
 	// A frame cap below the engine batch exercises the server-side batch
 	// splitting (pending-rows carry-over between frames).
@@ -258,86 +256,6 @@ func TestDisconnectFreesSession(t *testing.T) {
 	waitFor(t, "session freed on disconnect", func() bool {
 		return f.srv.NumSessions() == 0 && f.srv.OpenStmts() == 0
 	})
-}
-
-// TestLegacyFallbackAgainstV0Server simulates an old server (a raw
-// listener speaking only v0 frames: every request is treated as a
-// single-shot SQL execution, exactly like the pre-session server did with
-// its one-field Request struct). Dial must fall back to the single-shot
-// path and prepared statements must still work through it.
-func TestLegacyFallbackAgainstV0Server(t *testing.T) {
-	secret, _ := secure.Setup(256, 40, 40)
-	eng := engine.New(storage.NewCatalog(), secret.N())
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				wc := wire.NewConn(c)
-				for {
-					req, err := wc.ReadRequest()
-					if err != nil {
-						return
-					}
-					// v0 semantics: only SQL exists; op fields are unknown.
-					res, err := eng.ExecuteSQL(req.SQL)
-					resp := &wire.Response{}
-					if err != nil {
-						resp.Err = err.Error()
-					} else {
-						resp = wire.FromResult(res)
-					}
-					if wc.SendResponse(resp) != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	client, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if client.Protocol() != wire.ProtocolV0 {
-		t.Fatalf("negotiated %d against legacy server, want v0", client.Protocol())
-	}
-	p, err := proxy.New(secret, client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Exec(`CREATE TABLE l (a INT, b INT SENSITIVE)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Exec(`INSERT INTO l VALUES (1, 10), (2, 20)`); err != nil {
-		t.Fatal(err)
-	}
-	stmt, err := p.Prepare(`SELECT a FROM l WHERE b > 15`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := stmt.QueryContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, err := rows.Next()
-	if err != nil || row[0].I != 2 {
-		t.Fatalf("row=%v err=%v, want [2]", row, err)
-	}
-	if _, err := rows.Next(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
-	}
-	rows.Close()
-	stmt.Close()
 }
 
 // TestReexecuteAfterEarlyClose abandons a cursor mid-stream and re-runs

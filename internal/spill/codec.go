@@ -1,7 +1,6 @@
 package spill
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,256 +9,180 @@ import (
 	"sdb/internal/types"
 )
 
-// The spill codec frames every variable-length component with a length
-// prefix — the same discipline the engine's composite hash keys use — so
-// decoding is unambiguous for any value sequence: a value is one kind
-// byte followed by a kind-determined payload, and a row is a column count
-// followed by that many values. Integer-backed kinds (INT, DECIMAL, DATE,
-// BOOL) encode as zigzag varints, strings and shares as length-prefixed
-// bytes. The encoding is purely positional: no schema is stored, because
-// every spill file is read back by the operator that wrote it.
+// Writer and Reader are the stream framing of the value codec in
+// internal/types (codec.go): run files, WAL records and snapshots are
+// sequences of its varints, strings, values and rows with nothing in
+// between, read back by whoever wrote them. The bytes are the ones wire
+// frames carry; only the framing around them differs.
 
-// Writer encodes rows and scalars onto a buffered byte stream.
+// bufSize is the writer's flush threshold and the reader's first window.
+const bufSize = 16 << 10
+
+// Writer appends encoded components to one buffer and hands it to the
+// underlying writer whenever it passes bufSize, always at a component
+// boundary.
 type Writer struct {
-	w   *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
+	w   io.Writer
+	buf []byte
+	err error // sticky write error
 }
 
 // NewWriter wraps w in a buffered spill encoder.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
-}
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Flush pushes buffered bytes to the underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
+func (w *Writer) Flush() error {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.w.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+	return w.err
+}
+
+// emit adopts the buffer an Append function returned. A failed encode
+// leaves the buffer as it was, so the stream never carries half a row.
+func (w *Writer) emit(buf []byte, err error) error {
+	if err != nil {
+		return fmt.Errorf("spill: %w", err)
+	}
+	if w.buf = buf; len(buf) >= bufSize {
+		return w.Flush()
+	}
+	return w.err
+}
 
 // WriteUvarint writes one unsigned varint.
 func (w *Writer) WriteUvarint(v uint64) error {
-	n := binary.PutUvarint(w.buf[:], v)
-	_, err := w.w.Write(w.buf[:n])
-	return err
+	return w.emit(binary.AppendUvarint(w.buf, v), nil)
 }
 
 // WriteVarint writes one signed (zigzag) varint.
 func (w *Writer) WriteVarint(v int64) error {
-	n := binary.PutVarint(w.buf[:], v)
-	_, err := w.w.Write(w.buf[:n])
-	return err
+	return w.emit(binary.AppendVarint(w.buf, v), nil)
 }
 
 // WriteString writes a length-prefixed byte string.
 func (w *Writer) WriteString(s string) error {
-	if err := w.WriteUvarint(uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := w.w.WriteString(s)
-	return err
+	return w.emit(types.AppendString(w.buf, s), nil)
 }
 
 // WriteValue writes one typed value.
 func (w *Writer) WriteValue(v types.Value) error {
-	if err := w.w.WriteByte(byte(v.K)); err != nil {
-		return err
-	}
-	switch v.K {
-	case types.KindNull:
-		return nil
-	case types.KindInt, types.KindDecimal, types.KindDate, types.KindBool:
-		return w.WriteVarint(v.I)
-	case types.KindString:
-		return w.WriteString(v.S)
-	case types.KindShare:
-		var raw []byte
-		if v.B != nil {
-			raw = v.B.Bytes()
-		}
-		if err := w.WriteUvarint(uint64(len(raw))); err != nil {
-			return err
-		}
-		_, err := w.w.Write(raw)
-		return err
-	default:
-		return fmt.Errorf("spill: cannot encode value kind %s", v.K)
-	}
+	return w.emit(types.AppendValue(w.buf, v))
 }
 
 // WriteBig writes a length-prefixed non-negative big integer (nil writes
-// the zero-length form, which reads back as zero). The WAL uses it for the
-// per-row SIES row ids and helpers, which are bigs outside the Value
-// domain.
+// the zero-length form, which reads back as zero; a negative one is an
+// error). The WAL uses it for the per-row SIES row ids and helpers, which
+// are bigs outside the Value domain.
 func (w *Writer) WriteBig(v *big.Int) error {
-	var raw []byte
-	if v != nil {
-		raw = v.Bytes()
-	}
-	if err := w.WriteUvarint(uint64(len(raw))); err != nil {
-		return err
-	}
-	_, err := w.w.Write(raw)
-	return err
+	return w.emit(types.AppendBig(w.buf, v))
 }
 
 // WriteRow writes a column count and every value of the row.
 func (w *Writer) WriteRow(row types.Row) error {
-	if err := w.WriteUvarint(uint64(len(row))); err != nil {
-		return err
-	}
-	for _, v := range row {
-		if err := w.WriteValue(v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.emit(types.AppendRow(w.buf, row))
 }
 
-// maxAlloc caps any single length prefix the decoder will honor. Spill
-// files and WAL records are written by this process, which never produces
-// a component anywhere near this size, so a larger prefix is always
-// corruption — erroring out beats letting a flipped bit drive a
-// multi-gigabyte allocation during recovery.
-const maxAlloc = 1 << 30
-
-// capHint bounds a count-derived pre-allocation: trust small counts, make
-// large (possibly corrupt) ones grow incrementally so a bogus count fails
-// with a truncation error instead of an OOM.
-func capHint(n uint64) int {
-	if n > 1024 {
-		return 1024
-	}
-	return int(n)
-}
-
-// Reader decodes what Writer encoded.
+// Reader decodes what Writer encoded. It keeps a window of undecoded
+// bytes and runs a types.Decoder over it, reading more only when the
+// decoder reports the window ended inside a component — so the window is
+// never grown from a length prefix, only by bytes that actually arrived.
 type Reader struct {
-	r *bufio.Reader
+	r   io.Reader
+	buf []byte // buf[off:] is the undecoded window
+	off int
+	err error         // sticky read error, io.EOF included
+	d   types.Decoder // lives here, not on next's stack, where the indirect call would make it escape
 }
 
 // NewReader wraps r in a buffered spill decoder.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+
+// more extends the window with one read. Once the source is exhausted it
+// returns io.EOF verbatim at a component boundary (empty window) — how
+// callers detect a clean end of stream — and a truncation error inside
+// one.
+func (r *Reader) more(what string) error {
+	if r.err != nil {
+		if r.err != io.EOF {
+			return fmt.Errorf("spill: read %s: %w", what, r.err)
+		}
+		if r.off == len(r.buf) {
+			return io.EOF
+		}
+		return fmt.Errorf("spill: truncated %s", what)
+	}
+	r.buf = r.buf[:copy(r.buf, r.buf[r.off:])]
+	r.off = 0
+	if len(r.buf) == cap(r.buf) {
+		r.buf = append(make([]byte, 0, max(2*cap(r.buf), bufSize)), r.buf...)
+	}
+	for empty := 0; ; empty++ {
+		n, err := r.r.Read(r.buf[len(r.buf):cap(r.buf)])
+		r.buf = r.buf[:len(r.buf)+n]
+		if err == nil && n == 0 && empty == 100 {
+			err = io.ErrNoProgress
+		}
+		if r.err = err; n > 0 || err != nil {
+			return nil // the decoder retries; a second shortfall reports r.err
+		}
+	}
 }
 
-// ReadUvarint reads one unsigned varint. io.EOF at a frame boundary is
-// returned verbatim so callers can detect clean end-of-file.
+// next decodes one component from the window, extending it while the
+// decoder comes up short.
+func next[T any](r *Reader, what string, dec func(*types.Decoder) T) (T, error) {
+	for {
+		r.d = types.Decoder{B: r.buf[r.off:]}
+		v := dec(&r.d)
+		if r.d.Err == nil {
+			r.off = len(r.buf) - len(r.d.B)
+			return v, nil
+		}
+		if r.d.Err != types.ErrShort {
+			return v, fmt.Errorf("spill: %s: %w", what, r.d.Err)
+		}
+		if err := r.more(what); err != nil {
+			return v, err
+		}
+	}
+}
+
+// ReadUvarint reads one unsigned varint. Like every Read method but
+// ReadValue, it returns io.EOF verbatim when the stream ends before the
+// component's first byte, so callers can detect a clean end of file.
 func (r *Reader) ReadUvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(r.r)
-	if err == io.ErrUnexpectedEOF {
-		return 0, fmt.Errorf("spill: truncated varint")
-	}
-	return v, err
+	return next(r, "varint", (*types.Decoder).Uvarint)
 }
 
-// ReadVarint reads one signed varint. Like ReadUvarint, a clean io.EOF
-// before the first byte is returned verbatim (record boundary); EOF
-// inside the varint is a truncation error.
+// ReadVarint reads one signed varint.
 func (r *Reader) ReadVarint() (int64, error) {
-	v, err := binary.ReadVarint(r.r)
-	if err == io.ErrUnexpectedEOF {
-		return 0, fmt.Errorf("spill: truncated varint")
+	return next(r, "varint", (*types.Decoder).Varint)
+}
+
+// ReadString reads a length-prefixed byte string.
+func (r *Reader) ReadString() (string, error) {
+	return next(r, "string", (*types.Decoder).Str)
+}
+
+// ReadValue reads one typed value. A value never starts a record, so the
+// end of the stream here is a truncation, not a boundary.
+func (r *Reader) ReadValue() (types.Value, error) {
+	v, err := next(r, "value", (*types.Decoder).Value)
+	if err == io.EOF {
+		err = fmt.Errorf("spill: truncated value")
 	}
 	return v, err
 }
 
-// ReadString reads a length-prefixed byte string. A clean io.EOF before
-// the length prefix is returned verbatim (record boundary).
-func (r *Reader) ReadString() (string, error) {
-	n, err := r.ReadUvarint()
-	if err != nil {
-		if err == io.EOF {
-			return "", io.EOF
-		}
-		return "", fmt.Errorf("spill: truncated string: %w", err)
-	}
-	raw, err := r.readBytes(n, "string")
-	if err != nil {
-		return "", err
-	}
-	return string(raw), nil
-}
-
-// readBytes reads an n-byte component, rejecting implausible lengths
-// before allocating.
-func (r *Reader) readBytes(n uint64, what string) ([]byte, error) {
-	if n > maxAlloc {
-		return nil, fmt.Errorf("spill: implausible %s length %d", what, n)
-	}
-	raw := make([]byte, n)
-	if _, err := io.ReadFull(r.r, raw); err != nil {
-		return nil, fmt.Errorf("spill: truncated %s: %w", what, err)
-	}
-	return raw, nil
-}
-
-// ReadValue reads one typed value.
-func (r *Reader) ReadValue() (types.Value, error) {
-	kb, err := r.r.ReadByte()
-	if err != nil {
-		return types.Null, fmt.Errorf("spill: truncated value: %w", err)
-	}
-	switch k := types.Kind(kb); k {
-	case types.KindNull:
-		return types.Null, nil
-	case types.KindInt, types.KindDecimal, types.KindDate, types.KindBool:
-		i, err := r.ReadVarint()
-		if err != nil {
-			return types.Null, err
-		}
-		return types.Value{K: k, I: i}, nil
-	case types.KindString:
-		s, err := r.ReadString()
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewString(s), nil
-	case types.KindShare:
-		n, err := r.ReadUvarint()
-		if err != nil {
-			return types.Null, fmt.Errorf("spill: truncated share: %w", err)
-		}
-		raw, err := r.readBytes(n, "share")
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewShare(new(big.Int).SetBytes(raw)), nil
-	default:
-		return types.Null, fmt.Errorf("spill: unknown value kind %d", kb)
-	}
-}
-
-// ReadBig reads what WriteBig encoded. A clean io.EOF before the length
-// prefix is returned verbatim (record boundary).
+// ReadBig reads what WriteBig encoded.
 func (r *Reader) ReadBig() (*big.Int, error) {
-	n, err := r.ReadUvarint()
-	if err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("spill: truncated big: %w", err)
-	}
-	raw, err := r.readBytes(n, "big")
-	if err != nil {
-		return nil, err
-	}
-	return new(big.Int).SetBytes(raw), nil
+	return next(r, "big", (*types.Decoder).Big)
 }
 
-// ReadRow reads one row. A clean io.EOF before the column count means the
-// stream is exhausted and is returned verbatim.
+// ReadRow reads one row into its own allocation. A clean io.EOF before
+// the column count means the stream is exhausted.
 func (r *Reader) ReadRow() (types.Row, error) {
-	n, err := r.ReadUvarint()
-	if err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("spill: truncated row: %w", err)
-	}
-	row := make(types.Row, 0, capHint(n))
-	for i := uint64(0); i < n; i++ {
-		v, err := r.ReadValue()
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, v)
-	}
-	return row, nil
+	return next(r, "row", (*types.Decoder).Row)
 }

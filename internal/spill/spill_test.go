@@ -2,6 +2,8 @@ package spill
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
 	"io"
 	"math/big"
 	"os"
@@ -9,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"sdb/internal/types"
 )
@@ -102,6 +105,142 @@ func TestTruncatedStreamSurfacesError(t *testing.T) {
 	cut := buf.Bytes()[:buf.Len()-4]
 	if _, err := NewReader(bytes.NewReader(cut)).ReadRow(); err == nil || err == io.EOF {
 		t.Fatalf("truncated row decoded without error (err=%v)", err)
+	}
+}
+
+// TestCodecGoldenRunFile pins the bytes of a run file: the stream form of
+// the shared codec must stay what the pre-PR-15 Writer produced (this hex
+// was printed by it), because spill files, WAL records and snapshots
+// written before are read back after.
+func TestCodecGoldenRunFile(t *testing.T) {
+	const golden = "058080808080400900015302a41303c8b6020502040668c3a96c6c6f0600060006280beef0" +
+		"00000000000000000000000000000000000000000000000000000000000000000000000000" +
+		"036b6579ac02000401234567000400"
+	share := types.NewShare(new(big.Int).Lsh(big.NewInt(0xbeef), 300))
+	row := types.Row{types.Null, types.NewInt(-42), types.NewDecimal(1234), types.NewDate(19876), types.NewBool(true),
+		types.NewString("héllo"), types.NewShare(new(big.Int)), types.NewShare(nil), share}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.WriteVarint(-3)
+	w.WriteVarint(1 << 40)
+	w.WriteRow(row)
+	w.WriteString("key")
+	w.WriteUvarint(300)
+	w.WriteRow(types.Row{})
+	w.WriteBig(big.NewInt(0x1234567))
+	w.WriteBig(nil)
+	w.WriteValue(types.NewString(""))
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != golden {
+		t.Fatalf("run-file bytes changed:\n got %s\nwant %s", got, golden)
+	}
+
+	// And the golden bytes read back, one byte per Read, so every
+	// component straddles a window refill.
+	raw, _ := hex.DecodeString(golden)
+	r := NewReader(iotest.OneByteReader(bytes.NewReader(raw)))
+	if a, err := r.ReadVarint(); a != -3 || err != nil {
+		t.Fatalf("tag a = %d, %v", a, err)
+	}
+	if b, err := r.ReadVarint(); b != 1<<40 || err != nil {
+		t.Fatalf("tag b = %d, %v", b, err)
+	}
+	got, err := r.ReadRow()
+	if err != nil || len(got) != len(row) {
+		t.Fatalf("row: %v, %v", got, err)
+	}
+	for c := range row {
+		want := row[c]
+		if want.K == types.KindShare && want.B == nil {
+			want.B = new(big.Int) // nil share reads back as zero
+		}
+		if !got[c].Equal(want) {
+			t.Fatalf("col %d: %v != %v", c, got[c], want)
+		}
+	}
+	if s, err := r.ReadString(); s != "key" || err != nil {
+		t.Fatalf("string = %q, %v", s, err)
+	}
+	if u, err := r.ReadUvarint(); u != 300 || err != nil {
+		t.Fatalf("uvarint = %d, %v", u, err)
+	}
+	if empty, err := r.ReadRow(); len(empty) != 0 || err != nil {
+		t.Fatalf("empty row = %v, %v", empty, err)
+	}
+	if b, err := r.ReadBig(); err != nil || b.Int64() != 0x1234567 {
+		t.Fatalf("big = %v, %v", b, err)
+	}
+	if b, err := r.ReadBig(); err != nil || b.Sign() != 0 {
+		t.Fatalf("nil big = %v, %v", b, err)
+	}
+	if v, err := r.ReadValue(); err != nil || v.K != types.KindString || v.S != "" {
+		t.Fatalf("value = %v, %v", v, err)
+	}
+	if _, err := r.ReadRow(); err != io.EOF {
+		t.Fatalf("after the last component: %v, want io.EOF", err)
+	}
+	if _, err := r.ReadValue(); err == nil || err == io.EOF {
+		t.Fatalf("ReadValue at end of stream: %v, want a truncation error", err)
+	}
+}
+
+// TestCodecRefusesNegativeShare: the run-file path refuses a negative big
+// instead of writing its magnitude, and a refused row leaves no bytes
+// behind it.
+func TestCodecRefusesNegativeShare(t *testing.T) {
+	neg := big.NewInt(-5)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.WriteRow(types.Row{types.NewInt(1)}); err != nil {
+		t.Fatal(err)
+	}
+	for name, err := range map[string]error{
+		"WriteValue": w.WriteValue(types.NewShare(neg)),
+		"WriteBig":   w.WriteBig(neg),
+		"WriteRow":   w.WriteRow(types.Row{types.NewString("kept out"), types.NewShare(neg)}),
+	} {
+		if !errors.Is(err, types.ErrNegativeShare) {
+			t.Errorf("%s(-5): %v, want ErrNegativeShare", name, err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got, []byte{1, 1, 2}) {
+		t.Fatalf("stream holds % x after refused writes, want only the first row", got)
+	}
+}
+
+// TestCodecWindowSpansLargeComponents drives rows far wider than the
+// reader's window (and the writer's flush threshold) through a stream.
+func TestCodecWindowSpansLargeComponents(t *testing.T) {
+	long := strings.Repeat("x", 5*bufSize+17)
+	wide := new(big.Int).Lsh(big.NewInt(1), 8*3*bufSize)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	const n = 20
+	for i := 0; i < n; i++ {
+		if err := w.WriteRow(types.Row{types.NewInt(int64(i)), types.NewString(long), types.NewShare(wide)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&buf)
+	for i := 0; i < n; i++ {
+		row, err := r.ReadRow()
+		if err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+		if row[0].I != int64(i) || row[1].S != long || row[2].B.Cmp(wide) != 0 {
+			t.Fatalf("row %d corrupted", i)
+		}
+	}
+	if _, err := r.ReadRow(); err != io.EOF {
+		t.Fatalf("want io.EOF, got %v", err)
 	}
 }
 

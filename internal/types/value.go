@@ -200,16 +200,7 @@ func (v Value) AppendGroupKey(dst []byte) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(v.S)))
 		return append(dst, v.S...)
 	case KindShare:
-		n := 0
-		if v.B != nil {
-			n = (v.B.BitLen() + 7) / 8
-		}
-		dst = binary.AppendUvarint(dst, uint64(n))
-		if n > 0 {
-			dst = append(dst, make([]byte, n)...)
-			v.B.FillBytes(dst[len(dst)-n:])
-		}
-		return dst
+		return appendMagnitude(dst, v.B)
 	default:
 		return binary.BigEndian.AppendUint64(dst, uint64(v.I))
 	}

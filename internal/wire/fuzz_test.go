@@ -1,46 +1,78 @@
 package wire
 
 import (
+	"bytes"
 	"math/big"
+	"reflect"
 	"testing"
 
 	"sdb/internal/types"
 )
 
-// FuzzValueRoundTrip checks that any value surviving the wire conversion
-// comes back equal: the share byte/sign flattening and the kind/scalar
-// fields must be lossless in both directions.
-func FuzzValueRoundTrip(f *testing.F) {
-	f.Add(uint8(1), int64(42), "x", []byte{0x01, 0x02}, false, true)
-	f.Add(uint8(6), int64(0), "", []byte{0xff, 0x00, 0x7f}, true, true)
-	f.Add(uint8(0), int64(-1), "null", []byte{}, false, false)
-	f.Add(uint8(200), int64(1<<62), "big", []byte{0x80}, true, true)
-	f.Fuzz(func(t *testing.T, k uint8, i int64, s string, b []byte, neg, isSet bool) {
-		v := types.Value{K: types.Kind(k), I: i, S: s}
-		if isSet {
-			v.B = new(big.Int).SetBytes(b)
-			if neg && v.B.Sign() != 0 {
-				v.B.Neg(v.B)
+// FuzzFrameDecode feeds arbitrary bytes to both frame readers — the
+// server's (ReadHello, ReadRequest) and, because the SP is not trusted
+// either, the proxy's (ReadResponse). Each must end in an error or in a
+// well-formed frame (one that re-encodes and decodes to itself), never in
+// a panic, and must allocate in proportion to the bytes supplied — not to
+// what a length prefix or a count inside them claims.
+func FuzzFrameDecode(f *testing.F) {
+	var lb bytes.Buffer
+	c := NewConn(&lb)
+	c.SendRequest(&Request{Op: OpHello, Ver: ProtocolV2})
+	f.Add(bytes.Clone(lb.Bytes()))
+	lb.Reset()
+	c.SendRequest(&Request{Op: OpExecuteDirect, Ver: ProtocolV2, StmtID: 7, MaxRows: 100, SQL: "SELECT a FROM t"})
+	f.Add(bytes.Clone(lb.Bytes()))
+	lb.Reset()
+	c.SendResponse(&Response{Ver: ProtocolV2, StmtID: 7, EOS: true, Err: "e",
+		Columns: []Column{{Name: "a", Kind: 1}, {Name: "s", Kind: 6}},
+		Rows: []types.Row{
+			{types.NewInt(-5), types.NewShare(new(big.Int).Lsh(big.NewInt(1), 300))},
+			{types.NewString("str"), types.Null},
+			{},
+		}})
+	f.Add(bytes.Clone(lb.Bytes()))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, kindResponse, 2, 0})
+	f.Add([]byte{0, 0, 0, 8, kindResponse, 2, 0, 0, 0, 0, 0xff, 0xff, 0x7f})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		conn := func() *Conn { return NewConn(bytes.NewBuffer(bytes.Clone(data))) }
+		var req, hello *Request
+		var resp *Response
+		var reqErr, respErr error
+		got := allocated(func() {
+			hello, _ = conn().ReadHello()
+			req, reqErr = conn().ReadRequest()
+			resp, respErr = conn().ReadResponse()
+		})
+		// A one-byte NULL decodes to a 48-byte Value and a one-byte empty
+		// row to a 24-byte slice header, so the factor is not 1; the
+		// constant covers three Conns with their bufio readers.
+		if limit := uint64(3*64*len(data) + 256<<10); got > limit {
+			t.Fatalf("%d input bytes drove %d bytes of allocation (limit %d)", len(data), got, limit)
+		}
+		if hello != nil && (hello.Op != OpHello || hello.Ver != ProtocolV2) {
+			t.Fatalf("ReadHello accepted %+v", hello)
+		}
+		var lb bytes.Buffer
+		again := NewConn(&lb)
+		if reqErr == nil {
+			if err := again.SendRequest(req); err != nil {
+				t.Fatalf("decoded request %+v does not re-encode: %v", req, err)
+			}
+			if back, err := again.ReadRequest(); err != nil || *back != *req {
+				t.Fatalf("request %+v re-read as %+v, %v", req, back, err)
 			}
 		}
-		w := FromValue(v)
-		back := ToValue(w)
-		if back.K != v.K || back.I != v.I || back.S != v.S {
-			t.Fatalf("scalar fields diverged: %+v -> %+v", v, back)
-		}
-		switch {
-		case v.B == nil:
-			if back.B != nil {
-				t.Fatalf("nil big.Int came back as %v", back.B)
+		if respErr == nil {
+			if err := again.SendResponse(resp); err != nil {
+				t.Fatalf("decoded response does not re-encode: %v", err)
 			}
-		case back.B == nil:
-			t.Fatalf("big.Int %v lost", v.B)
-		case back.B.Cmp(v.B) != 0:
-			t.Fatalf("big.Int %v came back as %v", v.B, back.B)
-		}
-		// And the round trip must be idempotent at the wire layer.
-		if w2 := FromValue(back); w2.K != w.K || w2.I != w.I || w2.S != w.S || w2.BNeg != w.BNeg || w2.IsSet != w.IsSet {
-			t.Fatalf("wire form unstable: %+v vs %+v", w, w2)
+			back, err := again.ReadResponse()
+			if err != nil || !reflect.DeepEqual(back, resp) {
+				t.Fatalf("response %+v re-read as %+v, %v", resp, back, err)
+			}
 		}
 	})
 }

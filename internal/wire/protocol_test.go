@@ -1,100 +1,77 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"io"
 	"math/big"
-	"net"
+	"runtime"
+	"strings"
 	"testing"
 
 	"sdb/internal/types"
 )
 
-// pipeConns builds two framed ends of an in-memory duplex stream.
-func pipeConns(t *testing.T) (*Conn, *Conn, func()) {
-	t.Helper()
-	a, b := net.Pipe()
-	return NewConn(a), NewConn(b), func() { a.Close(); b.Close() }
-}
-
-// TestV1RequestRoundTrip exercises every v1 op through the framed conn.
-func TestV1RequestRoundTrip(t *testing.T) {
-	client, server, closeFn := pipeConns(t)
-	defer closeFn()
-
+// TestFrameRequestRoundTrip exercises every op through one framed conn.
+func TestFrameRequestRoundTrip(t *testing.T) {
+	c := NewConn(new(bytes.Buffer))
 	reqs := []*Request{
-		{Op: OpHello, Ver: ProtocolV1},
-		{Op: OpPrepare, Ver: ProtocolV1, SQL: "SELECT a FROM t"},
-		{Op: OpExecute, Ver: ProtocolV1, StmtID: 3, MaxRows: 128},
-		{Op: OpFetch, Ver: ProtocolV1, StmtID: 3, MaxRows: 128},
-		{Op: OpReset, Ver: ProtocolV1, StmtID: 3},
-		{Op: OpClose, Ver: ProtocolV1, StmtID: 3},
-		{SQL: "SELECT 1"}, // v0 frame on the same stream
+		{Op: OpHello, Ver: ProtocolV2},
+		{Op: OpPrepare, Ver: ProtocolV2, SQL: "SELECT a FROM t"},
+		{Op: OpExecute, Ver: ProtocolV2, StmtID: 3, MaxRows: 128},
+		{Op: OpFetch, Ver: ProtocolV2, StmtID: 1 << 40, MaxRows: 128},
+		{Op: OpReset, Ver: ProtocolV2, StmtID: 3},
+		{Op: OpClose, Ver: ProtocolV2, StmtID: 3},
+		{Op: OpExecuteDirect, Ver: ProtocolV2, SQL: "SELECT 2", MaxRows: 7},
+		{Op: OpExec, Ver: ProtocolV2, SQL: "INSERT INTO t VALUES (1)"},
 	}
-	done := make(chan error, 1)
-	go func() {
-		for _, want := range reqs {
-			got, err := server.ReadRequest()
-			if err != nil {
-				done <- err
-				return
-			}
-			if *got != *want {
-				t.Errorf("round trip: got %+v, want %+v", got, want)
-			}
-		}
-		done <- nil
-	}()
 	for _, req := range reqs {
-		if err := client.SendRequest(req); err != nil {
+		if err := c.SendRequest(req); err != nil {
 			t.Fatalf("send %v: %v", req.Op, err)
 		}
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	for _, want := range reqs {
+		got, err := c.ReadRequest()
+		if err != nil {
+			t.Fatalf("read %v: %v", want.Op, err)
+		}
+		if *got != *want {
+			t.Errorf("round trip: got %+v, want %+v", got, want)
+		}
 	}
 }
 
-// TestRowBatchResponseRoundTrip checks a streamed response frame with rows
+// TestFrameRowBatchRoundTrip checks a streamed response frame with rows
 // and the end-of-stream marker, including share values.
-func TestRowBatchResponseRoundTrip(t *testing.T) {
-	client, server, closeFn := pipeConns(t)
-	defer closeFn()
-
+func TestFrameRowBatchRoundTrip(t *testing.T) {
 	rows := []types.Row{
 		{types.NewInt(1), types.NewString("x"), types.NewShare(big.NewInt(123456789))},
 		{types.NewInt(2), types.Null, types.NewShare(new(big.Int).Lsh(big.NewInt(7), 200))},
 	}
 	want := &Response{
-		Ver:     ProtocolV1,
+		Ver:     ProtocolV2,
 		StmtID:  9,
 		Columns: []Column{{Name: "a", Kind: 1}, {Name: "b", Kind: 4}, {Name: "c", Kind: 6}},
 		Rows:    FromRows(rows),
 		EOS:     true,
 	}
-	done := make(chan *Response, 1)
-	errc := make(chan error, 1)
-	go func() {
-		got, err := client.ReadResponse()
-		if err != nil {
-			errc <- err
-			return
-		}
-		done <- got
-	}()
-	if err := server.SendResponse(want); err != nil {
+	var lb bytes.Buffer
+	c := NewConn(&lb)
+	if err := c.SendResponse(want); err != nil {
 		t.Fatal(err)
 	}
-	var got *Response
-	select {
-	case err := <-errc:
-		t.Fatal(err)
-	case got = <-done:
+	// The row block is the codec's block form, byte for byte.
+	block, _ := types.AppendRows(nil, rows)
+	if !bytes.HasSuffix(lb.Bytes(), block) {
+		t.Fatalf("frame does not end in the codec's row block:\n %x\n %x", lb.Bytes(), block)
 	}
-	if got.Ver != want.Ver || got.StmtID != want.StmtID || !got.EOS {
+	got, err := c.ReadResponse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Ver != want.Ver || got.StmtID != want.StmtID || !got.EOS || got.Err != "" || len(got.Columns) != 3 || got.Columns[2] != want.Columns[2] {
 		t.Fatalf("header mismatch: %+v", got)
 	}
 	back := ToRows(got.Rows)
@@ -104,59 +81,6 @@ func TestRowBatchResponseRoundTrip(t *testing.T) {
 				t.Fatalf("row %d col %d: %v != %v", r, c, back[r][c], rows[r][c])
 			}
 		}
-	}
-}
-
-// legacyRequest is the v0 frame shape: SQL only. Encoding it and decoding
-// into the current Request must yield Op == OpExec — the compatibility
-// contract that keeps old proxies working against new servers.
-type legacyRequest struct {
-	SQL string
-}
-
-func TestLegacyRequestDecodes(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&legacyRequest{SQL: "SELECT 1"}); err != nil {
-		t.Fatal(err)
-	}
-	var req Request
-	if err := gob.NewDecoder(&buf).Decode(&req); err != nil {
-		t.Fatalf("decode legacy frame: %v", err)
-	}
-	if req.Op != OpExec || req.Ver != ProtocolV0 || req.SQL != "SELECT 1" {
-		t.Fatalf("legacy frame decoded as %+v", req)
-	}
-}
-
-// legacyResponse is the v0 response shape; a v1 response must decode into
-// it (extra fields ignored), keeping new servers compatible with old
-// proxies on the single-shot path.
-type legacyResponse struct {
-	Err     string
-	Columns []Column
-	Rows    [][]Value
-}
-
-func TestV1ResponseDecodesAsLegacy(t *testing.T) {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(&Response{
-		Ver:     ProtocolV1,
-		StmtID:  4,
-		EOS:     true,
-		Columns: []Column{{Name: "a", Kind: 1}},
-		Rows:    [][]Value{{{K: 1, I: 42}}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	bw.Flush()
-	var legacy legacyResponse
-	if err := gob.NewDecoder(&buf).Decode(&legacy); err != nil {
-		t.Fatalf("legacy decode of v1 response: %v", err)
-	}
-	if len(legacy.Rows) != 1 || legacy.Rows[0][0].I != 42 {
-		t.Fatalf("legacy view lost data: %+v", legacy)
 	}
 }
 
@@ -174,45 +98,74 @@ func TestOpStrings(t *testing.T) {
 	}
 }
 
-// TestMaxFrameRejectsOversize encodes one frame far past the limit and
-// checks the reader refuses it with ErrFrameTooLarge instead of buffering
-// the whole thing — the OOM guard for a hostile or broken peer. A second
-// conn with the limit disabled reads the same bytes fine, proving the
-// rejection comes from the limiter rather than the payload.
-func TestMaxFrameRejectsOversize(t *testing.T) {
-	var buf bytes.Buffer
-	sender := NewConn(&buf)
-	big := &Request{SQL: string(bytes.Repeat([]byte("x"), 1<<20))}
-	if err := sender.SendRequest(big); err != nil {
-		t.Fatal(err)
-	}
-	raw := append([]byte(nil), buf.Bytes()...)
+// headerOnly serves a frame header and fails the test if the reader asks
+// for a single payload byte.
+type headerOnly struct {
+	t   *testing.T
+	hdr []byte
+}
 
-	limited := NewConnMaxFrame(readWriter{bytes.NewReader(raw), io.Discard}, 64<<10)
-	if _, err := limited.ReadRequest(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversize frame: got %v, want ErrFrameTooLarge", err)
+func (h *headerOnly) Read(p []byte) (int, error) {
+	if len(h.hdr) == 0 {
+		h.t.Error("reader went past the header of a frame it must refuse")
+		return 0, io.EOF
+	}
+	n := copy(p, h.hdr)
+	h.hdr = h.hdr[n:]
+	return n, nil
+}
+
+func (h *headerOnly) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestFrameCapExact: the cap counts payload bytes, is checked on the
+// header, and is exact — a frame of exactly the cap passes, one byte more
+// is ErrFrameTooLarge before any of its payload is read.
+func TestFrameCapExact(t *testing.T) {
+	const limit = 64 << 10
+	var lb bytes.Buffer
+	sender := NewConn(&lb)
+	frame := func(payload int) []byte {
+		lb.Reset()
+		// ver + stmt id + max rows are one byte each, the SQL length three.
+		if err := sender.SendRequest(&Request{Op: OpPrepare, SQL: strings.Repeat("x", payload-6)}); err != nil {
+			t.Fatal(err)
+		}
+		raw := bytes.Clone(lb.Bytes())
+		if got := int(binary.BigEndian.Uint32(raw)); got != payload || len(raw) != headerLen+payload {
+			t.Fatalf("built a %d-byte payload (frame %d), want %d", got, len(raw), payload)
+		}
+		return raw
 	}
 
-	open := NewConn(readWriter{bytes.NewReader(raw), io.Discard})
-	got, err := open.ReadRequest()
-	if err != nil || len(got.SQL) != 1<<20 {
-		t.Fatalf("unlimited read of the same bytes failed: %v", err)
+	at := NewConnMaxFrame(bytes.NewBuffer(frame(limit)), limit)
+	if req, err := at.ReadRequest(); err != nil || len(req.SQL) != limit-6 {
+		t.Fatalf("frame of exactly the cap: %v", err)
+	}
+
+	over := frame(limit + 1)
+	refused := NewConnMaxFrame(&headerOnly{t: t, hdr: over[:headerLen]}, limit)
+	if _, err := refused.ReadRequest(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("cap + 1: got %v, want ErrFrameTooLarge", err)
+	}
+	// The same bytes read fine without a cap: the refusal is the limiter's.
+	open := NewConn(bytes.NewBuffer(over))
+	if req, err := open.ReadRequest(); err != nil || len(req.SQL) != limit-5 {
+		t.Fatalf("uncapped read of the same frame: %v", err)
 	}
 }
 
-// TestMaxFrameAllowsNormalTraffic runs a multi-frame exchange under a
-// modest limit: the per-frame allowance must reset between frames, so a
-// long-lived session never trips on cumulative volume.
-func TestMaxFrameAllowsNormalTraffic(t *testing.T) {
-	var buf bytes.Buffer
-	sender := NewConn(&buf)
-	payload := string(bytes.Repeat([]byte("y"), 24<<10))
+// TestFrameCapResetsPerFrame runs a multi-frame exchange under a modest
+// cap: it bounds each frame, not the session's cumulative volume.
+func TestFrameCapResetsPerFrame(t *testing.T) {
+	var lb bytes.Buffer
+	sender := NewConn(&lb)
+	payload := strings.Repeat("y", 24<<10)
 	for i := 0; i < 20; i++ { // 20 × 24 KiB ≫ the 64 KiB per-frame cap
 		if err := sender.SendRequest(&Request{Op: OpPrepare, Ver: ProtocolV2, SQL: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	limited := NewConnMaxFrame(readWriter{bytes.NewReader(buf.Bytes()), io.Discard}, 64<<10)
+	limited := NewConnMaxFrame(&lb, 64<<10)
 	for i := 0; i < 20; i++ {
 		got, err := limited.ReadRequest()
 		if err != nil {
@@ -224,15 +177,98 @@ func TestMaxFrameAllowsNormalTraffic(t *testing.T) {
 	}
 }
 
-// TestReadRequestEOF pins clean stream termination.
-func TestReadRequestEOF(t *testing.T) {
-	c := NewConn(readWriter{bytes.NewReader(nil), io.Discard})
-	if _, err := c.ReadRequest(); err != io.EOF {
-		t.Fatalf("got %v, want io.EOF", err)
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFrameLyingPrefix: an uncapped reader (the proxy's side: the SP is
+// not trusted) given a header that promises 4 GiB and a peer that then
+// delivers little or nothing allocates in proportion to what arrived, and
+// reports the truncation.
+func TestFrameLyingPrefix(t *testing.T) {
+	for _, delivered := range []int{0, 100, 300 << 10} {
+		raw := append([]byte{0xff, 0xff, 0xff, 0xff, kindResponse}, make([]byte, delivered)...)
+		c := NewConn(bytes.NewBuffer(raw))
+		var err error
+		got := allocated(func() { _, err = c.ReadResponse() })
+		if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+			t.Fatalf("%d bytes delivered of 4 GiB: err = %v, want a truncation", delivered, err)
+		}
+		// The buffer doubles: at most twice what arrived plus a chunk is
+		// live, and the discarded smaller buffers sum to as much again.
+		if limit := uint64(4*delivered + 4*readChunk); got > limit {
+			t.Errorf("%d bytes delivered of a promised 4 GiB: allocated %d, want <= %d", delivered, got, limit)
+		}
 	}
 }
 
-type readWriter struct {
-	io.Reader
-	io.Writer
+// TestHelloRefusals: the frame that opens a connection must be this
+// protocol's hello. A gob stream (what wire v0/v1 peers sent), a wrong
+// magic, another version or a well-formed non-hello request are all
+// ErrProtocol, decided on the header where the header already tells.
+func TestHelloRefusals(t *testing.T) {
+	var gobStream bytes.Buffer
+	if err := gob.NewEncoder(&gobStream).Encode(&Request{Op: OpHello, Ver: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var prepare bytes.Buffer
+	NewConn(&prepare).SendRequest(&Request{Op: OpPrepare, Ver: ProtocolV2, SQL: "SELECT 1"})
+	for name, raw := range map[string][]byte{
+		"gob peer":      gobStream.Bytes(),
+		"wrong magic":   append([]byte{0, 0, 0, 5, byte(OpHello)}, "SDBX\x02"...),
+		"wrong version": append([]byte{0, 0, 0, 5, byte(OpHello)}, "SDBW\x01"...),
+		"long hello":    append([]byte{0, 0, 0, 6, byte(OpHello)}, "SDBW\x02\x00"...),
+		"not a hello":   prepare.Bytes(),
+	} {
+		c := NewConn(bytes.NewBuffer(raw))
+		if _, err := c.ReadHello(); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: ReadHello = %v, want ErrProtocol", name, err)
+		}
+	}
+	var lb bytes.Buffer
+	c := NewConn(&lb)
+	if err := c.SendRequest(&Request{Op: OpHello, Ver: ProtocolV2}); err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte{0, 0, 0, 5, byte(OpHello)}, "SDBW\x02"...); !bytes.Equal(lb.Bytes(), want) {
+		t.Fatalf("hello frame is % x, want % x", lb.Bytes(), want)
+	}
+	if req, err := c.ReadHello(); err != nil || req.Op != OpHello || req.Ver != ProtocolV2 {
+		t.Fatalf("well-formed hello: %+v, %v", req, err)
+	}
+}
+
+// TestFrameMalformedPayloads: payloads that do not parse to exactly one
+// frame are ErrProtocol, whichever side reads them.
+func TestFrameMalformedPayloads(t *testing.T) {
+	frame := func(kind byte, payload ...byte) *Conn {
+		raw := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		return NewConn(bytes.NewBuffer(append(append(raw, kind), payload...)))
+	}
+	for name, c := range map[string]*Conn{
+		"unknown request kind": frame(0x7f, 2, 0, 0, 0),
+		"request cut short":    frame(byte(OpPrepare), 2, 0),
+		"sql longer than left": frame(byte(OpPrepare), 2, 0, 0, 200, 'x'),
+		"trailing bytes":       frame(byte(OpPrepare), 2, 0, 0, 1, 'x', 'y'),
+	} {
+		if _, err := c.ReadRequest(); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: ReadRequest = %v, want ErrProtocol", name, err)
+		}
+	}
+	for name, c := range map[string]*Conn{
+		"request kind":            frame(byte(OpFetch), 2, 0, 0, 0, 0, 0),
+		"columns beyond payload":  frame(kindResponse, 2, 0, 0, 0, 0xff, 0xff, 0x03),
+		"rows beyond payload":     frame(kindResponse, 2, 0, 0, 0, 0, 0xff, 0xff, 0x03),
+		"unknown value kind":      frame(kindResponse, 2, 0, 0, 0, 0, 1, 1, 0x63),
+		"share longer than frame": frame(kindResponse, 2, 0, 0, 0, 0, 1, 1, 6, 0xff, 0x7f, 1),
+	} {
+		if _, err := c.ReadResponse(); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: ReadResponse = %v, want ErrProtocol", name, err)
+		}
+	}
 }

@@ -1,64 +1,59 @@
 // Package wire defines the SQL-over-TCP protocol between the SDB proxy
 // (machine MDO in the demo) and the service provider's engine (machine
 // MSP). Requests carry rewritten SQL text; responses carry encrypted
-// result tables. Encoding is gob with big.Ints serialised as bytes.
+// result tables.
 //
-// Three protocol versions share the frame types. Version 0 is the
-// original single-shot exchange: a Request carrying only SQL, answered by
-// one Response carrying the whole result. Version 1 adds sessions and
-// streaming: OpHello negotiates the version, OpPrepare registers a
-// statement, OpExecute starts a cursor and returns the first RowBatch
-// frame (a Response with Rows plus an EOS end-of-stream marker), OpFetch
-// pulls subsequent batches, and OpClose frees the statement. Version 2
-// adds the fused one-shot, OpExecuteDirect: prepare + execute + first
-// batch in a single round trip, with the server auto-closing the
-// statement when the stream ends — so a one-shot remote statement costs
-// one round trip instead of Prepare/Execute/Close's three. Because gob
-// omits zero-valued fields and ignores unknown ones, a v0 Request decodes
-// on a v1+ server as Op == OpExec, and a v1 Hello decodes on a v0 server
-// as an (erroring) single-shot — which the dialer detects and treats as
-// "legacy server", falling back to v0 framing. A v2 client on a v1
-// server is downgraded by the Hello answer and simply never sends the
-// fused op.
+// A frame is a five-byte header — the payload length as a big-endian
+// uint32, then one kind byte (the Op of a request, kindResponse for a
+// response) — followed by a hand-written payload whose values and rows
+// are the bytes of the value codec in internal/types, the same ones run
+// files, WAL records and snapshots hold. There is one framing and one
+// version: a connection opens with OpHello carrying Magic and ProtocolV2,
+// and a peer that opens with anything else is answered with one error
+// frame and dropped. After the hello, OpPrepare registers a statement,
+// OpExecute starts a cursor and returns the first row batch (a Response
+// with Rows plus the EOS end-of-stream marker), OpFetch pulls subsequent
+// batches, OpReset abandons a cursor, OpClose frees the statement;
+// OpExecuteDirect fuses prepare + execute + first batch into one round
+// trip with the server freeing the statement when the stream ends, and
+// OpExec is the single-shot write path (whole result in one frame).
 //
 // In the stack (docs/architecture.md) this layer sits between the
 // proxy's rewrite and the server's sessions: everything that crosses it
 // is already rewritten SQL, shares and tokens — never plaintext
-// sensitive data or key material. Frame layout and the session
-// lifecycle are documented in docs/api.md.
+// sensitive data or key material. Neither side trusts the other's
+// frames: lengths and counts are validated against the bytes that have
+// actually arrived before anything is allocated from them. The byte
+// layout and the session lifecycle are documented in docs/api.md.
 package wire
 
 import (
 	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
+	"math"
 
 	"sdb/internal/engine"
 	"sdb/internal/types"
 )
 
-// Protocol versions. ProtocolV1 adds sessions, prepared statements and
-// chunked row streaming; ProtocolV2 adds the fused one-shot
-// OpExecuteDirect.
-const (
-	ProtocolV0 uint8 = 0
-	ProtocolV1 uint8 = 1
-	ProtocolV2 uint8 = 2
-)
+// ProtocolV2 is the protocol version, carried by the hello and echoed on
+// every frame. (Versions 0 and 1 were gob framings; nothing speaks them.)
+const ProtocolV2 uint8 = 2
 
-// Op selects the request type. The zero value is the legacy single-shot
-// execute so v0 frames decode unchanged.
+// Magic opens the payload of an OpHello frame, ahead of the version byte.
+const Magic = "SDBW"
+
+// Op selects the request type; it is the kind byte of a request frame.
 type Op uint8
 
 const (
-	// OpExec is the v0 single-shot: execute SQL, answer with the whole
+	// OpExec is the single-shot: execute SQL, answer with the whole
 	// result in one Response.
 	OpExec Op = iota
-	// OpHello negotiates the protocol version; the response carries the
-	// highest version the server speaks.
+	// OpHello opens a connection; the response echoes the version.
 	OpHello
 	// OpPrepare parses SQL into a session statement; the response carries
 	// the statement id.
@@ -73,7 +68,7 @@ const (
 	// OpReset closes a statement's open cursor (abandoning the stream)
 	// while keeping the statement prepared for re-execution.
 	OpReset
-	// OpExecuteDirect (v2) fuses prepare + execute + first batch into one
+	// OpExecuteDirect fuses prepare + execute + first batch into one
 	// frame. If the first batch carries EOS (or an error) the statement is
 	// already gone server-side and the response's StmtID is zero; otherwise
 	// the statement id addresses OpFetch, and the server auto-closes the
@@ -81,36 +76,20 @@ const (
 	OpExecuteDirect
 )
 
+var opNames = [...]string{"Exec", "Hello", "Prepare", "Execute", "Fetch", "Close", "Reset", "ExecuteDirect"}
+
 func (o Op) String() string {
-	switch o {
-	case OpExec:
-		return "Exec"
-	case OpHello:
-		return "Hello"
-	case OpPrepare:
-		return "Prepare"
-	case OpExecute:
-		return "Execute"
-	case OpFetch:
-		return "Fetch"
-	case OpClose:
-		return "Close"
-	case OpReset:
-		return "Reset"
-	case OpExecuteDirect:
-		return "ExecuteDirect"
-	default:
-		return fmt.Sprintf("Op(%d)", uint8(o))
+	if int(o) < len(opNames) {
+		return opNames[o]
 	}
+	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// Request is one client frame. Only SQL is set in v0; v1 frames add the
-// op code, negotiated version and statement addressing.
+// Request is one client frame.
 type Request struct {
 	SQL string
-	// Op is the v1 request type; zero (OpExec) on legacy frames.
-	Op Op
-	// Ver is the protocol version the client speaks (OpHello) or assumes.
+	Op  Op
+	// Ver is the protocol version the client speaks.
 	Ver uint8
 	// StmtID addresses a prepared statement (OpExecute/OpFetch/OpClose).
 	StmtID uint64
@@ -118,24 +97,16 @@ type Request struct {
 	MaxRows int
 }
 
-// Value is the wire form of types.Value (big.Int flattened to bytes).
-type Value struct {
-	K     uint8
-	I     int64
-	S     string
-	B     []byte
-	BNeg  bool
-	IsSet bool // distinguishes a zero big.Int from absent
-}
-
-// Response is one server frame: the whole result (v0), or a negotiated
-// version (OpHello), a statement id (OpPrepare), or one RowBatch of an
-// open cursor (OpExecute/OpFetch) whose last frame carries EOS.
+// Response is one server frame: a whole result (OpExec), the version
+// (OpHello), a statement id (OpPrepare), or one row batch of an open
+// cursor (OpExecute/OpFetch/OpExecuteDirect) whose last frame carries
+// EOS. Rows read off a connection share per-batch backing storage
+// (types.Decoder.Rows); they belong to the caller.
 type Response struct {
 	Err     string
 	Columns []Column
-	Rows    [][]Value
-	// Ver echoes the server's protocol version on v1 frames.
+	Rows    []types.Row
+	// Ver is the server's protocol version.
 	Ver uint8
 	// StmtID echoes the addressed statement (OpPrepare assigns it).
 	StmtID uint64
@@ -143,214 +114,218 @@ type Response struct {
 	EOS bool
 }
 
-// Column mirrors engine.ResultColumn.
-type Column struct {
-	Name string
-	Kind uint8
-}
+// Column is a result column descriptor, as the engine names it.
+type Column = engine.ResultColumn
 
-// FromValue converts an engine value to its wire form.
-func FromValue(v types.Value) Value {
-	w := Value{K: uint8(v.K), I: v.I, S: v.S}
-	if v.B != nil {
-		w.B = v.B.Bytes()
-		w.BNeg = v.B.Sign() < 0
-		w.IsSet = true
-	}
-	return w
-}
+// FromColumns, FromRows and ToRows name the points where a result enters
+// and leaves a Response. Results travel as the engine's own columns and
+// rows — SendResponse encodes them straight into the frame, ReadResponse
+// decodes them straight out of it — so all three are the identity; the
+// benchmark's wire probe (bench/layers.go) is written against them.
+func FromColumns(cols []engine.ResultColumn) []Column { return cols }
+func FromRows(rows []types.Row) []types.Row           { return rows }
+func ToRows(rows []types.Row) []types.Row             { return rows }
 
-// ToValue converts back to an engine value.
-func ToValue(w Value) types.Value {
-	v := types.Value{K: types.Kind(w.K), I: w.I, S: w.S}
-	if w.IsSet {
-		v.B = new(big.Int).SetBytes(w.B)
-		if w.BNeg {
-			v.B.Neg(v.B)
-		}
-	}
-	return v
-}
-
-// FromColumns converts engine column descriptors to their wire form.
-func FromColumns(cols []engine.ResultColumn) []Column {
-	out := make([]Column, len(cols))
-	for i, c := range cols {
-		out[i] = Column{Name: c.Name, Kind: uint8(c.Kind)}
-	}
-	return out
-}
-
-// ToColumns converts wire columns back to engine descriptors.
-func ToColumns(cols []Column) []engine.ResultColumn {
-	out := make([]engine.ResultColumn, len(cols))
-	for i, c := range cols {
-		out[i] = engine.ResultColumn{Name: c.Name, Kind: types.Kind(c.Kind)}
-	}
-	return out
-}
-
-// FromRows converts a batch of engine rows to the wire form.
-func FromRows(rows []types.Row) [][]Value {
-	out := make([][]Value, len(rows))
-	for r, row := range rows {
-		wr := make([]Value, len(row))
-		for i, v := range row {
-			wr[i] = FromValue(v)
-		}
-		out[r] = wr
-	}
-	return out
-}
-
-// ToRows converts a wire batch back to engine rows.
-func ToRows(rows [][]Value) []types.Row {
-	out := make([]types.Row, len(rows))
-	for r, wr := range rows {
-		row := make(types.Row, len(wr))
-		for i, w := range wr {
-			row[i] = ToValue(w)
-		}
-		out[r] = row
-	}
-	return out
-}
-
-// FromResult converts an engine result for the wire.
-func FromResult(r *engine.Result) *Response {
-	resp := &Response{}
-	if len(r.Columns) > 0 {
-		resp.Columns = FromColumns(r.Columns)
-	}
-	if len(r.Rows) > 0 {
-		resp.Rows = FromRows(r.Rows)
-	}
-	return resp
-}
-
-// ToResult converts a response back into an engine result.
-func ToResult(resp *Response) *engine.Result {
-	r := &engine.Result{}
-	if len(resp.Columns) > 0 {
-		r.Columns = ToColumns(resp.Columns)
-	}
-	if len(resp.Rows) > 0 {
-		r.Rows = ToRows(resp.Rows)
-	}
-	return r
-}
-
-// ErrFrameTooLarge reports an incoming frame that exceeded the
-// connection's frame-size limit. The gob stream is unrecoverable past
-// this point (the decoder's state is mid-frame); the connection must be
-// dropped.
+// ErrFrameTooLarge reports an incoming frame whose header announces a
+// payload beyond the connection's cap. The payload has not been read, so
+// the stream is mid-frame: the connection must be dropped.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
-// limitedReader meters bytes flowing into the gob decoder. The allowance
-// is reset before each frame; hitting zero trips the reader, which then
-// refuses further reads with ErrFrameTooLarge. Unlike io.LimitedReader it
-// returns a distinguishable error (not io.EOF) and is reusable across
-// frames.
-type limitedReader struct {
-	r       io.Reader
-	n       int64 // bytes remaining in the current frame's allowance
-	max     int64 // allowance restored by reset; <= 0 disables metering
-	tripped bool
-}
+// ErrProtocol reports a frame that is not this protocol's: a connection
+// that does not open with the hello, an unknown frame kind, or a payload
+// that does not parse. The connection must be dropped.
+var ErrProtocol = errors.New("wire: not SDB wire protocol v2")
 
-func (l *limitedReader) Read(p []byte) (int, error) {
-	if l.max <= 0 {
-		return l.r.Read(p)
-	}
-	if l.n <= 0 {
-		l.tripped = true
-		return 0, ErrFrameTooLarge
-	}
-	if int64(len(p)) > l.n {
-		p = p[:l.n]
-	}
-	n, err := l.r.Read(p)
-	l.n -= int64(n)
-	return n, err
-}
+const (
+	headerLen         = 5
+	kindResponse byte = 0x80
+	flagEOS      byte = 1
+	helloLen          = len(Magic) + 1
+	// readChunk is the least a frame read grows its buffer by.
+	readChunk = 64 << 10
+	// maxRetain is the largest frame buffer a connection keeps between
+	// frames, so one INSERT upload does not pin its size for the session.
+	maxRetain = 1 << 20
+)
 
-func (l *limitedReader) reset() {
-	l.n = l.max
-	l.tripped = false
-}
-
-// Conn frames requests/responses over a stream.
+// Conn frames requests/responses over a stream. Reads and writes are
+// independent, but each direction carries one frame at a time.
 type Conn struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-	bw  *bufio.Writer
-	lim *limitedReader
+	br       *bufio.Reader
+	w        io.Writer
+	maxFrame int
+	hdr      [headerLen]byte
+	rbuf     []byte // payload of the frame being read; reused
+	wbuf     []byte // frame being written; reused
 }
 
 // NewConn wraps a stream with no frame-size limit.
-func NewConn(rw io.ReadWriter) *Conn {
-	return NewConnMaxFrame(rw, 0)
+func NewConn(rw io.ReadWriter) *Conn { return NewConnMaxFrame(rw, 0) }
+
+// NewConnMaxFrame wraps a stream and caps the payload of each incoming
+// frame at maxFrame bytes (0 = unlimited). The cap is exact and checked
+// on the header, before a payload byte is read: a frame of maxFrame bytes
+// passes, maxFrame + 1 is ErrFrameTooLarge. With or without a cap the
+// reader never allocates from the length prefix alone — the buffer grows
+// as bytes arrive, to at most twice what has been received plus one
+// readChunk.
+func NewConnMaxFrame(rw io.ReadWriter, maxFrame int) *Conn {
+	return &Conn{br: bufio.NewReader(rw), w: rw, maxFrame: maxFrame}
 }
 
-// NewConnMaxFrame wraps a stream and caps each incoming frame at roughly
-// maxFrame bytes (0 = unlimited): the read allowance is reset before
-// every decode, so one oversized frame cannot stream unbounded data into
-// the process. The cap is approximate — a buffered read may pre-fetch a
-// few KiB of the next frame against the current allowance, and a frame
-// whose gob length prefix lies about its size still costs gob's own
-// message-size bound transiently — so choose limits well above the
-// buffer granularity (≥ 64 KiB). A tripped limit poisons the gob stream;
-// the caller must drop the connection after ErrFrameTooLarge.
-func NewConnMaxFrame(rw io.ReadWriter, maxFrame int) *Conn {
-	bw := bufio.NewWriter(rw)
-	lim := &limitedReader{r: rw, max: int64(maxFrame)}
-	lim.reset()
-	return &Conn{
-		enc: gob.NewEncoder(bw),
-		dec: gob.NewDecoder(bufio.NewReader(lim)),
-		bw:  bw,
-		lim: lim,
+// send fills in the header of the frame built in buf and writes it out
+// in one Write.
+func (c *Conn) send(buf []byte, err error) error {
+	if err != nil {
+		return fmt.Errorf("wire: encode frame: %w", err)
 	}
+	if uint64(len(buf)-headerLen) > math.MaxUint32 {
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-headerLen))
+	if c.wbuf = buf[:0]; cap(buf) > maxRetain {
+		c.wbuf = nil
+	}
+	_, err = c.w.Write(buf)
+	return err
+}
+
+// frame starts a frame of the given kind in the reused write buffer.
+func (c *Conn) frame(kind byte) []byte {
+	return append(c.wbuf[:0], 0, 0, 0, 0, kind)
+}
+
+// readFrame reads one frame and returns its kind and payload; the payload
+// is valid until the next read. io.EOF at a frame boundary is returned
+// verbatim (the peer hung up cleanly). When hello is set the header must
+// be a hello's, so a foreign protocol's first bytes — which read as some
+// length and kind — are refused without waiting for a payload that will
+// never come.
+func (c *Conn) readFrame(hello bool) (byte, []byte, error) {
+	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("wire: truncated frame header: %w", err)
+		}
+		return 0, nil, err
+	}
+	n, kind := int(binary.BigEndian.Uint32(c.hdr[:])), c.hdr[4]
+	if hello && (kind != byte(OpHello) || n != helloLen) {
+		return 0, nil, fmt.Errorf("%w: connection did not open with a hello", ErrProtocol)
+	}
+	if c.maxFrame > 0 && n > c.maxFrame {
+		return 0, nil, ErrFrameTooLarge
+	}
+	buf := c.rbuf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			// Grow by what has arrived (at least one chunk), never by
+			// what the prefix promises.
+			grown := min(n, cap(buf)+max(cap(buf), readChunk))
+			buf = append(make([]byte, 0, grown), buf...)
+		}
+		m, err := io.ReadFull(c.br, buf[len(buf):min(n, cap(buf))])
+		if buf = buf[:len(buf)+m]; err != nil {
+			return 0, nil, fmt.Errorf("wire: truncated frame (%d of %d payload bytes): %w", len(buf), n, err)
+		}
+	}
+	if c.rbuf = buf; cap(buf) > maxRetain {
+		c.rbuf = nil
+	}
+	return kind, buf, nil
 }
 
 // SendRequest writes one request.
 func (c *Conn) SendRequest(req *Request) error {
-	if err := c.enc.Encode(req); err != nil {
-		return fmt.Errorf("wire: encode request: %w", err)
+	buf := c.frame(byte(req.Op))
+	if req.Op == OpHello {
+		return c.send(append(append(buf, Magic...), req.Ver), nil)
 	}
-	return c.bw.Flush()
+	buf = append(buf, req.Ver)
+	buf = binary.AppendUvarint(buf, req.StmtID)
+	buf = binary.AppendUvarint(buf, uint64(max(req.MaxRows, 0)))
+	return c.send(types.AppendString(buf, req.SQL), nil)
 }
 
 // ReadRequest reads one request.
-func (c *Conn) ReadRequest() (*Request, error) {
-	c.lim.reset()
-	var req Request
-	if err := c.dec.Decode(&req); err != nil {
-		if c.lim.tripped {
-			return nil, ErrFrameTooLarge
-		}
+func (c *Conn) ReadRequest() (*Request, error) { return c.readRequest(false) }
+
+// ReadHello reads the request that must open a connection: anything but
+// a well-formed hello of this version is ErrProtocol.
+func (c *Conn) ReadHello() (*Request, error) { return c.readRequest(true) }
+
+func (c *Conn) readRequest(hello bool) (*Request, error) {
+	kind, p, err := c.readFrame(hello)
+	if err != nil {
 		return nil, err
 	}
-	return &req, nil
+	req := &Request{Op: Op(kind)}
+	switch {
+	case int(kind) >= len(opNames):
+		return nil, fmt.Errorf("%w: unknown request kind %#x", ErrProtocol, kind)
+	case req.Op == OpHello:
+		if len(p) != helloLen || string(p[:len(Magic)]) != Magic || p[len(Magic)] != ProtocolV2 {
+			return nil, fmt.Errorf("%w: bad hello % x", ErrProtocol, p[:min(len(p), 2*helloLen)])
+		}
+		req.Ver = ProtocolV2
+		return req, nil
+	}
+	d := types.Decoder{B: p}
+	req.Ver = d.Byte()
+	req.StmtID = d.Uvarint()
+	req.MaxRows = int(min(d.Uvarint(), math.MaxInt32))
+	req.SQL = d.Str()
+	return req, finish(&d)
 }
 
 // SendResponse writes one response.
 func (c *Conn) SendResponse(resp *Response) error {
-	if err := c.enc.Encode(resp); err != nil {
-		return fmt.Errorf("wire: encode response: %w", err)
+	var flags byte
+	if resp.EOS {
+		flags |= flagEOS
 	}
-	return c.bw.Flush()
+	buf := append(c.frame(kindResponse), resp.Ver, flags)
+	buf = binary.AppendUvarint(buf, resp.StmtID)
+	buf = types.AppendString(buf, resp.Err)
+	buf = binary.AppendUvarint(buf, uint64(len(resp.Columns)))
+	for _, col := range resp.Columns {
+		buf = append(types.AppendString(buf, col.Name), byte(col.Kind))
+	}
+	return c.send(types.AppendRows(buf, resp.Rows))
 }
 
 // ReadResponse reads one response.
 func (c *Conn) ReadResponse() (*Response, error) {
-	c.lim.reset()
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		if c.lim.tripped {
-			return nil, ErrFrameTooLarge
-		}
+	kind, p, err := c.readFrame(false)
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	if kind != kindResponse {
+		return nil, fmt.Errorf("%w: unknown response kind %#x", ErrProtocol, kind)
+	}
+	d := types.Decoder{B: p}
+	resp := &Response{Ver: d.Byte()}
+	resp.EOS = d.Byte()&flagEOS != 0
+	resp.StmtID = d.Uvarint()
+	resp.Err = d.Str()
+	if n := d.Count("column count"); n > 0 {
+		resp.Columns = make([]Column, n)
+		for i := range resp.Columns {
+			resp.Columns[i] = Column{Name: d.Str(), Kind: types.Kind(d.Byte())}
+		}
+	}
+	resp.Rows = d.Rows()
+	return resp, finish(&d)
+}
+
+// finish gives a fully decoded payload its verdict: the decoder's first
+// error (ErrShort is a truncated payload here — the frame is complete),
+// or bytes left over after the last field.
+func finish(d *types.Decoder) error {
+	if d.Err != nil {
+		return fmt.Errorf("%w: %v", ErrProtocol, d.Err)
+	}
+	if len(d.B) > 0 {
+		return fmt.Errorf("%w: %d trailing payload bytes", ErrProtocol, len(d.B))
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/big"
 	"net"
@@ -11,50 +12,33 @@ import (
 	"sdb/internal/types"
 )
 
-func TestValueRoundTrip(t *testing.T) {
-	vals := []types.Value{
-		types.Null,
-		types.NewInt(-42),
-		types.NewDecimal(1234),
-		types.NewDate(10000),
-		types.NewString("hello 世界"),
-		types.NewBool(true),
-		types.NewShare(big.NewInt(0xDEADBEEF)),
-		types.NewShare(new(big.Int).Neg(big.NewInt(7))),
-		types.NewShare(new(big.Int)), // zero share must survive
-	}
-	for _, v := range vals {
-		got := ToValue(FromValue(v))
-		if !got.Equal(v) {
-			t.Errorf("round trip %v -> %v", v, got)
-		}
-	}
-}
-
 func TestResultRoundTrip(t *testing.T) {
 	res := &engine.Result{
 		Columns: []engine.ResultColumn{{Name: "a", Kind: types.KindInt}, {Name: "e", Kind: types.KindShare}},
 		Rows: []types.Row{
 			{types.NewInt(1), types.NewShare(big.NewInt(999))},
-			{types.Null, types.NewShare(big.NewInt(1))},
+			{types.Null, types.NewShare(new(big.Int))}, // zero share must survive
 		},
 	}
-	got := ToResult(FromResult(res))
-	if len(got.Columns) != 2 || got.Columns[1].Kind != types.KindShare {
-		t.Fatalf("columns: %+v", got.Columns)
+	c := NewConn(new(bytes.Buffer))
+	if err := c.SendResponse(&Response{Columns: FromColumns(res.Columns), Rows: FromRows(res.Rows)}); err != nil {
+		t.Fatal(err)
 	}
+	resp, err := c.ReadResponse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Columns) != 2 || resp.Columns[1] != res.Columns[1] {
+		t.Fatalf("columns: %+v", resp.Columns)
+	}
+	got := ToRows(resp.Rows)
 	for i := range res.Rows {
 		for c := range res.Rows[i] {
-			if !got.Rows[i][c].Equal(res.Rows[i][c]) {
-				t.Errorf("cell %d/%d: %v vs %v", i, c, got.Rows[i][c], res.Rows[i][c])
+			if !got[i][c].Equal(res.Rows[i][c]) {
+				t.Errorf("cell %d/%d: %v vs %v", i, c, got[i][c], res.Rows[i][c])
 			}
 		}
 	}
-}
-
-type pipeRW struct {
-	io.Reader
-	io.Writer
 }
 
 func TestConnFraming(t *testing.T) {
@@ -92,17 +76,32 @@ func TestConnFraming(t *testing.T) {
 	}
 }
 
-func TestConnBufferedWriter(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewConn(&pipeRW{Reader: &buf, Writer: &buf})
-	if err := c.SendRequest(&Request{SQL: "x"}); err != nil {
+// TestFrameRefusesNegativeShare: the wire is the third path of the one
+// codec, and like run files and WAL records it refuses a negative share
+// instead of sending its magnitude. The refused frame leaves nothing on
+// the stream and the connection stays usable.
+func TestFrameRefusesNegativeShare(t *testing.T) {
+	var lb bytes.Buffer
+	c := NewConn(&lb)
+	bad := &Response{Rows: []types.Row{{types.NewInt(1), types.NewShare(big.NewInt(-3))}}}
+	if err := c.SendResponse(bad); !errors.Is(err, types.ErrNegativeShare) {
+		t.Fatalf("SendResponse with a negative share: %v, want ErrNegativeShare", err)
+	}
+	if lb.Len() != 0 {
+		t.Fatalf("refused frame left %d bytes on the stream", lb.Len())
+	}
+	if err := c.SendResponse(&Response{Err: "next"}); err != nil {
 		t.Fatal(err)
 	}
-	req, err := c.ReadRequest()
-	if err != nil {
-		t.Fatal(err)
+	if resp, err := c.ReadResponse(); err != nil || resp.Err != "next" {
+		t.Fatalf("frame after the refused one: %+v, %v", resp, err)
 	}
-	if req.SQL != "x" {
-		t.Errorf("got %q", req.SQL)
+}
+
+// TestReadRequestEOF pins clean stream termination.
+func TestReadRequestEOF(t *testing.T) {
+	c := NewConn(new(bytes.Buffer))
+	if _, err := c.ReadRequest(); err != io.EOF {
+		t.Fatalf("got %v, want io.EOF", err)
 	}
 }

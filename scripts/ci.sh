@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: docs link check, static checks, the full test suite, the race
+# CI gate: docs link check, static checks (gofmt, go vet, and a gate that
+# no non-test file imports encoding/gob — the value codec in
+# internal/types is the one serialization), the full test suite, the race
 # detector over every package (the chunked parallel engine/proxy paths,
 # the streaming cursor pipeline, the parallel spilled-partition scheduler
 # and the secure helper-power memo are exercised by dedicated concurrency
@@ -14,13 +16,16 @@
 # table memo under concurrent workers, plus the item-key differential
 # against big.Int.Exp), a race-detected hostile-SP pass over the proxy's
 # row-decrypt kernel, a race-detected column-pruning / composite-key pass,
+# a race-detected frame / codec / hello pass (the one value codec on its
+# three paths — run file, WAL record, wire frame — plus the exact frame
+# cap, lying length prefixes and foreign peers),
 # a batch-vs-scalar token-application differential gate, the
 # bench/ module's own vet and smoke test, a race-detected
 # concurrent-serving pass (multi-driver storm against an
 # admission-limited, pool-budgeted server), a live-server smoke that
 # curls /healthz and asserts nonzero /metrics counters, and a short fuzz
-# smoke over every fuzz target (parser, proxy pipeline, wire encoding,
-# WAL records, Montgomery multiply/exponentiate and the item-key tables vs
+# smoke over every fuzz target (parser, proxy pipeline, the value codec,
+# wire frame decoding, WAL records, Montgomery multiply/exponentiate and the item-key tables vs
 # math/big, composite hash-key injectivity).
 #
 # Usage: scripts/ci.sh [-short]
@@ -66,6 +71,15 @@ fi
 echo "== go vet"
 go vet ./...
 
+echo "== one serialization (no encoding/gob outside tests)"
+# Wire frames, run files, WAL records and snapshots all carry the value
+# codec of internal/types. gob was the second serialization until PR 15;
+# tests still use it to impersonate a wire v0/v1 peer, nothing else may.
+if grep -rl '"encoding/gob"' --include='*.go' . | grep -v _test.go; then
+  echo "encoding/gob imported by the non-test files above"
+  exit 1
+fi
+
 echo "== go build"
 go build ./...
 
@@ -107,7 +121,7 @@ SDB_MVCC=off go test ${SHORT_FLAG} ./internal/engine
 echo "== MVCC isolation harness under the race detector"
 # The snapshot-isolation proof suite with the race detector on and fresh
 # interleavings (-count=1): torn-read detection across the direct,
-# cursor and served (v1 stream + v2 fused) read paths, the no-stall test
+# cursor and served (prepared stream + fused) read paths, the no-stall test
 # (a SELECT must complete while a bulk write is held mid-commit), the
 # prefix-consistency join test, the 100+-seed randomized mixed-workload
 # differential (readers may only observe states of the writer's serial
@@ -171,6 +185,17 @@ echo "== column pruning + composite keys under the race detector"
 # target's seed corpus runs here as a unit test) on the paths that share
 # the scratch buffers: hash join, GROUP BY, DISTINCT.
 go test -race -count=1 -run 'Prune|GroupKey|KeyEncoding|KeyCollisions' ./internal/engine ./internal/types
+
+echo "== frames, codec and hello under the race detector"
+# The value codec on each of its paths and the framing around it: golden
+# run-file and WAL-record bytes, negative shares refused by run file, WAL
+# record and wire frame alike, the reader's window over components larger
+# than itself, the frame cap exact at cap / cap + 1 (wire and a live
+# server), a 4 GiB length prefix costing no more than the bytes that
+# follow it, and gob-speaking / wrong-magic / hello-less peers refused
+# with one error frame.
+go test -race -count=1 -run 'Frame|Codec|Hello' \
+  ./internal/wire ./internal/server ./internal/spill ./internal/types ./internal/wal
 
 echo "== bench module (vet + smoke test)"
 # bench/ is a Go module of its own (sdb/bench, replace sdb => ..), so the
@@ -254,7 +279,8 @@ if [[ -z "${SHORT_FLAG}" ]]; then
   go test -run xxx -fuzz FuzzLex        -fuzztime 10s ./internal/sqlparser
   go test -run xxx -fuzz FuzzParse      -fuzztime 10s ./internal/sqlparser
   go test -run xxx -fuzz FuzzExecSelect -fuzztime 10s ./internal/proxy
-  go test -run xxx -fuzz FuzzValueRoundTrip -fuzztime 10s ./internal/wire
+  go test -run xxx -fuzz FuzzValueRoundTrip -fuzztime 10s ./internal/types
+  go test -run xxx -fuzz FuzzFrameDecode -fuzztime 10s ./internal/wire
   go test -run xxx -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
   go test -run xxx -fuzz FuzzMontMulVsBigInt -fuzztime 10s ./internal/bigmod
   go test -run xxx -fuzz FuzzMontExpVsBigInt -fuzztime 10s ./internal/bigmod
