@@ -11,7 +11,6 @@ package sdb
 
 import (
 	"context"
-	"crypto/rand"
 	"fmt"
 	"io"
 	"math/big"
@@ -88,6 +87,28 @@ func fixture(b *testing.B, bits int) *opFixture {
 	return f
 }
 
+// fullWidthDecryptor returns a row-keyed Decryptor that runs modulo n at
+// this width, and a share for it under rid. No option selects the kernel:
+// the secret's mask budget is made wider than p₁ can host, which is the
+// one way a secret of this width keeps the full-width kernel.
+func fullWidthDecryptor(b *testing.B, bits int, rid secure.RowID) (*secure.Decryptor, *big.Int) {
+	b.Helper()
+	s, err := secure.Setup(bits, 62, bits/2-62)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ck, _ := s.NewColumnKey()
+	dec := s.NewDecryptor(ck)
+	if got, want := s.KeyTableStats().Bytes, bigmod.NewFixedBase(big.NewInt(2), s.N(), secure.RowIDBits).Bytes(); got != want {
+		b.Fatalf("%d-bit oracle secret built a %d-byte table, want the %d bytes of one modulo n", bits, got, want)
+	}
+	ve, err := s.EncryptInt64(123456, rid, ck)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return dec, ve
+}
+
 // BenchmarkOpMultiply is experiment E5: the paper's sdb_multiply is one
 // modular multiplication per row at the SP.
 func BenchmarkOpMultiply(b *testing.B) {
@@ -130,8 +151,12 @@ func BenchmarkOpSuite(b *testing.B) {
 		// encrypt/decrypt above use a modulus-wide row id, which no proxy
 		// draws; *-rid62 are the costs a proxy's rows see (item keys go
 		// through the column key's comb table), and -cold adds the first
-		// touch of a column key, which builds that table.
+		// touch of a column key, which builds that table. decrypt-rid62 is
+		// the row kernel the secret selects — modulo p₁ from 288 bits up
+		// with the 62/80 budget — and decrypt-rid62-fullwidth the same
+		// share shape through the modulo-n kernel, the tests' oracle.
 		dec := f.s.NewDecryptor(f.ckA)
+		fullDec, fullAe := fullWidthDecryptor(b, bits, f.shortRid)
 		for _, op := range []struct {
 			name string
 			run  func(ck secure.ColumnKey) error
@@ -139,6 +164,7 @@ func BenchmarkOpSuite(b *testing.B) {
 		}{
 			{"encrypt-rid62", func(ck secure.ColumnKey) error { _, err := f.s.EncryptInt64(424242, f.shortRid, ck); return err }, false},
 			{"decrypt-rid62", func(secure.ColumnKey) error { _, err := dec.Decrypt(f.shortAe, f.shortRid); return err }, false},
+			{"decrypt-rid62-fullwidth", func(secure.ColumnKey) error { _, err := fullDec.Decrypt(fullAe, f.shortRid); return err }, false},
 			{"itemkey", func(ck secure.ColumnKey) error { f.s.ItemKey(f.rid, ck); return nil }, false},
 			{"itemkey-rid62", func(ck secure.ColumnKey) error { f.s.ItemKey(f.shortRid, ck); return nil }, false},
 			{"itemkey-rid62-cold", func(ck secure.ColumnKey) error { f.s.ItemKey(f.shortRid, ck); return nil }, true},
@@ -155,36 +181,6 @@ func BenchmarkOpSuite(b *testing.B) {
 					if err := op.run(ck); err != nil {
 						b.Fatal(err)
 					}
-				}
-				reportRows(b, 1, bits)
-			})
-		}
-		// What is left of a proxy-width decrypt is REDC multiplies modulo n:
-		// one mulTo per table digit of the 62-bit comb walk. CRT over the
-		// secret primes (DO only) would run them modulo a prime half as
-		// wide; these rows size that lever before anyone builds it.
-		halfPrime, err := rand.Prime(rand.Reader, bits/2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mod := range []struct {
-			name string
-			n    *big.Int
-		}{{"n", n}, {"halfprime", halfPrime}} {
-			m := bigmod.MontCtxFor(mod.n)
-			s := m.NewScratch()
-			x := m.ToMont(s, new(big.Int).Sub(mod.n, big.NewInt(12345)))
-			acc := append([]big.Word(nil), x...)
-			comb := bigmod.NewFixedBase(big.NewInt(3), mod.n, secure.RowIDBits)
-			b.Run(fmt.Sprintf("montmul-%s/n=%d", mod.name, bits), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					m.MulTo(s, acc, acc, x)
-				}
-				reportRows(b, 1, bits)
-			})
-			b.Run(fmt.Sprintf("combwalk62-%s/n=%d", mod.name, bits), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					comb.MulExpTo(s, acc, f.shortRid.R)
 				}
 				reportRows(b, 1, bits)
 			})

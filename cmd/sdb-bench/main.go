@@ -11,7 +11,6 @@ package main
 
 import (
 	"context"
-	"crypto/rand"
 	"flag"
 	"fmt"
 	"io"
@@ -26,7 +25,6 @@ import (
 
 	"sdb/internal/baseline"
 	"sdb/internal/baseline/shipall"
-	"sdb/internal/bigmod"
 	"sdb/internal/engine"
 	"sdb/internal/proxy"
 	"sdb/internal/secure"
@@ -432,7 +430,10 @@ func concurrent(sf float64, bits, maxClients, perClient, globalBudget int, opts 
 // modulus-wide ids, which no proxy does: proxy rows carry 62-bit ids
 // (secure.RowIDBits), whose item keys go through the column key's own comb
 // table. Both widths are reported, and the proxy width also cold — the
-// first item key under a column key, which builds that table.
+// first item key under a column key, which builds that table. "row
+// kernel" is secure.Decryptor, the path result rows take: modulo p₁ when
+// the secret can host the decrypt domain there (-bits ≥ 288 with the
+// default budget), against Secret.Decrypt's modulo-n item key one line up.
 func ops(bits int) {
 	secret, err := secure.Setup(bits, secure.DefaultValueBits, secure.DefaultMaskBits)
 	if err != nil {
@@ -501,25 +502,6 @@ func ops(bits int) {
 		ck, _ := secret.NewColumnKey()
 		secret.ItemKey(short[i], ck)
 	})
-	// What is left of the row kernel is REDC multiplies modulo n, one per
-	// table digit of the 62-bit comb walk. CRT over the secret primes
-	// would run them modulo a prime half as wide: size that lever.
-	halfPrime, err := rand.Prime(rand.Reader, bits/2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, mod := range []struct {
-		name string
-		n    *big.Int
-	}{{"mod n", n}, {"half-width prime", halfPrime}} {
-		m := bigmod.MontCtxFor(mod.n)
-		s := m.NewScratch()
-		x := m.ToMont(s, new(big.Int).Sub(mod.n, big.NewInt(12345)))
-		acc := append([]big.Word(nil), x...)
-		comb := bigmod.NewFixedBase(big.NewInt(3), mod.n, secure.RowIDBits)
-		timeOp("REDC multiply ("+mod.name+")", nil, func(int) { m.MulTo(s, acc, acc, x) })
-		timeOp("comb walk 62b ("+mod.name+")", nil, func(i int) { comb.MulExpTo(s, acc, short[i].R) })
-	}
 	timeOp("multiply (EE)", nil, func(i int) { secure.Multiply(aes[i], bes[i], n) })
 	timeOp("add (same key)", nil, func(i int) { secure.AddShares(aes[i], aes[i], n) })
 	tokenStates("key update", tokU, tokF)

@@ -48,7 +48,7 @@ func (d *Domain) Bound() *big.Int { return d.bound }
 // Encode maps a signed integer into Z_n.
 func (d *Domain) Encode(v *big.Int) (*big.Int, error) {
 	if new(big.Int).Abs(v).Cmp(d.bound) > 0 {
-		return nil, fmt.Errorf("%w: |%s| > %s", ErrOutOfDomain, v, d.bound)
+		return nil, fmt.Errorf("%w: a %d-bit magnitude, over the %d-bit bound", ErrOutOfDomain, v.BitLen(), d.bound.BitLen()-1)
 	}
 	return new(big.Int).Mod(v, d.n), nil
 }
@@ -61,12 +61,7 @@ func (d *Domain) EncodeInt64(v int64) (*big.Int, error) {
 // Decode maps a residue in [0, n) back to a signed integer: residues above
 // n/2 are interpreted as negative.
 func (d *Domain) Decode(w *big.Int) *big.Int {
-	return d.Signed(new(big.Int).Mod(w, d.n))
-}
-
-// Signed is Decode in place, for a residue the caller owns and knows to
-// be in [0, n) (a REDC output): no copy, no division.
-func (d *Domain) Signed(r *big.Int) *big.Int {
+	r := new(big.Int).Mod(w, d.n)
 	if r.Cmp(d.half) > 0 {
 		r.Sub(r, d.n)
 	}
@@ -75,10 +70,12 @@ func (d *Domain) Signed(r *big.Int) *big.Int {
 
 // DecodeInt64 decodes and converts; it returns an error if the result does
 // not fit in an int64 (which indicates either corruption or a mask leak).
+// The error gives the value's width only: what decodes out of range is a
+// SENSITIVE plaintext or a residue of share · item key.
 func (d *Domain) DecodeInt64(w *big.Int) (int64, error) {
 	r := d.Decode(w)
 	if !r.IsInt64() {
-		return 0, fmt.Errorf("bigmod: decoded value %s exceeds int64", r)
+		return 0, fmt.Errorf("bigmod: decoded value <%d bits> exceeds int64", r.BitLen())
 	}
 	return r.Int64(), nil
 }

@@ -19,7 +19,9 @@ import "math/big"
 //     ceil(bits(n)/w) digit rows;
 //   - h = g^x for every column key ⟨m, x⟩ in use, raised to a row id. The
 //     proxy's row ids are 62 bits wide, so such a table has 9 digit rows
-//     (~73 KB at 512 bits) and an item key costs ≤ 9 multiplies.
+//     and an item key costs ≤ 9 multiplies. It is built modulo n for the
+//     shares the DO mints (~73 KB at 512 bits, ~293 KB at 2048) and modulo
+//     the secret prime p₁ for the ones it decrypts (half that).
 //
 // A table is built once, immutable afterwards and read without locks. Row
 // helpers are NOT fixed bases in this sense — each is raised to a handful

@@ -261,16 +261,17 @@ func (m *MontCtx) mulToHybrid(s *MontScratch, z, x []big.Word, y []big.Word) {
 	s.xi.SetBits(x)
 	s.yi.SetBits(y)
 	s.prod.Mul(&s.xi, &s.yi)
-	pb := s.prod.Bits()
-	t := s.t[:2*k]
-	copy(t, pb)
-	for i := len(pb); i < 2*k; i++ {
-		t[i] = 0
-	}
-	// Reduction: clear t word by word; each round's carry lands at
-	// t[i+k] and propagates only as far as it actually carries. The
-	// pre-reduction value is < n² + R·n < 2·R·n, so the word above
-	// t[2k-1] is at most 1 (tracked in extra).
+	m.reduce(z, padTo(s.t[:2*k], s.prod.Bits()))
+}
+
+// reduce is the Montgomery reduction proper: z = t·R⁻¹ mod n for a 2k-limb
+// t of value below n·R, which it clobbers. It clears t word by word; each
+// round's carry lands at t[i+k] and propagates only as far as it actually
+// carries. The pre-reduction value is < n·R + R·n = 2·R·n, so the word
+// above t[2k-1] is at most 1 (tracked in extra) and one conditional
+// subtraction finishes.
+func (m *MontCtx) reduce(z, t []big.Word) {
+	k := m.k
 	var extra big.Word
 	for i := 0; i < k; i++ {
 		u := t[i] * m.n0inv
@@ -290,6 +291,35 @@ func (m *MontCtx) mulToHybrid(s *MontScratch, z, x []big.Word, y []big.Word) {
 	} else {
 		copy(z, t[k:2*k])
 	}
+}
+
+// Redc computes z = v·R⁻¹ mod n for a non-negative v below n·R — REDC's
+// whole input range, twice as wide as a residue — in half the work of a
+// multiply and with no division. It is how a value known modulo a multiple
+// of n (a share modulo p₁p₂, with n = p₁ and p₂ < R) enters arithmetic
+// modulo n: a later ⊙ by a residue carrying one extra factor of R cancels
+// the R⁻¹. It reports false, leaving z unspecified, for a v outside the
+// range.
+func (m *MontCtx) Redc(s *MontScratch, z []big.Word, v *big.Int) bool {
+	k, vb := m.k, v.Bits()
+	if v.Sign() < 0 || len(vb) > 2*k {
+		return false
+	}
+	t := padTo(s.t[:2*k], vb)
+	if cmpVV(t[k:], m.nw) >= 0 { // v = hi·R + lo is below n·R iff hi < n
+		return false
+	}
+	m.reduce(z, t)
+	return true
+}
+
+// padTo copies v into dst, zero-filling the rest, and returns dst.
+func padTo(dst, v []big.Word) []big.Word {
+	n := copy(dst, v)
+	for i := n; i < len(dst); i++ {
+		dst[i] = 0
+	}
+	return dst
 }
 
 // MulTo computes z = x ⊙ y (one REDC): both operands in the Montgomery

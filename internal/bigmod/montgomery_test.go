@@ -246,3 +246,40 @@ func TestMontCombMatchesPlain(t *testing.T) {
 		}
 	}
 }
+
+// TestRedcMatchesBigInt: Redc(v) is v·R⁻¹ mod n over the whole input range
+// [0, n·R) — on the CIOS and the hybrid side of montHybridWords — and
+// refuses anything outside it.
+func TestRedcMatchesBigInt(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, bits := range []int{8, 64, 65, 256, 1024, 1100} {
+		n := randOddMod(r, bits)
+		ctx := MontCtxFor(n)
+		s := ctx.NewScratch()
+		bigR := new(big.Int).Lsh(big.NewInt(1), uint(ctx.Words()*montWordBits))
+		rInv := new(big.Int).ModInverse(bigR, n)
+		top := new(big.Int).Mul(n, bigR) // exclusive
+		z := make([]big.Word, ctx.Words())
+		check := func(v *big.Int) {
+			t.Helper()
+			if !ctx.Redc(s, z, v) {
+				t.Fatalf("bits=%d: Redc refused %d-bit input below n·R", bits, v.BitLen())
+			}
+			want := new(big.Int).Mul(v, rInv)
+			if got := new(big.Int).SetBits(append([]big.Word(nil), z...)); got.Cmp(want.Mod(want, n)) != 0 {
+				t.Fatalf("bits=%d: Redc(%v) = %v, want %v", bits, v, got, want)
+			}
+		}
+		for _, v := range []*big.Int{big.NewInt(0), big.NewInt(1), n, bigR, new(big.Int).Sub(top, big.NewInt(1))} {
+			check(v)
+		}
+		for i := 0; i < 50; i++ {
+			check(new(big.Int).Rand(r, top))
+		}
+		for _, v := range []*big.Int{big.NewInt(-1), top, new(big.Int).Lsh(top, 70)} {
+			if ctx.Redc(s, z, v) {
+				t.Fatalf("bits=%d: Redc accepted an input outside [0, n·R)", bits)
+			}
+		}
+	}
+}

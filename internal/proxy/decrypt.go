@@ -138,10 +138,13 @@ func (plan *selectPlan) sortAndLimit(rows []types.Row) []types.Row {
 	return rows
 }
 
-// toValue converts a decrypted big integer into a typed value.
+// toValue converts a decrypted big integer into a typed value. One that
+// does not fit is reported by width alone, as Token.String does: it is a
+// SENSITIVE plaintext or, for a share the SP made up, a residue of share ·
+// item key — and two of those for chosen shares of one cell factor n.
 func toValue(v *big.Int, kind types.Kind) (types.Value, error) {
 	if !v.IsInt64() {
-		return types.Null, fmt.Errorf("decrypted value %s overflows int64", v)
+		return types.Null, fmt.Errorf("decrypted value <%d bits> overflows int64", v.BitLen())
 	}
 	i := v.Int64()
 	switch kind {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"sdb/internal/bigmod"
 	"sdb/internal/engine"
 	"sdb/internal/secure"
 	"sdb/internal/types"
@@ -48,6 +49,11 @@ func isShare(v types.Value) bool { return v.K == types.KindShare }
 // short row — must end in an error on the streaming and the materialising
 // path alike. Each of these panicked (nil dereference, index out of range)
 // or silently reduced before the row kernel validated its cells.
+//
+// So must a well-formed share in [0, n) that is not the stored one: it
+// decrypts to a residue of share · item key that fails the int64 check,
+// and the error must not print it — one such value is an item key, two of
+// them for one cell factor n once decryption runs modulo p₁.
 func TestHostileSPResultsError(t *testing.T) {
 	p, eng := bankSystem(t)
 	n := p.secret.N()
@@ -55,38 +61,50 @@ func TestHostileSPResultsError(t *testing.T) {
 		row := res.Rows[0]
 		return &row[len(row)-1]
 	}
+	var honest types.Row // row 0 as the SP had it, before forge replaced its share
+	forge := func(ve *big.Int) func(*engine.Result) {
+		return func(r *engine.Result) {
+			honest = append(types.Row(nil), r.Rows[0]...)
+			firstCell(r, isShare).B = ve
+		}
+	}
+	forged := []*big.Int{big.NewInt(424242), new(big.Int).Sub(n, big.NewInt(999983))}
 	cases := []struct {
 		name, sql string
 		tamper    func(*engine.Result)
+		forged    *big.Int // the share forge planted, if it did
 	}{
+		{"forged share, streaming", `SELECT balance FROM accounts`, forge(forged[0]), forged[0]},
+		{"a second forged share of the same cell", `SELECT balance FROM accounts`, forge(forged[1]), forged[1]},
+		{"forged share, materialising", `SELECT balance FROM accounts ORDER BY balance`, forge(forged[0]), forged[0]},
 		{"row-keyed share without payload", `SELECT balance FROM accounts`,
-			func(r *engine.Result) { firstCell(r, isShare).B = nil }},
+			func(r *engine.Result) { firstCell(r, isShare).B = nil }, nil},
 		{"row-keyed share == n", `SELECT balance FROM accounts`,
-			func(r *engine.Result) { firstCell(r, isShare).B = new(big.Int).Set(n) }},
+			func(r *engine.Result) { firstCell(r, isShare).B = new(big.Int).Set(n) }, nil},
 		{"negative share", `SELECT balance FROM accounts`,
-			func(r *engine.Result) { firstCell(r, isShare).B = big.NewInt(-5) }},
+			func(r *engine.Result) { firstCell(r, isShare).B = big.NewInt(-5) }, nil},
 		{"row id without payload", `SELECT balance FROM accounts`,
-			func(r *engine.Result) { lastShare(r).B = nil }},
+			func(r *engine.Result) { lastShare(r).B = nil }, nil},
 		{"row id of the wrong kind", `SELECT balance FROM accounts`,
-			func(r *engine.Result) { *lastShare(r) = types.NewInt(7) }},
+			func(r *engine.Result) { *lastShare(r) = types.NewInt(7) }, nil},
 		{"row id outside the SIES modulus", `SELECT balance FROM accounts`,
-			func(r *engine.Result) { lastShare(r).B = new(big.Int).Lsh(big.NewInt(1), 200) }},
+			func(r *engine.Result) { lastShare(r).B = new(big.Int).Lsh(big.NewInt(1), 200) }, nil},
 		{"flat share without payload", `SELECT SUM(balance) FROM accounts`,
-			func(r *engine.Result) { firstCell(r, isShare).B = nil }},
+			func(r *engine.Result) { firstCell(r, isShare).B = nil }, nil},
 		{"AVG sum without payload", `SELECT AVG(balance) FROM accounts`,
-			func(r *engine.Result) { firstCell(r, isShare).B = nil }},
+			func(r *engine.Result) { firstCell(r, isShare).B = nil }, nil},
 		{"AVG count of the wrong kind", `SELECT AVG(balance) FROM accounts`,
 			func(r *engine.Result) {
 				*firstCell(r, func(v types.Value) bool { return v.K == types.KindInt }) = types.NewString("5")
-			}},
+			}, nil},
 		{"short row, streaming", `SELECT id, balance FROM accounts`,
-			func(r *engine.Result) { r.Rows[2] = r.Rows[2][:1] }},
+			func(r *engine.Result) { r.Rows[2] = r.Rows[2][:1] }, nil},
 		{"short row, materialising", `SELECT id, balance FROM accounts ORDER BY balance`,
-			func(r *engine.Result) { r.Rows[2] = r.Rows[2][:1] }},
+			func(r *engine.Result) { r.Rows[2] = r.Rows[2][:1] }, nil},
 		{"share without payload, materialising", `SELECT id, balance FROM accounts ORDER BY balance LIMIT 2`,
-			func(r *engine.Result) { firstCell(r, isShare).B = nil }},
+			func(r *engine.Result) { firstCell(r, isShare).B = nil }, nil},
 		{"empty row", `SELECT id, balance FROM accounts ORDER BY balance`,
-			func(r *engine.Result) { r.Rows[0] = nil }},
+			func(r *engine.Result) { r.Rows[0] = nil }, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,7 +114,11 @@ func TestHostileSPResultsError(t *testing.T) {
 			if err == nil {
 				t.Fatalf("tampered result decrypted to %v", res.Rows)
 			}
-			for _, secret := range keyMaterial(p, "accounts", "balance") {
+			leaks := keyMaterial(p, "accounts", "balance")
+			if tc.forged != nil {
+				leaks = append(leaks, forgedPlaintexts(t, p, honest, tc.forged)...)
+			}
+			for _, secret := range leaks {
 				if strings.Contains(err.Error(), secret) {
 					t.Fatalf("error carries key material: %v", err)
 				}
@@ -105,6 +127,38 @@ func TestHostileSPResultsError(t *testing.T) {
 	}
 	// The honest SP still decrypts, on both paths.
 	wantInts(t, colInts(mustP(t, p, `SELECT balance FROM accounts ORDER BY balance`), 0), -200, 300, 1200, 1200, 5000)
+}
+
+// forgedPlaintexts renders what the share ve decrypts to in the balance
+// cell of the server row honest (balance first, hidden row id last):
+// ve · item key modulo n and as the row kernel computes it, in decimal and
+// hex. The honest share must decrypt under the same key, or the test is
+// looking at the wrong cell.
+func forgedPlaintexts(t *testing.T, p *Proxy, honest types.Row, ve *big.Int) []string {
+	t.Helper()
+	meta, _ := p.store.Get("accounts")
+	ck, _ := meta.Key("balance")
+	rid, err := p.decryptRowID(honest[len(honest)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := p.secret.NewDecryptor(ck)
+	if v, err := dec.Decrypt(firstCell(&engine.Result{Rows: []types.Row{honest}}, isShare).B, rid); err != nil || !v.IsInt64() {
+		t.Fatalf("the honest share does not decrypt under balance's key: %v, %v", v, err)
+	}
+	kernel, err := dec.Decrypt(ve, rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kernel.IsInt64() {
+		t.Fatalf("forged share decrypts to the int64 %v: nothing to redact", kernel)
+	}
+	var out []string
+	for _, v := range []*big.Int{kernel, p.secret.Decrypt(ve, rid, ck)} {
+		v = new(big.Int).Abs(v)
+		out = append(out, v.String(), v.Text(16))
+	}
+	return out
 }
 
 // keyMaterial renders what must never reach a log, an error or the SP of a
@@ -128,8 +182,11 @@ func TestKeyTableStatsAndRedaction(t *testing.T) {
 	p, _ := bankSystem(t)
 	res := mustP(t, p, `SELECT balance, opened FROM accounts`)
 	st := p.KeyTableStats()
-	// balance, opened and the mask column were encrypted; nothing evicted.
-	if st.Tables != 3 || st.Builds != 3 || st.Evictions != 0 || st.Bytes == 0 {
+	// balance, opened and the mask column were encrypted (three tables
+	// modulo n); balance and opened were read (two modulo p₁, half the
+	// size each); nothing evicted.
+	perTable := bigmod.NewFixedBase(big.NewInt(2), p.secret.N(), secure.RowIDBits).Bytes()
+	if st.Tables != 5 || st.Builds != 5 || st.Evictions != 0 || st.Bytes != 3*perTable+2*perTable/2 {
 		t.Fatalf("KeyTableStats = %+v", st)
 	}
 	meta, _ := p.store.Get("accounts")

@@ -14,18 +14,28 @@ import (
 // gen(r, ⟨m,x⟩) = m·g^(r·x) = m·(g^x)^r, and h = g^x is a fixed base for
 // as long as the column key lives. The rows a proxy uploads carry row ids
 // of RowIDBits bits, not modulus-wide ones, so a comb table of h that
-// covers only that width has ⌈62/7⌉ = 9 digit rows (~73 KB at 512 bits,
-// ~1,150 REDCs to build — about 16 item keys through g's table) and turns
-// an item key from ~74 multiplies (the modulus-wide exponent r·x mod φ(n)
-// through g's table) into at most 9, on the encrypt and the decrypt side
-// alike.
+// covers only that width has ⌈62/7⌉ = 9 digit rows and turns an item key
+// from ~74 multiplies (the modulus-wide exponent r·x mod φ(n) through g's
+// table) into at most 9, on the encrypt and the decrypt side alike.
 //
-// The tables belong to the Secret: a memo keyed by x, so a rotation — which
-// mints a new x — never invalidates anything; it only makes an old table
-// cold. Past maxKeyTables the least recently used table is dropped, and
-// the memo is garbage with its Secret. Row ids the tables do not cover
-// (NewRowID draws modulus-wide ones) and moduli without a Montgomery form
-// keep the g path, so ItemKey means what it always did.
+// A column key has up to two such tables, one per kernel (params.go, "The
+// decrypt contract"), each built on the first touch that needs it:
+//
+//   - modulo n, for the shares the DO mints (ItemKey): ~73 KB at 512 bits,
+//     ~1,150 full-width REDCs to build;
+//   - modulo p₁, for the shares it decrypts (Decryptor) when the secret
+//     takes the half-width kernel: half the bytes (~37 KB) and ~1,150
+//     half-width REDCs, each about a third of the cost.
+//
+// A column that is only read never builds the first, one that is only
+// written never builds the second.
+//
+// The tables belong to the Secret: a memo keyed by (kernel, x), so a
+// rotation — which mints a new x — never invalidates anything; it only
+// makes an old table cold. Past maxKeyTables the least recently used table
+// is dropped, and the memo is garbage with its Secret. Row ids the tables
+// do not cover (NewRowID draws modulus-wide ones) and moduli without a
+// Montgomery form keep the g path, so ItemKey means what it always did.
 
 // RowIDBits is the width of the row ids the proxy draws: the proxy
 // encrypts them for storage at the SP with SIES under the modulus
@@ -33,8 +43,9 @@ import (
 // tables cover, so DO-side cost per share is proportional to it.
 const RowIDBits = 62
 
-// maxKeyTables bounds the memo: 64 tables are 4.6 MB at 512 bits and
-// 18 MB at 2048, several times the column keys one statement touches.
+// maxKeyTables bounds the memo, whatever the kernels of its tables: 64
+// modulo-n tables are 4.7 MB at 512 bits and 18.7 MB at 2048 (half that
+// modulo p₁), several times the column keys one statement touches.
 const maxKeyTables = 64
 
 // KeyTableStats are the memo's counters. They count tables, never
@@ -53,9 +64,44 @@ type keyTable struct {
 
 type keyTables struct {
 	mu    sync.Mutex
-	byX   map[string]*keyTable
+	byX   map[string]*keyTable // by tableKey
 	tick  uint64
 	stats KeyTableStats // Tables is len(byX), filled in on read
+}
+
+// kernel is item-key arithmetic under one modulus: n, or the secret prime
+// p₁ that divides it.
+type kernel struct {
+	mod  *big.Int
+	half *big.Int        // ⌊mod/2⌋: residues above it decode negative
+	ctx  *bigmod.MontCtx // nil for a modulus without a Montgomery form
+	pool sync.Pool       // *keyScratch
+}
+
+func newKernel(mod *big.Int) *kernel {
+	return &kernel{mod: mod, half: new(big.Int).Rsh(mod, 1), ctx: bigmod.MontCtxFor(mod)}
+}
+
+// keyScratch is the pooled working memory of one item-key evaluation.
+type keyScratch struct {
+	ms       *bigmod.MontScratch
+	acc, red []big.Word // k limbs each: the item key so far, the reduced share
+}
+
+func (k *kernel) scratch() *keyScratch {
+	if ks, ok := k.pool.Get().(*keyScratch); ok {
+		return ks
+	}
+	w := k.ctx.Words()
+	return &keyScratch{ms: k.ctx.NewScratch(), acc: make([]big.Word, w), red: make([]big.Word, w)}
+}
+
+// signed decodes a residue the caller owns, in [0, mod), in place.
+func (k *kernel) signed(r *big.Int) *big.Int {
+	if r.Cmp(k.half) > 0 {
+		r.Sub(r, k.mod)
+	}
+	return r
 }
 
 // KeyTableStats reports the per-column-key table memo's counters.
@@ -67,17 +113,37 @@ func (s *Secret) KeyTableStats() KeyTableStats {
 	return st
 }
 
-// keyTable returns the comb table of g^x over RowIDBits-wide exponents,
-// building it on first touch, or nil when x has no table: flat and
-// malformed keys (x ≤ 0) and moduli without a Montgomery form. A first
+// tableKey is the memo key of x's table under k.
+func (s *Secret) tableKey(k *kernel, x *big.Int) string {
+	kind := "n"
+	if k != s.full {
+		kind = "p"
+	}
+	return kind + string(x.Bytes())
+}
+
+// keyBase returns h = g^x modulo k's modulus, the base of x's table.
+func (s *Secret) keyBase(k *kernel, x *big.Int) *big.Int {
+	if k == s.full {
+		return s.gExp(new(big.Int).Mod(x, s.phi))
+	}
+	// Modulo p₁ the exponent lives modulo p₁ − 1. One square-and-multiply
+	// there costs about what the walk through g's modulus-wide table does,
+	// and a DO that only reads never builds that table at all.
+	return k.ctx.MontExp(s.g, new(big.Int).Mod(x, new(big.Int).Sub(k.mod, one)))
+}
+
+// keyTable returns the comb table of g^x under k over RowIDBits-wide
+// exponents, building it on first touch, or nil when x has no table: flat
+// and malformed keys (x ≤ 0) and moduli without a Montgomery form. A first
 // touch builds under the memo's lock: one build is ~16 item keys, and a
 // second toucher of the same x would have to wait for it anyway.
-func (s *Secret) keyTable(x *big.Int) *bigmod.FixedBase {
-	if s.mctx == nil || x.Sign() <= 0 {
+func (s *Secret) keyTable(k *kernel, x *big.Int) *bigmod.FixedBase {
+	if k.ctx == nil || x.Sign() <= 0 {
 		return nil
 	}
 	m := &s.tables
-	key := string(x.Bytes())
+	key := s.tableKey(k, x)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.tick++
@@ -85,8 +151,7 @@ func (s *Secret) keyTable(x *big.Int) *bigmod.FixedBase {
 		t.used = m.tick
 		return t.fb
 	}
-	h := s.gExp(new(big.Int).Mod(x, s.phi))
-	t := &keyTable{fb: bigmod.NewFixedBase(h, s.params.N, RowIDBits), used: m.tick}
+	t := &keyTable{fb: bigmod.NewFixedBase(s.keyBase(k, x), k.mod, RowIDBits), used: m.tick}
 	if m.byX == nil {
 		m.byX = make(map[string]*keyTable)
 	}
@@ -114,51 +179,55 @@ func (s *Secret) gPow(r, x *big.Int) *big.Int {
 	return s.gExp(e.Mod(e, s.phi))
 }
 
-// keyScratch is the pooled working memory of one item-key evaluation.
-type keyScratch struct {
-	ms  *bigmod.MontScratch
-	acc []big.Word // k limbs
-}
-
-func (s *Secret) scratch() *keyScratch {
-	if ks, ok := s.pool.Get().(*keyScratch); ok {
-		return ks
-	}
-	return &keyScratch{ms: s.mctx.NewScratch(), acc: make([]big.Word, s.mctx.Words())}
-}
-
 // Decryptor decrypts the shares of one result column. The column's key is
 // a product of column keys (paper §2.2: multiplying shares multiplies
 // their keys), each either flat or keyed by the row id of one join side,
-// so its item key is Πm · Π(g^x_i)^r_i. A Decryptor keeps ToMont(Πm) and
-// the comb table of every g^x_i; per share it starts the accumulator at
-// ToMont(Πm), walks at most 9 table digits per row-keyed factor and
-// finishes with one asymmetric REDC by the share, which lands the product
-// in the normal domain — no conversion, no trial division, one allocation.
-// A column under flat keys only (aggregates, tags) is the one-REDC case.
+// so its item key is Πm · Π(g^x_i)^r_i. A Decryptor keeps Πm in Montgomery
+// form and the comb table of every g^x_i under the secret's decrypt kernel
+// (params.go, "The decrypt contract"); per share it starts the accumulator
+// at Πm, walks at most 9 table digits per row-keyed factor and finishes
+// with one REDC by the share, which lands the product in the normal domain
+// — no conversion, no trial division, one allocation. A column under flat
+// keys only (aggregates, tags) is the one-multiply case.
+//
+// Under the half-width kernel all of that runs modulo p₁. The share itself
+// arrives modulo n = p₁p₂ < p₁·R₁, which is REDC's input range, so one bare
+// reduction (half a multiply) brings it into Z_p₁ as ve·R₁⁻¹, and the
+// accumulator starts with one more factor of R₁ to take that back.
 //
 // A Decryptor is immutable and safe for concurrent use. It pins the
 // tables it resolved, so hold one for a statement execution, not longer.
 type Decryptor struct {
 	s    *Secret
+	k    *kernel
 	keys []ColumnKey
 	m    *big.Int            // Πm mod n
-	mM   []big.Word          // ToMont(Πm); nil without a Montgomery form
-	tabs []*bigmod.FixedBase // tabs[i] is keys[i]'s table, nil if it has none
+	mM   []big.Word          // Πm·R under the full-width kernel, Πm·R₁² under the half-width one; nil without a Montgomery form
+	tabs []*bigmod.FixedBase // tabs[i] is keys[i]'s table under k, nil if it has none
 }
 
 // NewDecryptor resolves the decryptor of a column under the product of
 // keys, building the comb tables not yet in the secret's memo.
 func (s *Secret) NewDecryptor(keys ...ColumnKey) *Decryptor {
-	d := &Decryptor{s: s, keys: keys, m: big.NewInt(1), tabs: make([]*bigmod.FixedBase, len(keys))}
+	return s.newDecryptor(s.dec, keys)
+}
+
+// newDecryptor is NewDecryptor under an explicit kernel: s.dec, or s.full
+// as the oracle of the tests.
+func (s *Secret) newDecryptor(k *kernel, keys []ColumnKey) *Decryptor {
+	d := &Decryptor{s: s, k: k, keys: keys, m: big.NewInt(1), tabs: make([]*bigmod.FixedBase, len(keys))}
 	for i, ck := range keys {
 		d.m = bigmod.Mul(d.m, ck.M, s.params.N)
-		d.tabs[i] = s.keyTable(ck.X)
+		d.tabs[i] = s.keyTable(k, ck.X)
 	}
-	if s.mctx != nil {
-		ks := s.scratch()
-		d.mM = s.mctx.ToMont(ks.ms, d.m)
-		s.pool.Put(ks)
+	if k.ctx != nil {
+		ks := k.scratch()
+		d.mM = k.ctx.ToMont(ks.ms, d.m)
+		if k != s.full {
+			// One more factor of R₁, which Redc of the share takes back.
+			d.mM = k.ctx.ToMont(ks.ms, new(big.Int).SetBits(d.mM))
+		}
+		k.pool.Put(ks)
 	}
 	return d
 }
@@ -166,9 +235,11 @@ func (s *Secret) NewDecryptor(keys ...ColumnKey) *Decryptor {
 // Decrypt decodes one share: Decode(ve · Π gen(r_i, key_i)). rids holds
 // one row id per key with x ≠ 0, in key order; flat keys take none. Shares
 // come from the SP, so a missing or out-of-range ve is an error, never a
-// panic or a silently reduced value.
+// panic or a silently reduced value. The result is exact for every
+// plaintext of the decrypt contract; for anything else — a share the SP
+// made up — it is some residue, which the caller's range check rejects.
 func (d *Decryptor) Decrypt(ve *big.Int, rids ...RowID) (*big.Int, error) {
-	s, n := d.s, d.s.params.N
+	s, k, n := d.s, d.k, d.s.params.N
 	if ve == nil || ve.Sign() < 0 || ve.Cmp(n) >= 0 {
 		return nil, errors.New("secure: share outside [0, n)")
 	}
@@ -179,8 +250,8 @@ func (d *Decryptor) Decrypt(ve *big.Int, rids ...RowID) (*big.Int, error) {
 	if d.mM == nil {
 		vk = d.m
 	} else {
-		ks = s.scratch()
-		defer s.pool.Put(ks)
+		ks = k.scratch()
+		defer k.pool.Put(ks)
 		copy(ks.acc, d.mM)
 	}
 	for i, ck := range d.keys {
@@ -198,16 +269,26 @@ func (d *Decryptor) Decrypt(ve *big.Int, rids ...RowID) (*big.Int, error) {
 		case t != nil && t.Covers(r):
 			t.MulExpTo(ks.ms, ks.acc, r)
 		default: // a row id wider than the table
-			s.mctx.MulTo(ks.ms, ks.acc, ks.acc, s.mctx.ToMont(ks.ms, s.gPow(r, ck.X)))
+			k.ctx.MulTo(ks.ms, ks.acc, ks.acc, k.ctx.ToMont(ks.ms, s.gPow(r, ck.X)))
 		}
 	}
 	if len(rids) != 0 {
 		return nil, fmt.Errorf("secure: %d row ids more than row-keyed factors", len(rids))
 	}
 	if vk != nil {
-		return s.domain.Decode(bigmod.Mul(ve, vk, n)), nil
+		return k.signed(bigmod.Mul(ve, vk, n)), nil
 	}
-	z := make([]big.Word, s.mctx.Words())
-	s.mctx.MulBig(ks.ms, z, ks.acc, ve)
-	return s.domain.Signed(new(big.Int).SetBits(z)), nil
+	z := make([]big.Word, k.ctx.Words())
+	switch {
+	case k == s.full:
+		k.ctx.MulBig(ks.ms, z, ks.acc, ve)
+	case k.ctx.Redc(ks.ms, ks.red, ve):
+		k.ctx.MulTo(ks.ms, z, ks.acc, ks.red)
+	default:
+		// ve ≥ p₁·R₁: only a p₂ wider than p₁'s limbs (hand-picked primes)
+		// gets here. Reduce by division, then shed the surplus R₁.
+		k.ctx.MulBig(ks.ms, ks.acc, ks.acc, ve)
+		k.ctx.MulTo(ks.ms, z, ks.acc, []big.Word{1})
+	}
+	return k.signed(new(big.Int).SetBits(z)), nil
 }

@@ -13,6 +13,49 @@
 // ever learning g, φ(n) or any column key. All operators consume and
 // produce shares in this one encrypted space, which is the paper's
 // "data interoperability" property.
+//
+// # The decrypt contract
+//
+// Only the DO knows n = p₁p₂, and p₁ divides n, so a product known modulo n
+// is known modulo p₁ too. What the DO decrypts are result columns —
+// application values and the sums and products the secure operators make
+// of them — and every one is checked into an int64 afterwards. The decrypt
+// domain is stated with the Domain's own budget, magnitudes up to
+//
+//	2^(valueBits + maskBits)
+//
+// which leaves the int64 range far inside it. (Masked differences (A−B)·R
+// can reach twice that, and stay modulo n: the SP reveals them to itself
+// with a RevealToken and takes their sign; the DO never decrypts one.)
+// When that magnitude also fits under p₁/2, the DO loses nothing by
+// decrypting modulo p₁ alone, and a multiply modulo a prime half as wide is
+// about three times cheaper. newSecret selects the half-width kernel once,
+// from the parameters and nothing else:
+//
+//	p₁ is odd  and  bits(p₁) ≥ valueBits + maskBits + 2
+//
+// (then ⌊p₁/2⌋ ≥ 2^(valueBits+maskBits), so every in-domain plaintext
+// decodes exactly). Every Setup of at least 288 bits with the 62/80
+// defaults qualifies, the 2048-bit default included. A secret that cannot
+// host the domain in p₁ — the paper's n = 35 example, an even modulus, a
+// persisted 256-bit 62/80 secret — decrypts modulo n as before; that
+// full-width kernel is also the oracle the tests compare against. There is
+// no option: the same secret always takes the same kernel, across
+// MarshalJSON/UnmarshalSecret too.
+//
+// The kernel is Decryptor's alone, the one place the proxy turns SP cells
+// into plaintext. Everything that leaves the DO — shares (Encrypt,
+// EncryptBatch, EncryptMask via ItemKey), row helpers, tokens — and the
+// scalar Secret.Decrypt stay modulo n, byte for byte.
+//
+// Outside the contract nothing is promised, as before: SDB has no
+// integrity, so a share the SP made up decrypts to garbage — under the
+// half-width kernel garbage in (−p₁/2, p₁/2), which the caller's int64
+// check rejects except with probability ≈ 2⁶⁴/p₁ — and an honest result
+// that overflows past p₁/2 aliases with that probability instead of always
+// failing the int64 check. Because such garbage is a residue of
+// (share · item key), errors never print a decrypted value: two of them for
+// chosen shares of one cell would give gcd(d₁·ve₂ − d₂·ve₁, n) = p₁.
 package secure
 
 import (
@@ -55,11 +98,13 @@ type Secret struct {
 	gOnce  sync.Once
 	gTable *bigmod.FixedBase // comb table of g, built on first use
 
-	// Item keys of RowIDBits-wide row ids (keytable.go).
-	mctx   *bigmod.MontCtx // nil for a modulus without a Montgomery form
-	oneM   []big.Word      // ToMont(1)
-	tables keyTables       // comb tables of g^x per column key in use
-	pool   sync.Pool       // *keyScratch
+	// Item keys of RowIDBits-wide row ids (keytable.go). Everything that
+	// leaves the DO is computed under full; dec is the kernel Decryptors
+	// run under, chosen once by the decrypt contract above.
+	full   *kernel    // modulo n
+	dec    *kernel    // full, or the kernel of p₁
+	oneM   []big.Word // full's ToMont(1)
+	tables keyTables  // comb tables of g^x per (kernel, column key) in use
 }
 
 // Setup generates fresh key material: an RSA modulus of modulusBits bits, a
@@ -121,10 +166,14 @@ func newSecret(p1, p2, g *big.Int, valueBits, maskBits int) (*Secret, error) {
 		g:         new(big.Int).Set(g),
 		domain:    domain,
 		maskWidth: maskBits,
-		mctx:      bigmod.MontCtxFor(n),
+		full:      newKernel(n),
 	}
-	if s.mctx != nil {
-		s.oneM = s.mctx.One()
+	if s.full.ctx != nil {
+		s.oneM = s.full.ctx.One()
+	}
+	s.dec = s.full
+	if p1.Bit(0) == 1 && p1.BitLen() >= valueBits+maskBits+2 {
+		s.dec = newKernel(s.p1)
 	}
 	return s, nil
 }

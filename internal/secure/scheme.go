@@ -56,13 +56,13 @@ func (s *Secret) gExp(e *big.Int) *big.Int {
 // wider ones take the modulus-wide exponent through g's table.
 func (s *Secret) ItemKey(r RowID, ck ColumnKey) *big.Int {
 	if r.R.Sign() >= 0 && r.R.BitLen() <= RowIDBits {
-		if t := s.keyTable(ck.X); t != nil {
-			ks := s.scratch()
-			defer s.pool.Put(ks)
+		if t := s.keyTable(s.full, ck.X); t != nil {
+			ks := s.full.scratch()
+			defer s.full.pool.Put(ks)
 			copy(ks.acc, s.oneM)
 			t.MulExpTo(ks.ms, ks.acc, r.R)
-			z := make([]big.Word, s.mctx.Words())
-			s.mctx.MulBig(ks.ms, z, ks.acc, ck.M)
+			z := make([]big.Word, s.full.ctx.Words())
+			s.full.ctx.MulBig(ks.ms, z, ks.acc, ck.M)
 			return new(big.Int).SetBits(z)
 		}
 	}
@@ -90,7 +90,8 @@ func (s *Secret) EncryptInt64(v int64, r RowID, ck ColumnKey) (*big.Int, error) 
 }
 
 // Decrypt implements D(ve, vk) = ve·vk mod n (Eq. 4) and decodes the result
-// back into the signed domain.
+// back into the signed domain. It is the scalar definition and stays modulo
+// n for every secret; result rows go through a Decryptor.
 func (s *Secret) Decrypt(ve *big.Int, r RowID, ck ColumnKey) *big.Int {
 	vk := s.ItemKey(r, ck)
 	return s.domain.Decode(bigmod.Mul(ve, vk, s.params.N))
@@ -101,7 +102,7 @@ func (s *Secret) Decrypt(ve *big.Int, r RowID, ck ColumnKey) *big.Int {
 func (s *Secret) DecryptInt64(ve *big.Int, r RowID, ck ColumnKey) (int64, error) {
 	v := s.Decrypt(ve, r, ck)
 	if !v.IsInt64() {
-		return 0, fmt.Errorf("secure: decrypted value %s overflows int64", v)
+		return 0, fmt.Errorf("secure: decrypted value <%d bits> overflows int64", v.BitLen())
 	}
 	return v.Int64(), nil
 }

@@ -14,8 +14,11 @@
 # harness + SIGKILL subprocess test), a race-detected Montgomery-core
 # pass (shared MontCtx / TokenApplier / helper-power memo / per-column-key
 # table memo under concurrent workers, plus the item-key differential
-# against big.Int.Exp), a race-detected hostile-SP pass over the proxy's
-# row-decrypt kernel, a race-detected column-pruning / composite-key pass,
+# against big.Int.Exp), a race-detected pass over the proxy's row-decrypt
+# kernel (hostile-SP results incl. forged shares whose plaintext must not
+# reach the error; the half-width vs full-width decrypt differential and
+# kernel selection; one column key's two tables first touched by racing
+# encrypts and decrypts), a race-detected column-pruning / composite-key pass,
 # a race-detected frame / codec / hello pass (the one value codec on its
 # three paths — run file, WAL record, wire frame — plus the exact frame
 # cap, lying length prefixes and foreign peers),
@@ -26,7 +29,7 @@
 # curls /healthz and asserts nonzero /metrics counters, and a short fuzz
 # smoke over every fuzz target (parser, proxy pipeline, the value codec,
 # wire frame decoding, WAL records, Montgomery multiply/exponentiate and the item-key tables vs
-# math/big, composite hash-key injectivity).
+# math/big, half-width vs full-width decrypt, composite hash-key injectivity).
 #
 # Usage: scripts/ci.sh [-short]
 #   -short   skip the slow end-to-end suites (integration differential,
@@ -163,17 +166,28 @@ echo "== Montgomery core under the race detector"
 # per-column-key item-key tables: the differential of the table path
 # against m · big.Int.Exp(g, r·x mod φ, n) at every row-id width and
 # modulus shape, the memo-bound test, and first-touch table builds raced
-# from parallel workers.
-go test -race ${SHORT_FLAG} -run 'Mont|PowMemo|FixedBase|ItemKey|KeyTable|Decryptor' ./internal/bigmod ./internal/secure
+# from parallel workers. (The half-vs-full decrypt differential runs in
+# the next stage.)
+go test -race ${SHORT_FLAG} -run 'Mont|Redc|PowMemo|FixedBase|ItemKey|KeyTable|Decryptor' -skip 'HalfVsFull' ./internal/bigmod ./internal/secure
 
 echo "== proxy row-decrypt kernel: hostile SP + table builds under the race detector"
 # The proxy decrypts what an untrusted SP sends: share cells without
 # payload, shares outside [0, n), mangled row-id and AVG-count cells and
 # short rows must all end in an error — on the streaming and the
-# materialising path — never a panic or a wrong answer. The race test has
+# materialising path — never a panic or a wrong answer; a well-formed
+# share that is not the stored one must fail without its plaintext (a
+# residue of share · item key) in the error text. The race test has
 # parallel decrypt chunks of several cursors build a rotated column's
 # tables on first touch while another column keeps rotating.
 go test -race -count=1 -run 'HostileSP|DecryptRaces|JoinProduct|KeyTableStats' ./internal/proxy
+# The kernel underneath decrypts modulo p₁ when the secret can host the
+# decrypt domain there (secure/params.go): which secrets take which kernel
+# (and keep it through MarshalJSON), the half-width kernel against the
+# full-width oracle over every key shape, domain edge and row-id width at
+# 288..2048 bits, the bytes that leave the DO against the parent's, and
+# one column key first touched by encrypts (its table modulo n) and
+# decrypts (its table modulo p₁) at once.
+go test -race -count=1 ${SHORT_FLAG} -run 'HalfVsFull|BothKernels|KernelSelection|LeavesTheDO|ErrorsRedacted' ./internal/secure
 
 echo "== column pruning + composite keys under the race detector"
 # Scans keep only the columns the statement names, and join/group/DISTINCT
@@ -285,6 +299,7 @@ if [[ -z "${SHORT_FLAG}" ]]; then
   go test -run xxx -fuzz FuzzMontMulVsBigInt -fuzztime 10s ./internal/bigmod
   go test -run xxx -fuzz FuzzMontExpVsBigInt -fuzztime 10s ./internal/bigmod
   go test -run xxx -fuzz FuzzItemKeyTable -fuzztime 10s ./internal/secure
+  go test -run xxx -fuzz FuzzDecryptHalfVsFull -fuzztime 10s ./internal/secure
   go test -run xxx -fuzz FuzzGroupKeyInjective -fuzztime 10s ./internal/engine
 fi
 
