@@ -1016,3 +1016,85 @@ func BenchmarkPlanCache(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkJoinSyntax keeps the two FROM syntaxes honest: TPC-H Q3 and Q10
+// at the plain-spill sizing (SF 0.003, non-sensitive), as written with
+// JOIN … ON and in their mechanically derived comma form, unbudgeted and
+// under 2 400 resident rows. One planner serves both syntaxes, so the pair
+// must read the same: the spilled-rows counter exactly — a b.Fatal gate, run
+// by the CI bench smoke — and time and peak-rows within noise. Before the
+// FROM/WHERE planner saw through JOIN … ON the join-on side spilled 45 348
+// rows per query here and the comma side none; a planner change that
+// re-opens the gap shows in one `go test -bench JoinSyntax`.
+func BenchmarkJoinSyntax(b *testing.B) {
+	const budget = 2400
+	var joinOn, comma []string
+	for _, q := range tpch.RunnableQueries() {
+		if q.Num != 3 && q.Num != 10 {
+			continue
+		}
+		c, err := tpch.CommaForm(q.SQL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		joinOn, comma = append(joinOn, q.SQL), append(comma, c)
+	}
+	newEng := func(budgetRows int) *engine.Engine {
+		// Planner pinned on: under SDB_PLANNER=off the two syntaxes are
+		// meant to differ (the AST-shaped oracle).
+		eng := engine.NewWithOptions(storage.NewCatalog(), nil, engine.Options{
+			Parallelism: 2, SpillParallelism: 2, MemBudgetRows: budgetRows, SpillDir: b.TempDir(), Planner: "on"})
+		exec := func(sql string) error { _, err := eng.ExecuteSQL(sql); return err }
+		for _, ddl := range tpch.PlainCreateStatements() {
+			if err := exec(ddl); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tpch.Generate(tpch.Config{ScaleFactor: 0.003, Seed: 42}, exec); err != nil {
+			b.Fatal(err)
+		}
+		return eng
+	}
+	// round runs the statements once and sums what they spilled.
+	round := func(b *testing.B, eng *engine.Engine, stmts []string) (rows, spilled, peak int) {
+		for _, sql := range stmts {
+			it, err := eng.QuerySQL(context.Background(), sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := engine.Drain(it)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := it.(interface{ Stats() engine.ExecStats }).Stats()
+			rows += len(res.Rows)
+			spilled += st.SpilledRows
+			peak = max(peak, st.PeakResidentRows)
+		}
+		return rows, spilled, peak
+	}
+	for _, mode := range []struct {
+		name   string
+		budget int
+	}{{"resident", -1}, {"budget-2400", budget}} {
+		eng := newEng(mode.budget)
+		wantRows, wantSpilled, _ := round(b, eng, joinOn)
+		if gotRows, gotSpilled, _ := round(b, eng, comma); gotRows != wantRows || gotSpilled != wantSpilled {
+			b.Fatalf("%s: JOIN … ON answers %d rows and spills %d, its comma form %d and %d",
+				mode.name, wantRows, wantSpilled, gotRows, gotSpilled)
+		}
+		for _, syntax := range []struct {
+			name  string
+			stmts []string
+		}{{"join-on", joinOn}, {"comma", comma}} {
+			b.Run(syntax.name+"/"+mode.name, func(b *testing.B) {
+				spilled, peak := 0, 0
+				for i := 0; i < b.N; i++ {
+					_, spilled, peak = round(b, eng, syntax.stmts)
+				}
+				b.ReportMetric(float64(spilled), "spilled-rows")
+				b.ReportMetric(float64(peak), "peak-rows")
+			})
+		}
+	}
+}

@@ -90,6 +90,11 @@ func (e *Engine) compileAggSpecs(aggs []*sqlparser.FuncCall, rel *relation) ([]a
 				return nil, fmt.Errorf("engine: sdb_min/sdb_max need hex p and n")
 			}
 		} else if !a.Star {
+			// The states index their argument: an empty list would panic on
+			// a pool goroutine, where no session-level recover reaches.
+			if len(a.Args) == 0 {
+				return nil, fmt.Errorf("engine: %s() needs an argument", spec.name)
+			}
 			for _, arg := range a.Args {
 				ce, err := compile(arg, rel, ctx)
 				if err != nil {

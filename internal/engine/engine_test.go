@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"sdb/internal/storage"
@@ -272,6 +273,26 @@ func TestErrors(t *testing.T) {
 		if _, err := e.ExecuteSQL(sql); err == nil {
 			t.Errorf("ExecuteSQL(%q) should fail", sql)
 		}
+	}
+}
+
+// TestEmptyAggregateArguments: COUNT() and friends parse, and their
+// transition states index the first argument — on a pool goroutine, where a
+// panic takes the whole process down. They must fail at plan time instead,
+// and leave the engine serving.
+func TestEmptyAggregateArguments(t *testing.T) {
+	e := plainEngine(t)
+	for _, fn := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX"} {
+		for _, tail := range []string{``, ` FROM emp`, ` FROM emp GROUP BY dept`} {
+			sql := `SELECT ` + fn + `()` + tail
+			want := "engine: " + strings.ToLower(fn) + "() needs an argument"
+			if _, err := e.ExecuteSQL(sql); err == nil || err.Error() != want {
+				t.Errorf("%s: error %v, want %q", sql, err, want)
+			}
+		}
+	}
+	if res := mustExec(t, e, `SELECT COUNT(*), COUNT(id) FROM emp`); res.Rows[0][0].I == 0 || res.Rows[0][0].I != res.Rows[0][1].I {
+		t.Errorf("engine unusable after the refused statements: %v", res.Rows)
 	}
 }
 

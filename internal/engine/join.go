@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"sdb/internal/parallel"
-	"sdb/internal/sqlparser"
 	"sdb/internal/types"
 )
 
@@ -801,62 +800,4 @@ func (op *nestedLoopJoinOp) close() error {
 
 func (op *nestedLoopJoinOp) resident() int {
 	return len(op.build) + op.out.pending() + op.left.resident() + op.right.resident()
-}
-
-// planJoin builds the join operator for left JOIN right ON on. Equality
-// conjuncts with one side bound to each input select a hash join;
-// remaining conjuncts become a residual predicate over the joined row.
-// Without any usable equality the join falls back to a nested loop over
-// the full condition. Which side a hash join builds on (and how its hash
-// partitions are pre-sized) is the planner's size-based call in
-// buildJoinOp; with the planner off it is always the right input.
-func (e *Engine) planJoin(left, right planNode, on sqlparser.Expr, qs *querySpill) (planNode, error) {
-	schema := append(append([]relCol{}, left.op.columns()...), right.op.columns()...)
-	joined := &relation{cols: schema}
-	ctx := e.evalCtx()
-	lrel := &relation{cols: left.op.columns()}
-	rrel := &relation{cols: right.op.columns()}
-
-	eqs := splitConjuncts(on)
-	var leftKeys, rightKeys []compiledExpr
-	var residual []sqlparser.Expr
-	for _, eq := range eqs {
-		be, ok := eq.(*sqlparser.BinaryExpr)
-		if !ok || be.Op != "=" {
-			residual = append(residual, eq)
-			continue
-		}
-		lc, errL := compile(be.L, lrel, ctx)
-		rc, errR := compile(be.R, rrel, ctx)
-		if errL == nil && errR == nil {
-			leftKeys = append(leftKeys, lc)
-			rightKeys = append(rightKeys, rc)
-			continue
-		}
-		lc2, errL2 := compile(be.R, lrel, ctx)
-		rc2, errR2 := compile(be.L, rrel, ctx)
-		if errL2 == nil && errR2 == nil {
-			leftKeys = append(leftKeys, lc2)
-			rightKeys = append(rightKeys, rc2)
-			continue
-		}
-		residual = append(residual, eq)
-	}
-
-	if len(leftKeys) > 0 {
-		var resid compiledExpr
-		if len(residual) > 0 {
-			var err error
-			if resid, err = compile(conjoin(residual), joined, ctx); err != nil {
-				return planNode{}, err
-			}
-		}
-		return e.buildJoinOp(left, right, leftKeys, rightKeys, resid, qs), nil
-	}
-
-	cond, err := compile(on, joined, ctx)
-	if err != nil {
-		return planNode{}, err
-	}
-	return e.buildJoinOp(left, right, nil, nil, cond, qs), nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sdb/internal/sqlparser"
-	"sdb/internal/types"
 )
 
 // queryPlan is a compiled SELECT: the operator tree plus the visible output
@@ -37,11 +36,12 @@ func (e *Engine) planQuery(s *sqlparser.Select, snap *Snapshot, qs *querySpill) 
 //	scan/join → filter(WHERE) → hashAgg → filter(HAVING) → project
 //	  → topK|sort(ORDER BY) → distinct → limit
 //
-// Unless the planner pass is disabled (Options.Planner / SDB_PLANNER), the
-// FROM and WHERE clauses plan as one unit: single-table WHERE conjuncts
-// push below the joins, comma-join equality conjuncts become hash-join
-// keys, and row-count estimates pick build sides and pre-size hash state
-// (see planner.go). Every table reference — including subqueries in FROM,
+// FROM and WHERE plan as one unit over the leaves of the join tree
+// (planFrom): unless the planner pass is disabled (Options.Planner /
+// SDB_PLANNER), single-leaf WHERE and ON conjuncts push below the joins,
+// equalities bridging two join inputs become hash-join keys whichever
+// clause wrote them, and row-count estimates pick build sides and pre-size
+// hash state (see planner.go). Every table reference — including subqueries in FROM,
 // which recurse with the same pin — resolves against the one snapshot the
 // statement pinned at start, so the whole tree reads a prefix-consistent
 // view and execution (open/next on the returned tree) is lock-free over
@@ -58,23 +58,9 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 	}
 
 	// FROM + WHERE
-	var src planNode
-	var err error
-	if !e.plannerOff && s.Where != nil && len(s.From) > 0 {
-		if src, err = e.planFromWhere(s.From, s.Where, star, snap, qs); err != nil {
-			return nil, err
-		}
-	} else {
-		if src, err = e.planFrom(s.From, star, snap, qs); err != nil {
-			return nil, err
-		}
-		if s.Where != nil {
-			pred, err := compile(s.Where, &relation{cols: src.op.columns()}, ctx)
-			if err != nil {
-				return nil, err
-			}
-			src = planNode{op: &filterOp{e: e, child: src.op, pred: pred}, est: estFilter(src.est)}
-		}
+	src, err := e.planFrom(s.From, s.Where, star, snap, qs)
+	if err != nil {
+		return nil, err
 	}
 
 	// Aggregation: the select is rewritten so later stages reference the
@@ -92,7 +78,7 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 			if err != nil {
 				return nil, err
 			}
-			src = planNode{op: &filterOp{e: e, child: src.op, pred: pred}, est: estFilter(src.est)}
+			src = e.filterNode(src, pred)
 		}
 	} else if s.Having != nil {
 		return nil, fmt.Errorf("engine: HAVING without aggregation")
@@ -149,31 +135,8 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 	return &queryPlan{root: root, cols: outCols, est: est, qs: qs}, nil
 }
 
-// planFrom assembles the FROM clause into one operator (comma-separated
-// refs cross-join left-deep; JOIN…ON plans hash or nested-loop joins).
-// WHERE-driven pushdown and comma-join conversion live in planFromWhere;
-// this path serves WHERE-less selects and the planner-off mode.
-func (e *Engine) planFrom(refs []sqlparser.TableRef, star bool, snap *Snapshot, qs *querySpill) (planNode, error) {
-	if len(refs) == 0 {
-		// SELECT without FROM: a single empty row.
-		return planNode{op: &valuesOp{rows: []types.Row{{}}}, est: 1}, nil
-	}
-	var src planNode
-	for i, ref := range refs {
-		r, err := e.planRef(ref, star, snap, qs)
-		if err != nil {
-			return planNode{}, err
-		}
-		if i == 0 {
-			src = r
-			continue
-		}
-		src = e.buildJoinOp(src, r, nil, nil, nil, qs)
-	}
-	return src, nil
-}
-
-// planRef plans one FROM item. star marks a `*` in the enclosing select
+// planRef plans one leaf of the FROM clause's join tree (planFrom flattens
+// the joins themselves). star marks a `*` in the enclosing select
 // list: table scans then keep every visible column on top of the
 // statement's referenced names (a subquery's scans answer to the
 // subquery's own select list instead).
@@ -206,17 +169,6 @@ func (e *Engine) planRef(ref sqlparser.TableRef, star bool, snap *Snapshot, qs *
 			schema[i] = relCol{qual: lowered(r.Alias), name: lowered(c.Name), kind: c.Kind}
 		}
 		return planNode{op: &renameOp{child: sub.root, schema: schema}, est: sub.est}, nil
-
-	case *sqlparser.JoinRef:
-		left, err := e.planRef(r.Left, star, snap, qs)
-		if err != nil {
-			return planNode{}, err
-		}
-		right, err := e.planRef(r.Right, star, snap, qs)
-		if err != nil {
-			return planNode{}, err
-		}
-		return e.planJoin(left, right, r.On, qs)
 
 	default:
 		return planNode{}, fmt.Errorf("engine: unsupported FROM item %T", ref)

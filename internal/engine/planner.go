@@ -1,15 +1,17 @@
 package engine
 
 // This file is the planner pass between parse and operator construction.
-// The naive tree compiles `FROM a, b WHERE a.k = b.k` into a nested-loop
-// cross product with one post-join filter — O(n·m) rows materialised and
-// filtered. The pass fixes that in three moves, none of which changes the
-// result (docs/planner.md states the order contract):
+// The naive tree evaluates predicates where the statement writes them:
+// `FROM a, b WHERE a.k = b.k` is a nested-loop cross product under one
+// filter, and `FROM a JOIN b ON a.k = b.k WHERE a.x > 5` joins every row of
+// a before looking at x. The pass fixes that in three moves, none of which
+// changes the result (docs/planner.md states the order contract):
 //
-//  1. WHERE is split into conjuncts; each conjunct referencing columns of
-//     a single FROM input is pushed below the joins onto that input, and
-//     equality conjuncts bridging two inputs become hash-join keys, so the
-//     comma join plans the same hashJoinOp an explicit JOIN…ON would.
+//  1. FROM is flattened to the leaves of its inner-join tree and the ON and
+//     WHERE conjuncts pooled (planFrom); each conjunct naming a single leaf
+//     is pushed below the joins onto that leaf, and equality conjuncts
+//     bridging two join inputs become hash-join keys — whichever clause
+//     wrote them, so comma joins and JOIN…ON plan the same tree.
 //  2. Row-count estimates (scanOp already knows its snapshot size) flow up
 //     the tree: each left-deep join step compares the estimated sizes of
 //     its two inputs and builds on the smaller one (flipping the
@@ -25,6 +27,7 @@ import (
 	"math"
 
 	"sdb/internal/sqlparser"
+	"sdb/internal/types"
 )
 
 // planNode is an operator annotated with the planner's output-cardinality
@@ -86,8 +89,8 @@ func estLimited(n int, limit *int64) int {
 	return n
 }
 
-// buildJoinOp assembles one left-deep join step between the covered inputs
-// (left) and the next FROM input (right). With key pairs it plans a hash
+// buildJoinOp assembles one left-deep join step between the covered leaves
+// (left) and the next FROM leaf (right). With key pairs it plans a hash
 // join, else a nested loop over cond (nil cond = pure cross join). Unless
 // the planner is off, a hash join builds on the smaller estimated input: a
 // swap exchanges the operator's internal probe/build children and sets
@@ -183,212 +186,254 @@ func referencedColumns(s *sqlparser.Select) map[string]bool {
 	return names
 }
 
-// conjRefs reports which FROM inputs a conjunct's column references bind
-// to, as a bitmask over the input index. Columns resolve against the full
-// joined relation — exactly the resolution the naive post-join filter
-// would perform — so ambiguity and absence behave identically: any
-// resolution failure (or an expression form the walker does not know)
-// returns ok=false, and the conjunct stays in the top-level residual
-// filter where compiling it reproduces the naive error.
-func conjRefs(ex sqlparser.Expr, joined *relation, offsets []int) (mask uint64, ok bool) {
+// conjunct is one AND-term of the statement's predicate pool: a WHERE
+// conjunct, or an ON conjunct of one explicit join.
+type conjunct struct {
+	ex sqlparser.Expr
+	// cols is the relation the conjunct's names resolve in, laid out like
+	// the full FROM relation so a bound index addresses the joined row: all
+	// of it for WHERE; for ON only the leaves of its own join — the columns
+	// of leaves declared after the join are cut off and those of leaves of
+	// an earlier comma-separated ref are blanked, so they neither resolve
+	// nor make a name ambiguous.
+	cols []relCol
+	// home is the assembly step the AST puts the conjunct at, and where it
+	// stays unless the classifier places it lower: the step joining the
+	// last leaf of its own JOIN for ON, the filter above every join
+	// (step len(leaves)) for WHERE.
+	home int
+}
+
+// planFrom plans FROM + WHERE as one unit over the leaves of the inner-join
+// tree. `a JOIN b ON p JOIN c ON q, d` is the leaf list [a, b, c, d] — all
+// joins are INNER, so comma and JOIN differ only in where their predicates
+// are written — assembled left-deep in that order, with the conjuncts of p,
+// q and WHERE in one pool. Each conjunct is placed once: naming a single
+// leaf it becomes a filter directly above that leaf; naming several it goes
+// to the step that first covers them, as a hash key when it is an equality
+// with one side per join input (equiKeyPair), else as that join's residual;
+// naming none, or not resolving, it stays at its home step, where compiling
+// it reports what the naive plan reports. Leaf order is never changed —
+// that would change output order; only the build side within a step is
+// chosen by size (buildJoinOp).
+//
+// With the planner off the same assembly runs with placement disabled, which
+// is the AST-shaped tree: every conjunct at its home step, so an explicit
+// JOIN hashes on its own ON equalities, a comma is a cross product and WHERE
+// is one filter on top.
+func (e *Engine) planFrom(refs []sqlparser.TableRef, where sqlparser.Expr, star bool, snap *Snapshot, qs *querySpill) (planNode, error) {
+	type onClause struct {
+		ex     sqlparser.Expr
+		lo, hi int // the join's leaves are [lo, hi)
+	}
+	var leaves []sqlparser.TableRef
+	var ons []onClause
+	var flatten func(sqlparser.TableRef)
+	flatten = func(ref sqlparser.TableRef) {
+		j, ok := ref.(*sqlparser.JoinRef)
+		if !ok {
+			leaves = append(leaves, ref)
+			return
+		}
+		lo := len(leaves)
+		flatten(j.Left)
+		flatten(j.Right)
+		ons = append(ons, onClause{j.On, lo, len(leaves)})
+	}
+	for _, ref := range refs {
+		flatten(ref)
+	}
+
+	// Plan the leaves. full is the joined relation, offsets[i] the first
+	// column of leaf i in it and leafOf the inverse map.
+	nodes := make([]planNode, len(leaves))
+	offsets := make([]int, 1, len(leaves)+2)
+	var full []relCol
+	var leafOf []int
+	for i, ref := range leaves {
+		n, err := e.planRef(ref, star, snap, qs)
+		if err != nil {
+			return planNode{}, err
+		}
+		nodes[i] = n
+		for range n.op.columns() {
+			leafOf = append(leafOf, i)
+		}
+		full = append(full, n.op.columns()...)
+		offsets = append(offsets, len(full))
+	}
+	if len(leaves) == 0 {
+		// SELECT without FROM: a single empty row is the only leaf.
+		nodes = []planNode{{op: &valuesOp{rows: []types.Row{{}}}, est: 1}}
+		offsets = append(offsets, 0)
+	}
+	n := len(nodes)
+	ctx := e.evalCtx()
+
+	var pool []conjunct
+	for _, on := range ons {
+		cols := full[:offsets[on.hi]]
+		if on.lo > 0 {
+			cols = append(make([]relCol, offsets[on.lo]), cols[offsets[on.lo]:]...)
+		}
+		for _, ex := range splitConjuncts(on.ex) {
+			pool = append(pool, conjunct{ex: ex, cols: cols, home: on.hi - 1})
+		}
+	}
+	if where != nil {
+		for _, ex := range splitConjuncts(where) {
+			pool = append(pool, conjunct{ex: ex, cols: full, home: n})
+		}
+	}
+
+	// Place every conjunct: pushed[i] filters leaf i, steps[i] belongs to the
+	// join of leaf i (1 ≤ i < n), steps[n] to the filter above the joins.
+	pushed := make([][]sqlparser.Expr, n)
+	steps := make([][]conjunct, n+1)
+	for _, c := range pool {
+		at := c.home
+		if !e.plannerOff {
+			if lo, hi, ok := leafSpan(c.ex, c.cols, leafOf); ok && lo <= hi {
+				if lo == hi {
+					pushed[lo] = append(pushed[lo], c.ex)
+					continue
+				}
+				at = hi
+			}
+		}
+		steps[at] = append(steps[at], c)
+	}
+	for i, exprs := range pushed {
+		if len(exprs) == 0 {
+			continue
+		}
+		pred, err := compile(conjoin(exprs), &relation{cols: full[offsets[i]:offsets[i+1]]}, ctx)
+		if err != nil {
+			return planNode{}, err
+		}
+		nodes[i] = e.filterNode(nodes[i], pred)
+	}
+
+	// Left-deep assembly in leaf order.
+	cur := nodes[0]
+	for i := 1; i < n; i++ {
+		var leftKeys, rightKeys []compiledExpr
+		var rest []conjunct
+		for _, c := range steps[i] {
+			lk, rk, err := equiKeyPair(c, i, offsets, leafOf, ctx)
+			if err != nil {
+				return planNode{}, err
+			}
+			if lk == nil {
+				rest = append(rest, c)
+				continue
+			}
+			leftKeys = append(leftKeys, lk)
+			rightKeys = append(rightKeys, rk)
+		}
+		cond, err := compileAll(rest, offsets[i+1], ctx)
+		if err != nil {
+			return planNode{}, err
+		}
+		cur = e.buildJoinOp(cur, nodes[i], leftKeys, rightKeys, cond, qs)
+	}
+	top, err := compileAll(steps[n], len(full), ctx)
+	if err != nil {
+		return planNode{}, err
+	}
+	if top != nil {
+		cur = e.filterNode(cur, top)
+	}
+	return cur, nil
+}
+
+func (e *Engine) filterNode(child planNode, pred compiledExpr) planNode {
+	return planNode{op: &filterOp{e: e, child: child.op, pred: pred}, est: estFilter(child.est)}
+}
+
+// leafSpan resolves every column reference of ex in cols and reports the
+// lowest and highest FROM leaf they bind to; lo > hi means ex names no
+// column. ok is false when a name does not resolve — absent, ambiguous, or
+// outside an ON clause's own join — or ex holds an expression form the
+// walker does not know. Resolution is exactly what compiling the conjunct at
+// its home step performs, so whatever the classifier declines to place
+// fails there with the naive plan's error.
+func leafSpan(ex sqlparser.Expr, cols []relCol, leafOf []int) (lo, hi int, ok bool) {
+	lo, hi = len(leafOf), -1
+	rel := &relation{cols: cols}
 	resolved := true
 	known := walkExpr(ex, func(x sqlparser.Expr) bool {
 		cr, isCol := x.(sqlparser.ColRef)
 		if !isCol {
 			return true
 		}
-		idx, err := joined.resolve(cr.Table, cr.Name)
+		idx, err := rel.resolve(cr.Table, cr.Name)
 		if err != nil {
 			resolved = false
 			return true
 		}
-		for i := 0; i+1 < len(offsets); i++ {
-			if idx >= offsets[i] && idx < offsets[i+1] {
-				mask |= uint64(1) << uint(i)
-				break
-			}
-		}
+		lo, hi = min(lo, leafOf[idx]), max(hi, leafOf[idx])
 		return true
 	})
-	return mask, known && resolved
+	return lo, hi, known && resolved
 }
 
-// classifiedConj is one WHERE conjunct with the set of FROM inputs it
-// references.
-type classifiedConj struct {
-	ex   sqlparser.Expr
-	mask uint64
-}
-
-// planFromWhere plans FROM + WHERE as one unit: single-input conjuncts are
-// pushed below the joins onto their input, equality conjuncts bridging the
-// covered prefix and the next input become hash-join keys at that left-deep
-// step, and everything else (multi-input non-equi conjuncts, conjuncts
-// referencing no input, and conjuncts the classifier cannot place) remains
-// in a residual filter at the position the naive plan evaluates the whole
-// WHERE. Join order is the FROM order — reordering inputs would change
-// output order, which the planner never does; only the build side within a
-// step is chosen by size (see buildJoinOp).
-func (e *Engine) planFromWhere(refs []sqlparser.TableRef, where sqlparser.Expr, star bool, snap *Snapshot, qs *querySpill) (planNode, error) {
-	nodes := make([]planNode, len(refs))
-	offsets := make([]int, len(refs)+1)
-	var full []relCol
-	for i, ref := range refs {
-		n, err := e.planRef(ref, star, snap, qs)
-		if err != nil {
-			return planNode{}, err
-		}
-		nodes[i] = n
-		offsets[i] = len(full)
-		full = append(full, n.op.columns()...)
-	}
-	offsets[len(refs)] = len(full)
-	joined := &relation{cols: full}
-	ctx := e.evalCtx()
-
-	// Classify: push single-input conjuncts, queue bridging ones for the
-	// join steps, keep the rest for the top residual.
-	conjuncts := splitConjuncts(where)
-	var residual []sqlparser.Expr
-	perRef := make([][]sqlparser.Expr, len(refs))
-	var crossing []classifiedConj
-	for _, c := range conjuncts {
-		mask, ok := conjRefs(c, joined, offsets)
-		switch {
-		case !ok || mask == 0:
-			residual = append(residual, c)
-		case mask&(mask-1) == 0: // single input
-			i := bitIndex(mask)
-			perRef[i] = append(perRef[i], c)
-		default:
-			crossing = append(crossing, classifiedConj{ex: c, mask: mask})
-		}
-	}
-	for i := range refs {
-		if len(perRef[i]) == 0 {
-			continue
-		}
-		pred, err := compile(conjoin(perRef[i]), &relation{cols: nodes[i].op.columns()}, ctx)
-		if err != nil {
-			return planNode{}, err
-		}
-		nodes[i] = planNode{
-			op:  &filterOp{e: e, child: nodes[i].op, pred: pred},
-			est: estFilter(nodes[i].est),
-		}
-	}
-
-	// Left-deep assembly in FROM order. Each step consumes the crossing
-	// conjuncts whose highest-referenced input is the one being joined:
-	// equalities with one side per join input become hash keys, the rest
-	// become that join's residual condition.
-	cur := nodes[0]
-	covered := uint64(1)
-	for i := 1; i < len(refs); i++ {
-		bit := uint64(1) << uint(i)
-		curRel := &relation{cols: cur.op.columns()}
-		refRel := &relation{cols: nodes[i].op.columns()}
-		var leftKeys, rightKeys []compiledExpr
-		var joinRest []sqlparser.Expr
-		remaining := crossing[:0:0]
-		for _, c := range crossing {
-			if c.mask&^(covered|bit) != 0 || c.mask&bit == 0 {
-				remaining = append(remaining, c)
-				continue
-			}
-			lk, rk, err := e.equiKeyPair(c.ex, curRel, refRel, joined, offsets, covered, bit)
-			if err != nil {
-				return planNode{}, err
-			}
-			if lk != nil {
-				leftKeys = append(leftKeys, lk)
-				rightKeys = append(rightKeys, rk)
-			} else {
-				joinRest = append(joinRest, c.ex)
-			}
-		}
-		crossing = remaining
-
-		var cond compiledExpr
-		if len(joinRest) > 0 {
-			var err error
-			if cond, err = compile(conjoin(joinRest), &relation{cols: append(append([]relCol{}, curRel.cols...), refRel.cols...)}, ctx); err != nil {
-				return planNode{}, err
-			}
-		}
-		cur = e.buildJoinOp(cur, nodes[i], leftKeys, rightKeys, cond, qs)
-		covered |= bit
-	}
-
-	// Anything unconsumed (unclassifiable conjuncts, constants — and,
-	// defensively, any crossing leftovers) filters the joined stream where
-	// the naive plan would have filtered everything.
-	residual = append(residual, exprsOf(crossing)...)
-	if len(residual) > 0 {
-		pred, err := compile(conjoin(residual), joined, ctx)
-		if err != nil {
-			return planNode{}, err
-		}
-		cur = planNode{op: &filterOp{e: e, child: cur.op, pred: pred}, est: estFilter(cur.est)}
-	}
-	return cur, nil
-}
-
-// equiKeyPair tries to compile one bridging conjunct as a hash-join key
-// pair for the step joining the covered inputs (curRel) with input bit
-// (refRel): the conjunct must be an equality whose sides each reference
-// columns of exactly one side of the step. A (nil, nil, nil) return means
-// the conjunct is joinable only as a residual condition.
-func (e *Engine) equiKeyPair(ex sqlparser.Expr, curRel, refRel, joined *relation, offsets []int, covered, bit uint64) (compiledExpr, compiledExpr, error) {
-	be, ok := ex.(*sqlparser.BinaryExpr)
+// equiKeyPair tries to compile conjunct c as a hash-join key pair for the
+// step joining leaf `step` to the leaves before it: c must be an equality
+// with one side naming only earlier leaves and the other only leaf step.
+// The keys bind against their own side's row. A (nil, nil, nil) return
+// means the conjunct is joinable only as a residual condition.
+func equiKeyPair(c conjunct, step int, offsets, leafOf []int, ctx *evalCtx) (lk, rk compiledExpr, err error) {
+	be, ok := c.ex.(*sqlparser.BinaryExpr)
 	if !ok || be.Op != "=" {
 		return nil, nil, nil
 	}
-	lm, lok := conjRefs(be.L, joined, offsets)
-	rm, rok := conjRefs(be.R, joined, offsets)
-	if !lok || !rok || lm == 0 || rm == 0 {
+	l, r := be.L, be.R
+	llo, lhi, lok := leafSpan(l, c.cols, leafOf)
+	rlo, rhi, rok := leafSpan(r, c.cols, leafOf)
+	if llo == step && lhi == step {
+		l, r = r, l
+		llo, lhi, rlo, rhi = rlo, rhi, llo, lhi
+	}
+	if !lok || !rok || lhi < 0 || lhi >= step || rlo != step || rhi != step {
 		return nil, nil, nil
 	}
-	ctx := e.evalCtx()
-	switch {
-	case lm&^covered == 0 && rm&^bit == 0:
-		lk, err := compile(be.L, curRel, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		rk, err := compile(be.R, refRel, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		return lk, rk, nil
-	case rm&^covered == 0 && lm&^bit == 0:
-		lk, err := compile(be.R, curRel, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		rk, err := compile(be.L, refRel, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		return lk, rk, nil
+	if lk, err = compile(l, &relation{cols: c.cols[:offsets[step]]}, ctx); err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, nil
+	if rk, err = compile(r, &relation{cols: c.cols[offsets[step]:offsets[step+1]]}, ctx); err != nil {
+		return nil, nil, err
+	}
+	return lk, rk, nil
 }
 
-// bitIndex returns the index of the single set bit in mask.
-func bitIndex(mask uint64) int {
-	i := 0
-	for mask > 1 {
-		mask >>= 1
-		i++
+// compileAll binds each conjunct against the first width columns of its own
+// relation and returns their conjunction (nil for none), evaluated left to
+// right with AND's short circuit.
+func compileAll(cs []conjunct, width int, ctx *evalCtx) (compiledExpr, error) {
+	preds := make([]compiledExpr, len(cs))
+	for i, c := range cs {
+		var err error
+		if preds[i], err = compile(c.ex, &relation{cols: c.cols[:width]}, ctx); err != nil {
+			return nil, err
+		}
 	}
-	return i
-}
-
-func exprsOf(cs []classifiedConj) []sqlparser.Expr {
-	var out []sqlparser.Expr
-	for _, c := range cs {
-		out = append(out, c.ex)
+	switch len(preds) {
+	case 0:
+		return nil, nil
+	case 1:
+		return preds[0], nil
 	}
-	return out
+	return func(row types.Row) (types.Value, error) {
+		for _, p := range preds {
+			v, err := p(row)
+			if err != nil {
+				return types.Null, err
+			}
+			if !v.Bool() {
+				return types.NewBool(false), nil
+			}
+		}
+		return types.NewBool(true), nil
+	}, nil
 }

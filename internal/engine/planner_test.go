@@ -14,26 +14,33 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
+	"sdb/internal/spill"
 	"sdb/internal/sqlparser"
 	"sdb/internal/storage"
 )
 
-// planFor compiles one SELECT without executing it.
-func planFor(t *testing.T, e *Engine, sql string) *queryPlan {
-	t.Helper()
+// planSQL compiles one SELECT without executing it.
+func planSQL(e *Engine, sql string) (*queryPlan, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
-		t.Fatalf("parse %s: %v", sql, err)
+		return nil, err
 	}
 	sel, ok := stmt.(*sqlparser.Select)
 	if !ok {
-		t.Fatalf("not a SELECT: %s", sql)
+		return nil, fmt.Errorf("not a SELECT: %s", sql)
 	}
 	qs := e.newQuerySpill()
 	defer qs.close()
-	pl, err := e.planQuery(sel, e.PinSnapshot(), qs)
+	return e.planQuery(sel, e.PinSnapshot(), qs)
+}
+
+func planFor(t *testing.T, e *Engine, sql string) *queryPlan {
+	t.Helper()
+	pl, err := planSQL(e, sql)
 	if err != nil {
 		t.Fatalf("plan %s: %v", sql, err)
 	}
@@ -78,6 +85,74 @@ func countOps[T operator](ops []operator) (n int, last T) {
 		}
 	}
 	return n, last
+}
+
+// treeSig renders an operator tree as one string — the plan-shape
+// signature. Leaves print their alias (a zero-column scan prints "scan"),
+// a derived table is bracketed around its own plan, σ is a filter and π the
+// projection; a join prints its children in declared order, with the number
+// of hash keys, "~" when the build side is swapped and "+" when it carries a
+// residual condition: `π(hash1(σ(a), σ(b)))`.
+func treeSig(op operator) string {
+	unary := func(name string, child operator) string { return name + "(" + treeSig(child) + ")" }
+	mark := func(on bool, m string) string {
+		if on {
+			return m
+		}
+		return ""
+	}
+	switch o := op.(type) {
+	case *scanOp:
+		if len(o.schema) == 0 {
+			return "scan"
+		}
+		return o.schema[0].qual
+	case *valuesOp:
+		return "values"
+	case *renameOp:
+		return "[" + treeSig(o.child) + "]"
+	case *filterOp:
+		return unary("σ", o.child)
+	case *projectOp:
+		return unary("π", o.child)
+	case *limitOp:
+		return unary("limit", o.child)
+	case *distinctOp:
+		return unary("distinct", o.child)
+	case *sortOp:
+		return unary("sort", o.child)
+	case *topKOp:
+		return unary("topK", o.child)
+	case *hashAggOp:
+		return unary("agg", o.child)
+	case *hashJoinOp:
+		l, r := o.left, o.right
+		if o.flip {
+			l, r = r, l
+		}
+		return fmt.Sprintf("hash%d%s%s(%s, %s)", len(o.leftKeys), mark(o.flip, "~"), mark(o.residual != nil, "+"),
+			treeSig(l), treeSig(r))
+	case *nestedLoopJoinOp:
+		return fmt.Sprintf("loop%s(%s, %s)", mark(o.cond != nil, "+"), treeSig(o.left), treeSig(o.right))
+	}
+	return fmt.Sprintf("%T", op)
+}
+
+// filterOnJoin reports whether a plan signature holds a filter sitting
+// directly on a join — where the naive plan evaluates WHERE, and where the
+// planner leaves only conjuncts it cannot place (constants, unresolvable
+// names).
+func filterOnJoin(sig string) bool {
+	return strings.Contains(sig, "σ(hash") || strings.Contains(sig, "σ(loop")
+}
+
+// planSig plans one SELECT and returns its signature.
+func planSig(e *Engine, sql string) (string, error) {
+	pl, err := planSQL(e, sql)
+	if err != nil {
+		return "", err
+	}
+	return treeSig(pl.root), nil
 }
 
 func plannerEngines(t *testing.T) (on, off *Engine) {
@@ -132,36 +207,67 @@ func TestCommaJoinPlansHashJoin(t *testing.T) {
 	requireSameRows(t, "comma join on-vs-off", got, want)
 }
 
-// TestPushdownBelowJoin checks single-table WHERE conjuncts land below the
-// join on their own input, leaving no residual filter above it.
+// TestPushdownBelowJoin pins where conjuncts land, in every FROM syntax:
+// each conjunct naming one leaf of the join tree — WHERE or ON, table or
+// derived table — sits in a filter directly above that leaf, bridging
+// equalities are hash keys at the step that first covers them, and no
+// filter remains above the joins. The answers must equal the planner-off
+// engine's, whose tree for the same statement is the AST-shaped one.
 func TestPushdownBelowJoin(t *testing.T) {
-	on, _ := plannerEngines(t)
-	mustExec(t, on, `CREATE TABLE a (k INT, x INT)`)
-	mustExec(t, on, `CREATE TABLE b (k INT, y INT)`)
-	mustExec(t, on, `INSERT INTO a VALUES (1, 10), (2, 20), (3, 30)`)
-	mustExec(t, on, `INSERT INTO b VALUES (2, 200), (3, 300)`)
-
-	pl := planFor(t, on, `SELECT a.x, b.y FROM a, b WHERE a.k = b.k AND a.x > 5 AND b.y < 250`)
-	ops := opsIn(pl.root)
-	njoins, join := countOps[*hashJoinOp](ops)
-	if njoins != 1 {
-		t.Fatalf("%d hashJoinOps, want 1", njoins)
+	on, off := plannerEngines(t)
+	for _, e := range []*Engine{on, off} {
+		mustExec(t, e, `CREATE TABLE a (k INT, x INT)`)
+		mustExec(t, e, `CREATE TABLE b (k INT, y INT)`)
+		mustExec(t, e, `CREATE TABLE c (k INT, z INT)`)
+		mustExec(t, e, `INSERT INTO a VALUES (1, 10), (2, 20), (3, 30), (3, 4)`)
+		mustExec(t, e, `INSERT INTO b VALUES (2, 200), (3, 300), (3, 100)`)
+		mustExec(t, e, `INSERT INTO c VALUES (3, 1), (2, 2), (3, 3)`)
 	}
-	if _, ok := join.left.(*filterOp); !ok {
-		t.Fatalf("probe input is %T, want the pushed-down filterOp", join.left)
-	}
-	if _, ok := join.right.(*filterOp); !ok {
-		t.Fatalf("build input is %T, want the pushed-down filterOp", join.right)
-	}
-	// Both single-table conjuncts were consumed below the join, so no
-	// filter may remain above it (the projection sits directly on the
-	// join).
-	proj, ok := pl.root.(*projectOp)
-	if !ok {
-		t.Fatalf("root is %T, want projectOp", pl.root)
-	}
-	if _, ok := proj.child.(*hashJoinOp); !ok {
-		t.Fatalf("projection input is %T, want the join (no residual filter)", proj.child)
+	for _, tc := range []struct{ name, sql, on, off string }{
+		{"comma",
+			`SELECT a.x, b.y FROM a, b WHERE a.k = b.k AND a.x > 5 AND b.y < 250`,
+			`π(hash1(σ(a), σ(b)))`, `π(σ(loop(a, b)))`},
+		{"join-on",
+			`SELECT a.x, b.y FROM a JOIN b ON a.k = b.k WHERE a.x > 5 AND b.y < 250`,
+			`π(hash1(σ(a), σ(b)))`, `π(σ(hash1(a, b)))`},
+		{"three-table chain",
+			`SELECT a.x, b.y, c.z FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k WHERE a.x > 5 AND c.z < 3`,
+			`π(hash1(hash1(σ(a), b), σ(c)))`, `π(σ(hash1(hash1(a, b), c)))`},
+		{"single-side ON conjunct, no WHERE",
+			`SELECT a.x, b.y FROM a JOIN b ON a.k = b.k AND b.y < 250`,
+			`π(hash1(a, σ(b)))`, `π(hash1+(a, b))`},
+		{"derived-table leaf",
+			`SELECT q.x, b.y FROM (SELECT k, x FROM a) q JOIN b ON q.k = b.k WHERE q.x > 5 AND b.y < 250`,
+			`π(hash1(σ([π(a)]), σ(b)))`, `π(σ(hash1([π(a)], b)))`},
+		{"mixed JOIN and comma",
+			`SELECT a.x, b.y, c.z FROM a JOIN b ON a.k = b.k, c WHERE c.k = a.k AND c.z > 1 AND b.y < 250`,
+			`π(hash1(hash1(a, σ(b)), σ(c)))`, `π(σ(loop(hash1(a, b), c)))`},
+		{"key declared a step late, ON scoped to a later comma ref",
+			`SELECT a.x, b.y, c.z FROM c, a JOIN b ON a.x < b.y AND a.k = b.k WHERE c.k = a.k AND b.k = a.k`,
+			// Planner off is left-deep too: c × a first, then a's own JOIN —
+			// the rows and their order are those of c × (a ⋈ b).
+			`π(hash2+(hash1(c, a), b))`, `π(σ(hash1+(loop(c, a), b)))`},
+	} {
+		for _, m := range []struct {
+			e    *Engine
+			want string
+		}{{on, tc.on}, {off, tc.off}} {
+			got, err := planSig(m.e, tc.sql)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if got != m.want {
+				t.Errorf("%s: plan %s, want %s", tc.name, got, m.want)
+			}
+		}
+		got, _ := queryWithStats(t, on, tc.sql)
+		want, _ := queryWithStats(t, off, tc.sql)
+		if len(want.Rows) == 0 {
+			t.Fatalf("%s: degenerate fixture, no rows", tc.name)
+		}
+		// No ORDER BY: pushdown and key conversion are exactly
+		// order-preserving, and nothing here is big enough to swap.
+		requireSameRows(t, tc.name, got, want)
 	}
 }
 
@@ -274,6 +380,34 @@ func TestPlannerDifferential(t *testing.T) {
 				`SELECT COUNT(*) FROM l`,
 				`SELECT COUNT(*) FROM l, r2`,
 			}
+			// One planner for both FROM syntaxes: JOIN … ON, comma and
+			// mixtures, with predicates written in either clause.
+			x, y, z := rng.Intn(30), 20+rng.Intn(30), rng.Intn(25)
+			queries = append(queries,
+				// WHERE filters on each side of an explicit join.
+				fmt.Sprintf(`SELECT l.k, a, r.b FROM l JOIN r ON l.k = r.k WHERE a > %d AND r.b < %d ORDER BY l.k, a, r.b`, x, y),
+				// A single-side ON conjunct and no WHERE at all.
+				fmt.Sprintf(`SELECT l.k, a, r.b FROM l JOIN r ON l.k = r.k AND r.b < %d ORDER BY l.k, a, r.b`, y),
+				// A crossing non-equi ON conjunct, with and without a key.
+				`SELECT l.k, a, r.b FROM l JOIN r ON l.k = r.k AND a < r.b ORDER BY l.k, a, r.b`,
+				fmt.Sprintf(`SELECT l.k, a, r.b FROM l JOIN r ON a + %d < r.b WHERE s = 's1' ORDER BY l.k, a, r.b`, x),
+				// A chain with a filter on every leaf.
+				fmt.Sprintf(`SELECT l.k, a, r.b, r2.c FROM l JOIN r ON l.k = r.k JOIN r2 ON r.k = r2.k
+					WHERE a > %d AND r.b < %d AND r2.c > %d ORDER BY l.k, a, r.b, r2.c`, x, y, z),
+				// Keys used at another step than the clause that declares
+				// them: an ON equality of the second join keys the first,
+				// and a WHERE equality keys the comma step.
+				`SELECT l.k, a, r.b, r2.c FROM l JOIN r ON a < r.b JOIN r2 ON r.k = r2.k AND l.k = r.k ORDER BY l.k, a, r.b, r2.c`,
+				fmt.Sprintf(`SELECT l.k, r.b, r2.c FROM l JOIN r ON l.k = r.k, r2 WHERE r2.k = l.k AND r2.c > %d ORDER BY l.k, r.b, r2.c`, z),
+				// An ON clause in a later comma ref sees its own join only.
+				fmt.Sprintf(`SELECT l.k, a, r.b, r2.c FROM r2, l JOIN r ON l.k = r.k AND a > %d WHERE r2.k = l.k ORDER BY l.k, a, r.b, r2.c`, x),
+				// A join over a filtered derived table.
+				fmt.Sprintf(`SELECT q.k, q.a, r.b FROM (SELECT k, a FROM l WHERE a > %d) q JOIN r ON q.k = r.k
+					WHERE r.b < %d AND q.a < 45 ORDER BY q.k, q.a, r.b`, x, y),
+				// A pushed filter that empties the build side.
+				`SELECT l.k, a, r.b FROM l JOIN r ON l.k = r.k WHERE r.b > 1000 ORDER BY l.k, a, r.b`,
+				`SELECT l.k, r.b, r2.c FROM l JOIN r ON l.k = r.k JOIN r2 ON r.k = r2.k AND r2.c < 0 ORDER BY l.k, r.b, r2.c`,
+			)
 			for _, sql := range queries {
 				want, stOff := queryWithStats(t, off, sql)
 				got, stOn := queryWithStats(t, on, sql)
@@ -359,6 +493,10 @@ func TestPruneErrorsUnchanged(t *testing.T) {
 		}
 		return err.Error()
 	}
+	if got, want := queryErr(on, `SELECT l.a FROM l JOIN r ON l.k = q.k JOIN (SELECT k FROM l) q ON q.k = r.k`),
+		"engine: no column q.k"; got != want {
+		t.Errorf("ON naming a later table: error %q, want %q", got, want)
+	}
 	for _, sql := range []string{
 		`SELECT k FROM l, r`,
 		`SELECT l.a FROM l, r WHERE k = 1`,
@@ -370,6 +508,17 @@ func TestPruneErrorsUnchanged(t *testing.T) {
 		`SELECT a FROM l ORDER BY b`,
 		`SELECT a, COUNT(*) FROM l GROUP BY nope`,
 		`SELECT * FROM l GROUP BY k`,
+		// ON resolves against its own join's inputs only: not a table
+		// joined later, not an earlier comma-separated ref; a bare name two
+		// of its inputs share is ambiguous, as in WHERE.
+		`SELECT l.a FROM l JOIN r ON l.k = q.k JOIN (SELECT k FROM l) q ON q.k = r.k`,
+		`SELECT r.b FROM l, l AS l2 JOIN r ON l.k = r.k`,
+		`SELECT l.a FROM l JOIN r ON k = 1`,
+		`SELECT l.a FROM l JOIN r ON k = r.k`,
+		`SELECT l.a FROM l JOIN r ON l.k = r.k AND nope = 1 WHERE r.b > 0`,
+		`SELECT l.a FROM l JOIN r ON l.k = r.k WHERE nope > 1 AND l.a > 0`,
+		`SELECT COUNT() FROM l GROUP BY k`,
+		`SELECT SUM() FROM l JOIN r ON l.k = r.k`,
 	} {
 		want := queryErr(off, sql)
 		for _, e := range []*Engine{on, onSpill} {
@@ -377,5 +526,99 @@ func TestPruneErrorsUnchanged(t *testing.T) {
 				t.Errorf("%s: error %q, planner off says %q", sql, got, want)
 			}
 		}
+	}
+}
+
+// TestManyLeafFrom: the classifier keeps a conjunct's lowest and highest
+// leaf, not a bitmask, so a FROM with more leaves than a machine word has
+// bits plans like any other — filters on leaf 3 and on leaf 69, a WHERE
+// equality keyed at step 68 — and answers as the planner-off tree does.
+func TestManyLeafFrom(t *testing.T) {
+	const leaves = 70
+	on, off := plannerEngines(t)
+	for _, e := range []*Engine{on, off} {
+		mustExec(t, e, `CREATE TABLE t (k INT, v INT)`)
+		mustExec(t, e, `INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)`)
+	}
+	var from strings.Builder
+	from.WriteString("t AS t0")
+	for i := 1; i < leaves; i++ {
+		fmt.Fprintf(&from, " JOIN t AS t%d ON t%d.k = t%d.k", i, i-1, i)
+	}
+	sql := fmt.Sprintf(`SELECT t0.v, t%d.v FROM %s WHERE t3.v < 25 AND t%d.v > 10 AND t%d.k = t0.k`,
+		leaves-1, from.String(), leaves-1, leaves-2)
+	sig, err := planSig(on, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"σ(t3)", fmt.Sprintf("σ(t%d)", leaves-1), "hash2("} {
+		if !strings.Contains(sig, want) {
+			t.Errorf("plan lacks %s: %s", want, sig)
+		}
+	}
+	if n := strings.Count(sig, "σ("); n != 2 || filterOnJoin(sig) {
+		t.Errorf("%d filters, want the two pushed ones and none on a join: %s", n, sig)
+	}
+	got, _ := queryWithStats(t, on, sql)
+	want, _ := queryWithStats(t, off, sql)
+	if len(want.Rows) != 1 || want.Rows[0][0].I != 20 {
+		t.Fatalf("planner off answers %v, want the one row of k = 2", want.Rows)
+	}
+	requireSameRows(t, "70-leaf FROM on-vs-off", got, want)
+}
+
+// TestEmptyBuildClosesChildren: a pushed filter can empty a join's build
+// side, and the join then answers EOF without ever pulling its probe side —
+// which, one join down the chain, has already opened, built and (under the
+// small budget) spilled. Closing the query must still close both children:
+// no reservation, no run file and no descriptor may outlive it.
+func TestEmptyBuildClosesChildren(t *testing.T) {
+	openFDs := func() int {
+		entries, _ := os.ReadDir("/proc/self/fd")
+		return len(entries)
+	}
+	for _, tc := range []struct {
+		name   string
+		budget int
+		spills bool
+	}{
+		{"lower join resident", 1000, false}, // holds a reservation at close
+		{"lower join spilled", 24, true},     // holds run files at close
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := spill.NewPool(4000)
+			dir := t.TempDir()
+			e := NewWithOptions(storage.NewCatalog(), nil, Options{
+				Parallelism: 2, ChunkSize: 4, SpillParallelism: 2, MemBudgetRows: tc.budget,
+				BudgetPool: pool, SpillDir: dir, Planner: "on"})
+			mustExec(t, e, `CREATE TABLE l (k INT, a INT)`)
+			mustExec(t, e, `CREATE TABLE r (k INT, b INT)`)
+			mustExec(t, e, `CREATE TABLE r2 (k INT, c INT)`)
+			for _, tbl := range []string{"l", "r", "r2"} {
+				loadRows(t, []*Engine{e}, tbl, 200, func(i int) string { return fmt.Sprintf("(%d, %d)", i%50, i) })
+			}
+			sql := `SELECT l.k, a, b, c FROM l JOIN r ON l.k = r.k JOIN r2 ON r.k = r2.k WHERE r2.c < 0`
+			if sig, _ := planSig(e, sql); sig != `π(hash1(hash1(l, r), σ(r2)))` {
+				t.Fatalf("plan %s: the empty side must be the top join's build side", sig)
+			}
+			fds := openFDs()
+			res, st, maxUsed := queryBudgetMax(t, e, sql)
+			if len(res.Rows) != 0 {
+				t.Fatalf("%d rows from a join with an empty side", len(res.Rows))
+			}
+			if (st.Spills > 0) != tc.spills || maxUsed == 0 {
+				t.Fatalf("lower join: spills %d (want spilling: %v), %d rows reserved at most — the test is vacuous",
+					st.Spills, tc.spills, maxUsed)
+			}
+			if pool.Used() != 0 {
+				t.Errorf("%d rows still reserved after the query closed", pool.Used())
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+				t.Errorf("%d spill entries outlive the query", len(entries))
+			}
+			if now := openFDs(); now != fds {
+				t.Errorf("%d descriptors open after the query, %d before", now, fds)
+			}
+		})
 	}
 }

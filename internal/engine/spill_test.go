@@ -214,7 +214,10 @@ func TestJoinSpillDuplicateKeySkew(t *testing.T) {
 	loadRows(t, []*Engine{mem, spl}, "build", 500, func(i int) string {
 		return fmt.Sprintf("(1, %d)", i)
 	})
-	sql := `SELECT v, d FROM probe JOIN build ON probe.k = build.k WHERE v < 2`
+	// The filter names both inputs so the planner cannot push it below the
+	// join (a pushed `v < 2` leaves a two-row build side that never spills):
+	// it stays the join's residual and both inputs reach the join whole.
+	sql := `SELECT v, d FROM probe JOIN build ON probe.k = build.k WHERE v + 0 * d < 2`
 	want, _ := queryWithStats(t, mem, sql)
 	got, gotSt := queryWithStats(t, spl, sql)
 	checkSpilled(t, sql, gotSt, budget)

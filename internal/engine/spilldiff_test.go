@@ -207,7 +207,29 @@ func genQuery(rng *rand.Rand, family string) string {
 		if rng.Intn(3) == 0 {
 			q = `SELECT a, b FROM l JOIN r ON l.k = r.k WHERE a > ` + fmt.Sprint(rng.Intn(100)-80)
 		}
-		return q
+		if rng.Intn(2) == 0 {
+			return q
+		}
+		// Shapes the one FROM/WHERE planner rearranges: the filters below
+		// run under the join, on whichever side they name.
+		x, y := rng.Intn(100)-80, rng.Intn(100)+20
+		switch rng.Intn(7) {
+		case 0: // WHERE filters on each side
+			return fmt.Sprintf(`SELECT l.k, a, s, b FROM l JOIN r ON l.k = r.k WHERE a > %d AND b < %d`, x, y)
+		case 1: // a single-side ON conjunct, no WHERE
+			return fmt.Sprintf(`SELECT l.k, a, b FROM l JOIN r ON l.k = r.k AND b < %d`, y)
+		case 2: // single-side and crossing ON conjuncts together
+			return fmt.Sprintf(`SELECT l.k, a, b FROM l JOIN r ON l.k = r.k AND a > %d AND a < b + 100`, x)
+		case 3: // a filtered derived table as a leaf
+			return fmt.Sprintf(`SELECT q.k, q.a, b FROM (SELECT k, a FROM l WHERE a > %d) q JOIN r ON q.k = r.k WHERE b < %d`, x, y)
+		case 4: // a chain with a filter on every leaf
+			return fmt.Sprintf(`SELECT l.k, a, r.b, r2.b FROM l JOIN r ON l.k = r.k JOIN r AS r2 ON r.k = r2.k
+				WHERE a > %d AND r.b < %d AND r2.b > 150`, x, y)
+		case 5: // a key usable one step before the clause that declares it
+			return `SELECT l.k, a, r.b, r2.b FROM l JOIN r ON a < r.b + 150 JOIN r AS r2 ON r2.b > 150 AND r.k = r2.k AND l.k = r.k`
+		default: // a pushed filter that empties the build side (never spills)
+			return `SELECT l.k, a, b FROM l JOIN r ON l.k = r.k WHERE b > 1000`
+		}
 	case "agg":
 		aggs := []string{"COUNT(*)", "COUNT(a)", "SUM(a)", "AVG(a)", "MIN(a)", "MAX(a)", "MAX(s)",
 			"COUNT(DISTINCT a)", "SUM(DISTINCT a)", "COUNT(DISTINCT s)"}
@@ -236,7 +258,12 @@ func genQuery(rng *rand.Rand, family string) string {
 			return `SELECT DISTINCT k, s FROM l ORDER BY k` + desc() + `, s`
 		}
 	case "combo":
-		switch rng.Intn(3) {
+		x, y := rng.Intn(100)-80, rng.Intn(100)+20
+		switch rng.Intn(5) {
+		case 3:
+			return fmt.Sprintf(`SELECT r.k, COUNT(*), SUM(a) FROM l JOIN r ON l.k = r.k AND b < %d WHERE a > %d GROUP BY r.k ORDER BY r.k`, y, x) + desc()
+		case 4:
+			return fmt.Sprintf(`SELECT DISTINCT l.k, b FROM l JOIN r ON l.k = r.k WHERE a > %d AND b < %d ORDER BY l.k, b`, x, y) + desc()
 		case 0:
 			return `SELECT r.k, COUNT(*), SUM(a) FROM l JOIN r ON l.k = r.k GROUP BY r.k ORDER BY r.k` + desc()
 		case 1:

@@ -170,7 +170,10 @@ func TestConcurrentSpillBudgetSkewOvershoot(t *testing.T) {
 	loadRows(t, []*Engine{e}, "build", 1600, func(i int) string {
 		return fmt.Sprintf("(%d, %d)", i%8, i)
 	})
-	sql := `SELECT v, d FROM probe JOIN build ON probe.k = build.k WHERE v < 16`
+	// The filter names both inputs, so it stays the join's residual and the
+	// skewed inputs reach the join whole (pushed below it, `v < 16` would
+	// leave a 16-row build side that fits the budget).
+	sql := `SELECT v, d FROM probe JOIN build ON probe.k = build.k WHERE v + 0 * d < 16`
 	res, st, maxUsed := queryBudgetMax(t, e, sql)
 	if st.Spills == 0 {
 		t.Fatalf("skewed join did not spill: %+v", st)

@@ -1,0 +1,160 @@
+package engine_test
+
+// TPC-H against the planner: every benchmarked join is written JOIN … ON,
+// so these tests hold the two FROM syntaxes to one plan and pin the spill
+// numbers that follow from it.
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"sdb/internal/engine"
+	"sdb/internal/proxy"
+	"sdb/internal/secure"
+	"sdb/internal/storage"
+	"sdb/internal/tpch"
+)
+
+// createTPCH creates the TPC-H tables through exec.
+func createTPCH(t *testing.T, ddl []string, exec func(sql string) error) {
+	t.Helper()
+	for _, sql := range ddl {
+		if err := exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTPCHJoinSyntaxEquivalence: for every runnable TPC-H statement, as
+// written and as the proxy rewrites it for the SP, the plan of the statement
+// equals the plan of its mechanically derived comma form, and no filter is
+// left sitting on a join — every WHERE and ON conjunct of the workload names
+// a leaf or bridges two, so each has a place below.
+func TestTPCHJoinSyntaxEquivalence(t *testing.T) {
+	secret, err := secure.Setup(384, 62, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := engine.Options{Planner: "on"}
+	plainEng := engine.NewWithOptions(storage.NewCatalog(), nil, opts)
+	sdbEng := engine.NewWithOptions(storage.NewCatalog(), secret.N(), opts)
+	sdb, err := proxy.New(secret, sdbEng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	execPlain := func(sql string) error { _, err := plainEng.ExecuteSQL(sql); return err }
+	execSDB := func(sql string) error { _, err := sdb.Exec(sql); return err }
+	createTPCH(t, tpch.PlainCreateStatements(), execPlain)
+	createTPCH(t, tpch.CreateStatements(), execSDB)
+	err = tpch.Generate(tpch.Config{ScaleFactor: 0.0002, Seed: 5}, func(sql string) error {
+		if err := execPlain(sql); err != nil {
+			return err
+		}
+		return execSDB(sql)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(label string, e *engine.Engine, sql string) {
+		t.Helper()
+		comma, err := tpch.CommaForm(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		got, err := engine.PlanSig(e, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want, err := engine.PlanSig(e, comma)
+		if err != nil {
+			t.Fatalf("%s, comma form: %v\n%s", label, err, comma)
+		}
+		if got != want {
+			t.Errorf("%s: JOIN form plans %s\n  comma form plans %s", label, got, want)
+		}
+		if engine.FilterOnJoin(got) {
+			t.Errorf("%s: a filter sits on a join: %s", label, got)
+		}
+	}
+	joins := 0
+	for _, q := range tpch.RunnableQueries() {
+		label := fmt.Sprintf("Q%d", q.Num)
+		check(label, plainEng, q.SQL)
+		res, err := sdb.Exec(q.SQL)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		check(label+" rewritten", sdbEng, res.Stats.RewrittenSQL)
+		if strings.Contains(q.SQL, "JOIN") {
+			joins++
+		}
+	}
+	if joins < 10 {
+		t.Fatalf("only %d runnable statements use JOIN … ON: the equivalence above is vacuous", joins)
+	}
+}
+
+// TestTPCHSpillPins pins the numbers behind the one-planner change, at the
+// benchmark's plain-spill sizing (SF 0.003, 2 400 resident rows). Q3, Q5,
+// Q10 and Q21 used to spill the unfiltered orders ⋈ lineitem — 45 348 rows
+// each, digit for digit — before looking at their WHERE clause; with the
+// filters on the scans their build sides fit and nothing spills. Q13 and
+// Q18 have no WHERE to push and must spill exactly what they always did.
+// Every answer equals the unbudgeted run's and the planner-off run's.
+func TestTPCHSpillPins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads TPC-H at SF 0.003 three times")
+	}
+	build := func(planner string, budget int) *engine.Engine {
+		e := engine.NewWithOptions(storage.NewCatalog(), nil, engine.Options{
+			Parallelism: 2, SpillParallelism: 2, MemBudgetRows: budget, SpillDir: t.TempDir(), Planner: planner})
+		exec := func(sql string) error { _, err := e.ExecuteSQL(sql); return err }
+		createTPCH(t, tpch.PlainCreateStatements(), exec)
+		if err := tpch.Generate(tpch.Config{ScaleFactor: 0.003, Seed: 42}, exec); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	resident, budgeted, off := build("on", -1), build("on", 2400), build("off", -1)
+	run := func(e *engine.Engine, sql string) (*engine.Result, engine.ExecStats) {
+		t.Helper()
+		it, err := e.QuerySQL(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		res, err := engine.Drain(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, it.(interface{ Stats() engine.ExecStats }).Stats()
+	}
+	pins := map[int]struct{ spills, rows int }{
+		3: {0, 0}, 5: {0, 0}, 10: {0, 0}, 21: {0, 0},
+		13: {3, 2383}, 18: {5, 54364}, // as before the change, to the row
+	}
+	for _, q := range tpch.RunnableQueries() {
+		pin, ok := pins[q.Num]
+		if !ok {
+			continue
+		}
+		want, st := run(resident, q.SQL)
+		// (No supplier of Q21's nation exists at this size and seed: its
+		// answer is empty, its joins are not.)
+		if st.Spills != 0 || (len(want.Rows) == 0 && q.Num != 21) {
+			t.Fatalf("Q%d unbudgeted: %d rows, stats %+v", q.Num, len(want.Rows), st)
+		}
+		got, st := run(budgeted, q.SQL)
+		t.Logf("Q%d under 2400 rows: %d spills, %d rows spilled, peak %d resident", q.Num, st.Spills, st.SpilledRows, st.PeakResidentRows)
+		if st.Spills != pin.spills || st.SpilledRows != pin.rows {
+			t.Errorf("Q%d under 2400 rows: %d spills of %d rows, want %d of %d",
+				q.Num, st.Spills, st.SpilledRows, pin.spills, pin.rows)
+		}
+		engine.RequireSameRows(t, fmt.Sprintf("Q%d budgeted vs resident", q.Num), got, want)
+		naive, _ := run(off, q.SQL)
+		engine.RequireSameRows(t, fmt.Sprintf("Q%d planner on vs off", q.Num), want, naive)
+	}
+}

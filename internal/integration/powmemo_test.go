@@ -109,6 +109,14 @@ func tokenExponents(sql string) []string {
 // exponents, cold hits and misses) and asserts what must hold for every
 // query: both runs match plaintext, a Q = 0 call never reaches the memo,
 // and the repeat exponentiates nothing.
+//
+// The logged counts did not move when the planner began pushing WHERE and
+// ON conjuncts below JOIN … ON (PR 19; all 17 rows identical to the parent's,
+// Q1's exact pins above included): in every runnable query the tokens are
+// applied by select-list and aggregate expressions above the joins, to the
+// rows that survive them — and pushdown changes where a row is dropped, not
+// which rows survive. The one secure predicate that could move, Q19's, names
+// both of its join's inputs and stays that join's residual.
 func TestHelperPowerMemoTPCH(t *testing.T) {
 	f := setup(t)
 	f.sdb.SetOptions(proxy.Options{Parallelism: 1})

@@ -1,11 +1,14 @@
 package proxy
 
 import (
+	"math/big"
+	"reflect"
 	"strings"
 	"testing"
 
 	"sdb/internal/engine"
 	"sdb/internal/secure"
+	"sdb/internal/sqlparser"
 	"sdb/internal/storage"
 	"sdb/internal/types"
 )
@@ -110,16 +113,105 @@ func TestSelectSensitiveColumnDecrypts(t *testing.T) {
 	}
 }
 
+// walkAST calls visit on every struct and pointer reachable from v through
+// exported fields — by reflection, so no clause or expression form of a
+// rewritten statement can be forgotten.
+func walkAST(v reflect.Value, visit func(node any)) {
+	switch v.Kind() {
+	case reflect.Interface:
+		if !v.IsNil() {
+			walkAST(v.Elem(), visit)
+		}
+	case reflect.Pointer:
+		if !v.IsNil() && v.CanInterface() {
+			visit(v.Interface())
+			if _, isBig := v.Interface().(*big.Int); !isBig {
+				walkAST(v.Elem(), visit)
+			}
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			walkAST(v.Index(i), visit)
+		}
+	case reflect.Struct:
+		if v.CanInterface() {
+			visit(v.Interface())
+			for i := 0; i < v.NumField(); i++ {
+				walkAST(v.Field(i), visit)
+			}
+		}
+	}
+}
+
+// requireConstantHidden parses rewritten SQL and walks it: no numeric
+// literal may carry the plaintext constant at any decimal scale, and the
+// comparison must have become an sdb_sign call. (Substring-matching the
+// digits against the text is a coin flip: the token material is thousands
+// of random hex digits.)
+func requireConstantHidden(t *testing.T, rewritten string, constant int64) {
+	t.Helper()
+	stmt, err := sqlparser.Parse(rewritten)
+	if err != nil {
+		t.Fatalf("rewritten SQL does not parse: %v\n%s", err, rewritten)
+	}
+	leaks := func(v *big.Int) bool {
+		q, r := new(big.Int).QuoRem(v, big.NewInt(constant), new(big.Int))
+		for r.Sign() == 0 && q.Cmp(big.NewInt(1)) > 0 {
+			q.QuoRem(q, big.NewInt(10), r)
+		}
+		return r.Sign() == 0 && q.Cmp(big.NewInt(1)) == 0
+	}
+	masked := false
+	walkAST(reflect.ValueOf(stmt), func(node any) {
+		switch x := node.(type) {
+		case sqlparser.IntLit:
+			if leaks(big.NewInt(x.V)) {
+				t.Errorf("rewritten SQL carries the constant as %v", x)
+			}
+		case sqlparser.DecLit:
+			if leaks(big.NewInt(x.Scaled)) {
+				t.Errorf("rewritten SQL carries the constant as %v", x)
+			}
+		case sqlparser.HexLit:
+			if leaks(x.V) {
+				t.Errorf("rewritten SQL carries the constant as %v", x)
+			}
+		case *sqlparser.FuncCall:
+			masked = masked || x.Name == "sdb_sign"
+		}
+	})
+	if !masked {
+		t.Errorf("expected a masked comparison (sdb_sign) in: %s", rewritten)
+	}
+}
+
 func TestRewrittenSQLHidesConstants(t *testing.T) {
 	p, _ := bankSystem(t)
 	res := mustP(t, p, `SELECT id FROM accounts WHERE balance > 1000`)
-	sql := res.Stats.RewrittenSQL
-	if strings.Contains(sql, "1000") {
-		t.Errorf("rewritten SQL leaks the comparison constant: %s", sql)
+	requireConstantHidden(t, res.Stats.RewrittenSQL, 1000)
+}
+
+// TestEmptyAggregateRefused: `COUNT()` used to reach the SP and panic it on
+// a pool goroutine. Plain or over a SENSITIVE column's table, the statement
+// is an error and the proxy answers the next one.
+func TestEmptyAggregateRefused(t *testing.T) {
+	p, _ := bankSystem(t)
+	for _, sql := range []string{
+		`SELECT COUNT() FROM accounts GROUP BY branch`,
+		`SELECT SUM() FROM accounts WHERE balance > 0`,
+		`SELECT AVG() FROM accounts`,
+		`SELECT branch, MIN() FROM accounts GROUP BY branch`,
+		`SELECT MAX()`,
+	} {
+		// COUNT() is the one the rewriter passes on; the engine refuses it.
+		// The others never leave the proxy ("expects one argument").
+		if _, err := p.Exec(sql); err == nil || !strings.Contains(err.Error(), "argument") {
+			t.Errorf("%s: error %v, want a clean argument-count error", sql, err)
+		}
 	}
-	if !strings.Contains(sql, "sdb_sign") {
-		t.Errorf("expected masked comparison in: %s", sql)
-	}
+	res := mustP(t, p, `SELECT COUNT(*), SUM(balance) FROM accounts`)
+	wantInts(t, colInts(res, 0), 5)
+	wantInts(t, colInts(res, 1), 7500)
 }
 
 func TestWhereGreaterConstant(t *testing.T) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strings"
 	"testing"
 
 	"sdb/internal/proxy"
@@ -78,6 +79,33 @@ func TestServerReportsErrors(t *testing.T) {
 	// Connection must survive an error and serve the next request.
 	if _, err := client.ExecuteSQL("CREATE TABLE ok (a INT)"); err != nil {
 		t.Errorf("second request failed: %v", err)
+	}
+}
+
+// TestEmptyAggregateKeepsServerAlive: an aggregate with an empty argument
+// list used to panic on an engine pool goroutine, which no session recover
+// reaches — one statement from any client killed the process. It must come
+// back as an error frame and the same session must keep serving.
+func TestEmptyAggregateKeepsServerAlive(t *testing.T) {
+	_, addr := plainServer(t, 20)
+	client, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for _, sql := range []string{
+		`SELECT COUNT() FROM c GROUP BY b`,
+		`SELECT SUM() FROM c`,
+		`SELECT b, MAX() FROM c GROUP BY b`,
+	} {
+		_, err := client.ExecuteSQL(sql)
+		if err == nil || !strings.Contains(err.Error(), "needs an argument") {
+			t.Errorf("%s: error %v, want a clean \"needs an argument\"", sql, err)
+		}
+	}
+	res, err := client.ExecuteSQL(`SELECT COUNT(*) FROM c`)
+	if err != nil || res.Rows[0][0].I != 20 {
+		t.Fatalf("session unusable after the refused statements: %v, %v", res, err)
 	}
 }
 

@@ -7,6 +7,19 @@
 // (experiment E2) and executing a representative subset end-to-end.
 package tpch
 
+import "strings"
+
+// PlainCreateStatements is CreateStatements without the SENSITIVE
+// annotations: the schema of the plaintext twin that differentials and
+// plaintext workloads load next to (or in place of) the secure one.
+func PlainCreateStatements() []string {
+	ddl := CreateStatements()
+	for i := range ddl {
+		ddl[i] = strings.ReplaceAll(ddl[i], " SENSITIVE", "")
+	}
+	return ddl
+}
+
 // CreateStatements returns the CREATE TABLE statements with the SDB
 // SENSITIVE annotations used throughout the experiments: every monetary
 // amount, account balance, quantity and discount is sensitive; keys, names

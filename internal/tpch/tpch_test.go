@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"sdb/internal/baseline"
@@ -139,7 +140,42 @@ func TestRunnableQueriesDifferential(t *testing.T) {
 				t.Fatalf("plaintext: %v", err)
 			}
 			comparePlans(t, q.Num, encRes, plainRes)
+			// The same statement in comma-join syntax, through the secure
+			// stack: one planner serves both, so one answer.
+			comma, err := CommaForm(q.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			commaRes, err := p.Exec(comma)
+			if err != nil {
+				t.Fatalf("SDB, comma form: %v\n%s", err, comma)
+			}
+			comparePlans(t, q.Num, commaRes, plainRes)
 		})
+	}
+}
+
+// TestCommaFormHasNoJoins: the derived form of every query parses back and
+// holds no JOIN at any level; 19 of the 22 are written with one.
+func TestCommaFormHasNoJoins(t *testing.T) {
+	rewritten := 0
+	for _, q := range Queries() {
+		comma, err := CommaForm(q.SQL)
+		if err != nil {
+			t.Fatalf("Q%d: %v", q.Num, err)
+		}
+		if _, err := sqlparser.ParseSelect(comma); err != nil {
+			t.Errorf("Q%d: comma form does not parse: %v\n%s", q.Num, err, comma)
+		}
+		if strings.Contains(comma, " JOIN ") {
+			t.Errorf("Q%d: comma form still joins explicitly: %s", q.Num, comma)
+		}
+		if strings.Contains(q.SQL, "JOIN") {
+			rewritten++
+		}
+	}
+	if rewritten != 19 {
+		t.Errorf("%d queries use JOIN … ON, expected 19", rewritten)
 	}
 }
 

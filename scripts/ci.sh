@@ -19,6 +19,11 @@
 # reach the error; the half-width vs full-width decrypt differential and
 # kernel selection; one column key's two tables first touched by racing
 # encrypts and decrypts), a race-detected column-pruning / composite-key pass,
+# a race-detected FROM/WHERE planner pass (plan shapes in every FROM syntax,
+# TPC-H JOIN vs comma plan equivalence plaintext and rewritten, the
+# plain-spill spill pins, ON-scope error parity, a 70-leaf FROM, the
+# empty-build leak check), a 100x flake guard over the proxy's
+# constant-hiding test,
 # a race-detected frame / codec / hello pass (the one value codec on its
 # three paths — run file, WAL record, wire frame — plus the exact frame
 # cap, lying length prefixes and foreign peers),
@@ -26,8 +31,10 @@
 # bench/ module's own vet and smoke test, a race-detected
 # concurrent-serving pass (multi-driver storm against an
 # admission-limited, pool-budgeted server), a live-server smoke that
-# curls /healthz and asserts nonzero /metrics counters, and a short fuzz
-# smoke over every fuzz target (parser, proxy pipeline, the value codec,
+# curls /healthz and asserts nonzero /metrics counters, a bench smoke whose
+# gates are counters (among them: JOIN … ON and comma syntax spill the same
+# rows), and a short fuzz smoke over every fuzz target (parser, proxy
+# pipeline incl. the COUNT() crasher seed, the value codec,
 # wire frame decoding, WAL records, Montgomery multiply/exponentiate and the item-key tables vs
 # math/big, half-width vs full-width decrypt, composite hash-key injectivity).
 #
@@ -200,6 +207,28 @@ echo "== column pruning + composite keys under the race detector"
 # the scratch buffers: hash join, GROUP BY, DISTINCT.
 go test -race -count=1 -run 'Prune|GroupKey|KeyEncoding|KeyCollisions' ./internal/engine ./internal/types
 
+echo "== FROM/WHERE planner under the race detector"
+# One planner assembles FROM for comma joins, JOIN … ON and mixtures. The
+# shape tests pin where every conjunct lands (they pin Options.Planner, so
+# the SDB_PLANNER=off re-run above runs them unchanged — planner-off is the
+# AST-shaped half of each expectation); the TPC-H tests hold every runnable
+# statement, plaintext and proxy-rewritten, to the plan of its comma form
+# and pin the plain-spill numbers (Q3/Q5/Q10/Q21 no longer spill, Q13/Q18
+# spill what they always did); error text for ON scoping, ambiguity and
+# unknown columns is compared planner on, off and on-under-spill; a FROM
+# of 70 leaves plans like any other; and a join whose pushed filter empties
+# its build side leaves no reservation, run file or descriptor behind.
+go test -race -count=1 ${SHORT_FLAG} \
+  -run 'PushdownBelowJoin|CommaJoinPlansHashJoin|BuildSideSwap|TPCHJoinSyntax|TPCHSpillPins|PruneErrorsUnchanged|ManyLeafFrom|EmptyBuildClosesChildren|PlannerDifferential|CommaForm|EmptyAggregate' \
+  ./internal/engine ./internal/tpch ./internal/proxy ./internal/server
+
+echo "== flake guard: constant hiding, 100x"
+# TestRewrittenSQLHidesConstants used to grep the rewritten SQL for the
+# digits "1000" — which several thousand random hex digits of token
+# material contain about one run in fifteen. It now parses the rewrite and
+# walks its literals; a hundred runs with fresh keys keep it honest.
+go test -count=100 -run 'TestRewrittenSQLHidesConstants' ./internal/proxy
+
 echo "== frames, codec and hello under the race detector"
 # The value codec on each of its paths and the framing around it: golden
 # run-file and WAL-record bytes, negative shares refused by run file, WAL
@@ -285,8 +314,11 @@ echo "== bench smoke (peak-resident-rows + spill-budget assertions)"
 # proxy's plan cache records zero hits for a repeated statement, and
 # BenchmarkApplyTokenBatch b.Fatals unless the batch-amortized Montgomery
 # token path produces shares identical to the scalar ApplyToken loop
-# (both Q signs, all modulus widths).
-go test -run=NONE -bench='StreamScan|PlanCache|ApplyTokenBatch' -benchtime=1x .
+# (both Q signs, all modulus widths). BenchmarkJoinSyntax b.Fatals unless
+# TPC-H Q3 and Q10 written with JOIN … ON and in comma form return the same
+# rows and spill the same number of rows, unbudgeted and under 2 400
+# resident rows — a gate on the counter, not on time.
+go test -run=NONE -bench='StreamScan|PlanCache|ApplyTokenBatch|JoinSyntax' -benchtime=1x .
 
 if [[ -z "${SHORT_FLAG}" ]]; then
   echo "== fuzz smoke (10s per target)"
