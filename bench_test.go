@@ -562,8 +562,8 @@ func BenchmarkTPCHQueries(b *testing.B) {
 }
 
 // BenchmarkStreamScan is the memory claim behind the streaming redesign: a
-// large scan through the materialized path holds the whole decrypted
-// result at once (peak-rows == result size), while the streaming cursor
+// large scan through Exec (which drains the cursor into one result)
+// holds the whole decrypted result at once (peak-rows == result size), while the streaming cursor
 // holds one decrypted batch (peak-rows == pool chunk × workers, asserted).
 // Fixed pool geometry (4 × 256 = 1024-row batches) keeps the bound
 // machine-independent; compare allocated B/op between the two variants.
@@ -579,8 +579,6 @@ func BenchmarkStreamScan(b *testing.B) {
 	const sql = `SELECT l_orderkey, l_quantity, l_extendedprice FROM lineitem`
 
 	b.Run("materialized", func(b *testing.B) {
-		f.sdb.SetOptions(proxy.Options{Parallelism: 4, ChunkSize: 256, DisableStream: true})
-		defer setGeom()
 		b.ReportAllocs()
 		peak := 0
 		for i := 0; i < b.N; i++ {
@@ -639,8 +637,8 @@ func BenchmarkStreamScan(b *testing.B) {
 // build side or the group table, assert the operators actually spilled,
 // and assert PeakResidentRows stayed at or under the budget — the
 // memory-budget acceptance claim, as a b.Fatal correctness gate in CI.
-// spill-on-serial pins the serial spill schedule (partition pairs one at
-// a time); spill-on schedules spilled partitions across the worker pool
+// spill-on-serial runs on one worker, which is the serial spill schedule
+// (partition pairs one at a time); spill-on schedules spilled partitions across the worker pool
 // with double-buffered run-file reads and asserts the overlap actually
 // happened (SpillParallelism ≥ 2, PrefetchedBytes > 0), that the scans
 // kept only the referenced columns (ScanCols < TableCols) and that the
@@ -656,10 +654,10 @@ func BenchmarkStreamScanJoinAgg(b *testing.B) {
 		chunk    = 64 // batch = 256 rows, small against the spill budget
 		budget   = 2048
 	)
-	newEng := func(budgetRows, spillPar int) *engine.Engine {
+	newEng := func(budgetRows, workers int) *engine.Engine {
 		eng := engine.NewWithOptions(storage.NewCatalog(), nil,
 			engine.Options{Parallelism: workers, ChunkSize: chunk, MemBudgetRows: budgetRows,
-				SpillDir: b.TempDir(), SpillParallelism: spillPar})
+				SpillDir: b.TempDir()})
 		mustExec := func(sql string) {
 			b.Helper()
 			if _, err := eng.ExecuteSQL(sql); err != nil {
@@ -740,7 +738,7 @@ func BenchmarkStreamScanJoinAgg(b *testing.B) {
 		// its own partial table, so a hot key is resident once per worker
 		// until the drain-end merge.
 		const bound = dimRows + workers*dimRows + 6*workers*chunk
-		run(b, newEng(-1, 0), func(b *testing.B, peak int, stats engine.ExecStats) {
+		run(b, newEng(-1, workers), func(b *testing.B, peak int, stats engine.ExecStats) {
 			if stats.Spills != 0 {
 				b.Fatalf("unbudgeted run spilled: %+v", stats)
 			}
@@ -769,8 +767,6 @@ func BenchmarkStreamScanJoinAgg(b *testing.B) {
 	})
 
 	b.Run("spill-on", func(b *testing.B) {
-		// Pin the spill-worker count explicitly (not 0) so an ambient
-		// SDB_SPILL_PARALLEL cannot change this gate's geometry.
 		run(b, newEng(budget, workers), func(b *testing.B, peak int, stats engine.ExecStats) {
 			if stats.Spills == 0 {
 				b.Fatalf("budgeted run did not spill (build %d, groups %d, budget %d): %+v",
@@ -978,7 +974,6 @@ func BenchmarkPlanCache(b *testing.B) {
 
 	b.Run("warm", func(b *testing.B) {
 		eng := engine.New(storage.NewCatalog(), secret.N())
-		// Explicit size pins the cache on regardless of SDB_PLANNER.
 		p, err := proxy.NewWithOptions(secret, eng, proxy.Options{PlanCacheSize: 16})
 		if err != nil {
 			b.Fatal(err)
@@ -1040,10 +1035,8 @@ func BenchmarkJoinSyntax(b *testing.B) {
 		joinOn, comma = append(joinOn, q.SQL), append(comma, c)
 	}
 	newEng := func(budgetRows int) *engine.Engine {
-		// Planner pinned on: under SDB_PLANNER=off the two syntaxes are
-		// meant to differ (the AST-shaped oracle).
 		eng := engine.NewWithOptions(storage.NewCatalog(), nil, engine.Options{
-			Parallelism: 2, SpillParallelism: 2, MemBudgetRows: budgetRows, SpillDir: b.TempDir(), Planner: "on"})
+			Parallelism: 2, MemBudgetRows: budgetRows, SpillDir: b.TempDir()})
 		exec := func(sql string) error { _, err := eng.ExecuteSQL(sql); return err }
 		for _, ddl := range tpch.PlainCreateStatements() {
 			if err := exec(ddl); err != nil {

@@ -41,12 +41,11 @@ type execOpts struct {
 	parallel  int
 	chunk     int
 	memBudget int
-	spillPar  int
 }
 
 func (o execOpts) engine() engine.Options {
 	return engine.Options{Parallelism: o.parallel, ChunkSize: o.chunk,
-		MemBudgetRows: o.memBudget, SpillParallelism: o.spillPar}
+		MemBudgetRows: o.memBudget}
 }
 
 func (o execOpts) proxy() proxy.Options {
@@ -59,13 +58,12 @@ func main() {
 	bits := flag.Int("bits", 512, "modulus width for ops experiment and deployments")
 	par := flag.Int("parallel", 0, "secure-operator worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	chunk := flag.Int("chunk", 0, "rows per evaluation chunk (0 = default 1024)")
-	memBudget := flag.Int("mem-budget", 0, "per-query resident-row budget; blocking operators spill past it (0 = SDB_MEM_BUDGET_ROWS or unlimited, <0 = unlimited)")
-	spillPar := flag.Int("spill-parallel", 0, "concurrent spilled-partition tasks per query (0 = SDB_SPILL_PARALLEL or -parallel, 1 = serial spill schedule)")
+	memBudget := flag.Int("mem-budget", 0, "per-query resident-row budget; blocking operators spill past it (<= 0 = unlimited)")
 	clients := flag.Int("clients", 64, "driver connections for the concurrent experiment")
 	queries := flag.Int("queries", 20, "SELECTs each driver runs in the concurrent experiment")
 	globalBudget := flag.Int("global-budget", 0, "server-wide resident-row pool for the concurrent experiment (0 = off)")
 	flag.Parse()
-	opts := execOpts{parallel: *par, chunk: *chunk, memBudget: *memBudget, spillPar: *spillPar}
+	opts := execOpts{parallel: *par, chunk: *chunk, memBudget: *memBudget}
 
 	switch *exp {
 	case "coverage":

@@ -12,6 +12,11 @@
 // checkpoints snapshot the columns, and a restart recovers the catalog
 // before the listener comes up. SIGTERM/SIGINT trigger a graceful
 // shutdown: a final checkpoint, a log sync, then exit.
+//
+// Configuration is flags only, with one precedence rule: flag > environment
+// variable as that flag's default > built-in default. Two flags have an
+// environment default, the two deployment paths: -data-dir (SDB_DATA_DIR)
+// and -spill-dir (SDB_SPILL_DIR). Nothing below main reads the environment.
 package main
 
 import (
@@ -49,11 +54,8 @@ func main() {
 	public := flag.String("public", "", "public parameters file written by 'sdb keygen'")
 	par := flag.Int("parallel", 0, "secure-operator worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	chunk := flag.Int("chunk", 0, "rows per evaluation chunk (0 = default 1024)")
-	memBudget := flag.Int("mem-budget", 0, "per-query resident-row budget; blocking operators spill to disk past it (0 = SDB_MEM_BUDGET_ROWS or unlimited, <0 = unlimited)")
-	spillDir := flag.String("spill-dir", "", "directory for spill temp files (default SDB_SPILL_DIR or the system temp dir)")
-	spillPar := flag.Int("spill-parallel", 0, "concurrent spilled-partition tasks per query (0 = SDB_SPILL_PARALLEL or -parallel, 1 = serial spill schedule)")
-	planner := flag.String("planner", "", "planner pass mode: on, off, or empty for the SDB_PLANNER default (on when unset)")
-	mvcc := flag.String("mvcc", "", "MVCC snapshot reads: on, off (legacy statement lock), or empty for the SDB_MVCC default (on when unset)")
+	memBudget := flag.Int("mem-budget", 0, "per-query resident-row budget; blocking operators spill to disk past it (<= 0 = unlimited)")
+	spillDir := flag.String("spill-dir", os.Getenv("SDB_SPILL_DIR"), "directory for spill temp files (default SDB_SPILL_DIR; empty = the system temp dir)")
 	dataDir := flag.String("data-dir", os.Getenv("SDB_DATA_DIR"), "durable data directory: WAL + checkpoints; recovery runs before serving (default SDB_DATA_DIR; empty = in-memory only)")
 	checkpointEvery := flag.Int("checkpoint-every", 1024, "WAL records between automatic checkpoints (0 = only at shutdown; needs -data-dir)")
 	fsync := flag.String("fsync", wal.FsyncAlways, "WAL fsync policy: always (per statement), interval (background flusher), never")
@@ -81,8 +83,6 @@ func main() {
 	opts := engine.Options{
 		Parallelism: *par, ChunkSize: *chunk,
 		MemBudgetRows: *memBudget, SpillDir: *spillDir,
-		SpillParallelism: *spillPar, Planner: *planner,
-		MVCC:       *mvcc,
 		BudgetPool: spill.NewPool(*globalBudget),
 	}
 
@@ -145,9 +145,9 @@ func main() {
 		}
 	}
 	if store != nil {
-		// The engine-level checkpoint takes the statement write lock, so a
-		// write racing the shutdown finishes (logged and applied) before
-		// the snapshot is cut.
+		// The engine-level checkpoint takes the commit lock, so a write
+		// racing the shutdown is either fully committed (logged and
+		// published) before the snapshot is cut, or not in it at all.
 		if err := eng.Checkpoint(); err != nil {
 			log.Printf("sdb-server: final checkpoint: %v", err)
 		}

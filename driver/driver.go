@@ -4,15 +4,13 @@
 //
 // Two DSN forms are supported:
 //
-//	mem://?bits=512&parallel=0&chunk=0&mem_budget=0&planner=&plan_cache=0&data_dir=
+//	mem://?bits=512&parallel=0&chunk=0&mem_budget=0&plan_cache=0&data_dir=
 //	    An embedded deployment: fresh scheme secrets and an in-process
 //	    service-provider engine. Handy for tests and the quickstart.
 //	    mem_budget caps each query's resident rows in the embedded
 //	    engine — blocking operators (join builds, aggregation tables,
-//	    sort sinks) spill to temp files instead of crossing it (0 =
-//	    engine default, negative = unlimited). planner selects the
-//	    engine's planning pass mode ("off" disables pushdown, comma-join
-//	    conversion and build-side selection; empty = SDB_PLANNER default).
+//	    sort sinks) spill to temp files instead of crossing it (0 or
+//	    negative = unlimited).
 //	    data_dir makes the embedded deployment durable: the engine logs
 //	    every write to a WAL under the directory (checkpoint_every WAL
 //	    records between snapshots, fsync=always|interval|never), and the
@@ -24,8 +22,11 @@
 //	    Connect to a remote sdb-server. secret names the data-owner key
 //	    file written by `sdb keygen`; it never leaves the client. The
 //	    memory budget of a remote deployment is the server's -mem-budget
-//	    flag — execution memory lives there, not in the client; the
-//	    planner mode is its -planner flag.
+//	    flag — execution memory lives there, not in the client.
+//
+// The keys above are the whole vocabulary: OpenConnector refuses a DSN
+// with any other key, or with a non-integer where a number is expected,
+// naming the key — the process environment configures nothing.
 //
 // plan_cache bounds the proxy's rewrite/token cache in statements (0 =
 // default 256, negative = disabled); repeated statements then skip
@@ -90,12 +91,33 @@ func (d *Driver) OpenConnector(dsn string) (sqldriver.Connector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sdb: bad DSN %q: %w", dsn, err)
 	}
-	switch u.Scheme {
-	case "mem", "tcp":
-	default:
+	keys, ok := dsnKeys[u.Scheme]
+	if !ok {
 		return nil, fmt.Errorf("sdb: unsupported DSN scheme %q (want mem:// or tcp://)", u.Scheme)
 	}
+	for key, vals := range u.Query() {
+		numeric, known := keys[key]
+		if !known {
+			return nil, fmt.Errorf("sdb: unknown %s:// DSN key %q", u.Scheme, key)
+		}
+		for _, v := range vals {
+			if !numeric || v == "" {
+				continue
+			}
+			if _, err := strconv.Atoi(v); err != nil {
+				return nil, fmt.Errorf("sdb: DSN key %q: %q is not an integer", key, v)
+			}
+		}
+	}
 	return &Connector{drv: d, url: u}, nil
+}
+
+// dsnKeys is the query vocabulary of each DSN scheme; true marks a key
+// whose value must be an integer.
+var dsnKeys = map[string]map[string]bool{
+	"mem": {"bits": true, "parallel": true, "chunk": true, "plan_cache": true, "mem_budget": true,
+		"data_dir": false, "fsync": false, "checkpoint_every": true},
+	"tcp": {"secret": false, "parallel": true, "chunk": true, "plan_cache": true},
 }
 
 // Connector builds the shared proxy lazily on first Connect.
@@ -145,8 +167,8 @@ func (c *Connector) Close() error {
 	}
 	var err error
 	if c.store != nil {
-		// Checkpoint under the engine's write lock so no statement is
-		// mid-flight, then close the log.
+		// Checkpoint under the engine's commit lock, so the snapshot holds
+		// no half-committed statement, then close the log.
 		if c.eng != nil {
 			err = c.eng.Checkpoint()
 		}
@@ -176,8 +198,6 @@ func (c *Connector) proxy() (*proxy.Proxy, error) {
 		engOpts := engine.Options{
 			Parallelism: opts.Parallelism, ChunkSize: opts.ChunkSize,
 			MemBudgetRows: atoiDefault(q.Get("mem_budget"), 0),
-			Planner:       q.Get("planner"),
-			MVCC:          q.Get("mvcc"),
 		}
 		if dataDir := q.Get("data_dir"); dataDir != "" {
 			return c.durableMemProxy(dataDir, bits, q, engOpts, opts)
@@ -280,14 +300,12 @@ func (c *Connector) durableMemProxy(dataDir string, bits int, q url.Values, engO
 	return p, nil
 }
 
+// atoiDefault reads a numeric DSN value OpenConnector already validated.
 func atoiDefault(s string, def int) int {
 	if s == "" {
 		return def
 	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return def
-	}
+	n, _ := strconv.Atoi(s)
 	return n
 }
 

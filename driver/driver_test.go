@@ -255,8 +255,10 @@ func TestDriverCancelledInsert(t *testing.T) {
 // the full result must still come back in exact order, and closing the
 // *sql.Rows mid-stream must leave the spill directory empty.
 func TestDriverMemBudgetSpill(t *testing.T) {
+	// The embedded engine spills under os.TempDir(); point that at a
+	// directory this test can inspect.
 	spillDir := t.TempDir()
-	t.Setenv(engine.SpillDirEnv, spillDir)
+	t.Setenv("TMPDIR", spillDir)
 	db, err := sql.Open("sdb", "mem://?bits=256&parallel=2&chunk=8&mem_budget=64")
 	if err != nil {
 		t.Fatal(err)
@@ -398,5 +400,38 @@ func TestDurableMemDSNRejectsMissingState(t *testing.T) {
 	defer db2.Close()
 	if err := db2.Ping(); err == nil {
 		t.Fatal("open succeeded with recovered shares but no DO state")
+	}
+}
+
+// TestDSNValidation: a DSN key the driver does not know, or a non-integer
+// where it expects a number, is an error from sql.Open that names the key
+// (mem_budget=2k used to mean "unlimited", mem-budget= nothing at all).
+func TestDSNValidation(t *testing.T) {
+	for _, tc := range []struct {
+		dsn, wantErr string // wantErr "" = accepted
+	}{
+		{"mem://", ""},
+		{"mem://?bits=256&parallel=2&chunk=8&mem_budget=-1&plan_cache=0&data_dir=&fsync=never&checkpoint_every=16", ""},
+		{"tcp://127.0.0.1:1?secret=do.key&parallel=1&chunk=4&plan_cache=-1", ""},
+		{"mem://?mem_budget=2k", `"mem_budget"`},
+		{"mem://?bits=0x200", `"bits"`},
+		{"mem://?checkpoint_every=often&data_dir=/tmp/x", `"checkpoint_every"`},
+		{"tcp://127.0.0.1:1?secret=do.key&parallel=two", `"parallel"`},
+		{"mem://?mem-budget=64", `"mem-budget"`},
+		{"mem://?mvcc=off", `"mvcc"`},
+		{"mem://?planner=off", `"planner"`},
+		{"mem://?secret=do.key", `"secret"`},
+		{"tcp://127.0.0.1:1?secret=do.key&mem_budget=64", `"mem_budget"`},
+	} {
+		db, err := sql.Open("sdb", tc.dsn)
+		if err == nil {
+			db.Close()
+		}
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.dsn, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want one naming %s", tc.dsn, err, tc.wantErr)
+		}
 	}
 }

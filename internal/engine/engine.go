@@ -22,8 +22,6 @@ package engine
 import (
 	"fmt"
 	"math/big"
-	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,32 +42,6 @@ const (
 	HelperColumn = "sdb_w"
 )
 
-// Environment variables supplying deployment-wide execution defaults.
-// Explicit Options fields always win; the variables exist so a whole test
-// suite or container can be flipped into (say) forced-spill mode without
-// touching call sites.
-const (
-	// MemBudgetEnv is the default per-query resident-row budget applied
-	// when Options.MemBudgetRows is zero.
-	MemBudgetEnv = "SDB_MEM_BUDGET_ROWS"
-	// SpillDirEnv is the default spill directory applied when
-	// Options.SpillDir is empty.
-	SpillDirEnv = "SDB_SPILL_DIR"
-	// SpillParallelEnv is the default spilled-work parallelism applied
-	// when Options.SpillParallelism is zero.
-	SpillParallelEnv = "SDB_SPILL_PARALLEL"
-	// PlannerEnv is the default planner mode applied when Options.Planner
-	// is empty: "off" (also "0"/"false") disables the planning pass,
-	// anything else — including unset — leaves it on.
-	PlannerEnv = "SDB_PLANNER"
-	// MVCCEnv is the default MVCC mode applied when Options.MVCC is
-	// empty: "off" (also "0"/"false") restores the legacy engine-wide
-	// statement lock — writers exclude readers — as a differential
-	// reference; anything else, including unset, keeps per-table MVCC
-	// snapshot reads on.
-	MVCCEnv = "SDB_MVCC"
-)
-
 // Engine executes statements against a catalog.
 type Engine struct {
 	catalog *storage.Catalog
@@ -83,10 +55,6 @@ type Engine struct {
 	// blocking operator would cross it, the operator spills to spillDir.
 	budgetRows int
 	spillDir   string
-	// spillWorkers bounds the concurrent spilled-work tasks of one query
-	// (Grace partition pairs, aggregation partition merges, run
-	// pre-merge groups); resolved from Options.SpillParallelism.
-	spillWorkers int
 	// plannerOff disables the planning pass (predicate pushdown,
 	// comma-join → hash-join conversion, build-side selection, hash
 	// pre-sizing), reverting to the naive AST-shaped operator tree.
@@ -97,21 +65,13 @@ type Engine struct {
 	budgetPool *spill.Pool
 	// Concurrency control (see snapshot.go for the full protocol).
 	//
-	// MVCC mode (the default): readers never take a lock — SELECT
-	// planning pins the engine-wide catalog snapshot (snap) with one
-	// atomic load and streams immutable table versions. Writers
-	// serialize per target table (storage.Table.LockWriter) while
-	// building the next version, then serialize globally only for the
-	// tiny commit step (commitMu: WAL log + atomic publish + snapshot
-	// rebuild). Lock order is always table writer lock → commitMu.
-	//
-	// Legacy mode (Options.MVCC / SDB_MVCC "off"): execMu restores the
-	// old engine-wide statement lock — writers take it exclusively for
-	// the whole statement, SELECTs share it while planning — as the
-	// differential reference for CI. The snapshot machinery still runs
-	// identically underneath; only the reader/writer exclusion differs.
-	mvccOff  bool
-	execMu   sync.RWMutex
+	// Readers never take a lock — SELECT planning pins the engine-wide
+	// catalog snapshot (snap) with one atomic load and streams immutable
+	// table versions. Writers serialize per target table
+	// (storage.Table.LockWriter) while building the next version, then
+	// serialize globally only for the tiny commit step (commitMu: WAL
+	// log + atomic publish + snapshot rebuild). Lock order is always
+	// table writer lock → commitMu.
 	commitMu sync.Mutex
 	// snap is the engine-wide catalog snapshot: the committed set of
 	// (table, version) pairs, rebuilt under commitMu at every commit.
@@ -147,45 +107,36 @@ type Options struct {
 	ChunkSize int
 	// MemBudgetRows caps the resident rows of one query: blocking
 	// operators (hash-join build sides, aggregation state tables, sort
-	// sinks) spill to disk instead of crossing it. 0 means the
-	// SDB_MEM_BUDGET_ROWS environment default, or unlimited when that is
-	// unset; a negative value forces unlimited regardless of environment.
+	// sinks) spill to disk instead of crossing it. 0 and negative values
+	// mean unlimited. Spilled work (Grace join partition pairs,
+	// aggregation partition merges, run pre-merge groups) is scheduled
+	// onto the same Parallelism workers as resident work, so
+	// Parallelism 1 is also the serial spill schedule.
 	MemBudgetRows int
 	// SpillDir is the directory spill files are created under (one
 	// ephemeral subdirectory per query, removed when the query ends). ""
-	// means the SDB_SPILL_DIR environment default, else os.TempDir().
+	// means os.TempDir().
 	SpillDir string
-	// SpillParallelism bounds the concurrent spilled-work tasks of one
-	// query: independent Grace join partition pairs, aggregation
-	// partition merges and run pre-merge groups are scheduled onto this
-	// many workers of the shared pool. 0 means the SDB_SPILL_PARALLEL
-	// environment default, or — when that is unset — the pool's worker
-	// bound (spilled and resident execution share the same parallelism);
-	// 1 forces the serial spill schedule.
-	SpillParallelism int
 	// BudgetPool is an optional resident-row pool shared across queries
 	// (and, through the server, across sessions): every per-query budget
 	// additionally reserves from it, so concurrent queries jointly stay
 	// under one deployment-wide bound and spill — rather than OOM — when
 	// the pool is exhausted. nil means per-query budgets only.
 	BudgetPool *spill.Pool
-	// Planner selects the planning pass mode: "" means the SDB_PLANNER
-	// environment default (on when unset), "on" forces the pass
-	// regardless of environment, and "off" disables it — SELECTs then
-	// compile to the naive AST-shaped tree (comma joins stay nested-loop
-	// cross products, WHERE stays one post-join filter, hash maps stay
-	// unsized), which is the reference side of the planner differential
-	// suite.
+	// Planner "off" disables the planning pass — SELECTs then compile to
+	// the naive AST-shaped tree (comma joins stay nested-loop cross
+	// products, WHERE stays one post-join filter, hash maps stay
+	// unsized). It exists as the reference side of the planner
+	// differential suite; "" and "on" run the pass.
 	Planner string
-	// MVCC selects the concurrency mode: "" means the SDB_MVCC
-	// environment default (on when unset), "on" forces per-table MVCC
-	// snapshot reads, and "off" restores the legacy engine-wide
-	// statement lock (writers exclude readers for the whole statement).
-	// Reads pin identical snapshots either way — "off" only changes who
-	// waits for whom — which is why CI re-runs the engine suite with it
-	// as a differential.
-	MVCC string
 }
+
+// testDefaults supplies MemBudgetRows, SpillDir and Planner to engines
+// built without them. It is the zero value in every binary: only this
+// package's TestMain writes it, before any test runs, to re-run the suite
+// under a forced budget or with the planner off and to route every
+// default spill directory through one leak-checked place.
+var testDefaults Options
 
 // New builds an engine over the catalog with default (GOMAXPROCS-wide)
 // parallelism. n is the public SDB modulus (may be nil for a
@@ -236,10 +187,6 @@ func (e *Engine) Checkpoint() error {
 	if !ok {
 		return nil
 	}
-	if e.mvccOff {
-		e.execMu.Lock()
-		defer e.execMu.Unlock()
-	}
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
 	return cp.Checkpoint()
@@ -289,52 +236,21 @@ func (e *Engine) applyOptions(opts Options) {
 	e.pool = parallel.New(opts.Parallelism, opts.ChunkSize)
 	e.budgetRows = opts.MemBudgetRows
 	if e.budgetRows == 0 {
-		if s := os.Getenv(MemBudgetEnv); s != "" {
-			if n, err := strconv.Atoi(s); err == nil {
-				e.budgetRows = n
-			}
-		}
+		e.budgetRows = testDefaults.MemBudgetRows
 	}
 	if e.budgetRows < 0 {
 		e.budgetRows = 0
 	}
 	e.spillDir = opts.SpillDir
 	if e.spillDir == "" {
-		e.spillDir = os.Getenv(SpillDirEnv)
-	}
-	e.spillWorkers = opts.SpillParallelism
-	if e.spillWorkers == 0 {
-		if s := os.Getenv(SpillParallelEnv); s != "" {
-			if n, err := strconv.Atoi(s); err == nil {
-				e.spillWorkers = n
-			}
-		}
-	}
-	if e.spillWorkers <= 0 {
-		e.spillWorkers = e.pool.Workers()
+		e.spillDir = testDefaults.SpillDir
 	}
 	e.budgetPool = opts.BudgetPool
-	mode := opts.Planner
-	if mode == "" {
-		mode = os.Getenv(PlannerEnv)
+	planner := opts.Planner
+	if planner == "" {
+		planner = testDefaults.Planner
 	}
-	e.plannerOff = plannerDisabled(mode)
-	mvcc := opts.MVCC
-	if mvcc == "" {
-		mvcc = os.Getenv(MVCCEnv)
-	}
-	e.mvccOff = plannerDisabled(mvcc)
-}
-
-// plannerDisabled interprets an on/off mode string ("off", "0", "false",
-// "no" and "disabled" all turn the feature off; everything else leaves it
-// on). Shared by the planner and MVCC knobs.
-func plannerDisabled(mode string) bool {
-	switch strings.ToLower(strings.TrimSpace(mode)) {
-	case "off", "0", "false", "no", "disabled":
-		return true
-	}
-	return false
+	e.plannerOff = planner == "off"
 }
 
 // Catalog exposes the underlying catalog (used by upload paths and tests).
@@ -354,43 +270,25 @@ type Result struct {
 
 // Execute runs a parsed statement. SELECTs pin a catalog snapshot and
 // never wait on writers; writers serialize per target table and only meet
-// each other (and checkpoints) at the commit step. In legacy mode
-// (Options.MVCC "off") writers additionally take the engine-wide
-// statement lock exclusively, restoring the old readers-wait-for-writers
-// discipline.
+// each other (and checkpoints) at the commit step (snapshot.go). The
+// durability layer's checkpoint opportunity fires inside commit, after
+// the publish, so a checkpoint's snapshot always contains the record
+// whose LSN it claims.
 func (e *Engine) Execute(stmt sqlparser.Statement) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.CreateTable:
-		return e.execWrite(func() (*Result, error) { return e.execCreate(s) })
+		return e.execCreate(s)
 	case *sqlparser.Insert:
-		return e.execWrite(func() (*Result, error) { return e.execInsert(s) })
+		return e.execInsert(s)
 	case *sqlparser.Update:
-		return e.execWrite(func() (*Result, error) { return e.execUpdate(s) })
+		return e.execUpdate(s)
 	case *sqlparser.DropTable:
-		return e.execWrite(func() (*Result, error) { return e.execDrop(s) })
+		return e.execDrop(s)
 	case *sqlparser.Select:
-		if e.mvccOff {
-			e.execMu.RLock()
-			defer e.execMu.RUnlock()
-		}
 		return e.execSelect(s)
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 	}
-}
-
-// execWrite wraps one write statement in the legacy engine-wide statement
-// lock when MVCC is off. In MVCC mode it adds nothing: the statement's
-// own per-table writer lock and the commit protocol (snapshot.go) carry
-// all the synchronization, and the durability layer's checkpoint
-// opportunity fires inside commit, after the publish — so a checkpoint's
-// snapshot always contains the record whose LSN it claims.
-func (e *Engine) execWrite(fn func() (*Result, error)) (*Result, error) {
-	if e.mvccOff {
-		e.execMu.Lock()
-		defer e.execMu.Unlock()
-	}
-	return fn()
 }
 
 // execUpdate evaluates SET expressions against each (optionally filtered)

@@ -26,10 +26,7 @@ import (
 // old/new column observation breaks it.
 func mvccFixture(t *testing.T) *Engine {
 	t.Helper()
-	// Pin MVCC on: these harnesses hold commits mid-flight via the commit
-	// hook, which would deadlock readers under the legacy statement lock
-	// (so they must not inherit a CI-set SDB_MVCC=off).
-	e := NewWithOptions(storage.NewCatalog(), nil, Options{MVCC: "on"})
+	e := New(storage.NewCatalog(), nil)
 	mustExec(t, e, `CREATE TABLE t (a INT, b INT)`)
 	mustExec(t, e, `INSERT INTO t VALUES (10, 10), (20, 20), (30, 30)`)
 	return e
@@ -175,7 +172,7 @@ func TestMVCCNoStall(t *testing.T) {
 // snapshot must satisfy a.c == b.c or a.c == b.c + 1. A reader that mixed
 // versions across tables — e.g. new b with old a — would observe b > a.
 func TestSnapshotPrefixConsistency(t *testing.T) {
-	e := NewWithOptions(storage.NewCatalog(), nil, Options{MVCC: "on"})
+	e := New(storage.NewCatalog(), nil)
 	mustExec(t, e, `CREATE TABLE a (c INT)`)
 	mustExec(t, e, `CREATE TABLE b (c INT)`)
 	mustExec(t, e, `INSERT INTO a VALUES (0)`)
@@ -276,7 +273,7 @@ func TestMixedWorkloadDifferential(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(seed)))
-			e := NewWithOptions(storage.NewCatalog(), nil, Options{MVCC: "on"})
+			e := New(storage.NewCatalog(), nil)
 
 			hist := &mixedHistory{}
 			hist.record("ABSENT") // initial state: table not yet created
@@ -362,24 +359,5 @@ func TestMixedWorkloadDifferential(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMVCCLegacyMode runs the basic read/write flow with the MVCC knob off:
-// writers exclude readers via the statement lock again, but results (and
-// the snapshot machinery running underneath) must be identical.
-func TestMVCCLegacyMode(t *testing.T) {
-	e := NewWithOptions(storage.NewCatalog(), nil, Options{MVCC: "off"})
-	if !e.mvccOff {
-		t.Fatal("Options.MVCC off not applied")
-	}
-	mustExec(t, e, `CREATE TABLE t (a INT, b INT)`)
-	mustExec(t, e, `INSERT INTO t VALUES (10, 10), (20, 20), (30, 30)`)
-	checkUntorn(t, readPairs(t, e), "legacy initial", 10)
-	mustExec(t, e, `UPDATE t SET a = a + 1, b = b + 1`)
-	checkUntorn(t, readPairs(t, e), "legacy updated", 11)
-	mustExec(t, e, `DROP TABLE t`)
-	if _, err := e.ExecuteSQL(`SELECT a FROM t`); err == nil {
-		t.Fatal("dropped table still readable")
 	}
 }

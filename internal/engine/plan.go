@@ -37,8 +37,8 @@ func (e *Engine) planQuery(s *sqlparser.Select, snap *Snapshot, qs *querySpill) 
 //	  → topK|sort(ORDER BY) → distinct → limit
 //
 // FROM and WHERE plan as one unit over the leaves of the join tree
-// (planFrom): unless the planner pass is disabled (Options.Planner /
-// SDB_PLANNER), single-leaf WHERE and ON conjuncts push below the joins,
+// (planFrom): unless the planner pass is disabled (Options.Planner),
+// single-leaf WHERE and ON conjuncts push below the joins,
 // equalities bridging two join inputs become hash-join keys whichever
 // clause wrote them, and row-count estimates pick build sides and pre-size
 // hash state (see planner.go). Every table reference — including subqueries in FROM,

@@ -20,8 +20,8 @@ package engine
 //  3. The proxy layers a rewrite/token cache on top (internal/proxy), so
 //     repeated statements skip plan input derivation entirely.
 //
-// SDB_PLANNER=off (Options.Planner) disables the pass; the differential
-// suites run both modes against each other.
+// Options.Planner "off" disables the pass; the differential suites run
+// both modes against each other.
 
 import (
 	"math"

@@ -589,7 +589,7 @@ func TestEmptyBuildClosesChildren(t *testing.T) {
 			pool := spill.NewPool(4000)
 			dir := t.TempDir()
 			e := NewWithOptions(storage.NewCatalog(), nil, Options{
-				Parallelism: 2, ChunkSize: 4, SpillParallelism: 2, MemBudgetRows: tc.budget,
+				Parallelism: 2, ChunkSize: 4, MemBudgetRows: tc.budget,
 				BudgetPool: pool, SpillDir: dir, Planner: "on"})
 			mustExec(t, e, `CREATE TABLE l (k INT, a INT)`)
 			mustExec(t, e, `CREATE TABLE r (k INT, b INT)`)

@@ -65,7 +65,7 @@ func (e *Engine) newQuerySpill() *querySpill {
 	return &querySpill{
 		budget:  spill.NewBudget(e.budgetRows, 6*e.batchRows()).WithPool(e.budgetPool),
 		sess:    spill.NewSession(e.spillDir),
-		workers: e.spillWorkers,
+		workers: e.pool.Workers(),
 	}
 }
 

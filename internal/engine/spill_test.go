@@ -18,14 +18,11 @@ import (
 // machine-independent and the in-flight-batch slack stays well inside
 // the budget headroom.
 func spillOptions(budget int, dir string) Options {
-	// SpillParallelism is pinned so ambient SDB_SPILL_PARALLEL cannot
-	// change the schedule these budget/peak assertions were sized for.
-	return Options{Parallelism: 2, ChunkSize: 4, MemBudgetRows: budget, SpillDir: dir,
-		SpillParallelism: 2}
+	return Options{Parallelism: 2, ChunkSize: 4, MemBudgetRows: budget, SpillDir: dir}
 }
 
 // newSpillEngine builds an engine with the pinned geometry and the given
-// budget (-1 = force unlimited even under a CI budget env).
+// budget (-1 = unlimited even in the forced-budget CI re-run).
 func newSpillEngine(t *testing.T, budget int) *Engine {
 	t.Helper()
 	return NewWithOptions(storage.NewCatalog(), nil, spillOptions(budget, t.TempDir()))

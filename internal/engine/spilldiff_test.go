@@ -37,15 +37,13 @@ type diffTable struct {
 }
 
 // buildDiffEngine loads the case's tables into a fresh engine with the
-// given budget (-1 = truly unlimited regardless of environment).
+// given budget (-1 = unlimited even in the forced-budget CI re-run).
 func buildDiffEngine(t *testing.T, c *diffCase, budget int, dir string) (*Engine, error) {
 	t.Helper()
-	// SpillParallelism is pinned (not inherited from the pool or an
-	// ambient SDB_SPILL_PARALLEL) so the suite always exercises the
-	// concurrent spill schedule.
+	// Two workers, so the suite always exercises the concurrent spill
+	// schedule.
 	e := NewWithOptions(storage.NewCatalog(), nil,
-		Options{Parallelism: 2, ChunkSize: 4, MemBudgetRows: budget, SpillDir: dir,
-			SpillParallelism: 2})
+		Options{Parallelism: 2, ChunkSize: 4, MemBudgetRows: budget, SpillDir: dir})
 	for _, tbl := range c.tables {
 		if _, err := e.ExecuteSQL(fmt.Sprintf("CREATE TABLE %s (%s)", tbl.name, tbl.schema)); err != nil {
 			return nil, err
@@ -361,7 +359,7 @@ func TestSpillDifferentialSecureAgg(t *testing.T) {
 		build := func(budget int) *Engine {
 			e := NewWithOptions(storage.NewCatalog(), s.N(),
 				Options{Parallelism: 2, ChunkSize: 4, MemBudgetRows: budget,
-					SpillDir: t.TempDir(), SpillParallelism: 2})
+					SpillDir: t.TempDir()})
 			if _, err := e.ExecuteSQL(`CREATE TABLE enc (id INT, grp INT, v INT SENSITIVE, m INT SENSITIVE)`); err != nil {
 				t.Fatal(err)
 			}

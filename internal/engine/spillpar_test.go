@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"testing"
 
@@ -18,11 +17,10 @@ import (
 // and the shared budget's reservation accounting must hold under
 // concurrency.
 
-// parSpillOptions pins pool geometry with an explicit spilled-work
-// worker bound.
-func parSpillOptions(budget, spillPar int, dir string) Options {
-	return Options{Parallelism: 4, ChunkSize: 4, MemBudgetRows: budget,
-		SpillDir: dir, SpillParallelism: spillPar}
+// parSpillOptions pins pool geometry: spilled-work tasks are scheduled
+// onto the pool's workers, so workers 1 is the serial spill schedule.
+func parSpillOptions(budget, workers int, dir string) Options {
+	return Options{Parallelism: workers, ChunkSize: 4, MemBudgetRows: budget, SpillDir: dir}
 }
 
 // queryBudgetMax streams one SELECT to completion and returns its rows,
@@ -76,13 +74,13 @@ func loadParJoinTables(t *testing.T, engines []*Engine) {
 
 // TestSpillParallelMatchesSerialAndMemory is the parallel-schedule
 // differential: the same spilled queries run under the serial spill
-// schedule (SpillParallelism 1), the parallel schedule (4 workers) and
+// schedule (Parallelism 1), the parallel schedule (4 workers) and
 // an unlimited budget, and all three must agree cell for cell in order.
 // The parallel run must actually have overlapped spilled work, and both
 // budgeted runs must have prefetched run-file bytes.
 func TestSpillParallelMatchesSerialAndMemory(t *testing.T) {
 	const budget = 128
-	mem := NewWithOptions(storage.NewCatalog(), nil, parSpillOptions(-1, 0, t.TempDir()))
+	mem := NewWithOptions(storage.NewCatalog(), nil, parSpillOptions(-1, 4, t.TempDir()))
 	serial := NewWithOptions(storage.NewCatalog(), nil, parSpillOptions(budget, 1, t.TempDir()))
 	par := NewWithOptions(storage.NewCatalog(), nil, parSpillOptions(budget, 4, t.TempDir()))
 	engines := []*Engine{mem, serial, par}
@@ -184,24 +182,5 @@ func TestConcurrentSpillBudgetSkewOvershoot(t *testing.T) {
 	if limit := budget + workers*minSpillChunkRows; maxUsed > limit {
 		t.Fatalf("reservations reached %d, beyond budget %d + %d workers × %d min chunk = %d",
 			maxUsed, budget, workers, minSpillChunkRows, limit)
-	}
-}
-
-// TestSpillParallelismEnvDefault pins the SDB_SPILL_PARALLEL resolution
-// order: explicit option > environment > pool worker bound.
-func TestSpillParallelismEnvDefault(t *testing.T) {
-	t.Setenv(SpillParallelEnv, "3")
-	e := NewWithOptions(storage.NewCatalog(), nil, Options{Parallelism: 2})
-	if e.spillWorkers != 3 {
-		t.Fatalf("env default ignored: spillWorkers = %d, want 3", e.spillWorkers)
-	}
-	e = NewWithOptions(storage.NewCatalog(), nil, Options{Parallelism: 2, SpillParallelism: 1})
-	if e.spillWorkers != 1 {
-		t.Fatalf("explicit option lost to env: spillWorkers = %d, want 1", e.spillWorkers)
-	}
-	os.Unsetenv(SpillParallelEnv)
-	e = NewWithOptions(storage.NewCatalog(), nil, Options{Parallelism: 2})
-	if e.spillWorkers != 2 {
-		t.Fatalf("pool fallback broken: spillWorkers = %d, want 2", e.spillWorkers)
 	}
 }

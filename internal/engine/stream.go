@@ -62,8 +62,8 @@ func (e *Engine) Prepare(src string) (*Stmt, error) {
 	return &Stmt{e: e, stmt: stmt, src: src}, nil
 }
 
-// PrepareStream is Prepare returning the executor-neutral interface (the
-// proxy selects streaming executors by this method).
+// PrepareStream is Prepare returning the executor-neutral interface: with
+// ExecuteSQL it makes the engine a proxy.Executor.
 func (e *Engine) PrepareStream(src string) (PreparedStmt, error) {
 	return e.Prepare(src)
 }
@@ -96,13 +96,7 @@ func (s *Stmt) Query(ctx context.Context) (RowIterator, error) {
 		// Pin one catalog snapshot for the whole statement: every scan in
 		// the tree reads that snapshot's immutable versions, so the
 		// returned iterator executes lock-free and concurrent writers are
-		// not starved by open cursors — even long-lived ones. In legacy
-		// lock mode the read lock additionally spans planning, restoring
-		// the pre-MVCC reader/writer exclusion for differential runs.
-		if s.e.mvccOff {
-			s.e.execMu.RLock()
-			defer s.e.execMu.RUnlock()
-		}
+		// not starved by open cursors — even long-lived ones.
 		qs := s.e.newQuerySpill()
 		pl, err := s.e.planQuery(sel, s.e.PinSnapshot(), qs)
 		if err != nil {

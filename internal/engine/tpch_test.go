@@ -110,7 +110,7 @@ func TestTPCHSpillPins(t *testing.T) {
 	}
 	build := func(planner string, budget int) *engine.Engine {
 		e := engine.NewWithOptions(storage.NewCatalog(), nil, engine.Options{
-			Parallelism: 2, SpillParallelism: 2, MemBudgetRows: budget, SpillDir: t.TempDir(), Planner: planner})
+			Parallelism: 2, MemBudgetRows: budget, SpillDir: t.TempDir(), Planner: planner})
 		exec := func(sql string) error { _, err := e.ExecuteSQL(sql); return err }
 		createTPCH(t, tpch.PlainCreateStatements(), exec)
 		if err := tpch.Generate(tpch.Config{ScaleFactor: 0.003, Seed: 42}, exec); err != nil {

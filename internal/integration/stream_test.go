@@ -27,11 +27,12 @@ func drainCursor(t *testing.T, rows *proxy.Rows) *proxy.Result {
 	}
 }
 
-// TestTPCHStreamMatchesLegacy runs every runnable TPC-H query through both
-// execution paths of the secure deployment — the streaming prepared-
-// statement cursor and the legacy materialized ExecuteSQL wrapper — and
-// against the plaintext deployment. All three must agree cell by cell.
-func TestTPCHStreamMatchesLegacy(t *testing.T) {
+// TestTPCHCursorMatchesDrain runs every runnable TPC-H query through both
+// ways an application reads a secure result — a prepared statement's
+// decrypting cursor pulled row by row, and the one-shot Exec that drains
+// its cursor into a materialized result — and against the plaintext
+// deployment. All three must agree cell by cell.
+func TestTPCHCursorMatchesDrain(t *testing.T) {
 	f := setup(t)
 	ctx := context.Background()
 	for _, q := range tpch.RunnableQueries() {
@@ -41,17 +42,13 @@ func TestTPCHStreamMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("plaintext Q%d: %v", q.Num, err)
 			}
-
-			// Legacy path: single-shot ExecuteSQL, fully materialized.
-			f.sdb.SetOptions(proxy.Options{DisableStream: true})
-			legacy, err := f.sdb.Exec(q.SQL)
+			drained, err := f.sdb.Exec(q.SQL)
 			if err != nil {
-				t.Fatalf("legacy Q%d: %v", q.Num, err)
+				t.Fatalf("drain Q%d: %v", q.Num, err)
 			}
-			f.sdb.SetOptions(proxy.Options{})
 
-			// Streaming path: prepared statement + decrypting cursor,
-			// executed twice to cover statement reuse.
+			// Prepared statement + decrypting cursor, executed twice to
+			// cover statement reuse.
 			stmt, err := f.sdb.PrepareContext(ctx, q.SQL)
 			if err != nil {
 				t.Fatalf("prepare Q%d: %v", q.Num, err)
@@ -60,13 +57,13 @@ func TestTPCHStreamMatchesLegacy(t *testing.T) {
 			for run := 0; run < 2; run++ {
 				rows, err := stmt.QueryContext(ctx)
 				if err != nil {
-					t.Fatalf("stream Q%d run %d: %v", q.Num, run, err)
+					t.Fatalf("cursor Q%d run %d: %v", q.Num, run, err)
 				}
-				stream := drainCursor(t, rows)
-				requireEqualResults(t, "stream vs plaintext", q.SQL, stream, want)
-				requireEqualResults(t, "stream vs legacy", q.SQL, stream, legacy)
+				cursor := drainCursor(t, rows)
+				requireEqualResults(t, "cursor vs plaintext", q.SQL, cursor, want)
+				requireEqualResults(t, "cursor vs drain", q.SQL, cursor, drained)
 			}
-			requireEqualResults(t, "legacy vs plaintext", q.SQL, legacy, want)
+			requireEqualResults(t, "drain vs plaintext", q.SQL, drained, want)
 		})
 	}
 }

@@ -15,20 +15,47 @@ import (
 )
 
 // tamperExec is a hostile (or buggy) service provider: it answers every
-// SELECT honestly and then lets the test corrupt the result. It offers
-// only the single-shot Executor, whose result the proxy wraps as a
-// one-batch stream — the same cursor and kernel a streamed result meets.
+// SELECT honestly and lets the test corrupt the first batch its cursor
+// hands the proxy (the fixtures are smaller than one batch, so that is the
+// whole result).
 type tamperExec struct {
 	Executor
 	tamper func(*engine.Result)
 }
 
-func (e tamperExec) ExecuteSQL(sql string) (*engine.Result, error) {
-	res, err := e.Executor.ExecuteSQL(sql)
-	if err == nil && strings.HasPrefix(sql, "SELECT") {
-		e.tamper(res)
+func (e tamperExec) PrepareStream(sql string) (engine.PreparedStmt, error) {
+	stmt, err := e.Executor.PrepareStream(sql)
+	if err != nil {
+		return nil, err
 	}
-	return res, err
+	return tamperStmt{PreparedStmt: stmt, tamper: e.tamper}, nil
+}
+
+type tamperStmt struct {
+	engine.PreparedStmt
+	tamper func(*engine.Result)
+}
+
+func (s tamperStmt) Query(ctx context.Context) (engine.RowIterator, error) {
+	it, err := s.PreparedStmt.Query(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &tamperRows{RowIterator: it, tamper: s.tamper}, nil
+}
+
+type tamperRows struct {
+	engine.RowIterator
+	tamper func(*engine.Result)
+}
+
+func (r *tamperRows) NextBatch() ([]types.Row, error) {
+	rows, err := r.RowIterator.NextBatch()
+	if err == nil && r.tamper != nil {
+		r.tamper(&engine.Result{Rows: rows})
+		r.tamper = nil
+	}
+	return rows, err
 }
 
 // firstCell returns the first cell of row 0 that satisfies pick.

@@ -14,15 +14,14 @@ import (
 	"sdb/internal/storage"
 )
 
-// cachedBankSystem is bankSystem with the plan cache pinned on (the
-// ambient SDB_PLANNER knob must not decide what this suite tests).
+// cachedBankSystem is bankSystem with a plan cache small enough to evict.
 func cachedBankSystem(t testing.TB) (*Proxy, *engine.Engine) {
 	t.Helper()
 	secret, err := secure.Setup(512, 62, 80)
 	if err != nil {
 		t.Fatalf("Setup: %v", err)
 	}
-	eng := engine.NewWithOptions(storage.NewCatalog(), secret.N(), engine.Options{Planner: "on"})
+	eng := engine.New(storage.NewCatalog(), secret.N())
 	p, err := NewWithOptions(secret, eng, Options{PlanCacheSize: 8})
 	if err != nil {
 		t.Fatalf("New proxy: %v", err)

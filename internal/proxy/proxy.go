@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"os"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -18,10 +17,17 @@ import (
 )
 
 // Executor abstracts the service provider: an in-process engine or a
-// network client speaking to a remote server.
+// network client speaking to a remote server. Writes go through
+// ExecuteSQL; every SELECT is prepared with PrepareStream and its
+// encrypted rows arrive through the statement's cursor.
 type Executor interface {
 	ExecuteSQL(sql string) (*engine.Result, error)
+	PrepareStream(sql string) (engine.PreparedStmt, error)
 }
+
+// StreamExecutor is Executor under the name it had while a second,
+// non-streaming executor kind existed; bench/ still compiles against it.
+type StreamExecutor = Executor
 
 // Proxy is the SDB proxy at the data owner. It owns all secrets (scheme
 // secret, SIES key, column keys) and talks to the SP only through rewritten
@@ -36,7 +42,9 @@ type Proxy struct {
 	// loops to bounded workers (each row's share operations are
 	// independent).
 	pool *parallel.Pool
-	opts Options
+	// statePath is the construction-time Options.StatePath ("" = state is
+	// not persisted).
+	statePath string
 	// rotGen counts key rotations. Prepared SELECTs capture tokens and
 	// decryption keys at rewrite time; a generation mismatch makes them
 	// re-prepare instead of decrypting re-keyed shares with stale keys.
@@ -50,8 +58,8 @@ type Proxy struct {
 	cache *planCache
 }
 
-// Options tune the proxy's chunked parallel encryption/decryption and its
-// execution path.
+// Options tune the proxy's chunked parallel encryption/decryption, its plan
+// cache and where it persists its keys.
 type Options struct {
 	// Parallelism bounds the worker goroutines for result decryption and
 	// INSERT-side encryption. <= 0 means runtime.GOMAXPROCS(0); 1 forces
@@ -60,27 +68,17 @@ type Options struct {
 	// ChunkSize is the number of rows per dispatched chunk. <= 0 means
 	// parallel.DefaultChunkSize (1024).
 	ChunkSize int
-	// DisableStream forces the legacy single-shot execution path (one
-	// materialized ExecuteSQL round trip per statement) even when the
-	// executor supports streaming. Used by differential tests and as an
-	// operational safety valve.
-	DisableStream bool
-	// DisableDirect forces one-shot SELECTs through the unfused
-	// prepare/execute/close sequence even when the executor supports the
-	// fused direct op (DirectQueryer). Used by the round-trip differential
-	// tests and benchmarks that compare the two paths.
-	DisableDirect bool
 	// PlanCacheSize bounds the rewrite/token cache (plancache.go): 0
-	// means the default (256 statements) unless the SDB_PLANNER
-	// environment knob disables the planner stack, negative disables the
-	// cache outright. Every cached entry is invalidated by key rotation
-	// and by catalog change.
+	// means the default (256 statements), negative disables the cache.
+	// Every cached entry is invalidated by key rotation and by catalog
+	// change.
 	PlanCacheSize int
 	// StatePath, when set, makes the proxy persist its secret state
 	// (SaveState) after every operation that changes it: CREATE registers
 	// keys before the upload is forwarded, DROP discards them, rotation
 	// swaps them. Embedded durable deployments (driver data_dir) set it so
-	// the DO side survives restarts alongside the SP's WAL.
+	// the DO side survives restarts alongside the SP's WAL. It is fixed
+	// at construction: SetOptions ignores it.
 	StatePath string
 }
 
@@ -108,14 +106,13 @@ func NewWithOptions(secret *secure.Secret, exec Executor, opts Options) (*Proxy,
 		return nil, err
 	}
 	p := &Proxy{
-		secret: secret,
-		cipher: cipher,
-		store:  NewKeyStore(),
-		exec:   exec,
-		pool:   parallel.New(opts.Parallelism, opts.ChunkSize),
-		opts:   opts,
-		cache:  buildPlanCache(opts.PlanCacheSize),
+		secret:    secret,
+		cipher:    cipher,
+		store:     NewKeyStore(),
+		exec:      exec,
+		statePath: opts.StatePath,
 	}
+	p.SetOptions(opts)
 	p.seedGenerations()
 	return p, nil
 }
@@ -165,30 +162,26 @@ func casMax(c *atomic.Uint64, v uint64) {
 	}
 }
 
-// buildPlanCache resolves the cache size knob: negative disables, zero
-// takes the default unless SDB_PLANNER turns the planner stack off for the
-// whole process (the differential suites rely on that to run the naive
-// path end to end).
+// buildPlanCache resolves the cache size: negative disables, zero takes
+// the default.
 func buildPlanCache(size int) *planCache {
 	if size < 0 {
 		return nil
 	}
 	if size == 0 {
-		switch strings.ToLower(strings.TrimSpace(os.Getenv(engine.PlannerEnv))) {
-		case "off", "0", "false", "no", "disabled":
-			return nil
-		}
 		size = defaultPlanCacheSize
 	}
 	return newPlanCache(size)
 }
 
-// SetOptions replaces the execution options. It must not be called
-// concurrently with running statements or open cursors. The plan cache is
-// rebuilt (and thereby flushed) at the new size.
+// SetOptions replaces the execution options — the worker pool and the plan
+// cache, which is rebuilt (and thereby flushed) at the new size; a field
+// left zero takes its default, not its previous value. Where the proxy
+// persists its keys (Options.StatePath) was fixed at construction and does
+// not change. It must not be called concurrently with running statements
+// or open cursors.
 func (p *Proxy) SetOptions(opts Options) {
 	p.pool = parallel.New(opts.Parallelism, opts.ChunkSize)
-	p.opts = opts
 	p.cache = buildPlanCache(opts.PlanCacheSize)
 }
 

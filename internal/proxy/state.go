@@ -82,10 +82,10 @@ func (p *Proxy) SaveState(path string) error {
 // configured. Key-changing operations call it at the point where losing
 // the in-memory state would strand encrypted data.
 func (p *Proxy) persistState() error {
-	if p.opts.StatePath == "" {
+	if p.statePath == "" {
 		return nil
 	}
-	return p.SaveState(p.opts.StatePath)
+	return p.SaveState(p.statePath)
 }
 
 // LoadStateSecret reads just the scheme secret from a SaveState file. The

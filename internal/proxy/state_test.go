@@ -77,14 +77,14 @@ func TestLoadStateSecret(t *testing.T) {
 	}
 }
 
-// genExec is an executor that reports recovered plan-cache generations,
+// genExec is an engine that reports recovered plan-cache generations,
 // like a durable engine after replay.
 type genExec struct {
+	*engine.Engine
 	rot, cat uint64
 }
 
-func (g *genExec) ExecuteSQL(string) (*engine.Result, error) { return &engine.Result{}, nil }
-func (g *genExec) Generations() (uint64, uint64)             { return g.rot, g.cat }
+func (g *genExec) Generations() (uint64, uint64) { return g.rot, g.cat }
 
 // TestSeedGenerations checks a new proxy resumes the executor's recovered
 // generation counters instead of restarting at zero, so pre-crash plan
@@ -94,7 +94,7 @@ func TestSeedGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(secret, &genExec{rot: 5, cat: 42})
+	p, err := New(secret, &genExec{Engine: engine.New(storage.NewCatalog(), secret.N()), rot: 5, cat: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +156,35 @@ func TestStatePathPersistsAutomatically(t *testing.T) {
 	p2, err := NewFromStateFile(path, eng, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	res := mustP(t, p2, "SELECT amount FROM loans")
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 700 {
+		t.Fatalf("restored proxy: %+v", res.Rows)
+	}
+}
+
+// TestSetOptionsKeepsStatePath: SetOptions changes how the proxy executes,
+// not where it persists its keys. A durable proxy whose parallelism was
+// retuned used to stop saving silently, and the next CREATE's keys were
+// gone after a restart.
+func TestSetOptionsKeepsStatePath(t *testing.T) {
+	secret, err := secure.Setup(256, 40, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(storage.NewCatalog(), secret.N())
+	path := filepath.Join(t.TempDir(), "do-state.json")
+	p, err := NewWithOptions(secret, eng, Options{StatePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetOptions(Options{Parallelism: 2})
+	mustP(t, p, "CREATE TABLE loans (id INT, amount INT SENSITIVE)")
+	mustP(t, p, "INSERT INTO loans VALUES (1, 700)")
+
+	p2, err := NewFromStateFile(path, eng, Options{})
+	if err != nil {
+		t.Fatalf("reopen after SetOptions: %v", err)
 	}
 	res := mustP(t, p2, "SELECT amount FROM loans")
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 700 {

@@ -11,21 +11,14 @@ import (
 	"sdb/internal/sqlparser"
 )
 
-// StreamExecutor is an Executor that can also prepare statements for
-// streamed execution: the in-process engine and the network client both
-// implement it. The proxy prefers this interface and falls back to the
-// single-shot ExecuteSQL when it is absent (or disabled via Options).
-type StreamExecutor interface {
-	Executor
-	PrepareStream(sql string) (engine.PreparedStmt, error)
-}
-
-// DirectQueryer is a StreamExecutor that can additionally run a one-shot
+// DirectQueryer is an Executor that can additionally run a one-shot
 // statement fused — prepare, execute and stream teardown collapsed into a
-// single exchange (the v2 wire protocol's OpExecuteDirect). The proxy
-// routes one-shot SELECTs through it, cutting a remote one-shot from
-// three round trips to one; prepared statements keep the unfused path,
-// where the server-side prepare amortizes across executions.
+// single exchange (the wire protocol's OpExecuteDirect). The proxy routes
+// one-shot SELECTs through it whenever the executor offers it (a server
+// connection does, the in-process engine has no round trips to save),
+// cutting a remote one-shot from three round trips to one; prepared
+// statements keep the unfused path, where the server-side prepare
+// amortizes across executions.
 type DirectQueryer interface {
 	QueryDirect(ctx context.Context, sql string) (engine.RowIterator, error)
 }
@@ -42,9 +35,8 @@ const (
 // Stmt is a prepared statement at the proxy. For SELECTs, Prepare does the
 // expensive client-side work once — parsing, query rewriting, and the
 // token/key derivations the rewrite embeds — so repeated executions skip
-// re-parsing and token re-derivation. Against a streaming executor the
-// rewritten statement is also prepared server-side, so re-execution skips
-// the server's parse as well.
+// re-parsing and token re-derivation. The rewritten statement is also
+// prepared server-side, so re-execution skips the server's parse as well.
 //
 // INSERTs are parsed once but rewritten per execution: every execution
 // draws fresh row ids, masks and nonces. CREATEs register keys at
@@ -64,10 +56,10 @@ type Stmt struct {
 	rewritten string
 	plan      *selectPlan
 	gen       uint64
-	// remote is the server-side prepared statement (nil when the executor
-	// is single-shot or streaming is disabled). Guarded by mu: a stream
-	// cancelled server-side frees the remote statement, and the next
-	// QueryContext re-prepares it.
+	// remote is the server-side prepared statement (nil for a one-shot
+	// that runs fused). Guarded by mu: a stream cancelled server-side
+	// frees the remote statement, and the next QueryContext re-prepares
+	// it.
 	mu     sync.Mutex
 	remote engine.PreparedStmt
 	// active is the statement's open cursor, if any: the remote protocol
@@ -165,43 +157,35 @@ func (s *Stmt) prepareSelect() error {
 	s.mu.Unlock()
 	s.prep.Rewrite = time.Since(t1)
 	s.prep.RewrittenSQL = s.rewritten
-	if s.oneShot {
-		if _, ok := s.p.directQueryer(); ok {
-			// The fused op carries the SQL itself; a server-side prepare
-			// here would just re-add the round trip the fusion removes.
-			return nil
-		}
+	if _, fused := s.directQueryer(); fused {
+		// The fused op carries the SQL itself; a server-side prepare
+		// here would just re-add the round trip the fusion removes.
+		return nil
 	}
-	if se, ok := s.p.streamExecutor(); ok {
-		remote, err := se.PrepareStream(s.rewritten)
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.remote = remote
-		s.mu.Unlock()
-	}
-	return nil
+	_, err := s.prepareRemote()
+	return err
 }
 
-// streamExecutor returns the executor as a StreamExecutor when streaming
-// is available and enabled.
-func (p *Proxy) streamExecutor() (StreamExecutor, bool) {
-	if p.opts.DisableStream {
+// directQueryer returns the executor's fused op when the statement is a
+// one-shot and the executor offers it.
+func (s *Stmt) directQueryer() (DirectQueryer, bool) {
+	if !s.oneShot {
 		return nil, false
 	}
-	se, ok := p.exec.(StreamExecutor)
-	return se, ok
-}
-
-// directQueryer returns the executor as a DirectQueryer when the fused
-// one-shot path is available and enabled.
-func (p *Proxy) directQueryer() (DirectQueryer, bool) {
-	if p.opts.DisableStream || p.opts.DisableDirect {
-		return nil, false
-	}
-	dq, ok := p.exec.(DirectQueryer)
+	dq, ok := s.p.exec.(DirectQueryer)
 	return dq, ok
+}
+
+// prepareRemote prepares the rewritten statement at the executor.
+func (s *Stmt) prepareRemote() (engine.PreparedStmt, error) {
+	remote, err := s.p.exec.PrepareStream(s.rewritten)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.remote = remote
+	s.mu.Unlock()
+	return remote, nil
 }
 
 // IsQuery reports whether the statement returns a row stream (a SELECT).
@@ -234,10 +218,9 @@ func (s *Stmt) Close() error {
 }
 
 // QueryContext executes a prepared SELECT, returning a decrypting cursor
-// over the streamed result. The ctx is checked between row batches; on a
-// streaming executor, cancelling it tears the server-side cursor and
-// statement down (the statement is re-prepared transparently on the next
-// QueryContext).
+// over the streamed result. The ctx is checked between row batches;
+// cancelling it tears the server-side cursor and statement down (the
+// statement is re-prepared transparently on the next QueryContext).
 func (s *Stmt) QueryContext(ctx context.Context) (*Rows, error) {
 	if s.kind != kindSelect {
 		return nil, fmt.Errorf("proxy: statement is not a SELECT (use ExecContext)")
@@ -284,42 +267,27 @@ func (s *Stmt) QueryContext(ctx context.Context) (*Rows, error) {
 	return rows, nil
 }
 
-// queryEncrypted obtains the encrypted row stream from the executor: a true
-// server cursor when streaming, or the materialized single-shot result
-// wrapped as a one-shot stream otherwise.
+// queryEncrypted opens the encrypted row stream at the executor: fused for
+// a one-shot statement when the executor offers it, else a cursor of the
+// server-side prepared statement.
 func (s *Stmt) queryEncrypted(ctx context.Context) (engine.RowIterator, time.Duration, error) {
-	if s.oneShot {
-		if dq, ok := s.p.directQueryer(); ok {
-			t0 := time.Now()
-			it, err := dq.QueryDirect(ctx, s.rewritten)
-			if err != nil {
-				return nil, 0, err
-			}
-			return it, time.Since(t0), nil
-		}
-	}
-	se, streaming := s.p.streamExecutor()
-	if !streaming {
+	if dq, fused := s.directQueryer(); fused {
 		t0 := time.Now()
-		res, err := s.p.exec.ExecuteSQL(s.rewritten)
+		it, err := dq.QueryDirect(ctx, s.rewritten)
 		if err != nil {
 			return nil, 0, err
 		}
-		return engine.NewSliceIterator(res.Columns, res.Rows, 0), time.Since(t0), nil
+		return it, time.Since(t0), nil
 	}
 
 	s.mu.Lock()
 	remote := s.remote
 	s.mu.Unlock()
 	if remote == nil {
-		r, err := se.PrepareStream(s.rewritten)
-		if err != nil {
+		var err error
+		if remote, err = s.prepareRemote(); err != nil {
 			return nil, 0, err
 		}
-		s.mu.Lock()
-		s.remote = r
-		s.mu.Unlock()
-		remote = r
 	}
 	// The Query call runs the blocking server stages (scan, filter,
 	// aggregation — or, remotely, the Execute round trip carrying the
@@ -329,14 +297,10 @@ func (s *Stmt) queryEncrypted(ctx context.Context) (engine.RowIterator, time.Dur
 	if errors.Is(err, engine.ErrStmtClosed) {
 		// A cancelled stream freed the server-side statement; re-prepare
 		// once and retry (starting a SELECT is idempotent).
-		r, err2 := se.PrepareStream(s.rewritten)
-		if err2 != nil {
-			return nil, 0, err2
+		if remote, err = s.prepareRemote(); err != nil {
+			return nil, 0, err
 		}
-		s.mu.Lock()
-		s.remote = r
-		s.mu.Unlock()
-		it, err = r.Query(ctx)
+		it, err = remote.Query(ctx)
 	}
 	if err != nil {
 		return nil, 0, err

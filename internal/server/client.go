@@ -15,7 +15,7 @@ import (
 )
 
 // Client is a proxy-side connection to a remote SDB server. It implements
-// proxy.Executor and proxy.StreamExecutor, so a Proxy can be pointed at a
+// proxy.Executor and proxy.DirectQueryer, so a Proxy can be pointed at a
 // server across the network exactly like at an in-process engine.
 //
 // Dial opens the connection with the protocol hello. After it, one-shot

@@ -31,10 +31,7 @@ func plainServer(t *testing.T, rows int) (*Server, net.Addr) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// MVCC pinned on: the torn-read harness holds commits mid-flight via
-	// the commit hook, which would deadlock under the legacy statement
-	// lock if the environment set SDB_MVCC=off.
-	srv := NewWithOptions(secret.N(), engine.Options{Parallelism: 2, ChunkSize: 8, MVCC: "on"})
+	srv := NewWithOptions(secret.N(), engine.Options{Parallelism: 2, ChunkSize: 8})
 	seedPlainTable(t, srv, rows)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -404,9 +401,8 @@ func TestDirectExecRoundTrips(t *testing.T) {
 		t.Fatalf("fused one-shot cost %d round trips, want 1", fused)
 	}
 
-	f.p.SetOptions(proxy.Options{Parallelism: 2, ChunkSize: 8, DisableDirect: true})
 	before = f.client.RoundTrips()
-	res, err = f.p.ExecContext(ctx, q)
+	res, err = f.unfused(t).ExecContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,16 +442,15 @@ func TestDirectExecMultiFrame(t *testing.T) {
 	}
 	waitFor(t, "fused statement auto-closed at EOS", func() bool { return f.srv.OpenStmts() == 0 })
 
-	f.p.SetOptions(proxy.Options{Parallelism: 2, ChunkSize: 8, DisableDirect: true})
+	unfusedProxy := f.unfused(t)
 	before = f.client.RoundTrips()
-	if _, err := f.p.ExecContext(ctx, q); err != nil {
+	if _, err := unfusedProxy.ExecContext(ctx, q); err != nil {
 		t.Fatal(err)
 	}
 	unfused := f.client.RoundTrips() - before
 	if unfused != fused+2 {
 		t.Fatalf("multi-frame: fused %d vs unfused %d round trips; fusion must save exactly prepare+close", fused, unfused)
 	}
-	f.p.SetOptions(proxy.Options{Parallelism: 2, ChunkSize: 8})
 
 	// Abandoning a fused cursor mid-stream must free the server statement
 	// via an explicit close (EOS never arrives to auto-close it).

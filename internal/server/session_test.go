@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +70,23 @@ func newStreamFixture(t *testing.T, rows int) *streamFixture {
 	return &streamFixture{srv: srv, client: client, p: p}
 }
 
+// unfused returns a second proxy holding f.p's keys over the same
+// connection with QueryDirect hidden, so its one-shot SELECTs take the
+// prepare/execute/close sequence.
+func (f *streamFixture) unfused(t *testing.T) *proxy.Proxy {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "do-state.json")
+	if err := f.p.SaveState(path); err != nil {
+		t.Fatal(err)
+	}
+	p, err := proxy.NewFromStateFile(path, struct{ proxy.StreamExecutor }{f.client},
+		proxy.Options{Parallelism: 2, ChunkSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // waitFor polls until cond holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -83,18 +101,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestStreamedQueryOverTCP is the happy path: a multi-batch stream through
-// prepare/execute/fetch matches the single-shot result, twice (statement
-// reuse), and closing the statement frees the session slot.
+// prepare/execute/fetch matches the fused one-shot's drained result, twice
+// (statement reuse), and closing the statement frees the session slot.
 func TestStreamedQueryOverTCP(t *testing.T) {
 	f := newStreamFixture(t, 100)
 	const q = `SELECT id, v FROM t WHERE v > 2`
 
-	f.p.SetOptions(proxy.Options{Parallelism: 2, ChunkSize: 8, DisableStream: true})
 	want, err := f.p.Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.p.SetOptions(proxy.Options{Parallelism: 2, ChunkSize: 8})
 
 	stmt, err := f.p.Prepare(q)
 	if err != nil {

@@ -42,10 +42,7 @@ func newPublishCrashDeployment(t *testing.T) *publishCrashDeployment {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.store.Close() })
-	// MVCC pinned on: the crash simulation panics inside the commit hook,
-	// and the claims under test (pre-statement state served whole while
-	// logged-but-unpublished) are snapshot semantics.
-	d.eng = engine.NewWithDurability(cat, secret.N(), engine.Options{MVCC: "on"}, d.store)
+	d.eng = engine.NewWithDurability(cat, secret.N(), engine.Options{}, d.store)
 	if d.p, err = proxy.New(secret, d.eng); err != nil {
 		t.Fatal(err)
 	}

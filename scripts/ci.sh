@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# CI gate: docs link check, static checks (gofmt, go vet, and a gate that
+# CI gate: docs link check, static checks (gofmt, go vet, a gate that
 # no non-test file imports encoding/gob — the value codec in
-# internal/types is the one serialization), the full test suite, the race
+# internal/types is the one serialization — and a gate that no non-test
+# file under internal/ or driver/ reads the process environment), the full
+# test suite, the race
 # detector over every package (the chunked parallel engine/proxy paths,
 # the streaming cursor pipeline, the parallel spilled-partition scheduler
 # and the secure helper-power memo are exercised by dedicated concurrency
-# tests), a forced-tiny-budget spill regression pass, a planner-off
-# differential pass, an MVCC-off lock-mode differential pass, a
+# tests), a forced-tiny-budget spill regression pass and a planner-off
+# differential pass (both re-runs of the engine suite selected through its
+# TestMain, each proving its mode took effect), a
 # race-detected MVCC isolation pass (torn-read, no-stall,
 # prefix-consistency and randomized mixed-workload harnesses), a
 # race-detected concurrent spill pass, a
@@ -90,6 +93,15 @@ if grep -rl '"encoding/gob"' --include='*.go' . | grep -v _test.go; then
   exit 1
 fi
 
+echo "== the library does not read the environment"
+# Options structs configure the engine, the proxy and the driver; the two
+# deployment paths with an environment default (SDB_DATA_DIR, SDB_SPILL_DIR)
+# get it as a flag default in cmd/sdb-server, nowhere else.
+if grep -rn 'os\.Getenv' internal driver --include='*.go' | grep -v _test.go; then
+  echo "os.Getenv called by the non-test files above"
+  exit 1
+fi
+
 echo "== go build"
 go build ./...
 
@@ -107,26 +119,21 @@ echo "== engine suite under a forced tiny spill budget"
 # spill paths are exactly order-preserving, which is why identical
 # assertions must keep passing. (The TPC-H differential additionally runs
 # a forced-spill execution mode inside the normal go test pass above.)
-SDB_MEM_BUDGET_ROWS=48 go test ${SHORT_FLAG} ./internal/engine
+# The flag is read by the package's TestMain (main_test.go) and reaches
+# every engine built without a budget of its own;
+# TestForcedModeTookEffect fails the run if it did not.
+go test ${SHORT_FLAG} ./internal/engine -args -engine.mem-budget=48
 
 echo "== engine suite with the planner pass disabled"
-# Re-run the engine suite with SDB_PLANNER=off: every query falls back to
+# Re-run the engine suite with the planner off: every query falls back to
 # the naive AST-shaped tree (nested-loop comma joins, top-level WHERE
 # filter, no pushdown, no build-side swap, no map pre-sizing). The planner
 # is a pure plan-shape rewrite — results and row order must be identical
 # — so every engine test doubles as a planner differential. Tests that
 # assert planner-produced plan shapes pin Options.Planner explicitly and
-# are unaffected by the env override.
-SDB_PLANNER=off go test ${SHORT_FLAG} ./internal/engine
-
-echo "== engine suite with MVCC snapshot reads disabled"
-# Re-run the engine suite with SDB_MVCC=off: writers take the legacy
-# engine-wide statement lock and readers share it during planning. The
-# snapshot machinery still runs underneath — MVCC only changes who waits,
-# never what a statement returns — so every engine test doubles as a
-# lock-mode differential. Tests that need MVCC semantics (torn-read /
-# no-stall harnesses) pin Options.MVCC explicitly and are unaffected.
-SDB_MVCC=off go test ${SHORT_FLAG} ./internal/engine
+# are unaffected. Same TestMain hook, same proof: the run fails if an
+# engine built with zero Options still pushed a filter below its join.
+go test ${SHORT_FLAG} ./internal/engine -args -engine.planner=off
 
 echo "== MVCC isolation harness under the race detector"
 # The snapshot-isolation proof suite with the race detector on and fresh
@@ -142,13 +149,13 @@ go test -race -count=1 ${SHORT_FLAG} -run 'Snapshot|Mixed|MVCC' \
 
 echo "== concurrent spill suite under the race detector"
 # The spill differential and parallel-schedule suites again, with the
-# race detector on, a forced tiny budget, and spilled-work parallelism
-# forced to at least 2 workers: every Grace partition pair, aggregation
+# race detector on and a forced tiny budget. The suites build their
+# engines with Parallelism 2 or 4 spelled out (spilled work is scheduled on
+# the pool's workers), so every Grace partition pair, aggregation
 # partition merge and run pre-merge runs concurrently against the shared
-# budget, so reservation accounting and run-file lifecycles are checked
-# under real interleavings, not just the serial schedule.
-SDB_MEM_BUDGET_ROWS=48 SDB_SPILL_PARALLEL=2 \
-  go test -race ${SHORT_FLAG} -run 'Spill' ./internal/engine
+# budget on any runner, and reservation accounting and run-file lifecycles
+# are checked under real interleavings, not just the serial schedule.
+go test -race ${SHORT_FLAG} -run 'Spill|ForcedMode' ./internal/engine -args -engine.mem-budget=48
 
 echo "== crash-recovery / durability suite under the race detector"
 # The WAL package's kill-point differential harness (a simulated crash at
@@ -210,7 +217,7 @@ go test -race -count=1 -run 'Prune|GroupKey|KeyEncoding|KeyCollisions' ./interna
 echo "== FROM/WHERE planner under the race detector"
 # One planner assembles FROM for comma joins, JOIN … ON and mixtures. The
 # shape tests pin where every conjunct lands (they pin Options.Planner, so
-# the SDB_PLANNER=off re-run above runs them unchanged — planner-off is the
+# the planner-off re-run above runs them unchanged — planner-off is the
 # AST-shaped half of each expectation); the TPC-H tests hold every runnable
 # statement, plaintext and proxy-rewritten, to the plan of its comma form
 # and pin the plain-spill numbers (Q3/Q5/Q10/Q21 no longer spill, Q13/Q18
