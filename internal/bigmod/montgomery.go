@@ -40,6 +40,8 @@ type MontCtx struct {
 	n0inv big.Word   // -n⁻¹ mod 2^W
 	one   []big.Word // R mod n (the Montgomery form of 1), k limbs
 	r2    []big.Word // R² mod n, k limbs (ToMont multiplier)
+	half  []big.Word // ⌊n/2⌋, k limbs (SignOf)
+	rInv  *big.Int   // R⁻¹ mod n
 }
 
 // MontScratch is the per-goroutine working memory for REDC operations
@@ -114,6 +116,8 @@ func newMontCtx(n *big.Int) *MontCtx {
 	r2.Mod(r2, n)
 	m.one = m.padded(rMod)
 	m.r2 = m.padded(r2)
+	m.half = m.padded(new(big.Int).Rsh(n, 1))
+	m.rInv = new(big.Int).ModInverse(rMod, n) // n odd: R is a unit
 	return m
 }
 
@@ -352,6 +356,116 @@ func (m *MontCtx) ToMont(s *MontScratch, v *big.Int) []big.Word {
 	z := make([]big.Word, m.k)
 	m.mulTo(s, z, m.r2, m.reducedBits(v))
 	return z
+}
+
+// R returns R mod n and RInv returns R⁻¹ mod n, as fresh values: the
+// factors a caller folds into its constants when it tracks which power of
+// R a product of REDCs carries.
+func (m *MontCtx) R() *big.Int    { return new(big.Int).SetBits(append([]big.Word(nil), m.one...)) }
+func (m *MontCtx) RInv() *big.Int { return new(big.Int).Set(m.rInv) }
+
+// Limbs returns v mod n as a fresh k-limb residue (no R factor).
+func (m *MontCtx) Limbs(v *big.Int) []big.Word {
+	z := make([]big.Word, m.k)
+	m.Reduce(z, v)
+	return z
+}
+
+// Reduce sets the k limbs of z to v mod n. It allocates only when v lies
+// outside [0, n) — stored shares never do.
+func (m *MontCtx) Reduce(z []big.Word, v *big.Int) {
+	padTo(z, m.reducedBits(v))
+}
+
+// SetInt64 sets the k limbs of z to v mod n, for the plaintext multiplier
+// of a scaled share. Moduli of one word fall back to big.Int.
+func (m *MontCtx) SetInt64(z []big.Word, v int64) {
+	if m.n.BitLen() <= 64 {
+		m.Reduce(z, big.NewInt(v))
+		return
+	}
+	abs := uint64(v)
+	if v < 0 {
+		abs = -abs
+	}
+	padTo(z, nil)
+	z[0] = big.Word(abs)
+	if montWordBits == 32 {
+		z[1] = big.Word(abs >> 32)
+	}
+	if v < 0 {
+		subVV(z, m.nw, z) // |v| < n, so n − |v| is the residue
+	}
+}
+
+// AddTo sets z = x + y mod n over k-limb residues (both below n): one
+// add and one conditional subtract, no division. z may alias x or y.
+func (m *MontCtx) AddTo(z, x, y []big.Word) {
+	var c uint
+	for i := range z[:m.k] {
+		s, cc := bits.Add(uint(x[i]), uint(y[i]), c)
+		z[i], c = big.Word(s), cc
+	}
+	if c != 0 || cmpVV(z[:m.k], m.nw) >= 0 {
+		subVV(z, z, m.nw)
+	}
+}
+
+// AddBig sets z = z + v mod n for a k-limb residue z and any v, allocating
+// only when v lies outside [0, n).
+func (m *MontCtx) AddBig(z []big.Word, v *big.Int) {
+	vb := m.reducedBits(v)
+	var c uint
+	for i := range z[:m.k] {
+		var y uint
+		if i < len(vb) {
+			y = uint(vb[i])
+		}
+		s, cc := bits.Add(uint(z[i]), y, c)
+		z[i], c = big.Word(s), cc
+	}
+	if c != 0 || cmpVV(z[:m.k], m.nw) >= 0 {
+		subVV(z, z, m.nw)
+	}
+}
+
+// SubTo sets z = x − y mod n over k-limb residues (both below n). z may
+// alias x or y.
+func (m *MontCtx) SubTo(z, x, y []big.Word) {
+	if subVV(z[:m.k], x, y) != 0 {
+		var c uint
+		for i := range z[:m.k] {
+			s, cc := bits.Add(uint(z[i]), uint(m.nw[i]), c)
+			z[i], c = big.Word(s), cc
+		}
+	}
+}
+
+// SignOf reads a k-limb residue as a centred value: 0 for zero, −1 above
+// ⌊n/2⌋, +1 otherwise — the sign a revealed masked difference carries.
+func (m *MontCtx) SignOf(x []big.Word) int {
+	switch {
+	case cmpVV(x[:m.k], m.half) > 0:
+		return -1
+	case isZero(x[:m.k]):
+		return 0
+	default:
+		return 1
+	}
+}
+
+func isZero(x []big.Word) bool {
+	for _, w := range x {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Int returns a k-limb residue as a fresh big.Int.
+func (m *MontCtx) Int(x []big.Word) *big.Int {
+	return new(big.Int).SetBits(append([]big.Word(nil), x[:m.k]...))
 }
 
 // FromMont converts a Montgomery residue back to a normal-domain

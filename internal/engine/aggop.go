@@ -46,12 +46,15 @@ type aggGroup struct {
 // output order of the in-memory path, regardless of worker completion
 // order.
 type hashAggOp struct {
-	e        *Engine
-	child    operator
-	schema   []relCol
-	keyExprs []compiledExpr
-	specs    []aggSpec
-	groupBy  bool
+	e      *Engine
+	child  operator
+	schema []relCol
+	// set holds the group keys (items [0, nkeys)) and every aggregate's
+	// arguments as one per-row evaluation.
+	set     *exprSet
+	nkeys   int
+	specs   []aggSpec
+	groupBy bool
 	// groupHint pre-sizes the per-partition state tables (planner group
 	// estimate; 0 = unknown).
 	groupHint int
@@ -145,19 +148,20 @@ func (op *hashAggOp) drain() error {
 				tbl = make(map[string]*aggGroup, op.groupHint/nparts)
 				partials[p] = tbl
 			}
-			// The key and its values are built in per-chunk scratch and
-			// copied only when a row opens a new group.
-			keyVals := make([]types.Value, len(op.keyExprs))
+			// The key, its values and the aggregate arguments are built in
+			// per-chunk scratch; key values are copied only when a row opens
+			// a new group.
+			fr := op.set.frame()
+			defer op.set.release(fr)
+			vals := make([]types.Value, len(op.set.items))
+			keyVals := vals[:op.nkeys]
 			var key []byte
 			for i := lo; i < hi; i++ {
-				row := batch[i]
+				if err := op.set.eval(fr, batch[i], vals); err != nil {
+					return err
+				}
 				key = key[:0]
-				for j, ke := range op.keyExprs {
-					v, err := ke(row)
-					if err != nil {
-						return err
-					}
-					keyVals[j] = v
+				for _, v := range keyVals {
 					key = v.AppendGroupKey(key)
 				}
 				g := tbl[string(key)]
@@ -170,11 +174,7 @@ func (op *hashAggOp) drain() error {
 					tbl[string(key)] = g
 				}
 				for si := range op.specs {
-					vals, err := op.specs[si].evalArgs(row)
-					if err != nil {
-						return err
-					}
-					grew, err := g.states[si].add(vals)
+					grew, err := op.specs[si].fold(g.states[si], op.set, fr, vals)
 					if err != nil {
 						return err
 					}
@@ -674,16 +674,7 @@ func (op *hashAggOp) resident() int {
 // whose expressions reference those columns instead of aggregate calls.
 func (e *Engine) planAggregate(child planNode, s *sqlparser.Select, aggs []*sqlparser.FuncCall, qs *querySpill) (operator, *sqlparser.Select, error) {
 	rel := &relation{cols: child.op.columns()}
-	ctx := e.evalCtx()
-
-	keyExprs := make([]compiledExpr, len(s.GroupBy))
-	for i, g := range s.GroupBy {
-		var err error
-		if keyExprs[i], err = compile(g, rel, ctx); err != nil {
-			return nil, nil, err
-		}
-	}
-	specs, err := e.compileAggSpecs(aggs, rel)
+	set, specs, err := e.compileAggs(s.GroupBy, aggs, rel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -704,7 +695,7 @@ func (e *Engine) planAggregate(child planNode, s *sqlparser.Select, aggs []*sqlp
 
 	op := &hashAggOp{
 		e: e, child: child.op, schema: schema,
-		keyExprs: keyExprs, specs: specs,
+		set: set, nkeys: len(s.GroupBy), specs: specs,
 		groupBy: len(s.GroupBy) > 0,
 		batch:   e.batchRows(),
 		qs:      qs,

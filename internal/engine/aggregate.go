@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"sdb/internal/bigmod"
 	"sdb/internal/secure"
 	"sdb/internal/sqlparser"
 	"sdb/internal/types"
@@ -52,60 +53,73 @@ func collectAggregates(s *sqlparser.Select) []*sqlparser.FuncCall {
 	return out
 }
 
-// aggSpec is one compiled aggregate call: its argument expressions plus,
-// for sdb_min/sdb_max, the constant reveal token and modulus.
+// aggSpec is one compiled aggregate call. Its arguments are items
+// [lo, hi) of the operator's expression set (the group keys come first),
+// so every aggregate of the operator evaluates in one row program.
 type aggSpec struct {
-	call *sqlparser.FuncCall
-	name string // lower-cased function name
-	args []compiledExpr
-	p, n types.Value // for sdb_min/sdb_max
-	eng  *Engine
+	call   *sqlparser.FuncCall
+	name   string // lower-cased function name
+	lo, hi int
+	sum    *shareSum     // share SUM arithmetic (sum, avg)
+	reveal *maskedReveal // sdb_min / sdb_max
 }
 
-// compileAggSpecs binds each aggregate's arguments against the input schema.
-func (e *Engine) compileAggSpecs(aggs []*sqlparser.FuncCall, rel *relation) ([]aggSpec, error) {
+// compileAggs builds the expression set of a hash aggregation — the group
+// keys, then each aggregate's arguments — and the aggregate specs over it.
+func (e *Engine) compileAggs(keys []sqlparser.Expr, aggs []*sqlparser.FuncCall, rel *relation) (*exprSet, []aggSpec, error) {
 	ctx := e.evalCtx()
+	sb := newSetBuilder(rel, ctx, e.n)
+	for _, k := range keys {
+		if _, err := sb.add(k); err != nil {
+			return nil, nil, err
+		}
+	}
 	specs := make([]aggSpec, len(aggs))
 	for i, a := range aggs {
-		spec := aggSpec{call: a, name: strings.ToLower(a.Name), eng: e}
-		if spec.name == "sdb_min" || spec.name == "sdb_max" {
+		spec := aggSpec{call: a, name: strings.ToLower(a.Name), lo: len(sb.set.items)}
+		args := a.Args
+		switch {
+		case spec.name == "sdb_min" || spec.name == "sdb_max":
 			if len(a.Args) != 4 {
-				return nil, fmt.Errorf("engine: %s expects (tag, mtag, p, n)", spec.name)
-			}
-			for _, arg := range a.Args[:2] {
-				ce, err := compile(arg, rel, ctx)
-				if err != nil {
-					return nil, err
-				}
-				spec.args = append(spec.args, ce)
+				return nil, nil, fmt.Errorf("engine: %s expects (tag, mtag, p, n)", spec.name)
 			}
 			var err error
-			if spec.p, err = evalConst(a.Args[2], ctx); err != nil {
-				return nil, err
+			if spec.reveal, err = newMaskedReveal(spec.name, a.Args[2], a.Args[3], 1, ctx); err != nil {
+				return nil, nil, err
 			}
-			if spec.n, err = evalConst(a.Args[3], ctx); err != nil {
-				return nil, err
+			args = a.Args[:2]
+			for j, arg := range args {
+				if err := checkShareColumn(arg, rel, spec.name, j+1); err != nil {
+					return nil, nil, err
+				}
 			}
-			if spec.p.K != types.KindShare || spec.n.K != types.KindShare {
-				return nil, fmt.Errorf("engine: sdb_min/sdb_max need hex p and n")
-			}
-		} else if !a.Star {
+		case a.Star:
+			args = nil
+		case len(a.Args) == 0:
 			// The states index their argument: an empty list would panic on
 			// a pool goroutine, where no session-level recover reaches.
-			if len(a.Args) == 0 {
-				return nil, fmt.Errorf("engine: %s() needs an argument", spec.name)
-			}
-			for _, arg := range a.Args {
-				ce, err := compile(arg, rel, ctx)
+			return nil, nil, fmt.Errorf("engine: %s() needs an argument", spec.name)
+		}
+		if spec.name == "sum" || spec.name == "avg" {
+			spec.sum = &shareSum{mc: e.mod()}
+		}
+		for j, arg := range args {
+			if j == 0 && spec.name == "sum" && !a.Distinct && e.n != nil {
+				_, fin, raw, err := sb.addSum(arg, e.n)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
-				spec.args = append(spec.args, ce)
+				spec.sum.raw, spec.sum.fin = raw, fin
+				continue
+			}
+			if _, err := sb.add(arg); err != nil {
+				return nil, nil, err
 			}
 		}
+		spec.hi = len(sb.set.items)
 		specs[i] = spec
 	}
-	return specs, nil
+	return sb.build(), specs, nil
 }
 
 // newState builds the incremental transition state for this aggregate.
@@ -118,36 +132,26 @@ func (sp *aggSpec) newState() (aggState, error) {
 		}
 		return st, nil
 	case "sum":
-		return newSumState(sp.call.Distinct, sp.eng.n), nil
+		return newSumState(sp.call.Distinct, sp.sum), nil
 	case "avg":
-		return &avgState{sum: newSumState(sp.call.Distinct, sp.eng.n)}, nil
+		return &avgState{sum: newSumState(sp.call.Distinct, sp.sum)}, nil
 	case "min", "max":
 		return &minMaxState{min: sp.name == "min"}, nil
 	case "sdb_min", "sdb_max":
-		n := sp.n.B
-		return &secExtremeState{
-			min: sp.name == "sdb_min", p: sp.p.B, n: n,
-			half: new(big.Int).Rsh(n, 1),
-		}, nil
+		return &secExtremeState{min: sp.name == "sdb_min", reveal: sp.reveal}, nil
 	default:
 		return nil, fmt.Errorf("engine: unknown aggregate %q", sp.name)
 	}
 }
 
-// evalArgs evaluates the aggregate's argument expressions for one row.
-func (sp *aggSpec) evalArgs(row types.Row) ([]types.Value, error) {
-	if len(sp.args) == 0 {
-		return nil, nil
+// fold transitions st by one row whose set items were evaluated into vals
+// (and, for a share SUM over a row program, into fr).
+func (sp *aggSpec) fold(st aggState, set *exprSet, fr *frame, vals []types.Value) (int, error) {
+	if sp.sum != nil && sp.sum.raw {
+		st.(*sumState).addResidue(set.raw(fr, sp.lo))
+		return 0, nil
 	}
-	vals := make([]types.Value, len(sp.args))
-	for i, a := range sp.args {
-		v, err := a(row)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	return vals, nil
+	return st.add(vals[sp.lo:sp.hi])
 }
 
 // aggState is the incremental form of one aggregate: rows transition into
@@ -256,32 +260,44 @@ func (st *countState) loadSpillRow(row types.Row) error {
 	return nil
 }
 
-// ---- SUM ------------------------------------------------------------------
+// ---- SUM ----------------------------------------------------------------
 
-// sumPartial is a partial SUM: machine-integer and modular share
-// accumulators plus the kind transition the fold ended in.
+// shareSum is the modular side of a SUM: the modulus shares add under (the
+// engine's; nil when it has none) and, for a SUM whose argument is a row
+// program (raw), the constant F·R its total is finished with — the
+// program's factor, applied once per group instead of once per row
+// (nil when F = 1).
+type shareSum struct {
+	mc  *bigmod.MontCtx
+	raw bool
+	fin []big.Word
+}
+
+// sumPartial is a partial SUM: the machine-integer sum, the k-limb share
+// sum (nil until a share arrives) and the kind transition the fold ended
+// in. A raw SUM's share sum is the unscaled residue sum — in memory, in
+// spilled state and through merges.
 type sumPartial struct {
-	intSum   int64
-	shareSum *big.Int
-	kind     types.Kind
+	intSum int64
+	share  []big.Word
+	kind   types.Kind
 }
 
 // addValue applies one value to the partial, mirroring the serial kind
 // transitions exactly so partitioned and serial execution agree.
-func (sp *sumPartial) addValue(v types.Value, n *big.Int) error {
+func (sp *sumPartial) addValue(v types.Value, mod *shareSum) error {
 	switch v.K {
 	case types.KindShare:
 		// Modular share sum: all inputs are under a common flat key
 		// (the proxy's rewrite guarantees it), so the sum is a share
 		// of the plaintext sum under that key.
-		if n == nil {
+		if mod.mc == nil {
 			return fmt.Errorf("engine: share SUM requires a configured modulus")
 		}
-		if sp.shareSum == nil {
-			sp.shareSum = new(big.Int)
+		if sp.share == nil {
+			sp.share = make([]big.Word, mod.mc.Words())
 		}
-		sp.shareSum.Add(sp.shareSum, v.B)
-		sp.shareSum.Mod(sp.shareSum, n)
+		mod.mc.AddBig(sp.share, v.B)
 		sp.kind = types.KindShare
 	case types.KindInt, types.KindDecimal:
 		sp.intSum += v.I
@@ -296,16 +312,15 @@ func (sp *sumPartial) addValue(v types.Value, n *big.Int) error {
 
 // merge folds another partial into sp, replaying the same transitions on
 // the aggregated quantities.
-func (sp *sumPartial) merge(other sumPartial, n *big.Int) {
+func (sp *sumPartial) merge(other sumPartial, mod *shareSum) {
 	if other.kind == types.KindNull {
 		return
 	}
-	if other.shareSum != nil {
-		if sp.shareSum == nil {
-			sp.shareSum = new(big.Int)
+	if other.share != nil {
+		if sp.share == nil {
+			sp.share = make([]big.Word, mod.mc.Words())
 		}
-		sp.shareSum.Add(sp.shareSum, other.shareSum)
-		sp.shareSum.Mod(sp.shareSum, n)
+		mod.mc.AddTo(sp.share, sp.share, other.share)
 	}
 	sp.intSum += other.intSum
 	if sp.kind != types.KindDecimal || other.kind == types.KindShare {
@@ -315,14 +330,14 @@ func (sp *sumPartial) merge(other sumPartial, n *big.Int) {
 
 type sumState struct {
 	part     sumPartial
-	n        *big.Int
+	mod      *shareSum
 	distinct bool
 	// seen maps dedup keys to values so DISTINCT partials can union-merge.
 	seen map[string]types.Value
 }
 
-func newSumState(distinct bool, n *big.Int) *sumState {
-	st := &sumState{n: n, distinct: distinct}
+func newSumState(distinct bool, mod *shareSum) *sumState {
+	st := &sumState{mod: mod, distinct: distinct}
 	st.part.kind = types.KindNull
 	if distinct {
 		st.seen = make(map[string]types.Value)
@@ -344,7 +359,17 @@ func (st *sumState) add(vals []types.Value) (int, error) {
 		st.seen[k] = v
 		grew = 1
 	}
-	return grew, st.part.addValue(v, st.n)
+	return grew, st.part.addValue(v, st.mod)
+}
+
+// addResidue folds one row program's unscaled residue: a limb add and a
+// conditional subtract, no division and no allocation.
+func (st *sumState) addResidue(x []big.Word) {
+	if st.part.share == nil {
+		st.part.share = make([]big.Word, len(x))
+	}
+	st.mod.mc.AddTo(st.part.share, st.part.share, x)
+	st.part.kind = types.KindShare
 }
 
 func (st *sumState) merge(other aggState) error {
@@ -357,13 +382,13 @@ func (st *sumState) merge(other aggState) error {
 				continue
 			}
 			st.seen[k] = v
-			if err := st.part.addValue(v, st.n); err != nil {
+			if err := st.part.addValue(v, st.mod); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	st.part.merge(o.part, st.n)
+	st.part.merge(o.part, st.mod)
 	return nil
 }
 
@@ -372,7 +397,13 @@ func (st *sumState) final() (types.Value, error) {
 	case types.KindNull:
 		return types.Null, nil
 	case types.KindShare:
-		return types.NewShare(st.part.shareSum), nil
+		mc, sum := st.mod.mc, st.part.share
+		if st.mod.fin != nil {
+			z := make([]big.Word, mc.Words())
+			mc.MulTo(mc.NewScratch(), z, sum, st.mod.fin)
+			sum = z
+		}
+		return types.NewShare(mc.Int(sum)), nil
 	default:
 		return types.Value{K: st.part.kind, I: st.part.intSum}, nil
 	}
@@ -380,11 +411,12 @@ func (st *sumState) final() (types.Value, error) {
 
 func (st *sumState) retained() int { return len(st.seen) }
 
-// spillRow: [kind, intSum, shareSum|NULL, (distinct key, value)...].
+// spillRow: [kind, intSum, share sum|NULL, (distinct key, value)...]. A
+// raw SUM spills its unscaled residue sum.
 func (st *sumState) spillRow() (types.Row, error) {
 	share := types.Null
-	if st.part.shareSum != nil {
-		share = types.NewShare(st.part.shareSum)
+	if st.part.share != nil {
+		share = types.NewShare(st.mod.mc.Int(st.part.share))
 	}
 	row := types.Row{types.NewInt(int64(st.part.kind)), types.NewInt(st.part.intSum), share}
 	for _, k := range sortedKeys(st.seen) {
@@ -394,13 +426,13 @@ func (st *sumState) spillRow() (types.Row, error) {
 }
 
 func (st *sumState) loadSpillRow(row types.Row) error {
-	if len(row) < 3 || (len(row)-3)%2 != 0 {
+	if len(row) < 3 || (len(row)-3)%2 != 0 || (row[2].K == types.KindShare && st.mod.mc == nil) {
 		return fmt.Errorf("engine: malformed SUM spill state")
 	}
 	st.part.kind = types.Kind(row[0].I)
 	st.part.intSum = row[1].I
 	if row[2].K == types.KindShare {
-		st.part.shareSum = row[2].B
+		st.part.share = st.mod.mc.Limbs(row[2].B)
 	}
 	if st.distinct {
 		for i := 3; i < len(row); i += 2 {
@@ -537,17 +569,14 @@ func (st *minMaxState) loadSpillRow(row types.Row) error {
 // Flat-key tags are deterministic per plaintext, so the winning tag is
 // independent of the comparison association.
 type secExtremeState struct {
-	min        bool
-	p, n, half *big.Int
-	tag, mtag  *big.Int
+	min       bool
+	reveal    *maskedReveal
+	tag, mtag *big.Int
 }
 
 // beats reports whether candidate (tag, mtag) wins against best.
 func (st *secExtremeState) beats(tag, mtag, best *big.Int) bool {
-	diff := secure.SubShares(tag, best, st.n)
-	masked := secure.Multiply(diff, mtag, st.n)
-	revealed := secure.Multiply(masked, st.p, st.n)
-	sign := secure.MaskedSign(revealed, st.half)
+	sign := st.reveal.sign(tag, best, mtag)
 	return (st.min && sign < 0) || (!st.min && sign > 0)
 }
 
@@ -610,16 +639,14 @@ func (st *secExtremeState) loadSpillRow(row types.Row) error {
 
 // secureCompare orders two rows by their flat-key tags using per-pair mask
 // products: sign of (tagA − tagB)·mtagA·mtagB revealed with P = m_F·m_R².
-func secureCompare(tagA, mtagA, tagB, mtagB, pV, nV types.Value) (int, error) {
+func secureCompare(tagA, mtagA, tagB, mtagB types.Value, reveal *maskedReveal) (int, error) {
 	if tagA.K != types.KindShare || tagB.K != types.KindShare {
 		return 0, fmt.Errorf("engine: sdb_ord keys must be shares")
 	}
-	n := nV.B
-	diff := secure.SubShares(tagA.B, tagB.B, n)
-	masked := secure.Multiply(diff, mtagA.B, n)
-	masked = secure.Multiply(masked, mtagB.B, n)
-	revealed := secure.Multiply(masked, pV.B, n)
-	return secure.MaskedSign(revealed, new(big.Int).Rsh(n, 1)), nil
+	if mtagA.K != types.KindShare || mtagB.K != types.KindShare {
+		return 0, fmt.Errorf("engine: sdb_ord masks must be shares")
+	}
+	return reveal.sign(tagA.B, tagB.B, mtagA.B, mtagB.B), nil
 }
 
 // substExpr structurally replaces sub-expressions whose String() matches a

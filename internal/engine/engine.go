@@ -26,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sdb/internal/bigmod"
 	"sdb/internal/parallel"
 	"sdb/internal/secure"
 	"sdb/internal/spill"
@@ -45,9 +46,9 @@ const (
 // Engine executes statements against a catalog.
 type Engine struct {
 	catalog *storage.Catalog
-	// n is the public modulus used by the SDB UDFs; nil disables them.
-	n    *big.Int
-	half *big.Int
+	// n is the public modulus share SUMs accumulate modulo (the UDFs carry
+	// theirs in-query); nil for a plaintext-only deployment.
+	n *big.Int
 	// pool dispatches chunked row evaluation (filters, projections, UDF
 	// columns, secure aggregates) to bounded workers.
 	pool *parallel.Pool
@@ -149,9 +150,6 @@ func New(catalog *storage.Catalog, n *big.Int) *Engine {
 func NewWithOptions(catalog *storage.Catalog, n *big.Int, opts Options) *Engine {
 	e := &Engine{catalog: catalog, n: n}
 	e.applyOptions(opts)
-	if n != nil {
-		e.half = new(big.Int).Rsh(n, 1)
-	}
 	e.publishSnapshot()
 	return e
 }
@@ -490,11 +488,15 @@ func batchableKeyUpdate(ex sqlparser.Expr, rel *relation, ctx *evalCtx) *batchKe
 	if err != nil {
 		return nil
 	}
-	a := constTokenApplier(x, 2, false, ctx)
-	if a == nil {
+	n, err := udfModulus(x, ctx)
+	if err != nil {
 		return nil
 	}
-	return &batchKeyUpdate{veIdx: veIdx, wIdx: wIdx, applier: a}
+	p, q, err := tokenConsts(x, 2, ctx)
+	if err != nil {
+		return nil
+	}
+	return &batchKeyUpdate{veIdx: veIdx, wIdx: wIdx, applier: secure.NewTokenApplier(secure.Token{P: p, Q: q}, n)}
 }
 
 // updateIsRotation reports whether an UPDATE applies a key-rotation token
@@ -741,5 +743,8 @@ func pow10(n int) int64 {
 }
 
 func (e *Engine) evalCtx() *evalCtx {
-	return &evalCtx{n: e.n, half: e.half}
+	return &evalCtx{n: e.n}
 }
+
+// mod is the Montgomery context of the engine's modulus (nil without one).
+func (e *Engine) mod() *bigmod.MontCtx { return bigmod.MontCtxFor(e.n) }

@@ -40,11 +40,10 @@ func inferKinds(cols []ResultColumn, rows []types.Row) {
 	}
 }
 
-// projection expands stars and compiles the select list.
-func (e *Engine) projection(s *sqlparser.Select, rel *relation) ([]ResultColumn, []compiledExpr, error) {
-	ctx := e.evalCtx()
+// projection expands stars and adds the select list to the projection's
+// expression set.
+func (e *Engine) projection(s *sqlparser.Select, rel *relation, sb *setBuilder) ([]ResultColumn, error) {
 	var cols []ResultColumn
-	var exprs []compiledExpr
 	for _, item := range s.Items {
 		if item.Star {
 			for i, c := range rel.cols {
@@ -53,15 +52,14 @@ func (e *Engine) projection(s *sqlparser.Select, rel *relation) ([]ResultColumn,
 				}
 				idx := i
 				cols = append(cols, ResultColumn{Name: c.name, Kind: c.kind})
-				exprs = append(exprs, func(row types.Row) (types.Value, error) {
+				sb.addFn(func(row types.Row) (types.Value, error) {
 					return row[idx], nil
 				})
 			}
 			continue
 		}
-		ce, err := compile(item.Expr, rel, ctx)
-		if err != nil {
-			return nil, nil, err
+		if _, err := sb.add(item.Expr); err != nil {
+			return nil, err
 		}
 		name := item.Alias
 		if name == "" {
@@ -72,7 +70,6 @@ func (e *Engine) projection(s *sqlparser.Select, rel *relation) ([]ResultColumn,
 			}
 		}
 		cols = append(cols, ResultColumn{Name: strings.ToLower(name)})
-		exprs = append(exprs, ce)
 	}
-	return cols, exprs, nil
+	return cols, nil
 }

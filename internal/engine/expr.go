@@ -6,15 +6,13 @@ import (
 	"strings"
 	"time"
 
-	"sdb/internal/secure"
 	"sdb/internal/sqlparser"
 	"sdb/internal/types"
 )
 
-// evalCtx carries the public modulus into UDF evaluation.
+// evalCtx carries the public modulus into expression compilation.
 type evalCtx struct {
-	n    *big.Int
-	half *big.Int
+	n *big.Int
 }
 
 // compiledExpr evaluates against a bound row.
@@ -482,6 +480,11 @@ func compileFunc(x *sqlparser.FuncCall, rel *relation, ctx *evalCtx) (compiledEx
 	if isAggregateName(x.Name) {
 		return nil, fmt.Errorf("engine: aggregate %s not allowed here", x.Name)
 	}
+	if isShareUDF(x.Name) {
+		// The SDB UDFs: arithmetic over the modulus passed in-query, exactly
+		// as the paper's sdb_multiply(Ae, Be, n), compiled as a row program.
+		return compileShareExpr(x, rel, ctx)
+	}
 	args := make([]compiledExpr, len(x.Args))
 	for i, a := range x.Args {
 		var err error
@@ -495,244 +498,8 @@ func compileFunc(x *sqlparser.FuncCall, rel *relation, ctx *evalCtx) (compiledEx
 		}
 		return nil
 	}
-	shareArg := func(row types.Row, i int) (*big.Int, error) {
-		v, err := args[i](row)
-		if err != nil {
-			return nil, err
-		}
-		if v.K != types.KindShare {
-			return nil, fmt.Errorf("engine: %s arg %d must be a share, got %s", x.Name, i+1, v.K)
-		}
-		return v.B, nil
-	}
 
 	switch strings.ToLower(x.Name) {
-	// ---- SDB UDFs (all arithmetic is over the modulus passed in-query,
-	// exactly as the paper's sdb_multiply(Ae, Be, n)).
-	case "sdb_mul":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		return func(row types.Row) (types.Value, error) {
-			a, err := shareArg(row, 0)
-			if err != nil {
-				return types.Null, err
-			}
-			b, err := shareArg(row, 1)
-			if err != nil {
-				return types.Null, err
-			}
-			n, err := shareArg(row, 2)
-			if err != nil {
-				return types.Null, err
-			}
-			return types.NewShare(secure.Multiply(a, b, n)), nil
-		}, nil
-
-	case "sdb_add", "sdb_sub":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		sub := strings.EqualFold(x.Name, "sdb_sub")
-		return func(row types.Row) (types.Value, error) {
-			a, err := shareArg(row, 0)
-			if err != nil {
-				return types.Null, err
-			}
-			b, err := shareArg(row, 1)
-			if err != nil {
-				return types.Null, err
-			}
-			n, err := shareArg(row, 2)
-			if err != nil {
-				return types.Null, err
-			}
-			if sub {
-				return types.NewShare(secure.SubShares(a, b, n)), nil
-			}
-			return types.NewShare(secure.AddShares(a, b, n)), nil
-		}, nil
-
-	case "sdb_scale":
-		// sdb_scale(ve, plain, n): multiply a share by a plaintext value
-		// (e.g. an insensitive column). ve = v·vk⁻¹, so p·ve is a share of
-		// p·v under the SAME column key — zero key bookkeeping.
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		return func(row types.Row) (types.Value, error) {
-			ve, err := shareArg(row, 0)
-			if err != nil {
-				return types.Null, err
-			}
-			pv, err := args[1](row)
-			if err != nil {
-				return types.Null, err
-			}
-			if !numericKind(pv.K) {
-				return types.Null, fmt.Errorf("engine: sdb_scale needs a numeric plaintext, got %s", pv.K)
-			}
-			n, err := shareArg(row, 2)
-			if err != nil {
-				return types.Null, err
-			}
-			p := new(big.Int).Mod(big.NewInt(pv.I), n)
-			return types.NewShare(secure.Multiply(ve, p, n)), nil
-		}, nil
-
-	case "sdb_keyupdate":
-		// sdb_keyupdate(ve, w, p, q, n)
-		if err := need(5); err != nil {
-			return nil, err
-		}
-		if a := constTokenApplier(x, 2, false, ctx); a != nil {
-			// The rewriter always emits p/q/n as hex literals, so the
-			// common case hoists all per-token work (Montgomery context,
-			// ToMont(P), |Q|) out of the per-row loop. The applier is
-			// shared by every parallel chunk worker of the statement.
-			return func(row types.Row) (types.Value, error) {
-				ve, err := shareArg(row, 0)
-				if err != nil {
-					return types.Null, err
-				}
-				w, err := shareArg(row, 1)
-				if err != nil {
-					return types.Null, err
-				}
-				out, err := a.Apply(ve, w)
-				if err != nil {
-					return types.Null, fmt.Errorf("engine: %s: %w", x.Name, err)
-				}
-				return types.NewShare(out), nil
-			}, nil
-		}
-		return func(row types.Row) (types.Value, error) {
-			ve, err := shareArg(row, 0)
-			if err != nil {
-				return types.Null, err
-			}
-			w, err := shareArg(row, 1)
-			if err != nil {
-				return types.Null, err
-			}
-			p, err := shareArg(row, 2)
-			if err != nil {
-				return types.Null, err
-			}
-			q, err := shareArg(row, 3)
-			if err != nil {
-				return types.Null, err
-			}
-			n, err := shareArg(row, 4)
-			if err != nil {
-				return types.Null, err
-			}
-			tok := secure.Token{P: p, Q: q}
-			out := secure.ApplyToken(tok, ve, w, n)
-			if out == nil {
-				return types.Null, fmt.Errorf("engine: %s: helper not invertible", x.Name)
-			}
-			return types.NewShare(out), nil
-		}, nil
-
-	case "sdb_const":
-		// sdb_const(w, p, q, n): materialise a share of a constant.
-		if err := need(4); err != nil {
-			return nil, err
-		}
-		if a := constTokenApplier(x, 1, true, ctx); a != nil {
-			return func(row types.Row) (types.Value, error) {
-				w, err := shareArg(row, 0)
-				if err != nil {
-					return types.Null, err
-				}
-				out, err := a.Apply(nil, w)
-				if err != nil {
-					return types.Null, fmt.Errorf("engine: %s: %w", x.Name, err)
-				}
-				return types.NewShare(out), nil
-			}, nil
-		}
-		return func(row types.Row) (types.Value, error) {
-			w, err := shareArg(row, 0)
-			if err != nil {
-				return types.Null, err
-			}
-			p, err := shareArg(row, 1)
-			if err != nil {
-				return types.Null, err
-			}
-			q, err := shareArg(row, 2)
-			if err != nil {
-				return types.Null, err
-			}
-			n, err := shareArg(row, 3)
-			if err != nil {
-				return types.Null, err
-			}
-			tok := secure.Token{P: p, Q: q, Base: true}
-			out := secure.ApplyToken(tok, nil, w, n)
-			if out == nil {
-				return types.Null, fmt.Errorf("engine: %s: helper not invertible", x.Name)
-			}
-			return types.NewShare(out), nil
-		}, nil
-
-	case "sdb_sign":
-		// sdb_sign(ve, w, p, q, n): reveal a masked difference, return its
-		// sign in {-1, 0, 1}. This is the comparison protocol's only
-		// plaintext output.
-		if err := need(5); err != nil {
-			return nil, err
-		}
-		if a := constTokenApplier(x, 2, false, ctx); a != nil {
-			half := new(big.Int).Rsh(a.N(), 1)
-			return func(row types.Row) (types.Value, error) {
-				ve, err := shareArg(row, 0)
-				if err != nil {
-					return types.Null, err
-				}
-				w, err := shareArg(row, 1)
-				if err != nil {
-					return types.Null, err
-				}
-				revealed, err := a.Apply(ve, w)
-				if err != nil {
-					return types.Null, fmt.Errorf("engine: %s: %w", x.Name, err)
-				}
-				return types.NewInt(int64(secure.MaskedSign(revealed, half))), nil
-			}, nil
-		}
-		return func(row types.Row) (types.Value, error) {
-			ve, err := shareArg(row, 0)
-			if err != nil {
-				return types.Null, err
-			}
-			w, err := shareArg(row, 1)
-			if err != nil {
-				return types.Null, err
-			}
-			p, err := shareArg(row, 2)
-			if err != nil {
-				return types.Null, err
-			}
-			q, err := shareArg(row, 3)
-			if err != nil {
-				return types.Null, err
-			}
-			n, err := shareArg(row, 4)
-			if err != nil {
-				return types.Null, err
-			}
-			tok := secure.Token{P: p, Q: q}
-			revealed := secure.ApplyToken(tok, ve, w, n)
-			if revealed == nil {
-				return types.Null, fmt.Errorf("engine: %s: helper not invertible", x.Name)
-			}
-			half := new(big.Int).Rsh(n, 1)
-			return types.NewInt(int64(secure.MaskedSign(revealed, half))), nil
-		}, nil
-
 	// ---- plaintext scalar helpers used by the TPC-H workload.
 	case "year":
 		if err := need(1); err != nil {
@@ -796,27 +563,6 @@ func compileFunc(x *sqlparser.FuncCall, rel *relation, ctx *evalCtx) (compiledEx
 	default:
 		return nil, fmt.Errorf("engine: unknown function %q", x.Name)
 	}
-}
-
-// constTokenApplier hoists a secure token whose p/q/n trail a UDF call as
-// constant expressions (argument positions from, from+1, from+2) into a
-// per-statement secure.TokenApplier. The rewriter always emits token
-// material as hex literals, so this covers every proxy-generated query;
-// nil means some argument is row-dependent (or not a share, or the
-// modulus is degenerate) and the caller keeps its per-row path.
-func constTokenApplier(x *sqlparser.FuncCall, from int, base bool, ctx *evalCtx) *secure.TokenApplier {
-	var vals [3]*big.Int
-	for i := range vals {
-		v, err := evalConst(x.Args[from+i], ctx)
-		if err != nil || v.K != types.KindShare {
-			return nil
-		}
-		vals[i] = v.B
-	}
-	if vals[2].Sign() <= 0 {
-		return nil
-	}
-	return secure.NewTokenApplier(secure.Token{P: vals[0], Q: vals[1], Base: base}, vals[2])
 }
 
 // evalConst evaluates an expression with no column references.

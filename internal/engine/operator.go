@@ -334,11 +334,12 @@ func (op *filterOp) resident() int { return op.child.resident() }
 
 // projectOp evaluates the select list (plus any hidden ORDER BY key
 // expressions appended by the planner) over each batch, in parallel chunks.
-// Every SDB UDF in the select list runs here.
+// Every SDB UDF in the select list runs here, as one row program per
+// chunk worker.
 type projectOp struct {
 	e      *Engine
 	child  operator
-	exprs  []compiledExpr
+	set    *exprSet
 	schema []relCol
 	ctx    context.Context
 }
@@ -358,17 +359,22 @@ func (op *projectOp) next() ([]types.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parallel.Map(op.e.pool, len(batch), func(i int) (types.Row, error) {
-		out := make(types.Row, len(op.exprs))
-		for c, ex := range op.exprs {
-			v, err := ex(batch[i])
-			if err != nil {
-				return nil, err
+	out := make([]types.Row, len(batch))
+	err = op.e.pool.ForEachChunk(len(batch), func(_, lo, hi int) error {
+		fr := op.set.frame()
+		defer op.set.release(fr)
+		for i := lo; i < hi; i++ {
+			out[i] = make(types.Row, len(op.set.items))
+			if err := op.set.eval(fr, batch[i], out[i]); err != nil {
+				return err
 			}
-			out[c] = v
 		}
-		return out, nil
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func (op *projectOp) close() error  { return op.child.close() }

@@ -19,48 +19,46 @@ type sortKey struct {
 	col    int // plain key: index into the extended row; -1 for secure keys
 	tagCol int // secure key: tag column index
 	mskCol int // secure key: mask column index
-	p, n   types.Value
+	reveal *maskedReveal
 }
 
-// orderSpec is a compiled ORDER BY: the keys plus the hidden expressions
-// the projection must append so every key is addressable in the row.
+// orderSpec is a compiled ORDER BY: the keys, whose hidden columns the
+// projection appends after the visible output so every key is addressable
+// in the row.
 type orderSpec struct {
-	keys  []sortKey
-	extra []compiledExpr // hidden columns appended after the visible output
+	keys []sortKey
 }
 
 // compileOrderKeys resolves ORDER BY items against the projected output
 // (aliases and projected column names first) and the pre-projection
 // relation otherwise; unresolvable-from-output keys become hidden columns
-// evaluated alongside the projection. The secure comparator
-// sdb_ord(tag, mtag, p, n) contributes two hidden columns.
-func (e *Engine) compileOrderKeys(s *sqlparser.Select, rel *relation, outCols []ResultColumn) (*orderSpec, error) {
+// of the projection's expression set sb, evaluated alongside the visible
+// output. The secure comparator sdb_ord(tag, mtag, p, n) contributes two
+// hidden columns.
+func (e *Engine) compileOrderKeys(s *sqlparser.Select, rel *relation, outCols []ResultColumn, sb *setBuilder) (*orderSpec, error) {
 	ctx := e.evalCtx()
 	spec := &orderSpec{}
-	outWidth := len(outCols)
 	for _, item := range s.OrderBy {
 		k := sortKey{desc: item.Desc, col: -1}
 		if fc, ok := item.Expr.(*sqlparser.FuncCall); ok && strings.EqualFold(fc.Name, "sdb_ord") {
 			if len(fc.Args) != 4 {
 				return nil, fmt.Errorf("engine: sdb_ord expects (tag, mtag, p, n)")
 			}
-			tagE, err := compile(fc.Args[0], rel, ctx)
-			if err != nil {
+			var err error
+			if k.reveal, err = newMaskedReveal("sdb_ord", fc.Args[2], fc.Args[3], 2, ctx); err != nil {
 				return nil, err
 			}
-			maskE, err := compile(fc.Args[1], rel, ctx)
-			if err != nil {
+			for i, arg := range fc.Args[:2] {
+				if err := checkShareColumn(arg, rel, "sdb_ord", i+1); err != nil {
+					return nil, err
+				}
+			}
+			if k.tagCol, err = sb.add(fc.Args[0]); err != nil {
 				return nil, err
 			}
-			if k.p, err = evalConst(fc.Args[2], ctx); err != nil {
+			if k.mskCol, err = sb.add(fc.Args[1]); err != nil {
 				return nil, err
 			}
-			if k.n, err = evalConst(fc.Args[3], ctx); err != nil {
-				return nil, err
-			}
-			k.tagCol = outWidth + len(spec.extra)
-			k.mskCol = k.tagCol + 1
-			spec.extra = append(spec.extra, tagE, maskE)
 			spec.keys = append(spec.keys, k)
 			continue
 		}
@@ -77,12 +75,10 @@ func (e *Engine) compileOrderKeys(s *sqlparser.Select, rel *relation, outCols []
 			}
 		}
 		if !resolved {
-			ce, err := compile(item.Expr, rel, ctx)
-			if err != nil {
+			var err error
+			if k.col, err = sb.add(item.Expr); err != nil {
 				return nil, err
 			}
-			k.col = outWidth + len(spec.extra)
-			spec.extra = append(spec.extra, ce)
 		}
 		spec.keys = append(spec.keys, k)
 	}
@@ -97,7 +93,7 @@ func (sp *orderSpec) compare(a, b types.Row) (int, error) {
 			c = a[k.col].Compare(b[k.col])
 		} else {
 			var err error
-			c, err = secureCompare(a[k.tagCol], a[k.mskCol], b[k.tagCol], b[k.mskCol], k.p, k.n)
+			c, err = secureCompare(a[k.tagCol], a[k.mskCol], b[k.tagCol], b[k.mskCol], k.reveal)
 			if err != nil {
 				return 0, err
 			}

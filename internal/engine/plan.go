@@ -87,27 +87,27 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 	// Projection, with hidden ORDER BY key columns appended when the keys
 	// are not addressable in the visible output.
 	inRel := &relation{cols: src.op.columns()}
-	outCols, outExprs, err := e.projection(s, inRel)
+	sb := newSetBuilder(inRel, ctx, e.n)
+	outCols, err := e.projection(s, inRel, sb)
 	if err != nil {
 		return nil, err
 	}
 	var ospec *orderSpec
-	exprs := outExprs
 	if len(s.OrderBy) > 0 {
-		if ospec, err = e.compileOrderKeys(s, inRel, outCols); err != nil {
+		if ospec, err = e.compileOrderKeys(s, inRel, outCols, sb); err != nil {
 			return nil, err
 		}
-		exprs = append(append([]compiledExpr{}, outExprs...), ospec.extra...)
 	}
-	projSchema := make([]relCol, len(exprs))
+	set := sb.build()
+	projSchema := make([]relCol, len(set.items))
 	for i, oc := range outCols {
 		projSchema[i] = relCol{name: oc.Name, kind: oc.Kind}
 	}
-	for i := len(outCols); i < len(exprs); i++ {
+	for i := len(outCols); i < len(projSchema); i++ {
 		projSchema[i] = relCol{name: fmt.Sprintf("_ord%d", i-len(outCols)), hidden: true}
 	}
 	est := src.est
-	var root operator = &projectOp{e: e, child: src.op, exprs: exprs, schema: projSchema}
+	var root operator = &projectOp{e: e, child: src.op, set: set, schema: projSchema}
 
 	// ORDER BY: a bounded top-K heap when LIMIT caps the result (and
 	// DISTINCT does not need the full sorted set first), else a sort sink.

@@ -91,6 +91,20 @@ func FuzzExecSelect(f *testing.F) {
 		`SELECT l_quantity FROM lineitem WHERE l_quantity IN (1, 2, 3) OR l_quantity IS NULL`,
 		`SELECT 'it''s', 0x2a, -0x1f, year(l_shipdate) FROM lineitem LIMIT 1`,
 		`SELECT t.a FROM (SELECT l_orderkey AS a FROM lineitem) AS t WHERE t.a > 0 LIMIT 3`,
+		// SDB UDF calls with malformed token material: each once crashed
+		// the SP; the proxy refuses hex literals, the engine refuses them
+		// at plan time.
+		`SELECT sdb_keyupdate(l_quantity, sdb_w, 0x3, 0x5, 0x0) FROM lineitem`,
+		`SELECT sdb_sign(l_quantity, sdb_w, 0x3, 0x5, 0x0) FROM lineitem`,
+		`SELECT sdb_const(sdb_w, 0x3, 0x5, 0x0) FROM lineitem`,
+		`SELECT sdb_mul(l_quantity, sdb_mask, 0x0) FROM lineitem`,
+		`SELECT sdb_add(l_quantity, sdb_mask, 0x0) FROM lineitem`,
+		`SELECT sdb_scale(l_quantity, l_orderkey, 0x0) FROM lineitem`,
+		`SELECT l_orderkey FROM lineitem ORDER BY sdb_ord(l_quantity, l_orderkey, 0x3, 0x5)`,
+		`SELECT l_orderkey FROM lineitem ORDER BY sdb_ord(l_quantity, sdb_mask, 1, 2)`,
+		`SELECT l_orderkey FROM lineitem ORDER BY sdb_ord(l_quantity, sdb_mask, 0x3, 0x0)`,
+		`SELECT sum(sdb_keyupdate(l_quantity, sdb_w, 0x3, 0x5, 0x0)) FROM lineitem`,
+		`SELECT sdb_min(l_quantity, sdb_mask, 0x3, 0x0) FROM lineitem`,
 	} {
 		f.Add(s)
 	}

@@ -74,6 +74,29 @@ type rewriter struct {
 	groupFlat map[string]*rval
 	// grouped is true while rewriting HAVING (masks become SUM(mask tag)).
 	grouped bool
+	// sumKeys is the flat key of each encrypted SUM by its canonical
+	// argument and DISTINCT, so identical aggregates — Q1's SUM(x) and the
+	// SUM inside AVG(x), a SUM repeated in HAVING — rewrite to identical
+	// SQL and the SP computes each once.
+	sumKeys map[string]secure.ColumnKey
+}
+
+// sumKey returns the flat key of the encrypted SUM of arg, minting it on
+// first use.
+func (rw *rewriter) sumKey(arg sqlparser.Expr, distinct bool) (secure.ColumnKey, error) {
+	k := fmt.Sprintf("%t:%s", distinct, arg)
+	if t, ok := rw.sumKeys[k]; ok {
+		return t, nil
+	}
+	t, err := rw.p.secret.FlatKey()
+	if err != nil {
+		return secure.ColumnKey{}, err
+	}
+	if rw.sumKeys == nil {
+		rw.sumKeys = map[string]secure.ColumnKey{}
+	}
+	rw.sumKeys[k] = t
+	return t, nil
 }
 
 func (rw *rewriter) n() *big.Int { return rw.p.secret.N() }

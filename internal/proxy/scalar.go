@@ -202,7 +202,7 @@ func (rw *rewriter) rewriteFunc(x *sqlparser.FuncCall) (*rval, error) {
 				scale: rv.scale,
 			}, nil
 		}
-		t, err := rw.p.secret.FlatKey()
+		t, err := rw.sumKey(x.Args[0], x.Distinct)
 		if err != nil {
 			return nil, err
 		}

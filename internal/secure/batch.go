@@ -32,8 +32,8 @@ import (
 //     one REDC by P.
 //
 // An applier is immutable after construction and safe for concurrent use;
-// scratch memory comes from an internal pool, so the engine's parallel
-// chunk workers share one applier per compiled expression.
+// scratch memory comes from an internal pool, so the chunk workers of a
+// key-rotation UPDATE share one applier.
 
 // TokenApplier applies one fixed token to many (ve, w) pairs.
 type TokenApplier struct {
@@ -43,8 +43,8 @@ type TokenApplier struct {
 	pM   []big.Word      // ToMont(P)
 	qAbs *big.Int        // |Q|
 	qNeg bool
-	pows *powTable // memoised w^Q for this exponent; nil when Q = 0
-	pool sync.Pool // *applyScratch
+	pows *PowerTable // memoised w^Q for this exponent; nil when Q = 0
+	pool sync.Pool   // *applyScratch
 }
 
 type applyScratch struct {
@@ -67,16 +67,13 @@ func NewTokenApplier(t Token, n *big.Int) *TokenApplier {
 		a.ctx = bigmod.MontCtxFor(n)
 	}
 	if a.ctx != nil {
-		a.pM = a.ctx.ToMont(a.ctx.NewScratch(), t.P)
-		if t.Q.Sign() != 0 {
-			a.pows = powers.table(n, t.Q, a.ctx.Words())
-		}
+		s := a.scratch() // pooled for the applications that follow
+		a.pM = a.ctx.ToMont(s.ms, t.P)
+		a.pool.Put(s)
+		a.pows = newPowerTable(t.Q, a.ctx)
 	}
 	return a
 }
-
-// N returns the modulus the applier operates over.
-func (a *TokenApplier) N() *big.Int { return a.n }
 
 // Token returns (a copy of) the applier's token.
 func (a *TokenApplier) Token() Token { return a.tok.Clone() }
@@ -172,21 +169,9 @@ func (a *TokenApplier) Apply(ve, w *big.Int) (*big.Int, error) {
 	if a.pows == nil {
 		return a.finish(s, nil, ve), nil
 	}
-	key := a.memoKey(s, w)
-	if key != nil {
-		if yM := a.pows.get(key); yM != nil {
-			powers.hits.Add(1)
-			return a.finish(s, yM, ve), nil
-		}
-	}
-	powers.misses.Add(1)
-	y := new(big.Int).Exp(w, a.tok.Q, a.n)
-	if y == nil {
-		return nil, errNotInvertible()
-	}
-	yM := a.ctx.ToMont(s.ms, y)
-	if key != nil {
-		powers.put(a.pows, key, yM)
+	yM, err := a.pows.Lookup(s.ms, s.key, w)
+	if err != nil {
+		return nil, err
 	}
 	return a.finish(s, yM, ve), nil
 }
@@ -240,7 +225,7 @@ func (a *TokenApplier) batchPowers(s *applyScratch, ws []*big.Int, yMs [][]big.W
 	var missed []int
 	for i, w := range ws {
 		if key := a.memoKey(s, w); key != nil {
-			yMs[i] = a.pows.get(key)
+			yMs[i] = a.pows.pows.get(key)
 		}
 		if yMs[i] == nil {
 			yMs[i] = a.ctx.ToMont(s.ms, new(big.Int).Exp(w, a.qAbs, a.n))
@@ -262,7 +247,7 @@ func (a *TokenApplier) batchPowers(s *applyScratch, ws []*big.Int, yMs [][]big.W
 	}
 	for _, i := range missed {
 		if key := a.memoKey(s, ws[i]); key != nil {
-			powers.put(a.pows, key, yMs[i])
+			powers.put(a.pows.pows, key, yMs[i])
 		}
 	}
 	return nil

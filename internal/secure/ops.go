@@ -9,7 +9,10 @@ import (
 // This file contains the SP-side secure operators — the functions the demo
 // paper installs as UDFs in the host engine (§2.2). They operate purely on
 // public material: shares, row helpers, tokens and the modulus n. None of
-// them can be evaluated into plaintext without the DO's keys.
+// them can be evaluated into plaintext without the DO's keys. They are the
+// scalar definitions: the engine compiles the same arithmetic into
+// Montgomery row programs (internal/engine/shareprog.go) and is tested
+// against these.
 
 // Multiply is sdb_multiply(Ae, Be, n) = Ae·Be mod n, a share of A·B under
 // ⟨m_A·m_B, x_A+x_B⟩ (paper §2.2). One modular multiplication per row,

@@ -4,6 +4,8 @@ import (
 	"math/big"
 	"sync"
 	"sync/atomic"
+
+	"sdb/internal/bigmod"
 )
 
 // Helper-power memo.
@@ -175,6 +177,63 @@ func (m *powMemo) put(t *powTable, key []byte, yM []big.Word) {
 	sh.m[string(key)] = yM
 	sh.mu.Unlock()
 	m.entries.Add(1)
+}
+
+// PowerTable is one exponent's view of the memo: ToMont(w^Q mod n) for any
+// helper w, resolved once per (w, Q) per process. A token applier holds one
+// per token, and the engine's row programs hold one per distinct exponent
+// of a statement, so a key update costs one Lookup however many tokens of
+// that exponent an operator applies to the row. It is immutable and safe
+// for concurrent use; callers bring their own scratch.
+type PowerTable struct {
+	n, q   *big.Int
+	ctx    *bigmod.MontCtx
+	pows   *powTable
+	keyLen int // bytes of n: the memo key width
+}
+
+// NewPowerTable resolves the memo table of exponent q modulo n. It returns
+// nil when q is zero (w^0 = 1 needs no table) or n has no Montgomery
+// context (n must be odd and at least 3). q must not be mutated afterwards.
+func NewPowerTable(q, n *big.Int) *PowerTable {
+	return newPowerTable(q, bigmod.MontCtxFor(n))
+}
+
+func newPowerTable(q *big.Int, ctx *bigmod.MontCtx) *PowerTable {
+	if ctx == nil || q.Sign() == 0 {
+		return nil
+	}
+	n := ctx.N()
+	return &PowerTable{n: n, q: q, ctx: ctx, pows: powers.table(n, q, ctx.Words()), keyLen: (n.BitLen() + 7) / 8}
+}
+
+// KeyLen is the length of the key buffer Lookup needs.
+func (t *PowerTable) KeyLen() int { return t.keyLen }
+
+// Lookup returns ToMont(w^Q mod n) as k limbs that the caller must not
+// modify: the memoised residue on a hit, a fresh one (memoised for the
+// next caller) on a miss. key is scratch of at least KeyLen bytes. A helper
+// outside [0, n) bypasses the memo. The error is the non-invertible-helper
+// failure of a negative exponent.
+func (t *PowerTable) Lookup(ms *bigmod.MontScratch, key []byte, w *big.Int) ([]big.Word, error) {
+	var k []byte
+	if w.Sign() >= 0 && w.Cmp(t.n) < 0 {
+		k = w.FillBytes(key[:t.keyLen])
+		if yM := t.pows.get(k); yM != nil {
+			powers.hits.Add(1)
+			return yM, nil
+		}
+	}
+	powers.misses.Add(1)
+	y := new(big.Int).Exp(w, t.q, t.n)
+	if y == nil {
+		return nil, errNotInvertible()
+	}
+	yM := t.ctx.ToMont(ms, y)
+	if k != nil {
+		powers.put(t.pows, k, yM)
+	}
+	return yM, nil
 }
 
 // HelperPowerStats is a snapshot of the helper-power memo: how many token

@@ -109,6 +109,54 @@ func TestEmptyAggregateKeepsServerAlive(t *testing.T) {
 	}
 }
 
+// TestMalformedUDFsKeepServerAlive: SDB UDF calls with a zero modulus, a
+// plaintext mask or a non-share token used to panic — often on an engine
+// pool goroutine, taking the whole process down. Each is a plan-time error
+// frame now, and the same session keeps serving.
+func TestMalformedUDFsKeepServerAlive(t *testing.T) {
+	srv := New(nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	client, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for _, sql := range []string{
+		`CREATE TABLE enc (id INT, v INT SENSITIVE, m INT SENSITIVE)`,
+		`INSERT INTO enc (id, v, m, row_id, sdb_w) VALUES (1, 0x5, 0x7, 0x1, 0x3), (2, 0x9, 0xb, 0x1, 0xd)`,
+	} {
+		if _, err := client.ExecuteSQL(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for _, sql := range []string{
+		`SELECT sdb_keyupdate(v, sdb_w, 0x3, 0x5, 0x0) FROM enc`,
+		`SELECT sdb_sign(v, sdb_w, 0x3, 0x5, 0x0) FROM enc`,
+		`SELECT sdb_const(sdb_w, 0x3, 0x5, 0x0) FROM enc`,
+		`SELECT sdb_mul(v, m, 0x0) FROM enc`,
+		`SELECT sdb_add(v, m, 0x0) FROM enc`,
+		`SELECT sdb_scale(v, id, 0x0) FROM enc`,
+		`SELECT id FROM enc ORDER BY sdb_ord(v, id, 0x3, 0x5)`,
+		`SELECT id FROM enc ORDER BY sdb_ord(v, m, 1, 2)`,
+		`SELECT id FROM enc ORDER BY sdb_ord(v, m, 0x3, 0x0)`,
+		`SELECT sum(sdb_keyupdate(v, sdb_w, 0x3, 0x5, 0x0)) FROM enc`,
+		`SELECT sdb_min(v, m, 0x3, 0x0) FROM enc`,
+	} {
+		if _, err := client.ExecuteSQL(sql); err == nil {
+			t.Errorf("%s: no error", sql)
+		}
+		res, err := client.ExecuteSQL(`SELECT COUNT(*) FROM enc`)
+		if err != nil || res.Rows[0][0].I != 2 {
+			t.Fatalf("session unusable after %s: %v, %v", sql, res, err)
+		}
+	}
+}
+
 func TestServeBeforeListen(t *testing.T) {
 	srv := New(nil)
 	if err := srv.Serve(); err == nil {

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # CI gate: docs link check, static checks (gofmt, go vet, a gate that
 # no non-test file imports encoding/gob — the value codec in
-# internal/types is the one serialization — and a gate that no non-test
-# file under internal/ or driver/ reads the process environment), the full
-# test suite, the race
+# internal/types is the one serialization —, a gate that no non-test
+# file under internal/ or driver/ reads the process environment, and a gate
+# that no non-test engine file multiplies or adds shares through the
+# dividing scalar operators — share arithmetic runs as Montgomery row
+# programs), the full test suite, the race
 # detector over every package (the chunked parallel engine/proxy paths,
 # the streaming cursor pipeline, the parallel spilled-partition scheduler
 # and the secure helper-power memo are exercised by dedicated concurrency
@@ -21,7 +23,10 @@
 # kernel (hostile-SP results incl. forged shares whose plaintext must not
 # reach the error; the half-width vs full-width decrypt differential and
 # kernel selection; one column key's two tables first touched by racing
-# encrypts and decrypts), a race-detected column-pruning / composite-key pass,
+# encrypts and decrypts), a race-detected row-program pass (share trees vs
+# the scalar secure operators, share SUM resident / spilled / serial /
+# parallel, malformed UDF calls refused at plan time), a race-detected
+# column-pruning / composite-key pass,
 # a race-detected FROM/WHERE planner pass (plan shapes in every FROM syntax,
 # TPC-H JOIN vs comma plan equivalence plaintext and rewritten, the
 # plain-spill spill pins, ON-scope error parity, a 70-leaf FROM, the
@@ -39,7 +44,8 @@
 # rows), and a short fuzz smoke over every fuzz target (parser, proxy
 # pipeline incl. the COUNT() crasher seed, the value codec,
 # wire frame decoding, WAL records, Montgomery multiply/exponentiate and the item-key tables vs
-# math/big, half-width vs full-width decrypt, composite hash-key injectivity).
+# math/big, half-width vs full-width decrypt, composite hash-key injectivity,
+# share row programs vs the scalar secure operators).
 #
 # Usage: scripts/ci.sh [-short]
 #   -short   skip the slow end-to-end suites (integration differential,
@@ -99,6 +105,17 @@ echo "== the library does not read the environment"
 # get it as a flag default in cmd/sdb-server, nowhere else.
 if grep -rn 'os\.Getenv' internal driver --include='*.go' | grep -v _test.go; then
   echo "os.Getenv called by the non-test files above"
+  exit 1
+fi
+
+echo "== share arithmetic stays in row programs (no per-row division in the engine)"
+# The engine compiles every SDB UDF tree into a Montgomery row program
+# (internal/engine/shareprog.go): one REDC per multiply and key update,
+# constants folded at plan time, SUM by limb add. The scalar operators
+# below each pay a big.Int division per call; only tests (as the oracle)
+# may call them from the engine package.
+if grep -nE 'secure\.(Multiply|AddShares|SubShares)\(|bigmod\.Mul\(' internal/engine/*.go | grep -v '_test.go:'; then
+  echo "the non-test engine files above call a dividing scalar share operator"
   exit 1
 fi
 
@@ -202,6 +219,16 @@ go test -race -count=1 -run 'HostileSP|DecryptRaces|JoinProduct|KeyTableStats' .
 # one column key first touched by encrypts (its table modulo n) and
 # decrypts (its table modulo p₁) at once.
 go test -race -count=1 ${SHORT_FLAG} -run 'HalfVsFull|BothKernels|KernelSelection|LeavesTheDO|ErrorsRedacted' ./internal/secure
+
+echo "== share row programs under the race detector"
+# One compiled program per operator is shared by every chunk worker, each
+# evaluating it in a pooled frame whose key-update registers alias the
+# process-wide helper-power memo. The differential against the scalar
+# secure operators (every modulus shape, key updates of both exponent
+# signs and Base tokens, helpers without inverses, malformed rows), the
+# share SUM over unscaled residues resident, spilled, serial and parallel,
+# and the eleven malformed UDF calls that once crashed the SP.
+go test -race -count=1 -run 'ShareProgram|SecureSum|Malformed' ./internal/engine
 
 echo "== column pruning + composite keys under the race detector"
 # Scans keep only the columns the statement names, and join/group/DISTINCT
@@ -340,6 +367,7 @@ if [[ -z "${SHORT_FLAG}" ]]; then
   go test -run xxx -fuzz FuzzItemKeyTable -fuzztime 10s ./internal/secure
   go test -run xxx -fuzz FuzzDecryptHalfVsFull -fuzztime 10s ./internal/secure
   go test -run xxx -fuzz FuzzGroupKeyInjective -fuzztime 10s ./internal/engine
+  go test -run xxx -fuzz FuzzShareProgram -fuzztime 10s ./internal/engine
 fi
 
 echo "CI OK"
