@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"sdb/internal/bigmod"
-	"sdb/internal/secure"
 	"sdb/internal/sqlparser"
 	"sdb/internal/types"
 )
@@ -614,27 +613,27 @@ func (st *secExtremeState) final() (types.Value, error) {
 	return types.NewShare(st.tag), nil
 }
 
-// spillRow: the winner serialized via secure.TournamentState — the
-// protocol-level representation of a partial tournament, so spilled state
-// is exactly "a partition winner" and merging replays the tournament.
+// spillRow: [tag, mask] of the partition winner as shares, [NULL, NULL]
+// before any candidate — spilled state is exactly "a partition winner", and
+// merging replays the tournament.
 func (st *secExtremeState) spillRow() (types.Row, error) {
-	raw, err := secure.TournamentState{Tag: st.tag, Mask: st.mtag}.MarshalBinary()
-	if err != nil {
-		return nil, err
+	if st.tag == nil {
+		return types.Row{types.Null, types.Null}, nil
 	}
-	return types.Row{types.NewString(string(raw))}, nil
+	return types.Row{types.NewShare(st.tag), types.NewShare(st.mtag)}, nil
 }
 
 func (st *secExtremeState) loadSpillRow(row types.Row) error {
-	if len(row) != 1 || row[0].K != types.KindString {
-		return fmt.Errorf("engine: malformed sdb_min/sdb_max spill state")
+	switch {
+	case len(row) != 2:
+	case row[0].IsNull() && row[1].IsNull():
+		st.tag, st.mtag = nil, nil
+		return nil
+	case row[0].K == types.KindShare && row[1].K == types.KindShare:
+		st.tag, st.mtag = row[0].B, row[1].B
+		return nil
 	}
-	var ts secure.TournamentState
-	if err := ts.UnmarshalBinary([]byte(row[0].S)); err != nil {
-		return err
-	}
-	st.tag, st.mtag = ts.Tag, ts.Mask
-	return nil
+	return fmt.Errorf("engine: malformed sdb_min/sdb_max spill state")
 }
 
 // secureCompare orders two rows by their flat-key tags using per-pair mask

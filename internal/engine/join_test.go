@@ -199,3 +199,58 @@ func TestJoinStreamPeakBounded(t *testing.T) {
 		t.Fatalf("peak resident rows %d not bounded below result size %d", stats.PeakResidentRows, total)
 	}
 }
+
+// TestJoinAggStreamPeakBounded extends the claim to a join feeding GROUP
+// BY without a budget: peak resident rows stay within the build side plus
+// the aggregation state — workers × groups, since every pool worker
+// accumulates its own partial table until the merge — plus O(batch) per
+// pipeline stage, never the joined intermediate, and nothing spills.
+func TestJoinAggStreamPeakBounded(t *testing.T) {
+	const fact, dim, workers, chunk = 6000, 300, 4, 16
+	e := NewWithOptions(storage.NewCatalog(), nil,
+		Options{Parallelism: workers, ChunkSize: chunk, MemBudgetRows: -1})
+	mustExec(t, e, `CREATE TABLE fact (f_key INT, f_val INT)`)
+	mustExec(t, e, `CREATE TABLE dim (d_key INT, d_val INT)`)
+	vals := make([]string, fact)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("(%d, %d)", i%dim, i%97)
+	}
+	mustExec(t, e, "INSERT INTO fact VALUES "+strings.Join(vals, ", "))
+	vals = vals[:dim]
+	for i := range vals {
+		vals[i] = fmt.Sprintf("(%d, %d)", i, i*3)
+	}
+	mustExec(t, e, "INSERT INTO dim VALUES "+strings.Join(vals, ", "))
+
+	it, err := e.QuerySQL(context.Background(),
+		`SELECT d_key, COUNT(*), SUM(f_val) FROM fact JOIN dim ON f_key = d_key GROUP BY d_key`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	groups := 0
+	for {
+		batch, err := it.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups += len(batch)
+	}
+	if groups != dim {
+		t.Fatalf("aggregated %d groups, want %d", groups, dim)
+	}
+	stats := it.(interface{ Stats() ExecStats }).Stats()
+	if stats.Spills != 0 {
+		t.Fatalf("unbudgeted join + GROUP BY spilled: %+v", stats)
+	}
+	const bound = dim + workers*dim + 6*workers*chunk
+	if stats.PeakResidentRows > bound {
+		t.Fatalf("peak resident rows %d exceeds build + workers×groups + O(batch) bound %d", stats.PeakResidentRows, bound)
+	}
+	if stats.PeakResidentRows >= fact {
+		t.Fatalf("peak resident rows %d not bounded below the %d-row joined intermediate", stats.PeakResidentRows, fact)
+	}
+}

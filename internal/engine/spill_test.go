@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/big"
 	"os"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"sdb/internal/bigmod"
 	"sdb/internal/storage"
+	"sdb/internal/types"
 )
 
 // spillOptions pins the pool geometry every spill test uses (batch = 8
@@ -314,6 +316,68 @@ func TestSecureAggSpill(t *testing.T) {
 		t.Fatalf("secure aggregation did not spill: %+v", gotSt)
 	}
 	requireSameRows(t, sql, got, want)
+}
+
+// TestSecExtremeSpillRowRoundTrip pins the spilled sdb_min/sdb_max state
+// through the run-file codec: the winner's [tag, mask] shares, or [NULL,
+// NULL] before any candidate, come back as the same winner.
+func TestSecExtremeSpillRowRoundTrip(t *testing.T) {
+	tag, _ := new(big.Int).SetString("deadbeefcafe0123456789abcdef", 16)
+	for i, st := range []*secExtremeState{
+		{},                              // no candidate seen
+		{tag: tag, mtag: big.NewInt(0)}, // a legitimate residue can be zero
+		{tag: big.NewInt(1), mtag: tag},
+		{tag: tag, mtag: new(big.Int).Lsh(tag, 300)},
+	} {
+		row, err := st.spillRow()
+		if err != nil {
+			t.Fatalf("case %d: spill: %v", i, err)
+		}
+		raw, err := types.AppendRow(nil, row)
+		if err != nil {
+			t.Fatalf("case %d: encode: %v", i, err)
+		}
+		d := types.Decoder{B: raw}
+		back := d.Row()
+		if d.Err != nil || len(d.B) != 0 {
+			t.Fatalf("case %d: decode: %v (%d bytes left)", i, d.Err, len(d.B))
+		}
+		got := &secExtremeState{tag: big.NewInt(5), mtag: big.NewInt(7)}
+		if err := got.loadSpillRow(back); err != nil {
+			t.Fatalf("case %d: load: %v", i, err)
+		}
+		if st.tag == nil {
+			if got.tag != nil || got.mtag != nil {
+				t.Fatalf("case %d: empty state loaded as tag %v mask %v", i, got.tag, got.mtag)
+			}
+			continue
+		}
+		if got.tag == nil || got.tag.Cmp(st.tag) != 0 || got.mtag.Cmp(st.mtag) != 0 {
+			t.Fatalf("case %d: round trip diverged: (%v,%v) != (%v,%v)", i, got.tag, got.mtag, st.tag, st.mtag)
+		}
+	}
+}
+
+// TestSecExtremeSpillRowRejectsGarbage: a run file holding anything but
+// [share, share] or [NULL, NULL] for an sdb_min/sdb_max state is refused
+// rather than read as some winner.
+func TestSecExtremeSpillRowRejectsGarbage(t *testing.T) {
+	st := &secExtremeState{tag: big.NewInt(5), mtag: big.NewInt(7)}
+	share := types.NewShare(big.NewInt(3))
+	for _, bad := range []types.Row{
+		nil,
+		{types.NewString("\x00\x00\x00\x01\x03\x00\x00\x00\x01\x04")},
+		{share},
+		{share, types.Null},
+		{types.Null, share},
+		{share, types.NewInt(4)},
+		{types.NewString("x"), share},
+		{share, share, share},
+	} {
+		if err := st.loadSpillRow(bad); err == nil {
+			t.Errorf("spill row %v loaded as tag %v mask %v", bad, st.tag, st.mtag)
+		}
+	}
 }
 
 // TestSecureOrderBySpill pins the masked-comparator external sort: ORDER

@@ -1,6 +1,9 @@
 package proxy
 
 import (
+	"context"
+	"fmt"
+	"io"
 	"math/big"
 	"reflect"
 	"strings"
@@ -464,5 +467,58 @@ func TestUnknownTableRejected(t *testing.T) {
 	p, _ := testSystem(t)
 	if _, err := p.Exec(`SELECT x FROM nosuch`); err == nil {
 		t.Error("expected unknown-table error")
+	}
+}
+
+// TestCursorBatchBounded is the DO half of the streaming memory claim (the
+// SP half is the engine's TestStreamScanBatchBounded): a scan much larger
+// than one batch reaches the application through the decrypting cursor in
+// batches of at most the pool geometry, chunk × workers, never as the
+// whole result.
+func TestCursorBatchBounded(t *testing.T) {
+	const rows, workers, chunk = 500, 2, 16
+	secret, err := secure.Setup(512, 62, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.NewWithOptions(storage.NewCatalog(), secret.N(), engine.Options{Parallelism: workers, ChunkSize: chunk})
+	p, err := NewWithOptions(secret, eng, Options{Parallelism: workers, ChunkSize: chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustP(t, p, `CREATE TABLE big (id INT, v INT SENSITIVE)`)
+	vals := make([]string, rows)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("(%d, %d)", i, i*7-100)
+	}
+	mustP(t, p, "INSERT INTO big VALUES "+strings.Join(vals, ", "))
+
+	cur, err := p.QueryContext(context.Background(), `SELECT id, v FROM big`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	total, batches := 0, 0
+	for {
+		batch, err := cur.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) == 0 || len(batch) > workers*chunk {
+			t.Fatalf("decrypted batch of %d rows, want 1..%d", len(batch), workers*chunk)
+		}
+		for _, row := range batch {
+			if row[1].I != row[0].I*7-100 {
+				t.Fatalf("row %v decrypted wrong", row)
+			}
+		}
+		total += len(batch)
+		batches++
+	}
+	if total != rows || batches < rows/(workers*chunk) {
+		t.Fatalf("%d rows in %d batches, want %d rows in at least %d", total, batches, rows, rows/(workers*chunk))
 	}
 }

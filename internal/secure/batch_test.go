@@ -58,6 +58,49 @@ func TestApplyTokenBatchMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+
+	// Real key-update tokens at the widths the Montgomery core splits on
+	// (CIOS below 16 limbs, the hybrid product from 16), over shares of
+	// stored rows: A→B and B→A carry opposite-sign Q, and the batch runs
+	// first on an empty helper-power memo, so it exponentiates and
+	// batch-inverts every row itself.
+	for _, bits := range []int{512, 1024} {
+		s, err := Setup(bits, DefaultValueBits, DefaultMaskBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := s.N()
+		ckA, _ := s.NewColumnKey()
+		ckB, _ := s.NewColumnKey()
+		ves := make([]*big.Int, 64)
+		ws := make([]*big.Int, len(ves))
+		for i := range ves {
+			rid, err := s.NewRowID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws[i] = s.RowHelper(rid)
+			if ves[i], err = s.EncryptInt64(int64(i*31-500), rid, ckA); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, pair := range [][2]ColumnKey{{ckA, ckB}, {ckB, ckA}} {
+			tok, err := s.KeyUpdateToken(pair[0], pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ResetHelperPowers()
+			got, err := ApplyTokenBatch(tok, ves, ws, n)
+			if err != nil {
+				t.Fatalf("%d bits, Q sign %d: batch: %v", bits, tok.Q.Sign(), err)
+			}
+			for i := range ves {
+				if want := ApplyToken(tok, ves[i], ws[i], n); got[i] == nil || want == nil || got[i].Cmp(want) != 0 {
+					t.Fatalf("%d bits, Q sign %d, row %d: batch share diverges from the scalar one", bits, tok.Q.Sign(), i)
+				}
+			}
+		}
+	}
 }
 
 func TestApplyTokenBatchEmpty(t *testing.T) {

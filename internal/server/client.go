@@ -19,11 +19,12 @@ import (
 // server across the network exactly like at an in-process engine.
 //
 // Dial opens the connection with the protocol hello. After it, one-shot
-// statements run fused (QueryDirect, one round trip), prepared statements
-// execute as streamed row-batch cursors, and writes go single-shot
-// (ExecuteSQL). The connection carries one request/response exchange at
-// a time (guarded by a mutex), so several statements and cursors may
-// interleave their batch fetches on one connection.
+// statements — writes included (ExecuteSQL) — run fused (QueryDirect, one
+// round trip when the result fits a frame), and prepared statements
+// execute as streamed row-batch cursors. The connection carries one
+// request/response exchange at a time (guarded by a mutex), so several
+// statements and cursors may interleave their batch fetches on one
+// connection.
 //
 // The server is not trusted with memory either: the connection has no
 // frame cap (results are as large as the query makes them), but the frame
@@ -67,9 +68,6 @@ func Dial(addr string) (*Client, error) {
 	return c, nil
 }
 
-// Protocol returns the protocol version the connection speaks.
-func (c *Client) Protocol() uint8 { return wire.ProtocolV2 }
-
 // RoundTrips reports the framed request/response exchanges performed so
 // far — the number the fused op exists to shrink.
 func (c *Client) RoundTrips() int64 { return c.trips.Load() }
@@ -103,17 +101,15 @@ func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
 	return resp, nil
 }
 
-// ExecuteSQL sends one statement and waits for its whole encrypted result
-// in one frame (OpExec) — the write path.
+// ExecuteSQL runs one statement fused and drains its encrypted result —
+// the write path. A write's result ends in the first frame, so it costs
+// one round trip.
 func (c *Client) ExecuteSQL(sql string) (*engine.Result, error) {
-	resp, err := c.roundTrip(&wire.Request{SQL: sql})
+	it, err := c.QueryDirect(context.Background(), sql)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return &engine.Result{Columns: resp.Columns, Rows: resp.Rows}, nil
+	return engine.Drain(it)
 }
 
 // PrepareStream registers a statement server-side and returns a handle
@@ -151,13 +147,7 @@ func (c *Client) QueryDirect(ctx context.Context, sql string) (engine.RowIterato
 		// the statement, so there is nothing left to address or close.
 		stmt.closed = true
 	}
-	return &remoteRows{
-		ctx:  ctx,
-		stmt: stmt,
-		cols: resp.Columns,
-		cur:  resp.Rows,
-		eos:  resp.EOS,
-	}, nil
+	return &remoteRows{ctx: ctx, stmt: stmt, cols: resp.Columns, first: resp}, nil
 }
 
 // Close terminates the connection.
@@ -212,13 +202,7 @@ func (s *remoteStmt) Query(ctx context.Context) (engine.RowIterator, error) {
 	if resp.Err != "" {
 		return nil, errors.New(resp.Err)
 	}
-	return &remoteRows{
-		ctx:  ctx,
-		stmt: s,
-		cols: resp.Columns,
-		cur:  resp.Rows,
-		eos:  resp.EOS,
-	}, nil
+	return &remoteRows{ctx: ctx, stmt: s, cols: resp.Columns, first: resp}, nil
 }
 
 // Close frees the statement (and any open cursor) in the server session.
@@ -247,10 +231,10 @@ type remoteRows struct {
 	ctx  context.Context
 	stmt *remoteStmt
 	cols []engine.ResultColumn
-	cur  []types.Row
-	eos  bool
-	done bool
-	err  error
+	// first is the frame that answered the execute, until NextBatch takes it.
+	first *wire.Response
+	done  bool
+	err   error
 }
 
 func (r *remoteRows) Columns() []engine.ResultColumn { return r.cols }
@@ -259,37 +243,33 @@ func (r *remoteRows) NextBatch() ([]types.Row, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if r.cur != nil {
-		rows := r.cur
-		r.cur = nil
-		if len(rows) > 0 {
-			return rows, nil
-		}
-	}
-	if r.done || r.eos {
-		r.done = true
+	if r.done {
 		return nil, io.EOF
 	}
-	if err := r.ctx.Err(); err != nil {
-		// Cancelled between batches: free the server-side statement.
-		r.err = err
-		r.stmt.Close()
-		return nil, err
+	resp := r.first
+	r.first = nil
+	if resp == nil {
+		if err := r.ctx.Err(); err != nil {
+			// Cancelled between batches: free the server-side statement.
+			r.err = err
+			r.stmt.Close()
+			return nil, err
+		}
+		var err error
+		resp, err = r.stmt.c.roundTrip(&wire.Request{Op: wire.OpFetch, StmtID: r.stmt.id, MaxRows: r.stmt.c.batch})
+		if err != nil {
+			r.err = fmt.Errorf("server: stream interrupted: %w", err)
+			return nil, r.err
+		}
 	}
-	resp, err := r.stmt.c.roundTrip(&wire.Request{Op: wire.OpFetch, StmtID: r.stmt.id, MaxRows: r.stmt.c.batch})
-	if err != nil {
-		r.err = fmt.Errorf("server: stream interrupted: %w", err)
-		return nil, r.err
-	}
-	if resp.Err != "" {
+	switch {
+	case resp.Err != "":
 		r.err = errors.New(resp.Err)
 		if r.stmt.direct {
 			// The server freed the fused statement with the failed stream.
 			r.stmt.markClosed()
 		}
-		return nil, r.err
-	}
-	if resp.EOS {
+	case resp.EOS:
 		r.done = true
 		if r.stmt.direct {
 			r.stmt.markClosed()
@@ -298,14 +278,15 @@ func (r *remoteRows) NextBatch() ([]types.Row, error) {
 			return resp.Rows, nil
 		}
 		return nil, io.EOF
+	case len(resp.Rows) == 0:
+		// The server never sends an empty batch before the end of a stream;
+		// taking one as the end would hand back a silently short result.
+		r.err = fmt.Errorf("server: %w: empty row batch before the end of the stream", wire.ErrProtocol)
+		r.stmt.Close()
+	default:
+		return resp.Rows, nil
 	}
-	rows := resp.Rows
-	if len(rows) == 0 {
-		// Defensive: a non-EOS empty frame would otherwise spin.
-		r.done = true
-		return nil, io.EOF
-	}
-	return rows, nil
+	return nil, r.err
 }
 
 // Close abandons the cursor. When the query context was cancelled, the
@@ -316,13 +297,12 @@ func (r *remoteRows) NextBatch() ([]types.Row, error) {
 // is closed outright rather than reset — nobody holds a handle to
 // re-execute it, and only EOS (not OpReset) would auto-free it.
 func (r *remoteRows) Close() error {
+	r.first = nil
 	if r.done || r.err != nil {
 		r.done = true
-		r.cur = nil
 		return nil
 	}
 	r.done = true
-	r.cur = nil
 	if r.stmt.direct || r.ctx.Err() != nil {
 		return r.stmt.Close()
 	}

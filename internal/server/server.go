@@ -346,6 +346,11 @@ func (s *Server) startCursor(qctx context.Context, cancel context.CancelFunc, it
 				}
 				return
 			}
+			if len(batch) == 0 {
+				// Every frame before EOS carries rows (the client refuses an
+				// empty one), so an empty batch is not sent.
+				continue
+			}
 			s.met.rowsProduced.Add(int64(len(batch)))
 			select {
 			case cur.ch <- cursorMsg{rows: batch}:
@@ -471,8 +476,6 @@ func (s *Server) handle(conn net.Conn, sess *session) {
 		s.met.framesIn.Add(1)
 		var resp *wire.Response
 		switch req.Op {
-		case wire.OpExec:
-			resp = s.execute(sess, req)
 		case wire.OpHello:
 			resp = &wire.Response{}
 		case wire.OpPrepare:
@@ -493,30 +496,6 @@ func (s *Server) handle(conn net.Conn, sess *session) {
 			return
 		}
 	}
-}
-
-// execute is the single-shot path: run the statement under the session
-// context and materialize the whole result into one frame. Running under
-// sess.ctx is what lets a dropped connection or Server.Close cancel the
-// query between batches — the same guarantee the session ops have.
-func (s *Server) execute(sess *session, req *wire.Request) *wire.Response {
-	it, err := s.eng.QuerySQL(sess.ctx, req.SQL)
-	if err != nil {
-		return &wire.Response{Err: err.Error()}
-	}
-	defer it.Close()
-	var rows []types.Row
-	for {
-		batch, err := it.NextBatch()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return &wire.Response{Err: err.Error()}
-		}
-		rows = append(rows, batch...)
-	}
-	return &wire.Response{Columns: it.Columns(), Rows: rows}
 }
 
 // reserveStmtSlot claims one statement slot before the parse, counting

@@ -74,28 +74,41 @@ func httpGet(t *testing.T, url string) string {
 	return string(body)
 }
 
-// TestExecRunsUnderSessionContext is the regression for the OpExec
-// cancellation bug: the single-shot path used to execute outside the
-// session context, so dropping the connection or Server.Close could
-// not cancel it. Now a cancelled session refuses the query outright and a
-// live one still serves it.
+// TestExecRunsUnderSessionContext: the fused op — the path of every
+// one-shot statement, writes included — runs under the session context,
+// so dropping the connection or Server.Close cancels it. A cancelled
+// session refuses a query and a write outright, frees the statement slot
+// it claimed, and leaves the table as it was; a live one serves both.
 func TestExecRunsUnderSessionContext(t *testing.T) {
 	srv, _ := plainServer(t, 8)
+	direct := func(sess *session, sql string) *wire.Response {
+		return srv.executeDirect(sess, &wire.Request{Op: wire.OpExecuteDirect, SQL: sql})
+	}
 
 	live := srv.newSession()
 	defer live.shutdown()
-	if resp := srv.execute(live, &wire.Request{SQL: `SELECT a FROM c`}); resp.Err != "" {
-		t.Fatalf("live session exec failed: %s", resp.Err)
+	for _, sql := range []string{`SELECT a FROM c`, `INSERT INTO c VALUES (8, 8)`} {
+		if resp := direct(live, sql); resp.Err != "" || !resp.EOS {
+			t.Fatalf("live session %q: %+v", sql, resp)
+		}
 	}
 
 	dead := srv.newSession()
 	dead.cancel()
-	resp := srv.execute(dead, &wire.Request{SQL: `SELECT a FROM c`})
-	if resp.Err == "" {
-		t.Fatal("exec on a cancelled session succeeded; the session context is not threaded through")
+	for _, sql := range []string{`SELECT a FROM c`, `INSERT INTO c VALUES (9, 9)`} {
+		resp := direct(dead, sql)
+		if resp.Err == "" {
+			t.Fatalf("%q on a cancelled session succeeded; the session context is not threaded through", sql)
+		}
+		if !strings.Contains(resp.Err, "canceled") {
+			t.Fatalf("%q on a cancelled session failed with %q, want a context cancellation", sql, resp.Err)
+		}
 	}
-	if !strings.Contains(resp.Err, "canceled") {
-		t.Fatalf("exec on a cancelled session failed with %q, want a context cancellation", resp.Err)
+	if len(dead.stmts) != 0 || dead.reserved != 0 {
+		t.Fatalf("refused statements left %d statements and %d reserved slots", len(dead.stmts), dead.reserved)
+	}
+	if resp := direct(live, `SELECT COUNT(*) FROM c`); resp.Err != "" || len(resp.Rows) != 1 || resp.Rows[0][0].I != 9 {
+		t.Fatalf("table after one live and one refused insert: %+v, want 9 rows", resp)
 	}
 }
 
@@ -188,10 +201,10 @@ func TestOversizeFrameDropped(t *testing.T) {
 	sql := func(payload int) string { return `SELECT a FROM c -- ` + strings.Repeat("x", payload-6-19) }
 
 	_, wc := rawSession(t, addr)
-	if err := wc.SendRequest(&wire.Request{Op: wire.OpExec, Ver: wire.ProtocolV2, SQL: sql(limit)}); err != nil {
+	if err := wc.SendRequest(&wire.Request{Op: wire.OpExecuteDirect, Ver: wire.ProtocolV2, SQL: sql(limit)}); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := wc.ReadResponse(); err != nil || strings.Contains(resp.Err, "size limit") {
+	if resp, err := wc.ReadResponse(); err != nil || resp.Err != "" || !resp.EOS || len(resp.Rows) != 4 {
 		t.Fatalf("frame of exactly the cap: %+v, %v", resp, err)
 	}
 	if got := srv.MetricsSnapshot().FramesOversize; got != 0 {
@@ -201,7 +214,7 @@ func TestOversizeFrameDropped(t *testing.T) {
 	// The server refuses the next frame at its header and hangs up while
 	// most of it is still in flight, so the send itself may fail with a
 	// connection reset: that is the drop under test, not a test failure.
-	sendErr := wc.SendRequest(&wire.Request{Op: wire.OpExec, Ver: wire.ProtocolV2, SQL: sql(limit + 1)})
+	sendErr := wc.SendRequest(&wire.Request{Op: wire.OpExecuteDirect, Ver: wire.ProtocolV2, SQL: sql(limit + 1)})
 	if resp, err := wc.ReadResponse(); sendErr == nil && err == nil {
 		if !strings.Contains(resp.Err, "size limit") {
 			t.Fatalf("cap + 1 answered with %+v, want size-limit error", resp)
@@ -324,7 +337,7 @@ func TestHelloRefusesForeignPeers(t *testing.T) {
 		return append([]byte{0, 0, 0, byte(len(payload)), byte(wire.OpHello)}, payload...)
 	}
 	var noHello bytes.Buffer
-	wire.NewConn(&noHello).SendRequest(&wire.Request{Op: wire.OpExec, Ver: wire.ProtocolV2, SQL: `SELECT a FROM c`})
+	wire.NewConn(&noHello).SendRequest(&wire.Request{Op: wire.OpExecuteDirect, Ver: wire.ProtocolV2, SQL: `SELECT a FROM c`})
 	for name, first := range map[string][]byte{
 		"gob peer":      gobHello.Bytes(),
 		"wrong magic":   hello("SDBX\x02"),
@@ -377,6 +390,36 @@ func TestHelloRefusesForeignPeers(t *testing.T) {
 	if _, err := Dial(l.Addr().String()); err == nil || strings.Contains(err.Error(), "refused connection") ||
 		!strings.Contains(err.Error(), "handshake") {
 		t.Fatalf("dial to a gob-speaking server: %v, want a handshake failure", err)
+	}
+}
+
+// TestFrameKindZeroRefused: kind 0 is reserved, not a request. A session
+// that sends it after a good hello gets one ErrProtocol frame and is
+// closed without the statement running, and the server goes on serving
+// other sessions.
+func TestFrameKindZeroRefused(t *testing.T) {
+	srv, addr := plainServer(t, 4)
+	_, wc := rawSession(t, addr)
+	if err := wc.SendRequest(&wire.Request{Ver: wire.ProtocolV2, SQL: `INSERT INTO c VALUES (4, 4)`}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := wc.ReadResponse()
+	if err != nil || !strings.Contains(resp.Err, wire.ErrProtocol.Error()) {
+		t.Fatalf("kind 0 answered %+v, %v; want the protocol refusal", resp, err)
+	}
+	if _, err := wc.ReadResponse(); err == nil {
+		t.Fatal("connection still open after the refusal")
+	}
+	waitFor(t, "refused session gone", func() bool { return srv.NumSessions() == 0 })
+
+	client, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	res, err := client.ExecuteSQL(`SELECT COUNT(*) FROM c`)
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 4 {
+		t.Fatalf("another session after the refusal: %+v, %v; want 4 rows counted", res, err)
 	}
 }
 

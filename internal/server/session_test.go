@@ -12,7 +12,6 @@ import (
 	"sdb/internal/engine"
 	"sdb/internal/proxy"
 	"sdb/internal/secure"
-	"sdb/internal/wire"
 )
 
 // streamFixture stands up a server with small batches, a connected
@@ -43,9 +42,6 @@ func newStreamFixture(t *testing.T, rows int) *streamFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	if client.Protocol() != wire.ProtocolV2 {
-		t.Fatalf("protocol %d, want %d", client.Protocol(), wire.ProtocolV2)
-	}
 	// A frame cap below the engine batch exercises the server-side batch
 	// splitting (pending-rows carry-over between frames).
 	client.SetBatchRows(7)

@@ -25,7 +25,7 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 		{Op: OpReset, Ver: ProtocolV2, StmtID: 3},
 		{Op: OpClose, Ver: ProtocolV2, StmtID: 3},
 		{Op: OpExecuteDirect, Ver: ProtocolV2, SQL: "SELECT 2", MaxRows: 7},
-		{Op: OpExec, Ver: ProtocolV2, SQL: "INSERT INTO t VALUES (1)"},
+		{Op: OpExecuteDirect, Ver: ProtocolV2, SQL: "INSERT INTO t VALUES (1)"},
 	}
 	for _, req := range reqs {
 		if err := c.SendRequest(req); err != nil {
@@ -87,7 +87,7 @@ func TestFrameRowBatchRoundTrip(t *testing.T) {
 // TestOpStrings pins the op code labels used in error messages.
 func TestOpStrings(t *testing.T) {
 	for op, want := range map[Op]string{
-		OpExec: "Exec", OpHello: "Hello", OpPrepare: "Prepare",
+		Op(0): "Op(0)", OpHello: "Hello", OpPrepare: "Prepare",
 		OpExecute: "Execute", OpFetch: "Fetch", OpClose: "Close", OpReset: "Reset",
 		OpExecuteDirect: "ExecuteDirect",
 		Op(99):          "Op(99)",
@@ -252,6 +252,7 @@ func TestFrameMalformedPayloads(t *testing.T) {
 	}
 	for name, c := range map[string]*Conn{
 		"unknown request kind": frame(0x7f, 2, 0, 0, 0),
+		"reserved kind 0":      frame(0, 2, 0, 0, 0),
 		"request cut short":    frame(byte(OpPrepare), 2, 0),
 		"sql longer than left": frame(byte(OpPrepare), 2, 0, 0, 200, 'x'),
 		"trailing bytes":       frame(byte(OpPrepare), 2, 0, 0, 1, 'x', 'y'),

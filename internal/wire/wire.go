@@ -15,8 +15,9 @@
 // with Rows plus the EOS end-of-stream marker), OpFetch pulls subsequent
 // batches, OpReset abandons a cursor, OpClose frees the statement;
 // OpExecuteDirect fuses prepare + execute + first batch into one round
-// trip with the server freeing the statement when the stream ends, and
-// OpExec is the single-shot write path (whole result in one frame).
+// trip with the server freeing the statement when the stream ends — the
+// path of every one-shot statement, writes included. Kind 0 is reserved
+// and refused.
 //
 // In the stack (docs/architecture.md) this layer sits between the
 // proxy's rewrite and the server's sessions: everything that crosses it
@@ -50,9 +51,9 @@ const Magic = "SDBW"
 type Op uint8
 
 const (
-	// OpExec is the single-shot: execute SQL, answer with the whole
-	// result in one Response.
-	OpExec Op = iota
+	// Kind 0 is reserved: ReadRequest refuses it with ErrProtocol, so a
+	// zero-valued Request never reaches the server's dispatch.
+	_ Op = iota
 	// OpHello opens a connection; the response echoes the version.
 	OpHello
 	// OpPrepare parses SQL into a session statement; the response carries
@@ -76,10 +77,11 @@ const (
 	OpExecuteDirect
 )
 
-var opNames = [...]string{"Exec", "Hello", "Prepare", "Execute", "Fetch", "Close", "Reset", "ExecuteDirect"}
+var opNames = [...]string{OpHello: "Hello", OpPrepare: "Prepare", OpExecute: "Execute",
+	OpFetch: "Fetch", OpClose: "Close", OpReset: "Reset", OpExecuteDirect: "ExecuteDirect"}
 
 func (o Op) String() string {
-	if int(o) < len(opNames) {
+	if int(o) < len(opNames) && opNames[o] != "" {
 		return opNames[o]
 	}
 	return fmt.Sprintf("Op(%d)", uint8(o))
@@ -97,10 +99,10 @@ type Request struct {
 	MaxRows int
 }
 
-// Response is one server frame: a whole result (OpExec), the version
-// (OpHello), a statement id (OpPrepare), or one row batch of an open
-// cursor (OpExecute/OpFetch/OpExecuteDirect) whose last frame carries
-// EOS. Rows read off a connection share per-batch backing storage
+// Response is one server frame: the version (OpHello), a statement id
+// (OpPrepare), or one row batch of an open cursor
+// (OpExecute/OpFetch/OpExecuteDirect) whose last frame carries EOS. Rows
+// read off a connection share per-batch backing storage
 // (types.Decoder.Rows); they belong to the caller.
 type Response struct {
 	Err     string
@@ -260,7 +262,7 @@ func (c *Conn) readRequest(hello bool) (*Request, error) {
 	}
 	req := &Request{Op: Op(kind)}
 	switch {
-	case int(kind) >= len(opNames):
+	case int(kind) >= len(opNames) || opNames[kind] == "":
 		return nil, fmt.Errorf("%w: unknown request kind %#x", ErrProtocol, kind)
 	case req.Op == OpHello:
 		if len(p) != helloLen || string(p[:len(Magic)]) != Magic || p[len(Magic)] != ProtocolV2 {

@@ -61,7 +61,7 @@ func TestConnFraming(t *testing.T) {
 		done <- server.SendResponse(&Response{Err: "boom"})
 	}()
 
-	if err := client.SendRequest(&Request{SQL: "SELECT 1"}); err != nil {
+	if err := client.SendRequest(&Request{Op: OpExecuteDirect, SQL: "SELECT 1"}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := client.ReadResponse()

@@ -34,14 +34,13 @@
 # constant-hiding test,
 # a race-detected frame / codec / hello pass (the one value codec on its
 # three paths — run file, WAL record, wire frame — plus the exact frame
-# cap, lying length prefixes and foreign peers),
-# a batch-vs-scalar token-application differential gate, the
+# cap, lying length prefixes, foreign peers, the reserved request kind 0
+# and an SP's empty frame before end of stream), the
 # bench/ module's own vet and smoke test, a race-detected
 # concurrent-serving pass (multi-driver storm against an
 # admission-limited, pool-budgeted server), a live-server smoke that
-# curls /healthz and asserts nonzero /metrics counters, a bench smoke whose
-# gates are counters (among them: JOIN … ON and comma syntax spill the same
-# rows), and a short fuzz smoke over every fuzz target (parser, proxy
+# curls /healthz and asserts nonzero /metrics counters, and a short fuzz
+# smoke over every fuzz target (parser, proxy
 # pipeline incl. the COUNT() crasher seed, the value codec,
 # wire frame decoding, WAL records, Montgomery multiply/exponentiate and the item-key tables vs
 # math/big, half-width vs full-width decrypt, composite hash-key injectivity,
@@ -269,8 +268,10 @@ echo "== frames, codec and hello under the race detector"
 # record and wire frame alike, the reader's window over components larger
 # than itself, the frame cap exact at cap / cap + 1 (wire and a live
 # server), a 4 GiB length prefix costing no more than the bytes that
-# follow it, and gob-speaking / wrong-magic / hello-less peers refused
-# with one error frame.
+# follow it, gob-speaking / wrong-magic / hello-less peers and the
+# reserved request kind 0 refused with one error frame (the server going
+# on serving other sessions), and a scripted SP whose empty frame before
+# end of stream the client refuses instead of ending the result short.
 go test -race -count=1 -run 'Frame|Codec|Hello' \
   ./internal/wire ./internal/server ./internal/spill ./internal/types ./internal/wal
 
@@ -278,8 +279,10 @@ echo "== bench module (vet + smoke test)"
 # bench/ is a Go module of its own (sdb/bench, replace sdb => ..), so the
 # root `go vet ./...` / `go test ./...` neither build nor run it — a change
 # that deletes or renames an exported symbol it compiles against would
-# pass everything above. Its smoke test runs every workload at --scale
-# tiny against its oracle.
+# pass everything above (it compiles against proxy.StreamExecutor, the
+# wire.FromColumns / FromRows / ToRows shims, secure.ApplyTokenBatch and
+# Secret.NewRowID, among others). Its smoke test runs every workload at
+# --scale tiny against its oracle.
 (cd bench && go vet . && go test .)
 
 echo "== concurrent serving suite under the race detector"
@@ -334,25 +337,6 @@ kill "$SMOKE_PID" 2>/dev/null || true
 wait "$SMOKE_PID" 2>/dev/null || true
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 rm -rf "$SMOKE_DIR"
-
-echo "== bench smoke (peak-resident-rows + spill-budget assertions)"
-# One iteration of the streaming-memory benchmarks: BenchmarkStreamScan
-# asserts scan batches stay within the pool bound and
-# BenchmarkStreamScanJoinAgg asserts a join+aggregate pipeline stays within
-# build-side + aggregation-state + O(batch) resident rows unbudgeted
-# (spill-off) and within the memory budget when forced to spill
-# (spill-on); the spill-on variant also asserts its scans kept fewer
-# columns than the tables have (ScanCols < TableCols) and that the bytes
-# it spilled were counted (SpilledBytes > 0). All b.Fatal on violation, so
-# this is a correctness gate, not a measurement. BenchmarkPlanCache/warm additionally b.Fatals if the
-# proxy's plan cache records zero hits for a repeated statement, and
-# BenchmarkApplyTokenBatch b.Fatals unless the batch-amortized Montgomery
-# token path produces shares identical to the scalar ApplyToken loop
-# (both Q signs, all modulus widths). BenchmarkJoinSyntax b.Fatals unless
-# TPC-H Q3 and Q10 written with JOIN … ON and in comma form return the same
-# rows and spill the same number of rows, unbudgeted and under 2 400
-# resident rows — a gate on the counter, not on time.
-go test -run=NONE -bench='StreamScan|PlanCache|ApplyTokenBatch|JoinSyntax' -benchtime=1x .
 
 if [[ -z "${SHORT_FLAG}" ]]; then
   echo "== fuzz smoke (10s per target)"
