@@ -118,8 +118,9 @@ type ExecStats struct {
 	// pre-merge groups — observed in flight at once. 0 when the query
 	// never scheduled spilled work; 1 when it all ran serially.
 	SpillParallelism int
-	// PrefetchedBytes counts bytes the double-buffered run-file readers
-	// loaded ahead of consumption (disk latency overlapped with compute).
+	// PrefetchedBytes counts bytes read back from spill files. Nothing is
+	// read ahead any more; the field keeps its name because the benchmark
+	// reports it as spill.prefetched_bytes.
 	PrefetchedBytes int64
 	// SpilledBytes counts bytes written to spill files. The budget is
 	// counted in rows, so narrower rows leave Spills, SpilledRows and

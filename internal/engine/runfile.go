@@ -31,15 +31,12 @@ type taggedRow struct {
 }
 
 // spillFile is the shared lifecycle of one spill temp file: buffered
-// writes, a flush-and-rewind transition to double-buffered reading, and
-// idempotent descriptor release (the session unlinks the file itself).
+// writes, a flush-and-rewind transition to reading, and idempotent
+// descriptor release (the session unlinks the file itself).
 type spillFile struct {
 	f    *os.File
 	w    *spill.Writer
 	sess *spill.Session
-	// pf is the active read-ahead goroutine's reader; it must be joined
-	// (Close) before the descriptor is seeked or closed.
-	pf *spill.PrefetchReader
 }
 
 func newSpillFile(qs *querySpill) (spillFile, error) {
@@ -63,35 +60,33 @@ func (c spillCounter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// rewind flushes pending writes and positions a fresh double-buffered
-// reader at the start of the file: a prefetch goroutine fills the next
-// block while the caller decodes the current one, so disk latency
-// overlaps compute on every spill read path. Only one reader may be
-// active at a time (readers share the descriptor's offset); rewinding
-// joins the previous reader's prefetcher first.
+// readCounter is spillCounter's read side: it adds every chunk the spill
+// decoder reads from a file to the session's ReadBytes.
+type readCounter struct {
+	f    *os.File
+	sess *spill.Session
+}
+
+func (c readCounter) Read(p []byte) (int, error) {
+	n, err := c.f.Read(p)
+	c.sess.AddReadBytes(n)
+	return n, err
+}
+
+// rewind flushes pending writes and positions a fresh reader at the start
+// of the file. Only one reader may be active at a time (readers share the
+// descriptor's offset).
 func (sf *spillFile) rewind() (*spill.Reader, error) {
-	sf.stopPrefetch()
 	if err := sf.w.Flush(); err != nil {
 		return nil, err
 	}
 	if _, err := sf.f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	sf.pf = spill.NewPrefetchReader(sf.f, 0, sf.sess.AddPrefetchedBytes)
-	return spill.NewReader(sf.pf), nil
-}
-
-// stopPrefetch joins the active read-ahead goroutine, if any, so the
-// descriptor can be safely seeked or closed afterwards.
-func (sf *spillFile) stopPrefetch() {
-	if sf.pf != nil {
-		sf.pf.Close()
-		sf.pf = nil
-	}
+	return spill.NewReader(readCounter{sf.f, sf.sess}), nil
 }
 
 func (sf *spillFile) close() error {
-	sf.stopPrefetch()
 	if sf.f == nil {
 		return nil
 	}

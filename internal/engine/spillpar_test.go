@@ -77,7 +77,7 @@ func loadParJoinTables(t *testing.T, engines []*Engine) {
 // schedule (Parallelism 1), the parallel schedule (4 workers) and
 // an unlimited budget, and all three must agree cell for cell in order.
 // The parallel run must actually have overlapped spilled work, and both
-// budgeted runs must have prefetched run-file bytes.
+// budgeted runs must have read run-file bytes back.
 func TestSpillParallelMatchesSerialAndMemory(t *testing.T) {
 	const budget = 128
 	mem := NewWithOptions(storage.NewCatalog(), nil, parSpillOptions(-1, 4, t.TempDir()))
@@ -109,7 +109,7 @@ func TestSpillParallelMatchesSerialAndMemory(t *testing.T) {
 			sawParallel = true
 		}
 		if serialSt.PrefetchedBytes == 0 || parSt.PrefetchedBytes == 0 {
-			t.Fatalf("%s: no run-file bytes prefetched (serial %d, par %d)",
+			t.Fatalf("%s: no run-file bytes read back (serial %d, par %d)",
 				sql, serialSt.PrefetchedBytes, parSt.PrefetchedBytes)
 		}
 		if serialSt.PeakResidentRows > budget || parSt.PeakResidentRows > budget {

@@ -167,7 +167,7 @@ func (it *opIterator) Stats() ExecStats {
 		st.SpilledRows = it.qs.sess.SpilledRows()
 		st.SpillFiles = it.qs.sess.Files()
 		st.SpillParallelism = int(it.qs.maxActive.Load())
-		st.PrefetchedBytes = it.qs.sess.PrefetchedBytes()
+		st.PrefetchedBytes = it.qs.sess.ReadBytes()
 		st.SpilledBytes = it.qs.spilledBytes.Load()
 		st.ScanCols, st.TableCols = it.qs.scanCols, it.qs.tableCols
 	}

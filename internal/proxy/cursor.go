@@ -4,18 +4,16 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"sdb/internal/engine"
 	"sdb/internal/types"
 )
 
-// Rows is a decrypting cursor over a streamed encrypted result. A fetch
-// goroutine pulls the next encrypted batch from the executor while the
-// caller's Next drains the current one, and each batch is decrypted on the
-// proxy's parallel pool — so chunk decryption is pipelined with the next
-// batch being in flight.
+// Rows is a decrypting cursor over a streamed encrypted result. When the
+// current batch drains, Next fetches the next encrypted batch from the
+// executor on the caller's goroutine and decrypts it on the proxy's
+// parallel pool; nothing is fetched until the caller asks for it.
 //
 // Plans with deferred post-processing (client-side ORDER BY / LIMIT over
 // encrypted sort keys) cannot stream: the whole result is drained,
@@ -33,7 +31,6 @@ type Rows struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	it     engine.RowIterator
-	pipe   chan fetched // nil in materialized mode
 
 	cur    []types.Row
 	pos    int
@@ -46,14 +43,9 @@ type Rows struct {
 	ownStmt *Stmt
 
 	stats     Stats
-	serverNS  atomic.Int64
+	serverNS  int64
 	decryptNS int64
 	nRows     int64
-}
-
-type fetched struct {
-	rows []types.Row
-	err  error
 }
 
 // newRows builds a cursor over the encrypted iterator per the select plan.
@@ -73,7 +65,7 @@ func newRows(ctx context.Context, p *Proxy, plan *selectPlan, it engine.RowItera
 	// server-side work.
 	t0 := time.Now()
 	cols := it.Columns()
-	r.serverNS.Add(time.Since(t0).Nanoseconds())
+	r.serverNS += time.Since(t0).Nanoseconds()
 	if len(cols) != len(plan.out) {
 		cancel()
 		it.Close()
@@ -93,34 +85,27 @@ func newRows(ctx context.Context, p *Proxy, plan *selectPlan, it engine.RowItera
 			cancel()
 			return nil, err
 		}
-		return r, nil
 	}
-
-	r.pipe = make(chan fetched, 1)
-	go r.fetchLoop()
 	return r, nil
 }
 
-// fetchLoop streams encrypted batches into the pipe until EOS, error or
-// cancellation. It owns the iterator: nobody else touches it once the
-// loop runs, and the loop closes it on the way out.
-func (r *Rows) fetchLoop() {
-	defer close(r.pipe)
-	for {
-		t0 := time.Now()
-		rows, err := r.it.NextBatch()
-		r.serverNS.Add(time.Since(t0).Nanoseconds())
-		select {
-		case r.pipe <- fetched{rows: rows, err: err}:
-		case <-r.ctx.Done():
-			r.it.Close()
-			return
-		}
-		if err != nil {
-			r.it.Close()
-			return
-		}
+// fetch pulls the next encrypted batch from the executor and decrypts it,
+// checking the query context first. It returns io.EOF after the last
+// batch.
+func (r *Rows) fetch() ([]types.Row, error) {
+	if err := r.ctx.Err(); err != nil {
+		return nil, err
 	}
+	t0 := time.Now()
+	batch, err := r.it.NextBatch()
+	r.serverNS += time.Since(t0).Nanoseconds()
+	if err != nil {
+		return nil, err
+	}
+	t1 := time.Now()
+	rows, err := r.kern.decryptBatch(batch)
+	r.decryptNS += time.Since(t1).Nanoseconds()
+	return rows, err
 }
 
 // materialize drains the whole stream through the batch kernel, then
@@ -130,27 +115,17 @@ func (r *Rows) materialize() error {
 	defer r.it.Close()
 	var rows []types.Row
 	for {
-		if err := r.ctx.Err(); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		batch, err := r.it.NextBatch()
-		r.serverNS.Add(time.Since(t0).Nanoseconds())
+		dec, err := r.fetch()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		t1 := time.Now()
-		dec, err := r.kern.decryptBatch(batch)
-		r.decryptNS += time.Since(t1).Nanoseconds()
-		if err != nil {
-			return err
-		}
 		rows = append(rows, dec...)
 	}
 	r.cur = r.visible(r.plan.sortAndLimit(rows))
+	r.done = true
 	return nil
 }
 
@@ -187,31 +162,14 @@ func (r *Rows) Next() (types.Row, error) {
 			r.nRows++
 			return row, nil
 		}
-		if r.done || r.pipe == nil {
-			r.done = true
+		if r.done {
 			return nil, io.EOF
 		}
-		f, ok := <-r.pipe
-		if !ok {
-			// The fetch loop quit on cancellation.
-			if err := r.ctx.Err(); err != nil {
-				r.err = err
-				return nil, err
-			}
-			r.done = true
-			return nil, io.EOF
-		}
-		if f.err == io.EOF {
+		rows, err := r.fetch()
+		if err == io.EOF {
 			r.done = true
 			continue
 		}
-		if f.err != nil {
-			r.err = f.err
-			return nil, r.err
-		}
-		t0 := time.Now()
-		rows, err := r.kern.decryptBatch(f.rows)
-		r.decryptNS += time.Since(t0).Nanoseconds()
 		if err != nil {
 			r.err = err
 			return nil, err
@@ -254,18 +212,19 @@ func (r *Rows) Err() error {
 
 // Stats returns the cursor's cost breakdown so far: the prepare-time parse
 // and rewrite costs plus the accumulated server wait and decrypt times.
-// With pipelining, server and decrypt overlap in wall-clock time.
+// Both are spent on the caller's goroutine, so they add up to the time
+// Next spent fetching.
 func (r *Rows) Stats() Stats {
 	st := r.stats
-	st.Server += time.Duration(r.serverNS.Load())
+	st.Server += time.Duration(r.serverNS)
 	st.Decrypt += time.Duration(r.decryptNS)
 	return st
 }
 
-// Close releases the cursor. An abandoned streaming cursor cancels its
-// fetch loop and joins it before returning, so the server-side teardown
-// (cursor reset / statement close) is sequenced ahead of any re-execution
-// of the same prepared statement.
+// Close releases the cursor. It closes the executor's iterator before
+// returning, so the server-side teardown of an abandoned stream (cursor
+// reset / statement close) is sequenced ahead of any re-execution of the
+// same prepared statement.
 func (r *Rows) Close() error {
 	if r.closed {
 		return nil
@@ -274,12 +233,7 @@ func (r *Rows) Close() error {
 	r.done = true
 	r.cur = nil
 	r.cancel()
-	if r.pipe != nil {
-		// Drain until the fetch loop exits (it closes the pipe after
-		// tearing down the iterator); bounded by one in-flight batch.
-		for range r.pipe {
-		}
-	}
+	r.it.Close()
 	if r.ownStmt != nil {
 		r.ownStmt.Close()
 	}

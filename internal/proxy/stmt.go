@@ -237,9 +237,8 @@ func (s *Stmt) QueryContext(ctx context.Context) (*Rows, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The protocol has one cursor per statement: close (and join) any
-	// previous open cursor, or its fetch loop would steal batches from
-	// the new stream.
+	// The protocol has one cursor per statement: close any previous open
+	// cursor, or a later Next on it would fetch the new stream's batches.
 	if active != nil {
 		active.Close()
 	}

@@ -13,10 +13,10 @@
 // incoming frames are size-capped, reads and writes carry idle deadlines,
 // sessions and per-session statements are admission-limited, all query
 // budgets can share one global resident-row pool (exhaustion spills
-// instead of growing server memory), and every cursor streams through a
-// bounded prefetch — the server stops pulling from the engine when the
-// client stops fetching. Counters for all of it are exported on an HTTP
-// /metrics endpoint (metrics.go).
+// instead of growing server memory), and a cursor computes a batch only
+// when a frame asks for one — a client that stops fetching stops the
+// engine. Counters for all of it are exported on an HTTP /metrics endpoint
+// (metrics.go).
 package server
 
 import (
@@ -296,91 +296,51 @@ type sessionStmt struct {
 	cur       *cursor
 }
 
-// cursor streams one execution through a bounded prefetch: a producer
-// goroutine owns the iterator and stays at most a couple of batches ahead
-// of the client (channel capacity 1 plus one peeked message), so a client
-// that stops fetching stops the server pulling from the engine —
-// backpressure instead of buffering the rest of the result in server
-// memory.
+// cursor is one execution, pulled on the session goroutine: the engine
+// computes a batch only when a frame asks for rows, so a client that stops
+// fetching stops the engine — backpressure by construction, with nothing
+// running between frames and no result buffered beyond one engine batch.
 type cursor struct {
 	cancel context.CancelFunc
-	ch     chan cursorMsg
-	// pending buffers iterator rows left over when a client's MaxRows is
-	// smaller than the engine's batch.
+	it     engine.RowIterator
+	met    *metrics
+	// pending holds rows pulled but not yet sent: the rest of an engine
+	// batch a client's MaxRows cut short, or the batch the EOS peek pulled.
 	pending []types.Row
-	// peeked holds the message read ahead by the EOS peek in nextRows.
-	peeked *cursorMsg
+	// err is the terminal error (io.EOF included) the EOS peek pulled; the
+	// next frame reports it.
+	err error
 }
 
-type cursorMsg struct {
-	rows []types.Row
-	err  error
-}
-
-// read returns the next producer message, honouring a peeked one first.
-func (c *cursor) read() (cursorMsg, bool) {
-	if c.peeked != nil {
-		msg := *c.peeked
-		c.peeked = nil
-		return msg, true
-	}
-	msg, ok := <-c.ch
-	return msg, ok
-}
-
-// startCursor launches the producer for one execution. The producer owns
-// it: nobody else may touch the iterator once started (RowIterators are
-// not concurrency-safe), and the producer closes it on the way out —
-// whether the stream ended, failed, or the cursor was cancelled.
-func (s *Server) startCursor(qctx context.Context, cancel context.CancelFunc, it engine.RowIterator) *cursor {
-	cur := &cursor{cancel: cancel, ch: make(chan cursorMsg, 1)}
-	go func() {
-		defer close(cur.ch)
-		defer it.Close()
-		for {
-			batch, err := it.NextBatch()
-			if err != nil {
-				select {
-				case cur.ch <- cursorMsg{err: err}:
-				case <-qctx.Done():
-				}
-				return
-			}
-			if len(batch) == 0 {
-				// Every frame before EOS carries rows (the client refuses an
-				// empty one), so an empty batch is not sent.
-				continue
-			}
-			s.met.rowsProduced.Add(int64(len(batch)))
-			select {
-			case cur.ch <- cursorMsg{rows: batch}:
-			case <-qctx.Done():
-				return
-			}
+// pull returns the engine's next non-empty batch. Every frame before EOS
+// carries rows (the client refuses an empty one), so empty engine batches
+// are skipped here.
+func (c *cursor) pull() ([]types.Row, error) {
+	for {
+		batch, err := c.it.NextBatch()
+		if err != nil {
+			return nil, err
 		}
-	}()
-	return cur
+		if len(batch) > 0 {
+			c.met.rowsProduced.Add(int64(len(batch)))
+			return batch, nil
+		}
+	}
 }
 
 // nextRows returns up to max rows (max <= 0 means one full engine batch),
-// drawing from the pending buffer before the prefetch channel. It returns
-// io.EOF once the stream is exhausted. The returned eos flag reports that
-// the stream ended right after these rows: when the buffer drains,
-// nextRows peeks one producer message ahead so the final rows travel in
-// an EOS-marked frame — the client never pays a round trip for an empty
-// end-of-stream fetch, which is what lets a fused one-shot finish in a
-// single exchange.
+// drawing from the pending buffer before the engine. It returns io.EOF
+// once the stream is exhausted. The returned eos flag reports that the
+// stream ended right after these rows: when the buffer drains, nextRows
+// pulls one batch ahead so the final rows travel in an EOS-marked frame —
+// the client never pays a round trip for an empty end-of-stream fetch,
+// which is what lets a fused one-shot finish in a single exchange.
 func (c *cursor) nextRows(max int) (rows []types.Row, eos bool, err error) {
+	if len(c.pending) == 0 && c.err == nil {
+		c.pending, c.err = c.pull()
+	}
 	if len(c.pending) == 0 {
-		msg, ok := c.read()
-		if !ok {
-			// Producer quit on cancellation without a terminal message.
-			return nil, false, context.Canceled
-		}
-		if msg.err != nil {
-			return nil, false, msg.err
-		}
-		c.pending = msg.rows
+		return nil, false, c.err // pull yields rows or an error, never neither
 	}
 	if max <= 0 || max >= len(c.pending) {
 		rows = c.pending
@@ -390,16 +350,19 @@ func (c *cursor) nextRows(max int) (rows []types.Row, eos bool, err error) {
 		c.pending = c.pending[max:]
 	}
 	if len(c.pending) == 0 {
-		if msg, ok := c.read(); ok {
-			if msg.err == io.EOF {
-				eos = true // consume the terminal marker with the rows
-			} else {
-				c.peeked = &msg // batch or real error: surface next frame
-			}
-		}
-		// !ok (cancelled mid-peek): the next call reports the cancellation.
+		// The EOS peek: a batch stays pending and a real error surfaces
+		// with the next frame; io.EOF ends the stream with these rows.
+		c.pending, c.err = c.pull()
+		eos = c.err == io.EOF
 	}
 	return rows, eos, nil
+}
+
+// close tears the execution down — iterator first, so its spill files and
+// budget reservations are gone when close returns, then the context.
+func (c *cursor) close() {
+	c.it.Close()
+	c.cancel()
 }
 
 func (s *Server) newSession() *session {
@@ -428,11 +391,12 @@ func (sess *session) shutdown() {
 	}
 }
 
-// closeCursor tears down an in-flight execution, if any. The producer
-// owns the iterator and closes it once the cancellation lands.
+// closeCursor tears down an in-flight execution, if any, before the
+// caller answers: after an OpReset or OpClose ack, or when a re-execute
+// starts, the old execution holds no spill file or pool reservation.
 func (st *sessionStmt) closeCursor() {
 	if st.cur != nil {
-		st.cur.cancel()
+		st.cur.close()
 		st.cur = nil
 	}
 }
@@ -569,10 +533,8 @@ func (s *Server) executeStmt(sess *session, req *wire.Request) *wire.Response {
 		cancel()
 		return &wire.Response{StmtID: req.StmtID, Err: err.Error()}
 	}
-	// Columns must be read before the producer starts: it may peek the
-	// first batch, and the iterator is single-owner after startCursor.
 	cols := it.Columns()
-	st.cur = s.startCursor(qctx, cancel, it)
+	st.cur = &cursor{cancel: cancel, it: it, met: &s.met}
 	resp := s.nextFrame(sess, st, req)
 	resp.Columns = cols
 	return resp
@@ -604,7 +566,7 @@ func (s *Server) executeDirect(sess *session, req *wire.Request) *wire.Response 
 		return &wire.Response{Err: err.Error()}
 	}
 	cols := it.Columns()
-	st.cur = s.startCursor(qctx, cancel, it)
+	st.cur = &cursor{cancel: cancel, it: it, met: &s.met}
 	fused := *req
 	fused.StmtID = id
 	resp := s.nextFrame(sess, st, &fused)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"regexp"
 	"strings"
 	"sync"
@@ -508,12 +509,14 @@ func TestDirectExecMultiFrame(t *testing.T) {
 	waitFor(t, "abandoned fused statement freed", func() bool { return f.srv.OpenStmts() == 0 })
 }
 
-// TestBackpressureStalledClient pins the producer bound: a client that
-// executes but never fetches must not make the server pull the whole
-// result — the prefetch stays within a few engine batches.
+// TestBackpressureStalledClient pins the exact bound: the server computes
+// a batch only when a frame asks for one, so a client that executes and
+// then stalls has cost at most the batch it was served plus the EOS peek,
+// and each further fetch costs at most one more batch.
 func TestBackpressureStalledClient(t *testing.T) {
 	f := newStreamFixture(t, 2000)
-	base := f.srv.MetricsSnapshot().RowsProduced
+	produced := func() int64 { return f.srv.MetricsSnapshot().RowsProduced }
+	base := produced()
 
 	stmt, err := f.client.PrepareStream(`SELECT id, v FROM t`)
 	if err != nil {
@@ -523,28 +526,100 @@ func TestBackpressureStalledClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One frame was served; stall without fetching and give the producer
-	// time to overrun if it were unbounded.
+	// One frame was served; stall without fetching, long enough for any
+	// read-ahead on the server to overrun.
 	time.Sleep(200 * time.Millisecond)
-	// 16-row engine batches; the prefetch pipeline holds at most served +
-	// channel + in-flight ≈ a handful of batches, never the whole table.
-	if got := f.srv.MetricsSnapshot().RowsProduced - base; got > 5*16 {
-		t.Fatalf("stalled client saw %d rows produced server-side, want a bounded prefetch (<= %d)", got, 5*16)
+	// 16-row engine batches: the served batch plus the EOS peek.
+	const batch = 16
+	if got := produced() - base; got > 2*batch {
+		t.Fatalf("stalled client saw %d rows produced server-side, want <= %d (served batch + EOS peek)", got, 2*batch)
 	}
-	// Draining still yields the full result.
+	// Draining still yields the full result, one batch per fetch at most.
 	n := 0
 	for {
-		batch, err := it.NextBatch()
+		before := produced()
+		rows, err := it.NextBatch()
+		if got := produced() - before; got > batch {
+			t.Fatalf("one fetch produced %d rows server-side, want <= %d (one engine batch)", got, batch)
+		}
 		if err != nil {
 			break
 		}
-		n += len(batch)
+		n += len(rows)
 	}
 	if n != 2000 {
 		t.Fatalf("drained %d rows after stall, want 2000", n)
 	}
 	it.Close()
 	stmt.Close()
+}
+
+// TestCursorTeardownBeforeAck: the answer to an OpReset or OpClose leaves
+// the server only after the abandoned execution is torn down, so by the
+// time the client holds the ack, the spilled sort's run files are gone
+// and its pool reservations are back — on the prepared path (reset, then
+// re-execute) and on the fused path (close), every time.
+func TestCursorTeardownBeforeAck(t *testing.T) {
+	secret, err := secure.Setup(256, 40, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := spill.NewPool(96)
+	spillDir := t.TempDir()
+	srv := NewWithOptions(secret.N(), engine.Options{
+		Parallelism: 2, ChunkSize: 8,
+		MemBudgetRows: -1, // the shared pool is the only resident-row bound
+		BudgetPool:    pool,
+		SpillDir:      spillDir,
+	})
+	seedPlainTable(t, srv, 300)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	client, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	// 300 rows sorted against a 96-row pool: every execution spills.
+	const q = `SELECT a, b FROM c ORDER BY a`
+	ctx := context.Background()
+	stmt, err := client.PrepareStream(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stmt.Close()
+	for _, path := range []struct {
+		name string
+		open func() (engine.RowIterator, error)
+	}{
+		{"prepared (reset)", func() (engine.RowIterator, error) { return stmt.Query(ctx) }},
+		{"fused (close)", func() (engine.RowIterator, error) { return client.QueryDirect(ctx, q) }},
+	} {
+		for i := 0; i < 50; i++ {
+			it, err := path.open()
+			if err != nil {
+				t.Fatalf("%s iteration %d: %v", path.name, i, err)
+			}
+			if _, err := it.NextBatch(); err != nil {
+				t.Fatalf("%s iteration %d: %v", path.name, i, err)
+			}
+			it.Close()
+			if used := pool.Used(); used != 0 {
+				t.Fatalf("%s iteration %d: %d pool rows still reserved after the ack", path.name, i, used)
+			}
+			if left, err := os.ReadDir(spillDir); err != nil || len(left) != 0 {
+				t.Fatalf("%s iteration %d: spill directory holds %d entries after the ack (%v)", path.name, i, len(left), err)
+			}
+		}
+	}
+	if pool.Refused() == 0 {
+		t.Fatal("300-row sorts over a 96-row pool never spilled; the test checked nothing")
+	}
 }
 
 // dialRetry dials, retrying admission rejections: session teardown is
@@ -566,9 +641,10 @@ func dialRetry(addr string) (*Client, error) {
 
 // TestConcurrentServing is the race-detected multi-client suite: many
 // drivers against one admission-limited, pool-budgeted server, with half
-// the clients disconnecting mid-stream, while the statement ledger and
-// pool accounting stay coherent.
+// the clients disconnecting mid-stream, while the statement ledger, pool
+// accounting and goroutine count stay coherent.
 func TestConcurrentServing(t *testing.T) {
+	goroutineLedger(t)
 	secret, err := secure.Setup(256, 40, 40)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"sdb/internal/engine"
 	"sdb/internal/proxy"
 	"sdb/internal/secure"
+	"sdb/internal/storage"
 )
 
 // streamFixture stands up a server with small batches, a connected
@@ -94,6 +96,28 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// goroutineLedger records the process goroutine count and, once the test
+// and every cleanup registered after this call have run, insists the count
+// is back where it was: each session, cursor and engine goroutine the test
+// started has exited. No test in this package calls t.Parallel, so the
+// count is the test's own. Call it before anything that registers a
+// cleanup.
+func goroutineLedger(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				stacks := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines outlived the test (started with %d):\n%s",
+					runtime.NumGoroutine(), before, stacks[:runtime.Stack(stacks, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
 }
 
 // TestStreamedQueryOverTCP is the happy path: a multi-batch stream through
@@ -224,9 +248,10 @@ func TestSessionStmtLimit(t *testing.T) {
 }
 
 // TestDroppedConnMidStream kills the server while a cursor is open: the
-// cursor must surface a clean error (not hang, not panic) and the session
-// must be torn down.
+// cursor must surface a clean error (not hang, not panic), the session
+// must be torn down, and no goroutine may outlive it.
 func TestDroppedConnMidStream(t *testing.T) {
+	goroutineLedger(t)
 	f := newStreamFixture(t, 150)
 	rows, err := f.p.QueryContext(context.Background(), `SELECT id, v FROM t`)
 	if err != nil {
@@ -254,9 +279,49 @@ func TestDroppedConnMidStream(t *testing.T) {
 	waitFor(t, "sessions torn down", func() bool { return f.srv.NumSessions() == 0 })
 }
 
+// TestAbandonedRowsInProcess: a decrypting cursor over an in-process
+// engine, abandoned after its first row, leaves no goroutine behind once
+// closed — the proxy half of the ledger, with no wire in between.
+func TestAbandonedRowsInProcess(t *testing.T) {
+	goroutineLedger(t)
+	secret, err := secure.Setup(256, 40, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := engine.Options{Parallelism: 2, ChunkSize: 8}
+	eng := engine.NewWithOptions(storage.NewCatalog(), secret.N(), opts)
+	p, err := proxy.NewWithOptions(secret, eng, proxy.Options{Parallelism: 2, ChunkSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Exec(`CREATE TABLE t (id INT, v INT SENSITIVE)`); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for i := 0; i < 120; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d)", i, i%7)
+	}
+	if _, err := p.Exec("INSERT INTO t VALUES " + sb.String()); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := p.QueryContext(context.Background(), `SELECT id, v FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rows.Next(); err != nil {
+		t.Fatalf("first row: %v", err)
+	}
+	rows.Close()
+}
+
 // TestDisconnectFreesSession covers the server side of a vanishing client:
-// closing the client connection frees the session and its statements.
+// closing the client connection frees the session, its statements and its
+// goroutines.
 func TestDisconnectFreesSession(t *testing.T) {
+	goroutineLedger(t)
 	f := newStreamFixture(t, 40)
 	if _, err := f.p.Prepare(`SELECT id FROM t`); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 // Package spill provides the building blocks for memory-budgeted
 // spill-to-disk execution: per-query row budgets with reservation
-// accounting, temp-file sessions whose lifetime is tied to the query,
-// double-buffered prefetch readers that overlap run-file I/O with
-// compute, and a length-prefixed row codec shared by every spill file
-// format.
+// accounting, temp-file sessions whose lifetime is tied to the query, and
+// a length-prefixed row codec shared by every spill file format, whose
+// reader pulls file bytes through its own window as the decoder needs
+// them.
 //
 // In the stack (docs/architecture.md) this is the engine's degradation
 // layer: when a blocking operator of the query tree would cross the

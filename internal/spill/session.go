@@ -22,10 +22,10 @@ type Session struct {
 	dir    string // created lazily; "" until the first file
 	closed bool
 
-	files           atomic.Int64
-	spilledRows     atomic.Int64
-	spills          atomic.Int64
-	prefetchedBytes atomic.Int64
+	files       atomic.Int64
+	spilledRows atomic.Int64
+	spills      atomic.Int64
+	readBytes   atomic.Int64
 }
 
 // NewSession builds a session whose files live under parent (""
@@ -96,10 +96,10 @@ func (s *Session) SpilledRows() int { return int(s.spilledRows.Load()) }
 // Spills reports the number of spill events.
 func (s *Session) Spills() int { return int(s.spills.Load()) }
 
-// AddPrefetchedBytes records bytes a PrefetchReader loaded ahead of
-// consumption (stats only). Safe from prefetch goroutines.
-func (s *Session) AddPrefetchedBytes(n int) { s.prefetchedBytes.Add(int64(n)) }
+// AddReadBytes records bytes read back from spill files (stats only).
+// Safe from concurrent spill workers.
+func (s *Session) AddReadBytes(n int) { s.readBytes.Add(int64(n)) }
 
-// PrefetchedBytes reports the total bytes read ahead by the session's
-// double-buffered run-file readers.
-func (s *Session) PrefetchedBytes() int64 { return s.prefetchedBytes.Load() }
+// ReadBytes reports the total bytes read back from the session's spill
+// files.
+func (s *Session) ReadBytes() int64 { return s.readBytes.Load() }

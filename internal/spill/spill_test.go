@@ -375,8 +375,10 @@ func TestSessionCounters(t *testing.T) {
 	s.AddSpilledRows(10)
 	s.AddSpilledRows(5)
 	s.AddSpill()
-	if s.SpilledRows() != 15 || s.Spills() != 1 {
-		t.Fatalf("counters = (%d rows, %d spills), want (15, 1)", s.SpilledRows(), s.Spills())
+	s.AddReadBytes(100)
+	s.AddReadBytes(28)
+	if s.SpilledRows() != 15 || s.Spills() != 1 || s.ReadBytes() != 128 {
+		t.Fatalf("counters = (%d rows, %d spills, %d bytes read), want (15, 1, 128)", s.SpilledRows(), s.Spills(), s.ReadBytes())
 	}
 	s.Close()
 }

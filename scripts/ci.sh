@@ -2,14 +2,15 @@
 # CI gate: docs link check, static checks (gofmt, go vet, a gate that
 # no non-test file imports encoding/gob — the value codec in
 # internal/types is the one serialization —, a gate that no non-test
-# file under internal/ or driver/ reads the process environment, and a gate
+# file under internal/ or driver/ reads the process environment, a gate
 # that no non-test engine file multiplies or adds shares through the
 # dividing scalar operators — share arithmetic runs as Montgomery row
-# programs), the full test suite, the race
+# programs —, and a gate that the non-test goroutines under internal/ are
+# exactly the allow-listed five), the full test suite, the race
 # detector over every package (the chunked parallel engine/proxy paths,
-# the streaming cursor pipeline, the parallel spilled-partition scheduler
-# and the secure helper-power memo are exercised by dedicated concurrency
-# tests), a forced-tiny-budget spill regression pass and a planner-off
+# the pull-on-demand result path from engine to decrypting cursor, the
+# parallel spilled-partition scheduler and the secure helper-power memo
+# are exercised by dedicated concurrency tests), a forced-tiny-budget spill regression pass and a planner-off
 # differential pass (both re-runs of the engine suite selected through its
 # TestMain, each proving its mode took effect), a
 # race-detected MVCC isolation pass (torn-read, no-stall,
@@ -38,7 +39,8 @@
 # and an SP's empty frame before end of stream), the
 # bench/ module's own vet and smoke test, a race-detected
 # concurrent-serving pass (multi-driver storm against an
-# admission-limited, pool-budgeted server), a live-server smoke that
+# admission-limited, pool-budgeted server; the exact backpressure bound
+# and cursor teardown before the ack), a live-server smoke that
 # curls /healthz and asserts nonzero /metrics counters, and a short fuzz
 # smoke over every fuzz target (parser, proxy
 # pipeline incl. the COUNT() crasher seed, the value codec,
@@ -115,6 +117,29 @@ echo "== share arithmetic stays in row programs (no per-row division in the engi
 # may call them from the engine package.
 if grep -nE 'secure\.(Multiply|AddShares|SubShares)\(|bigmod\.Mul\(' internal/engine/*.go | grep -v '_test.go:'; then
   echo "the non-test engine files above call a dividing scalar share operator"
+  exit 1
+fi
+
+echo "== goroutines under internal/ are the allow-listed five"
+# Every layer of the result path computes a batch on the goroutine that
+# asks for it: the server's cursor, the proxy's decrypting cursor and the
+# spill run-file reader each ran a read-ahead goroutine until measurement
+# showed it did not pay. A new goroutine in library code is a mechanism to
+# measure first, then add here with its reason. The five: one session per
+# admitted connection and the rejection frame of an over-limit one
+# (server), the /metrics HTTP server, the WAL's interval flusher, and the
+# parallel pool's workers.
+GO_STMTS=$(grep -rnE '^[[:space:]]*go [[:alnum:]_(]' internal --include='*.go' | grep -v '_test\.go:' \
+  | sed -E 's/:[0-9]+:[[:space:]]*/: /' | sort)
+GO_ALLOWED=$(printf '%s\n' \
+  'internal/parallel/parallel.go: go func() {' \
+  'internal/server/metrics.go: go srv.Serve(l)' \
+  'internal/server/server.go: go s.handle(conn, sess)' \
+  'internal/server/server.go: go s.rejectConn(conn, max)' \
+  'internal/wal/wal.go: go s.flushLoop()' | sort)
+if [[ "${GO_STMTS}" != "${GO_ALLOWED}" ]]; then
+  echo "non-test go statements under internal/ differ from the allow-list (< allowed, > found):"
+  diff <(echo "${GO_ALLOWED}") <(echo "${GO_STMTS}") || true
   exit 1
 fi
 
@@ -294,6 +319,13 @@ echo "== concurrent serving suite under the race detector"
 # interleavings are fresh every CI run.
 go test -race -count=1 -run 'Concurrent|BudgetPool|StmtClose' \
   ./internal/server ./internal/engine ./internal/spill
+# The cursor lifecycle on both sides of the wire, race detector on: the
+# exact backpressure bound (a stalled client costs the served batch plus
+# the EOS peek), teardown finished before the reset / close ack, re-execute
+# after an early close, cancellation between batches, and a connection
+# dropped mid-stream that no goroutine outlives.
+go test -race -count=1 -run 'Backpressure|TeardownBeforeAck|Reexecute|CtxCancel|DroppedConn' \
+  ./internal/server ./internal/proxy
 
 echo "== serving smoke (live sdb-server: /healthz + /metrics)"
 # Build the real binaries, boot a server with the metrics endpoint, push
