@@ -60,7 +60,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 1024, "WAL records between automatic checkpoints (0 = only at shutdown; needs -data-dir)")
 	fsync := flag.String("fsync", wal.FsyncAlways, "WAL fsync policy: always (per statement), interval (background flusher), never")
 	maxSessions := flag.Int("max-sessions", 0, "concurrent session limit; connections past it get one rejection frame (0 = unlimited)")
-	maxStmts := flag.Int("max-stmts", 0, "prepared statements per session (0 = default 64)")
+	maxStmts := flag.Int("max-stmts", 0, "open cursors per session (0 = default 64)")
 	globalBudget := flag.Int("global-budget", 0, "deployment-wide resident-row pool shared by every query across all sessions; exhaustion spills (0 = off; composes with -mem-budget)")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP address for /metrics and /healthz (empty = off)")
 	maxFrame := flag.Int("max-frame", 0, "incoming wire-frame byte cap per session (0 = default 64 MiB, <0 = unlimited)")

@@ -10,9 +10,9 @@ import (
 	"sdb/internal/types"
 )
 
-// ErrStmtClosed reports use of a prepared statement that has been closed
-// (locally, or server-side after a cancelled stream freed the session
-// statement). Callers holding the statement's source can re-prepare.
+// ErrStmtClosed reports use of a prepared statement after its Close.
+// Nothing closes a statement behind its holder's back: the server keeps no
+// prepared statements, only open cursors.
 var ErrStmtClosed = errors.New("prepared statement closed")
 
 // RowIterator is a Volcano-style cursor over a query result. Rows arrive in
@@ -46,10 +46,8 @@ type Stmt struct {
 	e    *Engine
 	stmt sqlparser.Statement
 	src  string
-	// closed flips once on Close; Query then refuses with ErrStmtClosed.
-	// Making Close observable keeps every holder honest about statement
-	// lifecycle — server sessions must close what they prepare, and the
-	// proxy's re-prepare-on-ErrStmtClosed retry gets exercised in-process.
+	// closed flips once on Close; Query then refuses with ErrStmtClosed,
+	// which keeps every holder honest about the statement's lifecycle.
 	closed atomic.Bool
 }
 

@@ -222,9 +222,9 @@ func (r *Rows) Stats() Stats {
 }
 
 // Close releases the cursor. It closes the executor's iterator before
-// returning, so the server-side teardown of an abandoned stream (cursor
-// reset / statement close) is sequenced ahead of any re-execution of the
-// same prepared statement.
+// returning, so the server-side teardown of an abandoned stream (the
+// OpClose that frees its cursor) is sequenced ahead of any re-execution of
+// the same prepared statement.
 func (r *Rows) Close() error {
 	if r.closed {
 		return nil

@@ -7,6 +7,9 @@ package proxy
 // decrypted answers prove the invalidation, not just the counters.
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"sdb/internal/engine"
@@ -172,6 +175,59 @@ func TestPlanCacheCatalogInvalidation(t *testing.T) {
 	if misses2 != missesWarm+1 {
 		t.Fatalf("DDL did not invalidate the cache (misses %d -> %d)", missesWarm, misses2)
 	}
+}
+
+// TestPreparedSelectAcrossRecreate: a prepared SELECT captured its tokens
+// for the table as it was. After DROP and CREATE under the same name the
+// shares are under new keys, so the statement must re-derive — its stale
+// tokens would drive the SP's comparisons over the new shares and return
+// wrong rows with no error.
+func TestPreparedSelectAcrossRecreate(t *testing.T) {
+	p, _ := cachedBankSystem(t)
+	const sql = `SELECT id FROM accounts WHERE balance > 1000 ORDER BY id`
+	stmt, err := p.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stmt.Close()
+
+	mustP(t, p, `DROP TABLE accounts`)
+	mustP(t, p, `CREATE TABLE accounts (
+		id INT,
+		owner STRING,
+		branch STRING,
+		balance INT SENSITIVE,
+		opened DATE SENSITIVE
+	)`)
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO accounts VALUES ")
+	var want []int64
+	for id := 1; id <= 24; id++ {
+		balance := 100 * id * (id%3 - 1) // -100·id, 0 or +100·id
+		if balance > 1000 {
+			want = append(want, int64(id))
+		}
+		if id > 1 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, 'o', 'b', %d, '2020-01-01')", id, balance)
+	}
+	mustP(t, p, sb.String())
+
+	fresh := mustP(t, p, sql)
+	if len(fresh.Rows) != len(want) {
+		t.Fatalf("fresh query: %v, want ids %v", fresh.Rows, want)
+	}
+	for i, id := range want {
+		if fresh.Rows[i][0].I != id {
+			t.Fatalf("fresh query: %v, want ids %v", fresh.Rows, want)
+		}
+	}
+	got, err := stmt.ExecContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResults(t, "prepared before DROP + CREATE", got, fresh)
 }
 
 // TestPlanCacheLRUBound: the cache never exceeds its configured capacity.

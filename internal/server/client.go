@@ -15,16 +15,15 @@ import (
 )
 
 // Client is a proxy-side connection to a remote SDB server. It implements
-// proxy.Executor and proxy.DirectQueryer, so a Proxy can be pointed at a
-// server across the network exactly like at an in-process engine.
+// proxy.Executor, so a Proxy can be pointed at a server across the network
+// exactly like at an in-process engine.
 //
-// Dial opens the connection with the protocol hello. After it, one-shot
-// statements — writes included (ExecuteSQL) — run fused (QueryDirect, one
-// round trip when the result fits a frame), and prepared statements
-// execute as streamed row-batch cursors. The connection carries one
-// request/response exchange at a time (guarded by a mutex), so several
-// statements and cursors may interleave their batch fetches on one
-// connection.
+// Dial opens the connection with the protocol hello. After it, every
+// statement — writes (ExecuteSQL) and every execution of a prepared one
+// alike — is one OpExecuteDirect (QueryDirect): one round trip when the
+// result fits a frame, plus one OpFetch per further frame. The connection
+// carries one request/response exchange at a time (guarded by a mutex), so
+// several cursors may interleave their batch fetches on one connection.
 //
 // The server is not trusted with memory either: the connection has no
 // frame cap (results are as large as the query makes them), but the frame
@@ -37,7 +36,7 @@ type Client struct {
 	// batch caps rows per fetched frame; 0 lets the server choose.
 	batch int
 	// trips counts framed round trips (the latency currency of the remote
-	// path; the fused-op tests assert on its deltas).
+	// path; the round-trip tests assert on its deltas).
 	trips atomic.Int64
 }
 
@@ -69,7 +68,7 @@ func Dial(addr string) (*Client, error) {
 }
 
 // RoundTrips reports the framed request/response exchanges performed so
-// far — the number the fused op exists to shrink.
+// far.
 func (c *Client) RoundTrips() int64 { return c.trips.Load() }
 
 // SetBatchRows caps the rows per fetched row-batch frame (0 restores the
@@ -101,9 +100,9 @@ func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
 	return resp, nil
 }
 
-// ExecuteSQL runs one statement fused and drains its encrypted result —
-// the write path. A write's result ends in the first frame, so it costs
-// one round trip.
+// ExecuteSQL runs one statement with QueryDirect and drains its encrypted
+// result — the write path. A write's result ends in the first frame, so
+// it costs one round trip.
 func (c *Client) ExecuteSQL(sql string) (*engine.Result, error) {
 	it, err := c.QueryDirect(context.Background(), sql)
 	if err != nil {
@@ -112,24 +111,18 @@ func (c *Client) ExecuteSQL(sql string) (*engine.Result, error) {
 	return engine.Drain(it)
 }
 
-// PrepareStream registers a statement server-side and returns a handle
-// whose Query streams row batches.
+// PrepareStream returns a handle on sql whose Query runs it with
+// QueryDirect. Nothing is sent: statements are prepared at the proxy, and
+// the server holds one only while its cursor is open.
 func (c *Client) PrepareStream(sql string) (engine.PreparedStmt, error) {
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpPrepare, SQL: sql})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return &remoteStmt{c: c, id: resp.StmtID}, nil
+	return remoteStmt{c: c, sql: sql}, nil
 }
 
-// QueryDirect runs one statement fused: prepare + execute + first batch
-// cost a single round trip, and the server frees the statement on its own
-// when the stream ends — most one-shot results fit the first frame, making
-// the whole statement one exchange instead of Prepare/Execute/Close's
-// three.
+// QueryDirect runs one statement: the request carries the SQL and the
+// answer carries the first batch, so a result that fits one frame costs a
+// single round trip. A longer result leaves an open server cursor, which
+// the server frees at the end of the stream and the iterator's Close frees
+// before then.
 func (c *Client) QueryDirect(ctx context.Context, sql string) (engine.RowIterator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -141,13 +134,7 @@ func (c *Client) QueryDirect(ctx context.Context, sql string) (engine.RowIterato
 	if resp.Err != "" {
 		return nil, errors.New(resp.Err)
 	}
-	stmt := &remoteStmt{c: c, id: resp.StmtID, direct: true}
-	if resp.StmtID == 0 {
-		// The stream ended inside the fused frame; the server already freed
-		// the statement, so there is nothing left to address or close.
-		stmt.closed = true
-	}
-	return &remoteRows{ctx: ctx, stmt: stmt, cols: resp.Columns, first: resp}, nil
+	return &remoteRows{ctx: ctx, c: c, id: resp.StmtID, cols: resp.Columns, first: resp}, nil
 }
 
 // Close terminates the connection.
@@ -162,74 +149,26 @@ func (c *Client) Close() error {
 	return err
 }
 
-// remoteStmt is a prepared statement living in a server session.
+// remoteStmt is a statement's SQL, ready to run on the connection.
 type remoteStmt struct {
-	c  *Client
-	id uint64
-	// direct marks a statement created by the fused op: the server frees
-	// it when its stream ends, so the client marks it closed locally on
-	// EOS instead of sending a redundant OpClose.
-	direct bool
-	mu     sync.Mutex
-	closed bool
+	c   *Client
+	sql string
 }
 
-// markClosed records that the server side is already gone (fused EOS /
-// terminal stream error), so Close becomes a local no-op.
-func (s *remoteStmt) markClosed() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+func (s remoteStmt) Query(ctx context.Context) (engine.RowIterator, error) {
+	return s.c.QueryDirect(ctx, s.sql)
 }
 
-// Query starts a cursor on the statement. The ctx is checked between batch
-// fetches; cancelling it closes the statement server-side, freeing the
-// session's cursor and statement slot.
-func (s *remoteStmt) Query(ctx context.Context) (engine.RowIterator, error) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("server: %w", engine.ErrStmtClosed)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	resp, err := s.c.roundTrip(&wire.Request{Op: wire.OpExecute, StmtID: s.id, MaxRows: s.c.batch})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return &remoteRows{ctx: ctx, stmt: s, cols: resp.Columns, first: resp}, nil
-}
+func (remoteStmt) Close() error { return nil }
 
-// Close frees the statement (and any open cursor) in the server session.
-func (s *remoteStmt) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	resp, err := s.c.roundTrip(&wire.Request{Op: wire.OpClose, StmtID: s.id})
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	return nil
-}
-
-// remoteRows iterates a server-side cursor, one RowBatch frame per
-// NextBatch. A cancelled ctx (checked between fetches) closes the whole
-// statement so the server session frees its resources promptly.
+// remoteRows iterates a statement's stream, one frame per NextBatch. id
+// names the open server cursor and is zero once nothing is left to free:
+// the server freed it (EOS or an error), Close did, or the connection
+// failed mid-exchange (its teardown frees it).
 type remoteRows struct {
 	ctx  context.Context
-	stmt *remoteStmt
+	c    *Client
+	id   uint64
 	cols []engine.ResultColumn
 	// first is the frame that answered the execute, until NextBatch takes it.
 	first *wire.Response
@@ -250,30 +189,26 @@ func (r *remoteRows) NextBatch() ([]types.Row, error) {
 	r.first = nil
 	if resp == nil {
 		if err := r.ctx.Err(); err != nil {
-			// Cancelled between batches: free the server-side statement.
+			// Cancelled between batches: free the server cursor.
 			r.err = err
-			r.stmt.Close()
+			r.release()
 			return nil, err
 		}
 		var err error
-		resp, err = r.stmt.c.roundTrip(&wire.Request{Op: wire.OpFetch, StmtID: r.stmt.id, MaxRows: r.stmt.c.batch})
+		resp, err = r.c.roundTrip(&wire.Request{Op: wire.OpFetch, StmtID: r.id, MaxRows: r.c.batch})
 		if err != nil {
+			r.id = 0
 			r.err = fmt.Errorf("server: stream interrupted: %w", err)
 			return nil, r.err
 		}
 	}
 	switch {
 	case resp.Err != "":
+		r.id = 0 // the server freed the cursor with the failed stream
 		r.err = errors.New(resp.Err)
-		if r.stmt.direct {
-			// The server freed the fused statement with the failed stream.
-			r.stmt.markClosed()
-		}
 	case resp.EOS:
+		r.id = 0 // the server freed the cursor at the end of the stream
 		r.done = true
-		if r.stmt.direct {
-			r.stmt.markClosed()
-		}
 		if len(resp.Rows) > 0 {
 			return resp.Rows, nil
 		}
@@ -282,31 +217,34 @@ func (r *remoteRows) NextBatch() ([]types.Row, error) {
 		// The server never sends an empty batch before the end of a stream;
 		// taking one as the end would hand back a silently short result.
 		r.err = fmt.Errorf("server: %w: empty row batch before the end of the stream", wire.ErrProtocol)
-		r.stmt.Close()
+		r.release()
 	default:
 		return resp.Rows, nil
 	}
 	return nil, r.err
 }
 
-// Close abandons the cursor. When the query context was cancelled, the
-// whole statement is closed so the server session frees its statement slot
-// (the cancellation contract); otherwise the cursor is reset server-side
-// and the statement stays prepared for re-execution. Either way the
-// session stops pinning the query's relation. A fused (direct) statement
-// is closed outright rather than reset — nobody holds a handle to
-// re-execute it, and only EOS (not OpReset) would auto-free it.
-func (r *remoteRows) Close() error {
-	r.first = nil
-	if r.done || r.err != nil {
-		r.done = true
+// release frees the server cursor while it is open. The ack arrives after
+// the cursor's execution is torn down.
+func (r *remoteRows) release() error {
+	if r.id == 0 {
 		return nil
 	}
-	r.done = true
-	if r.stmt.direct || r.ctx.Err() != nil {
-		return r.stmt.Close()
+	resp, err := r.c.roundTrip(&wire.Request{Op: wire.OpClose, StmtID: r.id})
+	r.id = 0
+	if err != nil {
+		return err
 	}
-	// Best effort: connection teardown covers a failed reset.
-	r.stmt.c.roundTrip(&wire.Request{Op: wire.OpReset, StmtID: r.stmt.id})
+	if resp.Err != "" {
+		return errors.New(resp.Err)
+	}
 	return nil
+}
+
+// Close abandons the stream, sending OpClose only if the server cursor is
+// still open.
+func (r *remoteRows) Close() error {
+	r.first = nil
+	r.done = true
+	return r.release()
 }

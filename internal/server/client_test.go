@@ -43,8 +43,8 @@ func scriptedPeer(script []*wire.Response) (*Client, <-chan []wire.Op) {
 // TestFrameEmptyBeforeEOSRefused: a peer that sends rows, then a frame
 // with no rows and no EOS, then more rows must not hand the DO a short
 // answer. The client refuses the empty frame with wire.ErrProtocol and
-// closes the statement — on the fused path, the prepared path, and when
-// the empty frame is the first one.
+// closes the cursor — run directly, through a prepared handle (the same
+// request), and when the empty frame is the first one.
 func TestFrameEmptyBeforeEOSRefused(t *testing.T) {
 	ctx := context.Background()
 	cols := []wire.Column{{Name: "a", Kind: types.KindInt}}
@@ -67,8 +67,8 @@ func TestFrameEmptyBeforeEOSRefused(t *testing.T) {
 			[]*wire.Response{{StmtID: 5, Columns: cols, Rows: rows(1)}, {StmtID: 5}, {StmtID: 5, Rows: rows(2), EOS: true}},
 			[]wire.Op{wire.OpExecuteDirect, wire.OpFetch, wire.OpClose}},
 		{"prepared", prepared,
-			[]*wire.Response{{StmtID: 5}, {StmtID: 5, Columns: cols, Rows: rows(1)}, {StmtID: 5}, {StmtID: 5, Rows: rows(2), EOS: true}},
-			[]wire.Op{wire.OpPrepare, wire.OpExecute, wire.OpFetch, wire.OpClose}},
+			[]*wire.Response{{StmtID: 5, Columns: cols, Rows: rows(1)}, {StmtID: 5}, {StmtID: 5, Rows: rows(2), EOS: true}},
+			[]wire.Op{wire.OpExecuteDirect, wire.OpFetch, wire.OpClose}},
 		{"fused, empty first frame", fused,
 			[]*wire.Response{{StmtID: 5, Columns: cols}, {StmtID: 5, Rows: rows(1), EOS: true}},
 			[]wire.Op{wire.OpExecuteDirect, wire.OpClose}},

@@ -13,16 +13,16 @@ import (
 )
 
 // metrics is the server's counter block. Everything is a monotonic
-// atomic counter; gauges (active sessions, open statements, budget-pool
+// atomic counter; gauges (active sessions, open cursors, budget-pool
 // pressure) are computed at scrape time from live state so they cannot
 // drift from the truth they summarize.
 type metrics struct {
 	sessionsTotal    atomic.Int64 // sessions admitted since start
 	sessionsRejected atomic.Int64 // connections refused by the session limit
-	stmtsPrepared    atomic.Int64 // statements registered (prepare + fused)
-	stmtsClosed      atomic.Int64 // statements freed (close, EOS auto-close, shutdown)
-	stmtsRejected    atomic.Int64 // prepares refused by the per-session limit
-	directExecs      atomic.Int64 // fused OpExecuteDirect requests served
+	stmtsPrepared    atomic.Int64 // cursors opened
+	stmtsClosed      atomic.Int64 // cursors freed (EOS, error, OpClose, shutdown)
+	stmtsRejected    atomic.Int64 // statements refused by the per-session limit
+	directExecs      atomic.Int64 // OpExecuteDirect requests served
 	rowsProduced     atomic.Int64 // rows pulled from engine iterators
 	framesIn         atomic.Int64 // request frames decoded
 	framesOversize   atomic.Int64 // frames dropped by the size cap

@@ -3,15 +3,17 @@
 // it executes rewritten SQL whose only secrets are embedded tokens, and
 // returns encrypted results.
 //
-// Each connection is a session: a table of prepared statements and at most
-// one open cursor per statement, all bounded per connection. Session query
-// contexts derive from the server's base context, so dropping a connection
-// or closing the server cancels in-flight queries between batches instead
-// of abandoning their goroutines.
+// Each connection is a session: the cursors it has open, bounded per
+// connection. A statement arrives as one OpExecuteDirect carrying its SQL
+// (statements are prepared at the proxy, not here); its cursor lives only
+// until the stream ends, fails or is closed. Session query contexts derive
+// from the server's base context, so dropping a connection or closing the
+// server cancels in-flight queries between batches instead of abandoning
+// their goroutines.
 //
 // The serving path is hardened for untrusted peers (docs/serving.md):
 // incoming frames are size-capped, reads and writes carry idle deadlines,
-// sessions and per-session statements are admission-limited, all query
+// sessions and per-session open cursors are admission-limited, all query
 // budgets can share one global resident-row pool (exhaustion spills
 // instead of growing server memory), and a cursor computes a batch only
 // when a frame asks for one — a client that stops fetching stops the
@@ -37,9 +39,8 @@ import (
 	"sdb/internal/wire"
 )
 
-// DefaultMaxSessionStmts bounds prepared statements (each with at most one
-// open cursor) per connection, so one client cannot grow a session table
-// without limit.
+// DefaultMaxSessionStmts bounds open cursors per connection, so one client
+// cannot grow a session table without limit.
 const DefaultMaxSessionStmts = 64
 
 // DefaultMaxFrameBytes caps one incoming wire frame. Generous, because
@@ -57,7 +58,7 @@ type Server struct {
 
 	// Admission and hardening knobs. All atomic so ops tooling can adjust
 	// them on a live server without racing the serve path.
-	maxStmts    atomic.Int64 // prepared statements per session
+	maxStmts    atomic.Int64 // open cursors per session
 	maxSessions atomic.Int64 // concurrent sessions; <= 0 unlimited
 	maxFrame    atomic.Int64 // incoming frame byte cap; <= 0 unlimited
 	idleNanos   atomic.Int64 // per-frame read deadline; <= 0 off
@@ -108,9 +109,9 @@ func NewWithEngine(eng *engine.Engine) *Server {
 // Engine exposes the underlying engine (attack-harness inspection).
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
-// SetMaxSessionStmts bounds prepared statements per connection (<= 0
-// restores the default). Safe to call on a live server; in-flight
-// sessions see the new bound on their next prepare.
+// SetMaxSessionStmts bounds open cursors per connection (<= 0 restores
+// the default). Safe to call on a live server; in-flight sessions see the
+// new bound on their next statement.
 func (s *Server) SetMaxSessionStmts(n int) {
 	if n <= 0 {
 		n = DefaultMaxSessionStmts
@@ -159,8 +160,8 @@ func (s *Server) NumSessions() int {
 	return len(s.sessions)
 }
 
-// OpenStmts reports prepared statements across all sessions (test
-// introspection: disconnects and OpClose must drive this to zero).
+// OpenStmts reports open cursors across all sessions (test introspection:
+// end of stream, OpClose and disconnects must drive this to zero).
 func (s *Server) OpenStmts() int {
 	s.mu.Lock()
 	sessions := make([]*session, 0, len(s.sessions))
@@ -171,7 +172,7 @@ func (s *Server) OpenStmts() int {
 	n := 0
 	for _, sess := range sessions {
 		sess.mu.Lock()
-		n += len(sess.stmts)
+		n += len(sess.cursors)
 		sess.mu.Unlock()
 	}
 	return n
@@ -270,30 +271,17 @@ func (s *Server) Close() {
 	}
 }
 
-// session is the per-connection state: prepared statements, their open
-// cursors, and a context that parents every query the session runs.
+// session is the per-connection state: the open cursors, by id, and a
+// context that parents every query the session runs. Only the session's
+// own goroutine opens and frees cursors; mu orders that against OpenStmts.
 type session struct {
 	srv    *Server
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu    sync.Mutex
-	stmts map[uint64]*sessionStmt
-	// reserved counts statement slots claimed by prepares still parsing,
-	// so the admission check covers in-flight work and no post-parse
-	// over-limit path (which would have to unwind a live *engine.Stmt)
-	// exists at all.
-	reserved int
-	nextID   uint64
-}
-
-// sessionStmt is one prepared statement and its (optional) open cursor.
-type sessionStmt struct {
-	stmt *engine.Stmt
-	// autoClose frees the statement as soon as its stream ends — the
-	// server half of the fused OpExecuteDirect lifecycle.
-	autoClose bool
-	cur       *cursor
+	mu      sync.Mutex
+	cursors map[uint64]*cursor
+	nextID  uint64
 }
 
 // cursor is one execution, pulled on the session goroutine: the engine
@@ -334,7 +322,7 @@ func (c *cursor) pull() ([]types.Row, error) {
 // stream ended right after these rows: when the buffer drains, nextRows
 // pulls one batch ahead so the final rows travel in an EOS-marked frame —
 // the client never pays a round trip for an empty end-of-stream fetch,
-// which is what lets a fused one-shot finish in a single exchange.
+// which is what lets a one-frame statement finish in a single exchange.
 func (c *cursor) nextRows(max int) (rows []types.Row, eos bool, err error) {
 	if len(c.pending) == 0 && c.err == nil {
 		c.pending, c.err = c.pull()
@@ -368,36 +356,25 @@ func (c *cursor) close() {
 func (s *Server) newSession() *session {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	return &session{
-		srv:    s,
-		ctx:    ctx,
-		cancel: cancel,
-		stmts:  make(map[uint64]*sessionStmt),
+		srv:     s,
+		ctx:     ctx,
+		cancel:  cancel,
+		cursors: make(map[uint64]*cursor),
 	}
 }
 
-// shutdown cancels the session context and releases every statement —
-// cursor and prepared statement both, the same teardown OpClose does, so
-// a dropped connection cannot leak what an orderly close would free.
+// shutdown cancels the session context and frees every open cursor, the
+// same teardown OpClose does, so a dropped connection cannot leak what an
+// orderly close would free.
 func (sess *session) shutdown() {
 	sess.cancel()
 	sess.mu.Lock()
-	stmts := sess.stmts
-	sess.stmts = make(map[uint64]*sessionStmt)
+	cursors := sess.cursors
+	sess.cursors = make(map[uint64]*cursor)
 	sess.mu.Unlock()
-	for _, st := range stmts {
-		st.closeCursor()
-		st.stmt.Close()
+	for _, cur := range cursors {
+		cur.close()
 		sess.srv.met.stmtsClosed.Add(1)
-	}
-}
-
-// closeCursor tears down an in-flight execution, if any, before the
-// caller answers: after an OpReset or OpClose ack, or when a re-execute
-// starts, the old execution holds no spill file or pool reservation.
-func (st *sessionStmt) closeCursor() {
-	if st.cur != nil {
-		st.cur.close()
-		st.cur = nil
 	}
 }
 
@@ -442,16 +419,11 @@ func (s *Server) handle(conn net.Conn, sess *session) {
 		switch req.Op {
 		case wire.OpHello:
 			resp = &wire.Response{}
-		case wire.OpPrepare:
-			resp = s.prepare(sess, req)
-		case wire.OpExecute:
-			resp = s.executeStmt(sess, req)
 		case wire.OpFetch:
 			resp = s.fetch(sess, req)
 		case wire.OpClose:
-			resp = s.closeStmt(sess, req)
-		case wire.OpReset:
-			resp = s.resetStmt(sess, req)
+			s.free(sess, req.StmtID)
+			resp = &wire.Response{StmtID: req.StmtID}
 		case wire.OpExecuteDirect:
 			resp = s.executeDirect(sess, req)
 		}
@@ -462,191 +434,85 @@ func (s *Server) handle(conn net.Conn, sess *session) {
 	}
 }
 
-// reserveStmtSlot claims one statement slot before the parse, counting
-// slots already claimed by in-flight prepares. Rejecting up front means
-// an over-limit client never burns server CPU parsing, and there is no
-// post-parse rejection path that would have to unwind a live statement.
-func (s *Server) reserveStmtSlot(sess *session) *wire.Response {
-	max := int(s.maxStmts.Load())
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if len(sess.stmts)+sess.reserved >= max {
-		s.met.stmtsRejected.Add(1)
-		return &wire.Response{
-			Err: fmt.Sprintf("server: session statement limit (%d) reached; close statements first", max)}
-	}
-	sess.reserved++
-	return nil
-}
-
-// releaseSlot returns a reserved slot after a failed prepare.
-func (sess *session) releaseSlot() {
-	sess.mu.Lock()
-	sess.reserved--
-	sess.mu.Unlock()
-}
-
-// commitStmt converts a reserved slot into a registered statement.
-func (sess *session) commitStmt(st *sessionStmt) uint64 {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	sess.reserved--
-	sess.nextID++
-	sess.stmts[sess.nextID] = st
-	return sess.nextID
-}
-
-func (s *Server) prepare(sess *session, req *wire.Request) *wire.Response {
-	if resp := s.reserveStmtSlot(sess); resp != nil {
-		return resp
-	}
-	stmt, err := s.eng.Prepare(req.SQL)
-	if err != nil {
-		sess.releaseSlot()
-		return &wire.Response{Err: err.Error()}
-	}
-	s.met.stmtsPrepared.Add(1)
-	id := sess.commitStmt(&sessionStmt{stmt: stmt})
-	return &wire.Response{StmtID: id}
-}
-
-func (sess *session) get(id uint64) (*sessionStmt, *wire.Response) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	st, ok := sess.stmts[id]
-	if !ok {
-		return nil, &wire.Response{Err: fmt.Sprintf("server: unknown statement id %d", id)}
-	}
-	return st, nil
-}
-
-// executeStmt starts (or restarts) a cursor and returns the first batch.
-func (s *Server) executeStmt(sess *session, req *wire.Request) *wire.Response {
-	st, errResp := sess.get(req.StmtID)
-	if errResp != nil {
-		return errResp
-	}
-	st.closeCursor()
-	qctx, cancel := context.WithCancel(sess.ctx)
-	it, err := st.stmt.Query(qctx)
-	if err != nil {
-		cancel()
-		return &wire.Response{StmtID: req.StmtID, Err: err.Error()}
-	}
-	cols := it.Columns()
-	st.cur = &cursor{cancel: cancel, it: it, met: &s.met}
-	resp := s.nextFrame(sess, st, req)
-	resp.Columns = cols
-	return resp
-}
-
-// executeDirect is the fused one-shot: prepare, execute and stream the
-// first batch in a single round trip. If that batch ends the stream (or
-// fails), the statement is freed before the response leaves and StmtID
-// stays zero; otherwise the registered statement answers OpFetch and is
-// auto-closed when its stream ends.
+// executeDirect runs one statement and answers with its first batch, in
+// this order: claim a cursor slot (an over-limit client is refused before
+// the engine does any work), start the query under the session context,
+// register the cursor, pull the first frame. If that frame ends the stream
+// (or fails), the cursor is freed before the response leaves and StmtID is
+// zero; otherwise StmtID names the cursor OpFetch continues.
 func (s *Server) executeDirect(sess *session, req *wire.Request) *wire.Response {
 	s.met.directExecs.Add(1)
-	if resp := s.reserveStmtSlot(sess); resp != nil {
-		return resp
+	sess.mu.Lock()
+	open := len(sess.cursors)
+	sess.mu.Unlock()
+	if max := int(s.maxStmts.Load()); open >= max {
+		s.met.stmtsRejected.Add(1)
+		return &wire.Response{
+			Err: fmt.Sprintf("server: session statement limit (%d) reached; close open cursors first", max)}
 	}
-	stmt, err := s.eng.Prepare(req.SQL)
-	if err != nil {
-		sess.releaseSlot()
-		return &wire.Response{Err: err.Error()}
-	}
-	s.met.stmtsPrepared.Add(1)
-	st := &sessionStmt{stmt: stmt, autoClose: true}
-	id := sess.commitStmt(st)
 	qctx, cancel := context.WithCancel(sess.ctx)
-	it, err := stmt.Query(qctx)
+	it, err := s.eng.QuerySQL(qctx, req.SQL)
 	if err != nil {
 		cancel()
-		s.freeStmt(sess, id)
 		return &wire.Response{Err: err.Error()}
 	}
+	cur := &cursor{cancel: cancel, it: it, met: &s.met}
+	sess.mu.Lock()
+	sess.nextID++
+	id := sess.nextID
+	sess.cursors[id] = cur
+	sess.mu.Unlock()
+	s.met.stmtsPrepared.Add(1)
 	cols := it.Columns()
-	st.cur = &cursor{cancel: cancel, it: it, met: &s.met}
-	fused := *req
-	fused.StmtID = id
-	resp := s.nextFrame(sess, st, &fused)
+	resp := s.nextFrame(sess, id, cur, req.MaxRows)
 	resp.Columns = cols
 	if resp.EOS || resp.Err != "" {
-		resp.StmtID = 0 // nextFrame already freed the statement
+		resp.StmtID = 0 // nextFrame already freed the cursor
 	}
 	return resp
 }
 
-// fetch returns the next batch of the statement's open cursor.
+// fetch returns the next batch of an open cursor.
 func (s *Server) fetch(sess *session, req *wire.Request) *wire.Response {
-	st, errResp := sess.get(req.StmtID)
-	if errResp != nil {
-		return errResp
+	sess.mu.Lock()
+	cur := sess.cursors[req.StmtID]
+	sess.mu.Unlock()
+	if cur == nil {
+		return &wire.Response{Err: fmt.Sprintf("server: unknown cursor id %d", req.StmtID)}
 	}
-	if st.cur == nil {
-		return &wire.Response{StmtID: req.StmtID, Err: "server: no open cursor (Execute first)"}
-	}
-	return s.nextFrame(sess, st, req)
+	return s.nextFrame(sess, req.StmtID, cur, req.MaxRows)
 }
 
-// freeStmt removes a statement from the session and closes it.
-func (s *Server) freeStmt(sess *session, id uint64) {
+// free removes a cursor from the session and tears it down before the
+// caller answers: after an OpClose ack the execution holds no spill file
+// or pool reservation. Freeing an id that is not open is a no-op.
+func (s *Server) free(sess *session, id uint64) {
 	sess.mu.Lock()
-	st, ok := sess.stmts[id]
-	delete(sess.stmts, id)
+	cur, ok := sess.cursors[id]
+	delete(sess.cursors, id)
 	sess.mu.Unlock()
 	if ok {
-		st.closeCursor()
-		st.stmt.Close()
+		cur.close()
 		s.met.stmtsClosed.Add(1)
 	}
 }
 
-// closeStmt frees a statement and its cursor.
-func (s *Server) closeStmt(sess *session, req *wire.Request) *wire.Response {
-	s.freeStmt(sess, req.StmtID)
-	return &wire.Response{StmtID: req.StmtID}
-}
-
-// resetStmt abandons a statement's open cursor, keeping it prepared.
-func (s *Server) resetStmt(sess *session, req *wire.Request) *wire.Response {
-	st, errResp := sess.get(req.StmtID)
-	if errResp != nil {
-		return errResp
-	}
-	st.closeCursor()
-	return &wire.Response{StmtID: req.StmtID}
-}
-
-// nextFrame pulls up to MaxRows rows from the cursor, carrying leftover
-// iterator rows across frames, and marks EOS on the final frame (closing
-// the cursor so the statement can be re-executed, and — for fused
-// statements — freeing the statement itself).
-func (s *Server) nextFrame(sess *session, st *sessionStmt, req *wire.Request) *wire.Response {
-	resp := &wire.Response{StmtID: req.StmtID}
-	batch, eos, err := st.cur.nextRows(req.MaxRows)
+// nextFrame pulls up to max rows from the cursor, carrying leftover
+// iterator rows across frames, and marks EOS on the final frame. A stream
+// that ends or fails frees its cursor.
+func (s *Server) nextFrame(sess *session, id uint64, cur *cursor, max int) *wire.Response {
+	resp := &wire.Response{StmtID: id}
+	batch, eos, err := cur.nextRows(max)
 	switch {
 	case err == io.EOF:
 		resp.EOS = true
-		st.closeCursor()
-		if st.autoClose {
-			s.freeStmt(sess, req.StmtID)
-		}
 	case err != nil:
-		st.closeCursor()
 		resp.Err = err.Error()
-		if st.autoClose {
-			s.freeStmt(sess, req.StmtID)
-		}
 	default:
-		resp.Rows = batch
-		if eos {
-			resp.EOS = true
-			st.closeCursor()
-			if st.autoClose {
-				s.freeStmt(sess, req.StmtID)
-			}
-		}
+		resp.Rows, resp.EOS = batch, eos
+	}
+	if resp.EOS || resp.Err != "" {
+		s.free(sess, id)
 	}
 	return resp
 }

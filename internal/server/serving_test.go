@@ -75,11 +75,11 @@ func httpGet(t *testing.T, url string) string {
 	return string(body)
 }
 
-// TestExecRunsUnderSessionContext: the fused op — the path of every
-// one-shot statement, writes included — runs under the session context,
+// TestExecRunsUnderSessionContext: OpExecuteDirect — the path of every
+// statement, writes included — runs under the session context,
 // so dropping the connection or Server.Close cancels it. A cancelled
-// session refuses a query and a write outright, frees the statement slot
-// it claimed, and leaves the table as it was; a live one serves both.
+// session refuses a query and a write outright, holds no cursor for them,
+// and leaves the table as it was; a live one serves both.
 func TestExecRunsUnderSessionContext(t *testing.T) {
 	srv, _ := plainServer(t, 8)
 	direct := func(sess *session, sql string) *wire.Response {
@@ -105,18 +105,18 @@ func TestExecRunsUnderSessionContext(t *testing.T) {
 			t.Fatalf("%q on a cancelled session failed with %q, want a context cancellation", sql, resp.Err)
 		}
 	}
-	if len(dead.stmts) != 0 || dead.reserved != 0 {
-		t.Fatalf("refused statements left %d statements and %d reserved slots", len(dead.stmts), dead.reserved)
+	if len(dead.cursors) != 0 {
+		t.Fatalf("refused statements left %d open cursors", len(dead.cursors))
 	}
 	if resp := direct(live, `SELECT COUNT(*) FROM c`); resp.Err != "" || len(resp.Rows) != 1 || resp.Rows[0][0].I != 9 {
 		t.Fatalf("table after one live and one refused insert: %+v, want 9 rows", resp)
 	}
 }
 
-// TestPrepareLifecycleSymmetry pins the statement lifecycle invariant
-// behind the prepare-leak and shutdown-leak bugfixes: every statement the
-// server registers is closed exactly once, whether freed by OpClose, by a
-// failed parse releasing its slot, or by session teardown.
+// TestPrepareLifecycleSymmetry pins the cursor lifecycle invariant behind
+// the slot-leak and shutdown-leak bugfixes: every cursor the server opens
+// is freed exactly once, whether by OpClose, at the end of its stream or
+// by session teardown, and a statement that fails to start claims no slot.
 func TestPrepareLifecycleSymmetry(t *testing.T) {
 	srv, addr := plainServer(t, 8)
 	srv.SetMaxSessionStmts(3)
@@ -126,45 +126,53 @@ func TestPrepareLifecycleSymmetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	// Two rows a frame: every 8-row result leaves its cursor open.
+	client.SetBatchRows(2)
+	ctx := context.Background()
 
 	base := srv.MetricsSnapshot()
-	var stmts []engine.PreparedStmt
+	var open []engine.RowIterator
 	for i := 0; i < 3; i++ {
-		st, err := client.PrepareStream(`SELECT a FROM c`)
+		it, err := client.QueryDirect(ctx, `SELECT a FROM c`)
 		if err != nil {
-			t.Fatalf("prepare %d within the limit: %v", i, err)
+			t.Fatalf("cursor %d within the limit: %v", i, err)
 		}
-		stmts = append(stmts, st)
+		open = append(open, it)
 	}
-	if _, err := client.PrepareStream(`SELECT b FROM c`); err == nil ||
+	if _, err := client.QueryDirect(ctx, `SELECT b FROM c`); err == nil ||
 		!strings.Contains(err.Error(), "statement limit (3)") {
-		t.Fatalf("over-limit prepare: got %v, want statement-limit rejection", err)
+		t.Fatalf("over-limit statement: got %v, want statement-limit rejection", err)
 	}
 	if got := srv.MetricsSnapshot().StmtsRejected - base.StmtsRejected; got != 1 {
 		t.Fatalf("StmtsRejected delta = %d, want 1", got)
 	}
 
-	// A failed parse must release its reserved slot, or the session would
-	// wedge below its limit.
-	stmts[0].Close()
-	waitFor(t, "slot freed by close", func() bool { return srv.OpenStmts() == 2 })
-	if _, err := client.PrepareStream(`SELECT FROM nope (`); err == nil {
+	// A failed parse must not hold a slot, or the session would wedge
+	// below its limit.
+	open[0].Close()
+	if got := srv.OpenStmts(); got != 2 {
+		t.Fatalf("OpenStmts = %d after a close, want 2", got)
+	}
+	if _, err := client.QueryDirect(ctx, `SELECT FROM nope (`); err == nil {
 		t.Fatal("want parse error")
 	}
-	st, err := client.PrepareStream(`SELECT a FROM c`)
-	if err != nil {
-		t.Fatalf("prepare after failed parse (slot leaked?): %v", err)
+	if open[0], err = client.QueryDirect(ctx, `SELECT a FROM c`); err != nil {
+		t.Fatalf("cursor after failed parse (slot leaked?): %v", err)
 	}
-	stmts[0] = st
 
-	// Drop the connection with three statements (one mid-stream) still
-	// open: session shutdown must close them all.
-	if _, err := stmts[1].Query(context.Background()); err != nil {
+	// A stream drained to its end frees its cursor without an OpClose.
+	if _, err := engine.Drain(open[1]); err != nil {
 		t.Fatal(err)
 	}
+	if got := srv.OpenStmts(); got != 2 {
+		t.Fatalf("OpenStmts = %d after a drain, want 2", got)
+	}
+
+	// Drop the connection with two cursors still open: session shutdown
+	// must free them both.
 	client.Close()
-	waitFor(t, "session statements freed on disconnect", func() bool { return srv.OpenStmts() == 0 })
-	waitFor(t, "statement lifecycle symmetric", func() bool {
+	waitFor(t, "session cursors freed on disconnect", func() bool { return srv.OpenStmts() == 0 })
+	waitFor(t, "cursor lifecycle symmetric", func() bool {
 		m := srv.MetricsSnapshot()
 		return m.StmtsPrepared == m.StmtsClosed && m.StmtsPrepared-base.StmtsPrepared == 4
 	})
@@ -394,24 +402,27 @@ func TestHelloRefusesForeignPeers(t *testing.T) {
 	}
 }
 
-// TestFrameKindZeroRefused: kind 0 is reserved, not a request. A session
-// that sends it after a good hello gets one ErrProtocol frame and is
-// closed without the statement running, and the server goes on serving
-// other sessions.
+// TestFrameKindZeroRefused: kind 0 is reserved, not a request, and so are
+// the retired kinds of the server-side prepared statement (2 prepare, 3
+// execute, 6 reset). A session that sends one after a good hello gets one
+// ErrProtocol frame and is closed without the statement running, and the
+// server goes on serving other sessions.
 func TestFrameKindZeroRefused(t *testing.T) {
 	srv, addr := plainServer(t, 4)
-	_, wc := rawSession(t, addr)
-	if err := wc.SendRequest(&wire.Request{Ver: wire.ProtocolV2, SQL: `INSERT INTO c VALUES (4, 4)`}); err != nil {
-		t.Fatal(err)
+	for _, kind := range []wire.Op{0, 2, 3, 6} {
+		_, wc := rawSession(t, addr)
+		if err := wc.SendRequest(&wire.Request{Op: kind, Ver: wire.ProtocolV2, StmtID: 1, SQL: `INSERT INTO c VALUES (4, 4)`}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wc.ReadResponse()
+		if err != nil || !strings.Contains(resp.Err, wire.ErrProtocol.Error()) {
+			t.Fatalf("kind %d answered %+v, %v; want the protocol refusal", kind, resp, err)
+		}
+		if _, err := wc.ReadResponse(); err == nil {
+			t.Fatalf("kind %d: connection still open after the refusal", kind)
+		}
+		waitFor(t, "refused session gone", func() bool { return srv.NumSessions() == 0 })
 	}
-	resp, err := wc.ReadResponse()
-	if err != nil || !strings.Contains(resp.Err, wire.ErrProtocol.Error()) {
-		t.Fatalf("kind 0 answered %+v, %v; want the protocol refusal", resp, err)
-	}
-	if _, err := wc.ReadResponse(); err == nil {
-		t.Fatal("connection still open after the refusal")
-	}
-	waitFor(t, "refused session gone", func() bool { return srv.NumSessions() == 0 })
 
 	client, err := Dial(addr.String())
 	if err != nil {
@@ -420,93 +431,162 @@ func TestFrameKindZeroRefused(t *testing.T) {
 	defer client.Close()
 	res, err := client.ExecuteSQL(`SELECT COUNT(*) FROM c`)
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 4 {
-		t.Fatalf("another session after the refusal: %+v, %v; want 4 rows counted", res, err)
+		t.Fatalf("another session after the refusals: %+v, %v; want 4 rows counted", res, err)
 	}
 }
 
-// TestDirectExecRoundTrips pins the tentpole's latency claim: a one-shot
-// SELECT whose result fits one frame costs exactly 1 round trip fused and
-// 3 (prepare, execute+EOS, close) unfused.
+// TestDirectExecRoundTrips pins the latency of a one-shot SELECT whose
+// result fits one frame: exactly 1 round trip.
 func TestDirectExecRoundTrips(t *testing.T) {
 	f := newStreamFixture(t, 5)
-	const q = `SELECT id, v FROM t`
-	ctx := context.Background()
-
 	before := f.client.RoundTrips()
-	res, err := f.p.ExecContext(ctx, q)
+	res, err := f.p.ExecContext(context.Background(), `SELECT id, v FROM t`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused := f.client.RoundTrips() - before
 	if len(res.Rows) != 5 {
-		t.Fatalf("fused result: %d rows, want 5", len(res.Rows))
+		t.Fatalf("one-shot result: %d rows, want 5", len(res.Rows))
 	}
-	if fused != 1 {
-		t.Fatalf("fused one-shot cost %d round trips, want 1", fused)
+	if trips := f.client.RoundTrips() - before; trips != 1 {
+		t.Fatalf("one-frame one-shot cost %d round trips, want 1", trips)
 	}
-
-	before = f.client.RoundTrips()
-	res, err = f.unfused(t).ExecContext(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unfused := f.client.RoundTrips() - before
-	if len(res.Rows) != 5 {
-		t.Fatalf("unfused result: %d rows, want 5", len(res.Rows))
-	}
-	if unfused != 3 {
-		t.Fatalf("unfused one-shot cost %d round trips, want 3", unfused)
-	}
-
 	if got := f.srv.MetricsSnapshot().DirectExecs; got < 1 {
 		t.Fatalf("DirectExecs = %d, want >= 1", got)
 	}
 }
 
-// TestDirectExecMultiFrame checks the fused op's statement lifecycle when
-// the result spans frames: fusion saves exactly the prepare and close
-// exchanges, the statement survives for OpFetch, and it is auto-closed at
-// EOS without any OpClose from the client.
+// drainFrames drains a decrypting cursor and reports its rows and the
+// frames they came in (one NextBatch per frame).
+func drainFrames(t *testing.T, rows *proxy.Rows) (n, frames int) {
+	t.Helper()
+	defer rows.Close()
+	for {
+		batch, err := rows.NextBatch()
+		if err == io.EOF {
+			return n, frames
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(batch)
+		frames++
+	}
+}
+
+// TestDirectExecMultiFrame checks a statement whose result spans frames:
+// it costs the request plus one OpFetch per further frame, the server
+// frees its cursor at EOS without an OpClose from the client, and a cursor
+// abandoned mid-stream costs exactly one OpClose.
 func TestDirectExecMultiFrame(t *testing.T) {
 	f := newStreamFixture(t, 100)
 	const q = `SELECT id, v FROM t`
 	ctx := context.Background()
 
 	before := f.client.RoundTrips()
-	res, err := f.p.ExecContext(ctx, q)
+	rows, err := f.p.QueryContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused := f.client.RoundTrips() - before
-	if len(res.Rows) != 100 {
-		t.Fatalf("fused multi-frame result: %d rows, want 100", len(res.Rows))
+	n, frames := drainFrames(t, rows)
+	if n != 100 || frames < 2 {
+		t.Fatalf("multi-frame result: %d rows in %d frames, want 100 rows in several 7-row frames", n, frames)
 	}
-	if fused < 2 {
-		t.Fatalf("fused multi-frame cost %d round trips; 100 rows at 7 per frame cannot fit one", fused)
+	if trips := f.client.RoundTrips() - before; trips != int64(frames) {
+		t.Fatalf("%d frames cost %d round trips, want the request plus %d fetches", frames, trips, frames-1)
 	}
-	waitFor(t, "fused statement auto-closed at EOS", func() bool { return f.srv.OpenStmts() == 0 })
+	if got := f.srv.OpenStmts(); got != 0 {
+		t.Fatalf("OpenStmts = %d after EOS, want 0 (freed by the server)", got)
+	}
 
-	unfusedProxy := f.unfused(t)
 	before = f.client.RoundTrips()
-	if _, err := unfusedProxy.ExecContext(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	unfused := f.client.RoundTrips() - before
-	if unfused != fused+2 {
-		t.Fatalf("multi-frame: fused %d vs unfused %d round trips; fusion must save exactly prepare+close", fused, unfused)
-	}
-
-	// Abandoning a fused cursor mid-stream must free the server statement
-	// via an explicit close (EOS never arrives to auto-close it).
-	rows, err := f.p.QueryContext(ctx, q)
+	rows, err = f.p.QueryContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rows.Next(); err != nil {
 		t.Fatal(err)
 	}
+	if got := f.srv.OpenStmts(); got != 1 {
+		t.Fatalf("OpenStmts = %d mid-stream, want 1", got)
+	}
 	rows.Close()
-	waitFor(t, "abandoned fused statement freed", func() bool { return f.srv.OpenStmts() == 0 })
+	if trips := f.client.RoundTrips() - before; trips != 2 {
+		t.Fatalf("an abandoned stream cost %d round trips, want the request and one OpClose", trips)
+	}
+	if got := f.srv.OpenStmts(); got != 0 {
+		t.Fatalf("OpenStmts = %d after the OpClose ack, want 0", got)
+	}
+}
+
+// TestPreparedStmtRoundTrips: a statement is prepared at the proxy only,
+// so over a connection Prepare and Close send nothing and each execution
+// is the one request every one-shot is — a one-frame result costs 1 round
+// trip, a longer one 1 plus its fetches, and abandoning it one OpClose.
+func TestPreparedStmtRoundTrips(t *testing.T) {
+	f := newStreamFixture(t, 5)
+	ctx := context.Background()
+	trips := func(what string, want int64, do func()) {
+		t.Helper()
+		before := f.client.RoundTrips()
+		do()
+		if got := f.client.RoundTrips() - before; got != want {
+			t.Fatalf("%s cost %d round trips, want %d", what, got, want)
+		}
+	}
+
+	var stmt *proxy.Stmt
+	trips("Prepare", 0, func() {
+		var err error
+		if stmt, err = f.p.Prepare(`SELECT id, v FROM t`); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for run := 0; run < 2; run++ {
+		trips("a one-frame QueryContext", 1, func() {
+			rows, err := stmt.QueryContext(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, _ := drainFrames(t, rows); n != 5 {
+				t.Fatalf("run %d: %d rows, want 5", run, n)
+			}
+		})
+	}
+	trips("Stmt.Close", 0, func() { stmt.Close() })
+
+	for i := 5; i < 40; i++ {
+		if _, err := f.p.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", i, i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmt, err := f.p.Prepare(`SELECT id, v FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stmt.Close()
+	before := f.client.RoundTrips()
+	rows, err := stmt.QueryContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, frames := drainFrames(t, rows)
+	if got := f.client.RoundTrips() - before; n != 40 || frames < 2 || got != int64(frames) {
+		t.Fatalf("multi-frame: %d rows in %d frames cost %d round trips, want 40 rows at 1 + %d fetches",
+			n, frames, got, frames-1)
+	}
+	trips("an early Close", 2, func() {
+		rows, err := stmt.QueryContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rows.Next(); err != nil {
+			t.Fatal(err)
+		}
+		rows.Close()
+	})
+	if got := f.srv.OpenStmts(); got != 0 {
+		t.Fatalf("OpenStmts = %d after the early Close, want 0", got)
+	}
 }
 
 // TestBackpressureStalledClient pins the exact bound: the server computes
@@ -554,11 +634,10 @@ func TestBackpressureStalledClient(t *testing.T) {
 	stmt.Close()
 }
 
-// TestCursorTeardownBeforeAck: the answer to an OpReset or OpClose leaves
-// the server only after the abandoned execution is torn down, so by the
-// time the client holds the ack, the spilled sort's run files are gone
-// and its pool reservations are back — on the prepared path (reset, then
-// re-execute) and on the fused path (close), every time.
+// TestCursorTeardownBeforeAck: the answer to an OpClose leaves the server
+// only after the abandoned execution is torn down, so by the time the
+// client holds the ack, the spilled sort's run files are gone and its pool
+// reservations are back, every time.
 func TestCursorTeardownBeforeAck(t *testing.T) {
 	secret, err := secure.Setup(256, 40, 40)
 	if err != nil {
@@ -587,34 +666,20 @@ func TestCursorTeardownBeforeAck(t *testing.T) {
 
 	// 300 rows sorted against a 96-row pool: every execution spills.
 	const q = `SELECT a, b FROM c ORDER BY a`
-	ctx := context.Background()
-	stmt, err := client.PrepareStream(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stmt.Close()
-	for _, path := range []struct {
-		name string
-		open func() (engine.RowIterator, error)
-	}{
-		{"prepared (reset)", func() (engine.RowIterator, error) { return stmt.Query(ctx) }},
-		{"fused (close)", func() (engine.RowIterator, error) { return client.QueryDirect(ctx, q) }},
-	} {
-		for i := 0; i < 50; i++ {
-			it, err := path.open()
-			if err != nil {
-				t.Fatalf("%s iteration %d: %v", path.name, i, err)
-			}
-			if _, err := it.NextBatch(); err != nil {
-				t.Fatalf("%s iteration %d: %v", path.name, i, err)
-			}
-			it.Close()
-			if used := pool.Used(); used != 0 {
-				t.Fatalf("%s iteration %d: %d pool rows still reserved after the ack", path.name, i, used)
-			}
-			if left, err := os.ReadDir(spillDir); err != nil || len(left) != 0 {
-				t.Fatalf("%s iteration %d: spill directory holds %d entries after the ack (%v)", path.name, i, len(left), err)
-			}
+	for i := 0; i < 50; i++ {
+		it, err := client.QueryDirect(context.Background(), q)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		if _, err := it.NextBatch(); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		it.Close()
+		if used := pool.Used(); used != 0 {
+			t.Fatalf("iteration %d: %d pool rows still reserved after the ack", i, used)
+		}
+		if left, err := os.ReadDir(spillDir); err != nil || len(left) != 0 {
+			t.Fatalf("iteration %d: spill directory holds %d entries after the ack (%v)", i, len(left), err)
 		}
 	}
 	if pool.Refused() == 0 {
@@ -781,7 +846,7 @@ func checkServedUntorn(t *testing.T, pairs [][2]int64, label string, wantFirst i
 
 // TestSnapshotTornReadServing extends the engine-level torn-read family to
 // the wire paths: while an UPDATE is held mid-commit on the server, both a
-// prepared cursor and the fused direct op must serve the
+// cursor opened through a prepared handle and a direct one must serve the
 // entirely-old rows; a cursor opened before the publish keeps serving them
 // after it; and a fresh statement sees the entirely-new rows.
 func TestSnapshotTornReadServing(t *testing.T) {
@@ -814,14 +879,15 @@ func TestSnapshotTornReadServing(t *testing.T) {
 	}()
 	<-built
 
-	// v2 fused direct op while the write is in flight: all-old.
+	// A direct statement while the write is in flight: all-old.
 	it, err := client.QueryDirect(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkServedUntorn(t, drainPairs(t, it), "fused read before publish", 10)
+	checkServedUntorn(t, drainPairs(t, it), "direct read before publish", 10)
 
-	// Prepared cursor pinned before the publish, drained after it.
+	// A cursor opened through a prepared handle before the publish,
+	// drained after it.
 	stmt, err := client.PrepareStream(q)
 	if err != nil {
 		t.Fatal(err)
@@ -838,12 +904,12 @@ func TestSnapshotTornReadServing(t *testing.T) {
 	checkServedUntorn(t, drainPairs(t, cursor), "cursor pinned across publish", 10)
 	stmt.Close()
 
-	// A fresh fused statement sees the published version, whole.
+	// A fresh statement sees the published version, whole.
 	it, err = client.QueryDirect(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkServedUntorn(t, drainPairs(t, it), "fused read after publish", 11)
+	checkServedUntorn(t, drainPairs(t, it), "direct read after publish", 11)
 }
 
 // TestConcurrentMixedServing is the race-detected mixed-workload suite the

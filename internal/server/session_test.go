@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -68,23 +67,6 @@ func newStreamFixture(t *testing.T, rows int) *streamFixture {
 	return &streamFixture{srv: srv, client: client, p: p}
 }
 
-// unfused returns a second proxy holding f.p's keys over the same
-// connection with QueryDirect hidden, so its one-shot SELECTs take the
-// prepare/execute/close sequence.
-func (f *streamFixture) unfused(t *testing.T) *proxy.Proxy {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "do-state.json")
-	if err := f.p.SaveState(path); err != nil {
-		t.Fatal(err)
-	}
-	p, err := proxy.NewFromStateFile(path, struct{ proxy.StreamExecutor }{f.client},
-		proxy.Options{Parallelism: 2, ChunkSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 // waitFor polls until cond holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -120,9 +102,10 @@ func goroutineLedger(t *testing.T) {
 	})
 }
 
-// TestStreamedQueryOverTCP is the happy path: a multi-batch stream through
-// prepare/execute/fetch matches the fused one-shot's drained result, twice
-// (statement reuse), and closing the statement frees the session slot.
+// TestStreamedQueryOverTCP is the happy path: a prepared statement's
+// multi-batch stream matches the one-shot's drained result, twice
+// (statement reuse). The server holds a cursor only while a stream is
+// open: none after Prepare, one mid-stream, none at EOS.
 func TestStreamedQueryOverTCP(t *testing.T) {
 	f := newStreamFixture(t, 100)
 	const q = `SELECT id, v FROM t WHERE v > 2`
@@ -137,8 +120,8 @@ func TestStreamedQueryOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stmt.Close()
-	if f.srv.OpenStmts() != 1 {
-		t.Fatalf("OpenStmts = %d after prepare, want 1", f.srv.OpenStmts())
+	if f.srv.OpenStmts() != 0 {
+		t.Fatalf("OpenStmts = %d after prepare, want 0", f.srv.OpenStmts())
 	}
 	for run := 0; run < 2; run++ {
 		rows, err := stmt.QueryContext(context.Background())
@@ -157,29 +140,30 @@ func TestStreamedQueryOverTCP(t *testing.T) {
 			if row[1].I != want.Rows[n][1].I || row[0].I != want.Rows[n][0].I {
 				t.Fatalf("run %d row %d: %v, want %v", run, n, row, want.Rows[n])
 			}
-			n++
+			if n++; n == 1 && f.srv.OpenStmts() != 1 {
+				t.Fatalf("run %d: OpenStmts = %d mid-stream, want 1", run, f.srv.OpenStmts())
+			}
 		}
 		rows.Close()
 		if n != len(want.Rows) {
 			t.Fatalf("run %d: %d rows, want %d", run, n, len(want.Rows))
 		}
+		if f.srv.OpenStmts() != 0 {
+			t.Fatalf("run %d: OpenStmts = %d at EOS, want 0", run, f.srv.OpenStmts())
+		}
 	}
-	stmt.Close()
-	waitFor(t, "statement slot freed", func() bool { return f.srv.OpenStmts() == 0 })
 }
 
 // TestCtxCancelFreesSessionStmts is the cancellation contract: cancelling
 // the query context between batches surfaces the ctx error on the cursor
-// and frees the session's prepared statement server-side.
+// and frees the session's cursor server-side.
 func TestCtxCancelFreesSessionStmts(t *testing.T) {
 	f := newStreamFixture(t, 120)
 	stmt, err := f.p.Prepare(`SELECT id, v FROM t`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.srv.OpenStmts() != 1 {
-		t.Fatalf("OpenStmts = %d, want 1", f.srv.OpenStmts())
-	}
+	defer stmt.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	rows, err := stmt.QueryContext(ctx)
 	if err != nil {
@@ -187,6 +171,9 @@ func TestCtxCancelFreesSessionStmts(t *testing.T) {
 	}
 	if _, err := rows.Next(); err != nil {
 		t.Fatalf("first row: %v", err)
+	}
+	if f.srv.OpenStmts() != 1 {
+		t.Fatalf("OpenStmts = %d mid-stream, want 1", f.srv.OpenStmts())
 	}
 	cancel()
 	// Drain until the cancellation surfaces (buffered decrypted rows may
@@ -206,44 +193,44 @@ func TestCtxCancelFreesSessionStmts(t *testing.T) {
 		t.Fatalf("stream error = %v, want context.Canceled", streamErr)
 	}
 	rows.Close()
-	waitFor(t, "cancelled statement freed", func() bool { return f.srv.OpenStmts() == 0 })
+	waitFor(t, "cancelled cursor freed", func() bool { return f.srv.OpenStmts() == 0 })
 }
 
-// TestSessionStmtLimit bounds concurrent prepared statements per
-// connection.
+// TestSessionStmtLimit bounds concurrent open cursors per connection.
 func TestSessionStmtLimit(t *testing.T) {
-	secret, _ := secure.Setup(256, 40, 40)
-	srv := New(secret.N())
+	srv, addr := plainServer(t, 8)
 	srv.SetMaxSessionStmts(2)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	defer srv.Close()
 	client, err := Dial(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	// Two rows a frame: every 8-row result leaves its cursor open.
+	client.SetBatchRows(2)
 
-	var stmts []engine.PreparedStmt
+	ctx := context.Background()
+	var open []engine.RowIterator
 	for i := 0; i < 2; i++ {
-		st, err := client.PrepareStream("SELECT 1")
+		it, err := client.QueryDirect(ctx, `SELECT a FROM c`)
 		if err != nil {
-			t.Fatalf("prepare %d: %v", i, err)
+			t.Fatalf("cursor %d: %v", i, err)
 		}
-		stmts = append(stmts, st)
+		open = append(open, it)
 	}
-	if _, err := client.PrepareStream("SELECT 1"); err == nil || !strings.Contains(err.Error(), "statement limit") {
-		t.Fatalf("third prepare: got %v, want statement-limit error", err)
+	if _, err := client.QueryDirect(ctx, `SELECT a FROM c`); err == nil || !strings.Contains(err.Error(), "statement limit") {
+		t.Fatalf("third cursor: got %v, want statement-limit error", err)
 	}
-	// Closing one statement frees a slot.
-	if err := stmts[0].Close(); err != nil {
+	// The slot is claimed before the engine starts, so even a statement
+	// whose result would fit one frame is refused at the limit.
+	if _, err := client.ExecuteSQL(`SELECT COUNT(*) FROM c`); err == nil || !strings.Contains(err.Error(), "statement limit") {
+		t.Fatalf("one-frame statement at the limit: got %v, want statement-limit error", err)
+	}
+	// Closing one cursor frees a slot.
+	if err := open[0].Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.PrepareStream("SELECT 1"); err != nil {
-		t.Fatalf("prepare after close: %v", err)
+	if _, err := client.QueryDirect(ctx, `SELECT a FROM c`); err != nil {
+		t.Fatalf("cursor after close: %v", err)
 	}
 }
 
@@ -318,12 +305,17 @@ func TestAbandonedRowsInProcess(t *testing.T) {
 }
 
 // TestDisconnectFreesSession covers the server side of a vanishing client:
-// closing the client connection frees the session, its statements and its
-// goroutines.
+// closing the client connection frees the session, its open cursors and
+// its goroutines.
 func TestDisconnectFreesSession(t *testing.T) {
 	goroutineLedger(t)
 	f := newStreamFixture(t, 40)
-	if _, err := f.p.Prepare(`SELECT id FROM t`); err != nil {
+	rows, err := f.p.QueryContext(context.Background(), `SELECT id FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if _, err := rows.Next(); err != nil {
 		t.Fatal(err)
 	}
 	if f.srv.OpenStmts() != 1 || f.srv.NumSessions() != 1 {
@@ -337,7 +329,7 @@ func TestDisconnectFreesSession(t *testing.T) {
 
 // TestReexecuteAfterEarlyClose abandons a cursor mid-stream and re-runs
 // the same prepared statement: the server-side teardown of the old cursor
-// must be sequenced before the new execution (no stale reset/close frames
+// must be sequenced before the new execution (no stale close frame
 // killing the fresh cursor).
 func TestReexecuteAfterEarlyClose(t *testing.T) {
 	f := newStreamFixture(t, 120)
@@ -377,8 +369,9 @@ func TestReexecuteAfterEarlyClose(t *testing.T) {
 
 // TestReexecuteClosesPreviousCursor runs a prepared statement again while
 // its previous cursor is still open: the new execution must close the old
-// cursor (one cursor per statement on the wire), the fresh stream must be
-// complete, and the abandoned cursor must not serve stolen batches.
+// cursor (an abandoned cursor must not hold an SP cursor slot or spill
+// files), the fresh stream must be complete, and the abandoned cursor must
+// not serve stolen batches.
 func TestReexecuteClosesPreviousCursor(t *testing.T) {
 	f := newStreamFixture(t, 120)
 	stmt, err := f.p.Prepare(`SELECT id, v FROM t`)

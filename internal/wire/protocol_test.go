@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math/big"
@@ -19,10 +20,7 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 	c := NewConn(new(bytes.Buffer))
 	reqs := []*Request{
 		{Op: OpHello, Ver: ProtocolV2},
-		{Op: OpPrepare, Ver: ProtocolV2, SQL: "SELECT a FROM t"},
-		{Op: OpExecute, Ver: ProtocolV2, StmtID: 3, MaxRows: 128},
 		{Op: OpFetch, Ver: ProtocolV2, StmtID: 1 << 40, MaxRows: 128},
-		{Op: OpReset, Ver: ProtocolV2, StmtID: 3},
 		{Op: OpClose, Ver: ProtocolV2, StmtID: 3},
 		{Op: OpExecuteDirect, Ver: ProtocolV2, SQL: "SELECT 2", MaxRows: 7},
 		{Op: OpExecuteDirect, Ver: ProtocolV2, SQL: "INSERT INTO t VALUES (1)"},
@@ -40,6 +38,39 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 		if *got != *want {
 			t.Errorf("round trip: got %+v, want %+v", got, want)
 		}
+	}
+}
+
+// TestFrameGoldenBytes pins the bytes of every request kind and of a
+// response frame: retiring the server-side prepared statement's kinds
+// (2, 3, 6) left the four that remain exactly as they were.
+func TestFrameGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		req  *Request
+		want string
+	}{
+		{&Request{Op: OpHello, Ver: ProtocolV2}, "000000050153444257" + "02"},
+		{&Request{Op: OpFetch, Ver: ProtocolV2, StmtID: 300, MaxRows: 7}, "0000000504" + "02ac020700"},
+		{&Request{Op: OpClose, Ver: ProtocolV2, StmtID: 3}, "0000000405" + "02030000"},
+		{&Request{Op: OpExecuteDirect, Ver: ProtocolV2, MaxRows: 7, SQL: "SELECT 1"},
+			"0000000c07" + "020007" + "08" + "53454c4543542031"},
+	} {
+		var lb bytes.Buffer
+		if err := NewConn(&lb).SendRequest(tc.req); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(lb.Bytes()); got != tc.want {
+			t.Errorf("%v frame is %s, want %s", tc.req.Op, got, tc.want)
+		}
+	}
+	var lb bytes.Buffer
+	resp := &Response{Ver: ProtocolV2, StmtID: 9, EOS: true, Columns: []Column{{Name: "a", Kind: types.KindInt}},
+		Rows: []types.Row{{types.NewInt(5)}}}
+	if err := NewConn(&lb).SendResponse(resp); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hex.EncodeToString(lb.Bytes()), "0000000c80"+"0201"+"09"+"00"+"01016101"+"010101"+"0a"; got != want {
+		t.Errorf("response frame is %s, want %s", got, want)
 	}
 }
 
@@ -87,8 +118,8 @@ func TestFrameRowBatchRoundTrip(t *testing.T) {
 // TestOpStrings pins the op code labels used in error messages.
 func TestOpStrings(t *testing.T) {
 	for op, want := range map[Op]string{
-		Op(0): "Op(0)", OpHello: "Hello", OpPrepare: "Prepare",
-		OpExecute: "Execute", OpFetch: "Fetch", OpClose: "Close", OpReset: "Reset",
+		Op(0): "Op(0)", OpHello: "Hello", Op(2): "Op(2)", Op(3): "Op(3)",
+		OpFetch: "Fetch", OpClose: "Close", Op(6): "Op(6)",
 		OpExecuteDirect: "ExecuteDirect",
 		Op(99):          "Op(99)",
 	} {
@@ -127,7 +158,7 @@ func TestFrameCapExact(t *testing.T) {
 	frame := func(payload int) []byte {
 		lb.Reset()
 		// ver + stmt id + max rows are one byte each, the SQL length three.
-		if err := sender.SendRequest(&Request{Op: OpPrepare, SQL: strings.Repeat("x", payload-6)}); err != nil {
+		if err := sender.SendRequest(&Request{Op: OpExecuteDirect, SQL: strings.Repeat("x", payload-6)}); err != nil {
 			t.Fatal(err)
 		}
 		raw := bytes.Clone(lb.Bytes())
@@ -161,7 +192,7 @@ func TestFrameCapResetsPerFrame(t *testing.T) {
 	sender := NewConn(&lb)
 	payload := strings.Repeat("y", 24<<10)
 	for i := 0; i < 20; i++ { // 20 × 24 KiB ≫ the 64 KiB per-frame cap
-		if err := sender.SendRequest(&Request{Op: OpPrepare, Ver: ProtocolV2, SQL: payload}); err != nil {
+		if err := sender.SendRequest(&Request{Op: OpExecuteDirect, Ver: ProtocolV2, SQL: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,14 +247,14 @@ func TestHelloRefusals(t *testing.T) {
 	if err := gob.NewEncoder(&gobStream).Encode(&Request{Op: OpHello, Ver: 1}); err != nil {
 		t.Fatal(err)
 	}
-	var prepare bytes.Buffer
-	NewConn(&prepare).SendRequest(&Request{Op: OpPrepare, Ver: ProtocolV2, SQL: "SELECT 1"})
+	var direct bytes.Buffer
+	NewConn(&direct).SendRequest(&Request{Op: OpExecuteDirect, Ver: ProtocolV2, SQL: "SELECT 1"})
 	for name, raw := range map[string][]byte{
 		"gob peer":      gobStream.Bytes(),
 		"wrong magic":   append([]byte{0, 0, 0, 5, byte(OpHello)}, "SDBX\x02"...),
 		"wrong version": append([]byte{0, 0, 0, 5, byte(OpHello)}, "SDBW\x01"...),
 		"long hello":    append([]byte{0, 0, 0, 6, byte(OpHello)}, "SDBW\x02\x00"...),
-		"not a hello":   prepare.Bytes(),
+		"not a hello":   direct.Bytes(),
 	} {
 		c := NewConn(bytes.NewBuffer(raw))
 		if _, err := c.ReadHello(); !errors.Is(err, ErrProtocol) {
@@ -253,9 +284,12 @@ func TestFrameMalformedPayloads(t *testing.T) {
 	for name, c := range map[string]*Conn{
 		"unknown request kind": frame(0x7f, 2, 0, 0, 0),
 		"reserved kind 0":      frame(0, 2, 0, 0, 0),
-		"request cut short":    frame(byte(OpPrepare), 2, 0),
-		"sql longer than left": frame(byte(OpPrepare), 2, 0, 0, 200, 'x'),
-		"trailing bytes":       frame(byte(OpPrepare), 2, 0, 0, 1, 'x', 'y'),
+		"retired prepare (2)":  frame(2, 2, 0, 0, 1, 'x'),
+		"retired execute (3)":  frame(3, 2, 3, 0, 0),
+		"retired reset (6)":    frame(6, 2, 3, 0, 0),
+		"request cut short":    frame(byte(OpExecuteDirect), 2, 0),
+		"sql longer than left": frame(byte(OpExecuteDirect), 2, 0, 0, 200, 'x'),
+		"trailing bytes":       frame(byte(OpExecuteDirect), 2, 0, 0, 1, 'x', 'y'),
 	} {
 		if _, err := c.ReadRequest(); !errors.Is(err, ErrProtocol) {
 			t.Errorf("%s: ReadRequest = %v, want ErrProtocol", name, err)

@@ -10,14 +10,15 @@
 // files, WAL records and snapshots hold. There is one framing and one
 // version: a connection opens with OpHello carrying Magic and ProtocolV2,
 // and a peer that opens with anything else is answered with one error
-// frame and dropped. After the hello, OpPrepare registers a statement,
-// OpExecute starts a cursor and returns the first row batch (a Response
-// with Rows plus the EOS end-of-stream marker), OpFetch pulls subsequent
-// batches, OpReset abandons a cursor, OpClose frees the statement;
-// OpExecuteDirect fuses prepare + execute + first batch into one round
-// trip with the server freeing the statement when the stream ends — the
-// path of every one-shot statement, writes included. Kind 0 is reserved
-// and refused.
+// frame and dropped. After the hello a statement is one request:
+// OpExecuteDirect carries the SQL and is answered with the first row
+// batch (a Response with Rows, plus the EOS end-of-stream marker when the
+// stream ends there). A result that does not fit one frame leaves an open
+// server cursor whose id OpFetch pulls further batches from and OpClose
+// abandons; the server frees the cursor by itself at EOS or on error.
+// Statements are prepared only at the proxy. Kinds 0, 2, 3 and 6 are
+// reserved (2, 3 and 6 were a server-side prepared statement's prepare,
+// execute and reset) and refused.
 //
 // In the stack (docs/architecture.md) this layer sits between the
 // proxy's rewrite and the server's sessions: everything that crosses it
@@ -51,34 +52,24 @@ const Magic = "SDBW"
 type Op uint8
 
 const (
-	// Kind 0 is reserved: ReadRequest refuses it with ErrProtocol, so a
-	// zero-valued Request never reaches the server's dispatch.
-	_ Op = iota
 	// OpHello opens a connection; the response echoes the version.
-	OpHello
-	// OpPrepare parses SQL into a session statement; the response carries
-	// the statement id.
-	OpPrepare
-	// OpExecute starts (or restarts) a cursor on a prepared statement and
-	// returns the first row batch.
-	OpExecute
-	// OpFetch returns the next row batch of the statement's open cursor.
-	OpFetch
-	// OpClose frees a prepared statement and its cursor.
-	OpClose
-	// OpReset closes a statement's open cursor (abandoning the stream)
-	// while keeping the statement prepared for re-execution.
-	OpReset
-	// OpExecuteDirect fuses prepare + execute + first batch into one
-	// frame. If the first batch carries EOS (or an error) the statement is
-	// already gone server-side and the response's StmtID is zero; otherwise
-	// the statement id addresses OpFetch, and the server auto-closes the
-	// statement when the stream reaches EOS or fails.
-	OpExecuteDirect
+	OpHello Op = 1
+	// OpFetch returns the next row batch of an open cursor.
+	OpFetch Op = 4
+	// OpClose abandons an open cursor; the answer leaves once its
+	// execution is torn down.
+	OpClose Op = 5
+	// OpExecuteDirect runs one statement and returns its first row batch.
+	// If that batch carries EOS (or an error) the server holds nothing for
+	// it and the response's StmtID is zero; otherwise StmtID names the open
+	// cursor, which the server frees when its stream reaches EOS or fails.
+	OpExecuteDirect Op = 7
 )
 
-var opNames = [...]string{OpHello: "Hello", OpPrepare: "Prepare", OpExecute: "Execute",
-	OpFetch: "Fetch", OpClose: "Close", OpReset: "Reset", OpExecuteDirect: "ExecuteDirect"}
+// opNames labels the request kinds; a kind without a name is reserved and
+// ReadRequest refuses it with ErrProtocol, so a zero-valued Request never
+// reaches the server's dispatch.
+var opNames = [...]string{OpHello: "Hello", OpFetch: "Fetch", OpClose: "Close", OpExecuteDirect: "ExecuteDirect"}
 
 func (o Op) String() string {
 	if int(o) < len(opNames) && opNames[o] != "" {
@@ -93,15 +84,15 @@ type Request struct {
 	Op  Op
 	// Ver is the protocol version the client speaks.
 	Ver uint8
-	// StmtID addresses a prepared statement (OpExecute/OpFetch/OpClose).
+	// StmtID addresses an open server cursor (OpFetch/OpClose).
 	StmtID uint64
 	// MaxRows caps the rows per returned batch; 0 means server default.
 	MaxRows int
 }
 
-// Response is one server frame: the version (OpHello), a statement id
-// (OpPrepare), or one row batch of an open cursor
-// (OpExecute/OpFetch/OpExecuteDirect) whose last frame carries EOS. Rows
+// Response is one server frame: the version (OpHello), an acknowledgement
+// (OpClose), or one row batch of a statement's stream
+// (OpExecuteDirect/OpFetch) whose last frame carries EOS. Rows
 // read off a connection share per-batch backing storage
 // (types.Decoder.Rows); they belong to the caller.
 type Response struct {
@@ -110,7 +101,8 @@ type Response struct {
 	Rows    []types.Row
 	// Ver is the server's protocol version.
 	Ver uint8
-	// StmtID echoes the addressed statement (OpPrepare assigns it).
+	// StmtID names the open cursor a stream continues from (zero once the
+	// server has freed it).
 	StmtID uint64
 	// EOS marks the final batch of a cursor's stream.
 	EOS bool

@@ -35,16 +35,18 @@
 # constant-hiding test,
 # a race-detected frame / codec / hello pass (the one value codec on its
 # three paths — run file, WAL record, wire frame — plus the exact frame
-# cap, lying length prefixes, foreign peers, the reserved request kind 0
-# and an SP's empty frame before end of stream), the
+# cap, lying length prefixes, foreign peers, the reserved request kinds
+# 0, 2, 3 and 6 and an SP's empty frame before end of stream), the
 # bench/ module's own vet and smoke test, a race-detected
 # concurrent-serving pass (multi-driver storm against an
-# admission-limited, pool-budgeted server; the exact backpressure bound
-# and cursor teardown before the ack), a live-server smoke that
-# curls /healthz and asserts nonzero /metrics counters, and a short fuzz
+# admission-limited, pool-budgeted server; the exact backpressure bound,
+# cursor teardown before the ack and the round trips of one statement), a
+# live-server smoke that curls /healthz, asserts nonzero /metrics counters
+# and the exact request counts of one shell session, and a short fuzz
 # smoke over every fuzz target (parser, proxy
 # pipeline incl. the COUNT() crasher seed, the value codec,
-# wire frame decoding, WAL records, Montgomery multiply/exponentiate and the item-key tables vs
+# wire frame decoding, mutated response frames through a live decrypting
+# cursor, WAL records, Montgomery multiply/exponentiate and the item-key tables vs
 # math/big, half-width vs full-width decrypt, composite hash-key injectivity,
 # share row programs vs the scalar secure operators).
 #
@@ -294,8 +296,9 @@ echo "== frames, codec and hello under the race detector"
 # than itself, the frame cap exact at cap / cap + 1 (wire and a live
 # server), a 4 GiB length prefix costing no more than the bytes that
 # follow it, gob-speaking / wrong-magic / hello-less peers and the
-# reserved request kind 0 refused with one error frame (the server going
-# on serving other sessions), and a scripted SP whose empty frame before
+# reserved request kinds 0, 2, 3 and 6 refused with one error frame (the
+# server going on serving other sessions), the bytes of every remaining
+# request kind pinned, and a scripted SP whose empty frame before
 # end of stream the client refuses instead of ending the result short.
 go test -race -count=1 -run 'Frame|Codec|Hello' \
   ./internal/wire ./internal/server ./internal/spill ./internal/types ./internal/wal
@@ -304,7 +307,8 @@ echo "== bench module (vet + smoke test)"
 # bench/ is a Go module of its own (sdb/bench, replace sdb => ..), so the
 # root `go vet ./...` / `go test ./...` neither build nor run it — a change
 # that deletes or renames an exported symbol it compiles against would
-# pass everything above (it compiles against proxy.StreamExecutor, the
+# pass everything above (it compiles against proxy.StreamExecutor and
+# proxy.DirectQueryer, the
 # wire.FromColumns / FromRows / ToRows shims, secure.ApplyTokenBatch and
 # Secret.NewRowID, among others). Its smoke test runs every workload at
 # --scale tiny against its oracle.
@@ -321,18 +325,24 @@ go test -race -count=1 -run 'Concurrent|BudgetPool|StmtClose' \
   ./internal/server ./internal/engine ./internal/spill
 # The cursor lifecycle on both sides of the wire, race detector on: the
 # exact backpressure bound (a stalled client costs the served batch plus
-# the EOS peek), teardown finished before the reset / close ack, re-execute
-# after an early close, cancellation between batches, and a connection
-# dropped mid-stream that no goroutine outlives.
-go test -race -count=1 -run 'Backpressure|TeardownBeforeAck|Reexecute|CtxCancel|DroppedConn' \
+# the EOS peek), teardown finished before the close ack, re-execute after
+# an early close, cancellation between batches, a connection dropped
+# mid-stream that no goroutine outlives, the cursor ledger and the
+# per-session cursor bound, the round trips of one statement (Prepare and
+# Stmt.Close send nothing, a one-frame execution is one request) and a
+# prepared SELECT re-derived after DROP + CREATE of its table.
+go test -race -count=1 \
+  -run 'Backpressure|TeardownBeforeAck|Reexecute|CtxCancel|DroppedConn|LifecycleSymmetry|SessionStmtLimit|RoundTrips|MultiFrame|AcrossRecreate' \
   ./internal/server ./internal/proxy
 
 echo "== serving smoke (live sdb-server: /healthz + /metrics)"
 # Build the real binaries, boot a server with the metrics endpoint, push
 # one session of traffic through the shell client, and assert the health
-# and metrics endpoints report it: /healthz says ok, and the session /
-# byte counters and the helper-power memo gauges are nonzero (a broken
-# countingConn or metrics mux would serve zeros). Uses fixed loopback ports; override with SDB_SMOKE_PORT
+# and metrics endpoints report it: /healthz says ok, the session / byte
+# counters and the helper-power memo gauges are nonzero (a broken
+# countingConn or metrics mux would serve zeros), and the five statements
+# arrived as exactly five requests after the hello — every statement,
+# prepared or not, is one OpExecuteDirect whose result here fits a frame. Uses fixed loopback ports; override with SDB_SMOKE_PORT
 # if they clash on a shared runner.
 SMOKE_PORT="${SDB_SMOKE_PORT:-7391}"
 SMOKE_METRICS_PORT=$((SMOKE_PORT + 1))
@@ -365,6 +375,13 @@ for counter in sdb_sessions_total sdb_frames_in_total sdb_bytes_in_total sdb_byt
     exit 1
   fi
 done
+for want in 'sdb_direct_execs_total 5' 'sdb_frames_in_total 6'; do
+  if ! echo "$METRICS" | grep -qx "$want"; then
+    echo "metrics smoke: want '$want':"
+    echo "$METRICS"
+    exit 1
+  fi
+done
 kill "$SMOKE_PID" 2>/dev/null || true
 wait "$SMOKE_PID" 2>/dev/null || true
 trap 'rm -rf "$SMOKE_DIR"' EXIT
@@ -377,6 +394,7 @@ if [[ -z "${SHORT_FLAG}" ]]; then
   go test -run xxx -fuzz FuzzExecSelect -fuzztime 10s ./internal/proxy
   go test -run xxx -fuzz FuzzValueRoundTrip -fuzztime 10s ./internal/types
   go test -run xxx -fuzz FuzzFrameDecode -fuzztime 10s ./internal/wire
+  go test -run xxx -fuzz FuzzDecryptingCursor -fuzztime 10s ./internal/server
   go test -run xxx -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
   go test -run xxx -fuzz FuzzMontMulVsBigInt -fuzztime 10s ./internal/bigmod
   go test -run xxx -fuzz FuzzMontExpVsBigInt -fuzztime 10s ./internal/bigmod
