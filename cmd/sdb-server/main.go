@@ -52,7 +52,7 @@ func frameCap(n int) int {
 func main() {
 	listen := flag.String("listen", ":7070", "address to listen on")
 	public := flag.String("public", "", "public parameters file written by 'sdb keygen'")
-	par := flag.Int("parallel", 0, "secure-operator worker goroutines (0 = GOMAXPROCS, 1 = serial)")
+	par := flag.Int("parallel", 0, "worker goroutines for secure arithmetic and spilled tasks (0 = GOMAXPROCS, 1 = serial)")
 	chunk := flag.Int("chunk", 0, "rows per evaluation chunk (0 = default 1024)")
 	memBudget := flag.Int("mem-budget", 0, "per-query resident-row budget; blocking operators spill to disk past it (<= 0 = unlimited)")
 	spillDir := flag.String("spill-dir", os.Getenv("SDB_SPILL_DIR"), "directory for spill temp files (default SDB_SPILL_DIR; empty = the system temp dir)")

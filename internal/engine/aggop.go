@@ -27,13 +27,14 @@ type aggGroup struct {
 // groups emit in first-encounter order. Retained memory is O(#groups), not
 // O(#input rows).
 //
-// Parallel shape: each input batch is split into one contiguous range per
-// pool worker; a partition folds its range into its own state table (key
-// evaluation, aggregate-argument evaluation — the secure-UDF hot path —
-// and the state transitions, including the sdb_min/sdb_max masked-
-// comparison tournament, all run inside the partition). The per-partition
-// tables merge pairwise at the end; every transition and merge is
-// deterministic, so the result is bit-identical to the serial fold.
+// Parallel shape: one partition per worker of the operator's pool, which is
+// serial — one table — unless keys, arguments or sdb_min/sdb_max do secure
+// arithmetic. Each input batch is split into one contiguous range per
+// partition, folded into the partition's own state table (key evaluation,
+// aggregate-argument evaluation and the state transitions, including the
+// masked-comparison tournament). The per-partition tables merge pairwise
+// at the end; every transition and merge is deterministic, so the result
+// is bit-identical to the serial fold.
 // When the group tables would cross the query's memory budget, the
 // accumulated state spills: every group's serialized transition states
 // append to one of spillPartitions key-hash partition files and the
@@ -46,7 +47,7 @@ type aggGroup struct {
 // output order of the in-memory path, regardless of worker completion
 // order.
 type hashAggOp struct {
-	e      *Engine
+	pool   *parallel.Pool
 	child  operator
 	schema []relCol
 	// set holds the group keys (items [0, nkeys)) and every aggregate's
@@ -119,10 +120,7 @@ func (op *hashAggOp) drain() error {
 		return nil
 	}
 	op.drained = true
-	nparts := op.e.pool.Workers()
-	if nparts < 1 {
-		nparts = 1
-	}
+	nparts := op.pool.Workers()
 	// partials[p] is owned exclusively by partition p across all batches,
 	// as is retained[p] — its running count of DISTINCT dedup entries —
 	// so state weight is tracked in O(1) per row, never by rescanning.
@@ -674,7 +672,8 @@ func (op *hashAggOp) resident() int {
 // whose expressions reference those columns instead of aggregate calls.
 func (e *Engine) planAggregate(child planNode, s *sqlparser.Select, aggs []*sqlparser.FuncCall, qs *querySpill) (operator, *sqlparser.Select, error) {
 	rel := &relation{cols: child.op.columns()}
-	set, specs, err := e.compileAggs(s.GroupBy, aggs, rel)
+	ctx := e.evalCtx()
+	set, specs, err := e.compileAggs(s.GroupBy, aggs, rel, ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -694,7 +693,7 @@ func (e *Engine) planAggregate(child planNode, s *sqlparser.Select, aggs []*sqlp
 	}
 
 	op := &hashAggOp{
-		e: e, child: child.op, schema: schema,
+		pool: e.rowPool(ctx.secure), child: child.op, schema: schema,
 		set: set, nkeys: len(s.GroupBy), specs: specs,
 		groupBy: len(s.GroupBy) > 0,
 		batch:   e.batchRows(),

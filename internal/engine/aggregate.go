@@ -64,9 +64,9 @@ type aggSpec struct {
 }
 
 // compileAggs builds the expression set of a hash aggregation — the group
-// keys, then each aggregate's arguments — and the aggregate specs over it.
-func (e *Engine) compileAggs(keys []sqlparser.Expr, aggs []*sqlparser.FuncCall, rel *relation) (*exprSet, []aggSpec, error) {
-	ctx := e.evalCtx()
+// keys, then each aggregate's arguments — and the aggregate specs over it,
+// compiling through ctx.
+func (e *Engine) compileAggs(keys []sqlparser.Expr, aggs []*sqlparser.FuncCall, rel *relation, ctx *evalCtx) (*exprSet, []aggSpec, error) {
 	sb := newSetBuilder(rel, ctx, e.n)
 	for _, k := range keys {
 		if _, err := sb.add(k); err != nil {

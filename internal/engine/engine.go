@@ -11,12 +11,12 @@
 //
 // Execution shape (docs/architecture.md, docs/operators.md): every
 // SELECT plans a Volcano-style streaming operator tree whose blocking
-// operators retain bounded state; per-row work runs chunked on the
-// internal/parallel pool; and past the per-query memory budget the
-// blocking operators spill to internal/spill sessions — independent
-// spilled partitions executing in parallel on the same pool, with
-// double-buffered run-file reads — while preserving the exact in-memory
-// output order.
+// operators retain bounded state; per-row secure arithmetic runs chunked
+// on the internal/parallel pool, other work on the calling goroutine; and
+// past the per-query memory budget the blocking operators spill to
+// internal/spill sessions — independent spilled partitions executing in
+// parallel on the same pool — while preserving the exact in-memory output
+// order.
 package engine
 
 import (
@@ -49,8 +49,7 @@ type Engine struct {
 	// n is the public modulus share SUMs accumulate modulo (the UDFs carry
 	// theirs in-query); nil for a plaintext-only deployment.
 	n *big.Int
-	// pool dispatches chunked row evaluation (filters, projections, UDF
-	// columns, secure aggregates) to bounded workers.
+	// pool is the worker pool, for secure arithmetic (rowPool) and spills.
 	pool *parallel.Pool
 	// budgetRows caps each query's resident rows (0 = unlimited); when a
 	// blocking operator would cross it, the operator spills to spillDir.
@@ -100,7 +99,8 @@ type Engine struct {
 // Options tune the engine's chunked parallel execution and its per-query
 // memory budget.
 type Options struct {
-	// Parallelism bounds the worker goroutines for row-chunk evaluation.
+	// Parallelism bounds the worker goroutines, which serve secure
+	// arithmetic (row programs, masked reveals) and spilled tasks.
 	// <= 0 means runtime.GOMAXPROCS(0); 1 forces serial execution.
 	Parallelism int
 	// ChunkSize is the number of rows per dispatched chunk. <= 0 means
@@ -352,11 +352,11 @@ func (e *Engine) execUpdate(s *sqlparser.Update) (*Result, error) {
 		}
 	}
 
-	// Chunked parallel update: rows are independent (each SET expression
-	// reads the scanned snapshot and writes its own row's slots), which is
-	// what makes server-side key rotation scale with cores.
+	// Chunked update: rows are independent (each SET expression reads the
+	// scanned snapshot and writes its own row's slots), so server-side key
+	// rotation runs on the worker pool and scales with cores.
 	var updated atomic.Int64
-	err = e.pool.ForEachChunk(len(rel.rows), func(_, lo, hi int) error {
+	err = e.rowPool(ctx.secure).ForEachChunk(len(rel.rows), func(_, lo, hi int) error {
 		var pass []int
 		if hasBatch {
 			pass = make([]int, 0, hi-lo)
@@ -744,6 +744,18 @@ func pow10(n int) int64 {
 
 func (e *Engine) evalCtx() *evalCtx {
 	return &evalCtx{n: e.n}
+}
+
+// serialPool runs every chunk on the calling goroutine.
+var serialPool = parallel.New(1, 0)
+
+// rowPool is the pool an operator's rows run on, chosen at plan time: the
+// worker pool when its expressions do secure arithmetic (evalCtx.secure).
+func (e *Engine) rowPool(secure bool) *parallel.Pool {
+	if secure {
+		return e.pool
+	}
+	return serialPool
 }
 
 // mod is the Montgomery context of the engine's modulus (nil without one).

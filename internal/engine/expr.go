@@ -10,9 +10,12 @@ import (
 	"sdb/internal/types"
 )
 
-// evalCtx carries the public modulus into expression compilation.
+// evalCtx carries the public modulus into expression compilation. secure
+// records that it compiled a row program or a masked reveal: each
+// operator's expressions compile through their own, which picks its pool.
 type evalCtx struct {
-	n *big.Int
+	n      *big.Int
+	secure bool
 }
 
 // compiledExpr evaluates against a bound row.

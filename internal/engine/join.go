@@ -40,12 +40,15 @@ func concatRows(a, b types.Row) types.Row {
 }
 
 // hashJoinOp is an equi-join: the build side (right) is drained and hashed
-// at open — the only materialized state — and the probe side (left) streams
-// through in batches. Both phases are partitioned-parallel on the engine
-// pool: the build partitions rows by key hash into per-worker maps (no
-// shared-map locking), and each probe batch is looked up in parallel
-// chunks. Output order is probe order × build insertion order, matching the
-// serial nested loop on the same inputs.
+// at open into one index — the only materialized state — and the probe
+// side (left) streams through in batches. Join keys are computed on the
+// keys' pool (the worker pool when they are encrypted: key-update
+// programs), the index is built on the calling goroutine in build order,
+// and each probe batch is looked up in chunks on the pool of keys and
+// residual (the worker pool when either does secure arithmetic, e.g. a
+// residual running sdb_sign on every match). Output order is probe order ×
+// build insertion order, matching the serial nested loop on the same
+// inputs.
 //
 // When the build side would cross the query's memory budget the join goes
 // Grace: both inputs are hash-partitioned to spill files, and the
@@ -58,7 +61,8 @@ func concatRows(a, b types.Row) types.Row {
 // finished first, so spilled, parallel-spilled and resident execution are
 // indistinguishable to callers — the differential suites assert it.
 type hashJoinOp struct {
-	e           *Engine
+	keyPool     *parallel.Pool // computes join keys
+	pool        *parallel.Pool // runs the probe: keys, then residual
 	left, right operator
 	schema      []relCol
 	leftKeys    []compiledExpr
@@ -68,14 +72,14 @@ type hashJoinOp struct {
 	// probe/build internally, but the declared schema (and every emitted
 	// row) lays out the build columns first — see joinRow.
 	flip bool
-	// buildHint pre-sizes the build-side hash partitions (planner
-	// estimate; 0 = unknown).
+	// buildHint pre-sizes the build-side index (planner estimate; 0 =
+	// unknown).
 	buildHint int
 	batch     int
 	qs        *querySpill
 
 	ctx       context.Context
-	parts     []map[string][]types.Row
+	index     map[string][]types.Row
 	buildRows int
 	out       joinOutput
 
@@ -115,10 +119,10 @@ func (op *hashJoinOp) open(ctx context.Context) error {
 	return op.build()
 }
 
-// keyedRow is a computed join key: its hash (which picks the in-memory
-// index partition and the Grace spill partition alike) and, while the build
-// side is still resident, the composite key the index will own. ok is false
-// for a NULL key component, which never matches.
+// keyedRow is a computed join key: its hash (which picks the Grace spill
+// partition) and, while the build side is still resident, the composite key
+// the index will own. ok is false for a NULL key component, which never
+// matches.
 type keyedRow struct {
 	key  string
 	hash uint32
@@ -139,13 +143,9 @@ func keyRow(keys []compiledExpr, row types.Row, withKey bool) (keyedRow, error) 
 	return kr, nil
 }
 
-// build drains the right child and constructs the partitioned hash index,
-// switching to Grace partition files when the budget refuses the rows.
+// build drains the right child and constructs the hash index, switching to
+// Grace partition files when the budget refuses the rows.
 func (op *hashJoinOp) build() error {
-	nparts := op.e.pool.Workers()
-	if nparts < 1 {
-		nparts = 1
-	}
 	var rows []types.Row
 	var keys []keyedRow
 	bseq := 0
@@ -161,7 +161,7 @@ func (op *hashJoinOp) build() error {
 			return err
 		}
 		resident := !op.spilling
-		ks, err := parallel.Map(op.e.pool, len(batch), func(i int) (keyedRow, error) {
+		ks, err := parallel.Map(op.keyPool, len(batch), func(i int) (keyedRow, error) {
 			return keyRow(op.rightKeys, batch[i], resident)
 		})
 		if err != nil {
@@ -200,28 +200,12 @@ func (op *hashJoinOp) build() error {
 		return nil
 	}
 
-	// Partitioned-parallel index build: worker p owns partition p and picks
-	// the build rows whose precomputed hash lands in it, so no two workers
-	// ever touch the same map. Within a key, rows keep build order.
-	op.parts = make([]map[string][]types.Row, nparts)
-	err := parallel.New(nparts, 1).ForEachChunk(nparts, func(_, lo, hi int) error {
-		for p := lo; p < hi; p++ {
-			part := make(map[string][]types.Row, op.buildHint/nparts)
-			for i, k := range keys {
-				if k.ok && int(k.hash%uint32(nparts)) == p {
-					part[k.key] = append(part[k.key], rows[i])
-				}
-			}
-			op.parts[p] = part
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, part := range op.parts {
-		for _, rs := range part {
-			op.buildRows += len(rs)
+	// Within a key, rows keep build order.
+	op.index = make(map[string][]types.Row, op.buildHint)
+	for i, k := range keys {
+		if k.ok {
+			op.index[k.key] = append(op.index[k.key], rows[i])
+			op.buildRows++
 		}
 	}
 	return nil
@@ -251,13 +235,12 @@ func (op *hashJoinOp) next() ([]types.Row, error) {
 	return op.out.serve(), nil
 }
 
-// probe matches one probe batch against the build index in parallel chunks;
-// per-chunk buffers are concatenated in chunk order to preserve probe-row
-// order.
+// probe matches one probe batch against the build index in chunks on the
+// probe's pool; per-chunk buffers are concatenated in chunk order to
+// preserve probe-row order.
 func (op *hashJoinOp) probe(batch []types.Row) error {
-	nparts := len(op.parts)
-	chunks := make([][]types.Row, op.e.pool.NumChunks(len(batch)))
-	err := op.e.pool.ForEachChunk(len(batch), func(chunk, lo, hi int) error {
+	chunks := make([][]types.Row, op.pool.NumChunks(len(batch)))
+	err := op.pool.ForEachChunk(len(batch), func(chunk, lo, hi int) error {
 		var buf []types.Row
 		var key []byte
 		for i := lo; i < hi; i++ {
@@ -269,7 +252,7 @@ func (op *hashJoinOp) probe(batch []types.Row) error {
 			if hasNull {
 				continue
 			}
-			for _, rb := range op.parts[hashKey(key)%uint32(nparts)][string(key)] {
+			for _, rb := range op.index[string(key)] {
 				row := op.joinRow(batch[i], rb)
 				if op.residual != nil {
 					ok, err := op.residual(row)
@@ -296,7 +279,7 @@ func (op *hashJoinOp) probe(batch []types.Row) error {
 }
 
 func (op *hashJoinOp) close() error {
-	op.parts, op.buildRows = nil, 0
+	op.index, op.buildRows = nil, 0
 	op.leafRows.Store(0)
 	op.out = joinOutput{}
 	op.qs.budget.Release(op.reserved)
@@ -390,7 +373,7 @@ func (op *hashJoinOp) graceJoin() error {
 		if err != nil {
 			return err
 		}
-		ks, err := parallel.Map(op.e.pool, len(batch), func(i int) (keyedRow, error) {
+		ks, err := parallel.Map(op.keyPool, len(batch), func(i int) (keyedRow, error) {
 			return keyRow(op.leftKeys, batch[i], false)
 		})
 		if err != nil {
@@ -708,10 +691,10 @@ func (op *hashJoinOp) joinChunked(build, probe *runFile) ([]*runFile, error) {
 
 // nestedLoopJoinOp handles non-equi ON conditions and cross joins: the
 // right side is materialized at open, the left streams through, and each
-// probe batch evaluates the condition over the cross product in parallel
-// chunks. cond == nil is a cross join.
+// probe batch evaluates the condition over the cross product in chunks on
+// the condition's pool. cond == nil is a cross join.
 type nestedLoopJoinOp struct {
-	e           *Engine
+	pool        *parallel.Pool
 	left, right operator
 	schema      []relCol
 	cond        compiledExpr
@@ -760,8 +743,8 @@ func (op *nestedLoopJoinOp) next() ([]types.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		chunks := make([][]types.Row, op.e.pool.NumChunks(len(batch)))
-		err = op.e.pool.ForEachChunk(len(batch), func(chunk, lo, hi int) error {
+		chunks := make([][]types.Row, op.pool.NumChunks(len(batch)))
+		err = op.pool.ForEachChunk(len(batch), func(chunk, lo, hi int) error {
 			var buf []types.Row
 			for i := lo; i < hi; i++ {
 				for _, rb := range op.build {

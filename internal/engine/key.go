@@ -39,8 +39,8 @@ func appendJoinKey(dst []byte, keys []compiledExpr, row types.Row) (key []byte, 
 	return dst, false, nil
 }
 
-// hashKey is FNV-1a over the composite key, used to spread keys across
-// hash-partitioned parallel build/probe structures.
+// hashKey is FNV-1a over the composite key, used to spread join keys and
+// aggregation groups across spill partitions.
 func hashKey[K string | []byte](s K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {

@@ -280,11 +280,11 @@ func (op *renameOp) resident() int                  { return op.child.resident()
 
 // ---- filter --------------------------------------------------------------
 
-// filterOp drops rows failing the predicate. Predicate evaluation runs in
-// parallel chunks on the engine pool (predicates over sensitive columns are
-// secure-operator hot paths); the compaction preserves row order.
+// filterOp drops rows failing the predicate, evaluated in chunks on the
+// predicate's pool (the workers for sdb_sign over sensitive columns); the
+// compaction preserves row order.
 type filterOp struct {
-	e     *Engine
+	pool  *parallel.Pool
 	child operator
 	pred  compiledExpr
 	ctx   context.Context
@@ -306,7 +306,7 @@ func (op *filterOp) next() ([]types.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		keep, err := parallel.Map(op.e.pool, len(batch), func(i int) (bool, error) {
+		keep, err := parallel.Map(op.pool, len(batch), func(i int) (bool, error) {
 			ok, err := op.pred(batch[i])
 			if err != nil {
 				return false, err
@@ -334,11 +334,11 @@ func (op *filterOp) resident() int { return op.child.resident() }
 // ---- project -------------------------------------------------------------
 
 // projectOp evaluates the select list (plus any hidden ORDER BY key
-// expressions appended by the planner) over each batch, in parallel chunks.
-// Every SDB UDF in the select list runs here, as one row program per
-// chunk worker.
+// expressions appended by the planner) over each batch, in chunks. Every
+// SDB UDF in the select list runs here, as one row program shared by the
+// chunk workers; a select list without one runs on the calling goroutine.
 type projectOp struct {
-	e      *Engine
+	pool   *parallel.Pool
 	child  operator
 	set    *exprSet
 	schema []relCol
@@ -361,7 +361,7 @@ func (op *projectOp) next() ([]types.Row, error) {
 		return nil, err
 	}
 	out := make([]types.Row, len(batch))
-	err = op.e.pool.ForEachChunk(len(batch), func(_, lo, hi int) error {
+	err = op.pool.ForEachChunk(len(batch), func(_, lo, hi int) error {
 		fr := op.set.frame()
 		defer op.set.release(fr)
 		for i := lo; i < hi; i++ {
@@ -383,11 +383,10 @@ func (op *projectOp) resident() int { return op.child.resident() }
 
 // ---- distinct ------------------------------------------------------------
 
-// distinctOp streams the first occurrence of every distinct row. Row keys
-// are computed in parallel; the membership test stays serial to preserve
-// first-occurrence order. Retained state is the key set, O(#distinct rows).
+// distinctOp streams the first occurrence of every distinct row, keying
+// each row as it passes (DISTINCT runs no secure arithmetic). Retained
+// state is the key set, O(#distinct rows).
 type distinctOp struct {
-	e     *Engine
 	child operator
 	// hint pre-sizes the key set (planner distinct-row estimate; 0 =
 	// unknown).
@@ -413,16 +412,10 @@ func (op *distinctOp) next() ([]types.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys, err := parallel.Map(op.e.pool, len(batch), func(i int) (string, error) {
-			return rowKey(batch[i]), nil
-		})
-		if err != nil {
-			return nil, err
-		}
 		uniq := batch[:0:0]
-		for i, row := range batch {
-			if !op.seen[keys[i]] {
-				op.seen[keys[i]] = true
+		for _, row := range batch {
+			if k := rowKey(row); !op.seen[k] {
+				op.seen[k] = true
 				uniq = append(uniq, row)
 			}
 		}

@@ -119,7 +119,6 @@ func (sp *orderSpec) compare(a, b types.Row) (int, error) {
 // by that index — reproducing the in-memory stable sort exactly with one
 // look-ahead row per run resident.
 type sortOp struct {
-	e        *Engine
 	child    operator
 	spec     *orderSpec
 	outWidth int
@@ -287,7 +286,6 @@ func (op *sortOp) resident() int {
 // of the full input. Ties break by arrival order, reproducing a stable
 // sort followed by LIMIT exactly.
 type topKOp struct {
-	e        *Engine
 	child    operator
 	spec     *orderSpec
 	k        int64

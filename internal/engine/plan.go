@@ -48,8 +48,6 @@ func (e *Engine) planQuery(s *sqlparser.Select, snap *Snapshot, qs *querySpill) 
 // immutable versions. The stage order after the projection matches the
 // legacy materialized pipeline (sort, then dedup, then limit).
 func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill) (*queryPlan, error) {
-	ctx := e.evalCtx()
-
 	// A `*` in the select list expands over every visible column of this
 	// SELECT's FROM inputs, so its scans keep them all.
 	star := false
@@ -74,11 +72,12 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 		}
 		src = planNode{op: aggOp, est: estGroups(src.est)}
 		if s.Having != nil {
+			ctx := e.evalCtx()
 			pred, err := compile(s.Having, &relation{cols: src.op.columns()}, ctx)
 			if err != nil {
 				return nil, err
 			}
-			src = e.filterNode(src, pred)
+			src = e.filterNode(src, pred, ctx.secure)
 		}
 	} else if s.Having != nil {
 		return nil, fmt.Errorf("engine: HAVING without aggregation")
@@ -87,6 +86,7 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 	// Projection, with hidden ORDER BY key columns appended when the keys
 	// are not addressable in the visible output.
 	inRel := &relation{cols: src.op.columns()}
+	ctx := e.evalCtx()
 	sb := newSetBuilder(inRel, ctx, e.n)
 	outCols, err := e.projection(s, inRel, sb)
 	if err != nil {
@@ -107,21 +107,21 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 		projSchema[i] = relCol{name: fmt.Sprintf("_ord%d", i-len(outCols)), hidden: true}
 	}
 	est := src.est
-	var root operator = &projectOp{e: e, child: src.op, set: set, schema: projSchema}
+	var root operator = &projectOp{pool: e.rowPool(ctx.secure), child: src.op, set: set, schema: projSchema}
 
 	// ORDER BY: a bounded top-K heap when LIMIT caps the result (and
 	// DISTINCT does not need the full sorted set first), else a sort sink.
 	if ospec != nil {
 		if s.Limit != nil && !s.Distinct {
-			root = &topKOp{e: e, child: root, spec: ospec, k: *s.Limit, outWidth: len(outCols), batch: e.batchRows(), qs: qs}
+			root = &topKOp{child: root, spec: ospec, k: *s.Limit, outWidth: len(outCols), batch: e.batchRows(), qs: qs}
 		} else {
-			root = &sortOp{e: e, child: root, spec: ospec, outWidth: len(outCols), batch: e.batchRows(), qs: qs}
+			root = &sortOp{child: root, spec: ospec, outWidth: len(outCols), batch: e.batchRows(), qs: qs}
 		}
 	}
 
 	// DISTINCT, then LIMIT (legacy stage order).
 	if s.Distinct {
-		d := &distinctOp{e: e, child: root}
+		d := &distinctOp{child: root}
 		if !e.plannerOff {
 			d.hint = estGroups(est)
 		}

@@ -100,12 +100,14 @@ func estLimited(n int, limit *int64) int {
 // change.
 //
 // leftKeys must be compiled against left's schema and rightKeys against
-// right's; cond against the joined (left++right) schema.
-func (e *Engine) buildJoinOp(left, right planNode, leftKeys, rightKeys []compiledExpr, cond compiledExpr, qs *querySpill) planNode {
+// right's; cond against the joined (left++right) schema. The keys are
+// computed on their pool, the probe (keys, then cond) runs on both's.
+func (e *Engine) buildJoinOp(left, right planNode, leftKeys, rightKeys []compiledExpr, cond compiledExpr, keysSecure, condSecure bool, qs *querySpill) planNode {
 	schema := append(append([]relCol{}, left.op.columns()...), right.op.columns()...)
+	pool := e.rowPool(keysSecure || condSecure)
 
 	if len(leftKeys) > 0 {
-		op := &hashJoinOp{e: e, schema: schema, residual: cond, batch: e.batchRows(), qs: qs}
+		op := &hashJoinOp{keyPool: e.rowPool(keysSecure), pool: pool, schema: schema, residual: cond, batch: e.batchRows(), qs: qs}
 		if !e.plannerOff && right.est > swapBuildFactor*left.est {
 			op.left, op.right = right.op, left.op
 			op.leftKeys, op.rightKeys = rightKeys, leftKeys
@@ -122,7 +124,7 @@ func (e *Engine) buildJoinOp(left, right planNode, leftKeys, rightKeys []compile
 	}
 
 	op := &nestedLoopJoinOp{
-		e: e, left: left.op, right: right.op, schema: schema, cond: cond,
+		pool: pool, left: left.op, right: right.op, schema: schema, cond: cond,
 		batch: e.batchRows(), qs: qs,
 	}
 	est := estCross(left.est, right.est)
@@ -268,7 +270,6 @@ func (e *Engine) planFrom(refs []sqlparser.TableRef, where sqlparser.Expr, star 
 		offsets = append(offsets, 0)
 	}
 	n := len(nodes)
-	ctx := e.evalCtx()
 
 	var pool []conjunct
 	for _, on := range ons {
@@ -307,11 +308,12 @@ func (e *Engine) planFrom(refs []sqlparser.TableRef, where sqlparser.Expr, star 
 		if len(exprs) == 0 {
 			continue
 		}
+		ctx := e.evalCtx()
 		pred, err := compile(conjoin(exprs), &relation{cols: full[offsets[i]:offsets[i+1]]}, ctx)
 		if err != nil {
 			return planNode{}, err
 		}
-		nodes[i] = e.filterNode(nodes[i], pred)
+		nodes[i] = e.filterNode(nodes[i], pred, ctx.secure)
 	}
 
 	// Left-deep assembly in leaf order.
@@ -319,8 +321,9 @@ func (e *Engine) planFrom(refs []sqlparser.TableRef, where sqlparser.Expr, star 
 	for i := 1; i < n; i++ {
 		var leftKeys, rightKeys []compiledExpr
 		var rest []conjunct
+		kctx, cctx := e.evalCtx(), e.evalCtx()
 		for _, c := range steps[i] {
-			lk, rk, err := equiKeyPair(c, i, offsets, leafOf, ctx)
+			lk, rk, err := equiKeyPair(c, i, offsets, leafOf, kctx)
 			if err != nil {
 				return planNode{}, err
 			}
@@ -331,24 +334,25 @@ func (e *Engine) planFrom(refs []sqlparser.TableRef, where sqlparser.Expr, star 
 			leftKeys = append(leftKeys, lk)
 			rightKeys = append(rightKeys, rk)
 		}
-		cond, err := compileAll(rest, offsets[i+1], ctx)
+		cond, err := compileAll(rest, offsets[i+1], cctx)
 		if err != nil {
 			return planNode{}, err
 		}
-		cur = e.buildJoinOp(cur, nodes[i], leftKeys, rightKeys, cond, qs)
+		cur = e.buildJoinOp(cur, nodes[i], leftKeys, rightKeys, cond, kctx.secure, cctx.secure, qs)
 	}
+	ctx := e.evalCtx()
 	top, err := compileAll(steps[n], len(full), ctx)
 	if err != nil {
 		return planNode{}, err
 	}
 	if top != nil {
-		cur = e.filterNode(cur, top)
+		cur = e.filterNode(cur, top, ctx.secure)
 	}
 	return cur, nil
 }
 
-func (e *Engine) filterNode(child planNode, pred compiledExpr) planNode {
-	return planNode{op: &filterOp{e: e, child: child.op, pred: pred}, est: estFilter(child.est)}
+func (e *Engine) filterNode(child planNode, pred compiledExpr, secure bool) planNode {
+	return planNode{op: &filterOp{pool: e.rowPool(secure), child: child.op, pred: pred}, est: estFilter(child.est)}
 }
 
 // leafSpan resolves every column reference of ex in cols and reports the

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"sdb/internal/parallel"
 	"sdb/internal/spill"
 	"sdb/internal/sqlparser"
 	"sdb/internal/storage"
@@ -92,7 +93,9 @@ func countOps[T operator](ops []operator) (n int, last T) {
 // a derived table is bracketed around its own plan, σ is a filter and π the
 // projection; a join prints its children in declared order, with the number
 // of hash keys, "~" when the build side is swapped and "+" when it carries a
-// residual condition: `π(hash1(σ(a), σ(b)))`.
+// residual condition: `π(hash1(σ(a), σ(b)))`. "‖" marks a filter,
+// projection, aggregation or join given the worker pool because it does
+// secure arithmetic per row: `π‖(agg‖(σ(lineitem)))`.
 func treeSig(op operator) string {
 	unary := func(name string, child operator) string { return name + "(" + treeSig(child) + ")" }
 	mark := func(on bool, m string) string {
@@ -101,6 +104,8 @@ func treeSig(op operator) string {
 		}
 		return ""
 	}
+	// ‖ marks an operator given the worker pool (rowPool).
+	par := func(p *parallel.Pool) string { return mark(p != serialPool, "‖") }
 	switch o := op.(type) {
 	case *scanOp:
 		if len(o.schema) == 0 {
@@ -112,9 +117,9 @@ func treeSig(op operator) string {
 	case *renameOp:
 		return "[" + treeSig(o.child) + "]"
 	case *filterOp:
-		return unary("σ", o.child)
+		return unary("σ"+par(o.pool), o.child)
 	case *projectOp:
-		return unary("π", o.child)
+		return unary("π"+par(o.pool), o.child)
 	case *limitOp:
 		return unary("limit", o.child)
 	case *distinctOp:
@@ -124,16 +129,16 @@ func treeSig(op operator) string {
 	case *topKOp:
 		return unary("topK", o.child)
 	case *hashAggOp:
-		return unary("agg", o.child)
+		return unary("agg"+par(o.pool), o.child)
 	case *hashJoinOp:
 		l, r := o.left, o.right
 		if o.flip {
 			l, r = r, l
 		}
-		return fmt.Sprintf("hash%d%s%s(%s, %s)", len(o.leftKeys), mark(o.flip, "~"), mark(o.residual != nil, "+"),
-			treeSig(l), treeSig(r))
+		return fmt.Sprintf("hash%d%s%s%s(%s, %s)", len(o.leftKeys), mark(o.flip, "~"), mark(o.residual != nil, "+"),
+			par(o.pool), treeSig(l), treeSig(r))
 	case *nestedLoopJoinOp:
-		return fmt.Sprintf("loop%s(%s, %s)", mark(o.cond != nil, "+"), treeSig(o.left), treeSig(o.right))
+		return fmt.Sprintf("loop%s%s(%s, %s)", mark(o.cond != nil, "+"), par(o.pool), treeSig(o.left), treeSig(o.right))
 	}
 	return fmt.Sprintf("%T", op)
 }
@@ -143,6 +148,7 @@ func treeSig(op operator) string {
 // planner leaves only conjuncts it cannot place (constants, unresolvable
 // names).
 func filterOnJoin(sig string) bool {
+	sig = strings.ReplaceAll(sig, "‖", "")
 	return strings.Contains(sig, "σ(hash") || strings.Contains(sig, "σ(loop")
 }
 

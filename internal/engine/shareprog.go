@@ -252,6 +252,7 @@ type progBuilder struct {
 
 func newProgBuilder(n *big.Int, rel *relation, ctx *evalCtx) *progBuilder {
 	mc := bigmod.MontCtxFor(n) // callers validated n (udfModulus)
+	ctx.secure = true
 	return &progBuilder{
 		p: &shareProg{mc: mc},
 		n: n, r: mc.R(), rI: mc.RInv(), rel: rel, ctx: ctx,
@@ -793,6 +794,7 @@ func newMaskedReveal(fname string, pEx, nEx sqlparser.Expr, masks int, ctx *eval
 		return nil, fmt.Errorf("engine: %s: reveal token p must be a share constant", fname)
 	}
 	mc := bigmod.MontCtxFor(n)
+	ctx.secure = true
 	c := new(big.Int).Mod(p.B, n)
 	for i := 0; i <= masks; i++ {
 		c.Mul(c, mc.R()).Mod(c, n)

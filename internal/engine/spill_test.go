@@ -284,6 +284,37 @@ func TestAggSpillMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestPlainAggregationStateCountedOnce: a GROUP BY without secure
+// arithmetic folds into one state table, so each group weighs one row
+// against the budget however many workers the engine has. The G groups
+// interleave so that every group lands in both halves of some batch —
+// where one table per worker held about 2G groups and spilled under a
+// budget between G and 2G.
+func TestPlainAggregationStateCountedOnce(t *testing.T) {
+	const (
+		groups = 201 // odd: a group's position in the 8-row batch shifts each cycle
+		budget = 300 // threshold 300 - 6×8 = 252: above G, below 2G
+	)
+	mem := newSpillEngine(t, -1)
+	spl := newSpillEngine(t, budget)
+	for _, e := range []*Engine{mem, spl} {
+		mustExec(t, e, `CREATE TABLE ev (grp INT, v INT)`)
+	}
+	loadRows(t, []*Engine{mem, spl}, "ev", 10*groups, func(i int) string {
+		return fmt.Sprintf("(%d, %d)", i%groups, i%13)
+	})
+	sql := `SELECT grp, COUNT(*), SUM(v) FROM ev GROUP BY grp`
+	want, _ := queryWithStats(t, mem, sql)
+	got, st := queryWithStats(t, spl, sql)
+	if st.Spills != 0 || st.SpilledRows != 0 {
+		t.Fatalf("%d groups under a %d-row budget: %d spills of %d rows, want none", groups, budget, st.Spills, st.SpilledRows)
+	}
+	if len(want.Rows) != groups {
+		t.Fatalf("%d groups, want %d", len(want.Rows), groups)
+	}
+	requireSameRows(t, sql, got, want)
+}
+
 // TestSecureAggSpill pins the serializable tournament states: sdb_min and
 // sdb_max over encrypted shares, grouped so the state tables spill, must
 // select exactly the winners the in-memory tournament selects (the tags

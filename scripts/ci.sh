@@ -5,14 +5,18 @@
 # file under internal/ or driver/ reads the process environment, a gate
 # that no non-test engine file multiplies or adds shares through the
 # dividing scalar operators — share arithmetic runs as Montgomery row
-# programs —, and a gate that the non-test goroutines under internal/ are
-# exactly the allow-listed five), the full test suite, the race
+# programs —, a gate that the non-test goroutines under internal/ are
+# exactly the allow-listed five, and a gate that only rowPool, batchRows
+# and the spill scheduler read the engine's worker pool), the full test
+# suite, the race
 # detector over every package (the chunked parallel engine/proxy paths,
 # the pull-on-demand result path from engine to decrypting cursor, the
 # parallel spilled-partition scheduler and the secure helper-power memo
 # are exercised by dedicated concurrency tests), a forced-tiny-budget spill regression pass and a planner-off
 # differential pass (both re-runs of the engine suite selected through its
 # TestMain, each proving its mode took effect), a
+# race-detected pool-choice pass (pool marks in TPC-H plans, the secure
+# serial-vs-parallel differential, a plain GROUP BY's one state table), a
 # race-detected MVCC isolation pass (torn-read, no-stall,
 # prefix-consistency and randomized mixed-workload harnesses), a
 # race-detected concurrent spill pass, a
@@ -145,6 +149,26 @@ if [[ "${GO_STMTS}" != "${GO_ALLOWED}" ]]; then
   exit 1
 fi
 
+echo "== the worker pool is handed out where secure arithmetic runs"
+# An operator gets the engine's worker pool only when its expressions
+# compiled to a row program or a masked reveal (Engine.rowPool, chosen at
+# plan time); everything else runs on the calling goroutine. The pool's
+# other readers are the batch size (batchRows) and the spill scheduler's
+# worker count (newQuerySpill). A new reader elsewhere is a second place
+# deciding where rows run.
+POOL_READS=$(awk 'FNR==1{f=""} /^func /{ s=$0; sub(/^func (\([^)]*\) )?/, "", s); sub(/[^A-Za-z0-9_].*/, "", s); f=s }
+  /(^|[^A-Za-z0-9_])e\.pool([^A-Za-z0-9_]|$)/ && !/e\.pool = / { print FILENAME ": " f }' \
+  $(ls internal/engine/*.go | grep -v '_test\.go$') | sort -u)
+POOL_ALLOWED=$(printf '%s\n' \
+  'internal/engine/engine.go: rowPool' \
+  'internal/engine/spill.go: newQuerySpill' \
+  'internal/engine/stream.go: batchRows' | sort)
+if [[ "${POOL_READS}" != "${POOL_ALLOWED}" ]]; then
+  echo "functions reading the engine's worker pool differ from the allow-list (< allowed, > found):"
+  diff <(echo "${POOL_ALLOWED}") <(echo "${POOL_READS}") || true
+  exit 1
+fi
+
 echo "== go build"
 go build ./...
 
@@ -177,6 +201,17 @@ echo "== engine suite with the planner pass disabled"
 # are unaffected. Same TestMain hook, same proof: the run fails if an
 # engine built with zero Options still pushed a filter below its join.
 go test ${SHORT_FLAG} ./internal/engine -args -engine.planner=off
+
+echo "== pool choice under the race detector"
+# Which operators get the worker pool, and what that changes: the TPC-H
+# plan signatures mark exactly the operators doing secure arithmetic (none
+# over the plaintext schema); secure filters, share projections, encrypted
+# and residual joins (resident and Grace-spilled), a non-equi join, sdb_min /
+# sdb_max per group and DISTINCT answer through a proxy the same on one
+# worker and on eight; and a plain GROUP BY keeps one state table, so its
+# groups weigh once against the budget.
+go test -race -count=1 -run 'TPCHPoolMarks|ParallelSerialEquivalenceSecure|PlainAggregationStateCountedOnce' \
+  ./internal/engine
 
 echo "== MVCC isolation harness under the race detector"
 # The snapshot-isolation proof suite with the race detector on and fresh
