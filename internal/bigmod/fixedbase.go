@@ -1,6 +1,9 @@
 package bigmod
 
-import "math/big"
+import (
+	"math/big"
+	"math/bits"
+)
 
 // Fixed-base windowed exponentiation.
 //
@@ -101,14 +104,25 @@ func (t *FixedBase) Covers(e *big.Int) bool {
 // MulExpTo multiplies the Montgomery residue acc (k limbs) by base^e in
 // place: one REDC per non-zero digit of e, no allocation, no conversion.
 // It is the evaluation entry for callers that stay in the domain and bring
-// their own scratch; e must satisfy Covers.
-func (t *FixedBase) MulExpTo(s *MontScratch, acc []big.Word, e *big.Int) {
-	w := e.Bits()
-	for i := 0; i*fbWindow < e.BitLen(); i++ {
+// their own scratch. e is the exponent's little-endian limbs — a big.Int's
+// Bits(), or a machine word on the stack — and must be no wider than the
+// table (Covers); a wider one panics.
+func (t *FixedBase) MulExpTo(s *MontScratch, acc []big.Word, e []big.Word) {
+	for len(e) > 0 && e[len(e)-1] == 0 {
+		e = e[:len(e)-1]
+	}
+	n := 0 // e's bit length
+	if len(e) > 0 {
+		n = (len(e)-1)*montWordBits + bits.Len(uint(e[len(e)-1]))
+	}
+	if n > len(t.mrows)*fbWindow {
+		panic("bigmod: exponent wider than the fixed-base table")
+	}
+	for i := 0; i*fbWindow < n; i++ {
 		wi, off := i*fbWindow/montWordBits, uint(i*fbWindow%montWordBits)
-		d := uint(w[wi]) >> off
-		if off+fbWindow > montWordBits && wi+1 < len(w) {
-			d |= uint(w[wi+1]) << (montWordBits - off)
+		d := uint(e[wi]) >> off
+		if off+fbWindow > montWordBits && wi+1 < len(e) {
+			d |= uint(e[wi+1]) << (montWordBits - off)
 		}
 		if d &= 1<<fbWindow - 1; d != 0 {
 			t.mctx.MulTo(s, acc, acc, t.mrows[i][d-1])
@@ -130,7 +144,7 @@ func (t *FixedBase) Exp(e *big.Int) *big.Int {
 	}
 	s := t.mctx.NewScratch()
 	acc := t.mctx.One()
-	t.MulExpTo(s, acc, mag)
+	t.MulExpTo(s, acc, mag.Bits())
 	out := t.mctx.FromMont(s, acc)
 	if e.Sign() < 0 {
 		out = out.ModInverse(out, t.n)

@@ -96,7 +96,8 @@ func TestFixedBaseEdges(t *testing.T) {
 // TestFixedBaseNarrowTable builds a table narrower than the modulus (the
 // per-column-key shape: 62-bit exponents) and checks it is sized by its
 // width, covers exactly that width, accumulates in the domain through
-// MulExpTo, and that Exp still answers for exponents past it.
+// MulExpTo, refuses an exponent past its digit rows there, and that Exp
+// still answers for exponents past it.
 func TestFixedBaseNarrowTable(t *testing.T) {
 	n := testModulus(t, 256)
 	base, err := RandInvertible(n)
@@ -121,13 +122,21 @@ func TestFixedBaseNarrowTable(t *testing.T) {
 			t.Fatalf("Covers(%s) = %v", e, !covered)
 		} else if covered {
 			acc := m.ToMont(s, v)
-			fb.MulExpTo(s, acc, e)
+			fb.MulExpTo(s, acc, e.Bits())
 			want := Mul(v, new(big.Int).Exp(base, e, n), n)
 			if got := m.FromMont(s, acc); got.Cmp(want) != 0 {
 				t.Fatalf("MulExpTo(%s): got %s want %s", e, got, want)
 			}
 		}
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("MulExpTo took an exponent wider than its table")
+			}
+		}()
+		fb.MulExpTo(s, m.ToMont(s, v), new(big.Int).Lsh(top, 7).Bits()) // past the 9th digit row
+	}()
 	if even := NewFixedBase(big.NewInt(5), big.NewInt(14), width); even.Covers(big.NewInt(3)) || even.Bytes() != 0 {
 		t.Fatal("an even modulus has no table to cover anything")
 	}

@@ -463,6 +463,39 @@ func isZero(x []big.Word) bool {
 	return true
 }
 
+// Int128 reads a k-limb residue in [0, n) as a centred value, in
+// (−n/2, n/2], and returns it in 128-bit two's complement as a high and a
+// low word, or false when it does not fit. It allocates nothing: the
+// magnitude of a residue above ⌊n/2⌋ is n − x, taken limb by limb.
+func (m *MontCtx) Int128(x []big.Word) (hi int64, lo uint64, ok bool) {
+	neg := cmpVV(x[:m.k], m.half) > 0
+	var mag [2]uint64 // little-endian
+	var borrow uint
+	for i, w := range x[:m.k] {
+		d := uint(w)
+		if neg {
+			d, borrow = bits.Sub(uint(m.nw[i]), d, borrow)
+		}
+		switch sh := i * montWordBits; {
+		case sh < 128:
+			mag[sh/64] |= uint64(d) << (sh % 64)
+		case d != 0:
+			return 0, 0, false
+		}
+	}
+	// |v| < 2^127, or = 2^127 for v = −2^127.
+	if mag[1] > 1<<63 || mag[1] == 1<<63 && (!neg || mag[0] != 0) {
+		return 0, 0, false
+	}
+	h, l := mag[1], mag[0]
+	if neg {
+		var b uint64
+		l, b = bits.Sub64(0, l, 0)
+		h, _ = bits.Sub64(0, h, b)
+	}
+	return int64(h), l, true
+}
+
 // Int returns a k-limb residue as a fresh big.Int.
 func (m *MontCtx) Int(x []big.Word) *big.Int {
 	return new(big.Int).SetBits(append([]big.Word(nil), x[:m.k]...))

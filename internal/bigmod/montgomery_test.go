@@ -283,3 +283,54 @@ func TestRedcMatchesBigInt(t *testing.T) {
 		}
 	}
 }
+
+// TestInt128Centred: Int128 reads a residue as math/big's centred decode
+// does — at zero, the int64 and int128 edges and one past them on either
+// side, the middle of the modulus and random residues — and allocates
+// nothing.
+func TestInt128Centred(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	two127 := new(big.Int).Lsh(big.NewInt(1), 127)
+	lo128, hi128 := new(big.Int).Neg(two127), new(big.Int).Sub(two127, big.NewInt(1))
+	for _, bits := range []int{66, 127, 129, 256, 1024} {
+		n := randOddMod(r, bits)
+		ctx := MontCtxFor(n)
+		half := new(big.Int).Rsh(n, 1)
+		z := make([]big.Word, ctx.Words())
+		check := func(v *big.Int) {
+			t.Helper()
+			res := new(big.Int).Mod(v, n)
+			padTo(z, res.Bits())
+			want := new(big.Int).Set(res)
+			if want.Cmp(half) > 0 {
+				want.Sub(want, n)
+			}
+			fits := want.Cmp(lo128) >= 0 && want.Cmp(hi128) <= 0
+			hi, lo, ok := ctx.Int128(z)
+			got := new(big.Int).Lsh(big.NewInt(hi), 64)
+			got.Add(got, new(big.Int).SetUint64(lo))
+			if ok != fits || (ok && got.Cmp(want) != 0) {
+				t.Fatalf("bits=%d: Int128(residue of %v) = %v, %v", bits, want, got, ok)
+			}
+		}
+		two63 := new(big.Int).Lsh(big.NewInt(1), 63)
+		for _, v := range []*big.Int{
+			big.NewInt(0), big.NewInt(1), big.NewInt(-1),
+			big.NewInt(1<<63 - 1), big.NewInt(-1 << 63), two63, new(big.Int).Neg(new(big.Int).Add(two63, big.NewInt(1))),
+			new(big.Int).Lsh(big.NewInt(1), 64), new(big.Int).Neg(new(big.Int).Lsh(big.NewInt(1), 64)),
+			lo128, hi128, two127, new(big.Int).Sub(lo128, big.NewInt(1)),
+			half, new(big.Int).Add(half, big.NewInt(1)),
+		} {
+			check(v)
+		}
+		for i := 0; i < 200; i++ {
+			check(big.NewInt(r.Int63() - r.Int63()))
+			check(new(big.Int).Rand(r, n))
+			check(new(big.Int).Sub(new(big.Int).Rand(r, two127), new(big.Int).Rand(r, two127)))
+		}
+		padTo(z, big.NewInt(12345).Bits())
+		if a := testing.AllocsPerRun(50, func() { ctx.Int128(z) }); a != 0 {
+			t.Fatalf("bits=%d: Int128 allocates %v times", bits, a)
+		}
+	}
+}

@@ -272,12 +272,13 @@ type shareSum struct {
 	fin []big.Word
 }
 
-// sumPartial is a partial SUM: the machine-integer sum, the k-limb share
-// sum (nil until a share arrives) and the kind transition the fold ended
-// in. A raw SUM's share sum is the unscaled residue sum — in memory, in
-// spilled state and through merges.
+// sumPartial is a partial SUM: the integer sum (exact in 128 bits, so
+// merge order cannot make it overflow), the k-limb share sum (nil until a
+// share arrives) and the kind transition the fold ended in. A raw SUM's
+// share sum is the unscaled residue sum — in memory, in spilled state and
+// through merges.
 type sumPartial struct {
-	intSum int64
+	intSum types.Int128
 	share  []big.Word
 	kind   types.Kind
 }
@@ -299,7 +300,7 @@ func (sp *sumPartial) addValue(v types.Value, mod *shareSum) error {
 		mod.mc.AddBig(sp.share, v.B)
 		sp.kind = types.KindShare
 	case types.KindInt, types.KindDecimal:
-		sp.intSum += v.I
+		sp.intSum.Add(v.I)
 		if sp.kind != types.KindDecimal {
 			sp.kind = v.K
 		}
@@ -321,7 +322,7 @@ func (sp *sumPartial) merge(other sumPartial, mod *shareSum) {
 		}
 		mod.mc.AddTo(sp.share, sp.share, other.share)
 	}
-	sp.intSum += other.intSum
+	sp.intSum.Merge(other.intSum)
 	if sp.kind != types.KindDecimal || other.kind == types.KindShare {
 		sp.kind = other.kind
 	}
@@ -404,20 +405,24 @@ func (st *sumState) final() (types.Value, error) {
 		}
 		return types.NewShare(mc.Int(sum)), nil
 	default:
-		return types.Value{K: st.part.kind, I: st.part.intSum}, nil
+		sum, err := st.part.intSum.Int64()
+		if err != nil {
+			return types.Null, fmt.Errorf("engine: SUM: %w", err)
+		}
+		return types.Value{K: st.part.kind, I: sum}, nil
 	}
 }
 
 func (st *sumState) retained() int { return len(st.seen) }
 
-// spillRow: [kind, intSum, share sum|NULL, (distinct key, value)...]. A
-// raw SUM spills its unscaled residue sum.
+// spillRow: [kind, intSum high, intSum low, share sum|NULL, (distinct
+// key, value)...]. A raw SUM spills its unscaled residue sum.
 func (st *sumState) spillRow() (types.Row, error) {
 	share := types.Null
 	if st.part.share != nil {
 		share = types.NewShare(st.mod.mc.Int(st.part.share))
 	}
-	row := types.Row{types.NewInt(int64(st.part.kind)), types.NewInt(st.part.intSum), share}
+	row := types.Row{types.NewInt(int64(st.part.kind)), types.NewInt(st.part.intSum.Hi), types.NewInt(int64(st.part.intSum.Lo)), share}
 	for _, k := range sortedKeys(st.seen) {
 		row = append(row, types.NewString(k), st.seen[k])
 	}
@@ -425,16 +430,16 @@ func (st *sumState) spillRow() (types.Row, error) {
 }
 
 func (st *sumState) loadSpillRow(row types.Row) error {
-	if len(row) < 3 || (len(row)-3)%2 != 0 || (row[2].K == types.KindShare && st.mod.mc == nil) {
+	if len(row) < 4 || (len(row)-4)%2 != 0 || (row[3].K == types.KindShare && st.mod.mc == nil) {
 		return fmt.Errorf("engine: malformed SUM spill state")
 	}
 	st.part.kind = types.Kind(row[0].I)
-	st.part.intSum = row[1].I
-	if row[2].K == types.KindShare {
-		st.part.share = st.mod.mc.Limbs(row[2].B)
+	st.part.intSum = types.Int128{Hi: row[1].I, Lo: uint64(row[2].I)}
+	if row[3].K == types.KindShare {
+		st.part.share = st.mod.mc.Limbs(row[3].B)
 	}
 	if st.distinct {
-		for i := 3; i < len(row); i += 2 {
+		for i := 4; i < len(row); i += 2 {
 			st.seen[row[i].S] = row[i+1]
 		}
 	}
@@ -463,12 +468,11 @@ func (st *avgState) merge(other aggState) error {
 }
 
 func (st *avgState) final() (types.Value, error) {
-	sum, err := st.sum.final()
-	if err != nil {
-		return types.Null, err
-	}
-	if sum.K == types.KindShare {
+	switch st.sum.part.kind {
+	case types.KindShare:
 		return types.Null, fmt.Errorf("engine: AVG over shares must be rewritten to SUM + COUNT")
+	case types.KindNull:
+		return types.Null, nil
 	}
 	// AVG(DISTINCT x) divides the deduplicated sum by the deduplicated
 	// count (SQL semantics); the dedup set already lives in the sum state.
@@ -476,12 +480,17 @@ func (st *avgState) final() (types.Value, error) {
 	if st.sum.distinct {
 		count = int64(len(st.sum.seen))
 	}
-	if count == 0 || sum.IsNull() {
+	if count == 0 {
 		return types.Null, nil
 	}
-	// Two extra decimal digits of precision, matching the proxy's
-	// decrypted-AVG convention (scale bookkeeping lives above us).
-	return types.Value{K: types.KindDecimal, I: sum.I * 100 / count}, nil
+	// Two extra decimal digits of precision, in the 128-bit arithmetic of
+	// the proxy's decrypted AVG (scale bookkeeping lives above us): the
+	// sum itself need not fit an int64, only the mean.
+	mean, err := st.sum.part.intSum.MeanX100(count)
+	if err != nil {
+		return types.Null, fmt.Errorf("engine: AVG: %w", err)
+	}
+	return types.Value{K: types.KindDecimal, I: mean}, nil
 }
 
 func (st *avgState) retained() int { return st.sum.retained() }

@@ -591,3 +591,83 @@ func TestAggSpillSingleGroupDistinct(t *testing.T) {
 	}
 	requireSameRows(t, sql, got, want)
 }
+
+// TestIntegerSumOverflowErrors: SUM and AVG over INT and DECIMAL add in
+// 128 bits and fail when the value does not fit an int64 — the same
+// overflow-checked arithmetic the DO's decrypted AVG runs — instead of
+// wrapping silently. Two rows of 2^62 must error resident, spilled (the
+// two rows' partial states meet in a merge of spilled runs) and with the
+// planner off; a mean whose sum does not fit an int64 and a sum whose
+// running total passes 2^63 before coming back are exact in every one.
+func TestIntegerSumOverflowErrors(t *testing.T) {
+	engines := map[string]*Engine{
+		"resident":    NewWithOptions(storage.NewCatalog(), nil, Options{Parallelism: 2, ChunkSize: 4, MemBudgetRows: -1}),
+		"spilled":     newSpillEngine(t, 48),
+		"planner-off": NewWithOptions(storage.NewCatalog(), nil, Options{Parallelism: 2, ChunkSize: 4, MemBudgetRows: -1, Planner: "off"}),
+	}
+	var all []*Engine
+	for _, e := range engines {
+		mustExec(t, e, `CREATE TABLE big (g INT, x INT, d DECIMAL(10,2))`)
+		all = append(all, e)
+	}
+	// Group 0 holds the two 2^62 rows at opposite ends of 400 rows over
+	// 200 groups, so under the budget each lands in a different spill run.
+	loadRows(t, all, "big", 400, func(i int) string {
+		switch i {
+		case 0, 399:
+			return "(0, 4611686018427387904, 46116860184273879.04)"
+		}
+		return fmt.Sprintf("(%d, %d, %d.00)", 1+i%199, i, i)
+	})
+	for name, e := range engines {
+		for _, sql := range []string{
+			`SELECT SUM(x) FROM big`,
+			`SELECT AVG(x) FROM big WHERE g = 0`,
+			`SELECT SUM(d) FROM big`,
+			`SELECT AVG(d) FROM big WHERE g = 0`,
+			`SELECT g, SUM(x) FROM big GROUP BY g`,
+			`SELECT g, AVG(x) FROM big GROUP BY g`,
+			`SELECT g, AVG(d) FROM big GROUP BY g ORDER BY g`,
+		} {
+			it, err := e.QuerySQL(context.Background(), sql)
+			if err == nil {
+				_, err = drainIter(it)
+				if st := it.(interface{ Stats() ExecStats }).Stats(); name == "spilled" && strings.Contains(sql, "GROUP BY") && st.Spills == 0 {
+					t.Errorf("%s: %s did not spill", name, sql)
+				}
+				it.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), "overflow") {
+				t.Errorf("%s: %s: error %v, want an overflow", name, sql, err)
+			}
+		}
+		// The mean of all 400 rows fits although their sum, 2^63 + 79 401
+		// (DECIMAL: 2^63 + 7 940 100 hundredths), does not.
+		res := mustExec(t, e, `SELECT AVG(x), AVG(d) FROM big`)
+		if got := res.Rows[0]; got[0].I != 1<<61+19850 || got[1].I != 1<<61+1985025 {
+			t.Errorf("%s: AVG over a sum past 2^63 = %v", name, got)
+		}
+		// 2^62 + 2^62 passes 2^63; the third row brings the total back to 300.
+		mustExec(t, e, `CREATE TABLE back (x INT)`)
+		mustExec(t, e, `INSERT INTO back VALUES (4611686018427387904), (4611686018427387904), (-9223372036854775508)`)
+		res = mustExec(t, e, `SELECT SUM(x), AVG(x) FROM back`)
+		if got := res.Rows[0]; got[0].I != 300 || got[1].I != 10000 {
+			t.Errorf("%s: SUM, AVG over a total that passes 2^63 = %v", name, got)
+		}
+	}
+}
+
+// drainIter reads an iterator to its end.
+func drainIter(it RowIterator) (int, error) {
+	n := 0
+	for {
+		batch, err := it.NextBatch()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		n += len(batch)
+	}
+}

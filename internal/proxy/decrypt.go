@@ -2,10 +2,8 @@ package proxy
 
 import (
 	"fmt"
-	"math/big"
 	"sort"
 
-	"sdb/internal/parallel"
 	"sdb/internal/secure"
 	"sdb/internal/types"
 )
@@ -42,27 +40,44 @@ func (p *Proxy) newRowKernel(plan *selectPlan) *rowKernel {
 }
 
 // decryptBatch decrypts one encrypted batch in parallel chunks on the
-// proxy's pool; rows are independent.
+// proxy's pool; rows are independent. The batch's rows are capacity-clipped
+// windows of one []types.Value, as types.Decoder.Rows lays out a frame, and
+// their decrypted row ids share one []uint64 of the same shape: a batch
+// allocates a constant number of times whatever its length.
 func (k *rowKernel) decryptBatch(enc []types.Row) ([]types.Row, error) {
-	return parallel.Map(k.p.pool, len(enc), func(i int) (types.Row, error) {
-		return k.decryptRow(enc[i])
+	w := len(k.plan.out)
+	rows := make([]types.Row, len(enc))
+	vals := make([]types.Value, len(enc)*w)
+	rids := make([]uint64, len(enc)*w)
+	err := k.p.pool.ForEachChunk(len(enc), func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			row := vals[i*w : (i+1)*w : (i+1)*w]
+			if err := k.decryptRow(enc[i], row, rids[i*w:(i+1)*w]); err != nil {
+				return err
+			}
+			rows[i] = row
+		}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
-// decryptRow decrypts one server row into a full plan-width row (hidden
-// columns included). It is called concurrently; everything it touches on
-// the proxy (scheme secret, SIES cipher, plan) is read-only here.
-func (k *rowKernel) decryptRow(srvRow types.Row) (types.Row, error) {
+// decryptRow decrypts one server row into row, a full plan-width row
+// (hidden columns included). rids, as wide as row and zero on entry, keeps
+// the row ids it decrypts by server column, so a row id the row's
+// row-keyed columns share is decrypted once: the proxy draws row ids from
+// [1, 2^62), and one that decrypts to 0 is only decrypted again. It is
+// called concurrently; everything it touches on the proxy (scheme secret,
+// SIES cipher, plan) is read-only here.
+func (k *rowKernel) decryptRow(srvRow types.Row, row []types.Value, rids []uint64) error {
 	out := k.plan.out
 	if len(srvRow) != len(out) {
-		return nil, fmt.Errorf("proxy: server row has %d columns, plan expects %d", len(srvRow), len(out))
+		return fmt.Errorf("proxy: server row has %d columns, plan expects %d", len(srvRow), len(out))
 	}
-	// Row ids decrypted so far, by server column: several output columns
-	// of one row share a join side's row id.
-	var rids []secure.RowID
-	var args [4]secure.RowID // a product of more than 4 row-keyed factors allocates
-
-	row := make(types.Row, len(out))
+	var args [4]uint64 // a product of more than 4 row-keyed factors allocates
 	for c := range out {
 		oc := &out[c]
 		v := srvRow[c]
@@ -71,47 +86,48 @@ func (k *rowKernel) decryptRow(srvRow types.Row) (types.Row, error) {
 			continue
 		}
 		if v.K != types.KindShare {
-			return nil, fmt.Errorf("proxy: column %q: expected share, got %s", oc.name, v.K)
+			return fmt.Errorf("proxy: column %q: expected share, got %s", oc.name, v.K)
 		}
 		ridArgs := args[:0]
 		for _, ri := range oc.rids {
-			if rids == nil {
-				rids = make([]secure.RowID, len(out))
-			}
-			if rids[ri].R == nil {
-				var err error
-				if rids[ri], err = k.p.decryptRowID(srvRow[ri]); err != nil {
-					return nil, fmt.Errorf("proxy: column %q: %w", out[ri].name, err)
+			if rids[ri] == 0 {
+				r, err := k.p.decryptRowID(srvRow[ri])
+				if err != nil {
+					return fmt.Errorf("proxy: column %q: %w", out[ri].name, err)
 				}
+				rids[ri] = r
 			}
 			ridArgs = append(ridArgs, rids[ri])
 		}
 		d, err := k.dec[c].Decrypt(v.B, ridArgs...)
 		if err != nil {
-			return nil, fmt.Errorf("proxy: column %q: %w", oc.name, err)
+			return fmt.Errorf("proxy: column %q: %w", oc.name, err)
 		}
 		if oc.mode == omAvg {
 			cnt := srvRow[oc.cntIdx]
 			if !cnt.IsNull() && cnt.K != types.KindInt {
-				return nil, fmt.Errorf("proxy: column %q: expected integer count, got %s", oc.name, cnt.K)
+				return fmt.Errorf("proxy: column %q: expected integer count, got %s", oc.name, cnt.K)
 			}
 			if cnt.IsNull() || cnt.I == 0 {
 				row[c] = types.Null
 				continue
 			}
-			// Two extra decimal digits of precision for the mean.
-			d.Mul(d, big.NewInt(100)).Quo(d, big.NewInt(cnt.I))
-			if !d.IsInt64() {
-				return nil, fmt.Errorf("proxy: AVG overflow in column %q", oc.name)
+			// Two extra decimal digits of precision for the mean, which
+			// must fit an int64 where the sum need not.
+			mean, err := d.MeanX100(cnt.I)
+			if err != nil {
+				return fmt.Errorf("proxy: AVG overflow in column %q", oc.name)
 			}
-			row[c] = types.Value{K: types.KindDecimal, I: d.Int64()}
+			row[c] = types.Value{K: types.KindDecimal, I: mean}
 			continue
 		}
-		if row[c], err = toValue(d, oc.kind); err != nil {
-			return nil, fmt.Errorf("proxy: column %q: %w", oc.name, err)
+		i, err := d.Int64()
+		if err != nil {
+			return fmt.Errorf("proxy: column %q: %w", oc.name, err)
 		}
+		row[c] = valueOf(i, oc.kind)
 	}
-	return row, nil
+	return nil
 }
 
 // sortAndLimit applies the plan's deferred ORDER BY (encrypted sort keys
@@ -138,21 +154,14 @@ func (plan *selectPlan) sortAndLimit(rows []types.Row) []types.Row {
 	return rows
 }
 
-// toValue converts a decrypted big integer into a typed value. One that
-// does not fit is reported by width alone, as Token.String does: it is a
-// SENSITIVE plaintext or, for a share the SP made up, a residue of share ·
-// item key — and two of those for chosen shares of one cell factor n.
-func toValue(v *big.Int, kind types.Kind) (types.Value, error) {
-	if !v.IsInt64() {
-		return types.Null, fmt.Errorf("decrypted value <%d bits> overflows int64", v.BitLen())
-	}
-	i := v.Int64()
+// valueOf types a decrypted integer by its column's kind.
+func valueOf(i int64, kind types.Kind) types.Value {
 	switch kind {
 	case types.KindDecimal:
-		return types.NewDecimal(i), nil
+		return types.NewDecimal(i)
 	case types.KindDate:
-		return types.NewDate(i), nil
+		return types.NewDate(i)
 	default:
-		return types.NewInt(i), nil
+		return types.NewInt(i)
 	}
 }

@@ -10,7 +10,9 @@ import (
 
 	"sdb/internal/bigmod"
 	"sdb/internal/engine"
+	"sdb/internal/race"
 	"sdb/internal/secure"
+	"sdb/internal/sies"
 	"sdb/internal/types"
 )
 
@@ -80,7 +82,8 @@ func isShare(v types.Value) bool { return v.K == types.KindShare }
 // So must a well-formed share in [0, n) that is not the stored one: it
 // decrypts to a residue of share · item key that fails the int64 check,
 // and the error must not print it — one such value is an item key, two of
-// them for one cell factor n once decryption runs modulo p₁.
+// them for one cell factor n once decryption runs modulo p₁. No error may
+// print the row's row id either, nor a forged row-id ciphertext.
 func TestHostileSPResultsError(t *testing.T) {
 	p, eng := bankSystem(t)
 	n := p.secret.N()
@@ -88,66 +91,76 @@ func TestHostileSPResultsError(t *testing.T) {
 		row := res.Rows[0]
 		return &row[len(row)-1]
 	}
-	var honest types.Row // row 0 as the SP had it, before forge replaced its share
 	forge := func(ve *big.Int) func(*engine.Result) {
-		return func(r *engine.Result) {
-			honest = append(types.Row(nil), r.Rows[0]...)
-			firstCell(r, isShare).B = ve
-		}
+		return func(r *engine.Result) { firstCell(r, isShare).B = ve }
 	}
 	forged := []*big.Int{big.NewInt(424242), new(big.Int).Sub(n, big.NewInt(999983))}
+	const forgedCipher = 1<<62 | 0x1d2c3b4a5968 // a row-id ciphertext outside the SIES modulus
 	cases := []struct {
 		name, sql string
 		tamper    func(*engine.Result)
 		forged    *big.Int // the share forge planted, if it did
+		leaks     []string // what else the error must not print
 	}{
-		{"forged share, streaming", `SELECT balance FROM accounts`, forge(forged[0]), forged[0]},
-		{"a second forged share of the same cell", `SELECT balance FROM accounts`, forge(forged[1]), forged[1]},
-		{"forged share, materialising", `SELECT balance FROM accounts ORDER BY balance`, forge(forged[0]), forged[0]},
+		{"forged share, streaming", `SELECT balance FROM accounts`, forge(forged[0]), forged[0], nil},
+		{"a second forged share of the same cell", `SELECT balance FROM accounts`, forge(forged[1]), forged[1], nil},
+		{"forged share, materialising", `SELECT balance FROM accounts ORDER BY balance`, forge(forged[0]), forged[0], nil},
 		{"row-keyed share without payload", `SELECT balance FROM accounts`,
-			func(r *engine.Result) { firstCell(r, isShare).B = nil }, nil},
+			func(r *engine.Result) { firstCell(r, isShare).B = nil }, nil, nil},
 		{"row-keyed share == n", `SELECT balance FROM accounts`,
-			func(r *engine.Result) { firstCell(r, isShare).B = new(big.Int).Set(n) }, nil},
+			func(r *engine.Result) { firstCell(r, isShare).B = new(big.Int).Set(n) }, nil, nil},
 		{"negative share", `SELECT balance FROM accounts`,
-			func(r *engine.Result) { firstCell(r, isShare).B = big.NewInt(-5) }, nil},
+			func(r *engine.Result) { firstCell(r, isShare).B = big.NewInt(-5) }, nil, nil},
 		{"row id without payload", `SELECT balance FROM accounts`,
-			func(r *engine.Result) { lastShare(r).B = nil }, nil},
+			func(r *engine.Result) { lastShare(r).B = nil }, nil, nil},
 		{"row id of the wrong kind", `SELECT balance FROM accounts`,
-			func(r *engine.Result) { *lastShare(r) = types.NewInt(7) }, nil},
+			func(r *engine.Result) { *lastShare(r) = types.NewInt(7) }, nil, nil},
 		{"row id outside the SIES modulus", `SELECT balance FROM accounts`,
-			func(r *engine.Result) { lastShare(r).B = new(big.Int).Lsh(big.NewInt(1), 200) }, nil},
+			func(r *engine.Result) { lastShare(r).B = new(big.Int).Lsh(big.NewInt(1), 200) }, nil, nil},
+		{"row id three limbs wide", `SELECT balance FROM accounts`,
+			func(r *engine.Result) { lastShare(r).B = new(big.Int).Lsh(big.NewInt(0x5a5a5a5a), 140) }, nil, nil},
+		{"row-id ciphertext at or above 2^62", `SELECT balance FROM accounts`,
+			func(r *engine.Result) { lastShare(r).B = packRowID(forgedCipher, 7) }, nil,
+			[]string{fmt.Sprint(uint64(forgedCipher)), fmt.Sprintf("%x", uint64(forgedCipher))}},
 		{"flat share without payload", `SELECT SUM(balance) FROM accounts`,
-			func(r *engine.Result) { firstCell(r, isShare).B = nil }, nil},
+			func(r *engine.Result) { firstCell(r, isShare).B = nil }, nil, nil},
 		{"AVG sum without payload", `SELECT AVG(balance) FROM accounts`,
-			func(r *engine.Result) { firstCell(r, isShare).B = nil }, nil},
+			func(r *engine.Result) { firstCell(r, isShare).B = nil }, nil, nil},
 		{"AVG count of the wrong kind", `SELECT AVG(balance) FROM accounts`,
 			func(r *engine.Result) {
 				*firstCell(r, func(v types.Value) bool { return v.K == types.KindInt }) = types.NewString("5")
-			}, nil},
+			}, nil, nil},
 		{"short row, streaming", `SELECT id, balance FROM accounts`,
-			func(r *engine.Result) { r.Rows[2] = r.Rows[2][:1] }, nil},
+			func(r *engine.Result) { r.Rows[2] = r.Rows[2][:1] }, nil, nil},
 		{"short row, materialising", `SELECT id, balance FROM accounts ORDER BY balance`,
-			func(r *engine.Result) { r.Rows[2] = r.Rows[2][:1] }, nil},
+			func(r *engine.Result) { r.Rows[2] = r.Rows[2][:1] }, nil, nil},
 		{"share without payload, materialising", `SELECT id, balance FROM accounts ORDER BY balance LIMIT 2`,
-			func(r *engine.Result) { firstCell(r, isShare).B = nil }, nil},
+			func(r *engine.Result) { firstCell(r, isShare).B = nil }, nil, nil},
 		{"empty row", `SELECT id, balance FROM accounts ORDER BY balance`,
-			func(r *engine.Result) { r.Rows[0] = nil }, nil},
+			func(r *engine.Result) { r.Rows[0] = nil }, nil, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p.exec = tamperExec{Executor: eng, tamper: tc.tamper}
+			var honest types.Row // row 0 as the SP had it, before the tampering
+			p.exec = tamperExec{Executor: eng, tamper: func(r *engine.Result) {
+				honest = append(types.Row(nil), r.Rows[0]...)
+				tc.tamper(r)
+			}}
 			defer func() { p.exec = eng }()
 			res, err := p.Exec(tc.sql)
 			if err == nil {
 				t.Fatalf("tampered result decrypted to %v", res.Rows)
 			}
-			leaks := keyMaterial(p, "accounts", "balance")
+			leaks := append(keyMaterial(p, "accounts", "balance"), tc.leaks...)
+			if rid, err := p.decryptRowID(honest[len(honest)-1]); err == nil {
+				leaks = append(leaks, fmt.Sprint(rid), fmt.Sprintf("%x", rid))
+			}
 			if tc.forged != nil {
 				leaks = append(leaks, forgedPlaintexts(t, p, honest, tc.forged)...)
 			}
 			for _, secret := range leaks {
 				if strings.Contains(err.Error(), secret) {
-					t.Fatalf("error carries key material: %v", err)
+					t.Fatalf("error carries a secret: %v", err)
 				}
 			}
 		})
@@ -158,9 +171,10 @@ func TestHostileSPResultsError(t *testing.T) {
 
 // forgedPlaintexts renders what the share ve decrypts to in the balance
 // cell of the server row honest (balance first, hidden row id last):
-// ve · item key modulo n and as the row kernel computes it, in decimal and
-// hex. The honest share must decrypt under the same key, or the test is
-// looking at the wrong cell.
+// ve · item key modulo n, in decimal and hex. The honest share must
+// decrypt under the same key, or the test is looking at the wrong cell,
+// and the forged one must not (a forged share that decrypts to an int64
+// leaves nothing to redact).
 func forgedPlaintexts(t *testing.T, p *Proxy, honest types.Row, ve *big.Int) []string {
 	t.Helper()
 	meta, _ := p.store.Get("accounts")
@@ -170,22 +184,17 @@ func forgedPlaintexts(t *testing.T, p *Proxy, honest types.Row, ve *big.Int) []s
 		t.Fatal(err)
 	}
 	dec := p.secret.NewDecryptor(ck)
-	if v, err := dec.Decrypt(firstCell(&engine.Result{Rows: []types.Row{honest}}, isShare).B, rid); err != nil || !v.IsInt64() {
+	if v, err := dec.Decrypt(firstCell(&engine.Result{Rows: []types.Row{honest}}, isShare).B, rid); err != nil {
 		t.Fatalf("the honest share does not decrypt under balance's key: %v, %v", v, err)
 	}
-	kernel, err := dec.Decrypt(ve, rid)
-	if err != nil {
-		t.Fatal(err)
+	if v, err := dec.Decrypt(ve, rid); err == nil {
+		if i, err := v.Int64(); err == nil {
+			t.Fatalf("forged share decrypts to the int64 %d: nothing to redact", i)
+		}
 	}
-	if kernel.IsInt64() {
-		t.Fatalf("forged share decrypts to the int64 %v: nothing to redact", kernel)
-	}
-	var out []string
-	for _, v := range []*big.Int{kernel, p.secret.Decrypt(ve, rid, ck)} {
-		v = new(big.Int).Abs(v)
-		out = append(out, v.String(), v.Text(16))
-	}
-	return out
+	v := p.secret.Decrypt(ve, secure.RowID{R: new(big.Int).SetUint64(rid)}, ck)
+	v.Abs(v)
+	return []string{v.String(), v.Text(16)}
 }
 
 // keyMaterial renders what must never reach a log, an error or the SP of a
@@ -340,5 +349,113 @@ func TestDecryptRacesTableBuildsAndRotation(t *testing.T) {
 	// of one alias merge) — and side's six were each built exactly once.
 	if got := p.KeyTableStats().Builds - built; got != 9 {
 		t.Fatalf("%d tables built during the race, want 9", got)
+	}
+}
+
+// TestRowIDGolden: the packed row-id shares the big.Int SIES cipher
+// stored for a fixed key, ids and nonces, committed as literals. The word
+// cipher packs the same bytes and unpacks them to the same ids, so row ids
+// at an SP and a persisted proxy state written before it still decrypt.
+func TestRowIDGolden(t *testing.T) {
+	p, _ := testSystem(t)
+	key := make([]byte, sies.KeySize)
+	for i := range key {
+		key[i] = byte(0xa0 + i)
+	}
+	var err error
+	if p.cipher, err = sies.New(key, rowIDBits); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		id, nonce uint64
+		packed    string
+	}{
+		{0x1, 0x1, "3f4f04cf8e917b3a0000000000000001"},
+		{0x2, 0x2, "226625b3baf28e410000000000000002"},
+		{0x2a5c7e9f1b3d5f70, 0x3, "28c470925dddb4460000000000000003"},
+		{0x3fffffffffffffff, 0x10000000000, "3ea40661f4928460000010000000000"},
+		{0x75bcd15, 0xffffffffffffffff, "144c3886db773e4fffffffffffffffff"},
+		{0x1badc0dedeadbeef, 0x0, "243bfca42ed2ca340000000000000000"},
+	} {
+		enc, err := p.cipher.Encrypt(g.id, g.nonce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := packRowID(enc, g.nonce).Text(16); got != g.packed {
+			t.Errorf("id %#x, nonce %#x: packed %s, want %s", g.id, g.nonce, got, g.packed)
+		}
+		if got, err := p.decryptRowID(types.NewShare(hexInt(t, g.packed))); err != nil || got != g.id {
+			t.Errorf("decryptRowID(%s) = %#x, %v; want %#x", g.packed, got, err, g.id)
+		}
+	}
+}
+
+func hexInt(t *testing.T, s string) *big.Int {
+	t.Helper()
+	v, ok := new(big.Int).SetString(s, 16)
+	if !ok {
+		t.Fatalf("bad hex %q", s)
+	}
+	return v
+}
+
+// TestRowDecryptAllocs is the row kernel's allocation gate: a row id
+// unpacks and decrypts without allocating, and a batch of N rows of three
+// row-keyed shares (on one row id) costs the same allocations at N = 8 as
+// at N = 512 — a per-batch constant: the row slice, the value and row-id
+// slabs and the chunk loop's closures, no per-row or per-cell object.
+// The batch also decrypts on a parallel pool, chunks writing their rows'
+// windows of the slabs concurrently (ci.sh runs it under -race, where
+// sync.Pool drops entries at random and only that part is checked).
+func TestRowDecryptAllocs(t *testing.T) {
+	p, eng := testSystem(t)
+	mustP(t, p, `CREATE TABLE wide (id INT, a INT SENSITIVE, b INT SENSITIVE, c INT SENSITIVE)`)
+	var vals []string
+	for i := 0; i < 512; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d, %d, %d)", i, i*7, -i, i<<40))
+	}
+	mustP(t, p, `INSERT INTO wide VALUES `+strings.Join(vals, ", "))
+
+	const sql = `SELECT id, a, b, c FROM wide`
+	var srv []types.Row
+	p.exec = tamperExec{Executor: eng, tamper: func(r *engine.Result) { srv = append([]types.Row(nil), r.Rows...) }}
+	p.SetOptions(Options{Parallelism: 4, ChunkSize: 16})
+	res := mustP(t, p, sql)
+	p.exec = eng
+	if len(srv) != 512 || len(res.Rows) != 512 {
+		t.Fatalf("fixture: %d server rows, %d decrypted", len(srv), len(res.Rows))
+	}
+	for _, row := range res.Rows {
+		if id := row[0].I; row[1].I != id*7 || row[2].I != -id || row[3].I != id<<40 {
+			t.Fatalf("row %v decrypted wrong", row)
+		}
+	}
+	if race.Enabled {
+		return
+	}
+
+	p.SetOptions(Options{Parallelism: 1})
+	rid := srv[0][len(srv[0])-1]
+	if _, err := p.decryptRowID(rid); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.decryptRowID(rid) }); n != 0 {
+		t.Fatalf("decryptRowID allocates %v times", n)
+	}
+	stmt, err := p.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stmt.Close()
+	k := p.newRowKernel(stmt.plan)
+	allocs := func(n int) float64 {
+		if _, err := k.decryptBatch(srv[:n]); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { k.decryptBatch(srv[:n]) })
+	}
+	small, large := allocs(8), allocs(512)
+	if small != large || large > 5 {
+		t.Fatalf("a batch allocates %v times at 8 rows and %v at 512: want one constant, at most 5", small, large)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -83,7 +84,8 @@ type Options struct {
 }
 
 // rowIDBits bounds row ids to [1, 2^rowIDBits); the SIES modulus is
-// 2^rowIDBits and the encrypted row id is packed as cipher<<64 | nonce.
+// 2^rowIDBits and the encrypted row id is packed as cipher<<64 | nonce
+// (packRowID).
 // The width is secure.RowIDBits because item-key cost follows it: the
 // secret's per-column-key comb tables cover exactly this many bits.
 const rowIDBits = secure.RowIDBits
@@ -100,8 +102,7 @@ func NewWithOptions(secret *secure.Secret, exec Executor, opts Options) (*Proxy,
 	if err != nil {
 		return nil, err
 	}
-	m := new(big.Int).Lsh(big.NewInt(1), rowIDBits)
-	cipher, err := sies.New(key, m)
+	cipher, err := sies.New(key, rowIDBits)
 	if err != nil {
 		return nil, err
 	}
@@ -455,38 +456,53 @@ func (p *Proxy) encryptInsertChunk(meta *TableMeta, table string, names []string
 }
 
 // newRowID draws a fresh row id and returns it along with its packed
-// SIES-encrypted form (cipher<<64 | nonce).
+// SIES-encrypted form.
 func (p *Proxy) newRowID() (secure.RowID, *big.Int, error) {
 	nonce := p.nonce.Add(1)
 	rid, err := secure.NewShortRowID()
 	if err != nil {
 		return secure.RowID{}, nil, err
 	}
-	enc, err := p.cipher.Encrypt(rid.R, nonce)
+	enc, err := p.cipher.Encrypt(rid.R.Uint64(), nonce)
 	if err != nil {
 		return secure.RowID{}, nil, err
 	}
-	packed := new(big.Int).Lsh(enc, 64)
-	packed.Or(packed, new(big.Int).SetUint64(nonce))
-	return rid, packed, nil
+	return rid, packRowID(enc, nonce), nil
 }
 
-// decryptRowID unpacks and decrypts a row-id cell shipped back in a result.
-func (p *Proxy) decryptRowID(cell types.Value) (secure.RowID, error) {
+// packRowID is the share a row id is stored as: ciphertext<<64 | nonce.
+func packRowID(enc, nonce uint64) *big.Int {
+	packed := new(big.Int).Lsh(new(big.Int).SetUint64(enc), 64)
+	return packed.Or(packed, new(big.Int).SetUint64(nonce))
+}
+
+// halfWords is the number of big.Words in one 64-bit half of a packed row
+// id.
+const halfWords = 64 / bits.UintSize
+
+// decryptRowID unpacks and decrypts a row-id cell shipped back in a
+// result, without allocating. A cell wider than the two halves, or a
+// ciphertext outside the SIES modulus, is the SP's error; neither prints
+// a value.
+func (p *Proxy) decryptRowID(cell types.Value) (uint64, error) {
 	packed := cell.B
 	if cell.K != types.KindShare || packed == nil || packed.Sign() < 0 {
-		return secure.RowID{}, fmt.Errorf("row id is not a packed share (%s)", cell.K)
+		return 0, fmt.Errorf("row id is not a packed share (%s)", cell.K)
 	}
-	nonce := new(big.Int).And(packed, maxUint64).Uint64()
-	enc := new(big.Int).Rsh(packed, 64)
-	r, err := p.cipher.Decrypt(enc, nonce)
-	if err != nil {
-		return secure.RowID{}, err
+	w := packed.Bits()
+	if len(w) > 2*halfWords {
+		return 0, fmt.Errorf("row id share of %d bits is wider than a packed row id", packed.BitLen())
 	}
-	return secure.RowID{R: r}, nil
+	var nonce, enc uint64
+	for i, x := range w {
+		if i < halfWords {
+			nonce |= uint64(x) << (i * bits.UintSize)
+		} else {
+			enc |= uint64(x) << ((i - halfWords) * bits.UintSize)
+		}
+	}
+	return p.cipher.Decrypt(enc, nonce)
 }
-
-var maxUint64 = new(big.Int).SetUint64(^uint64(0))
 
 // plainInt extracts the int64 backing of a literal for encryption, applying
 // the column's decimal scaling and date parsing.

@@ -296,6 +296,36 @@ func TestAvgSensitive(t *testing.T) {
 	}
 }
 
+// TestAvgSensitiveSumPastInt64: an encrypted AVG whose sum passes 2^63
+// still answers when its mean fits, as the plaintext engine does, while
+// the SUM itself is an error that names no value.
+func TestAvgSensitiveSumPastInt64(t *testing.T) {
+	p, _ := testSystem(t)
+	mustP(t, p, `CREATE TABLE big (id INT, v INT SENSITIVE)`)
+	const rows, base = 200, int64(1) << 56
+	vals := make([]string, rows)
+	sum := new(big.Int)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("(%d, %d)", i, base+int64(i))
+		sum.Add(sum, big.NewInt(base+int64(i)))
+	}
+	mustP(t, p, "INSERT INTO big VALUES "+strings.Join(vals, ", "))
+	if sum.IsInt64() {
+		t.Fatalf("sum %v fits an int64: nothing to test", sum)
+	}
+	for _, q := range []string{`SELECT AVG(v) FROM big`, `SELECT AVG(v) FROM big WHERE v > 0`} {
+		res := mustP(t, p, q)
+		wantInts(t, colInts(res, 0), base*100+(rows-1)*100/2) // Σi/rows = 99.5
+	}
+	_, err := p.Exec(`SELECT SUM(v) FROM big`)
+	if err == nil {
+		t.Fatal("a SUM past int64 answered")
+	}
+	if strings.Contains(err.Error(), sum.String()) || strings.Contains(err.Error(), sum.Text(16)) {
+		t.Fatalf("SUM error shows the sum: %v", err)
+	}
+}
+
 func TestMinMaxSensitive(t *testing.T) {
 	p, _ := bankSystem(t)
 	res := mustP(t, p, `SELECT MIN(balance), MAX(balance) FROM accounts`)

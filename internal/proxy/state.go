@@ -3,7 +3,6 @@ package proxy
 import (
 	"encoding/json"
 	"fmt"
-	"math/big"
 	"os"
 
 	"sdb/internal/secure"
@@ -123,8 +122,7 @@ func NewFromStateFile(path string, exec Executor, opts Options) (*Proxy, error) 
 	if err != nil {
 		return nil, err
 	}
-	m := new(big.Int).Lsh(big.NewInt(1), rowIDBits)
-	cipher, err := sies.New(st.SIESKey, m)
+	cipher, err := sies.New(st.SIESKey, rowIDBits)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"sdb/internal/bigmod"
+	"sdb/internal/race"
+	"sdb/internal/types"
 )
 
 // The decrypt contract (params.go): which kernel a secret takes, that the
@@ -155,12 +157,61 @@ func modP1(s *Secret, f *big.Int) *big.Int {
 	return s.dec.signed(new(big.Int).Mod(f, s.p1))
 }
 
+// oracle decrypts ve under the product of keys by Eq. 4 alone, modulo n
+// with big.Int arithmetic: the centred residue of ve · Π refItemKey.
+func oracle(s *Secret, ve *big.Int, keys []ColumnKey, rids []RowID) *big.Int {
+	n := s.N()
+	v := new(big.Int).Set(ve)
+	for _, ck := range keys {
+		r := RowID{R: new(big.Int)}
+		if ck.X.Sign() != 0 {
+			r, rids = rids[0], rids[1:]
+		}
+		v = bigmod.Mul(v, refItemKey(s, r, ck), n)
+	}
+	return s.full.signed(v)
+}
+
+// owes reports whether Decrypt's answer (got, err) is what it owes for the
+// centred residue want: want itself when it fits 128 bits, an error when
+// it does not.
+func owes(got types.Int128, err error, want *big.Int) bool {
+	if w, ok := types.Int128OfBig(want); ok {
+		return err == nil && got == w
+	}
+	return err != nil
+}
+
+// i128 is v as Decrypt returns it.
+func i128(v int64) types.Int128 { return types.Int128Of(v) }
+
+// words returns row ids as the machine words a Decryptor takes.
+func words(rids []RowID) []uint64 {
+	out := make([]uint64, len(rids))
+	for i, r := range rids {
+		out[i] = r.R.Uint64()
+	}
+	return out
+}
+
+// wordRowIDs are the row ids a Decryptor takes at its edges: 0, 1, the
+// widest the tables cover, and a random one.
+func wordRowIDs(t testing.TB) []uint64 {
+	t.Helper()
+	r, err := NewShortRowID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []uint64{0, 1, 1<<RowIDBits - 1, r.R.Uint64()}
+}
+
 // TestDecryptorHalfVsFullWidth is the differential of the half-width
-// kernel against the full-width oracle: every key shape, every plaintext
-// at the edges of the decrypt domain and every row-id width (the wide ones
-// take the fallback under both) give the identical answer; a share that
-// is not a share of anything gives the oracle's answer modulo p₁, which
-// is either the same value or one the int64 check rejects.
+// kernel against the full-width one and both against the big.Int oracle:
+// every key shape, every plaintext at the edges of the int64 range and of
+// the decrypt domain, and row ids at the edges of the tables give the
+// identical answer — the plaintext when it fits an int64, an error when it
+// does not. A share that is not a share of anything gives the oracle's
+// residue modulo p₁ (so an error, except with negligible probability).
 func TestDecryptorHalfVsFullWidth(t *testing.T) {
 	secrets := map[string]*Secret{"fixed": fixedSecret(t), "lopsided": lopsidedSecret(t)}
 	for _, bits := range []int{288, 384, 512, 1024, 2048} {
@@ -170,7 +221,7 @@ func TestDecryptorHalfVsFullWidth(t *testing.T) {
 		secrets[fmt.Sprint(bits)] = setup(t, bits, 62, 80)
 	}
 	domainMax := new(big.Int).Sub(new(big.Int).Lsh(one, DefaultValueBits+DefaultMaskBits), one)
-	plains := []*big.Int{new(big.Int), big.NewInt(1), big.NewInt(1<<63 - 1), domainMax}
+	plains := []*big.Int{new(big.Int), big.NewInt(1), big.NewInt(1<<63 - 1), new(big.Int).Lsh(one, 63), domainMax}
 	for _, v := range plains[1:] {
 		plains = append(plains, new(big.Int).Neg(v))
 	}
@@ -191,20 +242,22 @@ func TestDecryptorHalfVsFullWidth(t *testing.T) {
 		}
 		for shape, keys := range shapes {
 			half, full := s.NewDecryptor(keys...), s.newDecryptor(s.full, keys)
-			for _, ra := range edgeRowIDs(t, s) {
+			for _, r := range wordRowIDs(t) {
 				var rids []RowID
 				for _, ck := range keys {
 					if ck.X.Sign() != 0 {
-						rids = append(rids, RowID{R: new(big.Int).Add(ra.R, big.NewInt(int64(len(rids))))})
+						rw := (r + uint64(len(rids))) & (1<<RowIDBits - 1)
+						rids = append(rids, RowID{R: new(big.Int).SetUint64(rw)})
 					}
 				}
+				w := words(rids)
 				for _, v := range plains {
 					ve := mint(t, s, v, keys, rids)
-					h, errH := half.Decrypt(ve, rids...)
-					f, errF := full.Decrypt(ve, rids...)
-					if errH != nil || errF != nil || h.Cmp(v) != 0 || f.Cmp(v) != 0 {
-						t.Fatalf("%s/%s, %d-bit row id, %d-bit plaintext: half = %v, %v; full = %v, %v",
-							name, shape, ra.R.BitLen(), v.BitLen(), h, errH, f, errF)
+					h, errH := half.Decrypt(ve, w...)
+					f, errF := full.Decrypt(ve, w...)
+					if !owes(h, errH, v) || !owes(f, errF, v) {
+						t.Fatalf("%s/%s, row id %#x, %d-bit plaintext: half = %v, %v; full = %v, %v",
+							name, shape, r, v.BitLen(), h, errH, f, errF)
 					}
 				}
 				for i := 0; i < 8; i++ {
@@ -212,17 +265,93 @@ func TestDecryptorHalfVsFullWidth(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					h, errH := half.Decrypt(ve, rids...)
-					f, errF := full.Decrypt(ve, rids...)
-					if errH != nil || errF != nil {
-						t.Fatalf("%s/%s: random share: %v, %v", name, shape, errH, errF)
+					ref := oracle(s, ve, keys, rids)
+					h, errH := half.Decrypt(ve, w...)
+					f, errF := full.Decrypt(ve, w...)
+					if !owes(h, errH, modP1(s, ref)) || !owes(f, errF, ref) {
+						t.Fatalf("%s/%s: random share: half = %v, %v; full = %v, %v", name, shape, h, errH, f, errF)
 					}
-					if h.Cmp(modP1(s, f)) != 0 {
-						t.Fatalf("%s/%s: random share: half-width answer is not the full-width one modulo p1", name, shape)
+				}
+				if len(w) > 0 {
+					w[0] |= 1 << RowIDBits
+					ve := mint(t, s, big.NewInt(7), keys, rids)
+					if _, err := half.Decrypt(ve, w...); err == nil {
+						t.Fatalf("%s/%s: half-width kernel took a row id wider than its tables", name, shape)
 					}
-					if h.Cmp(f) != 0 && h.IsInt64() {
-						t.Fatalf("%s/%s: random share decrypts to an int64 the oracle does not give", name, shape)
+					if _, err := full.Decrypt(ve, w...); err == nil {
+						t.Fatalf("%s/%s: full-width kernel took a row id wider than its tables", name, shape)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestDecryptorMatchesScalar is the differential of the word Decryptor
+// against the scalar Secret.Decrypt: a product column's share is the
+// product of its factors' shares, each minted by Secret.Encrypt under its
+// own key and row id, so Decryptor.Decrypt of the product owes the product
+// of what Secret.Decrypt reads from each factor — when that fits 128 bits,
+// and an error when it does not. Products of one to four row-keyed factors
+// (with and without a flat one), negative values, the int64 edges and the
+// int128 ones, on
+// the half-width kernel, the full-width one and a modulus without a
+// Montgomery form.
+func TestDecryptorMatchesScalar(t *testing.T) {
+	products := [][]int64{
+		{0}, {1}, {-1}, {1 << 62}, {-(1 << 62)},
+		{7, 1317624576693539401}, {-7, 1317624576693539401}, // ±(2^63 − 1)
+		{1 << 62, 2}, {-(1 << 62), 2}, {1 << 62, -2}, // ±2^63: only −2^63 fits
+		{1 << 31, 1 << 31, 2}, {-(1 << 31), 1 << 31, 2}, {3, -5, 7},
+		{1 << 16, 1 << 16, 1 << 16, 1 << 15}, {-(1 << 16), 1 << 16, 1 << 16, 1 << 15},
+		{-1, -1, -1, -1}, {0, 1 << 62, -(1 << 62), 5}, {1 << 20, -(1 << 20), 1 << 20, 9},
+		{1 << 62, 1 << 62, 4}, {-(1 << 62), 1 << 62, 8}, {1 << 62, 1 << 62, 8}, // 2^126; ±2^127: only −2^127 fits
+	}
+	fixed := fixedSecret(t)
+	even := evenSecret(t)
+	type kernelCase struct {
+		s   *Secret
+		dec func(keys []ColumnKey) *Decryptor
+	}
+	kernels := map[string]kernelCase{
+		"half-width": {fixed, func(keys []ColumnKey) *Decryptor { return fixed.NewDecryptor(keys...) }},
+		"full-width": {fixed, func(keys []ColumnKey) *Decryptor { return fixed.newDecryptor(fixed.full, keys) }},
+		"mersenne":   {mersenneSecret(t), nil},
+		"even":       {even, nil},
+	}
+	for name, kc := range kernels {
+		s := kc.s
+		if kc.dec == nil {
+			kc.dec = func(keys []ColumnKey) *Decryptor { return s.NewDecryptor(keys...) }
+		}
+		n := s.N()
+		flat, _ := s.FlatKey()
+		for _, withFlat := range []bool{false, true} {
+			for _, vals := range products {
+				var keys []ColumnKey
+				var rids []uint64
+				ve, want := big.NewInt(1), big.NewInt(1)
+				for i, v := range append(vals, -3) {
+					ck, r := flat, RowID{R: new(big.Int)}
+					if i < len(vals) {
+						ck, _ = s.NewColumnKey()
+						ridWord := wordRowIDs(t)[i%4]
+						r = RowID{R: new(big.Int).SetUint64(ridWord)}
+						rids = append(rids, ridWord)
+					} else if !withFlat {
+						break
+					}
+					share, err := s.EncryptInt64(v, r, ck)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want.Mul(want, s.Decrypt(share, r, ck))
+					ve = bigmod.Mul(ve, share, n)
+					keys = append(keys, ck)
+				}
+				got, err := kc.dec(keys).Decrypt(ve, rids...)
+				if !owes(got, err, want) {
+					t.Fatalf("%s: product %v (flat factor %v) = %d, %v; scalar says %v", name, vals, withFlat, got, err, want)
 				}
 			}
 		}
@@ -305,7 +434,7 @@ func TestKeyTablePerKernel(t *testing.T) {
 	r := RowID{R: big.NewInt(77)}
 
 	ve := mint(t, s, big.NewInt(-5), []ColumnKey{read}, []RowID{r})
-	if got, err := s.NewDecryptor(read).Decrypt(ve, r); err != nil || got.Int64() != -5 {
+	if got, err := s.NewDecryptor(read).Decrypt(ve, 77); err != nil || got != i128(-5) {
 		t.Fatalf("Decrypt = %v, %v", got, err)
 	}
 	if st := s.KeyTableStats(); st.Tables != 1 || st.Builds != 1 || st.Bytes*2 != fullBytes {
@@ -348,7 +477,7 @@ func TestBothKernelsConcurrentFirstTouch(t *testing.T) {
 					}
 					continue
 				}
-				if got, err := s.NewDecryptor(ck).Decrypt(ve, r); err != nil || got.Int64() != 4242 {
+				if got, err := s.NewDecryptor(ck).Decrypt(ve, 123456789); err != nil || got != i128(4242) {
 					t.Errorf("worker %d: Decrypt = %v, %v", w, got, err)
 					return
 				}
@@ -384,36 +513,68 @@ func TestDecryptErrorsRedacted(t *testing.T) {
 	}
 }
 
-// FuzzDecryptHalfVsFull: share bytes × row-id bytes × key bytes through
-// both kernels of one fixed secret. Whatever the share, the half-width
-// answer is the full-width one modulo p₁ — hence equal whenever the latter
-// is in the decrypt domain — and nothing panics. (The corpus knows p₁, an
-// SP does not: a share that is a multiple of p₁ decrypts to 0.)
+// FuzzDecryptHalfVsFull: share bytes × row id × key bytes through both
+// kernels of one fixed secret. Whatever the share, each kernel owes the
+// big.Int oracle's residue — the half-width one modulo p₁ — when it fits
+// an int64 and an error otherwise; a row id wider than the tables is an
+// error from both; nothing panics. (The corpus knows p₁, an SP does not: a
+// share that is a multiple of p₁ decrypts to 0.)
 func FuzzDecryptHalfVsFull(f *testing.F) {
 	s := fixedSecret(f)
-	f.Add([]byte{1}, []byte{1}, []byte{2}, []byte{3})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0x3f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0xff, 0xff}, []byte{9})
-	f.Add([]byte{}, []byte{0x40, 0, 0, 0, 0, 0, 0, 0}, []byte{}, []byte{1})
-	f.Add(s.p1.Bytes(), []byte{7}, []byte{5}, s.p2.Bytes())
-	f.Fuzz(func(t *testing.T, vb, rb, xb, mb []byte) {
-		if len(vb) > 80 || len(rb) > 80 || len(xb) > 80 || len(mb) > 80 {
+	f.Add([]byte{1}, uint64(1), []byte{2}, []byte{3})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint64(1<<RowIDBits-1), []byte{0xff, 0xff}, []byte{9})
+	f.Add([]byte{}, uint64(1<<RowIDBits), []byte{}, []byte{1})
+	f.Add(s.p1.Bytes(), uint64(7), []byte{5}, s.p2.Bytes())
+	f.Fuzz(func(t *testing.T, vb []byte, r uint64, xb, mb []byte) {
+		if len(vb) > 80 || len(xb) > 80 || len(mb) > 80 {
 			t.Skip()
 		}
 		ve := new(big.Int).SetBytes(vb)
 		ve.Mod(ve, s.N())
 		ck := ColumnKey{M: new(big.Int).SetBytes(mb), X: new(big.Int).SetBytes(xb)}
 		ck.M.Mod(ck.M, s.N())
-		var rids []RowID
+		var rids []uint64
 		if ck.X.Sign() != 0 {
-			rids = []RowID{{R: new(big.Int).SetBytes(rb)}}
+			rids = []uint64{r}
 		}
 		h, errH := s.NewDecryptor(ck).Decrypt(ve, rids...)
 		full, errF := s.newDecryptor(s.full, []ColumnKey{ck}).Decrypt(ve, rids...)
-		if errH != nil || errF != nil {
-			t.Fatalf("Decrypt(ve=%x, r=%x, x=%x): %v, %v", vb, rb, xb, errH, errF)
+		if len(rids) > 0 && r>>RowIDBits != 0 {
+			if errH == nil || errF == nil {
+				t.Fatalf("Decrypt(r=%#x): a row id wider than the tables decrypted: %v, %v", r, errH, errF)
+			}
+			return
 		}
-		if h.Cmp(modP1(s, full)) != 0 {
-			t.Fatalf("Decrypt(ve=%x, r=%x, x=%x, m=%x): half-width %v is not full-width %v modulo p1", vb, rb, xb, mb, h, full)
+		ref := oracle(s, ve, []ColumnKey{ck}, []RowID{{R: new(big.Int).SetUint64(r)}})
+		if !owes(h, errH, modP1(s, ref)) || !owes(full, errF, ref) {
+			t.Fatalf("Decrypt(ve=%x, r=%#x, x=%x, m=%x): half = %v, %v; full = %v, %v; oracle %v",
+				vb, r, xb, mb, h, errH, full, errF, ref)
 		}
 	})
+}
+
+// TestDecryptorAllocs: a warm Decryptor under either kernel decrypts a
+// share of three row-keyed factors and a flat one without allocating.
+// (Not under -race, where sync.Pool drops entries at random.)
+func TestDecryptorAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	s := fixedSecret(t)
+	a, _ := s.NewColumnKey()
+	b, _ := s.NewColumnKey()
+	c, _ := s.NewColumnKey()
+	flat, _ := s.FlatKey()
+	keys := []ColumnKey{a, flat, b, c}
+	rids := []RowID{{R: big.NewInt(11)}, {R: big.NewInt(1<<RowIDBits - 1)}, {R: big.NewInt(987654321)}}
+	ve := mint(t, s, big.NewInt(-31337), keys, rids)
+	w := words(rids)
+	for name, d := range map[string]*Decryptor{"half-width": s.NewDecryptor(keys...), "full-width": s.newDecryptor(s.full, keys)} {
+		if got, err := d.Decrypt(ve, w...); err != nil || got != i128(-31337) {
+			t.Fatalf("%s: Decrypt = %d, %v", name, got, err)
+		}
+		if n := testing.AllocsPerRun(50, func() { d.Decrypt(ve, w...) }); n != 0 {
+			t.Fatalf("%s: Decrypt allocates %v times", name, n)
+		}
+	}
 }

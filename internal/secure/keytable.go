@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"sync"
 
 	"sdb/internal/bigmod"
+	"sdb/internal/types"
 )
 
 // Item keys through per-column-key comb tables.
@@ -33,9 +35,11 @@ import (
 // The tables belong to the Secret: a memo keyed by (kernel, x), so a
 // rotation — which mints a new x — never invalidates anything; it only
 // makes an old table cold. Past maxKeyTables the least recently used table
-// is dropped, and the memo is garbage with its Secret. Row ids the tables
-// do not cover (NewRowID draws modulus-wide ones) and moduli without a
-// Montgomery form keep the g path, so ItemKey means what it always did.
+// is dropped, and the memo is garbage with its Secret. Moduli without a
+// Montgomery form keep the g path, and so do the row ids ItemKey gets that
+// the tables do not cover (NewRowID draws modulus-wide ones), so ItemKey
+// means what it always did. A Decryptor takes row ids as machine words
+// and only the widths the tables cover: the proxy draws no others.
 
 // RowIDBits is the width of the row ids the proxy draws: the proxy
 // encrypts them for storage at the SP with SIES under the modulus
@@ -187,8 +191,10 @@ func (s *Secret) gPow(r, x *big.Int) *big.Int {
 // (params.go, "The decrypt contract"); per share it starts the accumulator
 // at Πm, walks at most 9 table digits per row-keyed factor and finishes
 // with one REDC by the share, which lands the product in the normal domain
-// — no conversion, no trial division, one allocation. A column under flat
-// keys only (aggregates, tags) is the one-multiply case.
+// — no conversion, no trial division, no allocation — and reads the
+// centred residue straight into 128 bits: an int64 plaintext, or the sum
+// of such under a SUM share, which AVG divides before it must fit. A column under flat keys only
+// (aggregates, tags) is the one-multiply case.
 //
 // Under the half-width kernel all of that runs modulo p₁. The share itself
 // arrives modulo n = p₁p₂ < p₁·R₁, which is REDC's input range, so one bare
@@ -232,16 +238,28 @@ func (s *Secret) newDecryptor(k *kernel, keys []ColumnKey) *Decryptor {
 	return d
 }
 
-// Decrypt decodes one share: Decode(ve · Π gen(r_i, key_i)). rids holds
-// one row id per key with x ≠ 0, in key order; flat keys take none. Shares
-// come from the SP, so a missing or out-of-range ve is an error, never a
-// panic or a silently reduced value. The result is exact for every
-// plaintext of the decrypt contract; for anything else — a share the SP
-// made up — it is some residue, which the caller's range check rejects.
-func (d *Decryptor) Decrypt(ve *big.Int, rids ...RowID) (*big.Int, error) {
+// errOverflow reports a decrypted value outside 128 bits by that fact
+// alone: it is the sum of SENSITIVE plaintexts or, for a share the SP made
+// up, a residue of share · item key — and two of those for chosen shares
+// of one cell factor n (params.go).
+var errOverflow = errors.New("secure: decrypted value overflows 128 bits")
+
+// Decrypt decodes one share: Decode(ve · Π gen(r_i, key_i)) as a 128-bit
+// integer — a cell's plaintext is its Int64, an AVG's mean the MeanX100 of
+// its sum, which may pass int64 where the mean does not. rids holds one
+// row id per key with x ≠ 0, in key order; flat keys take none. A row id
+// is a machine word below 2^RowIDBits, the width the tables cover and the
+// only one the proxy draws. Shares come from the SP, so a missing or
+// out-of-range ve or row id is an error, never a panic or a silently
+// reduced value. The result is exact for every plaintext of the decrypt
+// contract; for anything else — a share the SP made up — it is some
+// residue, which fails the 128-bit check, or the caller's int64 one,
+// except with the probability the contract states. Under a Montgomery
+// form it allocates nothing.
+func (d *Decryptor) Decrypt(ve *big.Int, rids ...uint64) (types.Int128, error) {
 	s, k, n := d.s, d.k, d.s.params.N
 	if ve == nil || ve.Sign() < 0 || ve.Cmp(n) >= 0 {
-		return nil, errors.New("secure: share outside [0, n)")
+		return types.Int128{}, errors.New("secure: share outside [0, n)")
 	}
 	var (
 		vk *big.Int    // the item key so far, without a Montgomery form
@@ -258,37 +276,61 @@ func (d *Decryptor) Decrypt(ve *big.Int, rids ...RowID) (*big.Int, error) {
 		if ck.X.Sign() == 0 {
 			continue
 		}
-		if len(rids) == 0 || rids[0].R == nil {
-			return nil, fmt.Errorf("secure: no row id for row-keyed factor %d", i)
+		if len(rids) == 0 {
+			return types.Int128{}, fmt.Errorf("secure: no row id for row-keyed factor %d", i)
 		}
-		r := rids[0].R
+		r := rids[0]
 		rids = rids[1:]
+		if r>>RowIDBits != 0 {
+			return types.Int128{}, fmt.Errorf("secure: row id of factor %d wider than %d bits", i, RowIDBits)
+		}
 		switch t := d.tabs[i]; {
 		case vk != nil:
-			vk = bigmod.Mul(vk, s.gPow(r, ck.X), n)
-		case t != nil && t.Covers(r):
-			t.MulExpTo(ks.ms, ks.acc, r)
-		default: // a row id wider than the table
-			k.ctx.MulTo(ks.ms, ks.acc, ks.acc, k.ctx.ToMont(ks.ms, s.gPow(r, ck.X)))
+			vk = bigmod.Mul(vk, s.gPow(new(big.Int).SetUint64(r), ck.X), n)
+		case t == nil: // x < 0: no column key the DO mints
+			return types.Int128{}, fmt.Errorf("secure: row-keyed factor %d has a malformed key", i)
+		default:
+			e := wordsOf(r)
+			t.MulExpTo(ks.ms, ks.acc, e[:])
 		}
 	}
 	if len(rids) != 0 {
-		return nil, fmt.Errorf("secure: %d row ids more than row-keyed factors", len(rids))
+		return types.Int128{}, fmt.Errorf("secure: %d row ids more than row-keyed factors", len(rids))
 	}
 	if vk != nil {
-		return k.signed(bigmod.Mul(ve, vk, n)), nil
+		v, ok := types.Int128OfBig(k.signed(bigmod.Mul(ve, vk, n)))
+		if !ok {
+			return types.Int128{}, errOverflow
+		}
+		return v, nil
 	}
-	z := make([]big.Word, k.ctx.Words())
 	switch {
 	case k == s.full:
-		k.ctx.MulBig(ks.ms, z, ks.acc, ve)
+		k.ctx.MulBig(ks.ms, ks.acc, ks.acc, ve)
 	case k.ctx.Redc(ks.ms, ks.red, ve):
-		k.ctx.MulTo(ks.ms, z, ks.acc, ks.red)
+		k.ctx.MulTo(ks.ms, ks.acc, ks.acc, ks.red)
 	default:
 		// ve ≥ p₁·R₁: only a p₂ wider than p₁'s limbs (hand-picked primes)
 		// gets here. Reduce by division, then shed the surplus R₁.
 		k.ctx.MulBig(ks.ms, ks.acc, ks.acc, ve)
-		k.ctx.MulTo(ks.ms, z, ks.acc, []big.Word{1})
+		k.ctx.MulTo(ks.ms, ks.acc, ks.acc, oneWord[:])
 	}
-	return k.signed(new(big.Int).SetBits(z)), nil
+	hi, lo, ok := k.ctx.Int128(ks.acc)
+	if !ok {
+		return types.Int128{}, errOverflow
+	}
+	return types.Int128{Hi: hi, Lo: lo}, nil
 }
+
+// wordsOf returns a row id as the little-endian limbs MulExpTo walks: one
+// on a 64-bit platform, two on a 32-bit one.
+func wordsOf(r uint64) (w [64 / bits.UintSize]big.Word) {
+	for i := range w {
+		w[i] = big.Word(r >> (i * bits.UintSize))
+	}
+	return w
+}
+
+// oneWord is the normal-domain 1 a Montgomery residue is multiplied by to
+// leave the domain.
+var oneWord = [1]big.Word{1}

@@ -106,9 +106,10 @@ func TestItemKeyTableMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEncryptBatchDecryptorRoundTrip: what EncryptBatch mints, Decryptor
-// and Secret.Decrypt read back, at every row-id width — including a
-// product column over two row ids and a flat factor.
+// TestEncryptBatchDecryptorRoundTrip: what EncryptBatch mints at every
+// row-id width, Secret.Decrypt reads back, and so does a Decryptor
+// wherever the row ids are words its tables cover — including a product
+// column over two row ids and a flat factor. A wider row id is an error.
 func TestEncryptBatchDecryptorRoundTrip(t *testing.T) {
 	for name, s := range itemKeySecrets(t) {
 		a, _ := s.NewColumnKey()
@@ -127,15 +128,30 @@ func TestEncryptBatchDecryptorRoundTrip(t *testing.T) {
 			if got := s.Decrypt(ves[0], ra, a); got.Int64() != -4321 {
 				t.Fatalf("%s: Decrypt = %s", name, got)
 			}
-			if got, err := s.NewDecryptor(a).Decrypt(ves[0], ra); err != nil || got.Int64() != -4321 {
-				t.Fatalf("%s: single-key decryptor = %v, %v", name, got, err)
-			}
-			if got, err := s.NewDecryptor(flat).Decrypt(ves[2]); err != nil || got.Int64() != 3 {
+			if got, err := s.NewDecryptor(flat).Decrypt(ves[2]); err != nil || got != i128(3) {
 				t.Fatalf("%s: flat decryptor = %v, %v", name, got, err)
 			}
 			prod := bigmod.Mul(bigmod.Mul(ves[0], ves[2], n), ves[1], n)
 			d := s.NewDecryptor(a, flat, b)
-			if got, err := d.Decrypt(prod, ra, rb); err != nil || got.Int64() != -4321*3*17 {
+			if rb.R.BitLen() > RowIDBits {
+				// A word of 2^RowIDBits or more stands for any wider id: the
+				// Decryptor must refuse it for its width, whatever it would
+				// decrypt to.
+				word := func(r RowID) uint64 {
+					if r.R.BitLen() > RowIDBits {
+						return r.R.Uint64() | 1<<RowIDBits
+					}
+					return r.R.Uint64()
+				}
+				if _, err := d.Decrypt(prod, word(ra), word(rb)); err == nil || !strings.Contains(err.Error(), "wider than") {
+					t.Fatalf("%s: a %d-bit row id: %v", name, rb.R.BitLen(), err)
+				}
+				continue
+			}
+			if got, err := s.NewDecryptor(a).Decrypt(ves[0], ra.R.Uint64()); err != nil || got != i128(-4321) {
+				t.Fatalf("%s: single-key decryptor = %v, %v", name, got, err)
+			}
+			if got, err := d.Decrypt(prod, ra.R.Uint64(), rb.R.Uint64()); err != nil || got != i128(-4321*3*17) {
 				t.Fatalf("%s: product decryptor (%d-bit ids) = %v, %v", name, ra.R.BitLen(), got, err)
 			}
 		}
@@ -148,19 +164,18 @@ func TestDecryptorRejectsMalformed(t *testing.T) {
 	for name, s := range map[string]*Secret{"odd": batchSecret(t), "even": evenSecret(t)} {
 		ck, _ := s.NewColumnKey()
 		d := s.NewDecryptor(ck)
-		r := RowID{R: big.NewInt(9)}
 		for what, ve := range map[string]*big.Int{"nil": nil, "negative": big.NewInt(-1), "n": s.N(), "n+1": new(big.Int).Add(s.N(), one)} {
-			if _, err := d.Decrypt(ve, r); err == nil {
+			if _, err := d.Decrypt(ve, 9); err == nil {
 				t.Errorf("%s: %s share accepted", name, what)
 			}
 		}
 		if _, err := d.Decrypt(big.NewInt(5)); err == nil {
 			t.Errorf("%s: missing row id accepted", name)
 		}
-		if _, err := d.Decrypt(big.NewInt(5), RowID{}); err == nil {
-			t.Errorf("%s: nil row id accepted", name)
+		if _, err := d.Decrypt(big.NewInt(5), 1<<RowIDBits); err == nil {
+			t.Errorf("%s: row id wider than the tables accepted", name)
 		}
-		if _, err := d.Decrypt(big.NewInt(5), r, r); err == nil {
+		if _, err := d.Decrypt(big.NewInt(5), 9, 9); err == nil {
 			t.Errorf("%s: surplus row id accepted", name)
 		}
 	}
@@ -228,7 +243,7 @@ func TestKeyTableConcurrentFirstTouch(t *testing.T) {
 					return
 				}
 				ve, _ := s.EncryptInt64(int64(i), r, ck)
-				if got, err := s.NewDecryptor(ck).Decrypt(ve, r); err != nil || got.Int64() != int64(i) {
+				if got, err := s.NewDecryptor(ck).Decrypt(ve, r.R.Uint64()); err != nil || got != i128(int64(i)) {
 					t.Errorf("worker %d: decryptor = %v, %v", w, got, err)
 					return
 				}
@@ -252,7 +267,7 @@ func TestKeyMaterialRedacted(t *testing.T) {
 	h := new(big.Int).Exp(s.g, ck.X, s.N())
 	secrets := []*big.Int{ck.X, ck.M, h, s.ItemKey(RowID{R: one}, ck)}
 
-	_, errShare := s.NewDecryptor(ck).Decrypt(s.N(), r)
+	_, errShare := s.NewDecryptor(ck).Decrypt(s.N(), 5)
 	_, errRid := s.NewDecryptor(ck).Decrypt(big.NewInt(1))
 	_, errFlat := s.DecryptFlat(big.NewInt(1), ck)
 	surfaces := []string{
@@ -272,37 +287,44 @@ func TestKeyMaterialRedacted(t *testing.T) {
 	}
 }
 
-// FuzzItemKeyTable: row id bytes × key bytes against big.Int.Exp. ItemKey
-// runs on the Mersenne secret (modulo n whatever the secret); the
-// Decryptor leg runs on a secret that takes the half-width kernel, over a
-// share minted from the reference item key, so it must give the plaintext
-// back exactly.
+// FuzzItemKeyTable: row id × key bytes against big.Int.Exp. ItemKey runs
+// on the Mersenne secret (modulo n whatever the secret); the Decryptor leg
+// runs on a secret that takes the half-width kernel, over a share minted
+// from the reference item key, so it must give the plaintext back exactly
+// — or, for a row id wider than the tables, refuse it.
 func FuzzItemKeyTable(f *testing.F) {
 	s, hs := mersenneSecret(f), fixedSecret(f)
-	f.Add([]byte{1}, []byte{2}, []byte{3})
-	f.Add([]byte{0x3f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0xff, 0xff}, []byte{9})
-	f.Add([]byte{0x40, 0, 0, 0, 0, 0, 0, 0}, []byte{}, []byte{1})
-	f.Fuzz(func(t *testing.T, rb, xb, mb []byte) {
-		if len(rb) > 40 || len(xb) > 40 || len(mb) > 40 {
+	f.Add(uint64(1), []byte{2}, []byte{3})
+	f.Add(uint64(1<<RowIDBits-1), []byte{0xff, 0xff}, []byte{9})
+	f.Add(uint64(1<<RowIDBits), []byte{}, []byte{1})
+	f.Fuzz(func(t *testing.T, rw uint64, xb, mb []byte) {
+		if len(xb) > 40 || len(mb) > 40 {
 			t.Skip()
 		}
-		r := RowID{R: new(big.Int).SetBytes(rb)}
+		r := RowID{R: new(big.Int).SetUint64(rw)}
 		ck := ColumnKey{M: new(big.Int).SetBytes(mb), X: new(big.Int).SetBytes(xb)}
 		ck.M.Mod(ck.M, s.N())
 		if got, want := s.ItemKey(r, ck), refItemKey(s, r, ck); got.Cmp(want) != 0 {
-			t.Fatalf("ItemKey(r=%x, x=%x) = %x, want %x", rb, xb, got, want)
+			t.Fatalf("ItemKey(r=%#x, x=%x) = %x, want %x", rw, xb, got, want)
 		}
 		if !bigmod.Coprime(ck.M, hs.N()) {
 			return // the item key is not invertible: no share to mint
 		}
-		rids := []RowID{r}
+		rids, words := []RowID{r}, []uint64{rw}
 		if ck.X.Sign() == 0 {
-			rids = nil
+			rids, words = nil, nil
 		}
 		plain := big.NewInt(-424242)
 		ve := mint(t, hs, plain, []ColumnKey{ck}, rids)
-		if got, err := hs.NewDecryptor(ck).Decrypt(ve, rids...); err != nil || got.Cmp(plain) != 0 {
-			t.Fatalf("Decrypt(r=%x, x=%x) = %v, %v, want %v", rb, xb, got, err, plain)
+		got, err := hs.NewDecryptor(ck).Decrypt(ve, words...)
+		if len(words) > 0 && rw>>RowIDBits != 0 {
+			if err == nil {
+				t.Fatalf("Decrypt(r=%#x, x=%x) took a row id wider than the tables", rw, xb)
+			}
+			return
+		}
+		if err != nil || got != i128(plain.Int64()) {
+			t.Fatalf("Decrypt(r=%#x, x=%x) = %v, %v, want %v", rw, xb, got, err, plain)
 		}
 	})
 }

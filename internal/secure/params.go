@@ -19,8 +19,9 @@
 // Only the DO knows n = p₁p₂, and p₁ divides n, so a product known modulo n
 // is known modulo p₁ too. What the DO decrypts are result columns —
 // application values and the sums and products the secure operators make
-// of them — and every one is checked into an int64 afterwards. The decrypt
-// domain is stated with the Domain's own budget, magnitudes up to
+// of them — and every one is checked into an int64 afterwards (an AVG's
+// sum into 128 bits, and its mean into an int64). The decrypt domain is
+// stated with the Domain's own budget, magnitudes up to
 //
 //	2^(valueBits + maskBits)
 //
@@ -50,10 +51,11 @@
 //
 // Outside the contract nothing is promised, as before: SDB has no
 // integrity, so a share the SP made up decrypts to garbage — under the
-// half-width kernel garbage in (−p₁/2, p₁/2), which the caller's int64
-// check rejects except with probability ≈ 2⁶⁴/p₁ — and an honest result
+// half-width kernel garbage in (−p₁/2, p₁/2), which the int64 check of a
+// cell rejects except with probability ≈ 2⁶⁴/p₁, and that of an AVG's
+// mean except with probability ≈ count·2⁶⁴/p₁ — and an honest result
 // that overflows past p₁/2 aliases with that probability instead of always
-// failing the int64 check. Because such garbage is a residue of
+// failing those checks. Because such garbage is a residue of
 // (share · item key), errors never print a decrypted value: two of them for
 // chosen shares of one cell would give gcd(d₁·ve₂ − d₂·ve₁, n) = p₁.
 package secure

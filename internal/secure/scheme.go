@@ -60,7 +60,7 @@ func (s *Secret) ItemKey(r RowID, ck ColumnKey) *big.Int {
 			ks := s.full.scratch()
 			defer s.full.pool.Put(ks)
 			copy(ks.acc, s.oneM)
-			t.MulExpTo(ks.ms, ks.acc, r.R)
+			t.MulExpTo(ks.ms, ks.acc, r.R.Bits())
 			z := make([]big.Word, s.full.ctx.Words())
 			s.full.ctx.MulBig(ks.ms, z, ks.acc, ck.M)
 			return new(big.Int).SetBits(z)

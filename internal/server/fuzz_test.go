@@ -3,14 +3,18 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
+	"math/big"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"sdb/internal/engine"
 	"sdb/internal/proxy"
 	"sdb/internal/secure"
+	"sdb/internal/types"
 	"sdb/internal/wire"
 )
 
@@ -80,6 +84,16 @@ func FuzzDecryptingCursor(f *testing.F) {
 	f.Add(answer)
 	f.Add(answer[:len(answer)/2])
 	f.Add([]byte{})
+	// The first row's hidden row id (its last cell) three limbs wide, and
+	// packing a SIES ciphertext at or above the 2^62 modulus.
+	// Both must fail on the row-id column.
+	wide := reframe(f, answer, func(rid *big.Int) *big.Int { return new(big.Int).Lsh(big.NewInt(0x5a5a5a5a), 140) })
+	high := reframe(f, answer, func(rid *big.Int) *big.Int {
+		nonce := new(big.Int).And(rid, new(big.Int).SetUint64(^uint64(0)))
+		return new(big.Int).Or(new(big.Int).Lsh(big.NewInt(1<<62|0x1d2c3b4a5968), 64), nonce)
+	})
+	f.Add(wide)
+	f.Add(high)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cli, peer := net.Pipe()
 		cli.SetDeadline(time.Now().Add(5 * time.Second))
@@ -116,6 +130,12 @@ func FuzzDecryptingCursor(f *testing.F) {
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1024*len(data)+1<<20); got > limit {
 			t.Fatalf("%d input bytes drove %d bytes of allocation (limit %d)", len(data), got, limit)
 		}
+		if bytes.Equal(data, wide) || bytes.Equal(data, high) {
+			if err == nil || !strings.Contains(err.Error(), `"_rid_t"`) {
+				t.Fatalf("a forged row id: %v, want an error on the row-id column", err)
+			}
+			return
+		}
 		if !bytes.Equal(data, answer) {
 			return
 		}
@@ -124,6 +144,37 @@ func FuzzDecryptingCursor(f *testing.F) {
 		}
 		requireRows(t, res, want)
 	})
+}
+
+// reframe re-encodes a recorded multi-frame answer with the last cell of
+// its first row replaced by forge of it.
+func reframe(t testing.TB, answer []byte, forge func(*big.Int) *big.Int) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	in := wire.NewConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(answer), io.Discard})
+	w := wire.NewConn(&out)
+	for first := true; ; first = false {
+		resp, err := in.ReadResponse()
+		if err == io.EOF {
+			return out.Bytes()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first {
+			if len(resp.Rows) == 0 {
+				t.Fatal("the first frame carries no rows")
+			}
+			row := resp.Rows[0]
+			row[len(row)-1] = types.NewShare(forge(row[len(row)-1].B))
+		}
+		if err := w.SendResponse(resp); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // requireRows compares two decrypted results cell by cell, order included.

@@ -12,6 +12,13 @@
 // The original instantiates the PRF with a stream cipher; we use
 // HMAC-SHA-256 from the standard library, which preserves the
 // pseudorandom-pad structure the scheme relies on.
+//
+// M is a power of two no wider than a machine word (SDB encrypts 62-bit row
+// ids under M = 2^62), so values, ciphertexts and pads are uint64s and
+// reduction is a mask. The pad is the 32-byte HMAC block read as one
+// big-endian integer and reduced modulo M — for such an M, its last eight
+// bytes masked. Row ids stored at an SP are encrypted under exactly that
+// pad, so it must not change (TestGoldenVectors).
 package sies
 
 import (
@@ -22,35 +29,38 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"math/big"
 	"sync"
 )
 
 // KeySize is the secret key length in bytes.
 const KeySize = 32
 
-// Cipher encrypts and decrypts values in Z_M under per-nonce additive pads.
+// Cipher encrypts and decrypts values in Z_M, M = 2^bits, under per-nonce
+// additive pads. It is safe for concurrent use.
 type Cipher struct {
 	key  []byte
-	m    *big.Int
-	mask *big.Int  // m − 1 when m is a power of two (SDB's 2^62): reduce by masking
-	macs sync.Pool // keyed HMAC states (hash.Hash); keying one costs more than a pad
+	mask uint64    // M − 1
+	pads sync.Pool // *padState: keying an HMAC costs more than a pad
 }
 
-// New constructs a Cipher with the given secret key and modulus M.
-// The key must be KeySize bytes and M must exceed 1.
-func New(key []byte, m *big.Int) (*Cipher, error) {
+// padState is the pooled working memory of one pad: a keyed HMAC and the
+// buffers it reads and writes, heap-resident so no call allocates.
+type padState struct {
+	mac hash.Hash
+	in  [12]byte // nonce, then the block counter (always 0: one block suffices)
+	out [sha256.Size]byte
+}
+
+// New constructs a Cipher with the given secret key over M = 2^bits. The
+// key must be KeySize bytes and bits in [1, 64].
+func New(key []byte, bits int) (*Cipher, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("sies: key must be %d bytes, got %d", KeySize, len(key))
 	}
-	if m == nil || m.Cmp(big.NewInt(2)) < 0 {
-		return nil, errors.New("sies: modulus must be at least 2")
+	if bits < 1 || bits > 64 {
+		return nil, fmt.Errorf("sies: modulus width %d outside [1, 64] bits", bits)
 	}
-	c := &Cipher{key: append([]byte(nil), key...), m: new(big.Int).Set(m)}
-	if m.TrailingZeroBits() == uint(m.BitLen()-1) {
-		c.mask = new(big.Int).Sub(m, big.NewInt(1))
-	}
-	return c, nil
+	return &Cipher{key: append([]byte(nil), key...), mask: ^uint64(0) >> (64 - bits)}, nil
 }
 
 // GenerateKey draws a fresh random key.
@@ -62,83 +72,50 @@ func GenerateKey() ([]byte, error) {
 	return key, nil
 }
 
-// M returns the ciphertext modulus.
-func (c *Cipher) M() *big.Int { return new(big.Int).Set(c.m) }
-
 // Key returns a copy of the secret key. The proxy persists it in its
 // data-owner state file so a restarted proxy can decrypt row ids it
 // encrypted before the restart.
 func (c *Cipher) Key() []byte { return append([]byte(nil), c.key...) }
 
-// reduce maps v into [0, M) in place. For a power-of-two M that is a mask
-// (And is two's-complement on negative operands), with no division.
-func (c *Cipher) reduce(v *big.Int) *big.Int {
-	if c.mask != nil {
-		return v.And(v, c.mask)
+// pad derives the additive one-time pad of an item nonce: HMAC-SHA-256 of
+// the nonce and a zero block counter, reduced modulo M.
+func (c *Cipher) pad(nonce uint64) uint64 {
+	ps, _ := c.pads.Get().(*padState)
+	if ps == nil {
+		ps = &padState{mac: hmac.New(sha256.New, c.key)}
 	}
-	return v.Mod(v, c.m)
+	ps.mac.Reset()
+	binary.BigEndian.PutUint64(ps.in[:8], nonce)
+	ps.mac.Write(ps.in[:])
+	p := binary.BigEndian.Uint64(ps.mac.Sum(ps.out[:0])[sha256.Size-8:]) & c.mask
+	c.pads.Put(ps)
+	return p
 }
 
-// pad derives the additive one-time pad for an item nonce. The pad is a
-// pseudorandom element of Z_M obtained by expanding HMAC output until we
-// have enough bits, then reducing; the two extra blocks of slack keep the
-// reduction bias negligible.
-func (c *Cipher) pad(nonce uint64) *big.Int {
-	need := (c.m.BitLen() + 7) / 8 * 2 // double width to flatten mod bias
-	if need < sha256.Size {
-		need = sha256.Size
-	}
-	buf := make([]byte, 0, need+sha256.Size)
-	var nb [8]byte
-	binary.BigEndian.PutUint64(nb[:], nonce)
-	mac, _ := c.macs.Get().(hash.Hash)
-	if mac == nil {
-		mac = hmac.New(sha256.New, c.key)
-	}
-	defer c.macs.Put(mac)
-	for counter := uint32(0); len(buf) < need; counter++ {
-		mac.Reset()
-		mac.Write(nb[:])
-		var cb [4]byte
-		binary.BigEndian.PutUint32(cb[:], counter)
-		mac.Write(cb[:])
-		buf = mac.Sum(buf)
-	}
-	p := new(big.Int).SetBytes(buf[:need])
-	return c.reduce(p)
-}
+// Errors name the bound, never the value: a plaintext is a row id, and a
+// ciphertext is one once the pad is known.
+var (
+	errPlaintext  = errors.New("sies: plaintext outside [0, M)")
+	errCiphertext = errors.New("sies: ciphertext outside [0, M)")
+)
 
 // Encrypt returns E(v) = v + pad(nonce) mod M. The nonce must be unique per
 // item (SDB uses the row's position in the upload stream); reusing a nonce
 // for two different values reveals their difference, exactly as pad reuse
 // does in the original scheme.
-func (c *Cipher) Encrypt(v *big.Int, nonce uint64) (*big.Int, error) {
-	if v.Sign() < 0 || v.Cmp(c.m) >= 0 {
-		return nil, fmt.Errorf("sies: plaintext %s outside [0, M)", v)
+func (c *Cipher) Encrypt(v, nonce uint64) (uint64, error) {
+	if v > c.mask {
+		return 0, errPlaintext
 	}
-	e := new(big.Int).Add(v, c.pad(nonce))
-	return c.reduce(e), nil
+	return (v + c.pad(nonce)) & c.mask, nil
 }
 
-// Decrypt inverts Encrypt for the same nonce.
-func (c *Cipher) Decrypt(e *big.Int, nonce uint64) (*big.Int, error) {
-	if e.Sign() < 0 || e.Cmp(c.m) >= 0 {
-		return nil, fmt.Errorf("sies: ciphertext %s outside [0, M)", e)
+// Decrypt inverts Encrypt for the same nonce. Chained over several nonces
+// it recovers a sum of plaintexts from the modular sum of their
+// ciphertexts: pads are additive.
+func (c *Cipher) Decrypt(e, nonce uint64) (uint64, error) {
+	if e > c.mask {
+		return 0, errCiphertext
 	}
-	v := new(big.Int).Sub(e, c.pad(nonce))
-	return c.reduce(v), nil
-}
-
-// DecryptSum recovers the sum of plaintexts from the modular sum of
-// ciphertexts encrypted under the given nonces — the homomorphic property
-// the original paper is named for.
-func (c *Cipher) DecryptSum(sum *big.Int, nonces []uint64) (*big.Int, error) {
-	if sum.Sign() < 0 || sum.Cmp(c.m) >= 0 {
-		return nil, fmt.Errorf("sies: ciphertext sum %s outside [0, M)", sum)
-	}
-	v := new(big.Int).Set(sum)
-	for _, nonce := range nonces {
-		v.Sub(v, c.pad(nonce))
-	}
-	return c.reduce(v), nil
+	return (e - c.pad(nonce)) & c.mask, nil
 }

@@ -270,8 +270,11 @@ echo "== proxy row-decrypt kernel: hostile SP + table builds under the race dete
 # share that is not the stored one must fail without its plaintext (a
 # residue of share · item key) in the error text. The race test has
 # parallel decrypt chunks of several cursors build a rotated column's
-# tables on first touch while another column keeps rotating.
-go test -race -count=1 -run 'HostileSP|DecryptRaces|JoinProduct|KeyTableStats' ./internal/proxy
+# tables on first touch while another column keeps rotating. The
+# allocation gate decrypts a 512-row batch on parallel chunks that write
+# one shared value slab (its exact allocation counts — zero per row id,
+# one constant per batch — are checked by the plain go test run).
+go test -race -count=1 -run 'HostileSP|DecryptRaces|JoinProduct|KeyTableStats|RowDecryptAllocs' ./internal/proxy
 # The kernel underneath decrypts modulo p₁ when the secret can host the
 # decrypt domain there (secure/params.go): which secrets take which kernel
 # (and keep it through MarshalJSON), the half-width kernel against the
