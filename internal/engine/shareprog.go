@@ -127,7 +127,6 @@ type shareProg struct {
 	ins    []instr
 	nregs  int
 	consts []progConst
-	keyLen int       // memo key scratch (bytes), from the program's tables
 	pool   sync.Pool // *frame
 }
 
@@ -138,12 +137,13 @@ type progConst struct {
 
 // frame is one worker's registers and scratch for a program. Registers
 // written by opPow alias memo entries; every other register is the
-// frame's own memory, constants pre-loaded.
+// frame's own memory, constants pre-loaded. hits counts the frame's memo
+// hits until put publishes them, once per chunk or call.
 type frame struct {
-	r   [][]big.Word
-	ms  *bigmod.MontScratch
-	key []byte
-	tmp []big.Word
+	r    [][]big.Word
+	ms   *bigmod.MontScratch
+	tmp  []big.Word
+	hits int64
 }
 
 func (p *shareProg) get() *frame {
@@ -152,8 +152,7 @@ func (p *shareProg) get() *frame {
 	}
 	k := p.mc.Words()
 	slab := make([]big.Word, p.nregs*k)
-	fr := &frame{r: make([][]big.Word, p.nregs), ms: p.mc.NewScratch(),
-		key: make([]byte, p.keyLen), tmp: make([]big.Word, k)}
+	fr := &frame{r: make([][]big.Word, p.nregs), ms: p.mc.NewScratch(), tmp: make([]big.Word, k)}
 	for i := range fr.r {
 		fr.r[i] = slab[i*k : (i+1)*k : (i+1)*k]
 	}
@@ -163,7 +162,10 @@ func (p *shareProg) get() *frame {
 	return fr
 }
 
-func (p *shareProg) put(fr *frame) { p.pool.Put(fr) }
+func (p *shareProg) put(fr *frame) {
+	secure.FlushHelperPowerHits(&fr.hits)
+	p.pool.Put(fr)
+}
 
 // run evaluates every instruction for one row.
 func (p *shareProg) run(fr *frame, row types.Row) error {
@@ -186,7 +188,7 @@ func (p *shareProg) run(fr *frame, row types.Row) error {
 			if err != nil {
 				return err
 			}
-			yM, err := in.pow.Lookup(fr.ms, fr.key, w)
+			yM, err := in.pow.Lookup(fr.ms, &fr.hits, w)
 			if err != nil {
 				return fmt.Errorf("engine: %s: %w", in.src.fname, err)
 			}
@@ -484,7 +486,6 @@ func (b *progBuilder) keyUpdate(x *sqlparser.FuncCall, base bool) (pval, error) 
 	if t == nil {
 		t = secure.NewPowerTable(q, b.n)
 		b.tables[q.String()] = t
-		b.p.keyLen = t.KeyLen()
 	}
 	y := b.emit(insKey{op: opPow, src: w.key, pow: t}, instr{op: opPow, src: w, pow: t})
 	if ve.reg < 0 { // y·R residue: the constant joins the factor with R⁻¹

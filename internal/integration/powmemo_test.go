@@ -16,8 +16,9 @@ import (
 // filter, over four distinct exponents of one helper. Its arguments compile
 // into one row program, which looks each (helper, exponent) pair up once
 // per row: a cold serial execution exponentiates four times per row and finds
-// nothing memoised, a second execution exponentiates nothing, and rotating
-// one column's key changes exactly one of the four exponents.
+// nothing memoised, a second execution exponentiates nothing — serially and
+// on two workers — and rotating one column's key changes exactly one of the
+// four exponents.
 func TestHelperPowerMemoCountsQ1(t *testing.T) {
 	f := setup(t)
 	q1 := tpch.RunnableQueries()[0]
@@ -63,6 +64,14 @@ func TestHelperPowerMemoCountsQ1(t *testing.T) {
 	secure.ResetHelperPowers()
 	run("cold", 0, 4*r)
 	run("repeat", 4*r, 0)
+	// Warm on two workers in 64-row chunks: each worker counts its hits in
+	// its own frame and publishes them once per chunk, so the counters are
+	// exact when the statement returns.
+	f.sdb.SetOptions(proxy.Options{Parallelism: 2, ChunkSize: 64})
+	f.sdbEng.SetOptions(engine.Options{Parallelism: 2, ChunkSize: 64})
+	run("repeat on 2 workers", 4*r, 0)
+	f.sdb.SetOptions(proxy.Options{Parallelism: 1})
+	f.sdbEng.SetOptions(engine.Options{Parallelism: 1})
 	if _, err := f.sdb.RotateColumn("lineitem", "l_quantity"); err != nil {
 		t.Fatal(err)
 	}

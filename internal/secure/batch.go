@@ -51,7 +51,6 @@ type applyScratch struct {
 	ms   *bigmod.MontScratch
 	tmp  []big.Word // k limbs
 	tmp2 []big.Word // k limbs
-	key  []byte     // helper bytes, fixed width (memo key)
 	buf  []big.Word // grown on demand (batch prefix products)
 }
 
@@ -87,7 +86,6 @@ func (a *TokenApplier) scratch() *applyScratch {
 		ms:   a.ctx.NewScratch(),
 		tmp:  make([]big.Word, k),
 		tmp2: make([]big.Word, k),
-		key:  make([]byte, (a.n.BitLen()+7)/8),
 	}
 }
 
@@ -118,16 +116,6 @@ func applyPlain(t Token, ve, w, n *big.Int) *big.Int {
 		out = bigmod.Mul(out, ve, n)
 	}
 	return out
-}
-
-// memoKey renders w as the memo's fixed-width key in s.key, or returns
-// nil for a helper outside [0, n), which bypasses the memo (stored
-// helpers are always reduced).
-func (a *TokenApplier) memoKey(s *applyScratch, w *big.Int) []byte {
-	if w.Sign() < 0 || w.Cmp(a.n) >= 0 {
-		return nil
-	}
-	return w.FillBytes(s.key)
 }
 
 // finish computes the token output from yM = ToMont(w^Q) (nil when Q = 0,
@@ -169,7 +157,9 @@ func (a *TokenApplier) Apply(ve, w *big.Int) (*big.Int, error) {
 	if a.pows == nil {
 		return a.finish(s, nil, ve), nil
 	}
-	yM, err := a.pows.Lookup(s.ms, s.key, w)
+	var hits int64
+	yM, err := a.pows.Lookup(s.ms, &hits, w)
+	FlushHelperPowerHits(&hits)
 	if err != nil {
 		return nil, err
 	}
@@ -224,15 +214,13 @@ func (a *TokenApplier) ApplyBatch(ves, ws []*big.Int) ([]*big.Int, error) {
 func (a *TokenApplier) batchPowers(s *applyScratch, ws []*big.Int, yMs [][]big.Word) error {
 	var missed []int
 	for i, w := range ws {
-		if key := a.memoKey(s, w); key != nil {
-			yMs[i] = a.pows.pows.get(key)
-		}
-		if yMs[i] == nil {
+		if yMs[i] = a.pows.cached(w); yMs[i] == nil {
 			yMs[i] = a.ctx.ToMont(s.ms, new(big.Int).Exp(w, a.qAbs, a.n))
 			missed = append(missed, i)
 		}
 	}
-	powers.hits.Add(int64(len(ws) - len(missed)))
+	hits := int64(len(ws) - len(missed))
+	FlushHelperPowerHits(&hits)
 	powers.misses.Add(int64(len(missed)))
 	if a.qNeg && len(missed) > 0 {
 		// Only the fresh residues are inverted in place; memoised ones
@@ -246,9 +234,7 @@ func (a *TokenApplier) batchPowers(s *applyScratch, ws []*big.Int, yMs [][]big.W
 		}
 	}
 	for _, i := range missed {
-		if key := a.memoKey(s, ws[i]); key != nil {
-			powers.put(a.pows.pows, key, yMs[i])
-		}
+		a.pows.memoise(ws[i], yMs[i])
 	}
 	return nil
 }

@@ -2,6 +2,9 @@ package secure
 
 import (
 	"math/big"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,8 +27,18 @@ import (
 // x and hence Q (the old exponent's entries just stop being asked for),
 // while MVCC versions and recovery keep helper values. The first level
 // maps (n, Q) to a per-exponent table, which a TokenApplier resolves once
-// at construction; the per-row lookup is then one hash of w in one of the
-// table's shards (chunk workers of one statement share the table).
+// at construction. A table keeps each entry — w's limbs beside
+// ToMont(w^Q) — in chunked limb arrays and finds it through one
+// open-addressed array of atomic slots; a helper's home slot is a seeded
+// mix of its limbs, so helpers a client crafts without the process's seed
+// cannot pile onto one probe sequence. A hit is then an atomic load per
+// probe and a limb compare: no lock, no byte key, and no write to memory
+// any other worker reads. A miss inserts under the table's one mutex,
+// growing the slot array by copy-and-publish. Neither the slots nor the
+// limb chunks hold pointers, so the memo adds nothing for the garbage
+// collector to scan however many powers it holds. Hits are counted by the
+// caller (a row program's frame, one TokenApplier call) and published
+// with FlushHelperPowerHits once per chunk or call.
 //
 // Memory is bounded by powMemoBytes. When an insert would cross it, whole
 // tables are evicted, least recently resolved first — rotated-away
@@ -34,17 +47,44 @@ import (
 // the rest, as every row did before the memo existed.
 
 const (
-	// powMemoBytes bounds the memo's approximate footprint: ~230 B per
-	// power at 512 bits, so about 290k (helper, exponent) pairs.
+	// powMemoBytes bounds the memo's approximate footprint: ~160 B per
+	// power at 512 bits, so about 400k (helper, exponent) pairs.
 	powMemoBytes = 64 << 20
-	powShards    = 16
-	// powEntryOverhead approximates an entry's bookkeeping beyond its key
-	// and residue bytes (map slot, string and slice headers).
-	powEntryOverhead = 96
+	// powEntryOverhead approximates an entry's bytes beyond its 2k limbs:
+	// its share of the slot array, at most four 8-byte slots (an array is
+	// at least a quarter full once it has grown).
+	powEntryOverhead = 32
 	// powTableOverhead is charged per exponent table, so that tables
-	// which never receive an entry still count toward eviction.
+	// which never receive an entry still count toward eviction. It also
+	// covers the table's first slot array and the unused tail of its last
+	// chunk.
 	powTableOverhead = 1024
+	// powMinSlots is a table's slot count at its first insert.
+	powMinSlots = 16
+	// powChunk is the number of entries per limb chunk.
+	powChunk = 16
+	// powMul is the odd multiplier of the slot mix (2^64 / φ).
+	powMul = 0x9e3779b97f4a7c15
+	// powIndex masks a slot's entry number; the bits above it are the top
+	// half of the entry's hash.
+	powIndex = 1<<32 - 1
 )
+
+// powSeed keys the slot mix. It is drawn once per process and never
+// leaves it; tests replace it only while the memo is empty.
+var powSeed = rand.Uint64()
+
+// powHash mixes a helper's limbs into its slot hash. Each step is a
+// bijection of the running state, so helpers of equal length that differ
+// in one limb never share a hash.
+func powHash(seed uint64, ws []big.Word) uint64 {
+	h := seed
+	for _, x := range ws {
+		h = (h ^ uint64(x)) * powMul
+		h ^= h >> 32
+	}
+	return h
+}
 
 // powKey identifies an exponent table: modulus bytes, |Q| bytes, Q's sign.
 type powKey struct {
@@ -52,19 +92,63 @@ type powKey struct {
 	neg  bool
 }
 
-type powShard struct {
-	mu   sync.RWMutex
-	dead bool // table evicted: refuse new entries
-	m    map[string][]big.Word
+// powSlots is an open-addressed array over a table's entries, at most
+// half full. A slot is 0 (empty) or an entry's number plus one under the
+// top 32 bits of its hash. A home slot is taken from those bits alone, so
+// growth re-files entries without rehashing them, and a probe passes most
+// foreign entries without reading their limbs. Once published an array
+// only gains entries in empty slots; growth publishes a new one.
+type powSlots struct {
+	shift uint   // 64 - log2(len(s)), at least 32: a hash's home slot is h >> shift
+	mask  uint64 // len(s) - 1
+	s     []atomic.Uint64
 }
 
-// powTable holds w^Q for one (n, Q) and many helpers w, keyed by w's
-// fixed-width big-endian bytes. Stored residues are immutable.
+func newPowSlots(n int) *powSlots {
+	return &powSlots{shift: uint(64 - bits.TrailingZeros(uint(n))), mask: uint64(n - 1),
+		s: make([]atomic.Uint64, n)}
+}
+
+// add files slot value v in the first empty slot of its probe sequence.
+func (s *powSlots) add(v uint64) {
+	i := v >> s.shift
+	for s.s[i].Load() != 0 {
+		i = (i + 1) & s.mask
+	}
+	s.s[i].Store(v)
+}
+
+// grown returns a copy of s with twice the slots (nil: the first array).
+// Readers still probing s keep a valid array; they only miss what is
+// added to the copy.
+func (s *powSlots) grown() *powSlots {
+	if s == nil {
+		return newPowSlots(powMinSlots)
+	}
+	ns := newPowSlots(2 * len(s.s))
+	for i := range s.s {
+		if v := s.s[i].Load(); v != 0 {
+			ns.add(v)
+		}
+	}
+	return ns
+}
+
+// powTable holds w^Q for one (n, Q) and many helpers w. Entry i is 2k
+// limbs at chunks[i/powChunk][(i%powChunk)·2k:]: w's limbs zero-padded to
+// k, then ToMont(w^Q). Entries are written before their slot is
+// published and never change afterwards.
 type powTable struct {
 	key        powKey
+	k          int // limbs of a residue modulo n
 	entryBytes int64
-	lastUse    int64 // memo clock at the last resolution; guarded by powMemo.mu
-	shards     [powShards]powShard
+	lastUse    int64                        // memo clock at the last resolution; guarded by powMemo.mu
+	slots      atomic.Pointer[powSlots]     // nil before the first entry and once dropped
+	chunks     atomic.Pointer[[][]big.Word] // grows by append under mu; nil once dropped
+
+	mu   sync.Mutex // serialises inserts, growth and drop
+	n    int        // entries; guarded by mu
+	dead bool       // table evicted: refuse new entries; guarded by mu
 }
 
 type powMemo struct {
@@ -90,7 +174,7 @@ func (m *powMemo) table(n, q *big.Int, words int) *powTable {
 	defer m.mu.Unlock()
 	t := m.tables[key]
 	if t == nil {
-		t = &powTable{key: key, entryBytes: int64(16*words + powEntryOverhead)}
+		t = &powTable{key: key, k: words, entryBytes: int64(16*words + powEntryOverhead)}
 		m.tables[key] = t
 		m.bytes.Add(powTableOverhead)
 		m.fit(t)
@@ -120,40 +204,101 @@ func (m *powMemo) fit(keep *powTable) bool {
 }
 
 // drop removes t from the memo and empties it. Appliers still holding t
-// keep reading an empty table and can no longer add to it. Callers hold
-// m.mu.
+// read an empty table and can no longer add to it. Callers hold m.mu.
 func (m *powMemo) drop(t *powTable) {
 	delete(m.tables, t.key)
-	var n int64
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		n += int64(len(sh.m))
-		sh.m, sh.dead = nil, true
-		sh.mu.Unlock()
-	}
+	t.mu.Lock()
+	n := int64(t.n)
+	t.n, t.dead = 0, true
+	t.slots.Store(nil)
+	t.chunks.Store(nil)
+	t.mu.Unlock()
 	m.entries.Add(-n)
 	m.bytes.Add(-(n*t.entryBytes + powTableOverhead))
 }
 
-func (t *powTable) shard(key []byte) *powShard {
-	// Helpers are uniform in Z_n, so their low byte spreads the shards.
-	return &t.shards[key[len(key)-1]%powShards]
+// find returns the 2k limbs of the entry holding helper limbs w (with
+// hash h) in s, or nil. A probe sequence always reaches an empty slot.
+func (t *powTable) find(s *powSlots, h uint64, w []big.Word) []big.Word {
+	top := h &^ powIndex
+	for i := h >> s.shift; ; i = (i + 1) & s.mask {
+		v := s.s[i].Load()
+		if v == 0 {
+			return nil
+		}
+		if v&^powIndex != top {
+			continue
+		}
+		// Loaded after the slot, so the chunk list covers its entry —
+		// unless the table was dropped since.
+		cp := t.chunks.Load()
+		if cp == nil {
+			return nil
+		}
+		idx, stride := int(v&powIndex)-1, 2*t.k
+		off := idx % powChunk * stride
+		e := (*cp)[idx/powChunk][off : off+stride : off+stride]
+		if slices.Equal(e[:len(w)], w) && allZero(e[len(w):t.k]) {
+			return e
+		}
+	}
 }
 
-// get returns the memoised residue for the helper with these bytes, or
-// nil.
-func (t *powTable) get(key []byte) []big.Word {
-	sh := t.shard(key)
-	sh.mu.RLock()
-	yM := sh.m[string(key)]
-	sh.mu.RUnlock()
-	return yM
+func allZero(ws []big.Word) bool {
+	for _, x := range ws {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
-// put memoises yM for the helper with these bytes in t, unless the bound
-// leaves no room. yM must not be modified afterwards.
-func (m *powMemo) put(t *powTable, key []byte, yM []big.Word) {
+// get returns the memoised residue for helper limbs w with hash h, or nil.
+func (t *powTable) get(h uint64, w []big.Word) []big.Word {
+	s := t.slots.Load()
+	if s == nil {
+		return nil
+	}
+	if e := t.find(s, h, w); e != nil {
+		return e[t.k:]
+	}
+	return nil
+}
+
+// insert adds w (hash h) and its residue yM unless t is dead or already
+// holds w, growing the slot array when it would pass half full. Callers
+// hold t.mu.
+func (t *powTable) insert(h uint64, w, yM []big.Word) bool {
+	s := t.slots.Load()
+	if t.dead || s != nil && t.find(s, h, w) != nil {
+		return false
+	}
+	if s == nil || 2*(t.n+1) > len(s.s) {
+		s = s.grown()
+		t.slots.Store(s)
+	}
+	var chunks [][]big.Word
+	if cp := t.chunks.Load(); cp != nil {
+		chunks = *cp
+	}
+	idx, stride := t.n, 2*t.k
+	if idx%powChunk == 0 {
+		// Appending writes past every published length, so readers of
+		// the old list are undisturbed.
+		chunks = append(chunks, make([]big.Word, powChunk*stride))
+		t.chunks.Store(&chunks)
+	}
+	e := chunks[idx/powChunk][idx%powChunk*stride:]
+	copy(e, w)
+	copy(e[t.k:], yM)
+	s.add(h&^powIndex | uint64(idx+1))
+	t.n++
+	return true
+}
+
+// put memoises yM for helper limbs w with hash h in t, unless the bound
+// leaves no room. Both are copied.
+func (m *powMemo) put(t *powTable, h uint64, w, yM []big.Word) {
 	if m.bytes.Add(t.entryBytes) > m.bound {
 		m.mu.Lock()
 		ok := m.fit(t)
@@ -163,19 +308,13 @@ func (m *powMemo) put(t *powTable, key []byte, yM []big.Word) {
 			return
 		}
 	}
-	sh := t.shard(key)
-	sh.mu.Lock()
-	_, dup := sh.m[string(key)]
-	if sh.dead || dup {
-		sh.mu.Unlock()
+	t.mu.Lock()
+	ok := t.insert(h, w, yM)
+	t.mu.Unlock()
+	if !ok {
 		m.bytes.Add(-t.entryBytes)
 		return
 	}
-	if sh.m == nil {
-		sh.m = make(map[string][]big.Word)
-	}
-	sh.m[string(key)] = yM
-	sh.mu.Unlock()
 	m.entries.Add(1)
 }
 
@@ -184,12 +323,11 @@ func (m *powMemo) put(t *powTable, key []byte, yM []big.Word) {
 // per token, and the engine's row programs hold one per distinct exponent
 // of a statement, so a key update costs one Lookup however many tokens of
 // that exponent an operator applies to the row. It is immutable and safe
-// for concurrent use; callers bring their own scratch.
+// for concurrent use; callers bring their own scratch and hit counter.
 type PowerTable struct {
-	n, q   *big.Int
-	ctx    *bigmod.MontCtx
-	pows   *powTable
-	keyLen int // bytes of n: the memo key width
+	n, q *big.Int
+	ctx  *bigmod.MontCtx
+	pows *powTable
 }
 
 // NewPowerTable resolves the memo table of exponent q modulo n. It returns
@@ -204,25 +342,39 @@ func newPowerTable(q *big.Int, ctx *bigmod.MontCtx) *PowerTable {
 		return nil
 	}
 	n := ctx.N()
-	return &PowerTable{n: n, q: q, ctx: ctx, pows: powers.table(n, q, ctx.Words()), keyLen: (n.BitLen() + 7) / 8}
+	return &PowerTable{n: n, q: q, ctx: ctx, pows: powers.table(n, q, ctx.Words())}
 }
 
-// KeyLen is the length of the key buffer Lookup needs.
-func (t *PowerTable) KeyLen() int { return t.keyLen }
+// cached returns the memoised ToMont(w^Q), or nil. Only helpers in
+// [0, n) are memoised, so a nonnegative helper no wider than n needs no
+// comparison with n: one that is out of range has no stored twin.
+func (t *PowerTable) cached(w *big.Int) []big.Word {
+	wb := w.Bits()
+	if w.Sign() < 0 || len(wb) > t.pows.k {
+		return nil
+	}
+	return t.pows.get(powHash(powSeed, wb), wb)
+}
+
+// memoise stores a copy of yM = ToMont(w^Q) for the next caller. A
+// helper outside [0, n) bypasses the memo (stored helpers are always
+// reduced).
+func (t *PowerTable) memoise(w *big.Int, yM []big.Word) {
+	if w.Sign() >= 0 && w.Cmp(t.n) < 0 {
+		powers.put(t.pows, powHash(powSeed, w.Bits()), w.Bits(), yM)
+	}
+}
 
 // Lookup returns ToMont(w^Q mod n) as k limbs that the caller must not
 // modify: the memoised residue on a hit, a fresh one (memoised for the
-// next caller) on a miss. key is scratch of at least KeyLen bytes. A helper
-// outside [0, n) bypasses the memo. The error is the non-invertible-helper
-// failure of a negative exponent.
-func (t *PowerTable) Lookup(ms *bigmod.MontScratch, key []byte, w *big.Int) ([]big.Word, error) {
-	var k []byte
-	if w.Sign() >= 0 && w.Cmp(t.n) < 0 {
-		k = w.FillBytes(key[:t.keyLen])
-		if yM := t.pows.get(k); yM != nil {
-			powers.hits.Add(1)
-			return yM, nil
-		}
+// next caller) on a miss. A hit adds one to *hits, the caller's own
+// counter, which it publishes with FlushHelperPowerHits once per chunk or
+// call. The error is the non-invertible-helper failure of a negative
+// exponent.
+func (t *PowerTable) Lookup(ms *bigmod.MontScratch, hits *int64, w *big.Int) ([]big.Word, error) {
+	if yM := t.cached(w); yM != nil {
+		*hits++
+		return yM, nil
 	}
 	powers.misses.Add(1)
 	y := new(big.Int).Exp(w, t.q, t.n)
@@ -230,10 +382,18 @@ func (t *PowerTable) Lookup(ms *bigmod.MontScratch, key []byte, w *big.Int) ([]b
 		return nil, errNotInvertible()
 	}
 	yM := t.ctx.ToMont(ms, y)
-	if k != nil {
-		powers.put(t.pows, k, yM)
-	}
+	t.memoise(w, yM)
 	return yM, nil
+}
+
+// FlushHelperPowerHits publishes hits counted by one caller of Lookup to
+// the memo's counter and zeroes them. It is the counter's one writer, so
+// no hit writes memory that other workers read.
+func FlushHelperPowerHits(hits *int64) {
+	if *hits != 0 {
+		powers.hits.Add(*hits)
+		*hits = 0
+	}
 }
 
 // HelperPowerStats is a snapshot of the helper-power memo: how many token
@@ -265,6 +425,7 @@ func ResetHelperPowers() {
 	for _, t := range m.tables {
 		m.drop(t)
 	}
-	m.hits.Store(0)
+	hits := -m.hits.Load() // zeroed through the counter's one writer
+	FlushHelperPowerHits(&hits)
 	m.misses.Store(0)
 }

@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sdb/internal/bigmod"
@@ -25,8 +28,25 @@ func setPowMemoBound(t *testing.T, bound int64) {
 	})
 }
 
+// setPowSeed is the test-only hook that replaces the slot mix's seed; the
+// seed and an empty memo come back when the test ends. Call it only while
+// no applier runs.
+func setPowSeed(t *testing.T, seed uint64) {
+	t.Helper()
+	old := powSeed
+	ResetHelperPowers()
+	powSeed = seed
+	t.Cleanup(func() {
+		ResetHelperPowers()
+		powSeed = old
+	})
+}
+
 // auditPowMemo recounts what the memo holds and checks it against the
-// running counters. Call it only while no applier runs.
+// running counters: every entry is filed under its own helper's hash and
+// is the first match on its probe sequence (so no helper is held twice),
+// every entry number is filed exactly once, and no slot array is over half
+// full. Call it only while no applier runs.
 func auditPowMemo(t *testing.T) {
 	t.Helper()
 	m := powers
@@ -37,15 +57,48 @@ func auditPowMemo(t *testing.T) {
 		if tab.key != key {
 			t.Fatalf("table filed under a foreign key")
 		}
-		var n int64
-		for i := range tab.shards {
-			if tab.shards[i].dead {
-				t.Fatalf("dead shard in a resolvable table")
-			}
-			n += int64(len(tab.shards[i].m))
+		tab.mu.Lock()
+		dead, n, s, cp := tab.dead, tab.n, tab.slots.Load(), tab.chunks.Load()
+		tab.mu.Unlock()
+		if dead {
+			t.Fatalf("dead table still resolvable")
 		}
-		entries += n
-		bytes += n*tab.entryBytes + powTableOverhead
+		filed := make([]bool, n)
+		if s != nil {
+			held := 0
+			for i := range s.s {
+				v := s.s[i].Load()
+				if v == 0 {
+					continue
+				}
+				held++
+				idx := int(v&powIndex) - 1
+				if idx < 0 || idx >= n || filed[idx] {
+					t.Fatalf("slot %d files entry %d of %d twice or out of range", i, idx, n)
+				}
+				filed[idx] = true
+				off := idx % powChunk * 2 * tab.k
+				e := (*cp)[idx/powChunk][off : off+2*tab.k]
+				w := new(big.Int).SetBits(slices.Clone(e[:tab.k])).Bits()
+				h := powHash(powSeed, w)
+				if h&^powIndex != v&^powIndex {
+					t.Fatalf("entry %d filed under a foreign hash", idx)
+				}
+				if got := tab.find(s, h, w); &got[0] != &e[0] {
+					t.Fatalf("entry %d is not the first match on its probe sequence", idx)
+				}
+			}
+			if 2*held > len(s.s) {
+				t.Fatalf("table holds %d entries in %d slots", held, len(s.s))
+			}
+		}
+		for idx, ok := range filed {
+			if !ok {
+				t.Fatalf("entry %d of %d is filed in no slot", idx, n)
+			}
+		}
+		entries += int64(n)
+		bytes += int64(n)*tab.entryBytes + powTableOverhead
 	}
 	if got := m.entries.Load(); got != entries {
 		t.Fatalf("entries counter %d, memo holds %d", got, entries)
@@ -306,4 +359,224 @@ func TestPowMemoConcurrent(t *testing.T) {
 			t.Fatalf("bound %d: expected both hits and misses, got %+v", bound, st)
 		}
 	}
+
+	// Readers race a table's growth from empty and its eviction. Every
+	// goroutine walks the same helpers through a PowerTable of its own,
+	// of one of two exponents, from an empty memo: first lookups insert
+	// (replacing the slot array at 8, 16, 32, … entries) while others
+	// probe the arrays being replaced, and under the tiny bound each
+	// exponent's table evicts the other's while it is being read. Each
+	// goroutine counts its hits itself; the published counters must add
+	// up to exactly the lookups made.
+	rg := make([]*big.Int, 160)
+	for i := range rg {
+		rg[i] = new(big.Int).Rand(r, n)
+	}
+	qs := []*big.Int{new(big.Int).Rand(r, n), new(big.Int).Rand(r, n)}
+	ref := make([][]*big.Int, len(qs))
+	for k, q := range qs {
+		ref[k] = make([]*big.Int, len(rg))
+		for i, w := range rg {
+			ref[k][i] = new(big.Int).Exp(w, q, n)
+		}
+	}
+	ctx := bigmod.MontCtxFor(n)
+	for _, bound := range []int64{powMemoBytes, 2*powTableOverhead + 40*entry} {
+		setPowMemoBound(t, bound)
+		const goroutines, rounds = 4, 3
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				ms := ctx.NewScratch()
+				var hits int64
+				defer FlushHelperPowerHits(&hits)
+				for round := 0; round < rounds; round++ {
+					k := (g + round) % len(qs)
+					pt := NewPowerTable(qs[k], n)
+					for j := range rg {
+						i := (j + 37*g) % len(rg)
+						yM, err := pt.Lookup(ms, &hits, rg[i])
+						if err != nil || ctx.FromMont(ms, yM).Cmp(ref[k][i]) != 0 {
+							t.Errorf("bound %d goroutine %d exponent %d helper %d diverges (err %v)", bound, g, k, i, err)
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		auditPowMemo(t)
+		st := HelperPowers()
+		if st.Hits+st.Misses != goroutines*rounds*int64(len(rg)) {
+			t.Fatalf("bound %d: %d hits + %d misses, want %d lookups",
+				bound, st.Hits, st.Misses, goroutines*rounds*len(rg))
+		}
+		if bound == powMemoBytes && st.Hits == 0 {
+			t.Fatalf("unbounded memo: no lookup hit (%+v)", st)
+		}
+	}
+}
+
+// TestPowMemoSameLowLimb feeds the memo hostile helper sets: 64 helpers
+// w + i·2^64 that share their low limb (one slot under an index taken from
+// the raw low limb), and 64 crafted so that the slot mix without its seed
+// gives every one of them the same hash. Each lookup must return its own
+// power, checked against big.Int.Exp — cold, warm, under a tiny bound and
+// with the seed forced to zero, where the crafted set really does share
+// one probe sequence.
+func TestPowMemoSameLowLimb(t *testing.T) {
+	s := batchSecret(t)
+	n := s.N()
+	ctx := bigmod.MontCtxFor(n)
+	r := rand.New(rand.NewSource(23))
+	base := new(big.Int).Rand(r, n)
+	for len(base.Bits()) < 2 {
+		base.Rand(r, n)
+	}
+	var sameLow, crafted []*big.Int
+	for i := int64(1); len(sameLow) < 64; i++ {
+		w := new(big.Int).Lsh(big.NewInt(i), 64)
+		if w.Add(w, base).Cmp(n) >= 0 {
+			t.Fatalf("helper %d of the same-low-limb set is not below n", i)
+		}
+		sameLow = append(sameLow, w)
+	}
+	// Limb 1 cancels limb 0's difference in the unseeded running state,
+	// so the remaining steps see identical states and identical limbs.
+	bl := base.Bits()
+	step := func(x big.Word) uint64 { return powHash(0, []big.Word{x}) }
+	for i := big.Word(1); len(crafted) < 64; i++ {
+		l := slices.Clone(bl)
+		l[0] += i
+		l[1] ^= big.Word(step(bl[0]) ^ step(l[0]))
+		w := new(big.Int).SetBits(l)
+		if w.Cmp(n) >= 0 {
+			continue
+		}
+		if bits.UintSize == 64 && powHash(0, w.Bits()) != powHash(0, bl) {
+			t.Fatalf("crafted helper %d does not collide without a seed", i)
+		}
+		crafted = append(crafted, w)
+	}
+	if powHash(powSeed, crafted[0].Bits()) == powHash(powSeed, crafted[1].Bits()) {
+		t.Fatalf("crafted helpers collide under the process's seed")
+	}
+	ws := append(sameLow, crafted...)
+
+	pos := new(big.Int).Rand(r, n)
+	exps := []*big.Int{pos, new(big.Int).Neg(pos)}
+	want := make([][]*big.Int, len(exps))
+	for k, q := range exps {
+		want[k] = make([]*big.Int, len(ws))
+		for i, w := range ws {
+			if want[k][i] = new(big.Int).Exp(w, q, n); want[k][i] == nil {
+				t.Fatalf("helper %d has no inverse modulo n", i)
+			}
+		}
+	}
+	lookups := int64(len(exps) * len(ws))
+	for _, c := range []struct {
+		name string
+		seed uint64
+	}{{"process-seed", powSeed}, {"zero-seed", 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			setPowSeed(t, c.seed)
+			ms := ctx.NewScratch()
+			// pass looks every helper up under both exponents and
+			// returns the memo's hits so far.
+			pass := func(state string) int64 {
+				t.Helper()
+				var hits int64
+				for k, q := range exps {
+					pt := NewPowerTable(q, n)
+					for i, w := range ws {
+						yM, err := pt.Lookup(ms, &hits, w)
+						if err != nil || ctx.FromMont(ms, yM).Cmp(want[k][i]) != 0 {
+							t.Fatalf("%s: exponent %d helper %d: not its own power (err %v)", state, k, i, err)
+						}
+					}
+				}
+				FlushHelperPowerHits(&hits)
+				auditPowMemo(t)
+				return HelperPowers().Hits
+			}
+			if got := pass("cold"); got != 0 {
+				t.Fatalf("cold pass hit %d times", got)
+			}
+			if got := pass("warm"); got != lookups {
+				t.Fatalf("warm pass hit %d of %d lookups", got, lookups)
+			}
+			// A memoised helper's negation and its twin w + n share its
+			// limbs or its low limbs; neither may find its power.
+			for _, w := range []*big.Int{new(big.Int).Neg(ws[0]), new(big.Int).Add(ws[0], n)} {
+				var hits int64
+				yM, err := NewPowerTable(pos, n).Lookup(ms, &hits, w)
+				if err != nil || hits != 0 || ctx.FromMont(ms, yM).Cmp(new(big.Int).Exp(w, pos, n)) != 0 {
+					t.Fatalf("helper %v of a memoised one: %d hits, err %v, or not its own power", w.Sign(), hits, err)
+				}
+			}
+			entry := int64(16*ctx.Words() + powEntryOverhead)
+			setPowMemoBound(t, 2*powTableOverhead+20*entry)
+			pass("tiny bound")
+			pass("tiny bound again")
+		})
+	}
+}
+
+// BenchmarkPowerTableHit measures memo hits alone: 4 exponents × 2 400
+// resident helpers at 512 bits, one op being one helper looked up under
+// all four exponents. The parallel form runs one hit counter and scratch
+// per goroutine, as chunk workers do.
+func BenchmarkPowerTableHit(b *testing.B) {
+	r := rand.New(rand.NewSource(24))
+	n := new(big.Int).Rand(r, new(big.Int).Lsh(big.NewInt(1), 512))
+	n.SetBit(n, 511, 1).SetBit(n, 0, 1)
+	ctx := bigmod.MontCtxFor(n)
+	ws := make([]*big.Int, 2400)
+	for i := range ws {
+		ws[i] = new(big.Int).Rand(r, n)
+	}
+	tabs := make([]*PowerTable, 4)
+	ms := ctx.NewScratch()
+	var hits int64
+	for k := range tabs {
+		tabs[k] = NewPowerTable(new(big.Int).Rand(r, new(big.Int).Lsh(big.NewInt(1), 64)), n)
+		for _, w := range ws {
+			if _, err := tabs[k].Lookup(ms, &hits, w); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	FlushHelperPowerHits(&hits)
+	b.Run("serial", func(b *testing.B) {
+		var hits int64
+		for i := 0; i < b.N; i++ {
+			w := ws[i%len(ws)]
+			for _, pt := range tabs {
+				if _, err := pt.Lookup(ms, &hits, w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		FlushHelperPowerHits(&hits)
+	})
+	b.Run("parallel", func(b *testing.B) {
+		var start atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			ms := ctx.NewScratch()
+			var hits int64
+			defer FlushHelperPowerHits(&hits)
+			for i := int(start.Add(997)); pb.Next(); i++ {
+				w := ws[i%len(ws)]
+				for _, pt := range tabs {
+					if _, err := pt.Lookup(ms, &hits, w); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}
+		})
+	})
 }

@@ -6,8 +6,10 @@
 # that no non-test engine file multiplies or adds shares through the
 # dividing scalar operators — share arithmetic runs as Montgomery row
 # programs —, a gate that the non-test goroutines under internal/ are
-# exactly the allow-listed five, and a gate that only rowPool, batchRows
-# and the spill scheduler read the engine's worker pool), the full test
+# exactly the allow-listed five, a gate that only rowPool, batchRows
+# and the spill scheduler read the engine's worker pool, and a gate that
+# only FlushHelperPowerHits writes the memo's hit counter and that the
+# memo renders no helper to bytes), the full test
 # suite, the race
 # detector over every package (the chunked parallel engine/proxy paths,
 # the pull-on-demand result path from engine to decrypting cursor, the
@@ -169,6 +171,26 @@ if [[ "${POOL_READS}" != "${POOL_ALLOWED}" ]]; then
   exit 1
 fi
 
+echo "== helper-power memo hits are counted by the caller"
+# A memo hit is an atomic load and a limb compare: no byte key, no lock
+# and no write to memory that another worker reads. Row-program frames
+# and TokenApplier calls count their own hits and publish them through
+# one function, FlushHelperPowerHits, once per chunk or call; a second
+# writer of powers.hits is a shared cache line back on the hit path. The
+# memo key is the helper's limbs, so its files render no helper to bytes.
+HITS_WRITES=$(awk 'FNR==1{f=""} /^func /{ s=$0; sub(/^func (\([^)]*\) )?/, "", s); sub(/[^A-Za-z0-9_].*/, "", s); f=s }
+  /hits\.(Add|Store|Swap|CompareAndSwap)\(/ { print FILENAME ": " f }' \
+  $(ls internal/secure/*.go | grep -v '_test\.go$') | sort -u)
+if [[ "${HITS_WRITES}" != 'internal/secure/powmemo.go: FlushHelperPowerHits' ]]; then
+  echo "functions writing powers.hits differ from the one flush (found):"
+  echo "${HITS_WRITES}"
+  exit 1
+fi
+if grep -n 'FillBytes' internal/secure/powmemo.go internal/secure/batch.go; then
+  echo "the helper-power memo renders a helper to bytes above"
+  exit 1
+fi
+
 echo "== go build"
 go build ./...
 
@@ -261,6 +283,10 @@ echo "== Montgomery core under the race detector"
 # from parallel workers. (The half-vs-full decrypt differential runs in
 # the next stage.)
 go test -race ${SHORT_FLAG} -run 'Mont|Redc|PowMemo|FixedBase|ItemKey|KeyTable|Decryptor' -skip 'HalfVsFull' ./internal/bigmod ./internal/secure
+# The memo's tables are read without a lock: readers race inserts, the
+# copy-and-publish growth of a table from empty and its eviction under a
+# tiny bound. Ten fresh runs give the race detector more interleavings.
+go test -race -count=10 -run 'PowMemo' ./internal/secure
 
 echo "== proxy row-decrypt kernel: hostile SP + table builds under the race detector"
 # The proxy decrypts what an untrusted SP sends: share cells without
