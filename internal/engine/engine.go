@@ -28,7 +28,6 @@ import (
 
 	"sdb/internal/bigmod"
 	"sdb/internal/parallel"
-	"sdb/internal/secure"
 	"sdb/internal/spill"
 	"sdb/internal/sqlparser"
 	"sdb/internal/storage"
@@ -310,30 +309,21 @@ func (e *Engine) execUpdate(s *sqlparser.Update) (*Result, error) {
 	rel := scanVersion(t, ver, s.Table)
 	ctx := e.evalCtx()
 
-	type setOp struct {
-		colIdx int
-		expr   compiledExpr
-		// batch, when non-nil, routes the clause through
-		// TokenApplier.ApplyBatch per chunk — one shared Montgomery
-		// scratch and (for negative-Q rotation tokens) ONE modular
-		// inversion per chunk instead of one per row.
-		batch *batchKeyUpdate
-	}
-	var sets []setOp
-	hasBatch := false
-	for _, set := range s.Set {
-		idx := t.Schema.Find(set.Column)
-		if idx < 0 {
+	// The SET list compiles like a select list: every share tree over the
+	// engine's modulus joins one row program, so a rotation costs one memo
+	// lookup and two REDCs per row, and clauses over the same (helper,
+	// exponent) pair share the lookup.
+	sb := newSetBuilder(rel, ctx, e.n)
+	cols := make([]int, len(s.Set))
+	for i, set := range s.Set {
+		if cols[i] = t.Schema.Find(set.Column); cols[i] < 0 {
 			return nil, fmt.Errorf("engine: table %q has no column %q", s.Table, set.Column)
 		}
-		ce, err := compile(set.Expr, rel, ctx)
-		if err != nil {
+		if _, err := sb.add(set.Expr); err != nil {
 			return nil, err
 		}
-		b := batchableKeyUpdate(set.Expr, rel, ctx)
-		hasBatch = hasBatch || b != nil
-		sets = append(sets, setOp{colIdx: idx, expr: ce, batch: b})
 	}
+	sets := sb.build()
 	var where compiledExpr
 	if s.Where != nil {
 		if where, err = compile(s.Where, rel, ctx); err != nil {
@@ -345,10 +335,10 @@ func (e *Engine) execUpdate(s *sqlparser.Update) (*Result, error) {
 	// and publish them as the table's next version in one atomic swap,
 	// so readers pinned on any earlier version keep streaming an
 	// immutable, consistent state lock-free.
-	newCols := make(map[int][]types.Value, len(sets))
-	for _, set := range sets {
-		if _, ok := newCols[set.colIdx]; !ok {
-			newCols[set.colIdx] = append([]types.Value(nil), ver.Cols[set.colIdx]...)
+	newCols := make(map[int][]types.Value, len(cols))
+	for _, idx := range cols {
+		if _, ok := newCols[idx]; !ok {
+			newCols[idx] = append([]types.Value(nil), ver.Cols[idx]...)
 		}
 	}
 
@@ -357,10 +347,9 @@ func (e *Engine) execUpdate(s *sqlparser.Update) (*Result, error) {
 	// rotation runs on the worker pool and scales with cores.
 	var updated atomic.Int64
 	err = e.rowPool(ctx.secure).ForEachChunk(len(rel.rows), func(_, lo, hi int) error {
-		var pass []int
-		if hasBatch {
-			pass = make([]int, 0, hi-lo)
-		}
+		fr := sets.frame()
+		defer sets.release(fr)
+		out := make([]types.Value, len(cols))
 		for i := lo; i < hi; i++ {
 			row := rel.rows[i]
 			if where != nil {
@@ -372,56 +361,17 @@ func (e *Engine) execUpdate(s *sqlparser.Update) (*Result, error) {
 					continue
 				}
 			}
-			if hasBatch {
-				pass = append(pass, i)
+			if err := sets.eval(fr, row, out); err != nil {
+				return err
 			}
-			for _, set := range sets {
-				if set.batch != nil {
-					continue
-				}
-				v, err := set.expr(row)
+			for j, idx := range cols {
+				v, err := coerceForColumn(out[j], t.Schema.Columns[idx])
 				if err != nil {
-					return err
+					return fmt.Errorf("engine: column %q: %w", t.Schema.Columns[idx].Name, err)
 				}
-				v, err = coerceForColumn(v, t.Schema.Columns[set.colIdx])
-				if err != nil {
-					return fmt.Errorf("engine: column %q: %w", t.Schema.Columns[set.colIdx].Name, err)
-				}
-				newCols[set.colIdx][i] = v
+				newCols[idx][i] = v
 			}
 			updated.Add(1)
-		}
-		// Batchable clauses (the rotation shape) transform the chunk's
-		// surviving rows in one ApplyBatch call each.
-		for _, set := range sets {
-			if set.batch == nil {
-				continue
-			}
-			b := set.batch
-			ves := make([]*big.Int, len(pass))
-			ws := make([]*big.Int, len(pass))
-			for j, i := range pass {
-				ve, w := rel.rows[i][b.veIdx], rel.rows[i][b.wIdx]
-				if ve.K != types.KindShare {
-					return fmt.Errorf("engine: sdb_keyupdate arg 1 must be a share, got %s", ve.K)
-				}
-				if w.K != types.KindShare {
-					return fmt.Errorf("engine: sdb_keyupdate arg 2 must be a share, got %s", w.K)
-				}
-				ves[j], ws[j] = ve.B, w.B
-			}
-			outs, err := b.applier.ApplyBatch(ves, ws)
-			if err != nil {
-				return fmt.Errorf("engine: sdb_keyupdate: %w", err)
-			}
-			col := t.Schema.Columns[set.colIdx]
-			for j, i := range pass {
-				v, err := coerceForColumn(types.NewShare(outs[j]), col)
-				if err != nil {
-					return fmt.Errorf("engine: column %q: %w", col.Name, err)
-				}
-				newCols[set.colIdx][i] = v
-			}
 		}
 		return nil
 	})
@@ -453,50 +403,6 @@ func (e *Engine) execUpdate(s *sqlparser.Update) (*Result, error) {
 		Columns: []ResultColumn{{Name: "updated", Kind: types.KindInt}},
 		Rows:    []types.Row{{types.NewInt(updated.Load())}},
 	}, nil
-}
-
-// batchKeyUpdate is the recognized rotation shape
-// SET col = sdb_keyupdate(ColRef, ColRef, const, const, const): share and
-// helper come straight from table columns, token material is constant for
-// the statement.
-type batchKeyUpdate struct {
-	veIdx, wIdx int
-	applier     *secure.TokenApplier
-}
-
-// batchableKeyUpdate recognizes the rotation shape (the proxy's
-// RotateColumn/RotateMask emit exactly it) and hoists the token into a
-// statement-wide applier; nil keeps the general per-row path.
-func batchableKeyUpdate(ex sqlparser.Expr, rel *relation, ctx *evalCtx) *batchKeyUpdate {
-	x, ok := ex.(*sqlparser.FuncCall)
-	if !ok || !strings.EqualFold(x.Name, "sdb_keyupdate") || len(x.Args) != 5 {
-		return nil
-	}
-	veRef, ok := x.Args[0].(sqlparser.ColRef)
-	if !ok {
-		return nil
-	}
-	wRef, ok := x.Args[1].(sqlparser.ColRef)
-	if !ok {
-		return nil
-	}
-	veIdx, err := rel.resolve(veRef.Table, veRef.Name)
-	if err != nil {
-		return nil
-	}
-	wIdx, err := rel.resolve(wRef.Table, wRef.Name)
-	if err != nil {
-		return nil
-	}
-	n, err := udfModulus(x, ctx)
-	if err != nil {
-		return nil
-	}
-	p, q, err := tokenConsts(x, 2, ctx)
-	if err != nil {
-		return nil
-	}
-	return &batchKeyUpdate{veIdx: veIdx, wIdx: wIdx, applier: secure.NewTokenApplier(secure.Token{P: p, Q: q}, n)}
 }
 
 // updateIsRotation reports whether an UPDATE applies a key-rotation token

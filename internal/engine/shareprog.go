@@ -624,7 +624,7 @@ func constValue(ex sqlparser.Expr, ctx *evalCtx) (v types.Value, ok bool, err er
 
 // exprSet is the expressions one operator evaluates per row — a
 // projection's select list and order keys, an aggregation's group keys and
-// arguments — with every share tree over the set's modulus compiled into
+// arguments, an UPDATE's SET list — with every share tree over the set's modulus compiled into
 // one program, so the operator pays each (helper, exponent) lookup and
 // each common subtree once per row. Other expressions are closures.
 type exprSet struct {

@@ -19,9 +19,9 @@ func batchSecret(t testing.TB) *Secret {
 	return s
 }
 
-// TestApplyTokenBatchMatchesScalar is the scalar-vs-batch differential:
-// random tokens (positive Q, negative Q, Base) over random rows must
-// produce byte-identical shares either way.
+// TestApplyTokenBatchMatchesScalar: random tokens (positive Q, negative Q,
+// Base) over random rows must produce byte-identical shares through the
+// batch entry point and row by row.
 func TestApplyTokenBatchMatchesScalar(t *testing.T) {
 	s := batchSecret(t)
 	n := s.N()
@@ -62,8 +62,8 @@ func TestApplyTokenBatchMatchesScalar(t *testing.T) {
 	// Real key-update tokens at the widths the Montgomery core splits on
 	// (CIOS below 16 limbs, the hybrid product from 16), over shares of
 	// stored rows: A→B and B→A carry opposite-sign Q, and the batch runs
-	// first on an empty helper-power memo, so it exponentiates and
-	// batch-inverts every row itself.
+	// first on an empty helper-power memo, so it exponentiates (and, for
+	// negative Q, inverts) every row itself.
 	for _, bits := range []int{512, 1024} {
 		s, err := Setup(bits, DefaultValueBits, DefaultMaskBits)
 		if err != nil {
@@ -166,39 +166,6 @@ func TestApplyTokenBatchLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestApplierApplyMatchesApplyToken checks the scalar entry point of a
-// long-lived applier, on first touch and memoised.
-func TestApplierApplyMatchesApplyToken(t *testing.T) {
-	s := batchSecret(t)
-	n := s.N()
-	r := rand.New(rand.NewSource(13))
-	rid, err := s.NewRowID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := s.RowHelper(rid)
-	for trial := 0; trial < 4; trial++ {
-		q := new(big.Int).Rand(r, n)
-		if trial%2 == 1 {
-			q.Neg(q)
-		}
-		tok := Token{P: new(big.Int).Rand(r, n), Q: q}
-		a := NewTokenApplier(tok, n)
-		// One helper, many shares: every application after the first
-		// is a memo hit.
-		for i := 0; i < 40; i++ {
-			ve := new(big.Int).Rand(r, n)
-			got, err := a.Apply(ve, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := ApplyToken(tok, ve, w, n); got.Cmp(want) != 0 {
-				t.Fatalf("trial %d iter %d: %v != %v", trial, i, got, want)
-			}
-		}
-	}
-}
-
 func TestEncryptBatchMatchesScalar(t *testing.T) {
 	s := batchSecret(t)
 	ck, err := s.NewColumnKey()
@@ -252,53 +219,5 @@ func TestTokenStringRedacted(t *testing.T) {
 	}
 	if got := (Token{P: p, Q: q, Base: true}).String(); !strings.Contains(got, "const") {
 		t.Fatalf("Base token kind missing: %s", got)
-	}
-}
-
-// TestMontBatchConcurrent exercises one shared applier from parallel
-// goroutines (the engine's chunk workers share the applier of a compiled
-// expression); run under -race by ci.sh's `-run Mont` pass.
-func TestMontBatchConcurrent(t *testing.T) {
-	s := batchSecret(t)
-	n := s.N()
-	r := rand.New(rand.NewSource(15))
-	tok := Token{P: new(big.Int).Rand(r, n), Q: new(big.Int).Neg(new(big.Int).Rand(r, n))}
-	a := NewTokenApplier(tok, n)
-	rows := 64
-	ves := make([]*big.Int, rows)
-	ws := make([]*big.Int, rows)
-	for i := range ws {
-		rid, err := s.NewRowID()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws[i] = s.RowHelper(rid)
-		ves[i] = new(big.Int).Rand(r, n)
-	}
-	want, err := a.ApplyBatch(ves, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func(lo int) {
-			got, err := a.ApplyBatch(ves[lo:lo+8], ws[lo:lo+8])
-			if err != nil {
-				done <- err
-				return
-			}
-			for i := range got {
-				if got[i].Cmp(want[lo+i]) != 0 {
-					done <- errors.New("concurrent batch mismatch")
-					return
-				}
-			}
-			done <- nil
-		}(g * 8)
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
 	}
 }

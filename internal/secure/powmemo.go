@@ -26,18 +26,18 @@ import (
 // by construction and nothing ever invalidates one: a key rotation changes
 // x and hence Q (the old exponent's entries just stop being asked for),
 // while MVCC versions and recovery keep helper values. The first level
-// maps (n, Q) to a per-exponent table, which a TokenApplier resolves once
-// at construction. A table keeps each entry — w's limbs beside
-// ToMont(w^Q) — in chunked limb arrays and finds it through one
-// open-addressed array of atomic slots; a helper's home slot is a seeded
-// mix of its limbs, so helpers a client crafts without the process's seed
-// cannot pile onto one probe sequence. A hit is then an atomic load per
-// probe and a limb compare: no lock, no byte key, and no write to memory
-// any other worker reads. A miss inserts under the table's one mutex,
-// growing the slot array by copy-and-publish. Neither the slots nor the
-// limb chunks hold pointers, so the memo adds nothing for the garbage
-// collector to scan however many powers it holds. Hits are counted by the
-// caller (a row program's frame, one TokenApplier call) and published
+// maps (n, Q) to a per-exponent table, which a PowerTable resolves once;
+// PowerTable.Lookup is the memo's one entry point. A table keeps each
+// entry — w's limbs beside ToMont(w^Q) — in chunked limb arrays and finds
+// it through one open-addressed array of atomic slots; a helper's home
+// slot is a seeded mix of its limbs, so helpers a client crafts without
+// the process's seed cannot pile onto one probe sequence. A hit is then an
+// atomic load per probe and a limb compare: no lock, no byte key, and no
+// write to memory any other worker reads. A miss inserts under the table's
+// one mutex, growing the slot array by copy-and-publish. Neither the slots
+// nor the limb chunks hold pointers, so the memo adds nothing for the
+// garbage collector to scan however many powers it holds. Hits are counted
+// by the caller (a row program's frame, one ApplyToken call) and published
 // with FlushHelperPowerHits once per chunk or call.
 //
 // Memory is bounded by powMemoBytes. When an insert would cross it, whole
@@ -156,7 +156,7 @@ type powMemo struct {
 	entries, bytes atomic.Int64
 
 	mu     sync.Mutex
-	bound  int64 // powMemoBytes; tests shrink it while no applier runs
+	bound  int64 // powMemoBytes; tests shrink it while no lookup runs
 	clock  int64
 	tables map[powKey]*powTable
 }
@@ -203,7 +203,7 @@ func (m *powMemo) fit(keep *powTable) bool {
 	return true
 }
 
-// drop removes t from the memo and empties it. Appliers still holding t
+// drop removes t from the memo and empties it. PowerTables still holding t
 // read an empty table and can no longer add to it. Callers hold m.mu.
 func (m *powMemo) drop(t *powTable) {
 	delete(m.tables, t.key)
@@ -319,10 +319,10 @@ func (m *powMemo) put(t *powTable, h uint64, w, yM []big.Word) {
 }
 
 // PowerTable is one exponent's view of the memo: ToMont(w^Q mod n) for any
-// helper w, resolved once per (w, Q) per process. A token applier holds one
-// per token, and the engine's row programs hold one per distinct exponent
-// of a statement, so a key update costs one Lookup however many tokens of
-// that exponent an operator applies to the row. It is immutable and safe
+// helper w, resolved once per (w, Q) per process. The engine's row programs
+// hold one per distinct exponent of a statement, so a key update costs one
+// Lookup however many tokens of that exponent an operator applies to the
+// row; ApplyToken resolves one per call. It is immutable and safe
 // for concurrent use; callers bring their own scratch and hit counter.
 type PowerTable struct {
 	n, q *big.Int
@@ -334,47 +334,33 @@ type PowerTable struct {
 // nil when q is zero (w^0 = 1 needs no table) or n has no Montgomery
 // context (n must be odd and at least 3). q must not be mutated afterwards.
 func NewPowerTable(q, n *big.Int) *PowerTable {
-	return newPowerTable(q, bigmod.MontCtxFor(n))
-}
-
-func newPowerTable(q *big.Int, ctx *bigmod.MontCtx) *PowerTable {
+	ctx := bigmod.MontCtxFor(n)
 	if ctx == nil || q.Sign() == 0 {
 		return nil
 	}
-	n := ctx.N()
+	n = ctx.N()
 	return &PowerTable{n: n, q: q, ctx: ctx, pows: powers.table(n, q, ctx.Words())}
-}
-
-// cached returns the memoised ToMont(w^Q), or nil. Only helpers in
-// [0, n) are memoised, so a nonnegative helper no wider than n needs no
-// comparison with n: one that is out of range has no stored twin.
-func (t *PowerTable) cached(w *big.Int) []big.Word {
-	wb := w.Bits()
-	if w.Sign() < 0 || len(wb) > t.pows.k {
-		return nil
-	}
-	return t.pows.get(powHash(powSeed, wb), wb)
-}
-
-// memoise stores a copy of yM = ToMont(w^Q) for the next caller. A
-// helper outside [0, n) bypasses the memo (stored helpers are always
-// reduced).
-func (t *PowerTable) memoise(w *big.Int, yM []big.Word) {
-	if w.Sign() >= 0 && w.Cmp(t.n) < 0 {
-		powers.put(t.pows, powHash(powSeed, w.Bits()), w.Bits(), yM)
-	}
 }
 
 // Lookup returns ToMont(w^Q mod n) as k limbs that the caller must not
 // modify: the memoised residue on a hit, a fresh one (memoised for the
-// next caller) on a miss. A hit adds one to *hits, the caller's own
-// counter, which it publishes with FlushHelperPowerHits once per chunk or
-// call. The error is the non-invertible-helper failure of a negative
-// exponent.
+// next caller) on a miss. It is the memo's one entry point. A hit adds one
+// to *hits, the caller's own counter, which it publishes with
+// FlushHelperPowerHits once per chunk or call. The error is the
+// non-invertible-helper failure of a negative exponent.
 func (t *PowerTable) Lookup(ms *bigmod.MontScratch, hits *int64, w *big.Int) ([]big.Word, error) {
-	if yM := t.cached(w); yM != nil {
-		*hits++
-		return yM, nil
+	// Only helpers in [0, n) are memoised, so a nonnegative helper no
+	// wider than n is looked up without a comparison with n: one that is
+	// out of range has no stored twin.
+	wb := w.Bits()
+	memo := w.Sign() >= 0 && len(wb) <= t.pows.k
+	var h uint64
+	if memo {
+		h = powHash(powSeed, wb)
+		if yM := t.pows.get(h, wb); yM != nil {
+			*hits++
+			return yM, nil
+		}
 	}
 	powers.misses.Add(1)
 	y := new(big.Int).Exp(w, t.q, t.n)
@@ -382,7 +368,9 @@ func (t *PowerTable) Lookup(ms *bigmod.MontScratch, hits *int64, w *big.Int) ([]
 		return nil, errNotInvertible()
 	}
 	yM := t.ctx.ToMont(ms, y)
-	t.memoise(w, yM)
+	if memo && w.Cmp(t.n) < 0 {
+		powers.put(t.pows, h, wb, yM)
+	}
 	return yM, nil
 }
 

@@ -16,7 +16,7 @@ import (
 
 // setPowMemoBound is the test-only hook that shrinks the memo's byte
 // bound; the bound and an empty memo come back when the test ends. Call it
-// only while no applier runs.
+// only while no lookup runs.
 func setPowMemoBound(t *testing.T, bound int64) {
 	t.Helper()
 	old := powers.bound
@@ -30,7 +30,7 @@ func setPowMemoBound(t *testing.T, bound int64) {
 
 // setPowSeed is the test-only hook that replaces the slot mix's seed; the
 // seed and an empty memo come back when the test ends. Call it only while
-// no applier runs.
+// no lookup runs.
 func setPowSeed(t *testing.T, seed uint64) {
 	t.Helper()
 	old := powSeed
@@ -46,7 +46,7 @@ func setPowSeed(t *testing.T, seed uint64) {
 // running counters: every entry is filed under its own helper's hash and
 // is the first match on its probe sequence (so no helper is held twice),
 // every entry number is filed exactly once, and no slot array is over half
-// full. Call it only while no applier runs.
+// full. Call it only while no lookup runs.
 func auditPowMemo(t *testing.T) {
 	t.Helper()
 	m := powers
@@ -181,29 +181,44 @@ func memoCases(t *testing.T) []memoCase {
 	}
 }
 
-// checkMemoCase runs one case through the scalar UDF, a long-lived
-// applier row by row, and the batch entry point, demanding bit-identical
-// agreement with the reference each time.
+// checkMemoCase runs one case through the scalar UDF, the batch entry
+// point and a PowerTable's Lookup (finished by big.Int multiplies),
+// demanding bit-identical agreement with the reference each time. The
+// Lookup path is skipped where there is no table: Q = 0 or a modulus
+// without a Montgomery context.
 func checkMemoCase(t *testing.T, state string, c memoCase) {
 	t.Helper()
-	a := NewTokenApplier(c.tok, c.n)
 	batch, err := ApplyTokenBatch(c.tok, c.ves, c.ws, c.n)
 	if err != nil {
 		t.Fatalf("%s/%s: batch: %v", state, c.name, err)
 	}
+	pt := NewPowerTable(c.tok.Q, c.n)
+	var ms *bigmod.MontScratch
+	if pt != nil {
+		ms = pt.ctx.NewScratch()
+	}
+	var hits int64
+	defer FlushHelperPowerHits(&hits)
 	for i, w := range c.ws {
 		var ve *big.Int
 		if !c.tok.Base {
 			ve = c.ves[i]
 		}
 		want := refApply(c.tok, ve, w, c.n)
-		row, err := a.Apply(ve, w)
-		if err != nil {
-			t.Fatalf("%s/%s row %d: Apply: %v", state, c.name, i, err)
+		paths := map[string]*big.Int{"ApplyToken": ApplyToken(c.tok, ve, w, c.n), "ApplyTokenBatch": batch[i]}
+		if pt != nil {
+			yM, err := pt.Lookup(ms, &hits, w)
+			if err != nil {
+				t.Fatalf("%s/%s row %d: Lookup: %v", state, c.name, i, err)
+			}
+			got := pt.ctx.FromMont(ms, yM)
+			got.Mul(got, c.tok.P)
+			if !c.tok.Base {
+				got.Mul(got, ve)
+			}
+			paths["Lookup"] = got.Mod(got, c.n)
 		}
-		for path, got := range map[string]*big.Int{
-			"ApplyToken": ApplyToken(c.tok, ve, w, c.n), "Apply": row, "ApplyBatch": batch[i],
-		} {
+		for path, got := range paths {
 			if got == nil || got.Cmp(want) != 0 {
 				t.Fatalf("%s/%s row %d: %s = %v, reference %v", state, c.name, i, path, got, want)
 			}
@@ -280,8 +295,10 @@ func TestPowMemoNonInvertible(t *testing.T) {
 		if out := ApplyToken(tok, ves[1], ws[1], n); out != nil {
 			t.Fatalf("pass %d scalar: got %v, want nil", pass, out)
 		}
-		if _, err := NewTokenApplier(tok, n).Apply(ves[1], ws[1]); !errors.Is(err, bigmod.ErrNotInvertible) {
-			t.Fatalf("pass %d Apply: error %v does not wrap ErrNotInvertible", pass, err)
+		var hits int64
+		ms := bigmod.MontCtxFor(n).NewScratch()
+		if _, err := NewPowerTable(tok.Q, n).Lookup(ms, &hits, ws[1]); !errors.Is(err, bigmod.ErrNotInvertible) {
+			t.Fatalf("pass %d Lookup: error %v does not wrap ErrNotInvertible", pass, err)
 		}
 		if _, err := ApplyTokenBatch(tok, ves, ws, n); !errors.Is(err, bigmod.ErrNotInvertible) {
 			t.Fatalf("pass %d batch: error %v does not wrap ErrNotInvertible", pass, err)
@@ -295,8 +312,8 @@ func TestPowMemoNonInvertible(t *testing.T) {
 	}
 }
 
-// TestPowMemoConcurrent shares the memo between concurrent appliers whose
-// helper sets overlap, under a bound small enough that tables are evicted
+// TestPowMemoConcurrent shares the memo between concurrent token
+// applications whose helper sets overlap, under a bound small enough that tables are evicted
 // while others fill them; ci.sh runs it with the race detector.
 func TestPowMemoConcurrent(t *testing.T) {
 	s := batchSecret(t)
@@ -337,16 +354,15 @@ func TestPowMemoConcurrent(t *testing.T) {
 				for round := 0; round < 6; round++ {
 					k := (g + round) % len(toks)
 					lo := (g * 5) % (rows - 24)
-					a := NewTokenApplier(toks[k], n)
-					got, err := a.ApplyBatch(ves[lo:lo+24], ws[lo:lo+24])
+					got, err := ApplyTokenBatch(toks[k], ves[lo:lo+24], ws[lo:lo+24], n)
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					for i := range got {
-						one, err := a.Apply(ves[lo+i], ws[lo+i])
-						if err != nil || one.Cmp(want[k][lo+i]) != 0 || got[i].Cmp(want[k][lo+i]) != 0 {
-							t.Errorf("goroutine %d token %d row %d diverges (err %v)", g, k, lo+i, err)
+						one := ApplyToken(toks[k], ves[lo+i], ws[lo+i], n)
+						if one == nil || one.Cmp(want[k][lo+i]) != 0 || got[i].Cmp(want[k][lo+i]) != 0 {
+							t.Errorf("goroutine %d token %d row %d diverges", g, k, lo+i)
 							return
 						}
 					}

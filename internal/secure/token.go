@@ -35,11 +35,6 @@ type Token struct {
 	Base bool
 }
 
-// Clone returns a deep copy.
-func (t Token) Clone() Token {
-	return Token{P: new(big.Int).Set(t.P), Q: new(big.Int).Set(t.Q), Base: t.Base}
-}
-
 // String renders the token WITHOUT its key material: P and Q are key
 // differences (e.g. m_A·m_C⁻¹ and x_A−x_C), so printing them into a log
 // or error message leaks exactly what a token is supposed to protect.
@@ -57,6 +52,11 @@ func (t Token) String() string {
 //
 // Correctness: ve' = P·ve·w^Q = (m_A/m_C)·v·m_A⁻¹·w^(−x_A)·w^(x_A−x_C)
 // = v·(m_C·w^(x_C))⁻¹, a well-formed share under to.
+//
+// Q stays the integer difference, negative about half the time, although
+// Q + φ(n) would give the same powers without an inversion at the SP. The
+// flatten tokens already show the SP x_from and x_to, so a reduced Q would
+// hand it φ(n), and with φ(n) the factors of n.
 func (s *Secret) KeyUpdateToken(from, to ColumnKey) (Token, error) {
 	if !from.valid(s.params.N) || to.M == nil || to.X == nil {
 		return Token{}, fmt.Errorf("secure: invalid column key in key update")
@@ -111,19 +111,66 @@ func (s *Secret) ConstShareToken(c *big.Int, ck ColumnKey) (Token, error) {
 
 // ApplyToken is the SP-side UDF: out = P·ve·w^Q mod n (or P·w^Q for
 // constant-share tokens). It uses only public material — the token, the
-// stored share and the stored row helper. It is a one-row TokenApplier,
-// so the w^Q exponentiation goes through the helper-power memo (a row
-// helper touched by several tokens of one exponent, in one query or
-// across queries, is raised once) and a Q = 0 token is a single multiply
-// by P; callers applying one token to many rows should hold a
-// TokenApplier and pay the per-token setup once.
+// stored share and the stored row helper. It is the scalar definition the
+// engine's row programs (internal/engine/shareprog.go) are held to: w^Q
+// comes from the helper-power memo (a row helper touched by several tokens
+// of one exponent, in one query or across queries, is raised once), then
+// one-REDC multiplies by ve and P; a Q = 0 token is a multiply by P alone.
 // It returns nil when t.Q is negative and w is not invertible modulo n
 // (mirroring big.Int.Exp); stored helpers are always invertible, so a nil
 // here means corrupt or adversarial inputs.
 func ApplyToken(t Token, ve, w, n *big.Int) *big.Int {
-	out, err := NewTokenApplier(t, n).Apply(ve, w)
-	if err != nil {
+	mc := bigmod.MontCtxFor(n)
+	if mc == nil {
+		return applyPlain(t, ve, w, n)
+	}
+	ms := mc.NewScratch()
+	var yM []big.Word // ToMont(w^Q); nil for Q = 0, where w^Q = 1
+	if pt := NewPowerTable(t.Q, n); pt != nil {
+		var hits int64
+		var err error
+		yM, err = pt.Lookup(ms, &hits, w)
+		FlushHelperPowerHits(&hits)
+		if err != nil {
+			return nil
+		}
+	}
+	if t.Base && yM == nil {
+		return new(big.Int).Mod(t.P, n)
+	}
+	// A Montgomery-form operand times a normal-form one is the normal-form
+	// product in one REDC.
+	z := make([]big.Word, mc.Words())
+	switch {
+	case t.Base:
+		mc.MulBig(ms, z, yM, t.P) // P·y
+	case yM == nil:
+		mc.MulBig(ms, z, mc.ToMont(ms, t.P), ve) // P·ve
+	default:
+		mc.MulBig(ms, z, yM, ve)               // y·ve
+		mc.MulTo(ms, z, mc.ToMont(ms, t.P), z) // P·y·ve
+	}
+	return new(big.Int).SetBits(z)
+}
+
+// applyPlain is the big.Int form of ApplyToken, for moduli without a
+// Montgomery context. It returns nil when Q is negative and w is not
+// invertible.
+func applyPlain(t Token, ve, w, n *big.Int) *big.Int {
+	out := bigmod.Exp(w, t.Q, n)
+	if out == nil {
 		return nil
 	}
+	out = bigmod.Mul(out, t.P, n)
+	if !t.Base {
+		out = bigmod.Mul(out, ve, n)
+	}
 	return out
+}
+
+// errNotInvertible is the non-invertible-helper failure of a negative
+// exponent, wrapping bigmod.ErrNotInvertible.
+func errNotInvertible() error {
+	return fmt.Errorf("secure: helper not invertible under negative-exponent token: %w",
+		bigmod.ErrNotInvertible)
 }

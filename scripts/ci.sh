@@ -8,7 +8,8 @@
 # programs —, a gate that the non-test goroutines under internal/ are
 # exactly the allow-listed five, a gate that only rowPool, batchRows
 # and the spill scheduler read the engine's worker pool, and a gate that
-# only FlushHelperPowerHits writes the memo's hit counter and that the
+# only FlushHelperPowerHits writes the memo's hit counter, that only
+# PowerTable.Lookup (and the reset) writes its miss counter and that the
 # memo renders no helper to bytes), the full test
 # suite, the race
 # detector over every package (the chunked parallel engine/proxy paths,
@@ -24,15 +25,16 @@
 # race-detected concurrent spill pass, a
 # race-detected crash-recovery/durability pass (kill-point differential
 # harness + SIGKILL subprocess test), a race-detected Montgomery-core
-# pass (shared MontCtx / TokenApplier / helper-power memo / per-column-key
-# table memo under concurrent workers, plus the item-key differential
+# pass (shared MontCtx / helper-power memo / per-column-key table memo
+# under concurrent workers, plus the item-key differential
 # against big.Int.Exp), a race-detected pass over the proxy's row-decrypt
 # kernel (hostile-SP results incl. forged shares whose plaintext must not
 # reach the error; the half-width vs full-width decrypt differential and
 # kernel selection; one column key's two tables first touched by racing
 # encrypts and decrypts), a race-detected row-program pass (share trees vs
 # the scalar secure operators, share SUM resident / spilled / serial /
-# parallel, malformed UDF calls refused at plan time), a race-detected
+# parallel, malformed UDF calls refused at plan time, key-rotation UPDATE
+# shapes serial and chunked), a race-detected
 # column-pruning / composite-key pass,
 # a race-detected FROM/WHERE planner pass (plan shapes in every FROM syntax,
 # TPC-H JOIN vs comma plan equivalence plaintext and rewritten, the
@@ -171,19 +173,33 @@ if [[ "${POOL_READS}" != "${POOL_ALLOWED}" ]]; then
   exit 1
 fi
 
-echo "== helper-power memo hits are counted by the caller"
+echo "== helper-power memo: hits counted by the caller, misses by Lookup alone"
 # A memo hit is an atomic load and a limb compare: no byte key, no lock
 # and no write to memory that another worker reads. Row-program frames
-# and TokenApplier calls count their own hits and publish them through
-# one function, FlushHelperPowerHits, once per chunk or call; a second
-# writer of powers.hits is a shared cache line back on the hit path. The
-# memo key is the helper's limbs, so its files render no helper to bytes.
+# and ApplyToken calls count their own hits and publish them through one
+# function, FlushHelperPowerHits, once per chunk or call; a second writer
+# of powers.hits is a shared cache line back on the hit path. Lookup is
+# the memo's one entry point, so it is the one function that counts a
+# miss (ResetHelperPowers zeroes the counter); a second writer of
+# powers.misses is a second path to the memo. The memo key is the
+# helper's limbs, so its files render no helper to bytes.
 HITS_WRITES=$(awk 'FNR==1{f=""} /^func /{ s=$0; sub(/^func (\([^)]*\) )?/, "", s); sub(/[^A-Za-z0-9_].*/, "", s); f=s }
   /hits\.(Add|Store|Swap|CompareAndSwap)\(/ { print FILENAME ": " f }' \
   $(ls internal/secure/*.go | grep -v '_test\.go$') | sort -u)
 if [[ "${HITS_WRITES}" != 'internal/secure/powmemo.go: FlushHelperPowerHits' ]]; then
   echo "functions writing powers.hits differ from the one flush (found):"
   echo "${HITS_WRITES}"
+  exit 1
+fi
+MISS_WRITES=$(awk 'FNR==1{f=""} /^func /{ s=$0; sub(/^func (\([^)]*\) )?/, "", s); sub(/[^A-Za-z0-9_].*/, "", s); f=s }
+  /misses\.(Add|Store|Swap|CompareAndSwap)\(/ { print FILENAME ": " f }' \
+  $(ls internal/secure/*.go | grep -v '_test\.go$') | sort -u)
+MISS_ALLOWED=$(printf '%s\n' \
+  'internal/secure/powmemo.go: Lookup' \
+  'internal/secure/powmemo.go: ResetHelperPowers' | sort)
+if [[ "${MISS_WRITES}" != "${MISS_ALLOWED}" ]]; then
+  echo "functions writing powers.misses differ from the allow-list (< allowed, > found):"
+  diff <(echo "${MISS_ALLOWED}") <(echo "${MISS_WRITES}") || true
   exit 1
 fi
 if grep -n 'FillBytes' internal/secure/powmemo.go internal/secure/batch.go; then
@@ -269,12 +285,11 @@ go test -race -count=1 ./internal/wal
 
 echo "== Montgomery core under the race detector"
 # The Montgomery arithmetic layer's concurrency tests: one shared MontCtx
-# driven by parallel goroutines with private scratch buffers, and one
-# shared secure.TokenApplier applying a token across concurrent worker
-# chunks — the exact sharing discipline the engine's chunked UPDATE path
-# and the proxy's parallel decrypt path rely on. The helper-power memo
-# tests ride along: concurrent appliers over overlapping helpers fill,
-# hit and evict one process-wide memo (and the differential against
+# driven by parallel goroutines with private scratch buffers — the
+# sharing discipline the engine's row programs and the proxy's parallel
+# decrypt path rely on. The helper-power memo tests ride along:
+# concurrent token applications over overlapping helpers fill, hit and
+# evict one process-wide memo (and the differential against
 # big.Int.Exp runs cold, warm and under a forced tiny bound), and the
 # generator's comb table is evaluated from parallel goroutines. So do the
 # per-column-key item-key tables: the differential of the table path
@@ -317,8 +332,12 @@ echo "== share row programs under the race detector"
 # secure operators (every modulus shape, key updates of both exponent
 # signs and Base tokens, helpers without inverses, malformed rows), the
 # share SUM over unscaled residues resident, spilled, serial and parallel,
-# and the eleven malformed UDF calls that once crashed the SP.
-go test -race -count=1 -run 'ShareProgram|SecureSum|Malformed' ./internal/engine
+# the eleven malformed UDF calls that once crashed the SP, and the
+# key-rotation UPDATE shapes (whole table, WHERE, mixed SET list, nested
+# sdb_mul; exponents of every sign) serial and on two workers in four-row
+# chunks, plus a rotation that fails in a middle chunk and must leave the
+# table, the WAL and the goroutine count as they were.
+go test -race -count=1 -run 'ShareProgram|SecureSum|Malformed|KeyUpdate' ./internal/engine
 
 echo "== column pruning + composite keys under the race detector"
 # Scans keep only the columns the statement names, and join/group/DISTINCT
@@ -373,7 +392,8 @@ echo "== bench module (vet + smoke test)"
 # that deletes or renames an exported symbol it compiles against would
 # pass everything above (it compiles against proxy.StreamExecutor and
 # proxy.DirectQueryer, the
-# wire.FromColumns / FromRows / ToRows shims, secure.ApplyTokenBatch and
+# wire.FromColumns / FromRows / ToRows shims, secure.ApplyToken,
+# secure.ApplyTokenBatch and
 # Secret.NewRowID, among others). Its smoke test runs every workload at
 # --scale tiny against its oracle.
 (cd bench && go vet . && go test .)
