@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"sdb/internal/parallel"
@@ -13,14 +15,24 @@ import (
 	"sdb/internal/types"
 )
 
-// aggGroup is one group's accumulated state: its key values, the global
-// index of its first row (for deterministic first-encounter output order)
-// and one transition state per aggregate.
+// aggGroup is one group's accumulated state: its key values, the tag of
+// its first row (for deterministic first-encounter output order) and one
+// transition state per aggregate.
 type aggGroup struct {
-	keyVals  []types.Value
-	firstIdx int
-	states   []aggState
+	keyVals []types.Value
+	first   firstTag
+	states  []aggState
 }
+
+// firstTag is a group's first-encounter index: where its first row stands
+// in the aggregation's input order. A drain over the child's stream tags
+// row i as (i, 0). A fold inside a Grace join's leaf (leafAgg) tags a match
+// with the join's own (probe index, build index) tag; the join's merged
+// output is in exactly that tag order, so a group's smallest tag orders
+// groups as its first position in that stream would.
+type firstTag struct{ a, b int64 }
+
+func (t firstTag) before(u firstTag) bool { return t.a < u.a || (t.a == u.a && t.b < u.b) }
 
 // hashAggOp is streaming hash aggregation: input batches drain at open into
 // per-partition grouped state tables, which merge into one table whose
@@ -40,12 +52,18 @@ type aggGroup struct {
 // append to one of spillPartitions key-hash partition files and the
 // resident tables reset. Finalization then merges the partitions'
 // spilled generations concurrently on the query's spill workers — one
-// partition per worker at a time (state merges are associative and
-// value-deterministic, so re-association on disk cannot change
-// results) — sorts each partition's groups by first-encounter index
-// into a run, and streams the k-way merge of those runs — the exact
-// output order of the in-memory path, regardless of worker completion
-// order.
+// partition per worker at a time (state merges are associative,
+// commutative and value-deterministic, so re-association on disk cannot
+// change results) — sorts each partition's groups by first-encounter
+// index into a run, and streams the k-way merge of those runs — the
+// exact output order of the in-memory path, regardless of worker
+// completion order.
+//
+// Directly over a hash join that goes Grace, the child's stream is never
+// drained: the join's leaves fold their matches into leaf group tables
+// (leafAgg) and write them as generations into the same partition files,
+// so joined rows never reach disk; the child then reports end of stream
+// and finalization proceeds as above.
 type hashAggOp struct {
 	pool   *parallel.Pool
 	child  operator
@@ -70,6 +88,7 @@ type hashAggOp struct {
 	// spill state
 	reserved   int        // groups currently reserved against the budget
 	spillFiles []*aggFile // per key-hash partition; nil until first spill
+	filesMu    sync.Mutex // guards the creation of spillFiles
 	merge      *mergeIter // first-encounter-ordered output when spilled
 	// finalRows sums the merged-table weights resident across the
 	// concurrently finalizing partitions, so the latched peak reflects
@@ -78,9 +97,11 @@ type hashAggOp struct {
 }
 
 // aggFile is one aggregation spill partition: serialized group records
-// appended across spill generations.
+// appended across spill generations. mu keeps the records of concurrent
+// Grace leaves' generations from interleaving.
 type aggFile struct {
 	spillFile
+	mu     sync.Mutex
 	groups int
 }
 
@@ -102,8 +123,8 @@ func (op *hashAggOp) open(ctx context.Context) error {
 	return op.drain()
 }
 
-func (op *hashAggOp) newGroup(keyVals []types.Value, firstIdx int) (*aggGroup, error) {
-	g := &aggGroup{keyVals: keyVals, firstIdx: firstIdx, states: make([]aggState, len(op.specs))}
+func (op *hashAggOp) newGroup(keyVals []types.Value, first firstTag) (*aggGroup, error) {
+	g := &aggGroup{keyVals: keyVals, first: first, states: make([]aggState, len(op.specs))}
 	for i := range op.specs {
 		st, err := op.specs[i].newState()
 		if err != nil {
@@ -164,7 +185,7 @@ func (op *hashAggOp) drain() error {
 				}
 				g := tbl[string(key)]
 				if g == nil {
-					ng, err := op.newGroup(append([]types.Value(nil), keyVals...), base+i)
+					ng, err := op.newGroup(append([]types.Value(nil), keyVals...), firstTag{a: int64(base + i)})
 					if err != nil {
 						return err
 					}
@@ -215,25 +236,20 @@ func (op *hashAggOp) drain() error {
 }
 
 // spillGroups serializes every resident group to its key-hash partition
-// file and resets the partial tables, returning their reservation.
+// file as one generation and resets the partial tables, returning their
+// reservation.
 func (op *hashAggOp) spillGroups(partials []map[string]*aggGroup) error {
-	op.qs.sess.AddSpill()
-	if op.spillFiles == nil {
-		op.spillFiles = make([]*aggFile, spillPartitions)
-		for p := range op.spillFiles {
-			af, err := newAggFile(op.qs)
-			if err != nil {
-				return err
-			}
-			op.spillFiles[p] = af
-		}
-	}
+	counted := false
 	for pi, tbl := range partials {
-		for key, g := range tbl {
-			af := op.spillFiles[hashKey(key)%spillPartitions]
-			if err := op.writeGroup(af, key, g); err != nil {
-				return err
-			}
+		if len(tbl) == 0 {
+			continue
+		}
+		if !counted {
+			op.qs.sess.AddSpill()
+			counted = true
+		}
+		if err := op.spillTable(tbl); err != nil {
+			return err
 		}
 		partials[pi] = nil
 	}
@@ -242,18 +258,214 @@ func (op *hashAggOp) spillGroups(partials []map[string]*aggGroup) error {
 	return nil
 }
 
+// partitionFiles returns the key-hash partition files, creating them on
+// the first spill.
+func (op *hashAggOp) partitionFiles() ([]*aggFile, error) {
+	op.filesMu.Lock()
+	defer op.filesMu.Unlock()
+	if op.spillFiles == nil {
+		files := make([]*aggFile, spillPartitions)
+		for p := range files {
+			af, err := newAggFile(op.qs)
+			if err != nil {
+				for _, f := range files[:p] {
+					f.close()
+				}
+				return nil, err
+			}
+			files[p] = af
+		}
+		op.spillFiles = files
+	}
+	return op.spillFiles, nil
+}
+
+// spillTable appends every group of one table to its key-hash partition
+// file. Grace leaves call it concurrently; each file takes one table's
+// records at a time.
+func (op *hashAggOp) spillTable(tbl map[string]*aggGroup) error {
+	files, err := op.partitionFiles()
+	if err != nil {
+		return err
+	}
+	var parts [spillPartitions][]string
+	for key := range tbl {
+		p := hashKey(key) % spillPartitions
+		parts[p] = append(parts[p], key)
+	}
+	for p, keys := range parts {
+		if len(keys) == 0 {
+			continue
+		}
+		af := files[p]
+		af.mu.Lock()
+		for _, key := range keys {
+			if err = op.writeGroup(af, key, tbl[key]); err != nil {
+				break
+			}
+		}
+		af.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// leafAgg is the group table of one Grace join leaf: with the aggregation
+// directly over the join, the leaf folds each match here instead of
+// writing the joined row to an output run. The table leaves as one spill
+// generation into the aggregation's partition files when the leaf
+// finishes, or earlier when it reaches its share of the budget or the
+// budget refuses it more rows.
+type leafAgg struct {
+	op *hashAggOp
+	// resident is the join's count of rows held by every live leaf; the
+	// table's reservation adds to it.
+	resident *atomic.Int64
+	groups   map[string]*aggGroup
+	weight   int // groups plus retained DISTINCT entries
+	reserved int // budget rows held for the table
+	share    int // rows the table may reserve before it flushes
+	fr       *frame
+	vals     []types.Value
+	key      []byte
+}
+
+// newLeaf starts the group table of a leaf holding build rows.
+func (op *hashAggOp) newLeaf(resident *atomic.Int64, build int) *leafAgg {
+	l := &leafAgg{
+		op: op, resident: resident, groups: make(map[string]*aggGroup),
+		fr: op.set.frame(), vals: make([]types.Value, len(op.set.items)),
+	}
+	l.setBuild(build)
+	return l
+}
+
+// setBuild sizes the table's share for a leaf now holding build rows:
+// half the query's limit (the budget's headroom may take the other half)
+// split over the spill workers, less the build rows, but never below the
+// minimum working set. Leaves that keep to their shares never refuse one
+// another, so where a leaf flushes depends on its own rows and not on the
+// timing of the leaves beside it.
+func (l *leafAgg) setBuild(build int) {
+	l.share = math.MaxInt
+	if limit := l.op.qs.budget.Limit(); limit > 0 {
+		l.share = max(limit/(2*l.op.qs.workers)-build, minSpillChunkRows)
+	}
+}
+
+// fold aggregates one match: its (probe, build) tag and the joined row,
+// which the caller may reuse once fold returns.
+func (l *leafAgg) fold(a, b int64, row types.Row) error {
+	op := l.op
+	if err := op.set.eval(l.fr, row, l.vals); err != nil {
+		return err
+	}
+	keyVals := l.vals[:op.nkeys]
+	l.key = l.key[:0]
+	for _, v := range keyVals {
+		l.key = v.AppendGroupKey(l.key)
+	}
+	tag := firstTag{a, b}
+	g := l.groups[string(l.key)]
+	if g == nil {
+		// Room first: a flush then writes the groups before this one,
+		// not a group that has only seen its first match.
+		if err := l.room(1); err != nil {
+			return err
+		}
+		ng, err := op.newGroup(append([]types.Value(nil), keyVals...), tag)
+		if err != nil {
+			return err
+		}
+		g = ng
+		l.groups[string(l.key)] = g
+		l.weight++
+	} else if tag.before(g.first) {
+		// A chunked leaf re-streams its probe rows once per build chunk.
+		g.first = tag
+	}
+	grew := 0
+	for si := range op.specs {
+		n, err := op.specs[si].fold(g.states[si], op.set, l.fr, l.vals)
+		if err != nil {
+			return err
+		}
+		grew += n
+	}
+	if grew > 0 {
+		l.weight += grew
+		return l.room(0)
+	}
+	return nil
+}
+
+// room makes the table's reservation cover need more rows: it reserves
+// another block while the table stays within its share and the budget
+// grants it, and otherwise flushes the table first. An empty table
+// force-reserves its minimum working set instead, like a chunked join
+// leaf's build chunk, so a starved leaf still makes progress.
+func (l *leafAgg) room(need int) error {
+	if l.weight+need <= l.reserved {
+		return nil
+	}
+	budget := l.op.qs.budget
+	n := max(l.weight+need-l.reserved, minSpillChunkRows)
+	if l.reserved+n > l.share || !budget.TryReserve(n) {
+		if len(l.groups) > 0 {
+			if err := l.flush(); err != nil {
+				return err
+			}
+			return l.room(need)
+		}
+		budget.ForceReserve(n)
+	}
+	l.reserved += n
+	l.op.qs.peak.latch(int(l.resident.Add(int64(n))))
+	return nil
+}
+
+// flush writes the table as one generation and empties it.
+func (l *leafAgg) flush() error {
+	if len(l.groups) > 0 {
+		l.op.qs.sess.AddSpill()
+		if err := l.op.spillTable(l.groups); err != nil {
+			return err
+		}
+		clear(l.groups)
+	}
+	l.weight = 0
+	l.release()
+	return nil
+}
+
+func (l *leafAgg) release() {
+	l.op.qs.budget.Release(l.reserved)
+	l.resident.Add(int64(-l.reserved))
+	l.reserved = 0
+}
+
+// close returns the table's reservation and scratch; unflushed groups are
+// dropped (the leaf failed).
+func (l *leafAgg) close() {
+	l.release()
+	l.op.set.release(l.fr)
+	l.fr, l.groups = nil, nil
+}
+
 // aggRecord is one group's serialized form in a partition file: key,
-// first-encounter index, key values, one state row per aggregate.
+// first-encounter tag, key values, one state row per aggregate.
 type aggRecord struct {
-	key      string
-	firstIdx int64
-	keyVals  types.Row
-	states   []types.Row
+	key     string
+	first   firstTag
+	keyVals types.Row
+	states  []types.Row
 }
 
 // writeGroup appends one group's serialized record to a partition file.
 func (op *hashAggOp) writeGroup(af *aggFile, key string, g *aggGroup) error {
-	rec := aggRecord{key: key, firstIdx: int64(g.firstIdx), keyVals: types.Row(g.keyVals)}
+	rec := aggRecord{key: key, first: g.first, keyVals: types.Row(g.keyVals)}
 	for _, st := range g.states {
 		row, err := st.spillRow()
 		if err != nil {
@@ -270,7 +482,10 @@ func (op *hashAggOp) writeRecord(af *aggFile, rec aggRecord) error {
 	if err := af.w.WriteString(rec.key); err != nil {
 		return err
 	}
-	if err := af.w.WriteVarint(rec.firstIdx); err != nil {
+	if err := af.w.WriteVarint(rec.first.a); err != nil {
+		return err
+	}
+	if err := af.w.WriteVarint(rec.first.b); err != nil {
 		return err
 	}
 	if err := af.w.WriteRow(rec.keyVals); err != nil {
@@ -291,7 +506,10 @@ func (op *hashAggOp) readRecord(r *spill.Reader) (aggRecord, error) {
 		return aggRecord{}, err // io.EOF passes through at record boundary
 	}
 	rec := aggRecord{key: key}
-	if rec.firstIdx, err = r.ReadVarint(); err != nil {
+	if rec.first.a, err = r.ReadVarint(); err != nil {
+		return aggRecord{}, truncated(err)
+	}
+	if rec.first.b, err = r.ReadVarint(); err != nil {
 		return aggRecord{}, truncated(err)
 	}
 	if rec.keyVals, err = r.ReadRow(); err != nil {
@@ -518,15 +736,15 @@ func (op *hashAggOp) mergePartition(af *aggFile) (map[string]*aggGroup, error) {
 		g := merged[rec.key]
 		fresh := g == nil
 		if fresh {
-			ng, err := op.newGroup([]types.Value(rec.keyVals), int(rec.firstIdx))
+			ng, err := op.newGroup([]types.Value(rec.keyVals), rec.first)
 			if err != nil {
 				return nil, err
 			}
 			g = ng
 			merged[rec.key] = g
 		}
-		if int(rec.firstIdx) < g.firstIdx {
-			g.firstIdx = int(rec.firstIdx)
+		if rec.first.before(g.first) {
+			g.first = rec.first
 		}
 		for si := range op.specs {
 			if fresh {
@@ -556,7 +774,7 @@ func (op *hashAggOp) writeOutputRun(merged map[string]*aggGroup) (*runFile, erro
 	for _, g := range merged {
 		groups = append(groups, g)
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].firstIdx < groups[j].firstIdx })
+	sort.Slice(groups, func(i, j int) bool { return groups[i].first.before(groups[j].first) })
 	run, err := newRunFile(op.qs)
 	if err != nil {
 		return nil, err
@@ -573,7 +791,7 @@ func (op *hashAggOp) writeOutputRun(merged map[string]*aggGroup) (*runFile, erro
 			row = append(row, v)
 		}
 		op.qs.sess.AddSpilledRows(1)
-		if err := run.write(taggedRow{a: int64(g.firstIdx), row: row}); err != nil {
+		if err := run.write(taggedRow{a: g.first.a, b: g.first.b, row: row}); err != nil {
 			run.close()
 			return nil, err
 		}
@@ -595,8 +813,8 @@ func (op *hashAggOp) finalize(partials []map[string]*aggGroup) error {
 				final[k] = g
 				continue
 			}
-			if g.firstIdx < f.firstIdx {
-				f.firstIdx = g.firstIdx
+			if g.first.before(f.first) {
+				f.first = g.first
 			}
 			for si := range f.states {
 				if err := f.states[si].merge(g.states[si]); err != nil {
@@ -609,11 +827,11 @@ func (op *hashAggOp) finalize(partials []map[string]*aggGroup) error {
 	for _, g := range final {
 		groups = append(groups, g)
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].firstIdx < groups[j].firstIdx })
+	sort.Slice(groups, func(i, j int) bool { return groups[i].first.before(groups[j].first) })
 
 	// Global aggregation over empty input still yields one group.
 	if len(groups) == 0 && !op.groupBy {
-		g, err := op.newGroup(nil, 0)
+		g, err := op.newGroup(nil, firstTag{})
 		if err != nil {
 			return err
 		}
@@ -670,7 +888,7 @@ func (op *hashAggOp) resident() int {
 // aggregate calls, and returns (1) the operator, whose output columns are
 // the group keys then the aggregate results, and (2) a rewritten Select
 // whose expressions reference those columns instead of aggregate calls.
-func (e *Engine) planAggregate(child planNode, s *sqlparser.Select, aggs []*sqlparser.FuncCall, qs *querySpill) (operator, *sqlparser.Select, error) {
+func (e *Engine) planAggregate(child planNode, s *sqlparser.Select, aggs []*sqlparser.FuncCall, qs *querySpill) (*hashAggOp, *sqlparser.Select, error) {
 	rel := &relation{cols: child.op.columns()}
 	ctx := e.evalCtx()
 	set, specs, err := e.compileAggs(s.GroupBy, aggs, rel, ctx)

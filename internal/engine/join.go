@@ -60,6 +60,13 @@ func concatRows(a, b types.Row) types.Row {
 // restores the exact in-memory output order regardless of which worker
 // finished first, so spilled, parallel-spilled and resident execution are
 // indistinguishable to callers — the differential suites assert it.
+//
+// When an aggregation sits directly on the join (agg), a Grace leaf writes
+// no output run: it folds each match into a leaf group table of the
+// aggregation, tagged with the same (probe index, build index), and the
+// join then reports end of stream. The aggregation orders its groups by
+// those tags, so its output equals the one it would have computed from
+// the merged stream.
 type hashJoinOp struct {
 	keyPool     *parallel.Pool // computes join keys
 	pool        *parallel.Pool // runs the probe: keys, then residual
@@ -77,6 +84,9 @@ type hashJoinOp struct {
 	buildHint int
 	batch     int
 	qs        *querySpill
+	// agg is the aggregation planSelect put directly on this join; nil
+	// for any other consumer.
+	agg *hashAggOp
 
 	ctx       context.Context
 	index     map[string][]types.Row
@@ -101,10 +111,15 @@ func (op *hashJoinOp) columns() []relCol { return op.schema }
 // build normally, build ++ probe when the planner flipped the children to
 // build on the smaller input.
 func (op *hashJoinOp) joinRow(probe, build types.Row) types.Row {
+	return op.joinRowInto(make(types.Row, 0, len(probe)+len(build)), probe, build)
+}
+
+// joinRowInto is joinRow appending to dst.
+func (op *hashJoinOp) joinRowInto(dst, probe, build types.Row) types.Row {
 	if op.flip {
-		return concatRows(build, probe)
+		probe, build = build, probe
 	}
-	return concatRows(probe, build)
+	return append(append(dst, probe...), build...)
 }
 
 func (op *hashJoinOp) open(ctx context.Context) error {
@@ -359,7 +374,8 @@ func (op *hashJoinOp) nextSpilled() ([]types.Row, error) {
 
 // graceJoin drains the probe side into partition files, joins each
 // partition pair into output runs sorted by (probe, build) index, and
-// opens the merge that restores global output order.
+// opens the merge that restores global output order. Folding into the
+// aggregation, the leaves write no runs and the merge is empty.
 func (op *hashJoinOp) graceJoin() error {
 	pseq := 0
 	for {
@@ -443,15 +459,12 @@ func (op *hashJoinOp) graceJoin() error {
 
 // joinPartition joins one build/probe partition pair: resident when the
 // build rows fit the budget, recursively re-partitioned when re-hashing
-// can still split them, chunked otherwise.
+// can still split them, chunked otherwise. It returns the leaves' output
+// runs (none when the leaves fold into the aggregation).
 func (op *hashJoinOp) joinPartition(build, probe *runFile, depth int) ([]*runFile, error) {
 	n := build.count()
 	if op.qs.budget.TryReserve(n) {
-		run, err := op.joinResident(build, probe, n)
-		if err != nil {
-			return nil, err
-		}
-		return []*runFile{run}, nil
+		return op.joinResident(build, probe, n)
 	}
 	if depth < maxSpillDepth && n > minSpillChunkRows {
 		return op.repartition(build, probe, depth)
@@ -463,7 +476,7 @@ func (op *hashJoinOp) joinPartition(build, probe *runFile, depth int) ([]*runFil
 // keep build order) and streams the probe partition through it. The
 // leaf's rows count into the shared leafRows sum while resident, so the
 // latched peak reflects every concurrently loaded leaf table.
-func (op *hashJoinOp) joinResident(build, probe *runFile, reserved int) (*runFile, error) {
+func (op *hashJoinOp) joinResident(build, probe *runFile, reserved int) ([]*runFile, error) {
 	// loaded is the count this leaf has added to the shared leafRows sum
 	// (set only once the table is fully built, so an error mid-load
 	// never un-counts rows that were never counted).
@@ -500,59 +513,79 @@ func (op *hashJoinOp) joinResident(build, probe *runFile, reserved int) (*runFil
 	}
 	loaded = n
 	op.qs.peak.latch(int(op.leafRows.Add(int64(loaded))))
-	return op.probeTable(table, probe)
+	if op.agg != nil {
+		leaf := op.agg.newLeaf(&op.leafRows, reserved)
+		defer leaf.close()
+		if err := op.probeTable(table, probe, leaf.fold); err != nil {
+			return nil, err
+		}
+		return nil, leaf.flush()
+	}
+	return op.probeToRun(table, probe)
 }
 
-// probeTable streams a probe partition through a resident build table,
-// emitting matches as an output run sorted by (probe, build) index.
-func (op *hashJoinOp) probeTable(table map[string][]taggedRow, probe *runFile) (*runFile, error) {
+// probeToRun probes a resident build table into one output run sorted by
+// (probe, build) index.
+func (op *hashJoinOp) probeToRun(table map[string][]taggedRow, probe *runFile) ([]*runFile, error) {
 	out, err := newRunFile(op.qs)
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*runFile, error) {
+	err = op.probeTable(table, probe, func(a, b int64, row types.Row) error {
+		op.qs.sess.AddSpilledRows(1)
+		return out.write(taggedRow{a: a, b: b, row: row})
+	})
+	if err != nil {
 		out.close()
 		return nil, err
 	}
+	return []*runFile{out}, nil
+}
+
+// probeTable streams a probe partition through a resident build table and
+// hands every match to emit in (probe, build) index order. The joined row
+// is built in one scratch row, valid only until emit returns: a run
+// encodes it before write returns, a leaf group table copies what it
+// keeps.
+func (op *hashJoinOp) probeTable(table map[string][]taggedRow, probe *runFile, emit func(a, b int64, row types.Row) error) error {
 	pr, err := probe.openReader()
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	var key []byte
+	var row types.Row
 	for i := 0; ; i++ {
 		if i%1024 == 0 {
 			if err := op.ctx.Err(); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 		tr, err := pr.read()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if key, _, err = appendJoinKey(key[:0], op.leftKeys, tr.row); err != nil {
-			return fail(err)
+			return err
 		}
 		for _, bt := range table[string(key)] {
-			row := op.joinRow(tr.row, bt.row)
+			row = op.joinRowInto(row[:0], tr.row, bt.row)
 			if op.residual != nil {
 				ok, err := op.residual(row)
 				if err != nil {
-					return fail(err)
+					return err
 				}
 				if !ok.Bool() {
 					continue
 				}
 			}
-			op.qs.sess.AddSpilledRows(1)
-			if err := out.write(taggedRow{a: tr.a, b: bt.a, row: row}); err != nil {
-				return fail(err)
+			if err := emit(tr.a, bt.a, row); err != nil {
+				return err
 			}
 		}
 	}
-	return out, nil
 }
 
 // repartition re-salts the hash and splits an oversized partition pair
@@ -633,11 +666,17 @@ func (op *hashJoinOp) repartition(build, probe *runFile, depth int) ([]*runFile,
 // distinct, duplicate-heavy keys): the build file is processed in
 // budget-sized chunks and the probe file re-streams once per chunk. Every
 // chunk's run stays sorted by (probe, build) index, so the global merge
-// still restores exact order.
+// still restores exact order. Folding into the aggregation, the chunks
+// share one leaf group table, which keeps each group's smallest tag.
 func (op *hashJoinOp) joinChunked(build, probe *runFile) ([]*runFile, error) {
 	br, err := build.openReader()
 	if err != nil {
 		return nil, err
+	}
+	var leaf *leafAgg
+	if op.agg != nil {
+		leaf = op.agg.newLeaf(&op.leafRows, 0)
+		defer leaf.close()
 	}
 	var runs []*runFile
 	fail := func(err error) ([]*runFile, error) {
@@ -676,16 +715,25 @@ func (op *hashJoinOp) joinChunked(build, probe *runFile) ([]*runFile, error) {
 		}
 		if got == 0 {
 			op.qs.budget.Release(reserved)
+			if leaf != nil {
+				return nil, leaf.flush()
+			}
 			return runs, nil
 		}
 		op.qs.peak.latch(int(op.leafRows.Add(int64(got))))
-		run, err := op.probeTable(table, probe)
+		var rs []*runFile
+		if leaf != nil {
+			leaf.setBuild(reserved)
+			err = op.probeTable(table, probe, leaf.fold)
+		} else {
+			rs, err = op.probeToRun(table, probe)
+		}
 		op.qs.budget.Release(reserved)
 		op.leafRows.Add(int64(-got))
 		if err != nil {
 			return fail(err)
 		}
-		runs = append(runs, run)
+		runs = append(runs, rs...)
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -101,7 +100,7 @@ func TestParallelSerialEquivalenceSecure(t *testing.T) {
 				t.Fatalf("%s: no operator got the worker pool: %s", c.name, sig)
 			}
 			if c.spills && m.opts.MemBudgetRows > 0 {
-				if st := engineStats(t, eng, rewritten); st.Spills == 0 {
+				if _, st := queryAndStats(t, eng, rewritten); st.Spills == 0 {
 					t.Fatalf("%s, %s: the join did not spill: %+v", c.name, m.name, st)
 				}
 			}
@@ -122,20 +121,6 @@ func TestParallelSerialEquivalenceSecure(t *testing.T) {
 			}
 		}
 	}
-}
-
-// engineStats runs sql on e to completion and returns its execution stats.
-func engineStats(t *testing.T, e *engine.Engine, sql string) engine.ExecStats {
-	t.Helper()
-	it, err := e.QuerySQL(context.Background(), sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	if _, err := engine.Drain(it); err != nil {
-		t.Fatal(err)
-	}
-	return it.(interface{ Stats() engine.ExecStats }).Stats()
 }
 
 // rowStrings renders rows as sorted strings: a multiset to compare.

@@ -65,10 +65,15 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 	// aggregate output columns (_gN/_aN) instead of aggregate calls.
 	aggs := collectAggregates(s)
 	if len(aggs) > 0 || len(s.GroupBy) > 0 {
-		var aggOp operator
+		var aggOp *hashAggOp
 		aggOp, s, err = e.planAggregate(src, s, aggs, qs)
 		if err != nil {
 			return nil, err
+		}
+		// Directly over a hash join, the aggregation folds inside the
+		// join's leaves should the join go Grace (hashJoinOp.agg).
+		if join, ok := src.op.(*hashJoinOp); ok {
+			join.agg = aggOp
 		}
 		src = planNode{op: aggOp, est: estGroups(src.est)}
 		if s.Having != nil {

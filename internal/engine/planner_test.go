@@ -15,8 +15,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"sdb/internal/parallel"
 	"sdb/internal/spill"
@@ -573,16 +575,49 @@ func TestManyLeafFrom(t *testing.T) {
 	requireSameRows(t, "70-leaf FROM on-vs-off", got, want)
 }
 
+// queryLedger is what a query may hold past its end if its teardown is
+// wrong: descriptors and goroutines, counted before the query runs.
+type queryLedger struct{ fds, goroutines int }
+
+func openFDs() int {
+	entries, _ := os.ReadDir("/proc/self/fd")
+	return len(entries)
+}
+
+func newQueryLedger() queryLedger {
+	return queryLedger{fds: openFDs(), goroutines: runtime.NumGoroutine()}
+}
+
+// check insists the query left nothing behind: no row reserved in pool,
+// no entry in its spill directory, no descriptor and no goroutine above
+// the counts taken before it ran. Pool workers exit just after their
+// task, so the goroutine count gets a grace period.
+func (l queryLedger) check(t *testing.T, pool *spill.Pool, dir string) {
+	t.Helper()
+	if pool.Used() != 0 {
+		t.Errorf("%d rows still reserved after the query closed", pool.Used())
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("%d spill entries outlive the query", len(entries))
+	}
+	if now := openFDs(); now != l.fds {
+		t.Errorf("%d descriptors open after the query, %d before", now, l.fds)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > l.goroutines; {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines after the query, %d before", runtime.NumGoroutine(), l.goroutines)
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestEmptyBuildClosesChildren: a pushed filter can empty a join's build
 // side, and the join then answers EOF without ever pulling its probe side —
 // which, one join down the chain, has already opened, built and (under the
 // small budget) spilled. Closing the query must still close both children:
 // no reservation, no run file and no descriptor may outlive it.
 func TestEmptyBuildClosesChildren(t *testing.T) {
-	openFDs := func() int {
-		entries, _ := os.ReadDir("/proc/self/fd")
-		return len(entries)
-	}
 	for _, tc := range []struct {
 		name   string
 		budget int
@@ -607,7 +642,7 @@ func TestEmptyBuildClosesChildren(t *testing.T) {
 			if sig, _ := planSig(e, sql); sig != `π(hash1(hash1(l, r), σ(r2)))` {
 				t.Fatalf("plan %s: the empty side must be the top join's build side", sig)
 			}
-			fds := openFDs()
+			ledger := newQueryLedger()
 			res, st, maxUsed := queryBudgetMax(t, e, sql)
 			if len(res.Rows) != 0 {
 				t.Fatalf("%d rows from a join with an empty side", len(res.Rows))
@@ -616,15 +651,7 @@ func TestEmptyBuildClosesChildren(t *testing.T) {
 				t.Fatalf("lower join: spills %d (want spilling: %v), %d rows reserved at most — the test is vacuous",
 					st.Spills, tc.spills, maxUsed)
 			}
-			if pool.Used() != 0 {
-				t.Errorf("%d rows still reserved after the query closed", pool.Used())
-			}
-			if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-				t.Errorf("%d spill entries outlive the query", len(entries))
-			}
-			if now := openFDs(); now != fds {
-				t.Errorf("%d descriptors open after the query, %d before", now, fds)
-			}
+			ledger.check(t, pool, dir)
 		})
 	}
 }

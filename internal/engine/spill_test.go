@@ -4,13 +4,17 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/big"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sdb/internal/bigmod"
+	"sdb/internal/spill"
 	"sdb/internal/storage"
 	"sdb/internal/types"
 )
@@ -669,5 +673,105 @@ func drainIter(it RowIterator) (int, error) {
 			return n, err
 		}
 		n += len(batch)
+	}
+}
+
+// spillFileCount counts the files under a spill directory (each query
+// spills into its own session directory there).
+func spillFileCount(dir string) int {
+	n := 0
+	filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() {
+			n++
+		}
+		return nil
+	})
+	return n
+}
+
+// cancelMidLeaf is a query context that cancels itself at its third Err
+// check after the spill directory first holds more than files files —
+// once the join's partition files have been joined by the aggregation's
+// partition files, i.e. after the first Grace leaf wrote its group table:
+// at the next leaf's first probe-row check past its build load.
+type cancelMidLeaf struct {
+	context.Context
+	cancel context.CancelFunc
+	dir    string
+	files  int
+	checks atomic.Int32
+}
+
+func (c *cancelMidLeaf) Err() error {
+	if spillFileCount(c.dir) > c.files && c.checks.Add(1) == 3 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestSpillAggOverGraceJoinFailures: a GROUP BY folding inside a Grace
+// join's leaves fails cleanly when a leaf fails — its context cancelled
+// in the middle of a leaf's probe, after an earlier leaf's groups reached
+// disk, or a share argument of the wrong kind in one row of a leaf's
+// probe. The query ends in that error, and once it is closed its spill
+// directory is empty, the pool holds no reservation and no goroutine or
+// descriptor is left, at one and two workers.
+func TestSpillAggOverGraceJoinFailures(t *testing.T) {
+	n := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 127), big.NewInt(1))
+	const build, probe = 400, 10000
+	for _, workers := range []int{1, 2} {
+		for _, tc := range []struct {
+			name, sql, want string
+			cancel          bool
+		}{
+			{name: "cancelled mid-leaf", cancel: true, want: context.Canceled.Error(),
+				sql: `SELECT a.k, COUNT(*), SUM(b.w) FROM a JOIN b ON a.k = b.k GROUP BY a.k`},
+			{name: "wrong-kind share argument", want: "must be a share",
+				sql: fmt.Sprintf(`SELECT a.k, SUM(sdb_mul(CASE WHEN a.id = 6001 THEN a.id ELSE a.v END, a.v, %s)) `+
+					`FROM a JOIN b ON a.k = b.k GROUP BY a.k`, hex(n))},
+		} {
+			t.Run(fmt.Sprintf("%s, %d workers", tc.name, workers), func(t *testing.T) {
+				pool, dir := spill.NewPool(1<<20), t.TempDir()
+				e := NewWithOptions(storage.NewCatalog(), n, Options{Parallelism: workers,
+					MemBudgetRows: 400, BudgetPool: pool, SpillDir: dir, Planner: "on"})
+				mustExec(t, e, `CREATE TABLE a (id INT, k INT, v INT SENSITIVE)`)
+				mustExec(t, e, `CREATE TABLE b (k INT, w INT)`)
+				loadRows(t, []*Engine{e}, "a", probe, func(i int) string {
+					return fmt.Sprintf("(%d, %d, 0x%x)", i, i%100, i*7919+1)
+				})
+				loadRows(t, []*Engine{e}, "b", build, func(i int) string { return fmt.Sprintf("(%d, %d)", i%100, i) })
+				if sig, _ := planSig(e, tc.sql); !strings.HasPrefix(sig, "π(agg") || !strings.HasSuffix(sig, "(hash1(a, b)))") {
+					t.Fatalf("plan %s: want the aggregation directly on the join", sig)
+				}
+
+				ledger := newQueryLedger()
+				var ctx context.Context = context.Background()
+				if tc.cancel {
+					c := &cancelMidLeaf{dir: dir, files: 2 * spillPartitions}
+					c.Context, c.cancel = context.WithCancel(ctx)
+					defer c.cancel()
+					ctx = c
+				}
+				it, err := e.QuerySQL(ctx, tc.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rows int
+				for err == nil {
+					var batch []types.Row
+					batch, err = it.NextBatch()
+					rows += len(batch)
+				}
+				st := it.(interface{ Stats() ExecStats }).Stats()
+				it.Close()
+				if err == io.EOF || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("query ended in %v after %d rows, want an error containing %q", err, rows, tc.want)
+				}
+				if st.Spills < 2 {
+					t.Fatalf("%d spills: no leaf wrote its groups before the failure — the test is vacuous", st.Spills)
+				}
+				ledger.check(t, pool, dir)
+			})
+		}
 	}
 }

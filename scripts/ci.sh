@@ -356,8 +356,8 @@ echo "== FROM/WHERE planner under the race detector"
 # the planner-off re-run above runs them unchanged — planner-off is the
 # AST-shaped half of each expectation); the TPC-H tests hold every runnable
 # statement, plaintext and proxy-rewritten, to the plan of its comma form
-# and pin the plain-spill numbers (Q3/Q5/Q10/Q21 no longer spill, Q13/Q18
-# spill what they always did); error text for ON scoping, ambiguity and
+# and pin the plain-spill numbers (Q3/Q5/Q10/Q13/Q21 spill nothing, Q18
+# spills its join's inputs and group records, no joined row); error text for ON scoping, ambiguity and
 # unknown columns is compared planner on, off and on-under-spill; a FROM
 # of 70 leaves plans like any other; and a join whose pushed filter empties
 # its build side leaves no reservation, run file or descriptor behind.
