@@ -15,16 +15,15 @@ import (
 // after which base^e costs at most ceil(bits(e)/w) modular multiplications
 // and zero squarings. The table only has to be as wide as the exponents it
 // will see, which is what makes it affordable per base: the scheme has two
-// kinds of fixed base, both owned by secure.Secret —
+// kinds of fixed base, both owned by secure.Secret and both raised to a
+// row id, which is 62 bits wide — so every table has 9 digit rows:
 //
-//   - the secret generator g, raised to modulus-wide exponents (row
-//     helpers, item keys of modulus-wide row ids): one table of
-//     ceil(bits(n)/w) digit rows;
-//   - h = g^x for every column key ⟨m, x⟩ in use, raised to a row id. The
-//     proxy's row ids are 62 bits wide, so such a table has 9 digit rows
-//     and an item key costs ≤ 9 multiplies. It is built modulo n for the
-//     shares the DO mints (~73 KB at 512 bits, ~293 KB at 2048) and modulo
-//     the secret prime p₁ for the ones it decrypts (half that).
+//   - the secret generator g, for row helpers g^r: one table modulo n
+//     (~73 KB at 512 bits, ~293 KB at 2048);
+//   - h = g^x for every column key ⟨m, x⟩ in use, for item keys m·h^r at
+//     ≤ 9 multiplies each. It is built modulo n for the shares the DO
+//     mints (the same size as g's) and modulo the secret prime p₁ for the
+//     ones it decrypts (half that).
 //
 // A table is built once, immutable afterwards and read without locks. Row
 // helpers are NOT fixed bases in this sense — each is raised to a handful
@@ -132,8 +131,8 @@ func (t *FixedBase) MulExpTo(s *MontScratch, acc []big.Word, e []big.Word) {
 
 // Exp returns base^e mod n. Semantics match Exp / big.Int.Exp, including
 // negative exponents (the inverse of base^|e|, or nil when base is not
-// invertible). Exponents wider than the table (unreduced key exponents
-// can exceed n) take the plain path, which handles any width.
+// invertible). Exponents wider than the table take the plain path, which
+// handles any width.
 func (t *FixedBase) Exp(e *big.Int) *big.Int {
 	mag := e
 	if e.Sign() < 0 {

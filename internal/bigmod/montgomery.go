@@ -509,15 +509,6 @@ func (m *MontCtx) FromMont(s *MontScratch, x []big.Word) *big.Int {
 	return new(big.Int).SetBits(z)
 }
 
-// MontMul returns a·b mod n through a Montgomery round trip (two REDCs,
-// no division). Semantics match Mul.
-func (m *MontCtx) MontMul(a, b *big.Int) *big.Int {
-	s := m.NewScratch()
-	aM := m.ToMont(s, a)
-	m.MulBig(s, aM, aM, b)
-	return new(big.Int).SetBits(aM)
-}
-
 // MontExp returns base^exp mod n by 4-bit-window square-and-multiply in
 // the Montgomery domain. Semantics match big.Int.Exp, including negative
 // exponents (the inverse of base^|exp|, or nil when base is not
@@ -579,11 +570,4 @@ func BatchInv(xs []*big.Int, n *big.Int) ([]*big.Int, error) {
 		acc = Mul(acc, xs[i], n)
 	}
 	return out, nil
-}
-
-// MontCacheReset clears the per-modulus context cache (tests).
-func MontCacheReset() {
-	montMu.Lock()
-	defer montMu.Unlock()
-	montCtxs = map[string]*MontCtx{}
 }

@@ -650,15 +650,22 @@ func (op *hashAggOp) partitionRuns(af *aggFile, depth int) ([]*runFile, error) {
 }
 
 // splitAndRecurse redistributes a partition under a deeper hash salt and
-// recurses into every sub-partition.
+// recurses into every sub-partition. When every record carries one key the
+// split sent them all to one sub-partition and no salt can divide them, so
+// that sub-partition merges as irreducible instead of splitting again at
+// every level down to maxAggSplitDepth.
 func (op *hashAggOp) splitAndRecurse(af *aggFile, depth int) ([]*runFile, error) {
-	subs, err := op.splitPartition(af, depth)
+	subs, oneKey, err := op.splitPartition(af, depth)
 	if err != nil {
 		return nil, err
 	}
+	next := depth + 1
+	if oneKey {
+		next = maxAggSplitDepth
+	}
 	var runs []*runFile
 	for _, sub := range subs {
-		rs, err := op.partitionRuns(sub, depth+1)
+		rs, err := op.partitionRuns(sub, next)
 		if err != nil {
 			closeRunFiles(runs)
 			for _, s := range subs {
@@ -675,8 +682,9 @@ func (op *hashAggOp) splitAndRecurse(af *aggFile, depth int) ([]*runFile, error)
 }
 
 // splitPartition redistributes a partition's records into sub-partition
-// files under a deeper hash salt.
-func (op *hashAggOp) splitPartition(af *aggFile, depth int) ([]*aggFile, error) {
+// files under a deeper hash salt, and reports whether they all carry one
+// key.
+func (op *hashAggOp) splitPartition(af *aggFile, depth int) ([]*aggFile, bool, error) {
 	subs := make([]*aggFile, spillPartitions)
 	closeSubs := func() {
 		for _, s := range subs {
@@ -689,26 +697,33 @@ func (op *hashAggOp) splitPartition(af *aggFile, depth int) ([]*aggFile, error) 
 		af, err := newAggFile(op.qs)
 		if err != nil {
 			closeSubs()
-			return nil, err
+			return nil, false, err
 		}
 		subs[i] = af
 	}
-	fail := func(err error) ([]*aggFile, error) {
+	fail := func(err error) ([]*aggFile, bool, error) {
 		closeSubs()
-		return nil, err
+		return nil, false, err
 	}
 	r, err := af.rewind()
 	if err != nil {
 		return fail(err)
 	}
 	seed := uint32(depth + 1)
-	for {
+	var first string
+	oneKey := true
+	for n := 0; ; n++ {
 		rec, err := op.readRecord(r)
 		if err == io.EOF {
-			return subs, nil
+			return subs, oneKey, nil
 		}
 		if err != nil {
 			return fail(err)
+		}
+		if n == 0 {
+			first = rec.key
+		} else if rec.key != first {
+			oneKey = false
 		}
 		sub := subs[hashKeySeed(rec.key, seed)%spillPartitions]
 		if err := op.writeRecord(sub, rec); err != nil {

@@ -410,40 +410,16 @@ func (e *Engine) execUpdate(s *sqlparser.Update) (*Result, error) {
 // Rotation advances the rotation generation — the counter that
 // invalidates cached token-bearing plans — instead of the catalog one.
 func updateIsRotation(s *sqlparser.Update) bool {
+	rotation := false
 	for _, set := range s.Set {
-		if exprUsesKeyUpdate(set.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-func exprUsesKeyUpdate(e sqlparser.Expr) bool {
-	switch x := e.(type) {
-	case *sqlparser.FuncCall:
-		if strings.EqualFold(x.Name, "sdb_keyupdate") {
-			return true
-		}
-		for _, a := range x.Args {
-			if exprUsesKeyUpdate(a) {
-				return true
+		walkExpr(set.Expr, func(ex sqlparser.Expr) bool {
+			if f, ok := ex.(*sqlparser.FuncCall); ok && strings.EqualFold(f.Name, "sdb_keyupdate") {
+				rotation = true
 			}
-		}
-	case *sqlparser.BinaryExpr:
-		return exprUsesKeyUpdate(x.L) || exprUsesKeyUpdate(x.R)
-	case *sqlparser.UnaryExpr:
-		return exprUsesKeyUpdate(x.E)
-	case *sqlparser.CaseExpr:
-		for _, w := range x.Whens {
-			if exprUsesKeyUpdate(w.Cond) || exprUsesKeyUpdate(w.Then) {
-				return true
-			}
-		}
-		if x.Else != nil {
-			return exprUsesKeyUpdate(x.Else)
-		}
+			return !rotation
+		})
 	}
-	return false
+	return rotation
 }
 
 // ExecuteSQL parses and runs one statement.

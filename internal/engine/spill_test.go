@@ -596,6 +596,42 @@ func TestAggSpillSingleGroupDistinct(t *testing.T) {
 	requireSameRows(t, sql, got, want)
 }
 
+// TestAggSpillOneKeySplitsOnce: a one-key GROUP BY whose DISTINCT set
+// spills a record per generation leaves more records in its one partition
+// than the budget grants. A split under a deeper salt sends every record
+// to one sub-partition — they share a key — so that sub-partition merges
+// as irreducible: one split's worth of files and spilled rows, not one per
+// level down to maxAggSplitDepth.
+func TestAggSpillOneKeySplitsOnce(t *testing.T) {
+	const budget = 16
+	mem := newSpillEngine(t, -1)
+	spl := newSpillEngine(t, budget)
+	for _, e := range []*Engine{mem, spl} {
+		mustExec(t, e, `CREATE TABLE ok (g INT, v INT)`)
+	}
+	loadRows(t, []*Engine{mem, spl}, "ok", 1600, func(i int) string {
+		return fmt.Sprintf("(7, %d)", i)
+	})
+	sql := `SELECT g, COUNT(DISTINCT v), COUNT(*) FROM ok GROUP BY g`
+	want, _ := queryWithStats(t, mem, sql)
+	got, st := queryWithStats(t, spl, sql)
+	requireSameRows(t, sql, got, want)
+	// Every spill writes the one group's record: st.Spills records in the
+	// partition, which the budget refuses in one reservation.
+	records := st.Spills
+	if records <= max(budget, minSpillChunkRows) {
+		t.Fatalf("%d records do not outgrow the budget: %+v", records, st)
+	}
+	// Generations, one split of them, the one-row output run.
+	if want := 2*records + 1; st.SpilledRows != want {
+		t.Errorf("spilled rows = %d, want %d (%d records, split once): %+v", st.SpilledRows, want, records, st)
+	}
+	// The partition files, one split's sub-partitions, the output run.
+	if want := 2*spillPartitions + 1; st.SpillFiles != want {
+		t.Errorf("spill files = %d, want %d: %+v", st.SpillFiles, want, st)
+	}
+}
+
 // TestIntegerSumOverflowErrors: SUM and AVG over INT and DECIMAL add in
 // 128 bits and fail when the value does not fit an int64 — the same
 // overflow-checked arithmetic the DO's decrypted AVG runs — instead of

@@ -192,7 +192,7 @@ func forgedPlaintexts(t *testing.T, p *Proxy, honest types.Row, ve *big.Int) []s
 			t.Fatalf("forged share decrypts to the int64 %d: nothing to redact", i)
 		}
 	}
-	v := p.secret.Decrypt(ve, secure.RowID{R: new(big.Int).SetUint64(rid)}, ck)
+	v := p.secret.Decrypt(ve, rid, ck)
 	v.Abs(v)
 	return []string{v.String(), v.Text(16)}
 }
@@ -203,7 +203,7 @@ func forgedPlaintexts(t *testing.T, p *Proxy, honest types.Row, ve *big.Int) []s
 func keyMaterial(p *Proxy, table, col string) []string {
 	meta, _ := p.store.Get(table)
 	ck, _ := meta.Key(col)
-	h := p.secret.ItemKey(secure.RowID{R: big.NewInt(1)}, ck)
+	h := p.secret.ItemKey(1, ck)
 	var out []string
 	for _, v := range []*big.Int{ck.X, h} {
 		out = append(out, v.String(), v.Text(16))
@@ -363,7 +363,7 @@ func TestRowIDGolden(t *testing.T) {
 		key[i] = byte(0xa0 + i)
 	}
 	var err error
-	if p.cipher, err = sies.New(key, rowIDBits); err != nil {
+	if p.cipher, err = sies.New(key, secure.RowIDBits); err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range []struct {

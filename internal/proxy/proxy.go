@@ -83,13 +83,6 @@ type Options struct {
 	StatePath string
 }
 
-// rowIDBits bounds row ids to [1, 2^rowIDBits); the SIES modulus is
-// 2^rowIDBits and the encrypted row id is packed as cipher<<64 | nonce
-// (packRowID).
-// The width is secure.RowIDBits because item-key cost follows it: the
-// secret's per-column-key comb tables cover exactly this many bits.
-const rowIDBits = secure.RowIDBits
-
 // New creates a proxy over the given scheme secret and executor with
 // default (GOMAXPROCS-wide) parallelism.
 func New(secret *secure.Secret, exec Executor) (*Proxy, error) {
@@ -102,7 +95,7 @@ func NewWithOptions(secret *secure.Secret, exec Executor, opts Options) (*Proxy,
 	if err != nil {
 		return nil, err
 	}
-	cipher, err := sies.New(key, rowIDBits)
+	cipher, err := sies.New(key, secure.RowIDBits)
 	if err != nil {
 		return nil, err
 	}
@@ -456,16 +449,17 @@ func (p *Proxy) encryptInsertChunk(meta *TableMeta, table string, names []string
 }
 
 // newRowID draws a fresh row id and returns it along with its packed
-// SIES-encrypted form.
+// SIES-encrypted form: ciphertext<<64 | nonce under the SIES modulus
+// 2^secure.RowIDBits.
 func (p *Proxy) newRowID() (secure.RowID, *big.Int, error) {
 	nonce := p.nonce.Add(1)
-	rid, err := secure.NewShortRowID()
+	rid, err := p.secret.NewRowID()
 	if err != nil {
-		return secure.RowID{}, nil, err
+		return 0, nil, err
 	}
-	enc, err := p.cipher.Encrypt(rid.R.Uint64(), nonce)
+	enc, err := p.cipher.Encrypt(rid, nonce)
 	if err != nil {
-		return secure.RowID{}, nil, err
+		return 0, nil, err
 	}
 	return rid, packRowID(enc, nonce), nil
 }

@@ -122,7 +122,7 @@ func NewFromStateFile(path string, exec Executor, opts Options) (*Proxy, error) 
 	if err != nil {
 		return nil, err
 	}
-	cipher, err := sies.New(st.SIESKey, rowIDBits)
+	cipher, err := sies.New(st.SIESKey, secure.RowIDBits)
 	if err != nil {
 		return nil, err
 	}

@@ -60,13 +60,13 @@ func (s *Secret) NewEncRequest(v *big.Int, r RowID, ck ColumnKey) (EncRequest, e
 // with EncryptMask's bound check (masks bypass the signed domain).
 func (s *Secret) NewMaskEncRequest(mask *big.Int, r RowID, ck ColumnKey) (EncRequest, error) {
 	if mask.Sign() <= 0 || mask.Cmp(s.maskBound()) >= 0 {
-		return EncRequest{}, fmt.Errorf("secure: mask %s outside [1, 2^%d)", mask, s.maskWidth)
+		return EncRequest{}, fmt.Errorf("secure: mask <%d bits> outside [1, 2^%d)", mask.BitLen(), s.maskWidth)
 	}
 	return EncRequest{Enc: mask, Rid: r, Key: ck}, nil
 }
 
 // EncryptBatch mints all requested shares with ONE modular inversion:
-// item keys are derived per request (through g's comb table),
+// item keys are derived per request (through the column keys' comb tables),
 // then inverted together with Montgomery's batch trick. Semantically
 // identical to calling Encrypt/EncryptMask per request; an error means
 // some item key shared a factor with n (degenerate column key), the same

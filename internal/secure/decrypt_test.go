@@ -138,7 +138,7 @@ func mint(t testing.TB, s *Secret, v *big.Int, keys []ColumnKey, rids []RowID) *
 	n := s.N()
 	vk := big.NewInt(1)
 	for _, ck := range keys {
-		r := RowID{R: new(big.Int)}
+		var r RowID
 		if ck.X.Sign() != 0 {
 			r, rids = rids[0], rids[1:]
 		}
@@ -163,7 +163,7 @@ func oracle(s *Secret, ve *big.Int, keys []ColumnKey, rids []RowID) *big.Int {
 	n := s.N()
 	v := new(big.Int).Set(ve)
 	for _, ck := range keys {
-		r := RowID{R: new(big.Int)}
+		var r RowID
 		if ck.X.Sign() != 0 {
 			r, rids = rids[0], rids[1:]
 		}
@@ -185,24 +185,15 @@ func owes(got types.Int128, err error, want *big.Int) bool {
 // i128 is v as Decrypt returns it.
 func i128(v int64) types.Int128 { return types.Int128Of(v) }
 
-// words returns row ids as the machine words a Decryptor takes.
-func words(rids []RowID) []uint64 {
-	out := make([]uint64, len(rids))
-	for i, r := range rids {
-		out[i] = r.R.Uint64()
-	}
-	return out
-}
-
 // wordRowIDs are the row ids a Decryptor takes at its edges: 0, 1, the
 // widest the tables cover, and a random one.
-func wordRowIDs(t testing.TB) []uint64 {
+func wordRowIDs(t testing.TB, s *Secret) []uint64 {
 	t.Helper()
-	r, err := NewShortRowID()
+	r, err := s.NewRowID()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []uint64{0, 1, 1<<RowIDBits - 1, r.R.Uint64()}
+	return []uint64{0, 1, 1<<RowIDBits - 1, r}
 }
 
 // TestDecryptorHalfVsFullWidth is the differential of the half-width
@@ -242,15 +233,15 @@ func TestDecryptorHalfVsFullWidth(t *testing.T) {
 		}
 		for shape, keys := range shapes {
 			half, full := s.NewDecryptor(keys...), s.newDecryptor(s.full, keys)
-			for _, r := range wordRowIDs(t) {
+			for _, r := range wordRowIDs(t, s) {
 				var rids []RowID
 				for _, ck := range keys {
 					if ck.X.Sign() != 0 {
 						rw := (r + uint64(len(rids))) & (1<<RowIDBits - 1)
-						rids = append(rids, RowID{R: new(big.Int).SetUint64(rw)})
+						rids = append(rids, rw)
 					}
 				}
-				w := words(rids)
+				w := append([]uint64(nil), rids...)
 				for _, v := range plains {
 					ve := mint(t, s, v, keys, rids)
 					h, errH := half.Decrypt(ve, w...)
@@ -332,12 +323,11 @@ func TestDecryptorMatchesScalar(t *testing.T) {
 				var rids []uint64
 				ve, want := big.NewInt(1), big.NewInt(1)
 				for i, v := range append(vals, -3) {
-					ck, r := flat, RowID{R: new(big.Int)}
+					ck, r := flat, RowID(0)
 					if i < len(vals) {
 						ck, _ = s.NewColumnKey()
-						ridWord := wordRowIDs(t)[i%4]
-						r = RowID{R: new(big.Int).SetUint64(ridWord)}
-						rids = append(rids, ridWord)
+						r = wordRowIDs(t, s)[i%4]
+						rids = append(rids, r)
 					} else if !withFlat {
 						break
 					}
@@ -361,7 +351,8 @@ func TestDecryptorMatchesScalar(t *testing.T) {
 // TestLeavesTheDOGolden: every byte that leaves the DO — shares (scalar,
 // batch, mask), row helpers, tokens — is what the commit before the
 // half-width kernel produced for the same secret, keys and row ids. The
-// digest was printed by that commit running this test.
+// digest was printed by the last commit that still had big.Int row ids,
+// which matched that one's over these ids and a modulus-wide fourth.
 func TestLeavesTheDOGolden(t *testing.T) {
 	s := fixedSecret(t)
 	n := s.N()
@@ -372,10 +363,9 @@ func TestLeavesTheDOGolden(t *testing.T) {
 	b := key("7092b4d6f8a1c3e5f7092b4d6e8fa1c3e5f701f3a9c5e7b2d48f6a1c3e5079b2d4f6181a3c5e", "0badc0de0badc0de0badc0de0badc0de0badc0de0badc0de0badc0de0badc0de0badc0de0bad")
 	flat := ColumnKey{M: new(big.Int).Set(a.M), X: new(big.Int)}
 	rids := []RowID{
-		{R: big.NewInt(1)},
-		{R: hexInt(t, "2a5c7e9f1b3d5f70")},                                                 // 62 bits
-		{R: new(big.Int).Sub(new(big.Int).Lsh(one, RowIDBits), one)},                       // the widest a table covers
-		{R: hexInt(t, "9e3779b97f4a7c15f39cc0605cedc8341082276bf3a27251f86c6a11d0c18e95")}, // modulus-wide
+		1,
+		0x2a5c7e9f1b3d5f70, // 62 bits
+		1<<RowIDBits - 1,   // the widest a table covers
 	}
 	h := sha256.New()
 	emit := func(what string, v *big.Int, err error) {
@@ -417,7 +407,7 @@ func TestLeavesTheDOGolden(t *testing.T) {
 	emit("reveal.P", rev.P, err)
 	emit("reveal.Q", rev.Q, err)
 
-	const want = "c14ee8ef17a02cb07e2d2637d4b57ae6975f03aad41c927f7917135a7e70ad7b"
+	const want = "5db8615a0e5ce5dbf53b15e5f7a21a3fc5e93f0500241a3d589c387b846cba2d"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("bytes that leave the DO changed: digest %s, want %s", got, want)
 	}
@@ -431,7 +421,7 @@ func TestKeyTablePerKernel(t *testing.T) {
 	fullBytes := bigmod.NewFixedBase(big.NewInt(2), s.N(), RowIDBits).Bytes()
 	read, _ := s.NewColumnKey()
 	written, _ := s.NewColumnKey()
-	r := RowID{R: big.NewInt(77)}
+	r := RowID(77)
 
 	ve := mint(t, s, big.NewInt(-5), []ColumnKey{read}, []RowID{r})
 	if got, err := s.NewDecryptor(read).Decrypt(ve, 77); err != nil || got != i128(-5) {
@@ -461,7 +451,7 @@ func TestKeyTablePerKernel(t *testing.T) {
 func TestBothKernelsConcurrentFirstTouch(t *testing.T) {
 	s := fixedSecret(t)
 	ck, _ := s.NewColumnKey()
-	r := RowID{R: big.NewInt(123456789)}
+	r := RowID(123456789)
 	ve := mint(t, s, big.NewInt(4242), []ColumnKey{ck}, []RowID{r})
 	want := refItemKey(s, r, ck)
 	var wg sync.WaitGroup
@@ -496,7 +486,7 @@ func TestBothKernelsConcurrentFirstTouch(t *testing.T) {
 func TestDecryptErrorsRedacted(t *testing.T) {
 	s := fixedSecret(t)
 	ck, _ := s.NewColumnKey()
-	r := RowID{R: big.NewInt(5)}
+	r := RowID(5)
 	big1 := new(big.Int).Lsh(big.NewInt(0x5a5a5a5a5a5a), 70)
 	_, errInt64 := s.DecryptInt64(mint(t, s, big1, []ColumnKey{ck}, []RowID{r}), r, ck)
 	_, errDecode := s.Domain().DecodeInt64(big1)
@@ -545,7 +535,7 @@ func FuzzDecryptHalfVsFull(f *testing.F) {
 			}
 			return
 		}
-		ref := oracle(s, ve, []ColumnKey{ck}, []RowID{{R: new(big.Int).SetUint64(r)}})
+		ref := oracle(s, ve, []ColumnKey{ck}, []RowID{r})
 		if !owes(h, errH, modP1(s, ref)) || !owes(full, errF, ref) {
 			t.Fatalf("Decrypt(ve=%x, r=%#x, x=%x, m=%x): half = %v, %v; full = %v, %v; oracle %v",
 				vb, r, xb, mb, h, errH, full, errF, ref)
@@ -566,9 +556,8 @@ func TestDecryptorAllocs(t *testing.T) {
 	c, _ := s.NewColumnKey()
 	flat, _ := s.FlatKey()
 	keys := []ColumnKey{a, flat, b, c}
-	rids := []RowID{{R: big.NewInt(11)}, {R: big.NewInt(1<<RowIDBits - 1)}, {R: big.NewInt(987654321)}}
-	ve := mint(t, s, big.NewInt(-31337), keys, rids)
-	w := words(rids)
+	w := []RowID{11, 1<<RowIDBits - 1, 987654321}
+	ve := mint(t, s, big.NewInt(-31337), keys, w)
 	for name, d := range map[string]*Decryptor{"half-width": s.NewDecryptor(keys...), "full-width": s.newDecryptor(s.full, keys)} {
 		if got, err := d.Decrypt(ve, w...); err != nil || got != i128(-31337) {
 			t.Fatalf("%s: Decrypt = %d, %v", name, got, err)

@@ -91,7 +91,7 @@ func (s *Secret) MulPlainKey(a ColumnKey, c *big.Int) (ColumnKey, error) {
 		return ColumnKey{}, errors.New("secure: multiplication by zero must be folded to a literal, not keyed")
 	}
 	if !bigmod.Coprime(enc, s.params.N) {
-		return ColumnKey{}, fmt.Errorf("secure: constant %s not invertible mod n", c)
+		return ColumnKey{}, fmt.Errorf("secure: constant <%d bits> not invertible mod n", c.BitLen())
 	}
 	return ColumnKey{
 		M: bigmod.Mul(a.M, enc, s.params.N),

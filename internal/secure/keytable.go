@@ -14,17 +14,16 @@ import (
 // Item keys through per-column-key comb tables.
 //
 // gen(r, ⟨m,x⟩) = m·g^(r·x) = m·(g^x)^r, and h = g^x is a fixed base for
-// as long as the column key lives. The rows a proxy uploads carry row ids
-// of RowIDBits bits, not modulus-wide ones, so a comb table of h that
-// covers only that width has ⌈62/7⌉ = 9 digit rows and turns an item key
-// from ~74 multiplies (the modulus-wide exponent r·x mod φ(n) through g's
-// table) into at most 9, on the encrypt and the decrypt side alike.
+// as long as the column key lives. Row ids are RowIDBits wide, so a comb
+// table of h has ⌈62/7⌉ = 9 digit rows and an item key costs at most 9
+// multiplies, on the encrypt and the decrypt side alike. g's own table
+// (RowHelper) has the same 9 rows: no exponent of the DO is wider.
 //
 // A column key has up to two such tables, one per kernel (params.go, "The
 // decrypt contract"), each built on the first touch that needs it:
 //
 //   - modulo n, for the shares the DO mints (ItemKey): ~73 KB at 512 bits,
-//     ~1,150 full-width REDCs to build;
+//     one square-and-multiply for h plus ~1,150 full-width REDCs to build;
 //   - modulo p₁, for the shares it decrypts (Decryptor) when the secret
 //     takes the half-width kernel: half the bytes (~37 KB) and ~1,150
 //     half-width REDCs, each about a third of the cost.
@@ -36,16 +35,10 @@ import (
 // rotation — which mints a new x — never invalidates anything; it only
 // makes an old table cold. Past maxKeyTables the least recently used table
 // is dropped, and the memo is garbage with its Secret. Moduli without a
-// Montgomery form keep the g path, and so do the row ids ItemKey gets that
-// the tables do not cover (NewRowID draws modulus-wide ones), so ItemKey
-// means what it always did. A Decryptor takes row ids as machine words
-// and only the widths the tables cover: the proxy draws no others.
-
-// RowIDBits is the width of the row ids the proxy draws: the proxy
-// encrypts them for storage at the SP with SIES under the modulus
-// 2^RowIDBits. It is also the exponent width the per-column-key comb
-// tables cover, so DO-side cost per share is proportional to it.
-const RowIDBits = 62
+// Montgomery form have no tables and take r·x mod φ(n) by
+// square-and-multiply (gPow), and so does a word of 2^RowIDBits or more
+// handed to ItemKey, so ItemKey is exact for every input; a Decryptor
+// refuses such a word instead.
 
 // maxKeyTables bounds the memo, whatever the kernels of its tables: 64
 // modulo-n tables are 4.7 MB at 512 bits and 18.7 MB at 2048 (half that
@@ -76,14 +69,15 @@ type keyTables struct {
 // kernel is item-key arithmetic under one modulus: n, or the secret prime
 // p₁ that divides it.
 type kernel struct {
-	mod  *big.Int
-	half *big.Int        // ⌊mod/2⌋: residues above it decode negative
-	ctx  *bigmod.MontCtx // nil for a modulus without a Montgomery form
-	pool sync.Pool       // *keyScratch
+	mod   *big.Int
+	order *big.Int        // φ(mod): φ(n), or p₁ − 1; g^x depends on x modulo it
+	half  *big.Int        // ⌊mod/2⌋: residues above it decode negative
+	ctx   *bigmod.MontCtx // nil for a modulus without a Montgomery form
+	pool  sync.Pool       // *keyScratch
 }
 
-func newKernel(mod *big.Int) *kernel {
-	return &kernel{mod: mod, half: new(big.Int).Rsh(mod, 1), ctx: bigmod.MontCtxFor(mod)}
+func newKernel(mod, order *big.Int) *kernel {
+	return &kernel{mod: mod, order: order, half: new(big.Int).Rsh(mod, 1), ctx: bigmod.MontCtxFor(mod)}
 }
 
 // keyScratch is the pooled working memory of one item-key evaluation.
@@ -126,15 +120,10 @@ func (s *Secret) tableKey(k *kernel, x *big.Int) string {
 	return kind + string(x.Bytes())
 }
 
-// keyBase returns h = g^x modulo k's modulus, the base of x's table.
+// keyBase returns h = g^x modulo k's modulus, the base of x's table: one
+// square-and-multiply, with x reduced by the group order.
 func (s *Secret) keyBase(k *kernel, x *big.Int) *big.Int {
-	if k == s.full {
-		return s.gExp(new(big.Int).Mod(x, s.phi))
-	}
-	// Modulo p₁ the exponent lives modulo p₁ − 1. One square-and-multiply
-	// there costs about what the walk through g's modulus-wide table does,
-	// and a DO that only reads never builds that table at all.
-	return k.ctx.MontExp(s.g, new(big.Int).Mod(x, new(big.Int).Sub(k.mod, one)))
+	return k.ctx.MontExp(s.g, new(big.Int).Mod(x, k.order))
 }
 
 // keyTable returns the comb table of g^x under k over RowIDBits-wide
@@ -176,11 +165,12 @@ func (s *Secret) keyTable(k *kernel, x *big.Int) *bigmod.FixedBase {
 	return t.fb
 }
 
-// gPow returns g^(r·x mod φ(n)): the modulus-wide exponent through g's
-// table, for the item keys no per-key table covers.
-func (s *Secret) gPow(r, x *big.Int) *big.Int {
-	e := new(big.Int).Mul(r, x)
-	return s.gExp(e.Mod(e, s.phi))
+// gPow returns g^(r·x mod φ(n)) mod n by square-and-multiply, for the item
+// keys no per-key table covers.
+func (s *Secret) gPow(r RowID, x *big.Int) *big.Int {
+	e := new(big.Int).SetUint64(r)
+	e.Mul(e, x)
+	return bigmod.Exp(s.g, e.Mod(e, s.phi), s.params.N)
 }
 
 // Decryptor decrypts the shares of one result column. The column's key is
@@ -286,7 +276,7 @@ func (d *Decryptor) Decrypt(ve *big.Int, rids ...uint64) (types.Int128, error) {
 		}
 		switch t := d.tabs[i]; {
 		case vk != nil:
-			vk = bigmod.Mul(vk, s.gPow(new(big.Int).SetUint64(r), ck.X), n)
+			vk = bigmod.Mul(vk, s.gPow(r, ck.X), n)
 		case t == nil: // x < 0: no column key the DO mints
 			return types.Int128{}, fmt.Errorf("secure: row-keyed factor %d has a malformed key", i)
 		default:

@@ -1,9 +1,10 @@
 package secure
 
 import (
-	"crypto/rand"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 	"strings"
 	"sync"
 	"testing"
@@ -14,8 +15,8 @@ import (
 // refItemKey is Def. 1 computed the slow way: m · g^(r·x mod φ(n)) mod n
 // with big.Int.Exp and nothing else.
 func refItemKey(s *Secret, r RowID, ck ColumnKey) *big.Int {
-	e := new(big.Int).Mul(r.R, ck.X)
-	e.Mod(e, s.phi)
+	e := new(big.Int).SetUint64(r)
+	e.Mul(e, ck.X).Mod(e, s.phi)
 	vk := new(big.Int).Exp(s.g, e, s.params.N)
 	return vk.Mul(vk, ck.M).Mod(vk, s.params.N)
 }
@@ -34,27 +35,16 @@ func evenSecret(t testing.TB) *Secret {
 	return s
 }
 
-// edgeRowIDs are the widths around the table's: the smallest id, the
-// widest the table covers, one bit past it, and a modulus-wide one.
+// edgeRowIDs are the words around the tables' width: the smallest id, the
+// widest the tables cover, one bit past it, a drawn one, and the widest
+// word.
 func edgeRowIDs(t testing.TB, s *Secret) []RowID {
 	t.Helper()
-	top := new(big.Int).Lsh(one, RowIDBits)
-	wide, err := s.NewRowID()
+	drawn, err := s.NewRowID()
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := rand.Int(rand.Reader, top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []RowID{
-		{R: big.NewInt(0)},
-		{R: big.NewInt(1)},
-		{R: new(big.Int).Sub(top, one)},
-		{R: top},
-		{R: short},
-		wide,
-	}
+	return []RowID{0, 1, 1<<RowIDBits - 1, 1 << RowIDBits, drawn, math.MaxUint64}
 }
 
 func itemKeySecrets(t *testing.T) map[string]*Secret {
@@ -89,13 +79,13 @@ func TestItemKeyTableMatchesReference(t *testing.T) {
 			for pass := 0; pass < 2; pass++ {
 				for _, r := range edgeRowIDs(t, s) {
 					if got, want := s.ItemKey(r, ck), refItemKey(s, r, ck); got.Cmp(want) != 0 {
-						t.Fatalf("%s: key %d pass %d, %d-bit row id: table path diverges from big.Int.Exp", name, i, pass, r.R.BitLen())
+						t.Fatalf("%s: key %d pass %d, %d-bit row id: table path diverges from big.Int.Exp", name, i, pass, bits.Len64(r))
 					}
 				}
 			}
 		}
 		flat, _ := s.FlatKey()
-		if got := s.ItemKey(RowID{R: big.NewInt(77)}, flat); got.Cmp(flat.M) != 0 {
+		if got := s.ItemKey(77, flat); got.Cmp(flat.M) != 0 {
 			t.Fatalf("%s: flat item key is not m", name)
 		}
 		if st := s.KeyTableStats(); name == "even" && st != (KeyTableStats{}) {
@@ -109,7 +99,7 @@ func TestItemKeyTableMatchesReference(t *testing.T) {
 // TestEncryptBatchDecryptorRoundTrip: what EncryptBatch mints at every
 // row-id width, Secret.Decrypt reads back, and so does a Decryptor
 // wherever the row ids are words its tables cover — including a product
-// column over two row ids and a flat factor. A wider row id is an error.
+// column over two row ids and a flat factor. A wider word is an error.
 func TestEncryptBatchDecryptorRoundTrip(t *testing.T) {
 	for name, s := range itemKeySecrets(t) {
 		a, _ := s.NewColumnKey()
@@ -117,10 +107,10 @@ func TestEncryptBatchDecryptorRoundTrip(t *testing.T) {
 		flat, _ := s.FlatKey()
 		n := s.N()
 		for _, ra := range edgeRowIDs(t, s) {
-			rb := RowID{R: new(big.Int).Add(ra.R, big.NewInt(12345))}
+			rb := ra + 12345
 			qa, _ := s.NewEncRequest(big.NewInt(-4321), ra, a)
 			qb, _ := s.NewEncRequest(big.NewInt(17), rb, b)
-			qf, _ := s.NewEncRequest(big.NewInt(3), RowID{R: big.NewInt(0)}, flat)
+			qf, _ := s.NewEncRequest(big.NewInt(3), 0, flat)
 			ves, err := s.EncryptBatch([]EncRequest{qa, qb, qf})
 			if err != nil {
 				t.Fatal(err)
@@ -133,26 +123,19 @@ func TestEncryptBatchDecryptorRoundTrip(t *testing.T) {
 			}
 			prod := bigmod.Mul(bigmod.Mul(ves[0], ves[2], n), ves[1], n)
 			d := s.NewDecryptor(a, flat, b)
-			if rb.R.BitLen() > RowIDBits {
-				// A word of 2^RowIDBits or more stands for any wider id: the
-				// Decryptor must refuse it for its width, whatever it would
-				// decrypt to.
-				word := func(r RowID) uint64 {
-					if r.R.BitLen() > RowIDBits {
-						return r.R.Uint64() | 1<<RowIDBits
-					}
-					return r.R.Uint64()
-				}
-				if _, err := d.Decrypt(prod, word(ra), word(rb)); err == nil || !strings.Contains(err.Error(), "wider than") {
-					t.Fatalf("%s: a %d-bit row id: %v", name, rb.R.BitLen(), err)
+			if (ra|rb)>>RowIDBits != 0 {
+				// The Decryptor must refuse a word its tables do not cover,
+				// whatever it would decrypt to.
+				if _, err := d.Decrypt(prod, ra, rb); err == nil || !strings.Contains(err.Error(), "wider than") {
+					t.Fatalf("%s: row ids %#x, %#x: %v", name, ra, rb, err)
 				}
 				continue
 			}
-			if got, err := s.NewDecryptor(a).Decrypt(ves[0], ra.R.Uint64()); err != nil || got != i128(-4321) {
+			if got, err := s.NewDecryptor(a).Decrypt(ves[0], ra); err != nil || got != i128(-4321) {
 				t.Fatalf("%s: single-key decryptor = %v, %v", name, got, err)
 			}
-			if got, err := d.Decrypt(prod, ra.R.Uint64(), rb.R.Uint64()); err != nil || got != i128(-4321*3*17) {
-				t.Fatalf("%s: product decryptor (%d-bit ids) = %v, %v", name, ra.R.BitLen(), got, err)
+			if got, err := d.Decrypt(prod, ra, rb); err != nil || got != i128(-4321*3*17) {
+				t.Fatalf("%s: product decryptor (%d-bit ids) = %v, %v", name, bits.Len64(ra), got, err)
 			}
 		}
 	}
@@ -186,7 +169,7 @@ func TestDecryptorRejectsMalformed(t *testing.T) {
 // order and that an evicted key still derives correct item keys.
 func TestKeyTableMemoBounded(t *testing.T) {
 	s := batchSecret(t)
-	r := RowID{R: big.NewInt(123456789)}
+	r := RowID(123456789)
 	const extra = 9
 	keys := make([]ColumnKey, maxKeyTables+extra)
 	for i := range keys {
@@ -217,6 +200,40 @@ func TestKeyTableMemoBounded(t *testing.T) {
 	}
 }
 
+// TestGeneratorTableWidth: g's comb table covers RowIDBits like every key
+// table — 9 digit rows, 73 152 B at 512 bits and 292 608 B at 2048 — after
+// the DO's first row helper and item key; and RowHelper is exact at every
+// word width, a word past the table's included.
+func TestGeneratorTableWidth(t *testing.T) {
+	wide, err := SetupFromPrimes(
+		hexInt(t, "e8ae27bd46231d2333aed87862dba038fb939821d1d4b7d80c8270a11f08468b70fc5c4717810d9e4fd5bc74f7d3327339c9143e969ea90cf2d2d58f0b4bccaaf9936fe70af7d688ea07915c6b617094949f94813591ed8b287fb0892ead69ad5dc6743ed0f6bc14908be2960d2690da5205e00c031f69885664ff02c740a059"),
+		hexInt(t, "ea067b3236decbb0ab122225ff3a87c26f677a3ab8381f002bc9ffdb024760dcdf4d6a9689088c8764065e863a70ebe4adff02785feb713f0a536260c44ccb7eec27f51d3ddef710cca23cad8c2fa316c2d04674a1cdcc3fd623274d95e6bf67d1b77b1db5685bb04f9da6894cf78362d7aa88553af8d2eb690b67790e3b9891"),
+		big.NewInt(65537), DefaultValueBits, DefaultMaskBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		s     *Secret
+		bits  int
+		bytes int
+	}{{fixedSecret(t), 512, 73152}, {wide, 2048, 292608}} {
+		s := tc.s
+		if s.N().BitLen() != tc.bits {
+			t.Fatalf("a %d-bit modulus, want %d", s.N().BitLen(), tc.bits)
+		}
+		ck, _ := s.NewColumnKey()
+		for _, r := range edgeRowIDs(t, s) {
+			if got, want := s.RowHelper(r), new(big.Int).Exp(s.g, new(big.Int).SetUint64(r), s.N()); got.Cmp(want) != 0 {
+				t.Fatalf("%d bits: RowHelper(%#x) diverges from big.Int.Exp", tc.bits, r)
+			}
+			s.ItemKey(r, ck)
+		}
+		if got := s.gTable.Bytes(); got != tc.bytes {
+			t.Errorf("%d bits: g's table is %d B, want %d", tc.bits, got, tc.bytes)
+		}
+	}
+}
+
 // TestKeyTableConcurrentFirstTouch races first-touch table builds and warm
 // lookups from parallel workers; run under -race by ci.sh. Every worker
 // checks its answers against big.Int.Exp.
@@ -236,14 +253,14 @@ func TestKeyTableConcurrentFirstTouch(t *testing.T) {
 				if i%10 == 9 { // a private key: a build nobody else waits for
 					ck, _ = s.NewColumnKey()
 				}
-				r := RowID{R: big.NewInt(int64(w*1000 + i + 1))}
+				r := RowID(w*1000 + i + 1)
 				want := refItemKey(s, r, ck)
 				if s.ItemKey(r, ck).Cmp(want) != 0 {
 					t.Errorf("worker %d: ItemKey diverges", w)
 					return
 				}
 				ve, _ := s.EncryptInt64(int64(i), r, ck)
-				if got, err := s.NewDecryptor(ck).Decrypt(ve, r.R.Uint64()); err != nil || got != i128(int64(i)) {
+				if got, err := s.NewDecryptor(ck).Decrypt(ve, r); err != nil || got != i128(int64(i)) {
 					t.Errorf("worker %d: decryptor = %v, %v", w, got, err)
 					return
 				}
@@ -258,23 +275,42 @@ func TestKeyTableConcurrentFirstTouch(t *testing.T) {
 
 // TestKeyMaterialRedacted extends TestTokenStringRedacted to the DO side:
 // no formatting or error surface of the package may carry a column key's
-// x, its g^x, or an entry of its table.
+// x, its g^x, an entry of its table, a comparison mask or a query
+// constant the DO keys a column by.
 func TestKeyMaterialRedacted(t *testing.T) {
 	s := batchSecret(t)
 	ck, _ := s.NewColumnKey()
-	r := RowID{R: big.NewInt(5)}
-	s.ItemKey(r, ck) // the table exists
+	s.ItemKey(5, ck) // the table exists
 	h := new(big.Int).Exp(s.g, ck.X, s.N())
-	secrets := []*big.Int{ck.X, ck.M, h, s.ItemKey(RowID{R: one}, ck)}
+	mask := new(big.Int).Lsh(big.NewInt(0x5a5a5a5a5a5a), 40) // past the mask bound
+	// A constant sharing the factor 1000003 with n: in the value domain and
+	// not invertible.
+	small, err := SetupFromPrimes(big.NewInt(1000003),
+		hexInt(t, "d305189885c987d7f1a33ddb2cc6f327979d0a431e1f8e20ef91aad596f53751"),
+		big.NewInt(65537), DefaultValueBits, DefaultMaskBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	constant := big.NewInt(1000003 * 0x5a5a5a5a)
+	secrets := []*big.Int{ck.X, ck.M, h, s.ItemKey(1, ck), mask, constant}
 
 	_, errShare := s.NewDecryptor(ck).Decrypt(s.N(), 5)
 	_, errRid := s.NewDecryptor(ck).Decrypt(big.NewInt(1))
 	_, errFlat := s.DecryptFlat(big.NewInt(1), ck)
+	_, errMask := s.EncryptMask(mask, 5, ck)
+	_, errMaskReq := s.NewMaskEncRequest(mask, 5, ck)
+	smallKey, _ := small.NewColumnKey()
+	_, errConst := small.MulPlainKey(smallKey, constant)
 	surfaces := []string{
 		ck.String(),
 		fmt.Sprintf("%v %+v %s", ck, ck, ck),
 		fmt.Sprintf("%+v", s.KeyTableStats()),
-		errShare.Error(), errRid.Error(), errFlat.Error(),
+	}
+	for _, err := range []error{errShare, errRid, errFlat, errMask, errMaskReq, errConst} {
+		if err == nil {
+			t.Fatal("an error surface accepted its input")
+		}
+		surfaces = append(surfaces, err.Error())
 	}
 	for _, out := range surfaces {
 		for _, sec := range secrets {
@@ -301,23 +337,22 @@ func FuzzItemKeyTable(f *testing.F) {
 		if len(xb) > 40 || len(mb) > 40 {
 			t.Skip()
 		}
-		r := RowID{R: new(big.Int).SetUint64(rw)}
 		ck := ColumnKey{M: new(big.Int).SetBytes(mb), X: new(big.Int).SetBytes(xb)}
 		ck.M.Mod(ck.M, s.N())
-		if got, want := s.ItemKey(r, ck), refItemKey(s, r, ck); got.Cmp(want) != 0 {
+		if got, want := s.ItemKey(rw, ck), refItemKey(s, rw, ck); got.Cmp(want) != 0 {
 			t.Fatalf("ItemKey(r=%#x, x=%x) = %x, want %x", rw, xb, got, want)
 		}
 		if !bigmod.Coprime(ck.M, hs.N()) {
 			return // the item key is not invertible: no share to mint
 		}
-		rids, words := []RowID{r}, []uint64{rw}
+		rids := []RowID{rw}
 		if ck.X.Sign() == 0 {
-			rids, words = nil, nil
+			rids = nil
 		}
 		plain := big.NewInt(-424242)
 		ve := mint(t, hs, plain, []ColumnKey{ck}, rids)
-		got, err := hs.NewDecryptor(ck).Decrypt(ve, words...)
-		if len(words) > 0 && rw>>RowIDBits != 0 {
+		got, err := hs.NewDecryptor(ck).Decrypt(ve, rids...)
+		if len(rids) > 0 && rw>>RowIDBits != 0 {
 			if err == nil {
 				t.Fatalf("Decrypt(r=%#x, x=%x) took a row id wider than the tables", rw, xb)
 			}

@@ -98,11 +98,11 @@ type Secret struct {
 	maskWidth int
 
 	gOnce  sync.Once
-	gTable *bigmod.FixedBase // comb table of g, built on first use
+	gTable *bigmod.FixedBase // comb table of g over RowIDBits, built by the first RowHelper
 
-	// Item keys of RowIDBits-wide row ids (keytable.go). Everything that
-	// leaves the DO is computed under full; dec is the kernel Decryptors
-	// run under, chosen once by the decrypt contract above.
+	// Item-key kernels (keytable.go). Everything that leaves the DO is
+	// computed under full; dec is the kernel Decryptors run under, chosen
+	// once by the decrypt contract above.
 	full   *kernel    // modulo n
 	dec    *kernel    // full, or the kernel of p₁
 	oneM   []big.Word // full's ToMont(1)
@@ -168,14 +168,14 @@ func newSecret(p1, p2, g *big.Int, valueBits, maskBits int) (*Secret, error) {
 		g:         new(big.Int).Set(g),
 		domain:    domain,
 		maskWidth: maskBits,
-		full:      newKernel(n),
+		full:      newKernel(n, phi),
 	}
 	if s.full.ctx != nil {
 		s.oneM = s.full.ctx.One()
 	}
 	s.dec = s.full
 	if p1.Bit(0) == 1 && p1.BitLen() >= valueBits+maskBits+2 {
-		s.dec = newKernel(s.p1)
+		s.dec = newKernel(s.p1, new(big.Int).Sub(s.p1, one))
 	}
 	return s, nil
 }

@@ -1,6 +1,8 @@
 package secure
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -9,64 +11,60 @@ import (
 )
 
 // RowID is the per-row random identifier r drawn by the DO at upload time
-// (paper §2.1). It seeds item-key generation and is stored at the SP only
-// in SIES-encrypted form plus as the helper w = g^r mod n.
-type RowID struct {
-	R *big.Int
-}
+// (paper §2.1): a machine word below 2^RowIDBits. It seeds item-key
+// generation and is stored at the SP only in SIES-encrypted form plus as
+// the helper w = g^r mod n. It is the word a Decryptor takes.
+type RowID = uint64
 
-// NewRowID draws a random row id in [1, n).
+// RowIDBits is the width of every row id: the proxy encrypts them for
+// storage at the SP with SIES under the modulus 2^RowIDBits, and it is the
+// exponent width every comb table of the secret covers — g's and each
+// column key's — so DO-side cost per share is proportional to it.
+const RowIDBits = 62
+
+// NewRowID draws a row id uniformly from [1, 2^RowIDBits).
 func (s *Secret) NewRowID() (RowID, error) {
-	r, err := bigmod.Rand(s.params.N)
-	if err != nil {
-		return RowID{}, err
+	var b [8]byte
+	for {
+		if _, err := rand.Read(b[:]); err != nil {
+			return 0, err
+		}
+		if r := binary.LittleEndian.Uint64(b[:]) >> (64 - RowIDBits); r != 0 {
+			return r, nil
+		}
 	}
-	return RowID{R: r}, nil
-}
-
-// NewShortRowID draws a random row id in [1, 2^RowIDBits): the width every
-// proxy-uploaded row carries, and the one item keys are cheap at.
-func NewShortRowID() (RowID, error) {
-	r, err := bigmod.Rand(new(big.Int).Lsh(one, RowIDBits))
-	if err != nil {
-		return RowID{}, err
-	}
-	return RowID{R: r}, nil
 }
 
 // RowHelper computes w = g^r mod n, the per-row public helper stored at the
 // SP. Tokens instruct the SP to raise w to secret-derived exponents; since
 // vk = m·w^x, the helper lets the SP re-key shares without knowing g.
+// g's comb table is built on first use and covers RowIDBits, like every
+// key table; a wider word takes the plain path and is just as exact.
 func (s *Secret) RowHelper(r RowID) *big.Int {
-	return s.gExp(r.R)
-}
-
-// gExp returns g^e mod n through g's comb table. g is the one fixed base
-// of the scheme — every encrypt and decrypt derives an item key from it —
-// so its Secret builds the table on first use and keeps it.
-func (s *Secret) gExp(e *big.Int) *big.Int {
-	s.gOnce.Do(func() { s.gTable = bigmod.NewFixedBase(s.g, s.params.N, s.params.N.BitLen()) })
-	return s.gTable.Exp(e)
+	s.gOnce.Do(func() { s.gTable = bigmod.NewFixedBase(s.g, s.params.N, RowIDBits) })
+	return s.gTable.Exp(new(big.Int).SetUint64(r))
 }
 
 // ItemKey implements gen(r, ⟨m,x⟩) = m · g^(r·x mod φ(n)) mod n (Def. 1).
-// Only the DO can evaluate it: it needs g and φ(n). A row id of at most
-// RowIDBits bits — every row id a proxy draws — goes through the column
-// key's own comb table as m·(g^x)^r, at most 9 multiplies (keytable.go);
-// wider ones take the modulus-wide exponent through g's table.
+// Only the DO can evaluate it: it needs g and φ(n). It goes through the
+// column key's own comb table as m·(g^x)^r, at most 9 multiplies
+// (keytable.go). Moduli without a Montgomery form, flat and malformed keys
+// (x ≤ 0) and words of 2^RowIDBits or more take the exponent r·x mod φ(n)
+// by square-and-multiply instead, so every input has its exact item key.
 func (s *Secret) ItemKey(r RowID, ck ColumnKey) *big.Int {
-	if r.R.Sign() >= 0 && r.R.BitLen() <= RowIDBits {
+	if r>>RowIDBits == 0 {
 		if t := s.keyTable(s.full, ck.X); t != nil {
 			ks := s.full.scratch()
 			defer s.full.pool.Put(ks)
 			copy(ks.acc, s.oneM)
-			t.MulExpTo(ks.ms, ks.acc, r.R.Bits())
+			e := wordsOf(r)
+			t.MulExpTo(ks.ms, ks.acc, e[:])
 			z := make([]big.Word, s.full.ctx.Words())
 			s.full.ctx.MulBig(ks.ms, z, ks.acc, ck.M)
 			return new(big.Int).SetBits(z)
 		}
 	}
-	return bigmod.Mul(ck.M, s.gPow(r.R, ck.X), s.params.N)
+	return bigmod.Mul(ck.M, s.gPow(r, ck.X), s.params.N)
 }
 
 // Encrypt implements E(v, vk) = v·vk⁻¹ mod n (Def. 2) for a signed
@@ -134,7 +132,7 @@ func (s *Secret) NewMaskValue() (*big.Int, error) {
 // below the mask bound so that (A−B)·mask cannot wrap past n/2.
 func (s *Secret) EncryptMask(mask *big.Int, r RowID, ck ColumnKey) (*big.Int, error) {
 	if mask.Sign() <= 0 || mask.Cmp(s.maskBound()) >= 0 {
-		return nil, fmt.Errorf("secure: mask %s outside [1, 2^%d)", mask, s.maskWidth)
+		return nil, fmt.Errorf("secure: mask <%d bits> outside [1, 2^%d)", mask.BitLen(), s.maskWidth)
 	}
 	vk := s.ItemKey(r, ck)
 	inv, err := bigmod.Inv(vk, s.params.N)

@@ -43,7 +43,7 @@ func TestPaperFigure1Vector(t *testing.T) {
 		{8, 3, 32, 34},
 	}
 	for _, row := range rows {
-		rid := RowID{R: big.NewInt(row.r)}
+		rid := RowID(row.r)
 		vk := s.ItemKey(rid, ck)
 		if vk.Int64() != row.wantVK {
 			t.Errorf("ItemKey(r=%d) = %s, want %d", row.r, vk, row.wantVK)
@@ -105,7 +105,7 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 func TestEncryptRejectsOutOfDomain(t *testing.T) {
 	s := paperSecret(t) // bound = 2^2 = 4
 	ck := ColumnKey{M: big.NewInt(2), X: big.NewInt(2)}
-	r := RowID{R: big.NewInt(1)}
+	r := RowID(1)
 	if _, err := s.EncryptInt64(100, r, ck); err == nil {
 		t.Error("expected out-of-domain error")
 	}
@@ -259,5 +259,25 @@ func TestNewMaskValuePositiveAndBounded(t *testing.T) {
 		if m.Sign() <= 0 || m.Cmp(bound) >= 0 {
 			t.Fatalf("mask %s outside [1, 2^maskWidth)", m)
 		}
+	}
+}
+
+// TestNewRowIDInRange: the one drawer stays in [1, 2^RowIDBits) and
+// reaches its top bit.
+func TestNewRowIDInRange(t *testing.T) {
+	s := testSecret(t)
+	var or RowID
+	for i := 0; i < 256; i++ {
+		r, err := s.NewRowID()
+		if err != nil {
+			t.Fatalf("NewRowID: %v", err)
+		}
+		if r == 0 || r>>RowIDBits != 0 {
+			t.Fatalf("row id %#x outside [1, 2^%d)", r, RowIDBits)
+		}
+		or |= r
+	}
+	if or>>(RowIDBits-1) != 1 {
+		t.Fatalf("256 row ids never set bit %d", RowIDBits-1)
 	}
 }

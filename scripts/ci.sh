@@ -10,7 +10,8 @@
 # and the spill scheduler read the engine's worker pool, and a gate that
 # only FlushHelperPowerHits writes the memo's hit counter, that only
 # PowerTable.Lookup (and the reset) writes its miss counter and that the
-# memo renders no helper to bytes), the full test
+# memo renders no helper to bytes, and a gate that every comb table the
+# secure package builds covers RowIDBits and no wider), the full test
 # suite, the race
 # detector over every package (the chunked parallel engine/proxy paths,
 # the pull-on-demand result path from engine to decrypting cursor, the
@@ -207,6 +208,19 @@ if grep -n 'FillBytes' internal/secure/powmemo.go internal/secure/batch.go; then
   exit 1
 fi
 
+echo "== comb tables in internal/secure cover RowIDBits"
+# Every exponent the DO raises a fixed base to is a row id: g to one for a
+# row helper, g^x to one for an item key. So every comb table the secure
+# package builds covers RowIDBits — 9 digit rows — and a modulus-wide one
+# (9.5 MB for g at 2048 bits) is a table nothing walks.
+FB_WIDE=$(grep -n 'bigmod\.NewFixedBase(' $(ls internal/secure/*.go | grep -v '_test\.go$') \
+  | grep -vE 'bigmod\.NewFixedBase\(.*, RowIDBits\)' || true)
+if [[ -n "${FB_WIDE}" ]]; then
+  echo "comb tables in internal/secure not built RowIDBits wide:"
+  echo "${FB_WIDE}"
+  exit 1
+fi
+
 echo "== go build"
 go build ./...
 
@@ -320,10 +334,10 @@ go test -race -count=1 -run 'HostileSP|DecryptRaces|JoinProduct|KeyTableStats|Ro
 # decrypt domain there (secure/params.go): which secrets take which kernel
 # (and keep it through MarshalJSON), the half-width kernel against the
 # full-width oracle over every key shape, domain edge and row-id width at
-# 288..2048 bits, the bytes that leave the DO against the parent's, and
-# one column key first touched by encrypts (its table modulo n) and
-# decrypts (its table modulo p₁) at once.
-go test -race -count=1 ${SHORT_FLAG} -run 'HalfVsFull|BothKernels|KernelSelection|LeavesTheDO|ErrorsRedacted' ./internal/secure
+# 288..2048 bits, the bytes that leave the DO against the parent's, one
+# column key first touched by encrypts (its table modulo n) and decrypts
+# (its table modulo p₁) at once, and g's table at the RowIDBits width.
+go test -race -count=1 ${SHORT_FLAG} -run 'HalfVsFull|BothKernels|KernelSelection|LeavesTheDO|ErrorsRedacted|GeneratorTable' ./internal/secure
 
 echo "== share row programs under the race detector"
 # One compiled program per operator is shared by every chunk worker, each
