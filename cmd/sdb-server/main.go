@@ -53,7 +53,6 @@ func main() {
 	listen := flag.String("listen", ":7070", "address to listen on")
 	public := flag.String("public", "", "public parameters file written by 'sdb keygen'")
 	par := flag.Int("parallel", 0, "worker goroutines for secure arithmetic and spilled tasks (0 = GOMAXPROCS, 1 = serial)")
-	chunk := flag.Int("chunk", 0, "rows per evaluation chunk (0 = default 1024)")
 	memBudget := flag.Int("mem-budget", 0, "per-query resident-row budget; blocking operators spill to disk past it (<= 0 = unlimited)")
 	spillDir := flag.String("spill-dir", os.Getenv("SDB_SPILL_DIR"), "directory for spill temp files (default SDB_SPILL_DIR; empty = the system temp dir)")
 	dataDir := flag.String("data-dir", os.Getenv("SDB_DATA_DIR"), "durable data directory: WAL + checkpoints; recovery runs before serving (default SDB_DATA_DIR; empty = in-memory only)")
@@ -81,8 +80,7 @@ func main() {
 	}
 
 	opts := engine.Options{
-		Parallelism: *par, ChunkSize: *chunk,
-		MemBudgetRows: *memBudget, SpillDir: *spillDir,
+		Parallelism: *par, MemBudgetRows: *memBudget, SpillDir: *spillDir,
 		BudgetPool: spill.NewPool(*globalBudget),
 	}
 

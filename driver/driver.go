@@ -4,7 +4,7 @@
 //
 // Two DSN forms are supported:
 //
-//	mem://?bits=512&parallel=0&chunk=0&mem_budget=0&plan_cache=0&data_dir=
+//	mem://?bits=512&parallel=0&mem_budget=0&data_dir=
 //	    An embedded deployment: fresh scheme secrets and an in-process
 //	    service-provider engine. Handy for tests and the quickstart.
 //	    mem_budget caps each query's resident rows in the embedded
@@ -18,7 +18,7 @@
 //	    the same DSN recovers both sides. DB.Close flushes and closes
 //	    the store.
 //
-//	tcp://host:port?secret=do.key&parallel=0&chunk=0&plan_cache=0
+//	tcp://host:port?secret=do.key&parallel=0
 //	    Connect to a remote sdb-server. secret names the data-owner key
 //	    file written by `sdb keygen`; it never leaves the client. The
 //	    memory budget of a remote deployment is the server's -mem-budget
@@ -26,12 +26,10 @@
 //
 // The keys above are the whole vocabulary: OpenConnector refuses a DSN
 // with any other key, or with a non-integer where a number is expected,
-// naming the key — the process environment configures nothing.
-//
-// plan_cache bounds the proxy's rewrite/token cache in statements (0 =
-// default 256, negative = disabled); repeated statements then skip
-// re-rewriting and token re-derivation until a key rotation or catalog
-// change invalidates the entry.
+// naming the key — the process environment configures nothing. Sizes are
+// not in it: an engine batch is 1024 rows per worker (at most 8192), a
+// wire frame carries one batch, and the proxy's rewrite/token cache holds
+// 256 statements.
 //
 // All connections of one sql.DB share a single proxy (and therefore one
 // key store): the proxy is the data owner's trust boundary, so pooled
@@ -115,9 +113,9 @@ func (d *Driver) OpenConnector(dsn string) (sqldriver.Connector, error) {
 // dsnKeys is the query vocabulary of each DSN scheme; true marks a key
 // whose value must be an integer.
 var dsnKeys = map[string]map[string]bool{
-	"mem": {"bits": true, "parallel": true, "chunk": true, "plan_cache": true, "mem_budget": true,
+	"mem": {"bits": true, "parallel": true, "mem_budget": true,
 		"data_dir": false, "fsync": false, "checkpoint_every": true},
-	"tcp": {"secret": false, "parallel": true, "chunk": true, "plan_cache": true},
+	"tcp": {"secret": false, "parallel": true},
 }
 
 // Connector builds the shared proxy lazily on first Connect.
@@ -187,16 +185,12 @@ func (c *Connector) proxy() (*proxy.Proxy, error) {
 		return c.p, nil
 	}
 	q := c.url.Query()
-	opts := proxy.Options{
-		Parallelism:   atoiDefault(q.Get("parallel"), 0),
-		ChunkSize:     atoiDefault(q.Get("chunk"), 0),
-		PlanCacheSize: atoiDefault(q.Get("plan_cache"), 0),
-	}
+	opts := proxy.Options{Parallelism: atoiDefault(q.Get("parallel"), 0)}
 	switch c.url.Scheme {
 	case "mem":
 		bits := atoiDefault(q.Get("bits"), 512)
 		engOpts := engine.Options{
-			Parallelism: opts.Parallelism, ChunkSize: opts.ChunkSize,
+			Parallelism:   opts.Parallelism,
 			MemBudgetRows: atoiDefault(q.Get("mem_budget"), 0),
 		}
 		if dataDir := q.Get("data_dir"); dataDir != "" {

@@ -253,13 +253,16 @@ func TestDriverCancelledInsert(t *testing.T) {
 // TestDriverMemBudgetSpill drives the mem_budget DSN knob end to end:
 // a budget far below the sort input forces the embedded engine to spill,
 // the full result must still come back in exact order, and closing the
-// *sql.Rows mid-stream must leave the spill directory empty.
+// *sql.Rows mid-stream must leave the spill directory empty. 4800 rows are
+// three engine batches on two workers (2048 rows each), so the close
+// comes while the stream is open.
 func TestDriverMemBudgetSpill(t *testing.T) {
 	// The embedded engine spills under os.TempDir(); point that at a
 	// directory this test can inspect.
 	spillDir := t.TempDir()
 	t.Setenv("TMPDIR", spillDir)
-	db, err := sql.Open("sdb", "mem://?bits=256&parallel=2&chunk=8&mem_budget=64")
+	const total = 4800
+	db, err := sql.Open("sdb", "mem://?bits=256&parallel=2&mem_budget=64")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +270,10 @@ func TestDriverMemBudgetSpill(t *testing.T) {
 	if _, err := db.Exec(`CREATE TABLE big (id INT, v INT SENSITIVE)`); err != nil {
 		t.Fatal(err)
 	}
-	for lo := 0; lo < 1200; lo += 300 {
+	for lo := 0; lo < total; lo += 600 {
 		var sb strings.Builder
 		sb.WriteString(`INSERT INTO big VALUES `)
-		for i := lo; i < lo+300; i++ {
+		for i := lo; i < lo+600; i++ {
 			if i > lo {
 				sb.WriteString(", ")
 			}
@@ -302,8 +305,8 @@ func TestDriverMemBudgetSpill(t *testing.T) {
 	if err := rows.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1200 {
-		t.Fatalf("scanned %d rows, want 1200", n)
+	if n != total {
+		t.Fatalf("scanned %d rows, want %d", n, total)
 	}
 
 	// Mid-stream Rows.Close on a spilling query: no temp files may
@@ -411,8 +414,8 @@ func TestDSNValidation(t *testing.T) {
 		dsn, wantErr string // wantErr "" = accepted
 	}{
 		{"mem://", ""},
-		{"mem://?bits=256&parallel=2&chunk=8&mem_budget=-1&plan_cache=0&data_dir=&fsync=never&checkpoint_every=16", ""},
-		{"tcp://127.0.0.1:1?secret=do.key&parallel=1&chunk=4&plan_cache=-1", ""},
+		{"mem://?bits=256&parallel=2&mem_budget=-1&data_dir=&fsync=never&checkpoint_every=16", ""},
+		{"tcp://127.0.0.1:1?secret=do.key&parallel=1", ""},
 		{"mem://?mem_budget=2k", `"mem_budget"`},
 		{"mem://?bits=0x200", `"bits"`},
 		{"mem://?checkpoint_every=often&data_dir=/tmp/x", `"checkpoint_every"`},
@@ -432,6 +435,27 @@ func TestDSNValidation(t *testing.T) {
 			t.Errorf("%s: %v", tc.dsn, err)
 		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 			t.Errorf("%s: error %v, want one naming %s", tc.dsn, err, tc.wantErr)
+		}
+	}
+}
+
+// TestDSNRefusesSizeKeys: batch, frame and cache sizes are constants, so
+// the keys that once set them (chunk, plan_cache) are unknown on both
+// schemes, and OpenConnector's error names the key.
+func TestDSNRefusesSizeKeys(t *testing.T) {
+	for _, dsn := range []string{
+		"mem://?chunk=8",
+		"mem://?bits=256&plan_cache=0",
+		"tcp://127.0.0.1:1?secret=do.key&chunk=4",
+		"tcp://127.0.0.1:1?secret=do.key&plan_cache=-1",
+	} {
+		key := "chunk"
+		if strings.Contains(dsn, "plan_cache") {
+			key = "plan_cache"
+		}
+		_, err := (&Driver{}).OpenConnector(dsn)
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("%s: error %v, want one naming %q", dsn, err, key)
 		}
 	}
 }

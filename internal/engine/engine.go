@@ -102,8 +102,12 @@ type Options struct {
 	// arithmetic (row programs, masked reveals) and spilled tasks.
 	// <= 0 means runtime.GOMAXPROCS(0); 1 forces serial execution.
 	Parallelism int
-	// ChunkSize is the number of rows per dispatched chunk. <= 0 means
-	// parallel.DefaultChunkSize (1024).
+	// ChunkSize is the number of rows per dispatched chunk; a streamed
+	// batch, and so a wire frame, is one chunk per worker (batchRows).
+	// <= 0 means parallel.DefaultChunkSize (1024), the only value the
+	// binaries and the driver use. It exists so tests can shrink batches
+	// and force multi-batch streams, as Planner exists for the planner
+	// differential; it is not a deployment setting.
 	ChunkSize int
 	// MemBudgetRows caps the resident rows of one query: blocking
 	// operators (hash-join build sides, aggregation state tables, sort

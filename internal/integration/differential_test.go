@@ -129,13 +129,13 @@ var execModes = []struct {
 }{
 	{"serial", engine.Options{Parallelism: 1}, proxy.Options{Parallelism: 1}},
 	{"parallel-default", engine.Options{}, proxy.Options{}},
-	{"parallel-tiny-chunks", engine.Options{Parallelism: 4, ChunkSize: 7}, proxy.Options{Parallelism: 4, ChunkSize: 7}},
+	{"parallel-tiny-chunks", engine.Options{Parallelism: 4, ChunkSize: 7}, proxy.Options{Parallelism: 4}},
 	// Forced spill: a resident-row budget far below the Q3-shaped join
 	// build sides and aggregation tables at this scale factor, so every
 	// blocking operator runs its Grace/external path while the plaintext
 	// reference stays in memory — the strongest order-sensitive check
 	// that spilled execution is indistinguishable.
-	{"forced-spill", engine.Options{Parallelism: 4, ChunkSize: 7, MemBudgetRows: 48}, proxy.Options{Parallelism: 4, ChunkSize: 7}},
+	{"forced-spill", engine.Options{Parallelism: 4, ChunkSize: 7, MemBudgetRows: 48}, proxy.Options{Parallelism: 4}},
 }
 
 // TestTPCHSecureMatchesPlaintext is the headline differential: every

@@ -67,7 +67,7 @@ func TestHelperPowerMemoCountsQ1(t *testing.T) {
 	// Warm on two workers in 64-row chunks: each worker counts its hits in
 	// its own frame and publishes them once per chunk, so the counters are
 	// exact when the statement returns.
-	f.sdb.SetOptions(proxy.Options{Parallelism: 2, ChunkSize: 64})
+	f.sdb.SetOptions(proxy.Options{Parallelism: 2})
 	f.sdbEng.SetOptions(engine.Options{Parallelism: 2, ChunkSize: 64})
 	run("repeat on 2 workers", 4*r, 0)
 	f.sdb.SetOptions(proxy.Options{Parallelism: 1})

@@ -10,6 +10,7 @@ import (
 
 	"sdb/internal/bigmod"
 	"sdb/internal/engine"
+	"sdb/internal/parallel"
 	"sdb/internal/race"
 	"sdb/internal/secure"
 	"sdb/internal/sies"
@@ -285,7 +286,7 @@ func TestJoinProductRowIDsPerAlias(t *testing.T) {
 // the next read builds a table for). Run under -race by ci.sh.
 func TestDecryptRacesTableBuildsAndRotation(t *testing.T) {
 	p, _ := testSystem(t)
-	p.SetOptions(Options{Parallelism: 4, ChunkSize: 8})
+	p.pool = parallel.New(4, 8) // several decrypt chunks per batch
 	mustP(t, p, `CREATE TABLE big (id INT, v INT SENSITIVE, w INT SENSITIVE)`)
 	mustP(t, p, `CREATE TABLE side (id INT, v INT SENSITIVE)`)
 	var vals []string
@@ -419,7 +420,7 @@ func TestRowDecryptAllocs(t *testing.T) {
 	const sql = `SELECT id, a, b, c FROM wide`
 	var srv []types.Row
 	p.exec = tamperExec{Executor: eng, tamper: func(r *engine.Result) { srv = append([]types.Row(nil), r.Rows...) }}
-	p.SetOptions(Options{Parallelism: 4, ChunkSize: 16})
+	p.pool = parallel.New(4, 16)
 	res := mustP(t, p, sql)
 	p.exec = eng
 	if len(srv) != 512 || len(res.Rows) != 512 {

@@ -31,8 +31,8 @@ import (
 	"sdb/internal/secure"
 )
 
-// defaultPlanCacheSize bounds the cache when Options.PlanCacheSize is 0.
-const defaultPlanCacheSize = 256
+// planCacheSize bounds the cache, in statements.
+const planCacheSize = 256
 
 type planCacheEntry struct {
 	key       string
@@ -113,28 +113,10 @@ func (c *planCache) len() int {
 	return c.lru.Len()
 }
 
-// planCacheLookup consults the cache if it is enabled.
-func (p *Proxy) planCacheLookup(key string, rotGen, catGen uint64) (string, *selectPlan, bool) {
-	if p.cache == nil {
-		return "", nil, false
-	}
-	return p.cache.lookup(key, rotGen, catGen)
-}
-
-// planCacheStore records a derivation if the cache is enabled.
-func (p *Proxy) planCacheStore(key, rewritten string, plan *selectPlan, rotGen, catGen uint64) {
-	if p.cache != nil {
-		p.cache.store(key, rewritten, plan, rotGen, catGen)
-	}
-}
-
-// PlanCacheStats reports the cache's cumulative hit and miss counts (both
-// zero when the cache is disabled). The bench smoke gates hits > 0 on
-// repeated prepared execution.
+// PlanCacheStats reports the cache's cumulative hit and miss counts since
+// the last SetOptions. The bench smoke gates hits > 0 on repeated prepared
+// execution.
 func (p *Proxy) PlanCacheStats() (hits, misses uint64) {
-	if p.cache == nil {
-		return 0, 0
-	}
 	return p.cache.hits.Load(), p.cache.misses.Load()
 }
 

@@ -25,10 +25,11 @@ func cachedBankSystem(t testing.TB) (*Proxy, *engine.Engine) {
 		t.Fatalf("Setup: %v", err)
 	}
 	eng := engine.New(storage.NewCatalog(), secret.N())
-	p, err := NewWithOptions(secret, eng, Options{PlanCacheSize: 8})
+	p, err := New(secret, eng)
 	if err != nil {
 		t.Fatalf("New proxy: %v", err)
 	}
+	p.cache = newPlanCache(8)
 	mustP(t, p, `CREATE TABLE accounts (
 		id INT,
 		owner STRING,
@@ -241,23 +242,26 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled: a negative size turns the cache off entirely.
-func TestPlanCacheDisabled(t *testing.T) {
-	secret, err := secure.Setup(512, 62, 80)
-	if err != nil {
-		t.Fatalf("Setup: %v", err)
+// TestPlanCacheColdAfterSetOptions: every proxy's cache holds
+// planCacheSize (256) statements, and SetOptions starts a cold one — the
+// benchmark flips parallelism with it and expects the next run to
+// re-derive every plan.
+func TestPlanCacheColdAfterSetOptions(t *testing.T) {
+	p, _ := bankSystem(t)
+	const sql = `SELECT SUM(balance) FROM accounts`
+	mustP(t, p, sql)
+	mustP(t, p, sql)
+	if hits, _ := p.PlanCacheStats(); hits != 1 || p.cache.max != 256 {
+		t.Fatalf("warm cache: %d hits, capacity %d; want 1 and 256", hits, p.cache.max)
 	}
-	eng := engine.New(storage.NewCatalog(), secret.N())
-	p, err := NewWithOptions(secret, eng, Options{PlanCacheSize: -1})
-	if err != nil {
-		t.Fatalf("New proxy: %v", err)
+	p.SetOptions(Options{Parallelism: 2})
+	if hits, misses := p.PlanCacheStats(); hits != 0 || misses != 0 || p.cache.len() != 0 || p.cache.max != 256 {
+		t.Fatalf("after SetOptions: %d hits, %d misses, %d entries, capacity %d; want a cold 256-entry cache",
+			hits, misses, p.cache.len(), p.cache.max)
 	}
-	mustP(t, p, `CREATE TABLE tiny (a INT)`)
-	mustP(t, p, `INSERT INTO tiny VALUES (1)`)
-	mustP(t, p, `SELECT a FROM tiny`)
-	mustP(t, p, `SELECT a FROM tiny`)
-	if hits, misses := p.PlanCacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("disabled cache reported hits=%d misses=%d", hits, misses)
+	mustP(t, p, sql)
+	if _, misses := p.PlanCacheStats(); misses != 1 {
+		t.Fatalf("first statement after SetOptions: %d misses, want 1", misses)
 	}
 }
 

@@ -55,25 +55,17 @@ type Proxy struct {
 	// invalidate them.
 	catGen atomic.Uint64
 	// cache memoises rewritten SQL + decryption plans per canonical
-	// statement (nil = disabled); see plancache.go.
+	// statement; see plancache.go.
 	cache *planCache
 }
 
-// Options tune the proxy's chunked parallel encryption/decryption, its plan
-// cache and where it persists its keys.
+// Options tune the proxy's chunked parallel encryption/decryption and
+// where it persists its keys.
 type Options struct {
 	// Parallelism bounds the worker goroutines for result decryption and
-	// INSERT-side encryption. <= 0 means runtime.GOMAXPROCS(0); 1 forces
-	// serial execution.
+	// INSERT-side encryption, which take parallel.DefaultChunkSize rows a
+	// chunk. <= 0 means runtime.GOMAXPROCS(0); 1 forces serial execution.
 	Parallelism int
-	// ChunkSize is the number of rows per dispatched chunk. <= 0 means
-	// parallel.DefaultChunkSize (1024).
-	ChunkSize int
-	// PlanCacheSize bounds the rewrite/token cache (plancache.go): 0
-	// means the default (256 statements), negative disables the cache.
-	// Every cached entry is invalidated by key rotation and by catalog
-	// change.
-	PlanCacheSize int
 	// StatePath, when set, makes the proxy persist its secret state
 	// (SaveState) after every operation that changes it: CREATE registers
 	// keys before the upload is forwarded, DROP discards them, rotation
@@ -156,27 +148,15 @@ func casMax(c *atomic.Uint64, v uint64) {
 	}
 }
 
-// buildPlanCache resolves the cache size: negative disables, zero takes
-// the default.
-func buildPlanCache(size int) *planCache {
-	if size < 0 {
-		return nil
-	}
-	if size == 0 {
-		size = defaultPlanCacheSize
-	}
-	return newPlanCache(size)
-}
-
-// SetOptions replaces the execution options — the worker pool and the plan
-// cache, which is rebuilt (and thereby flushed) at the new size; a field
-// left zero takes its default, not its previous value. Where the proxy
-// persists its keys (Options.StatePath) was fixed at construction and does
-// not change. It must not be called concurrently with running statements
-// or open cursors.
+// SetOptions replaces the execution options — the worker pool — and
+// starts a fresh (cold) plan cache; a field left zero takes its default,
+// not its previous value. Where the proxy persists its keys
+// (Options.StatePath) was fixed at construction and does not change. It
+// must not be called concurrently with running statements or open
+// cursors.
 func (p *Proxy) SetOptions(opts Options) {
-	p.pool = parallel.New(opts.Parallelism, opts.ChunkSize)
-	p.cache = buildPlanCache(opts.PlanCacheSize)
+	p.pool = parallel.New(opts.Parallelism, parallel.DefaultChunkSize)
+	p.cache = newPlanCache(planCacheSize)
 }
 
 // Secret exposes the scheme secret (examples and tests need the params).

@@ -512,7 +512,7 @@ func TestCursorBatchBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := engine.NewWithOptions(storage.NewCatalog(), secret.N(), engine.Options{Parallelism: workers, ChunkSize: chunk})
-	p, err := NewWithOptions(secret, eng, Options{Parallelism: workers, ChunkSize: chunk})
+	p, err := NewWithOptions(secret, eng, Options{Parallelism: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func (s *Stmt) prepareSelect() error {
 	t1 := time.Now()
 	rotGen, catGen := s.p.rotGen.Load(), s.p.catGen.Load()
 	key := s.sel.String()
-	rewritten, plan, ok := s.p.planCacheLookup(key, rotGen, catGen)
+	rewritten, plan, ok := s.p.cache.lookup(key, rotGen, catGen)
 	if !ok {
 		rw := &rewriter{p: s.p}
 		rws, pl, err := rw.rewriteSelect(s.sel, false)
@@ -129,7 +129,7 @@ func (s *Stmt) prepareSelect() error {
 			return err
 		}
 		rewritten, plan = rws.String(), pl
-		s.p.planCacheStore(key, rewritten, plan, rotGen, catGen)
+		s.p.cache.store(key, rewritten, plan, rotGen, catGen)
 	}
 	s.prep.Rewrite = time.Since(t1)
 	s.prep.RewrittenSQL = rewritten

@@ -66,18 +66,31 @@ func (s *Secret) NewMaskEncRequest(mask *big.Int, r RowID, ck ColumnKey) (EncReq
 }
 
 // EncryptBatch mints all requested shares with ONE modular inversion:
-// item keys are derived per request (through the column keys' comb tables),
-// then inverted together with Montgomery's batch trick. Semantically
-// identical to calling Encrypt/EncryptMask per request; an error means
-// some item key shared a factor with n (degenerate column key), the same
-// condition the scalar paths report per share.
+// item keys are derived per request through the column keys' comb tables,
+// each resolved once per distinct key in the batch (an INSERT chunk has a
+// handful), then inverted together with Montgomery's batch trick.
+// Semantically identical to calling Encrypt/EncryptMask per request; an
+// error means some item key shared a factor with n (degenerate column
+// key), the same condition the scalar paths report per share.
 func (s *Secret) EncryptBatch(reqs []EncRequest) ([]*big.Int, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
+	type resolved struct {
+		x *big.Int
+		t *bigmod.FixedBase
+	}
+	var tables []resolved
 	vks := make([]*big.Int, len(reqs))
 	for i, rq := range reqs {
-		vks[i] = s.ItemKey(rq.Rid, rq.Key)
+		j := 0
+		for j < len(tables) && tables[j].x.Cmp(rq.Key.X) != 0 {
+			j++
+		}
+		if j == len(tables) {
+			tables = append(tables, resolved{rq.Key.X, s.keyTable(s.full, rq.Key.X)})
+		}
+		vks[i] = s.itemKey(rq.Rid, rq.Key, tables[j].t)
 	}
 	invs, err := bigmod.BatchInv(vks, s.params.N)
 	if err != nil {

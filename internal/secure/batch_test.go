@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sdb/internal/bigmod"
+	"sdb/internal/race"
 )
 
 func batchSecret(t testing.TB) *Secret {
@@ -202,6 +203,55 @@ func TestEncryptBatchMatchesScalar(t *testing.T) {
 	}
 	if out, err := s.EncryptBatch(nil); err != nil || out != nil {
 		t.Fatalf("empty encrypt batch: got %v, %v", out, err)
+	}
+}
+
+// TestEncryptBatchAllocs: EncryptBatch resolves a column key's comb table
+// once per batch, not once per request. So the allocations of a warm batch
+// of 64 requests under one key are those of its one inversion and 64
+// products, plus two per item key (its limbs and its big.Int) and a few
+// per batch — no byte rendering of x, no memo key, per request. (Not under
+// -race, where sync.Pool drops entries at random.)
+func TestEncryptBatchAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	s := batchSecret(t)
+	ck, err := s.NewColumnKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	reqs := make([]EncRequest, n)
+	vks := make([]*big.Int, n)
+	for i := range reqs {
+		rid, err := s.NewRowID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reqs[i], err = s.NewEncRequest(big.NewInt(int64(i-n/2)), rid, ck); err != nil {
+			t.Fatal(err)
+		}
+		vks[i] = s.ItemKey(rid, ck) // builds the table: the batches below are warm
+	}
+	batch := testing.AllocsPerRun(20, func() {
+		if _, err := s.EncryptBatch(reqs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rest := testing.AllocsPerRun(20, func() {
+		invs, err := bigmod.BatchInv(vks, s.params.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]*big.Int, n)
+		for i, rq := range reqs {
+			out[i] = bigmod.Mul(rq.Enc, invs[i], s.params.N)
+		}
+	})
+	if limit := rest + 2*n + 8; batch > limit {
+		t.Fatalf("EncryptBatch of %d same-key requests: %v allocations, want <= %v (inversion and products %v, 2 per item key, 8 per batch)",
+			n, batch, limit, rest)
 	}
 }
 

@@ -52,19 +52,27 @@ func (s *Secret) RowHelper(r RowID) *big.Int {
 // (x ≤ 0) and words of 2^RowIDBits or more take the exponent r·x mod φ(n)
 // by square-and-multiply instead, so every input has its exact item key.
 func (s *Secret) ItemKey(r RowID, ck ColumnKey) *big.Int {
+	var t *bigmod.FixedBase
 	if r>>RowIDBits == 0 {
-		if t := s.keyTable(s.full, ck.X); t != nil {
-			ks := s.full.scratch()
-			defer s.full.pool.Put(ks)
-			copy(ks.acc, s.oneM)
-			e := wordsOf(r)
-			t.MulExpTo(ks.ms, ks.acc, e[:])
-			z := make([]big.Word, s.full.ctx.Words())
-			s.full.ctx.MulBig(ks.ms, z, ks.acc, ck.M)
-			return new(big.Int).SetBits(z)
-		}
+		t = s.keyTable(s.full, ck.X)
 	}
-	return bigmod.Mul(ck.M, s.gPow(r, ck.X), s.params.N)
+	return s.itemKey(r, ck, t)
+}
+
+// itemKey is ItemKey with ck.X's modulo-n table already resolved: t is
+// s.keyTable(s.full, ck.X), or nil for the square-and-multiply path.
+func (s *Secret) itemKey(r RowID, ck ColumnKey, t *bigmod.FixedBase) *big.Int {
+	if t == nil || r>>RowIDBits != 0 {
+		return bigmod.Mul(ck.M, s.gPow(r, ck.X), s.params.N)
+	}
+	ks := s.full.scratch()
+	defer s.full.pool.Put(ks)
+	copy(ks.acc, s.oneM)
+	e := wordsOf(r)
+	t.MulExpTo(ks.ms, ks.acc, e[:])
+	z := make([]big.Word, s.full.ctx.Words())
+	s.full.ctx.MulBig(ks.ms, z, ks.acc, ck.M)
+	return new(big.Int).SetBits(z)
 }
 
 // Encrypt implements E(v, vk) = v·vk⁻¹ mod n (Def. 2) for a signed

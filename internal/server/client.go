@@ -33,8 +33,6 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	wc   *wire.Conn
-	// batch caps rows per fetched frame; 0 lets the server choose.
-	batch int
 	// trips counts framed round trips (the latency currency of the remote
 	// path; the round-trip tests assert on its deltas).
 	trips atomic.Int64
@@ -70,15 +68,6 @@ func Dial(addr string) (*Client, error) {
 // RoundTrips reports the framed request/response exchanges performed so
 // far.
 func (c *Client) RoundTrips() int64 { return c.trips.Load() }
-
-// SetBatchRows caps the rows per fetched row-batch frame (0 restores the
-// server default). It must not be called concurrently with open cursors.
-func (c *Client) SetBatchRows(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.batch = n
-}
 
 // roundTrip performs one framed exchange. The lock spans send + receive so
 // concurrent statements cannot interleave half-exchanges.
@@ -127,7 +116,7 @@ func (c *Client) QueryDirect(ctx context.Context, sql string) (engine.RowIterato
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpExecuteDirect, SQL: sql, MaxRows: c.batch})
+	resp, err := c.roundTrip(&wire.Request{Op: wire.OpExecuteDirect, SQL: sql})
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +184,7 @@ func (r *remoteRows) NextBatch() ([]types.Row, error) {
 			return nil, err
 		}
 		var err error
-		resp, err = r.c.roundTrip(&wire.Request{Op: wire.OpFetch, StmtID: r.id, MaxRows: r.c.batch})
+		resp, err = r.c.roundTrip(&wire.Request{Op: wire.OpFetch, StmtID: r.id})
 		if err != nil {
 			r.id = 0
 			r.err = fmt.Errorf("server: stream interrupted: %w", err)

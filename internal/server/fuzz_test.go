@@ -47,7 +47,8 @@ func FuzzDecryptingCursor(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	srv := NewWithOptions(secret.N(), engine.Options{Parallelism: 1})
+	// Three-row engine batches: the eight-row answer spans three frames.
+	srv := NewWithOptions(secret.N(), engine.Options{Parallelism: 1, ChunkSize: 3})
 	f.Cleanup(srv.Close)
 	cli, sp := net.Pipe()
 	go srv.handle(sp, srv.newSession())
@@ -56,8 +57,6 @@ func FuzzDecryptingCursor(f *testing.F) {
 	if resp, err := client.roundTrip(&wire.Request{Op: wire.OpHello}); err != nil || resp.Err != "" {
 		f.Fatalf("hello: %+v, %v", resp, err)
 	}
-	// Three rows a frame: the eight-row answer spans three frames.
-	client.SetBatchRows(3)
 	p, err := proxy.NewWithOptions(secret, client, proxy.Options{Parallelism: 1})
 	if err != nil {
 		f.Fatal(err)
@@ -80,6 +79,13 @@ func FuzzDecryptingCursor(f *testing.F) {
 	}
 	answer := bytes.Clone(rec.rec.Bytes())
 	client.Close()
+	frames := 0
+	for rest := answer; len(rest) >= 5; rest = rest[min(len(rest), 5+int(binary.BigEndian.Uint32(rest))):] {
+		frames++
+	}
+	if frames != 3 {
+		f.Fatalf("recorded answer spans %d frames, want 3", frames)
+	}
 
 	f.Add(answer)
 	f.Add(answer[:len(answer)/2])

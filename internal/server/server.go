@@ -292,8 +292,7 @@ type cursor struct {
 	cancel context.CancelFunc
 	it     engine.RowIterator
 	met    *metrics
-	// pending holds rows pulled but not yet sent: the rest of an engine
-	// batch a client's MaxRows cut short, or the batch the EOS peek pulled.
+	// pending is the batch the EOS peek pulled, sent with the next frame.
 	pending []types.Row
 	// err is the terminal error (io.EOF included) the EOS peek pulled; the
 	// next frame reports it.
@@ -316,34 +315,24 @@ func (c *cursor) pull() ([]types.Row, error) {
 	}
 }
 
-// nextRows returns up to max rows (max <= 0 means one full engine batch),
-// drawing from the pending buffer before the engine. It returns io.EOF
-// once the stream is exhausted. The returned eos flag reports that the
-// stream ended right after these rows: when the buffer drains, nextRows
-// pulls one batch ahead so the final rows travel in an EOS-marked frame —
-// the client never pays a round trip for an empty end-of-stream fetch,
-// which is what lets a one-frame statement finish in a single exchange.
-func (c *cursor) nextRows(max int) (rows []types.Row, eos bool, err error) {
-	if len(c.pending) == 0 && c.err == nil {
+// nextRows returns the next engine batch, whole: a frame is one batch. It
+// returns io.EOF once the stream is exhausted. The returned eos flag
+// reports that the stream ended right after these rows: nextRows pulls one
+// batch ahead so the final rows travel in an EOS-marked frame — the client
+// never pays a round trip for an empty end-of-stream fetch, which is what
+// lets a one-frame statement finish in a single exchange.
+func (c *cursor) nextRows() (rows []types.Row, eos bool, err error) {
+	if c.pending == nil && c.err == nil {
 		c.pending, c.err = c.pull()
 	}
-	if len(c.pending) == 0 {
+	if c.pending == nil {
 		return nil, false, c.err // pull yields rows or an error, never neither
 	}
-	if max <= 0 || max >= len(c.pending) {
-		rows = c.pending
-		c.pending = nil
-	} else {
-		rows = c.pending[:max]
-		c.pending = c.pending[max:]
-	}
-	if len(c.pending) == 0 {
-		// The EOS peek: a batch stays pending and a real error surfaces
-		// with the next frame; io.EOF ends the stream with these rows.
-		c.pending, c.err = c.pull()
-		eos = c.err == io.EOF
-	}
-	return rows, eos, nil
+	rows = c.pending
+	// The EOS peek: a batch stays pending and a real error surfaces with
+	// the next frame; io.EOF ends the stream with these rows.
+	c.pending, c.err = c.pull()
+	return rows, c.err == io.EOF, nil
 }
 
 // close tears the execution down — iterator first, so its spill files and
@@ -464,7 +453,7 @@ func (s *Server) executeDirect(sess *session, req *wire.Request) *wire.Response 
 	sess.mu.Unlock()
 	s.met.stmtsPrepared.Add(1)
 	cols := it.Columns()
-	resp := s.nextFrame(sess, id, cur, req.MaxRows)
+	resp := s.nextFrame(sess, id, cur)
 	resp.Columns = cols
 	if resp.EOS || resp.Err != "" {
 		resp.StmtID = 0 // nextFrame already freed the cursor
@@ -480,7 +469,7 @@ func (s *Server) fetch(sess *session, req *wire.Request) *wire.Response {
 	if cur == nil {
 		return &wire.Response{Err: fmt.Sprintf("server: unknown cursor id %d", req.StmtID)}
 	}
-	return s.nextFrame(sess, req.StmtID, cur, req.MaxRows)
+	return s.nextFrame(sess, req.StmtID, cur)
 }
 
 // free removes a cursor from the session and tears it down before the
@@ -497,12 +486,11 @@ func (s *Server) free(sess *session, id uint64) {
 	}
 }
 
-// nextFrame pulls up to max rows from the cursor, carrying leftover
-// iterator rows across frames, and marks EOS on the final frame. A stream
-// that ends or fails frees its cursor.
-func (s *Server) nextFrame(sess *session, id uint64, cur *cursor, max int) *wire.Response {
+// nextFrame sends the cursor's next engine batch and marks EOS on the
+// final frame. A stream that ends or fails frees its cursor.
+func (s *Server) nextFrame(sess *session, id uint64, cur *cursor) *wire.Response {
 	resp := &wire.Response{StmtID: id}
-	batch, eos, err := cur.nextRows(max)
+	batch, eos, err := cur.nextRows()
 	switch {
 	case err == io.EOF:
 		resp.EOS = true

@@ -118,7 +118,9 @@ func TestExecRunsUnderSessionContext(t *testing.T) {
 // is freed exactly once, whether by OpClose, at the end of its stream or
 // by session teardown, and a statement that fails to start claims no slot.
 func TestPrepareLifecycleSymmetry(t *testing.T) {
-	srv, addr := plainServer(t, 8)
+	// 40 rows in 16-row engine batches: every full-table SELECT leaves
+	// its cursor open.
+	srv, addr := plainServer(t, 40)
 	srv.SetMaxSessionStmts(3)
 
 	client, err := Dial(addr.String())
@@ -126,8 +128,6 @@ func TestPrepareLifecycleSymmetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	// Two rows a frame: every 8-row result leaves its cursor open.
-	client.SetBatchRows(2)
 	ctx := context.Background()
 
 	base := srv.MetricsSnapshot()
@@ -206,8 +206,8 @@ func TestOversizeFrameDropped(t *testing.T) {
 	srv, addr := plainServer(t, 4)
 	const limit = 64 << 10
 	srv.SetMaxFrameBytes(limit)
-	// ver, stmt id and max rows take one byte each, the SQL length three.
-	sql := func(payload int) string { return `SELECT a FROM c -- ` + strings.Repeat("x", payload-6-19) }
+	// ver and stmt id take one byte each, the SQL length three.
+	sql := func(payload int) string { return `SELECT a FROM c -- ` + strings.Repeat("x", payload-5-19) }
 
 	_, wc := rawSession(t, addr)
 	if err := wc.SendRequest(&wire.Request{Op: wire.OpExecuteDirect, Ver: wire.ProtocolV2, SQL: sql(limit)}); err != nil {
@@ -489,7 +489,7 @@ func TestDirectExecMultiFrame(t *testing.T) {
 	}
 	n, frames := drainFrames(t, rows)
 	if n != 100 || frames < 2 {
-		t.Fatalf("multi-frame result: %d rows in %d frames, want 100 rows in several 7-row frames", n, frames)
+		t.Fatalf("multi-frame result: %d rows in %d frames, want 100 rows in several 16-row frames", n, frames)
 	}
 	if trips := f.client.RoundTrips() - before; trips != int64(frames) {
 		t.Fatalf("%d frames cost %d round trips, want the request plus %d fetches", frames, trips, frames-1)
@@ -1060,7 +1060,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	p, err := proxy.NewWithOptions(secret, client, proxy.Options{Parallelism: 2, ChunkSize: 8})
+	p, err := proxy.NewWithOptions(secret, client, proxy.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,8 @@ func newStreamFixture(t *testing.T, rows int) *streamFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	// A frame cap below the engine batch exercises the server-side batch
-	// splitting (pending-rows carry-over between frames).
-	client.SetBatchRows(7)
 
-	p, err := proxy.NewWithOptions(secret, client, proxy.Options{Parallelism: 2, ChunkSize: 8})
+	p, err := proxy.NewWithOptions(secret, client, proxy.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,15 +195,15 @@ func TestCtxCancelFreesSessionStmts(t *testing.T) {
 
 // TestSessionStmtLimit bounds concurrent open cursors per connection.
 func TestSessionStmtLimit(t *testing.T) {
-	srv, addr := plainServer(t, 8)
+	// 40 rows in 16-row engine batches: every SELECT a leaves its cursor
+	// open.
+	srv, addr := plainServer(t, 40)
 	srv.SetMaxSessionStmts(2)
 	client, err := Dial(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	// Two rows a frame: every 8-row result leaves its cursor open.
-	client.SetBatchRows(2)
 
 	ctx := context.Background()
 	var open []engine.RowIterator
@@ -277,7 +274,7 @@ func TestAbandonedRowsInProcess(t *testing.T) {
 	}
 	opts := engine.Options{Parallelism: 2, ChunkSize: 8}
 	eng := engine.NewWithOptions(storage.NewCatalog(), secret.N(), opts)
-	p, err := proxy.NewWithOptions(secret, eng, proxy.Options{Parallelism: 2, ChunkSize: 8})
+	p, err := proxy.NewWithOptions(secret, eng, proxy.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,22 +42,22 @@ const (
 	// one record, so this is group commit at statement granularity: a
 	// thousand-row insert costs one fsync.
 	FsyncAlways = "always"
-	// FsyncInterval leaves syncing to a background flusher (Options.
-	// FsyncInterval apart); a crash may lose the last interval's
-	// statements but never corrupts the store.
+	// FsyncInterval leaves syncing to a background flusher (flushEvery
+	// apart); a crash may lose the last interval's statements but never
+	// corrupts the store.
 	FsyncInterval = "interval"
 	// FsyncNever issues no explicit syncs; durability is whatever the OS
 	// page cache provides. Recovery safety is unchanged.
 	FsyncNever = "never"
 )
 
+// flushEvery is the background flusher's period under FsyncInterval.
+const flushEvery = 25 * time.Millisecond
+
 // Options configures a Store.
 type Options struct {
 	// Fsync is one of FsyncAlways (default), FsyncInterval, FsyncNever.
 	Fsync string
-	// FsyncInterval is the background flush period for FsyncInterval;
-	// defaults to 25ms.
-	FsyncInterval time.Duration
 	// CheckpointEvery triggers an automatic checkpoint after this many WAL
 	// records. Zero means checkpoints happen only via Checkpoint().
 	CheckpointEvery int
@@ -116,9 +116,6 @@ func Open(dir string, cat *storage.Catalog, opts Options) (*Store, error) {
 	case FsyncAlways, FsyncInterval, FsyncNever:
 	default:
 		return nil, fmt.Errorf("wal: unknown fsync policy %q", opts.Fsync)
-	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = 25 * time.Millisecond
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -262,7 +259,7 @@ func (s *Store) syncLocked() error {
 
 func (s *Store) flushLoop() {
 	defer close(s.flushDone)
-	tick := time.NewTicker(s.opts.FsyncInterval)
+	tick := time.NewTicker(flushEvery)
 	defer tick.Stop()
 	for {
 		select {

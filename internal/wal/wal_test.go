@@ -369,16 +369,27 @@ func TestRecoveryCleansGarbage(t *testing.T) {
 }
 
 // TestFsyncPolicies exercises the interval flusher and the never policy
-// end to end (durability of a clean Close, not of a crash).
+// end to end (durability of a clean Close, not of a crash). Under the
+// interval policy the flusher must sync the INSERT on its own, within a
+// few flushEvery periods.
 func TestFsyncPolicies(t *testing.T) {
 	for _, policy := range []string{FsyncAlways, FsyncInterval, FsyncNever} {
 		t.Run(policy, func(t *testing.T) {
 			dir := t.TempDir()
-			e, store := durableEngine(t, dir, Options{Fsync: policy, FsyncInterval: time.Millisecond})
+			e, store := durableEngine(t, dir, Options{Fsync: policy})
 			mustExec(t, e, "CREATE TABLE t (a INT)")
 			mustExec(t, e, "INSERT INTO t VALUES (1)")
 			if policy == FsyncInterval {
-				time.Sleep(20 * time.Millisecond) // let the flusher run at least once
+				unsynced := func() bool {
+					store.mu.Lock()
+					defer store.mu.Unlock()
+					return store.dirty
+				}
+				for deadline := time.Now().Add(200 * flushEvery); unsynced(); time.Sleep(flushEvery / 5) {
+					if time.Now().After(deadline) {
+						t.Fatalf("the interval flusher left the INSERT unsynced for %v", 200*flushEvery)
+					}
+				}
 			}
 			store.Close()
 			e2, store2 := durableEngine(t, dir, Options{})

@@ -21,7 +21,7 @@ func FuzzFrameDecode(f *testing.F) {
 	c.SendRequest(&Request{Op: OpHello, Ver: ProtocolV2})
 	f.Add(bytes.Clone(lb.Bytes()))
 	lb.Reset()
-	c.SendRequest(&Request{Op: OpExecuteDirect, Ver: ProtocolV2, StmtID: 7, MaxRows: 100, SQL: "SELECT a FROM t"})
+	c.SendRequest(&Request{Op: OpExecuteDirect, Ver: ProtocolV2, StmtID: 7, SQL: "SELECT a FROM t"})
 	f.Add(bytes.Clone(lb.Bytes()))
 	lb.Reset()
 	c.SendResponse(&Response{Ver: ProtocolV2, StmtID: 7, EOS: true, Err: "e",

@@ -20,9 +20,9 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 	c := NewConn(new(bytes.Buffer))
 	reqs := []*Request{
 		{Op: OpHello, Ver: ProtocolV2},
-		{Op: OpFetch, Ver: ProtocolV2, StmtID: 1 << 40, MaxRows: 128},
+		{Op: OpFetch, Ver: ProtocolV2, StmtID: 1 << 40},
 		{Op: OpClose, Ver: ProtocolV2, StmtID: 3},
-		{Op: OpExecuteDirect, Ver: ProtocolV2, SQL: "SELECT 2", MaxRows: 7},
+		{Op: OpExecuteDirect, Ver: ProtocolV2, SQL: "SELECT 2"},
 		{Op: OpExecuteDirect, Ver: ProtocolV2, SQL: "INSERT INTO t VALUES (1)"},
 	}
 	for _, req := range reqs {
@@ -42,18 +42,18 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 }
 
 // TestFrameGoldenBytes pins the bytes of every request kind and of a
-// response frame: retiring the server-side prepared statement's kinds
-// (2, 3, 6) left the four that remain exactly as they were.
+// response frame. A request payload is ver, StmtID, SQL and nothing else:
+// no field sizes a frame, which is one engine batch.
 func TestFrameGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		req  *Request
 		want string
 	}{
 		{&Request{Op: OpHello, Ver: ProtocolV2}, "000000050153444257" + "02"},
-		{&Request{Op: OpFetch, Ver: ProtocolV2, StmtID: 300, MaxRows: 7}, "0000000504" + "02ac020700"},
-		{&Request{Op: OpClose, Ver: ProtocolV2, StmtID: 3}, "0000000405" + "02030000"},
-		{&Request{Op: OpExecuteDirect, Ver: ProtocolV2, MaxRows: 7, SQL: "SELECT 1"},
-			"0000000c07" + "020007" + "08" + "53454c4543542031"},
+		{&Request{Op: OpFetch, Ver: ProtocolV2, StmtID: 300}, "0000000404" + "02ac0200"},
+		{&Request{Op: OpClose, Ver: ProtocolV2, StmtID: 3}, "0000000305" + "020300"},
+		{&Request{Op: OpExecuteDirect, Ver: ProtocolV2, SQL: "SELECT 1"},
+			"0000000b07" + "0200" + "08" + "53454c4543542031"},
 	} {
 		var lb bytes.Buffer
 		if err := NewConn(&lb).SendRequest(tc.req); err != nil {
@@ -71,6 +71,37 @@ func TestFrameGoldenBytes(t *testing.T) {
 	}
 	if got, want := hex.EncodeToString(lb.Bytes()), "0000000c80"+"0201"+"09"+"00"+"01016101"+"010101"+"0a"; got != want {
 		t.Errorf("response frame is %s, want %s", got, want)
+	}
+}
+
+// TestFrameOldRequestLayoutRefused: a request in the layout that carried
+// a MaxRows uvarint between StmtID and SQL is refused with ErrProtocol,
+// not read as a different request. The extra uvarint is taken for the SQL
+// length, so the frame ends in bytes no field claims (or claims more bytes
+// than it has).
+func TestFrameOldRequestLayoutRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name, frame string
+		trailing    bool
+	}{
+		{"Close", "0000000405" + "02030000", true},
+		{"Fetch, MaxRows 0", "0000000504" + "02ac020000", true},
+		{"ExecuteDirect, MaxRows 0", "0000000c07" + "020000" + "08" + "53454c4543542031", true},
+		{"ExecuteDirect, MaxRows 7", "0000000c07" + "020007" + "08" + "53454c4543542031", true},
+		{"Fetch, MaxRows 7", "0000000504" + "02ac020700", false},
+	} {
+		raw, err := hex.DecodeString(tc.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := NewConn(bytes.NewBuffer(raw)).ReadRequest()
+		if !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: ReadRequest = %+v, %v; want ErrProtocol", tc.name, req, err)
+			continue
+		}
+		if tc.trailing && !strings.Contains(err.Error(), "trailing") {
+			t.Errorf("%s: %v, want a trailing-bytes refusal", tc.name, err)
+		}
 	}
 }
 
@@ -157,8 +188,8 @@ func TestFrameCapExact(t *testing.T) {
 	sender := NewConn(&lb)
 	frame := func(payload int) []byte {
 		lb.Reset()
-		// ver + stmt id + max rows are one byte each, the SQL length three.
-		if err := sender.SendRequest(&Request{Op: OpExecuteDirect, SQL: strings.Repeat("x", payload-6)}); err != nil {
+		// ver and stmt id are one byte each, the SQL length three.
+		if err := sender.SendRequest(&Request{Op: OpExecuteDirect, SQL: strings.Repeat("x", payload-5)}); err != nil {
 			t.Fatal(err)
 		}
 		raw := bytes.Clone(lb.Bytes())
@@ -169,7 +200,7 @@ func TestFrameCapExact(t *testing.T) {
 	}
 
 	at := NewConnMaxFrame(bytes.NewBuffer(frame(limit)), limit)
-	if req, err := at.ReadRequest(); err != nil || len(req.SQL) != limit-6 {
+	if req, err := at.ReadRequest(); err != nil || len(req.SQL) != limit-5 {
 		t.Fatalf("frame of exactly the cap: %v", err)
 	}
 
@@ -180,7 +211,7 @@ func TestFrameCapExact(t *testing.T) {
 	}
 	// The same bytes read fine without a cap: the refusal is the limiter's.
 	open := NewConn(bytes.NewBuffer(over))
-	if req, err := open.ReadRequest(); err != nil || len(req.SQL) != limit-5 {
+	if req, err := open.ReadRequest(); err != nil || len(req.SQL) != limit-4 {
 		t.Fatalf("uncapped read of the same frame: %v", err)
 	}
 }
@@ -288,8 +319,8 @@ func TestFrameMalformedPayloads(t *testing.T) {
 		"retired execute (3)":  frame(3, 2, 3, 0, 0),
 		"retired reset (6)":    frame(6, 2, 3, 0, 0),
 		"request cut short":    frame(byte(OpExecuteDirect), 2, 0),
-		"sql longer than left": frame(byte(OpExecuteDirect), 2, 0, 0, 200, 'x'),
-		"trailing bytes":       frame(byte(OpExecuteDirect), 2, 0, 0, 1, 'x', 'y'),
+		"sql longer than left": frame(byte(OpExecuteDirect), 2, 0, 200, 'x'),
+		"trailing bytes":       frame(byte(OpExecuteDirect), 2, 0, 1, 'x', 'y'),
 	} {
 		if _, err := c.ReadRequest(); !errors.Is(err, ErrProtocol) {
 			t.Errorf("%s: ReadRequest = %v, want ErrProtocol", name, err)

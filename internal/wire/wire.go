@@ -13,8 +13,9 @@
 // frame and dropped. After the hello a statement is one request:
 // OpExecuteDirect carries the SQL and is answered with the first row
 // batch (a Response with Rows, plus the EOS end-of-stream marker when the
-// stream ends there). A result that does not fit one frame leaves an open
-// server cursor whose id OpFetch pulls further batches from and OpClose
+// stream ends there). A frame carries one whole engine batch, so the
+// engine alone decides its size. A result of more than one batch leaves an
+// open server cursor whose id OpFetch pulls further batches from and OpClose
 // abandons; the server frees the cursor by itself at EOS or on error.
 // Statements are prepared only at the proxy. Kinds 0, 2, 3 and 6 are
 // reserved (2, 3 and 6 were a server-side prepared statement's prepare,
@@ -86,8 +87,6 @@ type Request struct {
 	Ver uint8
 	// StmtID addresses an open server cursor (OpFetch/OpClose).
 	StmtID uint64
-	// MaxRows caps the rows per returned batch; 0 means server default.
-	MaxRows int
 }
 
 // Response is one server frame: the version (OpHello), an acknowledgement
@@ -236,7 +235,6 @@ func (c *Conn) SendRequest(req *Request) error {
 	}
 	buf = append(buf, req.Ver)
 	buf = binary.AppendUvarint(buf, req.StmtID)
-	buf = binary.AppendUvarint(buf, uint64(max(req.MaxRows, 0)))
 	return c.send(types.AppendString(buf, req.SQL), nil)
 }
 
@@ -266,7 +264,6 @@ func (c *Conn) readRequest(hello bool) (*Request, error) {
 	d := types.Decoder{B: p}
 	req.Ver = d.Byte()
 	req.StmtID = d.Uvarint()
-	req.MaxRows = int(min(d.Uvarint(), math.MaxInt32))
 	req.SQL = d.Str()
 	return req, finish(&d)
 }

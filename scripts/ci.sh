@@ -10,8 +10,10 @@
 # and the spill scheduler read the engine's worker pool, and a gate that
 # only FlushHelperPowerHits writes the memo's hit counter, that only
 # PowerTable.Lookup (and the reset) writes its miss counter and that the
-# memo renders no helper to bytes, and a gate that every comb table the
-# secure package builds covers RowIDBits and no wider), the full test
+# memo renders no helper to bytes, a gate that every comb table the
+# secure package builds covers RowIDBits and no wider, and a gate that
+# the Options fields, DSN keys and sdb-server flags are exactly the
+# allow-listed configuration surface), the full test
 # suite, the race
 # detector over every package (the chunked parallel engine/proxy paths,
 # the pull-on-demand result path from engine to decrypting cursor, the
@@ -218,6 +220,53 @@ FB_WIDE=$(grep -n 'bigmod\.NewFixedBase(' $(ls internal/secure/*.go | grep -v '_
 if [[ -n "${FB_WIDE}" ]]; then
   echo "comb tables in internal/secure not built RowIDBits wide:"
   echo "${FB_WIDE}"
+  exit 1
+fi
+
+echo "== the configuration surface is the allow-listed knobs"
+# What a deployment can set: the exported fields of the engine, proxy and
+# WAL Options, the driver's DSN keys and sdb-server's flags. Batch, frame
+# and plan-cache sizes left this surface once each had one production
+# value (engine.Options.ChunkSize stays as the tests' way to shrink
+# batches). A new knob is a new thing to test and document: add it here,
+# with the change that needs it.
+CONFIG_SURFACE=$(
+  for f in internal/engine/engine.go internal/proxy/proxy.go internal/wal/wal.go; do
+    awk -v pkg="$(basename "$(dirname "$f")")" '
+      /^type Options struct \{/ { on = 1; next }
+      on && /^\}/ { on = 0 }
+      on && /^\t[A-Z][A-Za-z0-9_]* / { print pkg ".Options." $1 }' "$f"
+  done
+  awk '
+    /^var dsnKeys/ { on = 1; next }
+    on && /^\}/ { on = 0 }
+    on {
+      line = $0
+      while (match(line, /"[a-z_]+": *(\{|true|false)/)) {
+        tok = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
+        name = tok; sub(/^"/, "", name); sub(/".*/, "", name)
+        if (tok ~ /\{$/) scheme = name; else print "dsn " scheme "://" name
+      }
+    }' driver/driver.go
+  grep -oE 'flag\.[A-Za-z]+\("[^"]+"' cmd/sdb-server/main.go | sed -E 's/.*\("/sdb-server -/; s/"$//'
+)
+CONFIG_SURFACE=$(echo "${CONFIG_SURFACE}" | sort)
+CONFIG_ALLOWED=$(printf '%s\n' \
+  'engine.Options.Parallelism' 'engine.Options.ChunkSize' 'engine.Options.MemBudgetRows' \
+  'engine.Options.SpillDir' 'engine.Options.BudgetPool' 'engine.Options.Planner' \
+  'proxy.Options.Parallelism' 'proxy.Options.StatePath' \
+  'wal.Options.Fsync' 'wal.Options.CheckpointEvery' \
+  'dsn mem://bits' 'dsn mem://parallel' 'dsn mem://mem_budget' 'dsn mem://data_dir' \
+  'dsn mem://fsync' 'dsn mem://checkpoint_every' \
+  'dsn tcp://secret' 'dsn tcp://parallel' \
+  'sdb-server -listen' 'sdb-server -public' 'sdb-server -parallel' 'sdb-server -mem-budget' \
+  'sdb-server -spill-dir' 'sdb-server -data-dir' 'sdb-server -checkpoint-every' 'sdb-server -fsync' \
+  'sdb-server -max-sessions' 'sdb-server -max-stmts' 'sdb-server -global-budget' \
+  'sdb-server -metrics-addr' 'sdb-server -max-frame' 'sdb-server -idle-timeout' \
+  'sdb-server -write-timeout' | sort)
+if [[ "${CONFIG_SURFACE}" != "${CONFIG_ALLOWED}" ]]; then
+  echo "configuration surface differs from the allow-list (< allowed, > found):"
+  diff <(echo "${CONFIG_ALLOWED}") <(echo "${CONFIG_SURFACE}") || true
   exit 1
 fi
 
