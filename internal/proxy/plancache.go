@@ -9,13 +9,14 @@ package proxy
 // are immutable after construction and therefore safe to share across
 // concurrently executing statements.
 //
-// Every entry is stamped with the key-rotation generation and the catalog
-// generation it was derived under. A rotation re-keys stored shares, so
-// tokens derived before it would decrypt garbage; a CREATE or INSERT
-// changes the catalog metadata and table sizes plans are derived from. A
-// lookup whose stamps do not both match the current generations is a miss
-// and evicts the stale entry — re-deriving is always correct, the cache is
-// only ever a shortcut.
+// Every entry is stamped with the key-store version it was derived under
+// (keystore.go). A rewrite reads nothing but the key store's schemas and
+// keys — no table sizes, no rows — so only a CREATE, a DROP or a rotation
+// can make an entry stale, and an INSERT never does: a rotation re-keys
+// stored shares, so tokens derived before it would decrypt garbage. A
+// lookup whose stamp is not the current version is a miss and evicts the
+// stale entry — re-deriving is always correct, the cache is only ever a
+// shortcut.
 //
 // Sharing one rewritten statement across Prepares leaks nothing beyond the
 // existing prepared-statement model: re-executing a prepared statement
@@ -38,8 +39,7 @@ type planCacheEntry struct {
 	key       string
 	rewritten string
 	plan      *selectPlan
-	rotGen    uint64
-	catGen    uint64
+	version   uint64
 }
 
 // planCache is a mutex-guarded LRU keyed by canonical SQL.
@@ -62,8 +62,8 @@ func newPlanCache(max int) *planCache {
 }
 
 // lookup returns the cached rewrite for key if it was derived under the
-// current rotation and catalog generations, evicting it otherwise.
-func (c *planCache) lookup(key string, rotGen, catGen uint64) (string, *selectPlan, bool) {
+// current key-store version, evicting it otherwise.
+func (c *planCache) lookup(key string, version uint64) (string, *selectPlan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.index[key]
@@ -72,7 +72,7 @@ func (c *planCache) lookup(key string, rotGen, catGen uint64) (string, *selectPl
 		return "", nil, false
 	}
 	ent := el.Value.(*planCacheEntry)
-	if ent.rotGen != rotGen || ent.catGen != catGen {
+	if ent.version != version {
 		c.lru.Remove(el)
 		delete(c.index, key)
 		c.misses.Add(1)
@@ -85,21 +85,16 @@ func (c *planCache) lookup(key string, rotGen, catGen uint64) (string, *selectPl
 
 // store records one derived rewrite, evicting the least recently used
 // entry past capacity.
-func (c *planCache) store(key, rewritten string, plan *selectPlan, rotGen, catGen uint64) {
+func (c *planCache) store(key, rewritten string, plan *selectPlan, version uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ent := planCacheEntry{key: key, rewritten: rewritten, plan: plan, version: version}
 	if el, ok := c.index[key]; ok {
-		*el.Value.(*planCacheEntry) = planCacheEntry{
-			key: key, rewritten: rewritten, plan: plan,
-			rotGen: rotGen, catGen: catGen,
-		}
+		*el.Value.(*planCacheEntry) = ent
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.index[key] = c.lru.PushFront(&planCacheEntry{
-		key: key, rewritten: rewritten, plan: plan,
-		rotGen: rotGen, catGen: catGen,
-	})
+	c.index[key] = c.lru.PushFront(&ent)
 	for c.lru.Len() > c.max {
 		last := c.lru.Back()
 		c.lru.Remove(last)

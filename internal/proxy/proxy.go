@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/bits"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,14 +47,9 @@ type Proxy struct {
 	// statePath is the construction-time Options.StatePath ("" = state is
 	// not persisted).
 	statePath string
-	// rotGen counts key rotations. Prepared SELECTs capture tokens and
-	// decryption keys at rewrite time; a generation mismatch makes them
-	// re-prepare instead of decrypting re-keyed shares with stale keys.
-	rotGen atomic.Uint64
-	// catGen counts catalog changes (CREATE registers keys, INSERT grows
-	// tables); cached plans are stamped with it so DDL and uploads
-	// invalidate them.
-	catGen atomic.Uint64
+	// saveMu serialises SaveState, so two writers never interleave the
+	// temporary file and the last rename holds the latest keys.
+	saveMu sync.Mutex
 	// cache memoises rewritten SQL + decryption plans per canonical
 	// statement; see plancache.go.
 	cache *planCache
@@ -99,53 +95,7 @@ func NewWithOptions(secret *secure.Secret, exec Executor, opts Options) (*Proxy,
 		statePath: opts.StatePath,
 	}
 	p.SetOptions(opts)
-	p.seedGenerations()
 	return p, nil
-}
-
-// seedGenerations initializes the plan-cache generation counters from the
-// executor when it exposes recovered ones (a durable engine does). Seeding
-// keeps the stamps monotonic across a service-provider restart: a plan
-// cached at pre-crash generation G can never collide with a fresh
-// post-restart generation, because the restarted counters resume at the
-// last durable value instead of zero.
-func (p *Proxy) seedGenerations() {
-	if g, ok := p.exec.(interface{ Generations() (uint64, uint64) }); ok {
-		rot, cat := g.Generations()
-		p.rotGen.Store(rot)
-		p.catGen.Store(cat)
-	}
-}
-
-// bumpCatGen / bumpRotGen advance the plan-cache generation stamps after a
-// write the SP confirmed. When the executor exposes its committed
-// generations (an in-process engine does), the proxy adopts them: under
-// MVCC, concurrent sessions commit through one serial history at the
-// engine, and adopting that counter keeps every proxy's stamps consistent
-// with it. CAS-max (rather than a plain store) keeps the local counter
-// monotonic when an older read of the engine's counter loses the race.
-// A remote executor that exposes nothing falls back to local counting.
-func (p *Proxy) bumpCatGen() { p.bumpGens(&p.catGen) }
-
-func (p *Proxy) bumpRotGen() { p.bumpGens(&p.rotGen) }
-
-func (p *Proxy) bumpGens(local *atomic.Uint64) {
-	if g, ok := p.exec.(interface{ Generations() (uint64, uint64) }); ok {
-		rot, cat := g.Generations()
-		casMax(&p.rotGen, rot)
-		casMax(&p.catGen, cat)
-		return
-	}
-	local.Add(1)
-}
-
-func casMax(c *atomic.Uint64, v uint64) {
-	for {
-		cur := c.Load()
-		if cur >= v || c.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // SetOptions replaces the execution options — the worker pool — and
@@ -262,9 +212,6 @@ func (p *Proxy) execCreate(ctx context.Context, s *sqlparser.CreateTable, st Sta
 		p.persistState()
 		return nil, err
 	}
-	// Bump only after the SP confirms: generation adoption reads the
-	// engine's committed counters, which advance at statement commit.
-	p.bumpCatGen()
 	st.Server = time.Since(t1)
 	st.RewrittenSQL = spStmt.String()
 	return &Result{Stats: st}, nil
@@ -272,11 +219,13 @@ func (p *Proxy) execCreate(ctx context.Context, s *sqlparser.CreateTable, st Sta
 
 // execDrop forwards a DROP TABLE verbatim and discards the table's column
 // keys. The shares at the SP become undecryptable the moment the keys are
-// gone, so key deletion is deferred until the SP confirms the drop.
+// gone, so key deletion is deferred until the SP confirms the drop, under
+// the table's exclusive key lock.
 func (p *Proxy) execDrop(ctx context.Context, s *sqlparser.DropTable, st Stats) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	defer p.store.lock(true, s.Name)()
 	if _, err := p.store.Get(s.Name); err != nil {
 		return nil, err
 	}
@@ -291,15 +240,16 @@ func (p *Proxy) execDrop(ctx context.Context, s *sqlparser.DropTable, st Stats) 
 	if err := p.persistState(); err != nil {
 		return nil, err
 	}
-	p.bumpCatGen()
 	st.RewrittenSQL = s.String()
 	return &Result{Stats: st}, nil
 }
 
 // execInsert encrypts sensitive values and forwards a rewritten INSERT that
-// carries shares, the encrypted row id and the row helper. ctx is checked
-// per encryption chunk and before the upload is forwarded.
+// carries shares, the encrypted row id and the row helper, holding the
+// table's key lock shared from the key lookup until the SP acknowledges.
+// ctx is checked per encryption chunk and before the upload is forwarded.
 func (p *Proxy) execInsert(ctx context.Context, s *sqlparser.Insert, st Stats) (*Result, error) {
+	defer p.store.lock(false, s.Table)()
 	t0 := time.Now()
 	meta, err := p.store.Get(s.Table)
 	if err != nil {
@@ -347,7 +297,6 @@ func (p *Proxy) execInsert(ctx context.Context, s *sqlparser.Insert, st Stats) (
 	if _, err := p.exec.ExecuteSQL(out.String()); err != nil {
 		return nil, err
 	}
-	p.bumpCatGen()
 	st.Server = time.Since(t1)
 	st.RewrittenSQL = out.String()
 	return &Result{Stats: st}, nil

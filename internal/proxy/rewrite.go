@@ -69,6 +69,7 @@ type scope struct {
 type rewriter struct {
 	p      *Proxy
 	scopes []*scope
+	tables []string // every table a scope reads, derived tables' included
 	// groupFlat maps the String() of an original GROUP BY expression to
 	// its flattened rewrite, so projections reuse the identical expression.
 	groupFlat map[string]*rval

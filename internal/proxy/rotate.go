@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"sdb/internal/engine"
@@ -16,20 +15,38 @@ import (
 //	UPDATE t SET col = sdb_keyupdate(col, sdb_w, p, q, n)
 //
 // The SP transforms every stored share without decrypting anything (it
-// only ever sees the token); the proxy then replaces the key in its key
-// store. This is the key-management operation a DO performs after a
-// suspected proxy-key exposure: the old column key becomes useless against
-// the rotated data.
+// only ever sees the token); the proxy then publishes the new key. This is
+// the key-management operation a DO performs after a suspected proxy-key
+// exposure: the old column key becomes useless against the rotated data.
 func (p *Proxy) RotateColumn(table, column string) (Stats, error) {
+	return p.rotate(table, column)
+}
+
+// RotateMask refreshes a table's hidden comparison-mask column key the same
+// way (the mask values themselves stay; their key changes).
+func (p *Proxy) RotateMask(table string) (Stats, error) {
+	return p.rotate(table, MaskColumn)
+}
+
+// rotate re-keys one column of table (MaskColumn for the mask) under the
+// table's exclusive key lock, held from reading the old key until the new
+// one is published and persisted: no INSERT encrypts under the old key
+// after the SP re-keyed the table, and no SELECT pins re-keyed shares
+// under old tokens.
+func (p *Proxy) rotate(table, column string) (Stats, error) {
 	var st Stats
+	defer p.store.lock(true, table)()
 	t0 := time.Now()
 	meta, err := p.store.Get(table)
 	if err != nil {
 		return st, err
 	}
-	oldKey, ok := meta.Key(column)
+	oldKey, ok := meta.MaskKey, len(meta.Keys) > 0
+	if column != MaskColumn {
+		oldKey, ok = meta.Key(column)
+	}
 	if !ok {
-		return st, fmt.Errorf("proxy: column %s.%s is not sensitive", table, column)
+		return st, fmt.Errorf("proxy: %s.%s is not an encrypted column", table, column)
 	}
 	newKey, err := p.secret.NewColumnKey()
 	if err != nil {
@@ -52,73 +69,21 @@ func (p *Proxy) RotateColumn(table, column string) (Stats, error) {
 			}},
 		}},
 	}
-	sql := upd.String()
-	st.Rewrite = time.Since(t0)
-	st.RewrittenSQL = sql
-
-	t1 := time.Now()
-	if _, err := p.exec.ExecuteSQL(sql); err != nil {
-		return st, err
-	}
-	st.Server = time.Since(t1)
-
-	// Only after the server confirms do we swap the key — and bump the
-	// rotation generation so prepared statements re-derive their tokens.
-	meta.Keys[strings.ToLower(column)] = newKey
-	p.bumpRotGen()
-	// Persist immediately: once the SP holds re-keyed shares, the new key
-	// is the only thing that can decrypt them (see docs/storage.md on the
-	// crash window between the server's commit and this write).
-	if err := p.persistState(); err != nil {
-		return st, err
-	}
-	return st, nil
-}
-
-// RotateMask refreshes a table's hidden comparison-mask column key the same
-// way (the mask values themselves stay; their key changes).
-func (p *Proxy) RotateMask(table string) (Stats, error) {
-	var st Stats
-	meta, err := p.store.Get(table)
-	if err != nil {
-		return st, err
-	}
-	if len(meta.Keys) == 0 {
-		return st, fmt.Errorf("proxy: table %q has no sensitive columns", table)
-	}
-	t0 := time.Now()
-	newKey, err := p.secret.NewColumnKey()
-	if err != nil {
-		return st, err
-	}
-	tok, err := p.secret.KeyUpdateToken(meta.MaskKey, newKey)
-	if err != nil {
-		return st, err
-	}
-	upd := &sqlparser.Update{
-		Table: table,
-		Set: []sqlparser.SetClause{{
-			Column: MaskColumn,
-			Expr: &sqlparser.FuncCall{Name: "sdb_keyupdate", Args: []sqlparser.Expr{
-				sqlparser.ColRef{Name: MaskColumn},
-				sqlparser.ColRef{Name: engine.HelperColumn},
-				sqlparser.HexLit{V: tok.P},
-				sqlparser.HexLit{V: tok.Q},
-				sqlparser.HexLit{V: p.secret.N()},
-			}},
-		}},
-	}
-	st.Rewrite = time.Since(t0)
 	st.RewrittenSQL = upd.String()
+	st.Rewrite = time.Since(t0)
+
 	t1 := time.Now()
-	if _, err := p.exec.ExecuteSQL(upd.String()); err != nil {
+	if _, err := p.exec.ExecuteSQL(st.RewrittenSQL); err != nil {
 		return st, err
 	}
 	st.Server = time.Since(t1)
-	meta.MaskKey = newKey
-	p.bumpRotGen()
-	if err := p.persistState(); err != nil {
-		return st, err
-	}
-	return st, nil
+
+	// Only after the server confirms is the new key published; that
+	// advances the key-store version, so cached plans and prepared
+	// statements re-derive their tokens. Persist before releasing the
+	// lock: once the SP holds re-keyed shares, the new key is the only
+	// thing that can decrypt them (see docs/storage.md on the crash window
+	// between the server's commit and this write).
+	p.store.publish(table, meta.withKey(column, newKey))
+	return st, p.persistState()
 }

@@ -41,10 +41,15 @@ func TestRotateColumn(t *testing.T) {
 			t.Fatalf("row %d share unchanged after rotation", i)
 		}
 	}
-	// …the key in the store must differ…
-	newKey, _ := meta.Key("balance")
+	// …the store must hold a new key, published as new metadata (the old
+	// metadata is immutable and keeps the old key)…
+	newMeta, _ := p.KeyStore().Get("accounts")
+	newKey, _ := newMeta.Key("balance")
 	if newKey.Equal(oldKey) {
 		t.Fatal("key store still holds the old key")
+	}
+	if k, _ := meta.Key("balance"); !k.Equal(oldKey) {
+		t.Fatal("rotation modified the stored metadata in place")
 	}
 	// …and queries must keep returning the same plaintexts.
 	res := mustP(t, p, `SELECT id, balance FROM accounts ORDER BY id`)

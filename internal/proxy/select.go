@@ -50,6 +50,9 @@ type postKey struct {
 // hidden (row ids, deferred order keys, AVG counts) are consumed during
 // decryption and stripped from the user-visible result.
 type selectPlan struct {
+	// tables are the tables whose keys the plan embeds: the key locks an
+	// execution holds until the SP pins its snapshot.
+	tables    []string
 	out       []outCol
 	postOrder []postKey
 	postLimit *int64
@@ -292,6 +295,7 @@ func (rw *rewriter) rewriteSelect(s *sqlparser.Select, forSubquery bool) (*sqlpa
 		// Deferred ordering over grouped output is fine: all order keys
 		// are output columns already.
 	}
+	plan.tables = rw.tables
 	return out, plan, nil
 }
 
@@ -317,6 +321,7 @@ func (rw *rewriter) buildScope(ref sqlparser.TableRef) (sqlparser.TableRef, erro
 			sc.cols = append(sc.cols, col)
 		}
 		rw.scopes = append(rw.scopes, sc)
+		rw.tables = append(rw.tables, r.Name)
 		return r, nil
 
 	case *sqlparser.SubqueryRef:
@@ -350,6 +355,7 @@ func (rw *rewriter) buildScope(ref sqlparser.TableRef) (sqlparser.TableRef, erro
 			rsel.Items[i].Alias = rplan.out[i].name
 		}
 		rw.scopes = append(rw.scopes, sc)
+		rw.tables = append(rw.tables, rplan.tables...)
 		return &sqlparser.SubqueryRef{Sel: rsel, Alias: r.Alias}, nil
 
 	case *sqlparser.JoinRef:

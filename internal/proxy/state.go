@@ -42,6 +42,8 @@ type proxyState struct {
 // DROP, rotation) — or at shutdown; the nonce skip on load tolerates stale
 // files.
 func (p *Proxy) SaveState(path string) error {
+	p.saveMu.Lock()
+	defer p.saveMu.Unlock()
 	secretJSON, err := json.Marshal(p.secret)
 	if err != nil {
 		return err
@@ -105,7 +107,7 @@ func LoadStateSecret(path string) (*secure.Secret, error) {
 // NewFromStateFile reconstructs a proxy from a SaveState file: same scheme
 // secret, same SIES key (so recovered row ids decrypt), same column keys,
 // and a nonce floor safely past anything the previous process could have
-// drawn. Generations seed from the executor as in NewWithOptions.
+// drawn.
 func NewFromStateFile(path string, exec Executor, opts Options) (*Proxy, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -77,43 +77,6 @@ func TestLoadStateSecret(t *testing.T) {
 	}
 }
 
-// genExec is an engine that reports recovered plan-cache generations,
-// like a durable engine after replay.
-type genExec struct {
-	*engine.Engine
-	rot, cat uint64
-}
-
-func (g *genExec) Generations() (uint64, uint64) { return g.rot, g.cat }
-
-// TestSeedGenerations checks a new proxy resumes the executor's recovered
-// generation counters instead of restarting at zero, so pre-crash plan
-// stamps can never collide with post-restart ones.
-func TestSeedGenerations(t *testing.T) {
-	secret, err := secure.Setup(256, 40, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(secret, &genExec{Engine: engine.New(storage.NewCatalog(), secret.N()), rot: 5, cat: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.rotGen.Load(); got != 5 {
-		t.Errorf("rotGen seeded to %d, want 5", got)
-	}
-	if got := p.catGen.Load(); got != 42 {
-		t.Errorf("catGen seeded to %d, want 42", got)
-	}
-	// A plain in-memory engine has no recovered generations: seeds stay 0.
-	p2, err := New(secret, engine.New(storage.NewCatalog(), secret.N()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rot, cat := p2.rotGen.Load(), p2.catGen.Load()+0; rot != 0 || cat != 0 {
-		t.Errorf("in-memory proxy seeded to %d/%d, want 0/0", rot, cat)
-	}
-}
-
 // TestDropDiscardsKeys checks DROP TABLE through the proxy removes the
 // table's column keys and the table itself, and the name is reusable.
 func TestDropDiscardsKeys(t *testing.T) {

@@ -47,16 +47,15 @@ type Stmt struct {
 	prep Stats
 
 	// SELECT state. The plan and the executor statement of the rewritten
-	// SQL (prep.RewrittenSQL) capture key-store and catalog state at the
-	// recorded rotation and catalog generations (the pair that stamps
-	// plan-cache entries); a later key rotation or catalog change triggers
-	// a transparent re-derivation.
-	sel    *sqlparser.Select
-	plan   *selectPlan
-	rotGen uint64
-	catGen uint64
-	mu     sync.Mutex
-	remote engine.PreparedStmt
+	// SQL (prep.RewrittenSQL) capture the keys of the tables the statement
+	// reads at the recorded key-store version (the stamp of plan-cache
+	// entries); a later CREATE, DROP or rotation triggers a transparent
+	// re-derivation.
+	sel     *sqlparser.Select
+	plan    *selectPlan
+	version uint64
+	mu      sync.Mutex
+	remote  engine.PreparedStmt
 	// active is the statement's open cursor, if any. Re-execution closes
 	// it first: an abandoned cursor must not hold an SP cursor slot or
 	// spill files.
@@ -112,16 +111,17 @@ func (p *Proxy) PrepareContext(ctx context.Context, sql string) (*Stmt, error) {
 
 // prepareSelect (re)derives the rewritten SQL and decryption plan from the
 // current key-store state and prepares the rewritten SQL at the executor,
-// recording the generations it captured. It runs at Prepare time and again
-// whenever a key rotation or catalog change has invalidated what was
-// captured. The rewrite + token derivation is served from the proxy's plan
-// cache when a statement with the same canonical SQL was already derived
-// under the current rotation and catalog generations (plancache.go).
+// recording the key-store version it captured (read before any key: a
+// racing change leaves the stamp stale, never the plan). It runs at
+// Prepare time and again whenever a CREATE, DROP or rotation has
+// invalidated what was captured. The rewrite + token derivation is served
+// from the plan cache when the same canonical SQL was already derived
+// under the current version (plancache.go).
 func (s *Stmt) prepareSelect() error {
 	t1 := time.Now()
-	rotGen, catGen := s.p.rotGen.Load(), s.p.catGen.Load()
+	version := s.p.store.Version()
 	key := s.sel.String()
-	rewritten, plan, ok := s.p.cache.lookup(key, rotGen, catGen)
+	rewritten, plan, ok := s.p.cache.lookup(key, version)
 	if !ok {
 		rw := &rewriter{p: s.p}
 		rws, pl, err := rw.rewriteSelect(s.sel, false)
@@ -129,7 +129,7 @@ func (s *Stmt) prepareSelect() error {
 			return err
 		}
 		rewritten, plan = rws.String(), pl
-		s.p.cache.store(key, rewritten, plan, rotGen, catGen)
+		s.p.cache.store(key, rewritten, plan, version)
 	}
 	s.prep.Rewrite = time.Since(t1)
 	s.prep.RewrittenSQL = rewritten
@@ -139,8 +139,7 @@ func (s *Stmt) prepareSelect() error {
 	}
 	s.mu.Lock()
 	old := s.remote
-	s.remote, s.plan = remote, plan
-	s.rotGen, s.catGen = rotGen, catGen
+	s.remote, s.plan, s.version = remote, plan, version
 	s.mu.Unlock()
 	if old != nil {
 		old.Close()
@@ -188,9 +187,8 @@ func (s *Stmt) QueryContext(ctx context.Context) (*Rows, error) {
 		s.mu.Unlock()
 		return nil, engine.ErrStmtClosed
 	}
-	active := s.active
+	active, tables := s.active, s.plan.tables
 	s.active = nil
-	stale := s.rotGen != s.p.rotGen.Load() || s.catGen != s.p.catGen.Load()
 	s.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -198,12 +196,17 @@ func (s *Stmt) QueryContext(ctx context.Context) (*Rows, error) {
 	if active != nil {
 		active.Close()
 	}
-	// A key rotation since Prepare invalidated the captured tokens and
-	// decryption keys, and a catalog change the table they were derived
-	// for (a DROP and CREATE under the same name leaves every token stale);
-	// re-derive them before touching the shares.
+	// Hold the read tables' key locks from the stamp check until Query has
+	// pinned the SP's snapshot, so no rotation commits in between and the
+	// plan's tokens match the shares the snapshot holds. A stale stamp
+	// (CREATE, DROP or rotation since the derivation) re-derives first.
+	unlock := s.p.store.lock(false, tables...)
+	s.mu.Lock()
+	stale := s.version != s.p.store.Version()
+	s.mu.Unlock()
 	if stale {
 		if err := s.prepareSelect(); err != nil {
+			unlock()
 			return nil, err
 		}
 	}
@@ -217,6 +220,7 @@ func (s *Stmt) QueryContext(ctx context.Context) (*Rows, error) {
 	st := s.prep
 	t0 := time.Now()
 	it, err := remote.Query(ctx)
+	unlock()
 	if err != nil {
 		return nil, err
 	}

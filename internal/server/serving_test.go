@@ -916,20 +916,16 @@ func TestSnapshotTornReadServing(t *testing.T) {
 // MVCC tentpole is judged by: driver goroutines stream decrypted SELECTs
 // while writers rotate column keys and bulk-INSERT through the proxy.
 // Every decrypted row must satisfy the data invariant (v = id % 7 at any
-// snapshot), the rotation barrier keeps prepared-statement keys coherent,
-// and the statement ledger balances after the storm.
+// snapshot), the proxy's key lock keeps every statement's keys coherent
+// with the shares it reads, and the statement ledger balances after the
+// storm.
 func TestConcurrentMixedServing(t *testing.T) {
 	f := newStreamFixture(t, 60)
 	const readers = 4
 
-	// Key rotation swaps the proxy's decryption keys; a statement prepared
-	// under the old keys that executes against post-rotation shares would
-	// decrypt garbage. That derive/rotate window is a proxy-layer issue
-	// independent of engine MVCC, so the harness serializes rotations
-	// against in-flight statements the way an operator must: reads under
-	// RLock, rotation under Lock. Engine-side, reads and the bulk INSERTs
-	// run fully concurrently — that interleaving is what this test hammers.
-	var keyMu sync.RWMutex
+	// The statements take no lock of their own: the proxy's per-table key
+	// lock must keep their keys coherent with the shares their snapshots
+	// pin, while reads and the bulk INSERTs run concurrently at the engine.
 	stop := make(chan struct{})
 	errs := make(chan error, readers+2)
 	var wg sync.WaitGroup
@@ -944,9 +940,7 @@ func TestConcurrentMixedServing(t *testing.T) {
 					return
 				default:
 				}
-				keyMu.RLock()
 				res, err := f.p.ExecContext(context.Background(), `SELECT id, v FROM t`)
-				keyMu.RUnlock()
 				if err != nil {
 					errs <- fmt.Errorf("reader %d iter %d: %w", r, i, err)
 					return
@@ -970,10 +964,7 @@ func TestConcurrentMixedServing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			keyMu.Lock()
-			_, err := f.p.RotateColumn("t", "v")
-			keyMu.Unlock()
-			if err != nil {
+			if _, err := f.p.RotateColumn("t", "v"); err != nil {
 				errs <- fmt.Errorf("rotation %d: %w", i, err)
 				return
 			}
@@ -995,10 +986,7 @@ func TestConcurrentMixedServing(t *testing.T) {
 				}
 				fmt.Fprintf(&sb, "(%d, %d)", id, id%7)
 			}
-			keyMu.RLock()
-			_, err := f.p.Exec(`INSERT INTO t VALUES ` + sb.String())
-			keyMu.RUnlock()
-			if err != nil {
+			if _, err := f.p.Exec(`INSERT INTO t VALUES ` + sb.String()); err != nil {
 				errs <- fmt.Errorf("bulk insert %d: %w", batch, err)
 				return
 			}

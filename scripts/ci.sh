@@ -24,7 +24,8 @@
 # race-detected pool-choice pass (pool marks in TPC-H plans, the secure
 # serial-vs-parallel differential, a plain GROUP BY's one state table), a
 # race-detected MVCC isolation pass (torn-read, no-stall,
-# prefix-consistency and randomized mixed-workload harnesses), a
+# prefix-consistency and randomized mixed-workload harnesses, and the
+# proxy's rotation-window tests), a
 # race-detected concurrent spill pass, a
 # race-detected crash-recovery/durability pass (kill-point differential
 # harness + SIGKILL subprocess test), a race-detected Montgomery-core
@@ -325,6 +326,13 @@ echo "== MVCC isolation harness under the race detector"
 # decrypted rows while keys rotate and bulk inserts land).
 go test -race -count=1 ${SHORT_FLAG} -run 'Snapshot|Mixed|MVCC' \
   ./internal/engine ./internal/server
+# The proxy's half of isolation: an INSERT, and a one-shot and a prepared
+# SELECT (point and range), held inside a key rotation's window — after the
+# SP committed the re-keying UPDATE, before the proxy published the key —
+# in-process and through a server.Client. The per-table key lock must
+# keep every acknowledged row and every answer right; twenty fresh runs
+# give the race detector interleavings around it.
+go test -race -count=20 -run 'DuringRotation' ./internal/proxy
 
 echo "== concurrent spill suite under the race detector"
 # The spill differential and parallel-schedule suites again, with the
