@@ -102,7 +102,7 @@ func TestQuickstartOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(secret.N())
+	srv := server.NewWithOptions(secret.N(), engine.Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

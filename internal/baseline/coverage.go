@@ -109,15 +109,6 @@ func AnalyzeQuery(sel *sqlparser.Select, sensitive SensitiveFn) (OpSet, error) {
 	return a.ops, nil
 }
 
-// AnalyzeSQL parses and analyzes one query.
-func AnalyzeSQL(sql string, sensitive SensitiveFn) (OpSet, error) {
-	sel, err := sqlparser.ParseSelect(sql)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeQuery(sel, sensitive)
-}
-
 type analyzer struct {
 	sensitive SensitiveFn
 	ops       OpSet

@@ -5,50 +5,19 @@
 // onion supports it. Because onions are *not* data interoperable (the
 // output of a HOM addition cannot feed an OPE comparison, a DET equality
 // cannot feed a HOM sum, and no onion multiplies two encrypted columns),
-// complex analytical queries fall back to the client. The coverage checker
-// in coverage.go encodes these rules; over TPC-H it reproduces the paper's
-// "CryptDB supports 4 of 22 queries natively" claim.
+// complex analytical queries fall back to the client. The onions are
+// modelled by the coverage rules in coverage.go, not implemented; over
+// TPC-H they reproduce the paper's "CryptDB supports 4 of 22 queries
+// natively" claim. The one onion cipher implemented is DET, for the
+// banking example's chosen-plaintext attack on an equality layer.
 package baseline
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
-	"crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
-
-// Onion identifies one encryption layer family.
-type Onion uint8
-
-const (
-	// OnionRND is semantically secure (at-rest only; no computation).
-	OnionRND Onion = iota
-	// OnionDET is deterministic (equality, GROUP BY, equi-join).
-	OnionDET
-	// OnionOPE is order-preserving (range predicates, ORDER BY, MIN/MAX).
-	OnionOPE
-	// OnionHOM is Paillier (SUM, addition, multiplication by constants).
-	OnionHOM
-)
-
-func (o Onion) String() string {
-	switch o {
-	case OnionRND:
-		return "RND"
-	case OnionDET:
-		return "DET"
-	case OnionOPE:
-		return "OPE"
-	case OnionHOM:
-		return "HOM"
-	default:
-		return fmt.Sprintf("Onion(%d)", uint8(o))
-	}
-}
 
 // DET is a deterministic cipher over int64 values: AES of the fixed-width
 // encoding. Equal plaintexts produce equal ciphertexts — exactly the
@@ -73,101 +42,4 @@ func (d *DET) Encrypt(v int64) [16]byte {
 	binary.BigEndian.PutUint64(in[8:], uint64(v))
 	d.block.Encrypt(out[:], in[:])
 	return out
-}
-
-// Decrypt inverts Encrypt.
-func (d *DET) Decrypt(c [16]byte) int64 {
-	var out [16]byte
-	d.block.Decrypt(out[:], c[:])
-	return int64(binary.BigEndian.Uint64(out[8:]))
-}
-
-// RND is a randomized cipher (AES-CTR with a fresh IV per value); it
-// supports no server-side computation.
-type RND struct {
-	block cipher.Block
-}
-
-// NewRND creates the randomized layer.
-func NewRND(key []byte) (*RND, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: RND key: %w", err)
-	}
-	return &RND{block: block}, nil
-}
-
-// Encrypt produces IV ∥ CTR(v).
-func (r *RND) Encrypt(v int64) ([]byte, error) {
-	out := make([]byte, aes.BlockSize+8)
-	if _, err := rand.Read(out[:aes.BlockSize]); err != nil {
-		return nil, err
-	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(v))
-	cipher.NewCTR(r.block, out[:aes.BlockSize]).XORKeyStream(out[aes.BlockSize:], buf[:])
-	return out, nil
-}
-
-// Decrypt inverts Encrypt.
-func (r *RND) Decrypt(c []byte) (int64, error) {
-	if len(c) != aes.BlockSize+8 {
-		return 0, fmt.Errorf("baseline: bad RND ciphertext length %d", len(c))
-	}
-	var buf [8]byte
-	cipher.NewCTR(r.block, c[:aes.BlockSize]).XORKeyStream(buf[:], c[aes.BlockSize:])
-	return int64(binary.BigEndian.Uint64(buf[:])), nil
-}
-
-// OPE is a stateless order-preserving encoding in the spirit of
-// Boldyreva-style OPE: plaintexts map onto a strictly increasing code with
-// pseudorandom low-order jitter. Order is preserved exactly — which is the
-// leak the scheme deliberately accepts to support range queries at rest.
-//
-// Plaintexts must satisfy |v| < 2^opeDomainBits; the code is
-// (v + 2^opeDomainBits) << opeJitterBits | PRF(v), which fits uint64.
-type OPE struct {
-	key []byte
-}
-
-const (
-	opeDomainBits = 42
-	opeJitterBits = 20
-)
-
-// NewOPE creates an order-preserving encoder.
-func NewOPE(key []byte) *OPE {
-	return &OPE{key: append([]byte(nil), key...)}
-}
-
-// Encrypt maps a signed plaintext onto its order-preserving code. It
-// returns an error when the plaintext exceeds the OPE domain.
-func (o *OPE) Encrypt(v int64) (uint64, error) {
-	bound := int64(1) << opeDomainBits
-	if v <= -bound || v >= bound {
-		return 0, fmt.Errorf("baseline: %d outside OPE domain (±2^%d)", v, opeDomainBits)
-	}
-	u := uint64(v + bound)
-	return u<<opeJitterBits | o.prf(u), nil
-}
-
-// Decrypt recovers the plaintext from a code.
-func (o *OPE) Decrypt(code uint64) int64 {
-	return int64(code>>opeJitterBits) - (1 << opeDomainBits)
-}
-
-// prf returns the jitter (< 2^opeJitterBits) for a shifted plaintext.
-func (o *OPE) prf(v uint64) uint64 {
-	mac := hmac.New(sha256.New, o.key)
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	mac.Write(buf[:])
-	s := mac.Sum(nil)
-	return binary.BigEndian.Uint64(s[:8]) & (1<<opeJitterBits - 1)
-}
-
-// OrderPreserved is a helper (used by tests and the coverage demo) that
-// verifies a code sequence is sorted.
-func OrderPreserved(codes []uint64) bool {
-	return sort.SliceIsSorted(codes, func(i, j int) bool { return codes[i] < codes[j] })
 }

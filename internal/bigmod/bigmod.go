@@ -60,16 +60,6 @@ func Inv(a, n *big.Int) (*big.Int, error) {
 	return r, nil
 }
 
-// MustInv is Inv for operands known to be invertible (e.g. values drawn by
-// RandInvertible). It panics on failure.
-func MustInv(a, n *big.Int) *big.Int {
-	r, err := Inv(a, n)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Rand returns a uniformly random integer in [1, n).
 func Rand(n *big.Int) (*big.Int, error) {
 	if n.Cmp(two) < 0 {

@@ -2,10 +2,47 @@ package bigmod
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
 )
+
+// MustInv is Inv for operands known to be invertible (e.g. values drawn by
+// RandInvertible). It panics on failure.
+func MustInv(a, n *big.Int) *big.Int {
+	r, err := Inv(a, n)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// N returns the modulus.
+func (d *Domain) N() *big.Int { return d.n }
+
+// EncodeInt64 is Encode for machine integers.
+func (d *Domain) EncodeInt64(v int64) (*big.Int, error) {
+	return d.Encode(big.NewInt(v))
+}
+
+// DecodeInt64 decodes and converts; it returns an error if the result does
+// not fit in an int64 (which indicates either corruption or a mask leak).
+// The error gives the value's width only: what decodes out of range is a
+// SENSITIVE plaintext or a residue of share · item key.
+func (d *Domain) DecodeInt64(w *big.Int) (int64, error) {
+	r := d.Decode(w)
+	if !r.IsInt64() {
+		return 0, fmt.Errorf("bigmod: decoded value <%d bits> exceeds int64", r.BitLen())
+	}
+	return r.Int64(), nil
+}
+
+// Sign reports the sign of the signed interpretation of residue w:
+// -1, 0, or +1. The secure comparison protocol reveals only this.
+func (d *Domain) Sign(w *big.Int) int {
+	return d.Decode(w).Sign()
+}
 
 func TestExpKnownValues(t *testing.T) {
 	n := big.NewInt(35)

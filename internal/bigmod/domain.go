@@ -39,9 +39,6 @@ func NewDomain(n *big.Int, valueBits, maskBits int) (*Domain, error) {
 	}, nil
 }
 
-// N returns the modulus.
-func (d *Domain) N() *big.Int { return d.n }
-
 // Bound returns the largest encodable magnitude (2^valueBits).
 func (d *Domain) Bound() *big.Int { return d.bound }
 
@@ -53,11 +50,6 @@ func (d *Domain) Encode(v *big.Int) (*big.Int, error) {
 	return new(big.Int).Mod(v, d.n), nil
 }
 
-// EncodeInt64 is Encode for machine integers.
-func (d *Domain) EncodeInt64(v int64) (*big.Int, error) {
-	return d.Encode(big.NewInt(v))
-}
-
 // Decode maps a residue in [0, n) back to a signed integer: residues above
 // n/2 are interpreted as negative.
 func (d *Domain) Decode(w *big.Int) *big.Int {
@@ -66,22 +58,4 @@ func (d *Domain) Decode(w *big.Int) *big.Int {
 		r.Sub(r, d.n)
 	}
 	return r
-}
-
-// DecodeInt64 decodes and converts; it returns an error if the result does
-// not fit in an int64 (which indicates either corruption or a mask leak).
-// The error gives the value's width only: what decodes out of range is a
-// SENSITIVE plaintext or a residue of share · item key.
-func (d *Domain) DecodeInt64(w *big.Int) (int64, error) {
-	r := d.Decode(w)
-	if !r.IsInt64() {
-		return 0, fmt.Errorf("bigmod: decoded value <%d bits> exceeds int64", r.BitLen())
-	}
-	return r.Int64(), nil
-}
-
-// Sign reports the sign of the signed interpretation of residue w:
-// -1, 0, or +1. The secure comparison protocol reveals only this.
-func (d *Domain) Sign(w *big.Int) int {
-	return d.Decode(w).Sign()
 }

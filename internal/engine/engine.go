@@ -87,11 +87,13 @@ type Engine struct {
 	// so the published version set is quiescent while the layer
 	// snapshots it — readers and version builders are unaffected.
 	dur storage.Durability
-	// rotGen/catGen mirror the proxy's plan-cache generation counters so
-	// they can be persisted with every WAL record and survive restarts:
-	// catGen advances on CREATE/INSERT/DROP and plain UPDATEs, rotGen on
-	// key-rotation UPDATEs (sdb_keyupdate in a SET expression). Written
-	// under commitMu, read anywhere (Generations), hence atomics.
+	// rotGen/catGen count writes: catGen advances on CREATE/INSERT/DROP
+	// and plain UPDATEs, rotGen on key-rotation UPDATEs (sdb_keyupdate in
+	// a SET expression). They are written to every WAL record and to the
+	// manifest, and nothing in the product reads them; they stay only
+	// because bench/trace.go compiles against Generations and the
+	// storage.Durability signatures (ROADMAP items 1(b) and 15 delete
+	// them). Written under commitMu, read by Generations, hence atomics.
 	rotGen, catGen atomic.Uint64
 }
 
@@ -158,9 +160,9 @@ func NewWithOptions(catalog *storage.Catalog, n *big.Int, opts Options) *Engine 
 }
 
 // NewWithDurability is NewWithOptions plus a persistence layer. The
-// catalog should be the one dur recovered into; the engine seeds its
-// generation counters from the recovered values so post-restart counters
-// continue where the crashed process stopped.
+// catalog should be the one dur recovered into; the engine's write
+// counters continue from the recovered ones, so the values logged after a
+// restart keep counting up.
 func NewWithDurability(catalog *storage.Catalog, n *big.Int, opts Options, dur storage.Durability) *Engine {
 	e := NewWithOptions(catalog, n, opts)
 	e.dur = dur
@@ -168,9 +170,6 @@ func NewWithDurability(catalog *storage.Catalog, n *big.Int, opts Options, dur s
 		g := dur.Recovered()
 		e.rotGen.Store(g.Rotation)
 		e.catGen.Store(g.Catalog)
-		// Re-pin the snapshot so its generation stamps carry the
-		// recovered counters, not zeros.
-		e.publishSnapshot()
 	}
 	return e
 }
@@ -201,8 +200,8 @@ func (e *Engine) BudgetPool() *spill.Pool {
 }
 
 // Generations returns the engine's rotation and catalog write counters.
-// A proxy constructed over a recovered engine seeds its plan-cache
-// generation stamps from these so they never regress across restarts.
+// Nothing in the product reads them: bench/trace.go compiles against this
+// method, and ROADMAP items 1(b) and 15 delete it with the counters.
 func (e *Engine) Generations() (rotation, catalog uint64) {
 	return e.rotGen.Load(), e.catGen.Load()
 }

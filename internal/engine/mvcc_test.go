@@ -21,6 +21,17 @@ import (
 	"sdb/internal/storage"
 )
 
+// TableVersion returns the generation of the named table's version inside
+// the snapshot, and whether the table exists in it: torn-read assertions
+// correlate reads with version generations.
+func (s *Snapshot) TableVersion(name string) (gen uint64, ok bool) {
+	ent, ok := s.tables[strings.ToLower(name)]
+	if !ok {
+		return 0, false
+	}
+	return ent.v.Gen, true
+}
+
 // mvccFixture builds a plaintext two-column table whose rows keep the
 // invariant a == b under "UPDATE t SET a = a + 1, b = b + 1": any mixed
 // old/new column observation breaks it.

@@ -98,9 +98,12 @@ func TestLikeMatch(t *testing.T) {
 
 func mustExpr(t *testing.T, src string) sqlparser.Expr {
 	t.Helper()
-	parsed, err := sqlparser.ParseExpr(src)
+	sel, err := sqlparser.ParseSelect("SELECT " + src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return parsed
+	if len(sel.Items) != 1 || sel.Items[0].Star {
+		t.Fatalf("%q is not one expression", src)
+	}
+	return sel.Items[0].Expr
 }

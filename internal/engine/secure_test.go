@@ -74,10 +74,9 @@ func TestEngineSecureSumViaSQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.s.DecryptFlat(res.Rows[0][0].B, flat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Under a flat key (x = 0) every row's item key is m: any row id
+	// decrypts the aggregate.
+	got := f.s.Decrypt(res.Rows[0][0].B, 0, flat)
 	if got.Int64() != 1049 {
 		t.Errorf("SUM = %s, want 1049", got)
 	}
@@ -97,14 +96,8 @@ func TestEngineSdbMinMaxViaSQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	minV, err := f.s.DecryptFlat(res.Rows[0][0].B, flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxV, err := f.s.DecryptFlat(res.Rows[0][1].B, flat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	minV := f.s.Decrypt(res.Rows[0][0].B, 0, flat)
+	maxV := f.s.Decrypt(res.Rows[0][1].B, 0, flat)
 	if minV.Int64() != -3 || maxV.Int64() != 1000 {
 		t.Errorf("min/max = %s/%s, want -3/1000", minV, maxV)
 	}
@@ -141,7 +134,11 @@ func TestEngineSdbSignViaSQL(t *testing.T) {
 
 	// const tag for 20 under flat
 	enc20, _ := f.s.Domain().Encode(big.NewInt(20))
-	tag20 := bigmod.Mul(enc20, bigmod.MustInv(flat.M, f.s.N()), f.s.N())
+	flatInv := new(big.Int).ModInverse(flat.M, f.s.N())
+	if flatInv == nil {
+		t.Fatal("flat key not invertible")
+	}
+	tag20 := bigmod.Mul(enc20, flatInv, f.s.N())
 	reveal := bigmod.Mul(flat.M, mflat.M, f.s.N())
 
 	sql := fmt.Sprintf(
@@ -212,10 +209,17 @@ func TestPruneHelperOnlySecureQuery(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	f := newSecureFixture(t, vals)
-	tok, err := f.s.ConstShareToken(big.NewInt(77), f.ck)
+	// sdb_const's token for 77 under f.ck: P·w^Q = 77·m⁻¹·w^(−x), a share
+	// of 77 in every row.
+	enc77, err := f.s.Domain().Encode(big.NewInt(77))
 	if err != nil {
 		t.Fatal(err)
 	}
+	mInv, err := bigmod.Inv(f.ck.M, f.s.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok := secure.Token{P: bigmod.Mul(enc77, mInv, f.s.N()), Q: new(big.Int).Neg(f.ck.X), Base: true}
 	sql := fmt.Sprintf(`SELECT sdb_const(sdb_w, %s, %s, %s) AS c FROM enc ORDER BY c`,
 		hex(tok.P), sqlparser.HexLit{V: tok.Q}, hex(f.s.N()))
 	run := func(planner string, budget int) (*Result, ExecStats) {

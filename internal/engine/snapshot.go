@@ -12,8 +12,7 @@ import (
 //
 // Every table's data is an atomically-swapped immutable storage.Version.
 // On top of that, the engine maintains one engine-wide Snapshot — the set
-// of (table, published version) pairs plus the generation counters — that
-// is itself rebuilt and atomically swapped at every commit, under commitMu.
+// of (table, published version) pairs — that is itself rebuilt and atomically swapped at every commit, under commitMu.
 // Pinning a Snapshot is therefore one atomic load that yields a
 // prefix-consistent view of the whole serial write history: if the
 // snapshot contains write W, it contains every write committed before W,
@@ -34,29 +33,12 @@ import (
 // with Engine.PinSnapshot; it stays valid (and readable) forever, even
 // across later drops of its tables.
 type Snapshot struct {
-	rot, cat uint64
-	tables   map[string]snapEntry
+	tables map[string]snapEntry
 }
 
 type snapEntry struct {
 	t *storage.Table
 	v *storage.Version
-}
-
-// Generations returns the rotation and catalog write counters the snapshot
-// was pinned at. Tests and the proxy's plan-cache stamping use them to
-// correlate a read with the serial write history.
-func (s *Snapshot) Generations() (rotation, catalog uint64) { return s.rot, s.cat }
-
-// TableVersion returns the generation of the named table's version inside
-// the snapshot, and whether the table exists in it (test hook: torn-read
-// assertions correlate reads with version generations).
-func (s *Snapshot) TableVersion(name string) (gen uint64, ok bool) {
-	ent, ok := s.tables[strings.ToLower(name)]
-	if !ok {
-		return 0, false
-	}
-	return ent.v.Gen, true
 }
 
 // table resolves a table reference against the snapshot.
@@ -70,8 +52,8 @@ func (s *Snapshot) table(name string) (snapEntry, error) {
 
 // PinSnapshot returns the current catalog snapshot: one atomic load, no
 // locks, valid indefinitely. Every SELECT pins exactly one. Exported for
-// tests that plan against a stable view (the planner suite) and assert
-// snapshot generations.
+// tests that plan against a stable view (the planner suite) and correlate
+// reads with table versions.
 func (e *Engine) PinSnapshot() *Snapshot { return e.snap.Load() }
 
 // publishSnapshot rebuilds the catalog snapshot from the live catalog and
@@ -84,7 +66,7 @@ func (e *Engine) publishSnapshot() {
 	for _, t := range tables {
 		m[strings.ToLower(t.Name)] = snapEntry{t: t, v: t.Load()}
 	}
-	e.snap.Store(&Snapshot{rot: e.rotGen.Load(), cat: e.catGen.Load(), tables: m})
+	e.snap.Store(&Snapshot{tables: m})
 }
 
 // RefreshCatalog re-pins the engine's catalog snapshot. Statement-path

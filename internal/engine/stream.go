@@ -45,7 +45,6 @@ type PreparedStmt interface {
 type Stmt struct {
 	e    *Engine
 	stmt sqlparser.Statement
-	src  string
 	// closed flips once on Close; Query then refuses with ErrStmtClosed,
 	// which keeps every holder honest about the statement's lifecycle.
 	closed atomic.Bool
@@ -57,7 +56,7 @@ func (e *Engine) Prepare(src string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{e: e, stmt: stmt, src: src}, nil
+	return &Stmt{e: e, stmt: stmt}, nil
 }
 
 // PrepareStream is Prepare returning the executor-neutral interface: with
@@ -65,9 +64,6 @@ func (e *Engine) Prepare(src string) (*Stmt, error) {
 func (e *Engine) PrepareStream(src string) (PreparedStmt, error) {
 	return e.Prepare(src)
 }
-
-// SQL returns the statement's source text.
-func (s *Stmt) SQL() string { return s.src }
 
 // Close releases the statement: later Query calls fail with
 // ErrStmtClosed. Cursors already returned by Query are unaffected.

@@ -17,6 +17,16 @@ import (
 	"sdb/internal/tpch"
 )
 
+// plainCreateStatements is tpch.CreateStatements without the SENSITIVE
+// annotations: the schema of the plaintext twin the differentials load.
+func plainCreateStatements() []string {
+	ddl := tpch.CreateStatements()
+	for i := range ddl {
+		ddl[i] = strings.ReplaceAll(ddl[i], " SENSITIVE", "")
+	}
+	return ddl
+}
+
 // createTPCH creates the TPC-H tables through exec.
 func createTPCH(t *testing.T, ddl []string, exec func(sql string) error) {
 	t.Helper()
@@ -46,7 +56,7 @@ func TestTPCHJoinSyntaxEquivalence(t *testing.T) {
 	}
 	execPlain := func(sql string) error { _, err := plainEng.ExecuteSQL(sql); return err }
 	execSDB := func(sql string) error { _, err := sdb.Exec(sql); return err }
-	createTPCH(t, tpch.PlainCreateStatements(), execPlain)
+	createTPCH(t, plainCreateStatements(), execPlain)
 	createTPCH(t, tpch.CreateStatements(), execSDB)
 	err = tpch.Generate(tpch.Config{ScaleFactor: 0.0002, Seed: 5}, func(sql string) error {
 		if err := execPlain(sql); err != nil {
@@ -119,7 +129,7 @@ func TestTPCHSpillPins(t *testing.T) {
 		e := engine.NewWithOptions(storage.NewCatalog(), nil, engine.Options{
 			Parallelism: 2, MemBudgetRows: budget, SpillDir: t.TempDir(), Planner: planner})
 		exec := func(sql string) error { _, err := e.ExecuteSQL(sql); return err }
-		createTPCH(t, tpch.PlainCreateStatements(), exec)
+		createTPCH(t, plainCreateStatements(), exec)
 		if err := tpch.Generate(tpch.Config{ScaleFactor: 0.003, Seed: 42}, exec); err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +199,7 @@ func TestTPCHPoolMarks(t *testing.T) {
 	}
 	execPlain := func(sql string) error { _, err := plainEng.ExecuteSQL(sql); return err }
 	execSDB := func(sql string) error { _, err := sdb.Exec(sql); return err }
-	createTPCH(t, tpch.PlainCreateStatements(), execPlain)
+	createTPCH(t, plainCreateStatements(), execPlain)
 	createTPCH(t, tpch.CreateStatements(), execSDB)
 	err = tpch.Generate(tpch.Config{ScaleFactor: 0.0002, Seed: 5}, func(sql string) error {
 		if err := execPlain(sql); err != nil {

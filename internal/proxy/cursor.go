@@ -202,14 +202,6 @@ func (r *Rows) peek() (types.Row, error) {
 	return row, nil
 }
 
-// Err returns the first error hit by the cursor (io.EOF excluded).
-func (r *Rows) Err() error {
-	if r.err == io.EOF {
-		return nil
-	}
-	return r.err
-}
-
 // Stats returns the cursor's cost breakdown so far: the prepare-time parse
 // and rewrite costs plus the accumulated server wait and decrypt times.
 // Both are spent on the caller's goroutine, so they add up to the time

@@ -218,7 +218,7 @@ func keyMaterial(p *Proxy, table, col string) []string {
 func TestKeyTableStatsAndRedaction(t *testing.T) {
 	p, _ := bankSystem(t)
 	res := mustP(t, p, `SELECT balance, opened FROM accounts`)
-	st := p.KeyTableStats()
+	st := p.secret.KeyTableStats()
 	// balance, opened and the mask column were encrypted (three tables
 	// modulo n); balance and opened were read (two modulo p₁, half the
 	// size each); nothing evicted.
@@ -302,7 +302,7 @@ func TestDecryptRacesTableBuildsAndRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	built := p.KeyTableStats().Builds
+	built := p.secret.KeyTableStats().Builds
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -342,7 +342,7 @@ func TestDecryptRacesTableBuildsAndRotation(t *testing.T) {
 	wg.Wait()
 	// big's new keys — v, w and the product's ⟨m_v·m_w, x_v+x_w⟩ (factors
 	// of one alias merge) — and side's six were each built exactly once.
-	if got := p.KeyTableStats().Builds - built; got != 9 {
+	if got := p.secret.KeyTableStats().Builds - built; got != 9 {
 		t.Fatalf("%d tables built during the race, want 9", got)
 	}
 }

@@ -6,6 +6,7 @@
 package proxy
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"slices"
@@ -29,12 +30,6 @@ type TableMeta struct {
 	Keys map[string]secure.ColumnKey
 	// MaskKey is the column key of the hidden mask column.
 	MaskKey secure.ColumnKey
-}
-
-// Sensitive reports whether the named user column is sensitive.
-func (m *TableMeta) Sensitive(col string) bool {
-	_, ok := m.Keys[strings.ToLower(col)]
-	return ok
 }
 
 // Key returns the column key for a sensitive column.
@@ -73,16 +68,17 @@ func (m *TableMeta) withKey(column string, k secure.ColumnKey) *TableMeta {
 type KeyStore struct {
 	mu      sync.RWMutex
 	tables  map[string]*TableMeta
-	locks   map[string]*sync.RWMutex // one per name ever locked; a waiter may hold a dropped table's
+	locks   map[string]*keyLock // one per name ever locked; a waiter may hold a dropped table's
 	version uint64
-	// lockHook, set only by tests, runs before a statement waits on a key
-	// lock; it lets a test order a statement against a rotation.
+	// lockHook, set only by tests, runs when a statement starts waiting on
+	// a key lock that is not free; it lets a test order a statement
+	// against a rotation.
 	lockHook func(table string, exclusive bool)
 }
 
 // NewKeyStore returns an empty key store.
 func NewKeyStore() *KeyStore {
-	return &KeyStore{tables: make(map[string]*TableMeta), locks: make(map[string]*sync.RWMutex)}
+	return &KeyStore{tables: make(map[string]*TableMeta), locks: make(map[string]*keyLock)}
 }
 
 // Put registers metadata for a table.
@@ -139,36 +135,96 @@ func (ks *KeyStore) Version() uint64 {
 	return ks.version
 }
 
+// keyLock is one table's key lock: shared holders or one exclusive holder,
+// with a waiting exclusive taker blocking new shared ones (as in
+// sync.RWMutex). Its state is guarded by KeyStore.mu; changed is closed and
+// replaced whenever a waiter might now proceed.
+type keyLock struct {
+	shared   int
+	held     bool // exclusively
+	xWaiting int
+	changed  chan struct{}
+}
+
+func (l *keyLock) wake() {
+	close(l.changed)
+	l.changed = make(chan struct{})
+}
+
 // lock takes the key locks of the named tables, exclusively or shared, in
 // sorted order — so no two statements wait on each other in a cycle — and
-// returns their release.
-func (ks *KeyStore) lock(exclusive bool, tables ...string) (unlock func()) {
+// returns their release. A waiter whose ctx ends stops waiting, releases
+// the locks it already took and returns ctx.Err().
+func (ks *KeyStore) lock(ctx context.Context, exclusive bool, tables ...string) (unlock func(), err error) {
 	names := make([]string, len(tables))
 	for i, t := range tables {
 		names[i] = strings.ToLower(t)
 	}
 	slices.Sort(names)
 	names = slices.Compact(names)
-	ls := make([]sync.Locker, len(names))
-	ks.mu.Lock()
-	for i, n := range names {
-		if ks.locks[n] == nil {
-			ks.locks[n] = new(sync.RWMutex)
-		}
-		if ls[i] = ks.locks[n]; !exclusive {
-			ls[i] = ks.locks[n].RLocker()
-		}
-	}
-	ks.mu.Unlock()
-	for i, l := range ls {
-		if ks.lockHook != nil {
-			ks.lockHook(names[i], exclusive)
-		}
-		l.Lock()
-	}
-	return func() {
+	ls := make([]*keyLock, 0, len(names))
+	unlock = func() {
+		ks.mu.Lock()
+		defer ks.mu.Unlock()
 		for _, l := range ls {
-			l.Unlock()
+			if exclusive {
+				l.held = false
+			} else {
+				l.shared--
+			}
+			if !l.held && l.shared == 0 {
+				l.wake()
+			}
+		}
+	}
+	for _, n := range names {
+		l, err := ks.take(ctx, n, exclusive)
+		if err != nil {
+			unlock()
+			return nil, err
+		}
+		ls = append(ls, l)
+	}
+	return unlock, nil
+}
+
+// take waits for table's key lock until it is free for the asked kind or
+// ctx ends.
+func (ks *KeyStore) take(ctx context.Context, table string, exclusive bool) (*keyLock, error) {
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	l := ks.locks[table]
+	if l == nil {
+		l = &keyLock{changed: make(chan struct{})}
+		ks.locks[table] = l
+	}
+	if exclusive {
+		l.xWaiting++
+		defer func() { l.xWaiting-- }()
+	}
+	for waited := false; ; waited = true {
+		if exclusive && !l.held && l.shared == 0 {
+			l.held = true
+			return l, nil
+		}
+		if !exclusive && !l.held && l.xWaiting == 0 {
+			l.shared++
+			return l, nil
+		}
+		changed := l.changed
+		ks.mu.Unlock()
+		if !waited && ks.lockHook != nil {
+			ks.lockHook(table, exclusive)
+		}
+		select {
+		case <-changed:
+			ks.mu.Lock()
+		case <-ctx.Done():
+			ks.mu.Lock()
+			if exclusive {
+				l.wake() // shared takers held back by this waiter may go
+			}
+			return nil, ctx.Err()
 		}
 	}
 }
@@ -184,16 +240,4 @@ func (ks *KeyStore) All() map[string]*TableMeta {
 		out[k] = m
 	}
 	return out
-}
-
-// NumKeys returns the total number of column keys stored — the paper's
-// point is that this is O(#sensitive columns), not O(rows).
-func (ks *KeyStore) NumKeys() int {
-	ks.mu.RLock()
-	defer ks.mu.RUnlock()
-	n := 0
-	for _, m := range ks.tables {
-		n += len(m.Keys) + 1 // + mask key
-	}
-	return n
 }

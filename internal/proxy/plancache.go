@@ -28,8 +28,6 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"sdb/internal/secure"
 )
 
 // planCacheSize bounds the cache, in statements.
@@ -114,10 +112,3 @@ func (c *planCache) len() int {
 func (p *Proxy) PlanCacheStats() (hits, misses uint64) {
 	return p.cache.hits.Load(), p.cache.misses.Load()
 }
-
-// KeyTableStats reports the counters of the scheme secret's memo of
-// per-column-key comb tables (secure/keytable.go): how many tables the
-// item keys of this proxy's encrypts and decrypts keep resident, their
-// size, and how many were built and evicted. Counters only — nothing of a
-// key is derivable from them.
-func (p *Proxy) KeyTableStats() secure.KeyTableStats { return p.secret.KeyTableStats() }

@@ -109,12 +109,6 @@ func (p *Proxy) SetOptions(opts Options) {
 	p.cache = newPlanCache(planCacheSize)
 }
 
-// Secret exposes the scheme secret (examples and tests need the params).
-func (p *Proxy) Secret() *secure.Secret { return p.secret }
-
-// KeyStore exposes the proxy's key store.
-func (p *Proxy) KeyStore() *KeyStore { return p.store }
-
 // Stats is the per-query cost breakdown the demo shows in step 2: the
 // client cost (parse + rewrite + decrypt) versus the server cost.
 type Stats struct {
@@ -225,7 +219,11 @@ func (p *Proxy) execDrop(ctx context.Context, s *sqlparser.DropTable, st Stats) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	defer p.store.lock(true, s.Name)()
+	unlock, err := p.store.lock(ctx, true, s.Name)
+	if err != nil {
+		return nil, err
+	}
+	defer unlock()
 	if _, err := p.store.Get(s.Name); err != nil {
 		return nil, err
 	}
@@ -249,7 +247,11 @@ func (p *Proxy) execDrop(ctx context.Context, s *sqlparser.DropTable, st Stats) 
 // table's key lock shared from the key lookup until the SP acknowledges.
 // ctx is checked per encryption chunk and before the upload is forwarded.
 func (p *Proxy) execInsert(ctx context.Context, s *sqlparser.Insert, st Stats) (*Result, error) {
-	defer p.store.lock(false, s.Table)()
+	unlock, err := p.store.lock(ctx, false, s.Table)
+	if err != nil {
+		return nil, err
+	}
+	defer unlock()
 	t0 := time.Now()
 	meta, err := p.store.Get(s.Table)
 	if err != nil {

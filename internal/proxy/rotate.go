@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -35,7 +36,11 @@ func (p *Proxy) RotateMask(table string) (Stats, error) {
 // under old tokens.
 func (p *Proxy) rotate(table, column string) (Stats, error) {
 	var st Stats
-	defer p.store.lock(true, table)()
+	unlock, err := p.store.lock(context.Background(), true, table)
+	if err != nil {
+		return st, err
+	}
+	defer unlock()
 	t0 := time.Now()
 	meta, err := p.store.Get(table)
 	if err != nil {

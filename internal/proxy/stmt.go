@@ -40,7 +40,6 @@ const (
 // execution time, so a prepared CREATE can run at most once.
 type Stmt struct {
 	p    *Proxy
-	src  string
 	kind stmtKind
 	// prep records the one-time Parse/Rewrite cost, folded into each
 	// execution's Stats.
@@ -84,7 +83,7 @@ func (p *Proxy) PrepareContext(ctx context.Context, sql string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Stmt{p: p, src: sql}
+	s := &Stmt{p: p}
 	s.prep.Parse = time.Since(t0)
 
 	switch st := parsed.(type) {
@@ -150,9 +149,6 @@ func (s *Stmt) prepareSelect() error {
 // IsQuery reports whether the statement returns a row stream (a SELECT).
 func (s *Stmt) IsQuery() bool { return s.kind == kindSelect }
 
-// SQL returns the statement's original source text.
-func (s *Stmt) SQL() string { return s.src }
-
 // Close releases the statement and closes its open cursor, if any.
 func (s *Stmt) Close() error {
 	s.mu.Lock()
@@ -200,7 +196,10 @@ func (s *Stmt) QueryContext(ctx context.Context) (*Rows, error) {
 	// pinned the SP's snapshot, so no rotation commits in between and the
 	// plan's tokens match the shares the snapshot holds. A stale stamp
 	// (CREATE, DROP or rotation since the derivation) re-derives first.
-	unlock := s.p.store.lock(false, tables...)
+	unlock, err := s.p.store.lock(ctx, false, tables...)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	stale := s.version != s.p.store.Version()
 	s.mu.Unlock()

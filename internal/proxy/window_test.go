@@ -9,10 +9,12 @@ package proxy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sdb/internal/engine"
 	"sdb/internal/secure"
@@ -86,7 +88,7 @@ func windowSystem(t *testing.T, remote bool) (*Proxy, *gatedExec) {
 	}
 	g := &gatedExec{Executor: engine.New(storage.NewCatalog(), secret.N())}
 	if remote {
-		srv := server.New(secret.N())
+		srv := server.NewWithOptions(secret.N(), engine.Options{})
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -308,5 +310,202 @@ func TestSelectDuringRotation(t *testing.T) {
 				})
 			})
 		}
+	}
+}
+
+// TestCancelWhileWaitingOnRotation: a statement cancelled while it waits on
+// a table's key lock behind a parked rotation returns context.Canceled at
+// once, not when the rotation ends: a key lock that cannot be abandoned (a
+// sync.RWMutex) makes it wait the rotation out. Afterwards every row still
+// decrypts, and the cancelled waiter left no lock behind: a later
+// rotation of the table runs.
+func TestCancelWhileWaitingOnRotation(t *testing.T) {
+	for _, st := range []struct {
+		name string
+		run  func(context.Context, *Proxy) error
+	}{
+		{"select/oneshot", func(ctx context.Context, p *Proxy) error {
+			_, err := p.ExecContext(ctx, `SELECT id, v FROM t`)
+			return err
+		}},
+		{"select/prepared", func(ctx context.Context, p *Proxy) error {
+			stmt, err := p.Prepare(`SELECT id, v FROM t WHERE v > 0`)
+			if err != nil {
+				return err
+			}
+			defer stmt.Close()
+			_, err = stmt.ExecContext(ctx)
+			return err
+		}},
+		{"insert", func(ctx context.Context, p *Proxy) error {
+			_, err := p.ExecContext(ctx, `INSERT INTO t VALUES (100, 7), (101, -7)`)
+			return err
+		}},
+	} {
+		t.Run(st.name, func(t *testing.T) {
+			executors(t, func(t *testing.T, remote bool) {
+				p, g := windowSystem(t, remote)
+				g.afterUpdate = newGate()
+				var release sync.Once
+				unpark := func() { release.Do(func() { close(g.afterUpdate.release) }) }
+				t.Cleanup(unpark)
+				atLock := onLock(p, false)
+
+				rotErr := make(chan error, 1)
+				go func() { _, err := p.RotateColumn("t", "v"); rotErr <- err }()
+				<-g.afterUpdate.reached
+
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				stErr := make(chan error, 1)
+				go func() { stErr <- st.run(ctx, p) }()
+				select {
+				case <-atLock:
+				case err := <-stErr:
+					t.Fatalf("statement finished inside the rotation's window: %v", err)
+				}
+				cancel()
+				select {
+				case err := <-stErr:
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("cancelled statement returned %v, want context.Canceled", err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("cancelled statement still waits on the parked rotation's key lock")
+				}
+				select {
+				case err := <-rotErr:
+					t.Fatalf("rotation finished while parked: %v", err)
+				default:
+				}
+
+				unpark()
+				if err := <-rotErr; err != nil {
+					t.Fatalf("rotation: %v", err)
+				}
+				res, err := p.Exec(`SELECT id, v FROM t`)
+				if err != nil {
+					t.Fatalf("reading back: %v", err)
+				}
+				if len(res.Rows) != windowRows {
+					t.Fatalf("%d rows, want %d", len(res.Rows), windowRows)
+				}
+				for _, row := range res.Rows {
+					if id := row[0].I; row[1].I != 50*id-600 {
+						t.Fatalf("row %d decrypted to %d, want %d", id, row[1].I, 50*id-600)
+					}
+				}
+				p.store.lockHook = nil
+				rotated := make(chan error, 1)
+				go func() { _, err := p.RotateColumn("t", "v"); rotated <- err }()
+				select {
+				case err := <-rotated:
+					if err != nil {
+						t.Fatalf("later rotation: %v", err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a later rotation is blocked: the cancelled waiter left a key lock behind")
+				}
+			})
+		})
+	}
+}
+
+// TestKeyLockWaitingExclusiveBlocksShared: as with sync.RWMutex, a waiting
+// exclusive taker holds back new shared takers; when that waiter gives up,
+// the shared takers it held back go at once.
+func TestKeyLockWaitingExclusiveBlocksShared(t *testing.T) {
+	ks := NewKeyStore()
+	waits := make(chan bool, 2) // one exclusive, then one shared waiter
+	ks.lockHook = func(_ string, exclusive bool) { waits <- exclusive }
+	unlockA, err := ks.lock(context.Background(), false, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xCtx, cancelX := context.WithCancel(context.Background())
+	defer cancelX()
+	xErr := make(chan error, 1)
+	go func() {
+		unlock, err := ks.lock(xCtx, true, "t")
+		if err == nil {
+			unlock()
+		}
+		xErr <- err
+	}()
+	if !<-waits {
+		t.Fatal("the exclusive taker did not wait behind a shared holder")
+	}
+	sharedErr := make(chan error, 1)
+	go func() {
+		unlock, err := ks.lock(context.Background(), false, "t")
+		if err == nil {
+			unlock()
+		}
+		sharedErr <- err
+	}()
+	if <-waits {
+		t.Fatal("want the shared taker to wait behind the waiting exclusive one")
+	}
+	cancelX()
+	if err := <-xErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled exclusive taker: %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-sharedErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("shared taker still held back by a cancelled exclusive waiter")
+	}
+	unlockA()
+	unlock, err := ks.lock(context.Background(), true, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlock()
+}
+
+// TestKeyLockCancelReleasesTaken: a statement over tables a and t takes a's
+// lock, then waits on t's behind a rotation; cancelled there, it gives a's
+// lock back, so a rotation of a is not blocked by it.
+func TestKeyLockCancelReleasesTaken(t *testing.T) {
+	ks := NewKeyStore()
+	waiting := make(chan string, 1)
+	ks.lockHook = func(table string, _ bool) { waiting <- table }
+	unlockT, err := ks.lock(context.Background(), true, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unlockT()
+	ctx, cancel := context.WithCancel(context.Background())
+	stErr := make(chan error, 1)
+	go func() {
+		_, err := ks.lock(ctx, false, "t", "a")
+		stErr <- err
+	}()
+	if table := <-waiting; table != "t" {
+		t.Fatalf("the statement waits on %q, want t", table)
+	}
+	cancel()
+	if err := <-stErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled statement: %v, want context.Canceled", err)
+	}
+	ks.lockHook = nil
+	rotated := make(chan error, 1)
+	go func() {
+		unlock, err := ks.lock(context.Background(), true, "a")
+		if err == nil {
+			unlock()
+		}
+		rotated <- err
+	}()
+	select {
+	case err := <-rotated:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a's key lock is still held by the cancelled statement")
 	}
 }

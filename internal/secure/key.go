@@ -20,16 +20,6 @@ type ColumnKey struct {
 	X *big.Int
 }
 
-// Clone returns a deep copy.
-func (ck ColumnKey) Clone() ColumnKey {
-	return ColumnKey{M: new(big.Int).Set(ck.M), X: new(big.Int).Set(ck.X)}
-}
-
-// Equal reports component-wise equality.
-func (ck ColumnKey) Equal(other ColumnKey) bool {
-	return ck.M.Cmp(other.M) == 0 && ck.X.Cmp(other.X) == 0
-}
-
 // String renders a REDACTED description, like Token.String: a column key
 // is the secret itself, so only the component widths survive formatting.
 func (ck ColumnKey) String() string {
@@ -97,14 +87,4 @@ func (s *Secret) MulPlainKey(a ColumnKey, c *big.Int) (ColumnKey, error) {
 		M: bigmod.Mul(a.M, enc, s.params.N),
 		X: new(big.Int).Set(a.X),
 	}, nil
-}
-
-// NegKey returns the column key under which the unchanged shares of A
-// represent −A: m' = (n−1)·m, the plaintext-multiplication rule for c = −1.
-func (s *Secret) NegKey(a ColumnKey) ColumnKey {
-	minusOne := new(big.Int).Sub(s.params.N, one)
-	return ColumnKey{
-		M: bigmod.Mul(a.M, minusOne, s.params.N),
-		X: new(big.Int).Set(a.X),
-	}
 }

@@ -3,7 +3,6 @@ package secure
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/big"
 
@@ -101,26 +100,6 @@ func (s *Secret) EncryptInt64(v int64, r RowID, ck ColumnKey) (*big.Int, error) 
 func (s *Secret) Decrypt(ve *big.Int, r RowID, ck ColumnKey) *big.Int {
 	vk := s.ItemKey(r, ck)
 	return s.domain.Decode(bigmod.Mul(ve, vk, s.params.N))
-}
-
-// DecryptInt64 decrypts and narrows to int64, failing loudly if the
-// plaintext does not fit (which indicates share corruption).
-func (s *Secret) DecryptInt64(ve *big.Int, r RowID, ck ColumnKey) (int64, error) {
-	v := s.Decrypt(ve, r, ck)
-	if !v.IsInt64() {
-		return 0, fmt.Errorf("secure: decrypted value <%d bits> overflows int64", v.BitLen())
-	}
-	return v.Int64(), nil
-}
-
-// DecryptFlat decrypts a share produced under a flat key (x = 0), such as a
-// SUM aggregate or a deterministic tag: the item key is m for every row, so
-// no row id is needed.
-func (s *Secret) DecryptFlat(ve *big.Int, ck ColumnKey) (*big.Int, error) {
-	if ck.X.Sign() != 0 {
-		return nil, errors.New("secure: DecryptFlat needs a flat key (x = 0)")
-	}
-	return s.domain.Decode(bigmod.Mul(ve, ck.M, s.params.N)), nil
 }
 
 // NewMaskValue draws the random positive multiplier used by the comparison

@@ -1,12 +1,67 @@
 package secure
 
 import (
+	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
 
 	"sdb/internal/bigmod"
 )
+
+// DecryptInt64 decrypts and narrows to int64, failing loudly if the
+// plaintext does not fit (which indicates share corruption).
+func (s *Secret) DecryptInt64(ve *big.Int, r RowID, ck ColumnKey) (int64, error) {
+	v := s.Decrypt(ve, r, ck)
+	if !v.IsInt64() {
+		return 0, fmt.Errorf("secure: decrypted value <%d bits> overflows int64", v.BitLen())
+	}
+	return v.Int64(), nil
+}
+
+// DecryptFlat decrypts a share produced under a flat key (x = 0), such as a
+// SUM aggregate or a deterministic tag: the item key is m for every row, so
+// no row id is needed.
+func (s *Secret) DecryptFlat(ve *big.Int, ck ColumnKey) (*big.Int, error) {
+	if ck.X.Sign() != 0 {
+		return nil, errors.New("secure: DecryptFlat needs a flat key (x = 0)")
+	}
+	return s.domain.Decode(bigmod.Mul(ve, ck.M, s.params.N)), nil
+}
+
+// NegKey returns the column key under which the unchanged shares of A
+// represent −A: m' = (n−1)·m, the plaintext-multiplication rule for c = −1.
+func (s *Secret) NegKey(a ColumnKey) ColumnKey {
+	minusOne := new(big.Int).Sub(s.params.N, one)
+	return ColumnKey{
+		M: bigmod.Mul(a.M, minusOne, s.params.N),
+		X: new(big.Int).Set(a.X),
+	}
+}
+
+// ConstShareToken builds the token that materialises, for every row, a
+// share of the constant c under column key ck: the SP computes
+// P·w^Q = c·m⁻¹·w^(−x) = c·vk⁻¹. Plaintext addition A + c rewrites to
+// AddShares(A, ConstShare(c)) after key-updating A to ck.
+func (s *Secret) ConstShareToken(c *big.Int, ck ColumnKey) (Token, error) {
+	if !ck.valid(s.params.N) {
+		return Token{}, fmt.Errorf("secure: invalid column key in const share")
+	}
+	enc, err := s.domain.Encode(c)
+	if err != nil {
+		return Token{}, err
+	}
+	mInv, err := bigmod.Inv(ck.M, s.params.N)
+	if err != nil {
+		return Token{}, fmt.Errorf("secure: column key not invertible: %w", err)
+	}
+	return Token{
+		P:    bigmod.Mul(enc, mInv, s.params.N),
+		Q:    new(big.Int).Neg(ck.X),
+		Base: true,
+	}, nil
+}
 
 // paperSecret reproduces the parameters of the paper's Figure 1 worked
 // example: ρ1=5, ρ2=7 (n=35), g=2.

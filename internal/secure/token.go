@@ -86,29 +86,6 @@ func (s *Secret) RevealToken(ck ColumnKey) (Token, error) {
 	}, nil
 }
 
-// ConstShareToken builds the token that materialises, for every row, a
-// share of the constant c under column key ck: the SP computes
-// P·w^Q = c·m⁻¹·w^(−x) = c·vk⁻¹. Plaintext addition A + c rewrites to
-// AddShares(A, ConstShare(c)) after key-updating A to ck.
-func (s *Secret) ConstShareToken(c *big.Int, ck ColumnKey) (Token, error) {
-	if !ck.valid(s.params.N) {
-		return Token{}, fmt.Errorf("secure: invalid column key in const share")
-	}
-	enc, err := s.domain.Encode(c)
-	if err != nil {
-		return Token{}, err
-	}
-	mInv, err := bigmod.Inv(ck.M, s.params.N)
-	if err != nil {
-		return Token{}, fmt.Errorf("secure: column key not invertible: %w", err)
-	}
-	return Token{
-		P:    bigmod.Mul(enc, mInv, s.params.N),
-		Q:    new(big.Int).Neg(ck.X),
-		Base: true,
-	}, nil
-}
-
 // ApplyToken is the SP-side UDF: out = P·ve·w^Q mod n (or P·w^Q for
 // constant-share tokens). It uses only public material — the token, the
 // stored share and the stored row helper. It is the scalar definition the

@@ -78,13 +78,8 @@ type Server struct {
 	closed     bool
 }
 
-// New builds a server over a fresh catalog with the public modulus n.
-func New(n *big.Int) *Server {
-	return NewWithOptions(n, engine.Options{})
-}
-
-// NewWithOptions is New with explicit engine execution options (chunked
-// parallel secure-operator evaluation).
+// NewWithOptions builds a server over a fresh catalog with the public
+// modulus n and the given engine execution options.
 func NewWithOptions(n *big.Int, opts engine.Options) *Server {
 	return NewWithEngine(engine.NewWithOptions(storage.NewCatalog(), n, opts))
 }
@@ -105,9 +100,6 @@ func NewWithEngine(eng *engine.Engine) *Server {
 	registerHelperPowerGauges(s)
 	return s
 }
-
-// Engine exposes the underlying engine (attack-harness inspection).
-func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // SetMaxSessionStmts bounds open cursors per connection (<= 0 restores
 // the default). Safe to call on a live server; in-flight sessions see the

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"sdb/internal/engine"
 	"sdb/internal/proxy"
 	"sdb/internal/secure"
 )
@@ -15,7 +16,7 @@ func TestProxyOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(secret.N())
+	srv := NewWithOptions(secret.N(), engine.Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func TestProxyOverTCP(t *testing.T) {
 
 func TestServerReportsErrors(t *testing.T) {
 	secret, _ := secure.Setup(256, 40, 40)
-	srv := New(secret.N())
+	srv := NewWithOptions(secret.N(), engine.Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +115,7 @@ func TestEmptyAggregateKeepsServerAlive(t *testing.T) {
 // pool goroutine, taking the whole process down. Each is a plan-time error
 // frame now, and the same session keeps serving.
 func TestMalformedUDFsKeepServerAlive(t *testing.T) {
-	srv := New(nil)
+	srv := NewWithOptions(nil, engine.Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +159,7 @@ func TestMalformedUDFsKeepServerAlive(t *testing.T) {
 }
 
 func TestServeBeforeListen(t *testing.T) {
-	srv := New(nil)
+	srv := NewWithOptions(nil, engine.Options{})
 	if err := srv.Serve(); err == nil {
 		t.Error("expected error")
 	}
@@ -166,7 +167,7 @@ func TestServeBeforeListen(t *testing.T) {
 
 func TestClientClosed(t *testing.T) {
 	secret, _ := secure.Setup(256, 40, 40)
-	srv := New(secret.N())
+	srv := NewWithOptions(secret.N(), engine.Options{})
 	addr, _ := srv.Listen("127.0.0.1:0")
 	go srv.Serve()
 	defer srv.Close()

@@ -162,14 +162,6 @@ func (b *Budget) Release(n int) {
 	}
 }
 
-// Used reports the rows currently reserved.
-func (b *Budget) Used() int {
-	if b == nil {
-		return 0
-	}
-	return int(b.used.Load())
-}
-
 // MaxUsed reports the reservation high-water mark over the budget's
 // lifetime. TryReserve keeps it at or under the soft threshold even
 // under concurrent reservations (the CAS admits or refuses atomically);

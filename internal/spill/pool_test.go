@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// Used reports the rows currently reserved.
+func (b *Budget) Used() int {
+	if b == nil {
+		return 0
+	}
+	return int(b.used.Load())
+}
+
 func TestPoolReserveRefuseRelease(t *testing.T) {
 	p := NewPool(100)
 	if !p.TryReserve(60) || !p.TryReserve(40) {

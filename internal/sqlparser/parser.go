@@ -43,23 +43,6 @@ func ParseSelect(src string) (*Select, error) {
 	return sel, nil
 }
 
-// ParseExpr parses a standalone scalar expression (used by tests).
-func ParseExpr(src string) (Expr, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek().kind != tokEOF {
-		return nil, fmt.Errorf("sqlparser: trailing input at %q", p.peek().text)
-	}
-	return e, nil
-}
-
 type parser struct {
 	toks []token
 	i    int

@@ -1,12 +1,30 @@
 package sqlparser
 
 import (
+	"fmt"
 	"math/big"
 	"strings"
 	"testing"
 
 	"sdb/internal/types"
 )
+
+// ParseExpr parses a standalone scalar expression.
+func ParseExpr(src string) (Expr, error) {
+	toks, err := lex(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if p.peek().kind != tokEOF {
+		return nil, fmt.Errorf("sqlparser: trailing input at %q", p.peek().text)
+	}
+	return e, nil
+}
 
 func mustParse(t *testing.T, src string) Statement {
 	t.Helper()

@@ -6,13 +6,13 @@ import (
 	"sdb/internal/types"
 )
 
-// Generations are the monotonic write counters the proxy's plan cache
-// stamps entries with: Rotation counts key rotations (token-invalidating),
-// Catalog counts catalog-shape changes (CREATE/INSERT/DROP). A durability
-// layer persists them with every record so a restarted service provider
-// reports counters that never move backwards — a proxy that seeds its own
-// counters from the recovered values can therefore never have a cached
-// plan's stamp collide with a pre-restart generation.
+// Generations are the engine's monotonic write counters: Rotation counts
+// key rotations, Catalog every other write (CREATE/INSERT/DROP). A
+// durability layer writes them to every record and to the manifest, and
+// nothing in the product reads them back: the proxy stamps its plans with
+// its own key-store version. They remain only because bench/trace.go
+// compiles against Engine.Generations and the Durability signatures below
+// (ROADMAP items 1(b) and 15 delete them).
 type Generations struct {
 	Rotation uint64
 	Catalog  uint64

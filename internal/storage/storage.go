@@ -111,9 +111,6 @@ func (t *Table) Load() *Version { return t.cur.Load() }
 // NumRows returns the published version's row count.
 func (t *Table) NumRows() int { return t.cur.Load().NumRows() }
 
-// RowAt materialises row i of the published version (copy).
-func (t *Table) RowAt(i int) types.Row { return t.cur.Load().RowAt(i) }
-
 // LockWriter serializes this table's writers. Hold it across building the
 // next version (AppendLocked/SwapColsLocked) and publishing it
 // (PublishLocked); readers never take it.

@@ -7,6 +7,9 @@ import (
 	"sdb/internal/types"
 )
 
+// RowAt materialises row i of the published version (copy).
+func (t *Table) RowAt(i int) types.Row { return t.cur.Load().RowAt(i) }
+
 func testSchema(t *testing.T) types.Schema {
 	t.Helper()
 	s, err := types.NewSchema([]types.Column{

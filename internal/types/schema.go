@@ -69,22 +69,5 @@ func (s Schema) Find(name string) int {
 // Len returns the number of columns.
 func (s Schema) Len() int { return len(s.Columns) }
 
-// HasSensitive reports whether any column is sensitive.
-func (s Schema) HasSensitive() bool {
-	for _, c := range s.Columns {
-		if c.Type.Sensitive {
-			return true
-		}
-	}
-	return false
-}
-
 // Row is one tuple of values, parallel to a schema's columns.
 type Row []Value
-
-// Clone returns a shallow copy of the row (values are immutable).
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}

@@ -6,6 +6,31 @@ import (
 	"testing/quick"
 )
 
+// HasSensitive reports whether any column is sensitive.
+func (s Schema) HasSensitive() bool {
+	for _, c := range s.Columns {
+		if c.Type.Sensitive {
+			return true
+		}
+	}
+	return false
+}
+
+// Clone returns a shallow copy of the row (values are immutable).
+func (r Row) Clone() Row {
+	out := make(Row, len(r))
+	copy(out, r)
+	return out
+}
+
+// Share returns the underlying big.Int for SHARE values, nil otherwise.
+func (v Value) Share() *big.Int {
+	if v.K != KindShare {
+		return nil
+	}
+	return v.B
+}
+
 func TestValueConstructorsAndKinds(t *testing.T) {
 	cases := []struct {
 		v    Value

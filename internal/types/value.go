@@ -109,14 +109,6 @@ func (v Value) IsNull() bool { return v.K == KindNull }
 // Bool returns the boolean interpretation; NULL is false.
 func (v Value) Bool() bool { return v.K == KindBool && v.I != 0 }
 
-// Share returns the underlying big.Int for SHARE values, nil otherwise.
-func (v Value) Share() *big.Int {
-	if v.K != KindShare {
-		return nil
-	}
-	return v.B
-}
-
 // DateFromTime converts a time to a DATE value (UTC calendar day).
 func DateFromTime(t time.Time) Value {
 	return NewDate(t.UTC().Unix() / 86400)

@@ -301,21 +301,11 @@ func frame(payload []byte) []byte {
 	return buf
 }
 
-// RecordInfo locates one intact record inside a log file: its LSN and the
-// file offset just past its frame (a valid crash/truncation boundary). The
-// kill-point harness enumerates these to simulate a crash after every
-// record.
-type RecordInfo struct {
-	LSN uint64
-	End int64
-}
-
 // scannedLog is one fully scanned log file.
 type scannedLog struct {
 	path     string
 	startLSN uint64
 	records  []Record
-	infos    []RecordInfo
 	// validLen is the offset after the last intact frame; anything past it
 	// is a torn tail to truncate.
 	validLen int64
@@ -338,7 +328,6 @@ func scanLogFile(path string) (*scannedLog, error) {
 	}
 	sl.startLSN = binary.LittleEndian.Uint64(data[len(logMagic):headerLen])
 	off := int64(headerLen)
-	lsn := sl.startLSN
 	for {
 		rest := data[off:]
 		if len(rest) < frameLen {
@@ -361,21 +350,8 @@ func scanLogFile(path string) (*scannedLog, error) {
 			break
 		}
 		off += frameLen + int64(plen)
-		lsn++
 		sl.records = append(sl.records, *rec)
-		sl.infos = append(sl.infos, RecordInfo{LSN: lsn, End: off})
 	}
 	sl.validLen = off
 	return sl, nil
-}
-
-// LogRecords scans a WAL log file and returns its start LSN plus the
-// location of every intact record. Debugging aid and the kill-point
-// harness's boundary enumerator.
-func LogRecords(path string) (startLSN uint64, infos []RecordInfo, err error) {
-	sl, err := scanLogFile(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	return sl.startLSN, sl.infos, nil
 }

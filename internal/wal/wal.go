@@ -65,9 +65,9 @@ type Options struct {
 
 // RecoveryInfo describes the state rebuilt by Open.
 type RecoveryInfo struct {
-	// Generations are the proxy's rotation/catalog counters as of the last
-	// durable statement; the engine and proxy reseed from them so
-	// plan-cache stamps stay monotonic across restarts.
+	// Generations are the engine's rotation/catalog write counters as of
+	// the last durable statement; the engine continues counting from them.
+	// Nothing in the product reads them otherwise (storage.Generations).
 	Generations storage.Generations
 	// LSN is the last durable record's sequence number.
 	LSN uint64
@@ -138,13 +138,6 @@ func (s *Store) RecoveryInfo() RecoveryInfo { return s.recovered }
 // Recovered reports the generation counters as of recovery
 // (storage.Durability).
 func (s *Store) Recovered() storage.Generations { return s.recovered.Generations }
-
-// LSN returns the last appended record's sequence number.
-func (s *Store) LSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lsn
-}
 
 // LogPath returns the current log file's path (the crash-injection
 // harness truncates copies of it).
@@ -229,14 +222,6 @@ func (s *Store) append(rec *Record) error {
 		s.dirty = true
 	}
 	return nil
-}
-
-// Sync forces buffered appends to stable storage (used by graceful
-// shutdown under the interval/never policies).
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncLocked()
 }
 
 func (s *Store) syncLocked() error {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -12,6 +13,45 @@ import (
 	"sdb/internal/storage"
 	"sdb/internal/types"
 )
+
+// LSN returns the last appended record's sequence number.
+func (s *Store) LSN() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lsn
+}
+
+// RecordInfo locates one intact record inside a log file: its LSN and the
+// file offset just past its frame (a valid crash/truncation boundary). The
+// kill-point harness enumerates these to simulate a crash after every
+// record.
+type RecordInfo struct {
+	LSN uint64
+	End int64
+}
+
+// LogRecords scans a WAL log file and returns its start LSN plus the
+// location of every intact record. A record's frame is rebuilt from its
+// decoded form; the frames must tile the scanned prefix exactly.
+func LogRecords(path string) (startLSN uint64, infos []RecordInfo, err error) {
+	sl, err := scanLogFile(path)
+	if err != nil {
+		return 0, nil, err
+	}
+	end := int64(headerLen)
+	for i := range sl.records {
+		payload, err := EncodeRecord(&sl.records[i])
+		if err != nil {
+			return 0, nil, err
+		}
+		end += int64(len(frame(payload)))
+		infos = append(infos, RecordInfo{LSN: sl.startLSN + uint64(i) + 1, End: end})
+	}
+	if end != sl.validLen {
+		return 0, nil, fmt.Errorf("re-encoded records end at %d, scan at %d", end, sl.validLen)
+	}
+	return sl.startLSN, infos, nil
+}
 
 func testSchema(t *testing.T) types.Schema {
 	t.Helper()

@@ -13,7 +13,9 @@
 # memo renders no helper to bytes, a gate that every comb table the
 # secure package builds covers RowIDBits and no wider, and a gate that
 # the Options fields, DSN keys and sdb-server flags are exactly the
-# allow-listed configuration surface), the full test
+# allow-listed configuration surface, and a gate that every exported
+# name of the root module has a non-test caller or an allow-listed
+# reason), the full test
 # suite, the race
 # detector over every package (the chunked parallel engine/proxy paths,
 # the pull-on-demand result path from engine to decrypting cursor, the
@@ -25,7 +27,7 @@
 # serial-vs-parallel differential, a plain GROUP BY's one state table), a
 # race-detected MVCC isolation pass (torn-read, no-stall,
 # prefix-consistency and randomized mixed-workload harnesses, and the
-# proxy's rotation-window tests), a
+# proxy's rotation-window and key-lock cancellation tests), a
 # race-detected concurrent spill pass, a
 # race-detected crash-recovery/durability pass (kill-point differential
 # harness + SIGKILL subprocess test), a race-detected Montgomery-core
@@ -271,6 +273,15 @@ if [[ "${CONFIG_SURFACE}" != "${CONFIG_ALLOWED}" ]]; then
   exit 1
 fi
 
+echo "== the exported surface is what the product calls"
+# Every exported top-level name and method declared in a non-test file of
+# the root module is mentioned by a non-test file other than its
+# declaration (bench/ counts), or is on the allow-list in
+# internal/surface/surface_test.go with its reason; an allow-list entry
+# that is no longer needed fails too. A name only tests call belongs in
+# its package's _test.go files. The test also runs under go test below.
+go test -count=1 -run 'TestExportedSurfaceIsCalled' ./internal/surface
+
 echo "== go build"
 go build ./...
 
@@ -330,9 +341,13 @@ go test -race -count=1 ${SHORT_FLAG} -run 'Snapshot|Mixed|MVCC' \
 # SELECT (point and range), held inside a key rotation's window — after the
 # SP committed the re-keying UPDATE, before the proxy published the key —
 # in-process and through a server.Client. The per-table key lock must
-# keep every acknowledged row and every answer right; twenty fresh runs
-# give the race detector interleavings around it.
-go test -race -count=20 -run 'DuringRotation' ./internal/proxy
+# keep every acknowledged row and every answer right. The same statements
+# cancelled while they wait on a parked rotation's key lock must return
+# context.Canceled at once and leave no lock behind (nor the locks of the
+# tables they took before), and a waiting exclusive taker holds back new
+# shared ones; twenty fresh runs give the race detector interleavings
+# around it.
+go test -race -count=20 -run 'DuringRotation|CancelWhileWaitingOnRotation|KeyLock' ./internal/proxy
 
 echo "== concurrent spill suite under the race detector"
 # The spill differential and parallel-schedule suites again, with the
