@@ -35,29 +35,29 @@ type firstTag struct{ a, b int64 }
 func (t firstTag) before(u firstTag) bool { return t.a < u.a || (t.a == u.a && t.b < u.b) }
 
 // hashAggOp is streaming hash aggregation: input batches drain at open into
-// per-partition grouped state tables, which merge into one table whose
-// groups emit in first-encounter order. Retained memory is O(#groups), not
-// O(#input rows).
+// one grouped state table (groupTable) whose groups emit in
+// first-encounter order. Retained memory is O(#groups), not O(#input
+// rows), and every group counts once against the budget.
 //
-// Parallel shape: one partition per worker of the operator's pool, which is
-// serial — one table — unless keys, arguments or sdb_min/sdb_max do secure
-// arithmetic. Each input batch is split into one contiguous range per
-// partition, folded into the partition's own state table (key evaluation,
-// aggregate-argument evaluation and the state transitions, including the
-// masked-comparison tournament). The per-partition tables merge pairwise
-// at the end; every transition and merge is deterministic, so the result
-// is bit-identical to the serial fold.
-// When the group tables would cross the query's memory budget, the
-// accumulated state spills: every group's serialized transition states
-// append to one of spillPartitions key-hash partition files and the
-// resident tables reset. Finalization then merges the partitions'
-// spilled generations concurrently on the query's spill workers — one
-// partition per worker at a time (state merges are associative,
-// commutative and value-deterministic, so re-association on disk cannot
-// change results) — sorts each partition's groups by first-encounter
-// index into a run, and streams the k-way merge of those runs — the
-// exact output order of the in-memory path, regardless of worker
-// completion order.
+// Parallel shape: the operator's pool is serial unless keys, arguments or
+// sdb_min/sdb_max do secure arithmetic, and then rows fold straight into
+// the one table. On the worker pool, each input batch is split into one
+// contiguous range per worker, folded into the worker's scratch table (key
+// evaluation, aggregate-argument evaluation and the state transitions,
+// including the masked-comparison tournament); at the end of every batch
+// the one table absorbs the scratch tables in worker order, which is the
+// serial left-to-right fold. Every transition and merge is deterministic,
+// so the result is bit-identical to the serial fold.
+// When the table would cross the query's memory budget, the accumulated
+// state spills: every group's serialized transition states append to one
+// of spillPartitions key-hash partition files and the table empties.
+// Finalization then merges the partitions' spilled generations
+// concurrently on the query's spill workers — one partition per worker at
+// a time (state merges are associative, commutative and
+// value-deterministic, so re-association on disk cannot change results) —
+// sorts each partition's groups by first-encounter index into a run, and
+// streams the k-way merge of those runs — the exact output order of the
+// in-memory path, regardless of worker completion order.
 //
 // Directly over a hash join that goes Grace, the child's stream is never
 // drained: the join's leaves fold their matches into leaf group tables
@@ -74,15 +74,14 @@ type hashAggOp struct {
 	nkeys   int
 	specs   []aggSpec
 	groupBy bool
-	// groupHint pre-sizes the per-partition state tables (planner group
-	// estimate; 0 = unknown).
+	// groupHint pre-sizes the state table (planner group estimate; 0 =
+	// unknown).
 	groupHint int
 	batch     int
 	qs        *querySpill
 
 	ctx     context.Context
 	win     rowWindow
-	ngroups int
 	drained bool
 
 	// spill state
@@ -135,18 +134,173 @@ func (op *hashAggOp) newGroup(keyVals []types.Value, first firstTag) (*aggGroup,
 	return g, nil
 }
 
-// drain consumes the child and builds the grouped state tables.
+// retained sums the group's auxiliary state entries (DISTINCT sets).
+func (g *aggGroup) retained() int {
+	n := 0
+	for _, st := range g.states {
+		n += st.retained()
+	}
+	return n
+}
+
+// groupTable is one key → group state table and the scratch one goroutine
+// folds rows into it with. weight is the table's resident-row cost: one
+// row per group plus every retained auxiliary entry (DISTINCT dedup sets),
+// so single-group COUNT(DISTINCT …) pressure is visible to the budget, not
+// just group counts. It is tracked as rows fold and groups absorb, never by
+// rescanning.
+type groupTable struct {
+	op     *hashAggOp
+	groups map[string]*aggGroup
+	weight int
+	// room, when set, makes room for need more weight: fold runs it before
+	// a new group opens and after a row grew retained state.
+	room func(need int) error
+	// Fold scratch, taken on the first fold: the key, its values and the
+	// aggregate arguments; key values are copied only when a row opens a
+	// new group.
+	fr   *frame
+	vals []types.Value
+	key  []byte
+}
+
+func (op *hashAggOp) newTable(hint int) *groupTable {
+	return &groupTable{op: op, groups: make(map[string]*aggGroup, hint)}
+}
+
+// fold aggregates one row whose first-encounter tag is tag. The caller may
+// reuse row once fold returns.
+func (t *groupTable) fold(row types.Row, tag firstTag) error {
+	op := t.op
+	if t.vals == nil {
+		t.fr, t.vals = op.set.frame(), make([]types.Value, len(op.set.items))
+	}
+	if err := op.set.eval(t.fr, row, t.vals); err != nil {
+		return err
+	}
+	keyVals := t.vals[:op.nkeys]
+	t.key = t.key[:0]
+	for _, v := range keyVals {
+		t.key = v.AppendGroupKey(t.key)
+	}
+	g := t.groups[string(t.key)]
+	if g == nil {
+		// Room first: a flush then writes the groups before this one, not
+		// a group that has only seen its first row.
+		if t.room != nil {
+			if err := t.room(1); err != nil {
+				return err
+			}
+		}
+		ng, err := op.newGroup(append([]types.Value(nil), keyVals...), tag)
+		if err != nil {
+			return err
+		}
+		g = ng
+		t.groups[string(t.key)] = g
+		t.weight++
+	} else if tag.before(g.first) {
+		// A chunked join leaf re-streams its probe rows once per build chunk.
+		g.first = tag
+	}
+	grew := 0
+	for si := range op.specs {
+		n, err := op.specs[si].fold(g.states[si], op.set, t.fr, t.vals)
+		if err != nil {
+			return err
+		}
+		grew += n
+	}
+	if grew > 0 {
+		t.weight += grew
+		if t.room != nil {
+			return t.room(0)
+		}
+	}
+	return nil
+}
+
+// absorb moves group g in under key, or merges its states into the group
+// already there, which keeps the earlier first tag.
+func (t *groupTable) absorb(key string, g *aggGroup) error {
+	f := t.groups[key]
+	if f == nil {
+		t.groups[key] = g
+		t.weight += 1 + g.retained()
+		return nil
+	}
+	if g.first.before(f.first) {
+		f.first = g.first
+	}
+	t.weight -= f.retained()
+	for si := range f.states {
+		if err := f.states[si].merge(g.states[si]); err != nil {
+			return err
+		}
+	}
+	t.weight += f.retained()
+	return nil
+}
+
+// output finalizes every group into its output row (key values, then one
+// value per aggregate) and hands the rows to emit in first-encounter order.
+func (t *groupTable) output(emit func(first firstTag, row types.Row) error) error {
+	groups := make([]*aggGroup, 0, len(t.groups))
+	for _, g := range t.groups {
+		groups = append(groups, g)
+	}
+	sort.Slice(groups, func(i, j int) bool { return groups[i].first.before(groups[j].first) })
+	for _, g := range groups {
+		row := make(types.Row, 0, len(t.op.schema))
+		row = append(row, g.keyVals...)
+		for _, st := range g.states {
+			v, err := st.final()
+			if err != nil {
+				return err
+			}
+			row = append(row, v)
+		}
+		if err := emit(g.first, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *groupTable) reset() {
+	clear(t.groups)
+	t.weight = 0
+}
+
+// release returns the fold scratch.
+func (t *groupTable) release() {
+	t.op.set.release(t.fr)
+	t.fr, t.vals = nil, nil
+}
+
+// drain consumes the child into the one state table.
 func (op *hashAggOp) drain() error {
 	if op.drained {
 		return nil
 	}
 	op.drained = true
+	tbl := op.newTable(op.groupHint)
+	// folders[p] folds partition p's range of every batch: the table itself
+	// on a serial pool, else a scratch table the table absorbs after the
+	// batch.
 	nparts := op.pool.Workers()
-	// partials[p] is owned exclusively by partition p across all batches,
-	// as is retained[p] — its running count of DISTINCT dedup entries —
-	// so state weight is tracked in O(1) per row, never by rescanning.
-	partials := make([]map[string]*aggGroup, nparts)
-	retained := make([]int, nparts)
+	folders := []*groupTable{tbl}
+	if nparts > 1 {
+		folders = make([]*groupTable, nparts)
+		for p := range folders {
+			folders[p] = op.newTable(0)
+		}
+	}
+	defer func() {
+		for _, t := range folders {
+			t.release()
+		}
+	}()
 	base := 0
 	for {
 		if err := op.ctx.Err(); err != nil {
@@ -162,42 +316,9 @@ func (op *hashAggOp) drain() error {
 		// One contiguous chunk per partition: chunk index == partition id.
 		chunk := (len(batch) + nparts - 1) / nparts
 		err = parallel.New(nparts, chunk).ForEachChunk(len(batch), func(p, lo, hi int) error {
-			tbl := partials[p]
-			if tbl == nil {
-				tbl = make(map[string]*aggGroup, op.groupHint/nparts)
-				partials[p] = tbl
-			}
-			// The key, its values and the aggregate arguments are built in
-			// per-chunk scratch; key values are copied only when a row opens
-			// a new group.
-			fr := op.set.frame()
-			defer op.set.release(fr)
-			vals := make([]types.Value, len(op.set.items))
-			keyVals := vals[:op.nkeys]
-			var key []byte
 			for i := lo; i < hi; i++ {
-				if err := op.set.eval(fr, batch[i], vals); err != nil {
+				if err := folders[p].fold(batch[i], firstTag{a: int64(base + i)}); err != nil {
 					return err
-				}
-				key = key[:0]
-				for _, v := range keyVals {
-					key = v.AppendGroupKey(key)
-				}
-				g := tbl[string(key)]
-				if g == nil {
-					ng, err := op.newGroup(append([]types.Value(nil), keyVals...), firstTag{a: int64(base + i)})
-					if err != nil {
-						return err
-					}
-					g = ng
-					tbl[string(key)] = g
-				}
-				for si := range op.specs {
-					grew, err := op.specs[si].fold(g.states[si], op.set, fr, vals)
-					if err != nil {
-						return err
-					}
-					retained[p] += grew
 				}
 			}
 			return nil
@@ -205,26 +326,26 @@ func (op *hashAggOp) drain() error {
 		if err != nil {
 			return err
 		}
-		base += len(batch)
-		// weight is the resident-row cost of the state tables: one row
-		// per group plus every retained auxiliary entry (DISTINCT dedup
-		// sets), so single-group COUNT(DISTINCT …) pressure is visible to
-		// the budget, not just group counts.
-		weight := 0
-		for p, tbl := range partials {
-			weight += len(tbl) + retained[p]
+		if nparts > 1 {
+			for _, t := range folders {
+				for key, g := range t.groups {
+					if err := tbl.absorb(key, g); err != nil {
+						return err
+					}
+				}
+				t.reset()
+			}
 		}
-		// Budget first, then latch: a spill empties the tables, so the
+		base += len(batch)
+		// Budget first, then latch: a spill empties the table, so the
 		// recorded peak reflects what was actually retained past this batch.
+		weight := tbl.weight
 		if delta := weight - op.reserved; delta > 0 {
 			if op.qs.budget.TryReserve(delta) {
 				op.reserved = weight
 			} else {
-				if err := op.spillGroups(partials); err != nil {
+				if err := op.spillGroups(tbl); err != nil {
 					return err
-				}
-				for p := range retained {
-					retained[p] = 0
 				}
 				weight = 0
 			}
@@ -232,26 +353,13 @@ func (op *hashAggOp) drain() error {
 		op.qs.peak.latch(weight + len(batch) + op.child.resident())
 	}
 	op.child.close()
-	return op.finalize(partials)
+	return op.finalize(tbl)
 }
 
-// spillGroups serializes every resident group to its key-hash partition
-// file as one generation and resets the partial tables, returning their
-// reservation.
-func (op *hashAggOp) spillGroups(partials []map[string]*aggGroup) error {
-	counted := false
-	for pi, tbl := range partials {
-		if len(tbl) == 0 {
-			continue
-		}
-		if !counted {
-			op.qs.sess.AddSpill()
-			counted = true
-		}
-		if err := op.spillTable(tbl); err != nil {
-			return err
-		}
-		partials[pi] = nil
+// spillGroups spills the table and returns its reservation.
+func (op *hashAggOp) spillGroups(tbl *groupTable) error {
+	if err := op.spillTable(tbl); err != nil {
+		return err
 	}
 	op.qs.budget.Release(op.reserved)
 	op.reserved = 0
@@ -280,16 +388,21 @@ func (op *hashAggOp) partitionFiles() ([]*aggFile, error) {
 	return op.spillFiles, nil
 }
 
-// spillTable appends every group of one table to its key-hash partition
-// file. Grace leaves call it concurrently; each file takes one table's
-// records at a time.
-func (op *hashAggOp) spillTable(tbl map[string]*aggGroup) error {
+// spillTable writes a non-empty table as one spill generation — every
+// group appended to its key-hash partition file — and empties it. Grace
+// leaves call it concurrently; each file takes one table's records at a
+// time.
+func (op *hashAggOp) spillTable(tbl *groupTable) error {
+	if len(tbl.groups) == 0 {
+		return nil
+	}
+	op.qs.sess.AddSpill()
 	files, err := op.partitionFiles()
 	if err != nil {
 		return err
 	}
 	var parts [spillPartitions][]string
-	for key := range tbl {
+	for key := range tbl.groups {
 		p := hashKey(key) % spillPartitions
 		parts[p] = append(parts[p], key)
 	}
@@ -300,7 +413,7 @@ func (op *hashAggOp) spillTable(tbl map[string]*aggGroup) error {
 		af := files[p]
 		af.mu.Lock()
 		for _, key := range keys {
-			if err = op.writeGroup(af, key, tbl[key]); err != nil {
+			if err = op.writeGroup(af, key, tbl.groups[key]); err != nil {
 				break
 			}
 		}
@@ -309,6 +422,7 @@ func (op *hashAggOp) spillTable(tbl map[string]*aggGroup) error {
 			return err
 		}
 	}
+	tbl.reset()
 	return nil
 }
 
@@ -319,26 +433,18 @@ func (op *hashAggOp) spillTable(tbl map[string]*aggGroup) error {
 // finishes, or earlier when it reaches its share of the budget or the
 // budget refuses it more rows.
 type leafAgg struct {
-	op *hashAggOp
+	tbl *groupTable
 	// resident is the join's count of rows held by every live leaf; the
 	// table's reservation adds to it.
 	resident *atomic.Int64
-	groups   map[string]*aggGroup
-	weight   int // groups plus retained DISTINCT entries
 	reserved int // budget rows held for the table
 	share    int // rows the table may reserve before it flushes
-	fr       *frame
-	vals     []types.Value
-	key      []byte
 }
 
-// newLeaf starts the group table of a leaf holding build rows.
-func (op *hashAggOp) newLeaf(resident *atomic.Int64, build int) *leafAgg {
-	l := &leafAgg{
-		op: op, resident: resident, groups: make(map[string]*aggGroup),
-		fr: op.set.frame(), vals: make([]types.Value, len(op.set.items)),
-	}
-	l.setBuild(build)
+// newLeaf starts the group table of a leaf; setBuild sizes its share.
+func (op *hashAggOp) newLeaf(resident *atomic.Int64) *leafAgg {
+	l := &leafAgg{tbl: op.newTable(0), resident: resident}
+	l.tbl.room = l.room
 	return l
 }
 
@@ -349,56 +455,17 @@ func (op *hashAggOp) newLeaf(resident *atomic.Int64, build int) *leafAgg {
 // another, so where a leaf flushes depends on its own rows and not on the
 // timing of the leaves beside it.
 func (l *leafAgg) setBuild(build int) {
+	qs := l.tbl.op.qs
 	l.share = math.MaxInt
-	if limit := l.op.qs.budget.Limit(); limit > 0 {
-		l.share = max(limit/(2*l.op.qs.workers)-build, minSpillChunkRows)
+	if limit := qs.budget.Limit(); limit > 0 {
+		l.share = max(limit/(2*qs.workers)-build, minSpillChunkRows)
 	}
 }
 
 // fold aggregates one match: its (probe, build) tag and the joined row,
 // which the caller may reuse once fold returns.
 func (l *leafAgg) fold(a, b int64, row types.Row) error {
-	op := l.op
-	if err := op.set.eval(l.fr, row, l.vals); err != nil {
-		return err
-	}
-	keyVals := l.vals[:op.nkeys]
-	l.key = l.key[:0]
-	for _, v := range keyVals {
-		l.key = v.AppendGroupKey(l.key)
-	}
-	tag := firstTag{a, b}
-	g := l.groups[string(l.key)]
-	if g == nil {
-		// Room first: a flush then writes the groups before this one,
-		// not a group that has only seen its first match.
-		if err := l.room(1); err != nil {
-			return err
-		}
-		ng, err := op.newGroup(append([]types.Value(nil), keyVals...), tag)
-		if err != nil {
-			return err
-		}
-		g = ng
-		l.groups[string(l.key)] = g
-		l.weight++
-	} else if tag.before(g.first) {
-		// A chunked leaf re-streams its probe rows once per build chunk.
-		g.first = tag
-	}
-	grew := 0
-	for si := range op.specs {
-		n, err := op.specs[si].fold(g.states[si], op.set, l.fr, l.vals)
-		if err != nil {
-			return err
-		}
-		grew += n
-	}
-	if grew > 0 {
-		l.weight += grew
-		return l.room(0)
-	}
-	return nil
+	return l.tbl.fold(row, firstTag{a, b})
 }
 
 // room makes the table's reservation cover need more rows: it reserves
@@ -407,41 +474,37 @@ func (l *leafAgg) fold(a, b int64, row types.Row) error {
 // force-reserves its minimum working set instead, like a chunked join
 // leaf's build chunk, so a starved leaf still makes progress.
 func (l *leafAgg) room(need int) error {
-	if l.weight+need <= l.reserved {
+	t := l.tbl
+	if t.weight+need <= l.reserved {
 		return nil
 	}
-	budget := l.op.qs.budget
-	n := max(l.weight+need-l.reserved, minSpillChunkRows)
-	if l.reserved+n > l.share || !budget.TryReserve(n) {
-		if len(l.groups) > 0 {
+	qs := t.op.qs
+	n := max(t.weight+need-l.reserved, minSpillChunkRows)
+	if l.reserved+n > l.share || !qs.budget.TryReserve(n) {
+		if len(t.groups) > 0 {
 			if err := l.flush(); err != nil {
 				return err
 			}
 			return l.room(need)
 		}
-		budget.ForceReserve(n)
+		qs.budget.ForceReserve(n)
 	}
 	l.reserved += n
-	l.op.qs.peak.latch(int(l.resident.Add(int64(n))))
+	qs.peak.latch(int(l.resident.Add(int64(n))))
 	return nil
 }
 
 // flush writes the table as one generation and empties it.
 func (l *leafAgg) flush() error {
-	if len(l.groups) > 0 {
-		l.op.qs.sess.AddSpill()
-		if err := l.op.spillTable(l.groups); err != nil {
-			return err
-		}
-		clear(l.groups)
+	if err := l.tbl.op.spillTable(l.tbl); err != nil {
+		return err
 	}
-	l.weight = 0
 	l.release()
 	return nil
 }
 
 func (l *leafAgg) release() {
-	l.op.qs.budget.Release(l.reserved)
+	l.tbl.op.qs.budget.Release(l.reserved)
 	l.resident.Add(int64(-l.reserved))
 	l.reserved = 0
 }
@@ -450,48 +513,32 @@ func (l *leafAgg) release() {
 // dropped (the leaf failed).
 func (l *leafAgg) close() {
 	l.release()
-	l.op.set.release(l.fr)
-	l.fr, l.groups = nil, nil
+	l.tbl.release()
+	l.tbl.groups = nil
 }
 
-// aggRecord is one group's serialized form in a partition file: key,
-// first-encounter tag, key values, one state row per aggregate.
-type aggRecord struct {
-	key     string
-	first   firstTag
-	keyVals types.Row
-	states  []types.Row
-}
-
-// writeGroup appends one group's serialized record to a partition file.
+// writeGroup appends one group's serialized record to a partition file:
+// key, first-encounter tag, key values, one state row per aggregate.
 func (op *hashAggOp) writeGroup(af *aggFile, key string, g *aggGroup) error {
-	rec := aggRecord{key: key, first: g.first, keyVals: types.Row(g.keyVals)}
+	op.qs.sess.AddSpilledRows(1)
+	af.groups++
+	if err := af.w.WriteString(key); err != nil {
+		return err
+	}
+	if err := af.w.WriteVarint(g.first.a); err != nil {
+		return err
+	}
+	if err := af.w.WriteVarint(g.first.b); err != nil {
+		return err
+	}
+	if err := af.w.WriteRow(types.Row(g.keyVals)); err != nil {
+		return err
+	}
 	for _, st := range g.states {
 		row, err := st.spillRow()
 		if err != nil {
 			return err
 		}
-		rec.states = append(rec.states, row)
-	}
-	return op.writeRecord(af, rec)
-}
-
-func (op *hashAggOp) writeRecord(af *aggFile, rec aggRecord) error {
-	op.qs.sess.AddSpilledRows(1)
-	af.groups++
-	if err := af.w.WriteString(rec.key); err != nil {
-		return err
-	}
-	if err := af.w.WriteVarint(rec.first.a); err != nil {
-		return err
-	}
-	if err := af.w.WriteVarint(rec.first.b); err != nil {
-		return err
-	}
-	if err := af.w.WriteRow(rec.keyVals); err != nil {
-		return err
-	}
-	for _, row := range rec.states {
 		if err := af.w.WriteRow(row); err != nil {
 			return err
 		}
@@ -499,29 +546,38 @@ func (op *hashAggOp) writeRecord(af *aggFile, rec aggRecord) error {
 	return nil
 }
 
-// readRecord reads one serialized group, or io.EOF at a clean end.
-func (op *hashAggOp) readRecord(r *spill.Reader) (aggRecord, error) {
+// readGroup reads one serialized group and its key, or io.EOF at a clean
+// end.
+func (op *hashAggOp) readGroup(r *spill.Reader) (string, *aggGroup, error) {
 	key, err := r.ReadString()
 	if err != nil {
-		return aggRecord{}, err // io.EOF passes through at record boundary
+		return "", nil, err // io.EOF passes through at record boundary
 	}
-	rec := aggRecord{key: key}
-	if rec.first.a, err = r.ReadVarint(); err != nil {
-		return aggRecord{}, truncated(err)
+	var first firstTag
+	if first.a, err = r.ReadVarint(); err != nil {
+		return "", nil, truncated(err)
 	}
-	if rec.first.b, err = r.ReadVarint(); err != nil {
-		return aggRecord{}, truncated(err)
+	if first.b, err = r.ReadVarint(); err != nil {
+		return "", nil, truncated(err)
 	}
-	if rec.keyVals, err = r.ReadRow(); err != nil {
-		return aggRecord{}, truncated(err)
+	keyVals, err := r.ReadRow()
+	if err != nil {
+		return "", nil, truncated(err)
 	}
-	rec.states = make([]types.Row, len(op.specs))
-	for si := range op.specs {
-		if rec.states[si], err = r.ReadRow(); err != nil {
-			return aggRecord{}, truncated(err)
+	g, err := op.newGroup(keyVals, first)
+	if err != nil {
+		return "", nil, err
+	}
+	for _, st := range g.states {
+		row, err := r.ReadRow()
+		if err != nil {
+			return "", nil, truncated(err)
+		}
+		if err := st.loadSpillRow(row); err != nil {
+			return "", nil, err
 		}
 	}
-	return rec, nil
+	return key, g, nil
 }
 
 // finalizeSpilled completes a spilled aggregation: the still-resident
@@ -530,41 +586,19 @@ func (op *hashAggOp) readRecord(r *spill.Reader) (aggRecord, error) {
 // for a key folds into one group, each partition sorted by
 // first-encounter index and written as a run. A key lives in exactly one
 // partition, so workers share nothing but the budget (atomic
-// reservations) and the session; the final combine is deterministic
-// because runs are gathered in partition order and the tag-ordered merge
-// streams groups in exact first-encounter order whatever the completion
-// order was, with one partition per worker (plus merge look-ahead)
-// resident at a time.
-func (op *hashAggOp) finalizeSpilled(partials []map[string]*aggGroup) error {
-	if err := op.spillGroups(partials); err != nil {
+// reservations) and the session.
+func (op *hashAggOp) finalizeSpilled(tbl *groupTable) error {
+	if err := op.spillGroups(tbl); err != nil {
 		return err
 	}
-	perPart := make([][]*runFile, len(op.spillFiles))
-	err := op.qs.spillPool().ForEachChunk(len(op.spillFiles), func(_, lo, hi int) error {
-		for p := lo; p < hi; p++ {
-			leave := op.qs.enterSpillWorker()
-			rs, err := op.partitionRuns(op.spillFiles[p], 0)
-			leave()
-			if err != nil {
-				return err
-			}
-			perPart[p] = rs
-		}
-		return nil
+	files := op.spillFiles
+	m, err := op.qs.mergePartitions(len(files), op.batch, func(p int) ([]*runFile, error) {
+		return op.partitionRuns(files[p], 0)
 	})
-	for _, af := range op.spillFiles {
+	for _, af := range files {
 		af.close()
 	}
 	op.spillFiles = nil
-	var runs []*runFile
-	for _, rs := range perPart {
-		runs = append(runs, rs...)
-	}
-	if err != nil {
-		closeRunFiles(runs)
-		return err
-	}
-	m, err := boundedMerge(op.qs, runs, tagCompare, op.batch)
 	if err != nil {
 		return err
 	}
@@ -578,17 +612,6 @@ func (op *hashAggOp) finalizeSpilled(partials []map[string]*aggGroup) error {
 // the groups carrying it divide — more levels may be needed before every
 // partition's weight fits.
 const maxAggSplitDepth = 4
-
-// tableRetained sums a group table's auxiliary state entries.
-func tableRetained(tbl map[string]*aggGroup) int {
-	n := 0
-	for _, g := range tbl {
-		for _, st := range g.states {
-			n += st.retained()
-		}
-	}
-	return n
-}
 
 // partitionRuns turns one partition file into first-encounter-sorted
 // output runs. A partition whose record count fits the budget merges
@@ -626,10 +649,10 @@ func (op *hashAggOp) partitionRuns(af *aggFile, depth int) ([]*runFile, error) {
 		op.qs.budget.Release(reserved)
 		return nil, err
 	}
-	weight := len(merged) + tableRetained(merged)
+	weight := merged.weight
 	if extra := weight - reserved; extra > 0 {
 		if !op.qs.budget.TryReserve(extra) {
-			if canSplit && len(merged) > 1 {
+			if canSplit && len(merged.groups) > 1 {
 				// DISTINCT sets blew past the record-count reservation and
 				// the groups (and their sets) are divisible: re-split.
 				op.qs.budget.Release(reserved)
@@ -713,7 +736,7 @@ func (op *hashAggOp) splitPartition(af *aggFile, depth int) ([]*aggFile, bool, e
 	var first string
 	oneKey := true
 	for n := 0; ; n++ {
-		rec, err := op.readRecord(r)
+		key, g, err := op.readGroup(r)
 		if err == io.EOF {
 			return subs, oneKey, nil
 		}
@@ -721,12 +744,12 @@ func (op *hashAggOp) splitPartition(af *aggFile, depth int) ([]*aggFile, bool, e
 			return fail(err)
 		}
 		if n == 0 {
-			first = rec.key
-		} else if rec.key != first {
+			first = key
+		} else if key != first {
 			oneKey = false
 		}
-		sub := subs[hashKeySeed(rec.key, seed)%spillPartitions]
-		if err := op.writeRecord(sub, rec); err != nil {
+		sub := subs[hashKeySeed(key, seed)%spillPartitions]
+		if err := op.writeGroup(sub, key, g); err != nil {
 			return fail(err)
 		}
 	}
@@ -734,140 +757,62 @@ func (op *hashAggOp) splitPartition(af *aggFile, depth int) ([]*aggFile, bool, e
 
 // mergePartition folds every spilled generation of one partition file
 // into a single group table.
-func (op *hashAggOp) mergePartition(af *aggFile) (map[string]*aggGroup, error) {
+func (op *hashAggOp) mergePartition(af *aggFile) (*groupTable, error) {
 	r, err := af.rewind()
 	if err != nil {
 		return nil, err
 	}
-	merged := make(map[string]*aggGroup)
+	merged := op.newTable(0)
 	for {
-		rec, err := op.readRecord(r)
+		key, g, err := op.readGroup(r)
 		if err == io.EOF {
 			return merged, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		g := merged[rec.key]
-		fresh := g == nil
-		if fresh {
-			ng, err := op.newGroup([]types.Value(rec.keyVals), rec.first)
-			if err != nil {
-				return nil, err
-			}
-			g = ng
-			merged[rec.key] = g
-		}
-		if rec.first.before(g.first) {
-			g.first = rec.first
-		}
-		for si := range op.specs {
-			if fresh {
-				if err := g.states[si].loadSpillRow(rec.states[si]); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			other, err := op.specs[si].newState()
-			if err != nil {
-				return nil, err
-			}
-			if err := other.loadSpillRow(rec.states[si]); err != nil {
-				return nil, err
-			}
-			if err := g.states[si].merge(other); err != nil {
-				return nil, err
-			}
+		if err := merged.absorb(key, g); err != nil {
+			return nil, err
 		}
 	}
 }
 
-// writeOutputRun finalizes one partition's groups into output rows
-// sorted by first-encounter index.
-func (op *hashAggOp) writeOutputRun(merged map[string]*aggGroup) (*runFile, error) {
-	groups := make([]*aggGroup, 0, len(merged))
-	for _, g := range merged {
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].first.before(groups[j].first) })
+// writeOutputRun finalizes one partition's groups into a run of output
+// rows sorted by first-encounter index.
+func (op *hashAggOp) writeOutputRun(merged *groupTable) (*runFile, error) {
 	run, err := newRunFile(op.qs)
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range groups {
-		row := make(types.Row, 0, len(op.schema))
-		row = append(row, g.keyVals...)
-		for _, st := range g.states {
-			v, err := st.final()
-			if err != nil {
-				run.close()
-				return nil, err
-			}
-			row = append(row, v)
-		}
+	err = merged.output(func(first firstTag, row types.Row) error {
 		op.qs.sess.AddSpilledRows(1)
-		if err := run.write(taggedRow{a: g.first.a, b: g.first.b, row: row}); err != nil {
-			run.close()
-			return nil, err
-		}
+		return run.write(taggedRow{a: first.a, b: first.b, row: row})
+	})
+	if err != nil {
+		run.close()
+		return nil, err
 	}
 	return run, nil
 }
 
-// finalize merges partition tables in partition order and emits groups in
-// first-encounter order.
-func (op *hashAggOp) finalize(partials []map[string]*aggGroup) error {
+// finalize emits the table's groups in first-encounter order.
+func (op *hashAggOp) finalize(tbl *groupTable) error {
 	if op.spillFiles != nil {
-		return op.finalizeSpilled(partials)
+		return op.finalizeSpilled(tbl)
 	}
-	final := make(map[string]*aggGroup)
-	for _, tbl := range partials {
-		for k, g := range tbl {
-			f := final[k]
-			if f == nil {
-				final[k] = g
-				continue
-			}
-			if g.first.before(f.first) {
-				f.first = g.first
-			}
-			for si := range f.states {
-				if err := f.states[si].merge(g.states[si]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	groups := make([]*aggGroup, 0, len(final))
-	for _, g := range final {
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].first.before(groups[j].first) })
-
 	// Global aggregation over empty input still yields one group.
-	if len(groups) == 0 && !op.groupBy {
+	if len(tbl.groups) == 0 && !op.groupBy {
 		g, err := op.newGroup(nil, firstTag{})
 		if err != nil {
 			return err
 		}
-		groups = append(groups, g)
+		tbl.groups[""] = g
 	}
-
-	op.win = rowWindow{rows: make([]types.Row, len(groups)), batch: op.batch}
-	op.ngroups = len(groups)
-	for gi, g := range groups {
-		row := make(types.Row, 0, len(op.schema))
-		row = append(row, g.keyVals...)
-		for _, st := range g.states {
-			v, err := st.final()
-			if err != nil {
-				return err
-			}
-			row = append(row, v)
-		}
-		op.win.rows[gi] = row
-	}
-	return nil
+	op.win = rowWindow{rows: make([]types.Row, 0, len(tbl.groups)), batch: op.batch}
+	return tbl.output(func(_ firstTag, row types.Row) error {
+		op.win.rows = append(op.win.rows, row)
+		return nil
+	})
 }
 
 func (op *hashAggOp) next() ([]types.Row, error) {
@@ -882,7 +827,6 @@ func (op *hashAggOp) next() ([]types.Row, error) {
 
 func (op *hashAggOp) close() error {
 	op.win = rowWindow{}
-	op.ngroups = 0
 	op.finalRows.Store(0)
 	op.qs.budget.Release(op.reserved)
 	op.reserved = 0

@@ -20,6 +20,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"strings"
@@ -268,12 +269,13 @@ type Result struct {
 	Rows    []types.Row
 }
 
-// Execute runs a parsed statement. SELECTs pin a catalog snapshot and
-// never wait on writers; writers serialize per target table and only meet
-// each other (and checkpoints) at the commit step (snapshot.go). The
-// durability layer's checkpoint opportunity fires inside commit, after
-// the publish, so a checkpoint's snapshot always contains the record
-// whose LSN it claims.
+// Execute runs a parsed statement. A SELECT drains the streamed operator
+// tree Stmt.Query serves (column kinds come from its first batch): it pins
+// a catalog snapshot and never waits on writers. Writers serialize per
+// target table and only meet each other (and checkpoints) at the commit
+// step (snapshot.go). The durability layer's checkpoint opportunity fires
+// inside commit, after the publish, so a checkpoint's snapshot always
+// contains the record whose LSN it claims.
 func (e *Engine) Execute(stmt sqlparser.Statement) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.CreateTable:
@@ -285,7 +287,11 @@ func (e *Engine) Execute(stmt sqlparser.Statement) (*Result, error) {
 	case *sqlparser.DropTable:
 		return e.execDrop(s)
 	case *sqlparser.Select:
-		return e.execSelect(s)
+		it, err := (&Stmt{e: e, stmt: s}).Query(context.TODO())
+		if err != nil {
+			return nil, err
+		}
+		return Drain(it)
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 	}

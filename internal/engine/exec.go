@@ -1,32 +1,12 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"sdb/internal/sqlparser"
 	"sdb/internal/types"
 )
-
-// execSelect runs a SELECT to completion: plan the operator tree, drain it,
-// infer output kinds over the full result. Streaming execution
-// (Stmt.Query) plans the identical tree and serves it batch by batch.
-func (e *Engine) execSelect(s *sqlparser.Select) (*Result, error) {
-	qs := e.newQuerySpill()
-	defer qs.close()
-	pl, err := e.planQuery(s, e.PinSnapshot(), qs)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := drainOperator(context.Background(), pl.root)
-	if err != nil {
-		return nil, err
-	}
-	cols := append([]ResultColumn{}, pl.cols...)
-	inferKinds(cols, rows)
-	return &Result{Columns: cols, Rows: rows}, nil
-}
 
 // inferKinds sets column kinds from the first non-null value per column.
 func inferKinds(cols []ResultColumn, rows []types.Row) {

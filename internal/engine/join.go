@@ -413,43 +413,19 @@ func (op *hashJoinOp) graceJoin() error {
 	// Independent partition pairs join concurrently on the query's spill
 	// workers: each pair owns its own build/probe files and every leaf
 	// writes its own run files, so workers share nothing but the budget
-	// (atomic reservations) and the session (mutex-guarded file
-	// creation). Per-pair runs are gathered in partition order, but the
-	// tag-ordered merge restores the exact global output order whatever
-	// the completion order was.
-	type partPair struct{ build, probe *runFile }
-	var pairs []partPair
+	// (atomic reservations) and the session (mutex-guarded file creation).
+	var pairs []int
 	for p := range op.buildFiles {
-		if op.buildFiles[p].count() == 0 || op.probeFiles[p].count() == 0 {
-			continue
+		if op.buildFiles[p].count() > 0 && op.probeFiles[p].count() > 0 {
+			pairs = append(pairs, p)
 		}
-		pairs = append(pairs, partPair{build: op.buildFiles[p], probe: op.probeFiles[p]})
 	}
-	perPair := make([][]*runFile, len(pairs))
-	err := op.qs.spillPool().ForEachChunk(len(pairs), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			leave := op.qs.enterSpillWorker()
-			rs, err := op.joinPartition(pairs[i].build, pairs[i].probe, 0)
-			leave()
-			if err != nil {
-				return err
-			}
-			perPair[i] = rs
-		}
-		return nil
+	m, err := op.qs.mergePartitions(len(pairs), op.batch, func(i int) ([]*runFile, error) {
+		return op.joinPartition(op.buildFiles[pairs[i]], op.probeFiles[pairs[i]], 0)
 	})
 	closeRunFiles(op.buildFiles)
 	closeRunFiles(op.probeFiles)
 	op.buildFiles, op.probeFiles = nil, nil
-	var runs []*runFile
-	for _, rs := range perPair {
-		runs = append(runs, rs...)
-	}
-	if err != nil {
-		closeRunFiles(runs)
-		return err
-	}
-	m, err := boundedMerge(op.qs, runs, tagCompare, op.batch)
 	if err != nil {
 		return err
 	}
@@ -457,71 +433,20 @@ func (op *hashJoinOp) graceJoin() error {
 	return nil
 }
 
-// joinPartition joins one build/probe partition pair: resident when the
-// build rows fit the budget, recursively re-partitioned when re-hashing
-// can still split them, chunked otherwise. It returns the leaves' output
-// runs (none when the leaves fold into the aggregation).
+// joinPartition joins one build/probe partition pair: in one chunk when
+// the build rows fit the budget, recursively re-partitioned when
+// re-hashing can still split them, in budget-sized chunks otherwise. It
+// returns the leaves' output runs (none when the leaves fold into the
+// aggregation).
 func (op *hashJoinOp) joinPartition(build, probe *runFile, depth int) ([]*runFile, error) {
 	n := build.count()
 	if op.qs.budget.TryReserve(n) {
-		return op.joinResident(build, probe, n)
+		return op.joinChunked(build, probe, n)
 	}
 	if depth < maxSpillDepth && n > minSpillChunkRows {
 		return op.repartition(build, probe, depth)
 	}
-	return op.joinChunked(build, probe)
-}
-
-// joinResident loads one build partition into a key-indexed table (rows
-// keep build order) and streams the probe partition through it. The
-// leaf's rows count into the shared leafRows sum while resident, so the
-// latched peak reflects every concurrently loaded leaf table.
-func (op *hashJoinOp) joinResident(build, probe *runFile, reserved int) ([]*runFile, error) {
-	// loaded is the count this leaf has added to the shared leafRows sum
-	// (set only once the table is fully built, so an error mid-load
-	// never un-counts rows that were never counted).
-	loaded := 0
-	defer func() {
-		op.qs.budget.Release(reserved)
-		op.leafRows.Add(int64(-loaded))
-	}()
-	table := make(map[string][]taggedRow)
-	br, err := build.openReader()
-	if err != nil {
-		return nil, err
-	}
-	n := 0
-	var key []byte
-	for i := 0; ; i++ {
-		if i%1024 == 0 {
-			if err := op.ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		tr, err := br.read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if key, _, err = appendJoinKey(key[:0], op.rightKeys, tr.row); err != nil {
-			return nil, err
-		}
-		table[string(key)] = append(table[string(key)], tr)
-		n++
-	}
-	loaded = n
-	op.qs.peak.latch(int(op.leafRows.Add(int64(loaded))))
-	if op.agg != nil {
-		leaf := op.agg.newLeaf(&op.leafRows, reserved)
-		defer leaf.close()
-		if err := op.probeTable(table, probe, leaf.fold); err != nil {
-			return nil, err
-		}
-		return nil, leaf.flush()
-	}
-	return op.probeToRun(table, probe)
+	return op.joinChunked(build, probe, 0)
 }
 
 // probeToRun probes a resident build table into one output run sorted by
@@ -662,79 +587,85 @@ func (op *hashJoinOp) repartition(build, probe *runFile, depth int) ([]*runFile,
 	return runs, nil
 }
 
-// joinChunked handles a build partition hashing could not split (few
-// distinct, duplicate-heavy keys): the build file is processed in
-// budget-sized chunks and the probe file re-streams once per chunk. Every
-// chunk's run stays sorted by (probe, build) index, so the global merge
-// still restores exact order. Folding into the aggregation, the chunks
-// share one leaf group table, which keeps each group's smallest tag.
-func (op *hashJoinOp) joinChunked(build, probe *runFile) ([]*runFile, error) {
-	br, err := build.openReader()
-	if err != nil {
-		return nil, err
-	}
+// joinChunked loads the build partition into key-indexed tables one chunk
+// at a time and streams the probe partition through each. The first chunk
+// is the reserved rows the caller already holds — the whole partition
+// when it fit the budget; with none, it is sized like every later chunk:
+// the guaranteed minimum working set plus whatever the budget will grant,
+// capped at the partition. A loaded chunk's rows count into the shared
+// leafRows sum, so the latched peak reflects every concurrently loaded
+// leaf. Every chunk's run stays sorted by (probe, build) index, so the
+// global merge still restores exact order. Folding into the aggregation,
+// the chunks share one leaf group table, which keeps each group's
+// smallest tag.
+func (op *hashJoinOp) joinChunked(build, probe *runFile, reserved int) ([]*runFile, error) {
 	var leaf *leafAgg
 	if op.agg != nil {
-		leaf = op.agg.newLeaf(&op.leafRows, 0)
+		leaf = op.agg.newLeaf(&op.leafRows)
 		defer leaf.close()
 	}
-	var runs []*runFile
-	fail := func(err error) ([]*runFile, error) {
-		closeRunFiles(runs)
+	br, err := build.openReader()
+	if err != nil {
+		op.qs.budget.Release(reserved)
 		return nil, err
 	}
-	for {
-		if err := op.ctx.Err(); err != nil {
-			return fail(err)
-		}
-		// Size the chunk up front: the guaranteed minimum working set plus
-		// whatever the budget will grant, capped at the partition itself.
-		reserved := minSpillChunkRows
-		op.qs.budget.ForceReserve(minSpillChunkRows)
-		for reserved < build.count() && op.qs.budget.TryReserve(minSpillChunkRows) {
-			reserved += minSpillChunkRows
-		}
-		table := make(map[string][]taggedRow)
-		got := 0
-		var key []byte
-		for got < reserved {
-			tr, err := br.read()
-			if err == io.EOF {
-				break
+	var runs []*runFile
+	for left := build.count(); left > 0; reserved = 0 {
+		if reserved == 0 {
+			reserved = minSpillChunkRows
+			op.qs.budget.ForceReserve(minSpillChunkRows)
+			for reserved < build.count() && op.qs.budget.TryReserve(minSpillChunkRows) {
+				reserved += minSpillChunkRows
 			}
-			if err != nil {
-				op.qs.budget.Release(reserved)
-				return fail(err)
-			}
-			if key, _, err = appendJoinKey(key[:0], op.rightKeys, tr.row); err != nil {
-				op.qs.budget.Release(reserved)
-				return fail(err)
-			}
-			table[string(key)] = append(table[string(key)], tr)
-			got++
 		}
-		if got == 0 {
-			op.qs.budget.Release(reserved)
+		n := min(reserved, left)
+		table, err := op.loadChunk(br, n)
+		if err == nil {
+			op.qs.peak.latch(int(op.leafRows.Add(int64(n))))
+			var rs []*runFile
 			if leaf != nil {
-				return nil, leaf.flush()
+				leaf.setBuild(reserved)
+				err = op.probeTable(table, probe, leaf.fold)
+			} else {
+				rs, err = op.probeToRun(table, probe)
 			}
-			return runs, nil
-		}
-		op.qs.peak.latch(int(op.leafRows.Add(int64(got))))
-		var rs []*runFile
-		if leaf != nil {
-			leaf.setBuild(reserved)
-			err = op.probeTable(table, probe, leaf.fold)
-		} else {
-			rs, err = op.probeToRun(table, probe)
+			op.leafRows.Add(int64(-n))
+			runs = append(runs, rs...)
 		}
 		op.qs.budget.Release(reserved)
-		op.leafRows.Add(int64(-got))
 		if err != nil {
-			return fail(err)
+			closeRunFiles(runs)
+			return nil, err
 		}
-		runs = append(runs, rs...)
+		left -= n
 	}
+	if leaf != nil {
+		return nil, leaf.flush()
+	}
+	return runs, nil
+}
+
+// loadChunk reads the next n build rows into a key-indexed table; within
+// a key, rows keep build order.
+func (op *hashJoinOp) loadChunk(br *runReader, n int) (map[string][]taggedRow, error) {
+	table := make(map[string][]taggedRow)
+	var key []byte
+	for i := 0; i < n; i++ {
+		if i%1024 == 0 {
+			if err := op.ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		tr, err := br.read()
+		if err != nil {
+			return nil, truncated(err)
+		}
+		if key, _, err = appendJoinKey(key[:0], op.rightKeys, tr.row); err != nil {
+			return nil, err
+		}
+		table[string(key)] = append(table[string(key)], tr)
+	}
+	return table, nil
 }
 
 // nestedLoopJoinOp handles non-equi ON conditions and cross joins: the

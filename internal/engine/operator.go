@@ -469,24 +469,3 @@ func (op *limitOp) next() ([]types.Row, error) {
 
 func (op *limitOp) close() error  { return op.child.close() }
 func (op *limitOp) resident() int { return op.child.resident() }
-
-// drainOperator opens the tree, pulls every batch and closes it — the
-// materialized execution path is exactly "drain the tree".
-func drainOperator(ctx context.Context, root operator) ([]types.Row, error) {
-	if err := root.open(ctx); err != nil {
-		root.close()
-		return nil, err
-	}
-	defer root.close()
-	var rows []types.Row
-	for {
-		batch, err := root.next()
-		if err == io.EOF {
-			return rows, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, batch...)
-	}
-}

@@ -627,11 +627,9 @@ func TestEmptyBuildClosesChildren(t *testing.T) {
 		{"lower join spilled", 24, true},     // holds run files at close
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pool := spill.NewPool(4000)
 			dir := t.TempDir()
-			e := NewWithOptions(storage.NewCatalog(), nil, Options{
-				Parallelism: 2, ChunkSize: 4, MemBudgetRows: tc.budget,
-				BudgetPool: pool, SpillDir: dir, Planner: "on"})
+			opts := Options{Parallelism: 2, ChunkSize: 4, MemBudgetRows: tc.budget, SpillDir: dir, Planner: "on"}
+			e := NewWithOptions(storage.NewCatalog(), nil, opts)
 			mustExec(t, e, `CREATE TABLE l (k INT, a INT)`)
 			mustExec(t, e, `CREATE TABLE r (k INT, b INT)`)
 			mustExec(t, e, `CREATE TABLE r2 (k INT, c INT)`)
@@ -643,7 +641,7 @@ func TestEmptyBuildClosesChildren(t *testing.T) {
 				t.Fatalf("plan %s: the empty side must be the top join's build side", sig)
 			}
 			ledger := newQueryLedger()
-			res, st, maxUsed := queryBudgetMax(t, e, sql)
+			res, st, maxUsed := queryBudgetMax(t, e, opts, sql)
 			if len(res.Rows) != 0 {
 				t.Fatalf("%d rows from a join with an empty side", len(res.Rows))
 			}
@@ -651,7 +649,7 @@ func TestEmptyBuildClosesChildren(t *testing.T) {
 				t.Fatalf("lower join: spills %d (want spilling: %v), %d rows reserved at most — the test is vacuous",
 					st.Spills, tc.spills, maxUsed)
 			}
-			ledger.check(t, pool, dir)
+			ledger.check(t, e.BudgetPool(), dir)
 		})
 	}
 }

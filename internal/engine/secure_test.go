@@ -163,7 +163,7 @@ func TestUDFArgValidation(t *testing.T) {
 		`SELECT sdb_keyupdate(v, sdb_w, 0x1) FROM enc`,   // arity
 		`SELECT sdb_sign(v, sdb_w, 0x1, 0x0) FROM enc`,   // arity
 		`SELECT sdb_scale(v, name, 0x1) FROM enc`,        // no such column
-		`SELECT sdb_const(sdb_w, 0x1, 0x0) FROM enc`,     // arity
+		`SELECT sdb_const(sdb_w, 0x1, 0x0) FROM enc`,     // no such function
 		`SELECT MIN(v) FROM enc`,                         // shares need sdb_min
 		`SELECT sdb_min(v, m, 0x1) FROM enc`,             // arity
 		`SELECT id FROM enc ORDER BY sdb_ord(v, m, 0x1)`, // arity
@@ -200,8 +200,8 @@ func TestInsertRejectsPlaintextIntoSensitive(t *testing.T) {
 }
 
 // TestPruneHelperOnlySecureQuery: a rewritten query may name nothing of a
-// table but its hidden row helper (sdb_const materialises a share of a
-// constant from it). The scan then keeps that one column of five, and the
+// table but its hidden row helper (a key update of a literal share
+// materialises a share of a constant from it). The scan then keeps that one column of five, and the
 // shares match the full-width planner-off scan's, in memory and spilled.
 func TestPruneHelperOnlySecureQuery(t *testing.T) {
 	vals := make([]int64, 40)
@@ -209,19 +209,18 @@ func TestPruneHelperOnlySecureQuery(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	f := newSecureFixture(t, vals)
-	// sdb_const's token for 77 under f.ck: P·w^Q = 77·m⁻¹·w^(−x), a share
-	// of 77 in every row.
+	// 77's encoding is a share of 77 under ⟨1, 0⟩; the key update to f.ck,
+	// P·enc·w^Q = 77·m⁻¹·w^(−x), is a share of 77 in every row.
 	enc77, err := f.s.Domain().Encode(big.NewInt(77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mInv, err := bigmod.Inv(f.ck.M, f.s.N())
+	tok, err := f.s.KeyUpdateToken(secure.ColumnKey{M: big.NewInt(1), X: new(big.Int)}, f.ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok := secure.Token{P: bigmod.Mul(enc77, mInv, f.s.N()), Q: new(big.Int).Neg(f.ck.X), Base: true}
-	sql := fmt.Sprintf(`SELECT sdb_const(sdb_w, %s, %s, %s) AS c FROM enc ORDER BY c`,
-		hex(tok.P), sqlparser.HexLit{V: tok.Q}, hex(f.s.N()))
+	sql := fmt.Sprintf(`SELECT sdb_keyupdate(%s, sdb_w, %s, %s, %s) AS c FROM enc ORDER BY c`,
+		hex(enc77), hex(tok.P), sqlparser.HexLit{V: tok.Q}, hex(f.s.N()))
 	run := func(planner string, budget int) (*Result, ExecStats) {
 		opts := spillOptions(budget, t.TempDir())
 		opts.Planner = planner

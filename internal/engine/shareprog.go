@@ -52,7 +52,7 @@ import (
 // sdb_sign produces the program's one plaintext output.
 var shareUDFs = map[string]int{ // name → arity
 	"sdb_mul": 3, "sdb_add": 3, "sdb_sub": 3, "sdb_scale": 3,
-	"sdb_keyupdate": 5, "sdb_const": 4, "sdb_sign": 5,
+	"sdb_keyupdate": 5, "sdb_sign": 5,
 }
 
 type opcode uint8
@@ -323,7 +323,7 @@ func (b *progBuilder) root(x *sqlparser.FuncCall) (progRoot, error) {
 	var err error
 	sign := strings.EqualFold(x.Name, "sdb_sign")
 	if sign {
-		v, err = b.keyUpdate(x, false)
+		v, err = b.keyUpdate(x)
 	} else {
 		v, err = b.udf(x)
 	}
@@ -443,33 +443,24 @@ func (b *progBuilder) udf(x *sqlparser.FuncCall) (pval, error) {
 		reg, f := b.reg(ve)
 		dst := b.emit(insKey{op: opScale, a: reg, src: src.key}, instr{op: opScale, a: reg, src: src})
 		return pval{reg: dst, f: b.mul(f, b.r)}, nil
-	case "sdb_keyupdate":
-		return b.keyUpdate(x, false)
-	default: // sdb_const
-		return b.keyUpdate(x, true)
+	default: // sdb_keyupdate
+		return b.keyUpdate(x)
 	}
 }
 
-// keyUpdate compiles sdb_keyupdate(ve, w, P, Q, n), sdb_sign (the same
-// with the result revealed) and, with base set, sdb_const(w, P, Q, n):
-// the share P·ve·w^Q (P·w^Q).
-func (b *progBuilder) keyUpdate(x *sqlparser.FuncCall, base bool) (pval, error) {
+// keyUpdate compiles sdb_keyupdate(ve, w, P, Q, n) and sdb_sign (the same
+// with the result revealed): the share P·ve·w^Q.
+func (b *progBuilder) keyUpdate(x *sqlparser.FuncCall) (pval, error) {
 	name := strings.ToLower(x.Name)
-	at := 1 // position of w
-	if base {
-		at = 0
-	}
-	p, q, err := tokenConsts(x, at+1, b.ctx)
+	p, q, err := tokenConsts(x, 2, b.ctx)
 	if err != nil {
 		return pval{}, err
 	}
-	ve := pval{reg: -1, c: big.NewInt(1)}
-	if !base {
-		if ve, err = b.node(x.Args[0], name, 1); err != nil {
-			return pval{}, err
-		}
+	ve, err := b.node(x.Args[0], name, 1)
+	if err != nil {
+		return pval{}, err
 	}
-	w, err := b.helper(x.Args[at], name, at+1)
+	w, err := b.helper(x.Args[1], name, 2)
 	if err != nil {
 		return pval{}, err
 	}

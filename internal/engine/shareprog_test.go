@@ -110,16 +110,6 @@ func oracleEval(ex sqlparser.Expr, rel *relation, row types.Row) (types.Value, e
 			return types.Null, errOracleKind
 		}
 		return types.NewShare(secure.Multiply(ve, new(big.Int).Mod(big.NewInt(pv.I), n), n)), nil
-	case "sdb_const":
-		w, err := share(0)
-		if err != nil {
-			return types.Null, err
-		}
-		out := secure.ApplyToken(secure.Token{P: hex(1), Q: hex(2), Base: true}, nil, w, n)
-		if out == nil {
-			return types.Null, errOracleInv
-		}
-		return types.NewShare(out), nil
 	default: // sdb_keyupdate, sdb_sign
 		ve, err := share(0)
 		if err != nil {
@@ -255,7 +245,7 @@ func call(name string, args ...sqlparser.Expr) *sqlparser.FuncCall {
 // modulus-wide, either sign).
 func (c *progCase) token(n *big.Int) (p, q sqlparser.Expr) {
 	P := new(big.Int).Rand(c.r, n)
-	switch c.r.Intn(6) {
+	switch c.r.Intn(5) {
 	case 0:
 		P.SetInt64(0)
 	case 1:
@@ -322,7 +312,7 @@ func (c *progCase) tree(n *big.Int, depth int) sqlparser.Expr {
 		return sqlparser.ColRef{Name: "v"}
 	}
 	nh := hexLit(n)
-	switch c.r.Intn(6) {
+	switch c.r.Intn(5) {
 	case 0:
 		return call("sdb_mul", c.tree(n, depth-1), c.tree(n, depth-1), nh)
 	case 1:
@@ -335,9 +325,6 @@ func (c *progCase) tree(n *big.Int, depth int) sqlparser.Expr {
 			plain = sqlparser.IntLit{V: c.r.Int63n(2001) - 1000}
 		}
 		return call("sdb_scale", c.tree(n, depth-1), plain, nh)
-	case 4:
-		p, q := c.token(n)
-		return call("sdb_const", c.helperArg(n), p, q, nh)
 	}
 	p, q := c.token(n)
 	return call("sdb_keyupdate", c.tree(n, depth-1), c.helperArg(n), p, q, nh)

@@ -69,12 +69,36 @@ func (e *Engine) newQuerySpill() *querySpill {
 	}
 }
 
-// spillPool returns a pool that dispatches spilled-work tasks one at a
-// time (chunk size 1): independent Grace partition pairs, aggregation
-// partition merges and run pre-merge groups each occupy one worker until
-// done, so skewed partitions load-balance across the bound.
-func (q *querySpill) spillPool() *parallel.Pool {
-	return parallel.New(q.workers, 1)
+// mergePartitions runs n independent spilled partitions — Grace partition
+// pairs, aggregation partition merges — concurrently on the query's spill
+// workers, one partition per worker at a time (chunk size 1) so skewed
+// partitions load-balance across the bound, and returns the tag-ordered
+// merge of their runs. The runs are gathered in partition order, and the
+// merge restores the exact output order whatever the completion order
+// was. On error every run is closed.
+func (q *querySpill) mergePartitions(n, batch int, part func(p int) ([]*runFile, error)) (*mergeIter, error) {
+	perPart := make([][]*runFile, n)
+	err := parallel.New(q.workers, 1).ForEachChunk(n, func(_, lo, hi int) error {
+		for p := lo; p < hi; p++ {
+			leave := q.enterSpillWorker()
+			rs, err := part(p)
+			leave()
+			if err != nil {
+				return err
+			}
+			perPart[p] = rs
+		}
+		return nil
+	})
+	var runs []*runFile
+	for _, rs := range perPart {
+		runs = append(runs, rs...)
+	}
+	if err != nil {
+		closeRunFiles(runs)
+		return nil, err
+	}
+	return boundedMerge(q, runs, tagCompare, batch)
 }
 
 // enterSpillWorker marks one spilled-work task in flight and returns its

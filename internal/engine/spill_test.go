@@ -288,35 +288,65 @@ func TestAggSpillMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestPlainAggregationStateCountedOnce: a GROUP BY without secure
-// arithmetic folds into one state table, so each group weighs one row
-// against the budget however many workers the engine has. The G groups
-// interleave so that every group lands in both halves of some batch —
-// where one table per worker held about 2G groups and spilled under a
-// budget between G and 2G.
-func TestPlainAggregationStateCountedOnce(t *testing.T) {
+// TestAggregationStateCountedOnce: an aggregation folds into one state
+// table, so each group weighs one row against the budget however many
+// workers the engine has. The G groups interleave so that every group
+// lands in both halves of some batch — where one table per worker held
+// about 2G groups and spilled under a budget between G and 2G. The plain
+// GROUP BY runs serially; the secure one (a share SUM whose argument is a
+// row program) runs on both workers, whose scratch tables the one table
+// absorbs after every batch.
+func TestAggregationStateCountedOnce(t *testing.T) {
 	const (
 		groups = 201 // odd: a group's position in the 8-row batch shifts each cycle
 		budget = 300 // threshold 300 - 6×8 = 252: above G, below 2G
 	)
-	mem := newSpillEngine(t, -1)
-	spl := newSpillEngine(t, budget)
-	for _, e := range []*Engine{mem, spl} {
-		mustExec(t, e, `CREATE TABLE ev (grp INT, v INT)`)
+	check := func(t *testing.T, sql string, want, got *Result, st ExecStats) {
+		t.Helper()
+		if st.Spills != 0 || st.SpilledRows != 0 {
+			t.Fatalf("%d groups under a %d-row budget: %d spills of %d rows, want none", groups, budget, st.Spills, st.SpilledRows)
+		}
+		if len(want.Rows) != groups {
+			t.Fatalf("%d groups, want %d", len(want.Rows), groups)
+		}
+		requireSameRows(t, sql, got, want)
 	}
-	loadRows(t, []*Engine{mem, spl}, "ev", 10*groups, func(i int) string {
-		return fmt.Sprintf("(%d, %d)", i%groups, i%13)
+	t.Run("plain", func(t *testing.T) {
+		mem := newSpillEngine(t, -1)
+		spl := newSpillEngine(t, budget)
+		for _, e := range []*Engine{mem, spl} {
+			mustExec(t, e, `CREATE TABLE ev (grp INT, v INT)`)
+		}
+		loadRows(t, []*Engine{mem, spl}, "ev", 10*groups, func(i int) string {
+			return fmt.Sprintf("(%d, %d)", i%groups, i%13)
+		})
+		sql := `SELECT grp, COUNT(*), SUM(v) FROM ev GROUP BY grp`
+		want, _ := queryWithStats(t, mem, sql)
+		got, st := queryWithStats(t, spl, sql)
+		check(t, sql, want, got, st)
 	})
-	sql := `SELECT grp, COUNT(*), SUM(v) FROM ev GROUP BY grp`
-	want, _ := queryWithStats(t, mem, sql)
-	got, st := queryWithStats(t, spl, sql)
-	if st.Spills != 0 || st.SpilledRows != 0 {
-		t.Fatalf("%d groups under a %d-row budget: %d spills of %d rows, want none", groups, budget, st.Spills, st.SpilledRows)
-	}
-	if len(want.Rows) != groups {
-		t.Fatalf("%d groups, want %d", len(want.Rows), groups)
-	}
-	requireSameRows(t, sql, got, want)
+	t.Run("secure", func(t *testing.T) {
+		vals := make([]int64, 10*groups)
+		for i := range vals {
+			vals[i] = int64(i%13 - 6)
+		}
+		f := newSecureFixture(t, vals)
+		flat, _ := f.s.FlatKey()
+		sql := fmt.Sprintf(`SELECT id %% %d, SUM(%s), COUNT(*) FROM enc GROUP BY id %% %d`,
+			groups, f.flattenSQL("v", f.ck, flat), groups)
+		f.eng.SetOptions(spillOptions(-1, t.TempDir()))
+		want, _ := queryWithStats(t, f.eng, sql)
+		f.eng.SetOptions(spillOptions(budget, t.TempDir()))
+		sig, err := planSig(f.eng, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sig, "agg‖") {
+			t.Fatalf("share SUM not on the worker pool: %s", sig)
+		}
+		got, st := queryWithStats(t, f.eng, sql)
+		check(t, sql, want, got, st)
+	})
 }
 
 // TestSecureAggSpill pins the serializable tournament states: sdb_min and

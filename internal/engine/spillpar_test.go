@@ -1,12 +1,12 @@
 package engine
 
 import (
-	"context"
 	"fmt"
-	"io"
+	"math"
 	"runtime"
 	"testing"
 
+	"sdb/internal/spill"
 	"sdb/internal/storage"
 )
 
@@ -23,33 +23,17 @@ func parSpillOptions(budget, workers int, dir string) Options {
 	return Options{Parallelism: workers, ChunkSize: 4, MemBudgetRows: budget, SpillDir: dir}
 }
 
-// queryBudgetMax streams one SELECT to completion and returns its rows,
-// stats and the query budget's reservation high-water mark.
-func queryBudgetMax(t *testing.T, e *Engine, sql string) (*Result, ExecStats, int) {
+// queryBudgetMax streams one SELECT to completion on e set to opts, and
+// returns its rows, stats and the query's reservation high-water mark. The
+// query gets a fresh budget pool with a limit no query reaches: every
+// budget reservation also reserves from the pool, so the pool's mark is
+// the budget's.
+func queryBudgetMax(t *testing.T, e *Engine, opts Options, sql string) (*Result, ExecStats, int) {
 	t.Helper()
-	it, err := e.QuerySQL(context.Background(), sql)
-	if err != nil {
-		t.Fatalf("%s: %v", sql, err)
-	}
-	oit, ok := it.(*opIterator)
-	if !ok {
-		t.Fatalf("%s: not an operator-tree iterator", sql)
-	}
-	res := &Result{Columns: it.Columns()}
-	for {
-		batch, err := it.NextBatch()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		res.Rows = append(res.Rows, batch...)
-	}
-	stats := oit.Stats()
-	maxUsed := oit.qs.budget.MaxUsed()
-	it.Close()
-	return res, stats, maxUsed
+	opts.BudgetPool = spill.NewPool(math.MaxInt)
+	e.SetOptions(opts)
+	res, st := queryWithStats(t, e, sql)
+	return res, st, opts.BudgetPool.MaxUsed()
 }
 
 // loadParJoinTables fills fact/dim tables sized so the join build side,
@@ -133,7 +117,8 @@ func TestSpillParallelMatchesSerialAndMemory(t *testing.T) {
 // "every worker checked before any reserved" window.
 func TestConcurrentSpillBudgetAccounting(t *testing.T) {
 	const budget = 128
-	e := NewWithOptions(storage.NewCatalog(), nil, parSpillOptions(budget, 4, t.TempDir()))
+	opts := parSpillOptions(budget, 4, t.TempDir())
+	e := NewWithOptions(storage.NewCatalog(), nil, opts)
 	loadParJoinTables(t, []*Engine{e})
 
 	for _, sql := range []string{
@@ -141,7 +126,7 @@ func TestConcurrentSpillBudgetAccounting(t *testing.T) {
 		`SELECT fact.k, COUNT(*), SUM(v) FROM fact GROUP BY fact.k`,
 		`SELECT k, v FROM fact ORDER BY v, k`,
 	} {
-		_, st, maxUsed := queryBudgetMax(t, e, sql)
+		_, st, maxUsed := queryBudgetMax(t, e, opts, sql)
 		if st.Spills == 0 {
 			t.Fatalf("%s: did not spill", sql)
 		}
@@ -158,7 +143,8 @@ func TestConcurrentSpillBudgetAccounting(t *testing.T) {
 // the budget by at most K × minSpillChunkRows — and no more.
 func TestConcurrentSpillBudgetSkewOvershoot(t *testing.T) {
 	const budget, workers = 48, 4
-	e := NewWithOptions(storage.NewCatalog(), nil, parSpillOptions(budget, workers, t.TempDir()))
+	opts := parSpillOptions(budget, workers, t.TempDir())
+	e := NewWithOptions(storage.NewCatalog(), nil, opts)
 	mustExec(t, e, `CREATE TABLE probe (k INT, v INT)`)
 	mustExec(t, e, `CREATE TABLE build (k INT, d INT)`)
 	// Eight heavy keys, one per likely hash partition: every partition is
@@ -173,7 +159,7 @@ func TestConcurrentSpillBudgetSkewOvershoot(t *testing.T) {
 	// skewed inputs reach the join whole (pushed below it, `v < 16` would
 	// leave a 16-row build side that fits the budget).
 	sql := `SELECT v, d FROM probe JOIN build ON probe.k = build.k WHERE v + 0 * d < 16`
-	res, st, maxUsed := queryBudgetMax(t, e, sql)
+	res, st, maxUsed := queryBudgetMax(t, e, opts, sql)
 	if st.Spills == 0 {
 		t.Fatalf("skewed join did not spill: %+v", st)
 	}

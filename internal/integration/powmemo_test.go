@@ -83,7 +83,7 @@ func TestHelperPowerMemoCountsQ1(t *testing.T) {
 // with the literals P, Q, n.
 func tokenExponents(sql string) []string {
 	var qs []string
-	for _, fn := range []string{"sdb_keyupdate(", "sdb_const(", "sdb_sign("} {
+	for _, fn := range []string{"sdb_keyupdate(", "sdb_sign("} {
 		for rest := sql; ; {
 			i := strings.Index(rest, fn)
 			if i < 0 {

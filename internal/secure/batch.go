@@ -13,24 +13,19 @@ import (
 // (internal/engine/shareprog.go), not through either.
 
 // ApplyTokenBatch transforms rows i ∈ [0, len(ws)): out[i] = P·ves[i]·ws[i]^Q
-// mod n. For Base tokens ves may be nil. It errors where ApplyToken returns
-// nil (negative Q with a non-invertible helper), and on a length mismatch.
-// It is a loop over ApplyToken, kept because the benchmark module
+// mod n. It errors where ApplyToken returns nil (negative Q with a
+// non-invertible helper), and on a length mismatch. It is a loop over ApplyToken, kept because the benchmark module
 // (bench/layers.go) times it; ROADMAP item 1(b) re-seats that loop.
 func ApplyTokenBatch(t Token, ves, ws []*big.Int, n *big.Int) ([]*big.Int, error) {
 	if len(ws) == 0 {
 		return nil, nil
 	}
-	if !t.Base && len(ves) != len(ws) {
+	if len(ves) != len(ws) {
 		return nil, fmt.Errorf("secure: batch length mismatch: %d shares, %d helpers", len(ves), len(ws))
 	}
 	out := make([]*big.Int, len(ws))
 	for i, w := range ws {
-		var ve *big.Int
-		if !t.Base {
-			ve = ves[i]
-		}
-		if out[i] = ApplyToken(t, ve, w, n); out[i] == nil {
+		if out[i] = ApplyToken(t, ves[i], w, n); out[i] == nil {
 			return nil, errNotInvertible()
 		}
 	}

@@ -20,8 +20,8 @@ func batchSecret(t testing.TB) *Secret {
 	return s
 }
 
-// TestApplyTokenBatchMatchesScalar: random tokens (positive Q, negative Q,
-// Base) over random rows must produce byte-identical shares through the
+// TestApplyTokenBatchMatchesScalar: random tokens (positive Q, negative Q)
+// over random rows must produce byte-identical shares through the
 // batch entry point and row by row.
 func TestApplyTokenBatchMatchesScalar(t *testing.T) {
 	s := batchSecret(t)
@@ -32,11 +32,7 @@ func TestApplyTokenBatchMatchesScalar(t *testing.T) {
 		if trial%2 == 1 {
 			q.Neg(q)
 		}
-		tok := Token{
-			P:    new(big.Int).Rand(r, n),
-			Q:    q,
-			Base: trial%3 == 2,
-		}
+		tok := Token{P: new(big.Int).Rand(r, n), Q: q}
 		rows := 37
 		ves := make([]*big.Int, rows)
 		ws := make([]*big.Int, rows)
@@ -113,34 +109,6 @@ func TestApplyTokenBatchEmpty(t *testing.T) {
 	}
 }
 
-func TestApplyTokenBatchBase(t *testing.T) {
-	s := batchSecret(t)
-	n := s.N()
-	r := rand.New(rand.NewSource(12))
-	tok := Token{P: new(big.Int).Rand(r, n), Q: new(big.Int).Rand(r, n), Base: true}
-	ws := make([]*big.Int, 9)
-	for i := range ws {
-		rid, err := s.NewRowID()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws[i] = s.RowHelper(rid)
-	}
-	// Base tokens ignore ves entirely; nil must be accepted.
-	got, err := ApplyTokenBatch(tok, nil, ws, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ws {
-		if want := ApplyToken(tok, nil, ws[i], n); got[i].Cmp(want) != 0 {
-			t.Fatalf("row %d: batch %v != scalar %v", i, got[i], want)
-		}
-	}
-}
-
-// TestApplyTokenBatchNonInvertible: a negative-Q token over a helper that
-// shares a factor with n must error — the scalar path returns nil there,
-// and the batch must not silently hand back nil shares.
 func TestApplyTokenBatchNonInvertible(t *testing.T) {
 	n := big.NewInt(15) // 3·5, odd, so the Montgomery path is exercised
 	tok := Token{P: big.NewInt(2), Q: big.NewInt(-1)}
@@ -266,8 +234,5 @@ func TestTokenStringRedacted(t *testing.T) {
 	}
 	if !strings.Contains(str, "update") {
 		t.Fatalf("Token.String() lost its kind: %s", str)
-	}
-	if got := (Token{P: p, Q: q, Base: true}).String(); !strings.Contains(got, "const") {
-		t.Fatalf("Base token kind missing: %s", got)
 	}
 }

@@ -120,10 +120,7 @@ func refApply(tok Token, ve, w, n *big.Int) *big.Int {
 	if y == nil {
 		return nil
 	}
-	y.Mul(y, tok.P)
-	if !tok.Base {
-		y.Mul(y, ve)
-	}
+	y.Mul(y, tok.P).Mul(y, ve)
 	return y.Mod(y, n)
 }
 
@@ -171,9 +168,6 @@ func memoCases(t *testing.T) []memoCase {
 		{"negative", n, Token{P: p(), Q: new(big.Int).Neg(q())}, ves, ws},
 		{"zero", n, Token{P: p(), Q: new(big.Int)}, ves, ws},
 		{"wide", n, Token{P: p(), Q: wide}, ves, ws},
-		{"base-positive", n, Token{P: p(), Q: q(), Base: true}, nil, ws},
-		{"base-negative", n, Token{P: p(), Q: new(big.Int).Neg(q()), Base: true}, nil, ws},
-		{"base-zero", n, Token{P: p(), Q: new(big.Int), Base: true}, nil, ws},
 		{"even-positive", even, Token{P: big.NewInt(17), Q: big.NewInt(12345)}, small(even, 6), small(even, 6)},
 		{"even-negative", even, Token{P: big.NewInt(17), Q: big.NewInt(-77)}, small(even, 6), small(even, 6)},
 		{"even-zero", even, Token{P: big.NewInt(17), Q: new(big.Int)}, small(even, 6), small(even, 6)},
@@ -200,10 +194,7 @@ func checkMemoCase(t *testing.T, state string, c memoCase) {
 	var hits int64
 	defer FlushHelperPowerHits(&hits)
 	for i, w := range c.ws {
-		var ve *big.Int
-		if !c.tok.Base {
-			ve = c.ves[i]
-		}
+		ve := c.ves[i]
 		want := refApply(c.tok, ve, w, c.n)
 		paths := map[string]*big.Int{"ApplyToken": ApplyToken(c.tok, ve, w, c.n), "ApplyTokenBatch": batch[i]}
 		if pt != nil {
@@ -212,10 +203,7 @@ func checkMemoCase(t *testing.T, state string, c memoCase) {
 				t.Fatalf("%s/%s row %d: Lookup: %v", state, c.name, i, err)
 			}
 			got := pt.ctx.FromMont(ms, yM)
-			got.Mul(got, c.tok.P)
-			if !c.tok.Base {
-				got.Mul(got, ve)
-			}
+			got.Mul(got, c.tok.P).Mul(got, ve)
 			paths["Lookup"] = got.Mod(got, c.n)
 		}
 		for path, got := range paths {
@@ -245,9 +233,9 @@ func TestPowMemoDifferential(t *testing.T) {
 	}
 	after := HelperPowers()
 	// The warm pass may only exponentiate for the unreduced helper, which
-	// bypasses the memo: three paths × five memoised tokens.
-	if d := after.Misses - before.Misses; d != 3*5 {
-		t.Fatalf("warm pass missed %d times, want 15 (stats %+v → %+v)", d, before, after)
+	// bypasses the memo: three paths × three memoised tokens.
+	if d := after.Misses - before.Misses; d != 3*3 {
+		t.Fatalf("warm pass missed %d times, want 9 (stats %+v → %+v)", d, before, after)
 	}
 	if after.Entries != before.Entries {
 		t.Fatalf("warm pass changed the entry count: %d → %d", before.Entries, after.Entries)

@@ -40,29 +40,6 @@ func (s *Secret) NegKey(a ColumnKey) ColumnKey {
 	}
 }
 
-// ConstShareToken builds the token that materialises, for every row, a
-// share of the constant c under column key ck: the SP computes
-// P·w^Q = c·m⁻¹·w^(−x) = c·vk⁻¹. Plaintext addition A + c rewrites to
-// AddShares(A, ConstShare(c)) after key-updating A to ck.
-func (s *Secret) ConstShareToken(c *big.Int, ck ColumnKey) (Token, error) {
-	if !ck.valid(s.params.N) {
-		return Token{}, fmt.Errorf("secure: invalid column key in const share")
-	}
-	enc, err := s.domain.Encode(c)
-	if err != nil {
-		return Token{}, err
-	}
-	mInv, err := bigmod.Inv(ck.M, s.params.N)
-	if err != nil {
-		return Token{}, fmt.Errorf("secure: column key not invertible: %w", err)
-	}
-	return Token{
-		P:    bigmod.Mul(enc, mInv, s.params.N),
-		Q:    new(big.Int).Neg(ck.X),
-		Base: true,
-	}, nil
-}
-
 // paperSecret reproduces the parameters of the paper's Figure 1 worked
 // example: ρ1=5, ρ2=7 (n=35), g=2.
 func paperSecret(t *testing.T) *Secret {

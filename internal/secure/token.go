@@ -19,9 +19,6 @@ import (
 //   - flatten to DET tag:      the special case x_C = 0
 //   - reveal (decrypt at SP):  the special case ck_C = ⟨1, 0⟩
 //
-// With Base set, the SP ignores ve and computes P·w^Q directly, which
-// materialises a share of a constant (used by plaintext addition).
-//
 // A token determines only differences of key components, never a column
 // key itself, so possession of tokens does not decrypt columns other than
 // those deliberately revealed.
@@ -30,21 +27,14 @@ type Token struct {
 	P *big.Int
 	// Q is the (possibly negative) exponent applied to the row helper.
 	Q *big.Int
-	// Base, if true, means the token manufactures a share from the row
-	// helper alone (constant-share token) instead of transforming ve.
-	Base bool
 }
 
 // String renders the token WITHOUT its key material: P and Q are key
 // differences (e.g. m_A·m_C⁻¹ and x_A−x_C), so printing them into a log
 // or error message leaks exactly what a token is supposed to protect.
-// Only the kind and the component widths survive formatting.
+// Only the component widths survive formatting.
 func (t Token) String() string {
-	kind := "update"
-	if t.Base {
-		kind = "const"
-	}
-	return fmt.Sprintf("token{%s p=<%d bits> q=<%d bits>}", kind, t.P.BitLen(), t.Q.BitLen())
+	return fmt.Sprintf("token{update p=<%d bits> q=<%d bits>}", t.P.BitLen(), t.Q.BitLen())
 }
 
 // KeyUpdateToken builds the token transforming shares under from into
@@ -86,8 +76,8 @@ func (s *Secret) RevealToken(ck ColumnKey) (Token, error) {
 	}, nil
 }
 
-// ApplyToken is the SP-side UDF: out = P·ve·w^Q mod n (or P·w^Q for
-// constant-share tokens). It uses only public material — the token, the
+// ApplyToken is the SP-side UDF: out = P·ve·w^Q mod n. It uses only
+// public material — the token, the
 // stored share and the stored row helper. It is the scalar definition the
 // engine's row programs (internal/engine/shareprog.go) are held to: w^Q
 // comes from the helper-power memo (a row helper touched by several tokens
@@ -112,18 +102,12 @@ func ApplyToken(t Token, ve, w, n *big.Int) *big.Int {
 			return nil
 		}
 	}
-	if t.Base && yM == nil {
-		return new(big.Int).Mod(t.P, n)
-	}
 	// A Montgomery-form operand times a normal-form one is the normal-form
 	// product in one REDC.
 	z := make([]big.Word, mc.Words())
-	switch {
-	case t.Base:
-		mc.MulBig(ms, z, yM, t.P) // P·y
-	case yM == nil:
+	if yM == nil {
 		mc.MulBig(ms, z, mc.ToMont(ms, t.P), ve) // P·ve
-	default:
+	} else {
 		mc.MulBig(ms, z, yM, ve)               // y·ve
 		mc.MulTo(ms, z, mc.ToMont(ms, t.P), z) // P·y·ve
 	}
@@ -138,11 +122,7 @@ func applyPlain(t Token, ve, w, n *big.Int) *big.Int {
 	if out == nil {
 		return nil
 	}
-	out = bigmod.Mul(out, t.P, n)
-	if !t.Base {
-		out = bigmod.Mul(out, ve, n)
-	}
-	return out
+	return bigmod.Mul(bigmod.Mul(out, t.P, n), ve, n)
 }
 
 // errNotInvertible is the non-invertible-helper failure of a negative

@@ -97,34 +97,20 @@ func TestSubViaCommonKey(t *testing.T) {
 	}
 }
 
-func TestConstShareToken(t *testing.T) {
-	// EP addition: materialise a share of the constant, then add.
-	s := testSecret(t)
-	ck, _ := s.NewColumnKey()
-	tok, err := s.ConstShareToken(big.NewInt(-99), ck)
-	if err != nil {
-		t.Fatalf("ConstShareToken: %v", err)
-	}
-	r, _ := s.NewRowID()
-	w := s.RowHelper(r)
-	ce := ApplyToken(tok, nil, w, s.N()) // Base token ignores ve
-	got, err := s.DecryptInt64(ce, r, ck)
-	if err != nil {
-		t.Fatalf("Decrypt: %v", err)
-	}
-	if got != -99 {
-		t.Errorf("const share = %d, want -99", got)
-	}
-}
-
+// TestAddPlaintextConstant: A + c adds a share of c under A's column key,
+// minted per row by key-updating c's encoding (a share of c under ⟨1, 0⟩).
 func TestAddPlaintextConstant(t *testing.T) {
 	s := testSecret(t)
 	ck, _ := s.NewColumnKey()
-	tok, _ := s.ConstShareToken(big.NewInt(7), ck)
+	tok, err := s.KeyUpdateToken(ColumnKey{M: big.NewInt(1), X: new(big.Int)}, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc7, _ := s.domain.Encode(big.NewInt(7))
 	r, _ := s.NewRowID()
 	w := s.RowHelper(r)
 	ae, _ := s.EncryptInt64(35, r, ck)
-	sum := AddShares(ae, ApplyToken(tok, nil, w, s.N()), s.N())
+	sum := AddShares(ae, ApplyToken(tok, enc7, w, s.N()), s.N())
 	got, _ := s.DecryptInt64(sum, r, ck)
 	if got != 42 {
 		t.Errorf("35+7 = %d, want 42", got)
@@ -290,9 +276,6 @@ func TestKeyUpdateTokenValidation(t *testing.T) {
 	}
 	if _, err := s.RevealToken(ColumnKey{}); err == nil {
 		t.Error("expected error for invalid reveal key")
-	}
-	if _, err := s.ConstShareToken(big.NewInt(1), ColumnKey{}); err == nil {
-		t.Error("expected error for invalid const-share key")
 	}
 }
 

@@ -36,11 +36,10 @@ import "sync/atomic"
 // budget. A refused pool reservation is the same spill signal as a
 // refused local one.
 type Budget struct {
-	limit   int64 // hard per-query budget; <= 0 means locally unlimited
-	soft    int64 // reservation threshold (limit - headroom)
-	used    atomic.Int64
-	maxUsed atomic.Int64 // high-water mark of used, latched on reserve
-	pool    *Pool        // optional shared cross-query pool
+	limit int64 // hard per-query budget; <= 0 means locally unlimited
+	soft  int64 // reservation threshold (limit - headroom)
+	used  atomic.Int64
+	pool  *Pool // optional shared cross-query pool
 }
 
 // NewBudget builds a budget of limit resident rows, keeping headroom rows
@@ -106,13 +105,12 @@ func (b *Budget) TryReserve(n int) bool {
 				return false
 			}
 			if b.used.CompareAndSwap(cur, next) {
-				b.latchMax(next)
 				break
 			}
 		}
 	} else {
 		// Pool-only budget: track usage so Release stays symmetric.
-		b.latchMax(b.used.Add(int64(n)))
+		b.used.Add(int64(n))
 	}
 	if b.pool != nil && !b.pool.TryReserve(n) {
 		// Roll the local reservation back: nothing was admitted.
@@ -131,19 +129,9 @@ func (b *Budget) ForceReserve(n int) {
 	if b.Unlimited() {
 		return
 	}
-	b.latchMax(b.used.Add(int64(n)))
+	b.used.Add(int64(n))
 	if b.pool != nil {
 		b.pool.ForceReserve(n)
-	}
-}
-
-// latchMax records a new reservation high-water mark.
-func (b *Budget) latchMax(cur int64) {
-	for {
-		old := b.maxUsed.Load()
-		if cur <= old || b.maxUsed.CompareAndSwap(old, cur) {
-			return
-		}
 	}
 }
 
@@ -160,17 +148,4 @@ func (b *Budget) Release(n int) {
 	if b.pool != nil {
 		b.pool.Release(n)
 	}
-}
-
-// MaxUsed reports the reservation high-water mark over the budget's
-// lifetime. TryReserve keeps it at or under the soft threshold even
-// under concurrent reservations (the CAS admits or refuses atomically);
-// only ForceReserve — the minimum working set a spilled operator cannot
-// progress without — can push it past, by at most one such working set
-// per concurrent spill worker.
-func (b *Budget) MaxUsed() int {
-	if b == nil {
-		return 0
-	}
-	return int(b.maxUsed.Load())
 }

@@ -53,7 +53,6 @@ var allowed = map[string]string{
 	"internal/engine.Engine.SetCommitHook": "test hook: engine, server and WAL tests park a commit between its phases",
 	"internal/secure.ResetHelperPowers":    "test hook: integration tests count helper-power memo misses from zero",
 	"internal/secure.Secret.KeyTableStats": "test hook: the proxy's decrypt-race tests count comb-table builds",
-	"internal/spill.Budget.MaxUsed":        "test hook: the engine's spill tests bound a query's reservation high-water mark",
 	"internal/tpch.CommaForm":              "test fixture: the engine plans every TPC-H JOIN query against its comma form",
 	"internal/types.Value.Equal":           "test comparator: six packages' differentials compare result cells with it",
 

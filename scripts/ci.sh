@@ -24,7 +24,8 @@
 # differential pass (both re-runs of the engine suite selected through its
 # TestMain, each proving its mode took effect), a
 # race-detected pool-choice pass (pool marks in TPC-H plans, the secure
-# serial-vs-parallel differential, a plain GROUP BY's one state table), a
+# serial-vs-parallel differential, one state table per GROUP BY, plain
+# and secure), a
 # race-detected MVCC isolation pass (torn-read, no-stall,
 # prefix-consistency and randomized mixed-workload harnesses, and the
 # proxy's rotation-window and key-lock cancellation tests), a
@@ -321,9 +322,10 @@ echo "== pool choice under the race detector"
 # over the plaintext schema); secure filters, share projections, encrypted
 # and residual joins (resident and Grace-spilled), a non-equi join, sdb_min /
 # sdb_max per group and DISTINCT answer through a proxy the same on one
-# worker and on eight; and a plain GROUP BY keeps one state table, so its
-# groups weigh once against the budget.
-go test -race -count=1 -run 'TPCHPoolMarks|ParallelSerialEquivalenceSecure|PlainAggregationStateCountedOnce' \
+# worker and on eight; and a GROUP BY keeps one state table, so its groups
+# weigh once against the budget — plain (serial) and secure (a share SUM
+# whose two workers' scratch tables the one table absorbs every batch).
+go test -race -count=1 -run 'TPCHPoolMarks|ParallelSerialEquivalenceSecure|AggregationStateCountedOnce' \
   ./internal/engine
 
 echo "== MVCC isolation harness under the race detector"
