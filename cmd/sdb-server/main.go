@@ -9,9 +9,9 @@
 //
 // With -data-dir (or SDB_DATA_DIR) the server is durable: every write
 // statement is logged to a write-ahead log before it is applied, periodic
-// checkpoints snapshot the columns, and a restart recovers the catalog
-// before the listener comes up. SIGTERM/SIGINT trigger a graceful
-// shutdown: a final checkpoint, a log sync, then exit.
+// checkpoints start a new log from the current tables, and a restart
+// recovers the catalog before the listener comes up. SIGTERM/SIGINT
+// trigger a graceful shutdown: a final checkpoint, a log sync, then exit.
 //
 // Configuration is flags only, with one precedence rule: flag > environment
 // variable as that flag's default > built-in default. Two flags have an
@@ -57,7 +57,7 @@ func main() {
 	spillDir := flag.String("spill-dir", os.Getenv("SDB_SPILL_DIR"), "directory for spill temp files (default SDB_SPILL_DIR; empty = the system temp dir)")
 	dataDir := flag.String("data-dir", os.Getenv("SDB_DATA_DIR"), "durable data directory: WAL + checkpoints; recovery runs before serving (default SDB_DATA_DIR; empty = in-memory only)")
 	checkpointEvery := flag.Int("checkpoint-every", 1024, "WAL records between automatic checkpoints (0 = only at shutdown; needs -data-dir)")
-	fsync := flag.String("fsync", wal.FsyncAlways, "WAL fsync policy: always (per statement), interval (background flusher), never")
+	fsync := flag.String("fsync", wal.FsyncAlways, "WAL fsync policy: always (per statement) or never (page cache only)")
 	maxSessions := flag.Int("max-sessions", 0, "concurrent session limit; connections past it get one rejection frame (0 = unlimited)")
 	maxStmts := flag.Int("max-stmts", 0, "open cursors per session (0 = default 64)")
 	globalBudget := flag.Int("global-budget", 0, "deployment-wide resident-row pool shared by every query across all sessions; exhaustion spills (0 = off; composes with -mem-budget)")
@@ -127,7 +127,7 @@ func main() {
 
 	// Graceful shutdown: stop accepting, abort in-flight queries, then
 	// make everything durable — a checkpoint compacts the log so the next
-	// start recovers from snapshots instead of a long replay.
+	// start replays one base section instead of a long history.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	done := make(chan error, 1)
@@ -145,7 +145,8 @@ func main() {
 	if store != nil {
 		// The engine-level checkpoint takes the commit lock, so a write
 		// racing the shutdown is either fully committed (logged and
-		// published) before the snapshot is cut, or not in it at all.
+		// published) before the checkpoint's base section is cut, or not in
+		// it at all.
 		if err := eng.Checkpoint(); err != nil {
 			log.Printf("sdb-server: final checkpoint: %v", err)
 		}

@@ -13,7 +13,7 @@
 //	    negative = unlimited).
 //	    data_dir makes the embedded deployment durable: the engine logs
 //	    every write to a WAL under the directory (checkpoint_every WAL
-//	    records between snapshots, fsync=always|interval|never), and the
+//	    records between checkpoints, fsync=always|never), and the
 //	    proxy keeps its secrets in <data_dir>/do-state.json; reopening
 //	    the same DSN recovers both sides. DB.Close flushes and closes
 //	    the store.
@@ -165,8 +165,8 @@ func (c *Connector) Close() error {
 	}
 	var err error
 	if c.store != nil {
-		// Checkpoint under the engine's commit lock, so the snapshot holds
-		// no half-committed statement, then close the log.
+		// Checkpoint under the engine's commit lock, so the new log's base
+		// section holds no half-committed statement, then close the log.
 		if c.eng != nil {
 			err = c.eng.Checkpoint()
 		}

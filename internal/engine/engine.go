@@ -85,16 +85,16 @@ type Engine struct {
 	// log-before-apply: validate fully, log one record, then publish the
 	// prepared version (the publish cannot fail post-validation). nil
 	// keeps the engine purely in-memory. Log hooks run under commitMu,
-	// so the published version set is quiescent while the layer
-	// snapshots it — readers and version builders are unaffected.
+	// so the published version set is quiescent while a checkpoint
+	// writes it out — readers and version builders are unaffected.
 	dur storage.Durability
 	// rotGen/catGen count writes: catGen advances on CREATE/INSERT/DROP
 	// and plain UPDATEs, rotGen on key-rotation UPDATEs (sdb_keyupdate in
-	// a SET expression). They are written to every WAL record and to the
-	// manifest, and nothing in the product reads them; they stay only
-	// because bench/trace.go compiles against Generations and the
-	// storage.Durability signatures (ROADMAP items 1(b) and 15 delete
-	// them). Written under commitMu, read by Generations, hence atomics.
+	// a SET expression). They are written to every WAL record and to
+	// each log's header, and nothing in the product reads them; they
+	// stay only because bench/trace.go compiles against Generations and
+	// the storage.Durability signatures (ROADMAP items 1(b) and 15
+	// delete them). Written under commitMu, read by Generations, hence atomics.
 	rotGen, catGen atomic.Uint64
 }
 
@@ -175,8 +175,8 @@ func NewWithDurability(catalog *storage.Catalog, n *big.Int, opts Options, dur s
 	return e
 }
 
-// Checkpoint forces a durability checkpoint under the commit lock, so the
-// snapshot sees a quiescent published version set with no half-committed
+// Checkpoint forces a durability checkpoint under the commit lock, so it
+// writes out a quiescent published version set with no half-committed
 // statement (graceful-shutdown path) — readers keep streaming and writers
 // keep building throughout; only commits wait. No-op without a durability
 // layer or when the layer has no Checkpoint method.
@@ -274,7 +274,7 @@ type Result struct {
 // a catalog snapshot and never waits on writers. Writers serialize per
 // target table and only meet each other (and checkpoints) at the commit
 // step (snapshot.go). The durability layer's checkpoint opportunity fires
-// inside commit, after the publish, so a checkpoint's snapshot always
+// inside commit, after the publish, so a checkpoint's base section always
 // contains the record whose LSN it claims.
 func (e *Engine) Execute(stmt sqlparser.Statement) (*Result, error) {
 	switch s := stmt.(type) {

@@ -8,9 +8,9 @@ import (
 
 // Generations are the engine's monotonic write counters: Rotation counts
 // key rotations, Catalog every other write (CREATE/INSERT/DROP). A
-// durability layer writes them to every record and to the manifest, and
-// nothing in the product reads them back: the proxy stamps its plans with
-// its own key-store version. They remain only because bench/trace.go
+// durability layer writes them to every record and to each log's header,
+// and nothing in the product reads them back: the proxy stamps its plans
+// with its own key-store version. They remain only because bench/trace.go
 // compiles against Engine.Generations and the Durability signatures below
 // (ROADMAP items 1(b) and 15 delete them).
 type Generations struct {
@@ -23,7 +23,7 @@ type Generations struct {
 // statement and BEFORE applying it in memory (write-ahead discipline: a
 // statement is committed when its record is on the log, and the in-memory
 // apply that follows cannot fail post-validation). MaybeCheckpoint runs
-// after the apply, so an automatic checkpoint always snapshots a state
+// after the apply, so an automatic checkpoint always writes out a state
 // that includes every logged record.
 //
 // All methods are invoked under the engine's commit lock: at most one call
@@ -49,8 +49,8 @@ type Durability interface {
 	LogUpdate(table string, cols map[int][]types.Value, g Generations) error
 	// LogDrop records a DROP TABLE.
 	LogDrop(table string, g Generations) error
-	// MaybeCheckpoint lets the layer take a periodic column-snapshot
-	// checkpoint. Called after every applied write statement.
+	// MaybeCheckpoint lets the layer take a periodic checkpoint. Called
+	// after every applied write statement.
 	MaybeCheckpoint() error
 	// Recovered reports the generation counters as of recovery (or the
 	// latest logged values, whichever is newer). Engines seed their own

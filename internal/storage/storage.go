@@ -84,27 +84,6 @@ func NewTable(name string, schema types.Schema) *Table {
 	return t
 }
 
-// NewTableWithData creates a table whose first published version carries
-// the given data (snapshot recovery and bulk-build paths). The slices are
-// adopted, not copied — the caller must not retain mutable references.
-func NewTableWithData(name string, schema types.Schema, rowEnc, helper []*big.Int, cols [][]types.Value) (*Table, error) {
-	if len(cols) != schema.Len() {
-		return nil, fmt.Errorf("storage: table %q: %d columns for schema arity %d", name, len(cols), schema.Len())
-	}
-	n := len(rowEnc)
-	if len(helper) != n {
-		return nil, fmt.Errorf("storage: table %q: %d helpers for %d rows", name, len(helper), n)
-	}
-	for c, col := range cols {
-		if len(col) != n {
-			return nil, fmt.Errorf("storage: table %q: column %d has %d values for %d rows", name, c, len(col), n)
-		}
-	}
-	t := &Table{Name: name, Schema: schema}
-	t.cur.Store(&Version{RowEnc: rowEnc, Helper: helper, Cols: cols})
-	return t, nil
-}
-
 // Load pins the published version: one atomic read, immutable result.
 func (t *Table) Load() *Version { return t.cur.Load() }
 

@@ -10,10 +10,9 @@ import (
 
 // BenchmarkWALAppend measures the per-statement logging cost under each
 // fsync policy: the gap between "always" and "never" is the price of the
-// per-statement durability contract, and "interval" is the group-commit
-// middle ground the server defaults away from.
+// per-statement durability contract.
 func BenchmarkWALAppend(b *testing.B) {
-	for _, policy := range []string{FsyncAlways, FsyncInterval, FsyncNever} {
+	for _, policy := range []string{FsyncAlways, FsyncNever} {
 		b.Run(policy, func(b *testing.B) {
 			dir := b.TempDir()
 			cat := storage.NewCatalog()
@@ -37,8 +36,8 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWALRecover measures a cold open replaying a pure log (no
-// snapshot) of the given record count.
+// BenchmarkWALRecover measures a cold open replaying a log with an empty
+// base section and the given record count.
 func BenchmarkWALRecover(b *testing.B) {
 	for _, records := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {

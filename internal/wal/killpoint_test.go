@@ -10,6 +10,7 @@ package wal
 // prefix k pairs with proxy state file k.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -245,8 +246,8 @@ func TestKillPointDifferential(t *testing.T) {
 
 // TestKillPointAfterCheckpoint runs the same workload with checkpoints
 // enabled and sweeps the crash boundaries of the post-checkpoint log:
-// recovery must splice snapshots and log tail into the same committed
-// prefixes.
+// recovery must replay its base section and log tail into the same
+// committed prefixes.
 func TestKillPointAfterCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kill-point sweep is not short")
@@ -277,14 +278,156 @@ func TestKillPointAfterCheckpoint(t *testing.T) {
 			t.Errorf("cut %d: answers diverge from prefix %d\ngot:\n%s\nwant:\n%s", cut, prefix, got, golden[prefix])
 		}
 	}
-	// Boundary right after the checkpoint (snapshot only, empty log tail),
-	// then after each record in the tail.
-	check(startLSN, int64(headerLen))
+	// Boundary right after the base section (the checkpoint's state, empty
+	// log tail), then after each record in the tail.
+	baseEnd := int64(headerLen)
 	for _, inf := range infos {
+		if inf.Base {
+			baseEnd = inf.End
+		}
+	}
+	check(startLSN, baseEnd)
+	for _, inf := range infos {
+		if inf.Base {
+			continue
+		}
 		check(inf.LSN, inf.End)
 		// Torn one byte into the next record's frame is covered by the
-		// non-checkpoint sweep; here cut mid-record to prove snapshot +
+		// non-checkpoint sweep; here cut mid-record to prove base section +
 		// truncated tail still recovers the prefix.
 		check(inf.LSN-1, inf.End-1)
 	}
+}
+
+// TestKillPointCheckpointWindows crashes a checkpoint itself. For every
+// committed prefix k of the workload it takes the data dir at k (the log
+// cut after record k) and the same dir after a checkpoint at k, and builds
+// the states a crash inside the checkpoint can leave: the old log beside a
+// temp file of the new log cut at several offsets or complete (before the
+// rename), and the new log beside the old one (after the rename). Each
+// must recover prefix k with only the governing log left. A new log cut
+// inside its base section cannot come from a crash — the base is fsynced
+// before the rename — so Open must refuse it, name it, and change no file.
+func TestKillPointCheckpointWindows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("kill-point sweep is not short")
+	}
+	dataDir := t.TempDir()
+	statesDir := t.TempDir()
+	golden, logPath := runKillWorkload(t, dataDir, statesDir, Options{})
+	_, infos, err := LogRecords(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldName := filepath.Base(logPath)
+
+	for k := 0; k <= len(infos); k++ {
+		before := t.TempDir()
+		copyDir(t, dataDir, before)
+		cut := int64(headerLen)
+		if k > 0 {
+			cut = infos[k-1].End
+		}
+		if err := os.Truncate(filepath.Join(before, oldName), cut); err != nil {
+			t.Fatal(err)
+		}
+		after := t.TempDir()
+		copyDir(t, before, after)
+		store, err := Open(after, storage.NewCatalog(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		newName := filepath.Base(store.LogPath())
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if k > 0 && newName == oldName {
+			t.Fatalf("prefix %d: the checkpoint kept log %s", k, newName)
+		}
+		oldLog := readFile(t, filepath.Join(before, oldName))
+		newLog := readFile(t, filepath.Join(after, newName))
+		_, newInfos, err := LogRecords(filepath.Join(after, newName))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		check := func(label string, from string, extra map[string][]byte, survivor string) {
+			sub := t.TempDir()
+			copyDir(t, from, sub)
+			for name, data := range extra {
+				if err := os.WriteFile(filepath.Join(sub, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, lsn := recoverAndProbe(t, sub, statesDir, k)
+			if lsn != uint64(k) {
+				t.Errorf("prefix %d, %s: recovered LSN = %d", k, label, lsn)
+			}
+			if got != golden[k] {
+				t.Errorf("prefix %d, %s: answers diverge\ngot:\n%s\nwant:\n%s", k, label, got, golden[k])
+			}
+			if names := dirNames(t, sub); len(names) != 1 || names[0] != survivor {
+				t.Errorf("prefix %d, %s: dir holds %v after recovery, want only %s", k, label, names, survivor)
+			}
+		}
+
+		// Before the rename: the old log governs whatever the temp holds.
+		// At k = 0 the checkpoint rewrites the fresh store's own log name,
+		// so its temp file sits beside the same log.
+		tmp := newName + ".tmp"
+		for _, c := range []int64{0, 1, int64(headerLen) - 1, int64(headerLen), int64(len(newLog)) / 2, int64(len(newLog)) - 1, int64(len(newLog))} {
+			check(fmt.Sprintf("temp cut at %d of %d", c, len(newLog)), before,
+				map[string][]byte{tmp: newLog[:c]}, oldName)
+		}
+		// After the rename, before the old log is deleted.
+		if newName != oldName {
+			check("new log beside the old", after, map[string][]byte{oldName: oldLog}, newName)
+		}
+
+		// The new log cut inside its base section, beside the old log and
+		// a temp file: refused by name, nothing truncated or deleted.
+		prev := int64(headerLen)
+		for _, inf := range newInfos {
+			if !inf.Base {
+				continue
+			}
+			for _, c := range []int64{prev, prev + 1, inf.End - 1} {
+				sub := t.TempDir()
+				files := map[string][]byte{newName: newLog[:c], tmp: newLog}
+				if newName != oldName {
+					files[oldName] = oldLog
+				}
+				for name, data := range files {
+					if err := os.WriteFile(filepath.Join(sub, name), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				_, err := Open(sub, storage.NewCatalog(), Options{})
+				if err == nil || !strings.Contains(err.Error(), newName) {
+					t.Errorf("prefix %d, base cut at %d: Open = %v, want an error naming %s", k, c, err, newName)
+				}
+				if names := dirNames(t, sub); len(names) != len(files) {
+					t.Errorf("prefix %d, base cut at %d: dir holds %v after the refusal", k, c, names)
+				}
+				for name, want := range files {
+					if got := readFile(t, filepath.Join(sub, name)); !bytes.Equal(got, want) {
+						t.Errorf("prefix %d, base cut at %d: %s changed by the refused Open", k, c, name)
+					}
+				}
+			}
+			prev = inf.End
+		}
+	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

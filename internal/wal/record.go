@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/big"
 	"os"
 	"sort"
@@ -16,20 +18,25 @@ import (
 
 // Log file layout
 //
-//	header:  "SDBWAL01" | u64 LE startLSN
+//	header:  "SDBWAL02" | u64 LE startLSN | u64 LE rotation generation |
+//	         u64 LE catalog generation | u32 LE base record count
 //	frame:   u32 LE payloadLen | u32 LE crc32(payload) | payload
 //
 // A frame's payload is one record in the spill codec (every value type the
-// engine stores — including secure shares — round-trips through it). The
-// record at index i (1-based) of a file carries LSN startLSN+i; LSNs are
+// engine stores — including secure shares — round-trips through it). A log
+// is started by a checkpoint at startLSN (a fresh store's first log is the
+// checkpoint of an empty catalog at LSN 0), and its first frames — the
+// base section, as many as the header counts — recreate the catalog as of
+// startLSN. Every frame after them is one logged statement: the one at
+// index i (1-based) past the base section carries LSN startLSN+i. LSNs are
 // positional, never stored per record, so a log can never claim a sequence
 // it does not have. A torn tail (partial frame, or a frame whose CRC does
 // not match) ends the log at the last intact frame; recovery truncates the
 // file there and the discarded suffix is exactly the uncommitted suffix of
 // a crashed write.
 const (
-	logMagic  = "SDBWAL01"
-	headerLen = len(logMagic) + 8
+	logMagic  = "SDBWAL02"
+	headerLen = len(logMagic) + 8 + 8 + 8 + 4
 	frameLen  = 8 // payload length + CRC, both u32 LE
 
 	// maxFrame caps a single record so a corrupt length prefix cannot make
@@ -301,45 +308,98 @@ func frame(payload []byte) []byte {
 	return buf
 }
 
-// scannedLog is one fully scanned log file.
-type scannedLog struct {
-	path     string
+// logHeader is the fixed start of a log file: the LSN and generations of
+// the checkpoint that started it, and the length of its base section.
+type logHeader struct {
 	startLSN uint64
-	records  []Record
+	gens     storage.Generations
+	base     uint32
+}
+
+func (h logHeader) encode() []byte {
+	buf := make([]byte, headerLen)
+	copy(buf, logMagic)
+	le := binary.LittleEndian
+	le.PutUint64(buf[8:], h.startLSN)
+	le.PutUint64(buf[16:], h.gens.Rotation)
+	le.PutUint64(buf[24:], h.gens.Catalog)
+	le.PutUint32(buf[32:], h.base)
+	return buf
+}
+
+// readHeader reads the header at the start of r, the log at path. Logs
+// are created whole (temp file + rename), so a short or foreign header is
+// an error, never a crash artifact. A log in another format — an earlier
+// version's included — is refused with the magic it starts with; it is
+// neither read nor migrated.
+func readHeader(r io.Reader, path string) (logHeader, error) {
+	buf := make([]byte, headerLen)
+	n, err := io.ReadFull(r, buf)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return logHeader{}, err
+	}
+	if magic := buf[:min(n, len(logMagic))]; string(magic) != logMagic {
+		return logHeader{}, fmt.Errorf("wal: %s: log format %q is not %q; this store does not read or migrate it", path, magic, logMagic)
+	}
+	if n < headerLen {
+		return logHeader{}, fmt.Errorf("wal: %s: short log header", path)
+	}
+	le := binary.LittleEndian
+	return logHeader{
+		startLSN: le.Uint64(buf[8:]),
+		gens:     storage.Generations{Rotation: le.Uint64(buf[16:]), Catalog: le.Uint64(buf[24:])},
+		base:     le.Uint32(buf[32:]),
+	}, nil
+}
+
+// scannedLog is what scanLog learned about one log file.
+type scannedLog struct {
+	logHeader
 	// validLen is the offset after the last intact frame; anything past it
 	// is a torn tail to truncate.
 	validLen int64
 	size     int64
 }
 
-// scanLogFile reads and validates a whole log file. A torn or
-// CRC-mismatching tail is not an error — the scan stops at the last intact
-// frame and reports validLen < size. A bad header is an error: log files
-// are created atomically (tmp + rename), so a half-written header cannot
-// occur and means real corruption.
-func scanLogFile(path string) (*scannedLog, error) {
-	data, err := os.ReadFile(path)
+// scanLog streams the log at path, calling fn with every intact record in
+// order and the file offset just past its frame. A torn or CRC-mismatching
+// tail is not an error — the scan stops at the last intact frame and
+// reports validLen < size. An error from fn, a read error, or a bad header
+// ends the scan with that error.
+func scanLog(path string, fn func(rec *Record, end int64) error) (*scannedLog, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	sl := &scannedLog{path: path, size: int64(len(data))}
-	if len(data) < headerLen || string(data[:len(logMagic)]) != logMagic {
-		return nil, fmt.Errorf("wal: %s: bad log header", path)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	sl.startLSN = binary.LittleEndian.Uint64(data[len(logMagic):headerLen])
+	sl := &scannedLog{size: fi.Size()}
+	r := bufio.NewReaderSize(f, 64<<10)
+	if sl.logHeader, err = readHeader(r, path); err != nil {
+		return nil, err
+	}
 	off := int64(headerLen)
+	var fh [frameLen]byte
 	for {
-		rest := data[off:]
-		if len(rest) < frameLen {
+		// Bytes the file holds must read; only their absence is a tear.
+		if off+frameLen > sl.size {
 			break // clean EOF or torn frame header
 		}
-		plen := binary.LittleEndian.Uint32(rest[0:4])
-		crc := binary.LittleEndian.Uint32(rest[4:8])
-		if plen > maxFrame || int64(len(rest)) < frameLen+int64(plen) {
+		if _, err := io.ReadFull(r, fh[:]); err != nil {
+			return nil, err
+		}
+		plen := int64(binary.LittleEndian.Uint32(fh[0:4]))
+		if plen > maxFrame || off+frameLen+plen > sl.size {
 			break // torn payload (or garbage length)
 		}
-		payload := rest[frameLen : frameLen+int64(plen)]
-		if crc32.ChecksumIEEE(payload) != crc {
+		payload := make([]byte, plen)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return nil, err
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(fh[4:8]) {
 			break // corrupt record: discard it and everything after
 		}
 		rec, err := DecodeRecord(payload)
@@ -349,8 +409,10 @@ func scanLogFile(path string) (*scannedLog, error) {
 			// replaying garbage.
 			break
 		}
-		off += frameLen + int64(plen)
-		sl.records = append(sl.records, *rec)
+		off += frameLen + plen
+		if err := fn(rec, off); err != nil {
+			return nil, err
+		}
 	}
 	sl.validLen = off
 	return sl, nil

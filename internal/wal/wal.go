@@ -1,6 +1,6 @@
 // Package wal is the service provider's durability subsystem: an
-// append-only, CRC-checksummed redo log plus periodic column-snapshot
-// checkpoints, tracked by an atomically-replaced MANIFEST.
+// append-only, CRC-checksummed redo log, compacted by checkpoints that
+// each start a new log.
 //
 // The engine follows a strict log-before-apply discipline: a write
 // statement is fully validated, logged as exactly one WAL record, and only
@@ -9,10 +9,11 @@
 // — never a partial statement — regardless of where a crash lands:
 //
 //   - a torn final record fails its CRC and is truncated away;
-//   - a checkpoint interrupted before its MANIFEST rename leaves only
-//     unreferenced temp/snapshot files, which recovery deletes;
-//   - replay filters records by LSN (> checkpoint LSN), so every crash
-//     point between snapshot write and old-log deletion is idempotent.
+//   - a checkpoint writes its new log — the base section recreating every
+//     table, then nothing — to a temp file and renames it into place; the
+//     rename is its commit point, so a crash before it leaves the old log
+//     governing and a temp file recovery deletes, and a crash after it
+//     leaves the new log governing and an old log recovery deletes.
 //
 // The store holds the same data the in-memory catalog does — shares,
 // SIES row ids, helpers, plaintext insensitive columns — and nothing
@@ -21,16 +22,15 @@
 package wal
 
 import (
-	"encoding/binary"
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"sdb/internal/storage"
 	"sdb/internal/types"
@@ -42,21 +42,18 @@ const (
 	// one record, so this is group commit at statement granularity: a
 	// thousand-row insert costs one fsync.
 	FsyncAlways = "always"
-	// FsyncInterval leaves syncing to a background flusher (flushEvery
-	// apart); a crash may lose the last interval's statements but never
-	// corrupts the store.
-	FsyncInterval = "interval"
 	// FsyncNever issues no explicit syncs; durability is whatever the OS
 	// page cache provides. Recovery safety is unchanged.
 	FsyncNever = "never"
 )
 
-// flushEvery is the background flusher's period under FsyncInterval.
-const flushEvery = 25 * time.Millisecond
+// baseRows is the row count of one INSERT record in a checkpoint's base
+// section, so no base frame nears maxFrame however large its table.
+const baseRows = 1024
 
 // Options configures a Store.
 type Options struct {
-	// Fsync is one of FsyncAlways (default), FsyncInterval, FsyncNever.
+	// Fsync is FsyncAlways (default) or FsyncNever.
 	Fsync string
 	// CheckpointEvery triggers an automatic checkpoint after this many WAL
 	// records. Zero means checkpoints happen only via Checkpoint().
@@ -71,16 +68,15 @@ type RecoveryInfo struct {
 	Generations storage.Generations
 	// LSN is the last durable record's sequence number.
 	LSN uint64
-	// Tables and Rows count what recovery loaded (snapshot + replay).
+	// Tables and Rows count what recovery loaded (base section + replay).
 	Tables int
 	Rows   int
 }
 
-// Store is a durable WAL + checkpoint store rooted at one directory. It
-// implements storage.Durability. The engine serializes write statements,
-// so Log* and MaybeCheckpoint are never called concurrently with each
-// other; the internal mutex additionally covers the background flusher
-// and direct Checkpoint/Close calls.
+// Store is a durable WAL store rooted at one directory. It implements
+// storage.Durability. The engine serializes write statements, so Log* and
+// MaybeCheckpoint are never called concurrently with each other; the
+// internal mutex additionally covers direct Checkpoint/Close calls.
 type Store struct {
 	dir  string
 	opts Options
@@ -89,19 +85,14 @@ type Store struct {
 	mu         sync.Mutex
 	f          *os.File
 	logPath    string
-	startLSN   uint64 // first LSN of the current log file minus… see record.go: records are positional
 	lsn        uint64 // last appended LSN
-	checkLSN   uint64 // LSN covered by the last checkpoint
 	gens       storage.Generations
 	sinceCheck int
-	dirty      bool // unsynced appends (interval/never modes)
+	dirty      bool // unsynced appends (FsyncNever)
 	closed     bool
 	failed     error // sticky: a torn in-flight append poisons the store
 
 	recovered RecoveryInfo
-
-	stopFlush chan struct{}
-	flushDone chan struct{}
 }
 
 var errClosed = errors.New("wal: store is closed")
@@ -113,7 +104,7 @@ func Open(dir string, cat *storage.Catalog, opts Options) (*Store, error) {
 		opts.Fsync = FsyncAlways
 	}
 	switch opts.Fsync {
-	case FsyncAlways, FsyncInterval, FsyncNever:
+	case FsyncAlways, FsyncNever:
 	default:
 		return nil, fmt.Errorf("wal: unknown fsync policy %q", opts.Fsync)
 	}
@@ -123,11 +114,6 @@ func Open(dir string, cat *storage.Catalog, opts Options) (*Store, error) {
 	s := &Store{dir: dir, opts: opts, cat: cat}
 	if err := s.recover(); err != nil {
 		return nil, err
-	}
-	if s.opts.Fsync == FsyncInterval {
-		s.stopFlush = make(chan struct{})
-		s.flushDone = make(chan struct{})
-		go s.flushLoop()
 	}
 	return s, nil
 }
@@ -177,7 +163,7 @@ func (s *Store) LogDrop(table string, g storage.Generations) error {
 
 // MaybeCheckpoint checkpoints if CheckpointEvery records have accumulated
 // since the last one. The engine calls it after applying a statement, so a
-// checkpoint always snapshots the state its LSN claims.
+// checkpoint always writes the state its LSN claims.
 func (s *Store) MaybeCheckpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -212,62 +198,22 @@ func (s *Store) append(rec *Record) error {
 	s.lsn++
 	s.sinceCheck++
 	s.gens = rec.Gens
-	switch s.opts.Fsync {
-	case FsyncAlways:
+	if s.opts.Fsync == FsyncAlways {
 		if err := s.f.Sync(); err != nil {
 			s.failed = err
 			return err
 		}
-	default:
+	} else {
 		s.dirty = true
 	}
 	return nil
 }
 
-func (s *Store) syncLocked() error {
-	if s.closed {
-		return errClosed
-	}
-	if s.failed != nil {
-		return s.failed
-	}
-	if !s.dirty {
-		return nil
-	}
-	if err := s.f.Sync(); err != nil {
-		s.failed = err
-		return err
-	}
-	s.dirty = false
-	return nil
-}
-
-func (s *Store) flushLoop() {
-	defer close(s.flushDone)
-	tick := time.NewTicker(flushEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stopFlush:
-			return
-		case <-tick.C:
-			s.mu.Lock()
-			if !s.closed && s.failed == nil && s.dirty {
-				if err := s.f.Sync(); err != nil {
-					s.failed = err
-				} else {
-					s.dirty = false
-				}
-			}
-			s.mu.Unlock()
-		}
-	}
-}
-
 // ---- checkpoint ----
 
-// Checkpoint forces a checkpoint: snapshot every table, start a fresh log,
-// commit the new MANIFEST, and delete the superseded log and snapshots.
+// Checkpoint forces a checkpoint: write a new log whose base section
+// recreates every table, make it the append target, and delete the log it
+// supersedes.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,260 +227,230 @@ func (s *Store) checkpointLocked() error {
 	if s.failed != nil {
 		return s.failed
 	}
-	// 1. Make every logged record durable: the snapshot about to be taken
-	// includes their effects, and the manifest will claim their LSN.
-	if s.dirty {
-		if err := s.f.Sync(); err != nil {
-			s.failed = err
-			return err
-		}
-		s.dirty = false
-	}
-
-	old, err := readManifest(s.dir)
-	if err != nil {
-		return err
-	}
-
-	// 2. Snapshot every table. These files are invisible until the
-	// manifest references them; a crash here leaves deletable garbage.
-	tables := s.cat.Tables()
-	refs := make([]SnapshotRef, 0, len(tables))
-	for i, t := range tables {
-		name := fmt.Sprintf("snap-%016x-%04d.snap", s.lsn, i)
-		if err := writeSnapshot(s.dir, name, t); err != nil {
-			return err
-		}
-		refs = append(refs, SnapshotRef{Table: t.Name, File: name})
-	}
-
-	// 3. Start the next log. Created atomically (temp + rename) so a
-	// half-written header can never exist on disk.
-	newPath, err := createLog(s.dir, s.lsn)
-	if err != nil {
-		return err
-	}
-
-	// 4. Commit: the manifest rename is the checkpoint's atomic flip.
-	// Before it, the old manifest + old log reproduce the state; after
-	// it, the snapshots + (empty) new log do.
-	m := &Manifest{
-		Version:       manifestVersion,
-		CheckpointLSN: s.lsn,
-		Generations:   s.gens,
-		Snapshots:     refs,
-	}
-	if err := writeManifest(s.dir, m); err != nil {
-		return err
-	}
-
-	// 5. Swap the append target.
-	newF, err := os.OpenFile(newPath, os.O_WRONLY|os.O_APPEND, 0)
+	// Until writeLog's rename the old log governs, and a failure leaves it
+	// the append target. The new log holds every effect of the old one,
+	// so the old one needs no sync first.
+	path, f, err := writeLog(s.dir, s.lsn, s.gens, s.cat.Tables())
 	if err != nil {
 		return err
 	}
 	oldPath := s.logPath
 	s.f.Close()
-	s.f = newF
-	s.logPath = newPath
-	s.startLSN = s.lsn
-	s.checkLSN = s.lsn
+	s.f, s.logPath = f, path
 	s.sinceCheck = 0
-
-	// 6. Delete superseded files (best effort — recovery also collects
-	// them, so a crash mid-deletion is fine).
-	if oldPath != newPath {
-		os.Remove(oldPath)
+	s.dirty = false
+	// After the rename the new log is the append target whatever happens:
+	// if the rename cannot be made durable, appends to it could vanish
+	// with it, so the store refuses them.
+	if err := syncDir(s.dir); err != nil {
+		s.failed = err
+		return err
 	}
-	for _, ref := range old.Snapshots {
-		if !refsContain(refs, ref.File) {
-			os.Remove(filepath.Join(s.dir, ref.File))
-		}
+	// A checkpoint with no record since the last one rewrites the same
+	// name; otherwise the superseded log goes (recovery deletes it too,
+	// so a crash before this line is fine).
+	if oldPath != path {
+		os.Remove(oldPath)
 	}
 	return nil
 }
 
-func refsContain(refs []SnapshotRef, file string) bool {
-	for _, r := range refs {
-		if r.File == file {
-			return true
+// writeLog writes the log a checkpoint at lsn starts to a temp file,
+// fsyncs it and renames it into place, so the log exists whole or not at
+// all; the caller fsyncs the directory. It returns the new log's path,
+// open for appending.
+func writeLog(dir string, lsn uint64, gens storage.Generations, tables []*storage.Table) (string, *os.File, error) {
+	path := filepath.Join(dir, fmt.Sprintf("wal-%016x.log", lsn))
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
+	if err != nil {
+		return "", nil, err
+	}
+	w := bufio.NewWriterSize(f, 64<<10)
+	err = writeBase(w, lsn, gens, tables)
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return "", nil, err
+	}
+	return path, f, nil
+}
+
+// writeBase writes a log's header and base section: each table's CREATE,
+// then its rows as INSERTs of baseRows rows, all stamped with gens.
+func writeBase(w io.Writer, lsn uint64, gens storage.Generations, tables []*storage.Table) error {
+	// Pin each table's version once, so the base count in the header and
+	// the records written agree.
+	versions := make([]*storage.Version, len(tables))
+	base := 0
+	for i, t := range tables {
+		versions[i] = t.Load()
+		base += 1 + (versions[i].NumRows()+baseRows-1)/baseRows
+	}
+	hdr := logHeader{startLSN: lsn, gens: gens, base: uint32(base)}
+	if _, err := w.Write(hdr.encode()); err != nil {
+		return err
+	}
+	put := func(rec *Record) error {
+		payload, err := EncodeRecord(rec)
+		if err == nil {
+			_, err = w.Write(frame(payload))
+		}
+		return err
+	}
+	rows := make([]types.Row, 0, baseRows)
+	for i, t := range tables {
+		if err := put(&Record{Type: recCreate, Gens: gens, Table: t.Name, Schema: t.Schema}); err != nil {
+			return err
+		}
+		v := versions[i]
+		for lo := 0; lo < v.NumRows(); lo += baseRows {
+			hi := min(lo+baseRows, v.NumRows())
+			rows = rows[:0]
+			for r := lo; r < hi; r++ {
+				rows = append(rows, v.RowAt(r))
+			}
+			if err := put(&Record{Type: recInsert, Gens: gens, Table: t.Name, Rows: rows, RowEnc: v.RowEnc[lo:hi], Helper: v.Helper[lo:hi]}); err != nil {
+				return err
+			}
 		}
 	}
-	return false
+	return nil
 }
 
 // Close flushes and closes the store. It does not checkpoint; callers
 // wanting a compact restart call Checkpoint first.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	var err error
 	if s.failed == nil && s.dirty {
-		if serr := s.f.Sync(); serr != nil {
-			err = serr
-		}
+		err = s.f.Sync()
 		s.dirty = false
 	}
 	s.closed = true
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
-	stop := s.stopFlush
-	s.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-s.flushDone
-	}
 	return err
 }
 
 // ---- recovery ----
 
-func createLog(dir string, startLSN uint64) (string, error) {
-	buf := make([]byte, headerLen)
-	copy(buf, logMagic)
-	binary.LittleEndian.PutUint64(buf[len(logMagic):], startLSN)
-	path := filepath.Join(dir, fmt.Sprintf("wal-%016x.log", startLSN))
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return "", err
-	}
-	if err := syncDir(dir); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// recover rebuilds the catalog from MANIFEST snapshots plus WAL replay,
-// repairs a torn log tail, deletes interrupted-checkpoint garbage, and
-// opens the newest log for appending.
+// recover rebuilds the catalog from the newest log — its base section,
+// then its tail — repairs a torn tail, deletes superseded logs and
+// interrupted checkpoints' temp files, and opens the log for appending.
+// It reads every log's header before it changes any file, and changes none
+// unless the newest log replays whole.
 func (s *Store) recover() error {
 	if len(s.cat.Names()) != 0 {
 		return errors.New("wal: recovery requires an empty catalog")
 	}
-	m, err := readManifest(s.dir)
-	if err != nil {
-		return err
-	}
-
-	// Load checkpointed tables.
-	rows := 0
-	for _, ref := range m.Snapshots {
-		t, err := readSnapshot(filepath.Join(s.dir, ref.File))
-		if err != nil {
-			return err
-		}
-		if err := s.cat.Create(t); err != nil {
-			return err
-		}
-		rows += t.NumRows()
-	}
-
-	// Scan every log file.
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return err
 	}
-	var logs []*scannedLog
-	snapReferenced := make(map[string]bool, len(m.Snapshots))
-	for _, ref := range m.Snapshots {
-		snapReferenced[ref.File] = true
-	}
+	var debris []string // logs and interrupted checkpoints' temp files
+	var newest string
+	var newestLSN uint64
 	for _, e := range entries {
 		name := e.Name()
+		path := filepath.Join(s.dir, name)
 		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			// Interrupted atomic write; never referenced.
-			os.Remove(filepath.Join(s.dir, name))
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			sl, err := scanLogFile(filepath.Join(s.dir, name))
+		case !strings.HasPrefix(name, "wal-"):
+		case strings.HasSuffix(name, ".log.tmp"):
+			debris = append(debris, path)
+		case strings.HasSuffix(name, ".log"):
+			f, err := os.Open(path)
 			if err != nil {
 				return err
 			}
-			logs = append(logs, sl)
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			if !snapReferenced[name] {
-				// Snapshot from a checkpoint that never committed.
-				os.Remove(filepath.Join(s.dir, name))
+			hdr, err := readHeader(f, path)
+			f.Close()
+			if err != nil {
+				return err
+			}
+			debris = append(debris, path)
+			if newest == "" || hdr.startLSN > newestLSN {
+				newest, newestLSN = path, hdr.startLSN
 			}
 		}
 	}
-	sort.Slice(logs, func(i, j int) bool { return logs[i].startLSN < logs[j].startLSN })
-
-	// Replay records past the checkpoint, in LSN order. Only the newest
-	// log may carry a torn tail (older logs were fsynced before any newer
-	// log was created); a tear elsewhere that hides needed records is
-	// corruption, not a crash artifact.
-	replayed := m.CheckpointLSN
-	gens := m.Generations
-	for i, sl := range logs {
-		last := i == len(logs)-1
-		end := sl.startLSN + uint64(len(sl.records))
-		if sl.validLen != sl.size && !last && end > m.CheckpointLSN {
-			return fmt.Errorf("wal: %s: torn tail in a non-final log", sl.path)
-		}
-		for j := range sl.records {
-			lsn := sl.startLSN + uint64(j) + 1
-			if lsn <= replayed {
-				continue // already covered by the checkpoint or a prior log
-			}
-			if lsn != replayed+1 {
-				return fmt.Errorf("wal: missing records between LSN %d and %d", replayed, lsn)
-			}
-			rec := &sl.records[j]
-			if err := s.apply(rec); err != nil {
-				return fmt.Errorf("wal: replay LSN %d: %w", lsn, err)
-			}
-			if rec.Type == recInsert {
-				rows += len(rec.Rows)
-			}
-			gens = rec.Gens
-			replayed = lsn
-		}
-	}
-
-	// Open (or create) the append target and repair its tail.
-	if len(logs) == 0 {
-		path, err := createLog(s.dir, replayed)
+	if newest == "" {
+		// A fresh store's first log is the checkpoint of an empty catalog
+		// at LSN 0.
+		path, f, err := writeLog(s.dir, 0, storage.Generations{}, nil)
 		if err != nil {
 			return err
 		}
-		s.logPath = path
-		s.startLSN = replayed
-	} else {
-		newest := logs[len(logs)-1]
-		if newest.validLen != newest.size {
-			if err := os.Truncate(newest.path, newest.validLen); err != nil {
-				return err
-			}
+		f.Close()
+		if err := syncDir(s.dir); err != nil {
+			return err
 		}
-		s.logPath = newest.path
-		s.startLSN = newest.startLSN
-		// Drop fully-superseded older logs (a crash between a checkpoint's
-		// manifest flip and its deletions leaves these behind).
-		for _, sl := range logs[:len(logs)-1] {
-			if sl.startLSN+uint64(len(sl.records)) <= m.CheckpointLSN {
-				os.Remove(sl.path)
-			}
-		}
+		newest = path
 	}
-	f, err := os.OpenFile(s.logPath, os.O_WRONLY|os.O_APPEND, 0)
+
+	// Replay the newest log: its base section recreates the catalog as of
+	// its start LSN, and every record after it is one logged statement.
+	// Base records carry the header's generations, so the last record
+	// read holds the current ones either way.
+	n, rows := 0, 0
+	var gens storage.Generations
+	sl, err := scanLog(newest, func(rec *Record, _ int64) error {
+		n++
+		if err := s.apply(rec); err != nil {
+			return fmt.Errorf("wal: %s: replay record %d: %w", newest, n, err)
+		}
+		if rec.Type == recInsert {
+			rows += len(rec.Rows)
+		}
+		gens = rec.Gens
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	s.f = f
-	s.lsn = replayed
-	s.checkLSN = m.CheckpointLSN
+	// The base section was fsynced before the rename that made this log
+	// the newest, so a short one is damage, not a crash: refuse it rather
+	// than truncate tables away.
+	if n < int(sl.base) {
+		return fmt.Errorf("wal: %s: checkpoint base section holds %d of %d records", newest, n, sl.base)
+	}
+	if n == 0 {
+		gens = sl.gens
+	}
+	if sl.validLen != sl.size {
+		if err := os.Truncate(newest, sl.validLen); err != nil {
+			return err
+		}
+	}
+	for _, path := range debris {
+		if path != newest {
+			os.Remove(path)
+		}
+	}
+	f, err := os.OpenFile(newest, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	s.f, s.logPath = f, newest
+	s.lsn = sl.startLSN + uint64(n-int(sl.base))
 	s.gens = gens
 	s.recovered = RecoveryInfo{
 		Generations: gens,
-		LSN:         replayed,
+		LSN:         s.lsn,
 		Tables:      len(s.cat.Names()),
 		Rows:        rows,
 	}
@@ -542,8 +458,8 @@ func (s *Store) recover() error {
 }
 
 // apply replays one record into the catalog. Records were validated by
-// the engine before logging, so failures here mean the log and snapshot
-// disagree — real corruption, reported rather than papered over.
+// the engine before logging, so failures here mean the log disagrees with
+// itself — real corruption, reported rather than papered over.
 func (s *Store) apply(rec *Record) error {
 	switch rec.Type {
 	case recCreate:
@@ -565,6 +481,19 @@ func (s *Store) apply(rec *Record) error {
 	default:
 		return fmt.Errorf("unknown record type %d", rec.Type)
 	}
+}
+
+// syncDir fsyncs a directory so renames within it are durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 var _ storage.Durability = (*Store)(nil)

@@ -1,13 +1,14 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"sdb/internal/engine"
 	"sdb/internal/storage"
@@ -24,31 +25,42 @@ func (s *Store) LSN() uint64 {
 // RecordInfo locates one intact record inside a log file: its LSN and the
 // file offset just past its frame (a valid crash/truncation boundary). The
 // kill-point harness enumerates these to simulate a crash after every
-// record.
+// record. A record of the log's base section (Base) carries the log's
+// start LSN: a cut after the last one recovers to that LSN, a cut after
+// any other is refused.
 type RecordInfo struct {
-	LSN uint64
-	End int64
+	LSN  uint64
+	End  int64
+	Base bool
 }
 
 // LogRecords scans a WAL log file and returns its start LSN plus the
-// location of every intact record. A record's frame is rebuilt from its
-// decoded form; the frames must tile the scanned prefix exactly.
+// location of every intact record, base section first. A record's frame is
+// rebuilt from its decoded form; the frames must tile the scanned prefix
+// exactly.
 func LogRecords(path string) (startLSN uint64, infos []RecordInfo, err error) {
-	sl, err := scanLogFile(path)
+	end := int64(headerLen)
+	sl, err := scanLog(path, func(rec *Record, recEnd int64) error {
+		payload, err := EncodeRecord(rec)
+		if err != nil {
+			return err
+		}
+		end += int64(len(frame(payload)))
+		if end != recEnd {
+			return fmt.Errorf("re-encoded record ends at %d, scan at %d", end, recEnd)
+		}
+		infos = append(infos, RecordInfo{End: end})
+		return nil
+	})
 	if err != nil {
 		return 0, nil, err
 	}
-	end := int64(headerLen)
-	for i := range sl.records {
-		payload, err := EncodeRecord(&sl.records[i])
-		if err != nil {
-			return 0, nil, err
+	for i := range infos {
+		if i < int(sl.base) {
+			infos[i].LSN, infos[i].Base = sl.startLSN, true
+		} else {
+			infos[i].LSN = sl.startLSN + uint64(i+1) - uint64(sl.base)
 		}
-		end += int64(len(frame(payload)))
-		infos = append(infos, RecordInfo{LSN: sl.startLSN + uint64(i) + 1, End: end})
-	}
-	if end != sl.validLen {
-		return 0, nil, fmt.Errorf("re-encoded records end at %d, scan at %d", end, sl.validLen)
 	}
 	return sl.startLSN, infos, nil
 }
@@ -245,8 +257,8 @@ func TestDropSurvivesRestart(t *testing.T) {
 }
 
 // TestCheckpointCompactsAndRecovers checks that an automatic checkpoint
-// writes snapshots, truncates the log, deletes superseded files, and that
-// recovery from snapshot + partial log replay matches.
+// leaves exactly one file — the new log, base section first — and that
+// recovery from its base section plus its tail matches.
 func TestCheckpointCompactsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	e, store := durableEngine(t, dir, Options{CheckpointEvery: 3})
@@ -256,20 +268,8 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 	mustExec(t, e, "INSERT INTO t VALUES (3)") // after checkpoint: replayed from log
 	store.Close()
 
-	names := dirNames(t, dir)
-	logs, snaps := 0, 0
-	for _, n := range names {
-		switch {
-		case strings.HasSuffix(n, ".log"):
-			logs++
-		case strings.HasSuffix(n, ".snap"):
-			snaps++
-		case strings.HasSuffix(n, ".tmp"):
-			t.Fatalf("leftover temp file %s", n)
-		}
-	}
-	if logs != 1 || snaps != 1 {
-		t.Fatalf("want 1 log + 1 snap after checkpoint, dir: %v", names)
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != "wal-0000000000000003.log" {
+		t.Fatalf("want only the checkpoint's log after a checkpoint, dir: %v", names)
 	}
 
 	e2, store2 := durableEngine(t, dir, Options{})
@@ -382,8 +382,10 @@ func TestGenerationsPersist(t *testing.T) {
 	}
 }
 
-// TestRecoveryCleansGarbage plants interrupted-checkpoint debris and
-// verifies recovery removes it without touching live files.
+// TestRecoveryCleansGarbage plants interrupted-checkpoint debris — temp
+// files of logs that were never renamed into place — and verifies recovery
+// removes it without touching the live log or files that are not the
+// store's.
 func TestRecoveryCleansGarbage(t *testing.T) {
 	dir := t.TempDir()
 	e, store := durableEngine(t, dir, Options{})
@@ -391,51 +393,98 @@ func TestRecoveryCleansGarbage(t *testing.T) {
 	mustExec(t, e, "INSERT INTO t VALUES (1)")
 	store.Close()
 
-	for _, junk := range []string{"MANIFEST.tmp", "snap-ffff-0000.snap.tmp", "snap-ffff-0000.snap"} {
+	for _, junk := range []string{"wal-0000000000000002.log.tmp", "wal-00000000000000ff.log.tmp", "keep.tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, junk), []byte("junk"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	e2, store2 := durableEngine(t, dir, Options{})
 	defer store2.Close()
-	for _, n := range dirNames(t, dir) {
-		if strings.HasSuffix(n, ".tmp") || n == "snap-ffff-0000.snap" {
-			t.Fatalf("garbage %s survived recovery", n)
-		}
+	if names := dirNames(t, dir); len(names) != 2 || names[0] != "keep.tmp" || names[1] != "wal-0000000000000000.log" {
+		t.Fatalf("after recovery the dir holds %v, want the live log and keep.tmp", names)
 	}
 	if got := queryInts(t, e2, "SELECT a FROM t"); len(got) != 1 {
 		t.Fatalf("rows = %v", got)
 	}
 }
 
-// TestFsyncPolicies exercises the interval flusher and the never policy
-// end to end (durability of a clean Close, not of a crash). Under the
-// interval policy the flusher must sync the INSERT on its own, within a
-// few flushEvery periods.
+// TestFsyncPolicies exercises both fsync policies end to end (durability
+// of a clean Close, not of a crash), and refuses any other.
 func TestFsyncPolicies(t *testing.T) {
-	for _, policy := range []string{FsyncAlways, FsyncInterval, FsyncNever} {
+	for _, policy := range []string{FsyncAlways, FsyncNever} {
 		t.Run(policy, func(t *testing.T) {
 			dir := t.TempDir()
 			e, store := durableEngine(t, dir, Options{Fsync: policy})
 			mustExec(t, e, "CREATE TABLE t (a INT)")
 			mustExec(t, e, "INSERT INTO t VALUES (1)")
-			if policy == FsyncInterval {
-				unsynced := func() bool {
-					store.mu.Lock()
-					defer store.mu.Unlock()
-					return store.dirty
-				}
-				for deadline := time.Now().Add(200 * flushEvery); unsynced(); time.Sleep(flushEvery / 5) {
-					if time.Now().After(deadline) {
-						t.Fatalf("the interval flusher left the INSERT unsynced for %v", 200*flushEvery)
-					}
-				}
-			}
 			store.Close()
 			e2, store2 := durableEngine(t, dir, Options{})
 			defer store2.Close()
 			if got := queryInts(t, e2, "SELECT a FROM t"); len(got) != 1 || got[0] != 1 {
 				t.Fatalf("rows = %v", got)
+			}
+		})
+	}
+	if _, err := Open(t.TempDir(), storage.NewCatalog(), Options{Fsync: "interval"}); err == nil || !strings.Contains(err.Error(), "unknown fsync policy") {
+		t.Fatalf("Open with fsync interval: %v, want the unknown-policy error", err)
+	}
+}
+
+// TestRefusesEarlierFormat opens the two kinds of data dir the previous
+// on-disk format left — a bare SDBWAL01 log, and such a log beside a JSON
+// MANIFEST and per-table .snap files — and requires Open to fail naming
+// the log and its format, with every file left byte for byte as it was.
+func TestRefusesEarlierFormat(t *testing.T) {
+	oldLog := func(startLSN uint64, recs ...*Record) []byte {
+		buf := append([]byte("SDBWAL01"), make([]byte, 8)...)
+		binary.LittleEndian.PutUint64(buf[8:], startLSN)
+		for _, rec := range recs {
+			payload, err := EncodeRecord(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = append(buf, frame(payload)...)
+		}
+		return buf
+	}
+	create := &Record{Type: recCreate, Gens: storage.Generations{Catalog: 1}, Table: "t", Schema: testSchema(t)}
+	drop := &Record{Type: recDrop, Gens: storage.Generations{Catalog: 3}, Table: "t"}
+	for _, tc := range []struct {
+		name  string
+		files map[string][]byte
+		log   string
+	}{
+		{"log only", map[string][]byte{
+			"wal-0000000000000000.log": oldLog(0, create, drop),
+		}, "wal-0000000000000000.log"},
+		{"checkpointed", map[string][]byte{
+			"MANIFEST": []byte(`{"version": 1, "checkpoint_lsn": 2, "generations": {"Rotation": 0, "Catalog": 2},` +
+				` "snapshots": [{"table": "t", "file": "snap-0000000000000002-0000.snap"}]}` + "\n"),
+			"snap-0000000000000002-0000.snap": append([]byte("SDBSNAP1"), 1, 't', 0, 0, 0, 0, 0),
+			"wal-0000000000000002.log":        oldLog(2, drop),
+			"MANIFEST.tmp":                    []byte("{"),
+		}, "wal-0000000000000002.log"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, data := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := Open(dir, storage.NewCatalog(), Options{})
+			if err == nil || !strings.Contains(err.Error(), tc.log) || !strings.Contains(err.Error(), "SDBWAL01") {
+				t.Fatalf("Open = %v, want an error naming %s and SDBWAL01", err, tc.log)
+			}
+			names := dirNames(t, dir)
+			if len(names) != len(tc.files) {
+				t.Fatalf("dir holds %v after the refusal, want exactly the %d planted files", names, len(tc.files))
+			}
+			for name, want := range tc.files {
+				got, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s changed by the refused Open (%v)", name, err)
+				}
 			}
 		})
 	}

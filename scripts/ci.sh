@@ -6,7 +6,7 @@
 # that no non-test engine file multiplies or adds shares through the
 # dividing scalar operators — share arithmetic runs as Montgomery row
 # programs —, a gate that the non-test goroutines under internal/ are
-# exactly the allow-listed five, a gate that only rowPool, batchRows
+# exactly the allow-listed four, a gate that only rowPool, batchRows
 # and the spill scheduler read the engine's worker pool, and a gate that
 # only FlushHelperPowerHits writes the memo's hit counter, that only
 # PowerTable.Lookup (and the reset) writes its miss counter and that the
@@ -137,23 +137,21 @@ if grep -nE 'secure\.(Multiply|AddShares|SubShares)\(|bigmod\.Mul\(' internal/en
   exit 1
 fi
 
-echo "== goroutines under internal/ are the allow-listed five"
+echo "== goroutines under internal/ are the allow-listed four"
 # Every layer of the result path computes a batch on the goroutine that
 # asks for it: the server's cursor, the proxy's decrypting cursor and the
 # spill run-file reader each ran a read-ahead goroutine until measurement
 # showed it did not pay. A new goroutine in library code is a mechanism to
-# measure first, then add here with its reason. The five: one session per
+# measure first, then add here with its reason. The four: one session per
 # admitted connection and the rejection frame of an over-limit one
-# (server), the /metrics HTTP server, the WAL's interval flusher, and the
-# parallel pool's workers.
+# (server), the /metrics HTTP server, and the parallel pool's workers.
 GO_STMTS=$(grep -rnE '^[[:space:]]*go [[:alnum:]_(]' internal --include='*.go' | grep -v '_test\.go:' \
   | sed -E 's/:[0-9]+:[[:space:]]*/: /' | sort)
 GO_ALLOWED=$(printf '%s\n' \
   'internal/parallel/parallel.go: go func() {' \
   'internal/server/metrics.go: go srv.Serve(l)' \
   'internal/server/server.go: go s.handle(conn, sess)' \
-  'internal/server/server.go: go s.rejectConn(conn, max)' \
-  'internal/wal/wal.go: go s.flushLoop()' | sort)
+  'internal/server/server.go: go s.rejectConn(conn, max)' | sort)
 if [[ "${GO_STMTS}" != "${GO_ALLOWED}" ]]; then
   echo "non-test go statements under internal/ differ from the allow-list (< allowed, > found):"
   diff <(echo "${GO_ALLOWED}") <(echo "${GO_STMTS}") || true
@@ -363,12 +361,15 @@ go test -race ${SHORT_FLAG} -run 'Spill|ForcedMode' ./internal/engine -args -eng
 
 echo "== crash-recovery / durability suite under the race detector"
 # The WAL package's kill-point differential harness (a simulated crash at
-# every record boundary, torn and CRC-corrupted mid-record writes, across
-# a checkpoint, with decrypted answers compared against the committed
-# prefix), the SIGKILL subprocess test, and the fsync-policy/garbage-
-# collection unit tests — with the race detector on, so the background
-# interval flusher and the engine's checkpoint locking are checked under
-# real interleavings.
+# every record boundary, torn and CRC-corrupted mid-record writes, after a
+# checkpoint, and inside a checkpoint — old log beside a cut or complete
+# temp file of the new one, new log beside the old — with decrypted
+# answers compared against the committed prefix, and a log cut inside its
+# base section refused with every file left as it was), the SIGKILL
+# subprocess test, the refusal of the previous on-disk format, and the
+# fsync-policy and debris unit tests — with the race detector on, so the
+# store's lock and the engine's checkpoint locking are checked under real
+# interleavings.
 go test -race -count=1 ./internal/wal
 
 echo "== Montgomery core under the race detector"
