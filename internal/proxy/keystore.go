@@ -30,12 +30,28 @@ type TableMeta struct {
 	Keys map[string]secure.ColumnKey
 	// MaskKey is the column key of the hidden mask column.
 	MaskKey secure.ColumnKey
+	// Pending, only ever in a state file, is a rotation written ahead.
+	Pending *pendingKey `json:",omitempty"`
+}
+
+// pendingKey: Column (or MaskColumn) is under Key once the UPDATE commits.
+type pendingKey struct {
+	Column string
+	Key    secure.ColumnKey
 }
 
 // Key returns the column key for a sensitive column.
 func (m *TableMeta) Key(col string) (secure.ColumnKey, bool) {
 	k, ok := m.Keys[strings.ToLower(col)]
 	return k, ok
+}
+
+// columnKey is Key, or for MaskColumn the mask's key.
+func (m *TableMeta) columnKey(col string) (secure.ColumnKey, bool) {
+	if col == MaskColumn {
+		return m.MaskKey, len(m.Keys) > 0
+	}
+	return m.Key(col)
 }
 
 // Column returns the user-visible column definition.
@@ -47,14 +63,17 @@ func (m *TableMeta) Column(col string) (types.Column, bool) {
 	return m.Schema.Columns[i], true
 }
 
-// withKey returns a copy of m with column (MaskColumn: the mask) under key
-// k. A stored TableMeta is never modified; a rotation publishes the copy.
-func (m *TableMeta) withKey(column string, k secure.ColumnKey) *TableMeta {
+// settled returns a copy of m without its pending rotation, under the
+// pending key if applied. A stored TableMeta is never modified; a rotation
+// publishes the copy.
+func (m *TableMeta) settled(applied bool) *TableMeta {
 	next := &TableMeta{Schema: m.Schema, Keys: maps.Clone(m.Keys), MaskKey: m.MaskKey}
-	if column == MaskColumn {
-		next.MaskKey = k
-	} else {
-		next.Keys[strings.ToLower(column)] = k
+	switch pk := m.Pending; {
+	case pk == nil || !applied:
+	case pk.Column == MaskColumn:
+		next.MaskKey = pk.Key
+	default:
+		next.Keys[strings.ToLower(pk.Column)] = pk.Key
 	}
 	return next
 }
@@ -81,19 +100,6 @@ func NewKeyStore() *KeyStore {
 	return &KeyStore{tables: make(map[string]*TableMeta), locks: make(map[string]*keyLock)}
 }
 
-// Put registers metadata for a table.
-func (ks *KeyStore) Put(table string, meta *TableMeta) error {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	key := strings.ToLower(table)
-	if _, ok := ks.tables[key]; ok {
-		return fmt.Errorf("proxy: table %q already registered", table)
-	}
-	ks.tables[key] = meta
-	ks.version++
-	return nil
-}
-
 // Get returns the metadata for a table. The metadata is immutable.
 func (ks *KeyStore) Get(table string) (*TableMeta, error) {
 	ks.mu.RLock()
@@ -105,27 +111,17 @@ func (ks *KeyStore) Get(table string) (*TableMeta, error) {
 	return meta, nil
 }
 
-// publish replaces a registered table's metadata (a rotation's new key).
+// publish registers a table's metadata, replaces it (a rotation's new
+// key) or, for meta nil, forgets it (DROP TABLE).
 func (ks *KeyStore) publish(table string, meta *TableMeta) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	ks.tables[strings.ToLower(table)] = meta
-	ks.version++
-}
-
-// Delete forgets a table's metadata (DROP TABLE). Dropping the keys makes
-// the shares still sitting at the SP permanently undecryptable, which is
-// the correct disposal semantics for encrypted outsourcing.
-func (ks *KeyStore) Delete(table string) error {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	key := strings.ToLower(table)
-	if _, ok := ks.tables[key]; !ok {
-		return fmt.Errorf("proxy: unknown table %q (not uploaded through this proxy)", table)
+	if meta == nil {
+		delete(ks.tables, strings.ToLower(table))
+	} else {
+		ks.tables[strings.ToLower(table)] = meta
 	}
-	delete(ks.tables, key)
 	ks.version++
-	return nil
 }
 
 // Version is the number of key changes so far.

@@ -20,8 +20,9 @@ import (
 
 // Executor abstracts the service provider: an in-process engine or a
 // network client speaking to a remote server. Writes go through
-// ExecuteSQL; every SELECT is prepared with PrepareStream and its
-// encrypted rows arrive through the statement's cursor.
+// ExecuteSQL, as does the one-row probe that settles a pending rotation;
+// every SELECT is prepared with PrepareStream and its encrypted rows
+// arrive through the statement's cursor.
 type Executor interface {
 	ExecuteSQL(sql string) (*engine.Result, error)
 	PrepareStream(sql string) (engine.PreparedStmt, error)
@@ -50,6 +51,10 @@ type Proxy struct {
 	// saveMu serialises SaveState, so two writers never interleave the
 	// temporary file and the last rename holds the latest keys.
 	saveMu sync.Mutex
+	// ahead holds, by lower-cased name, the TableMeta writeAhead wrote
+	// for a table whose SP statement is not settled; SaveState writes it
+	// in place of the store's. Guarded by saveMu.
+	ahead map[string]*TableMeta
 	// cache memoises rewritten SQL + decryption plans per canonical
 	// statement; see plancache.go.
 	cache *planCache
@@ -63,10 +68,10 @@ type Options struct {
 	// chunk. <= 0 means runtime.GOMAXPROCS(0); 1 forces serial execution.
 	Parallelism int
 	// StatePath, when set, makes the proxy persist its secret state
-	// (SaveState) after every operation that changes it: CREATE registers
-	// keys before the upload is forwarded, DROP discards them, rotation
-	// swaps them. Embedded durable deployments (driver data_dir) set it so
-	// the DO side survives restarts alongside the SP's WAL. It is fixed
+	// (SaveState) on every key change: CREATE and rotation ahead of the
+	// SP statement (writeAhead), DROP after it. Embedded durable
+	// deployments (driver data_dir) set it so the DO side survives
+	// restarts alongside the SP's WAL. It is fixed
 	// at construction: SetOptions ignores it.
 	StatePath string
 }
@@ -93,6 +98,7 @@ func NewWithOptions(secret *secure.Secret, exec Executor, opts Options) (*Proxy,
 		store:     NewKeyStore(),
 		exec:      exec,
 		statePath: opts.StatePath,
+		ahead:     make(map[string]*TableMeta),
 	}
 	p.SetOptions(opts)
 	return p, nil
@@ -188,22 +194,13 @@ func (p *Proxy) execCreate(ctx context.Context, s *sqlparser.CreateTable, st Sta
 			Type: types.ColumnType{Kind: types.KindInt, Sensitive: true},
 		})
 	}
-	if err := p.store.Put(s.Name, meta); err != nil {
-		return nil, err
-	}
-	// Persist the new column keys before the table exists at the SP:
-	// shares without keys are stranded, keys without a table are a
-	// harmless orphan (cleaned up below if the upload fails).
-	if err := p.persistState(); err != nil {
-		p.store.Delete(s.Name)
-		return nil, err
+	if _, err := p.store.Get(s.Name); err == nil {
+		return nil, fmt.Errorf("proxy: table %q already registered", s.Name)
 	}
 	st.Rewrite = time.Since(t0)
 
 	t1 := time.Now()
-	if _, err := p.exec.ExecuteSQL(spStmt.String()); err != nil {
-		p.store.Delete(s.Name)
-		p.persistState()
+	if err := p.writeAhead(s.Name, meta, spStmt.String()); err != nil {
 		return nil, err
 	}
 	st.Server = time.Since(t1)
@@ -214,7 +211,8 @@ func (p *Proxy) execCreate(ctx context.Context, s *sqlparser.CreateTable, st Sta
 // execDrop forwards a DROP TABLE verbatim and discards the table's column
 // keys. The shares at the SP become undecryptable the moment the keys are
 // gone, so key deletion is deferred until the SP confirms the drop, under
-// the table's exclusive key lock.
+// the table's exclusive key lock. It is the one key change persisted
+// behind the SP: a failed write leaves only an orphan key.
 func (p *Proxy) execDrop(ctx context.Context, s *sqlparser.DropTable, st Stats) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -232,9 +230,8 @@ func (p *Proxy) execDrop(ctx context.Context, s *sqlparser.DropTable, st Stats) 
 		return nil, err
 	}
 	st.Server = time.Since(t1)
-	if err := p.store.Delete(s.Name); err != nil {
-		return nil, err
-	}
+	p.setAhead(s.Name, nil) // a key change left unsettled ends with the table
+	p.store.publish(s.Name, nil)
 	if err := p.persistState(); err != nil {
 		return nil, err
 	}

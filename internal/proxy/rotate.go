@@ -31,9 +31,8 @@ func (p *Proxy) RotateMask(table string) (Stats, error) {
 
 // rotate re-keys one column of table (MaskColumn for the mask) under the
 // table's exclusive key lock, held from reading the old key until the new
-// one is published and persisted: no INSERT encrypts under the old key
-// after the SP re-keyed the table, and no SELECT pins re-keyed shares
-// under old tokens.
+// one is settled: no INSERT encrypts under the old key after the SP
+// re-keyed the table, and no SELECT pins re-keyed shares under old tokens.
 func (p *Proxy) rotate(table, column string) (Stats, error) {
 	var st Stats
 	unlock, err := p.store.lock(context.Background(), true, table)
@@ -46,10 +45,7 @@ func (p *Proxy) rotate(table, column string) (Stats, error) {
 	if err != nil {
 		return st, err
 	}
-	oldKey, ok := meta.MaskKey, len(meta.Keys) > 0
-	if column != MaskColumn {
-		oldKey, ok = meta.Key(column)
-	}
+	oldKey, ok := meta.columnKey(column)
 	if !ok {
 		return st, fmt.Errorf("proxy: %s.%s is not an encrypted column", table, column)
 	}
@@ -77,18 +73,12 @@ func (p *Proxy) rotate(table, column string) (Stats, error) {
 	st.RewrittenSQL = upd.String()
 	st.Rewrite = time.Since(t0)
 
+	// Written ahead as pending, published (advancing the key-store version
+	// cached plans carry) once the SP answers; docs/storage.md.
 	t1 := time.Now()
-	if _, err := p.exec.ExecuteSQL(st.RewrittenSQL); err != nil {
-		return st, err
-	}
+	next := &TableMeta{Schema: meta.Schema, Keys: meta.Keys, MaskKey: meta.MaskKey,
+		Pending: &pendingKey{Column: column, Key: newKey}}
+	err = p.writeAhead(table, next, st.RewrittenSQL)
 	st.Server = time.Since(t1)
-
-	// Only after the server confirms is the new key published; that
-	// advances the key-store version, so cached plans and prepared
-	// statements re-derive their tokens. Persist before releasing the
-	// lock: once the SP holds re-keyed shares, the new key is the only
-	// thing that can decrypt them (see docs/storage.md on the crash window
-	// between the server's commit and this write).
-	p.store.publish(table, meta.withKey(column, newKey))
-	return st, p.persistState()
+	return st, err
 }

@@ -9,6 +9,7 @@ package wal
 // crashed process — or recovery — surface a half-published version.
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -20,13 +21,36 @@ import (
 
 // publishCrashDeployment is a small durable deployment plus the paraphernalia
 // the crash tests need: the engine (to install hooks and run raw SQL), the
-// proxy (decrypted probes), and the state file recovery loads keys from.
+// proxy (decrypted probes) over the engine with a crash point around
+// re-key UPDATEs, and the state file recovery loads keys from, which the
+// proxy keeps as its StatePath.
 type publishCrashDeployment struct {
 	dataDir   string
 	statesDir string
 	eng       *engine.Engine
+	sp        *rekeyCrash
 	p         *proxy.Proxy
 	store     *Store
+}
+
+// rekeyCrash is the SP as the DO sees it, with a simulated crash (a panic)
+// around a rotation's re-key UPDATE: before the statement reaches the SP,
+// or after the SP has committed it and before the DO hears back.
+type rekeyCrash struct {
+	*engine.Engine
+	before, after bool
+}
+
+func (c *rekeyCrash) ExecuteSQL(sql string) (*engine.Result, error) {
+	rekey := strings.Contains(sql, "sdb_keyupdate")
+	if rekey && c.before {
+		panic("simulated crash before the re-key UPDATE")
+	}
+	res, err := c.Engine.ExecuteSQL(sql)
+	if rekey && c.after {
+		panic("simulated crash after the re-key UPDATE committed")
+	}
+	return res, err
 }
 
 func newPublishCrashDeployment(t *testing.T) *publishCrashDeployment {
@@ -43,7 +67,8 @@ func newPublishCrashDeployment(t *testing.T) *publishCrashDeployment {
 	}
 	t.Cleanup(func() { d.store.Close() })
 	d.eng = engine.NewWithDurability(cat, secret.N(), engine.Options{}, d.store)
-	if d.p, err = proxy.New(secret, d.eng); err != nil {
+	d.sp = &rekeyCrash{Engine: d.eng}
+	if d.p, err = proxy.NewWithOptions(secret, d.sp, proxy.Options{StatePath: statePath(d.statesDir, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	for _, sql := range []string{
@@ -173,6 +198,62 @@ func TestKillPointCrashThenContinue(t *testing.T) {
 	got := probeAll(d.p)
 	if !strings.Contains(got, "13,4") {
 		t.Fatalf("post-crash insert invisible:\n%s", got)
+	}
+}
+
+// TestKillPointRotationStateWrite crashes the DO inside a column and a
+// mask rotation, at the two points its state file must cover: after the
+// pending key is written and before the SP's re-key UPDATE, and after the
+// SP has committed the UPDATE and before the final state write. A
+// rotation changes no plaintext, so in both the reopened DO — WAL replay
+// plus the state file as the crash left it — must decrypt every row to
+// the pre-rotation answers; the WAL holds the UPDATE in the second only.
+// A state file written only after the UPDATE holds no pending key, and
+// the second case loses the column.
+func TestKillPointRotationStateWrite(t *testing.T) {
+	for _, leg := range []struct {
+		name   string
+		rotate func(p *proxy.Proxy) error
+	}{
+		{"column", func(p *proxy.Proxy) error { _, err := p.RotateColumn("accts", "bal"); return err }},
+		{"mask", func(p *proxy.Proxy) error { _, err := p.RotateMask("accts"); return err }},
+	} {
+		for _, committed := range []bool{false, true} {
+			name := leg.name + "/before-update"
+			if committed {
+				name = leg.name + "/after-commit"
+			}
+			t.Run(name, func(t *testing.T) {
+				d := newPublishCrashDeployment(t)
+				before := probeAll(d.p)
+				baseLSN := d.store.LSN()
+
+				d.sp.before, d.sp.after = !committed, committed
+				crashed := func() (crashed bool) {
+					defer func() { crashed = recover() != nil }()
+					leg.rotate(d.p)
+					return false
+				}()
+				if !crashed {
+					t.Fatal("the rotation never reached the crash point")
+				}
+				if state := readFile(t, statePath(d.statesDir, 0)); !bytes.Contains(state, []byte(`"Pending"`)) {
+					t.Fatal("the state file the crash left holds no pending key")
+				}
+
+				got, lsn := d.recoverCopy(t)
+				wantLSN := baseLSN
+				if committed {
+					wantLSN++
+				}
+				if lsn != wantLSN {
+					t.Fatalf("recovered LSN = %d, want %d", lsn, wantLSN)
+				}
+				if got != before {
+					t.Fatalf("recovered answers wrong:\ngot:\n%s\nwant:\n%s", got, before)
+				}
+			})
+		}
 	}
 }
 

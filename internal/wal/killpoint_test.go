@@ -58,13 +58,15 @@ func killWorkload() []killStep {
 	}
 }
 
-// probeAll renders the decrypted answers to a fixed probe set. Errors
-// (e.g. a table that does not exist at this prefix) normalize to ERR so
-// the rendering is comparable across prefixes.
+// probeAll renders the decrypted answers to a fixed probe set; the
+// comparison goes through the mask column, so a lost mask rotation shows.
+// Errors (e.g. a table that does not exist at this prefix) normalize to
+// ERR so the rendering is comparable across prefixes.
 func probeAll(p *proxy.Proxy) string {
 	probes := []string{
 		"SELECT id, bal FROM accts",
 		"SELECT SUM(bal) FROM accts",
+		"SELECT id FROM accts WHERE bal > 150",
 		"SELECT id, tag FROM notes",
 	}
 	var out strings.Builder

@@ -82,15 +82,15 @@ type Store struct {
 	opts Options
 	cat  *storage.Catalog
 
-	mu         sync.Mutex
-	f          *os.File
-	logPath    string
-	lsn        uint64 // last appended LSN
-	gens       storage.Generations
-	sinceCheck int
-	dirty      bool // unsynced appends (FsyncNever)
-	closed     bool
-	failed     error // sticky: a torn in-flight append poisons the store
+	mu       sync.Mutex
+	f        *os.File
+	logPath  string
+	lsn      uint64 // last appended LSN
+	startLSN uint64 // the governing log's start LSN: lsn − startLSN records follow its base
+	gens     storage.Generations
+	dirty    bool // unsynced appends (FsyncNever)
+	closed   bool
+	failed   error // sticky: a torn in-flight append poisons the store
 
 	recovered RecoveryInfo
 }
@@ -161,13 +161,14 @@ func (s *Store) LogDrop(table string, g storage.Generations) error {
 	return s.append(&Record{Type: recDrop, Gens: g, Table: table})
 }
 
-// MaybeCheckpoint checkpoints if CheckpointEvery records have accumulated
-// since the last one. The engine calls it after applying a statement, so a
-// checkpoint always writes the state its LSN claims.
+// MaybeCheckpoint checkpoints if CheckpointEvery records follow the
+// governing log's base section, counted across Open. The engine calls it
+// after applying a statement, so a checkpoint always writes the state its
+// LSN claims.
 func (s *Store) MaybeCheckpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.opts.CheckpointEvery <= 0 || s.sinceCheck < s.opts.CheckpointEvery {
+	if s.opts.CheckpointEvery <= 0 || s.lsn-s.startLSN < uint64(s.opts.CheckpointEvery) {
 		return nil
 	}
 	return s.checkpointLocked()
@@ -196,7 +197,6 @@ func (s *Store) append(rec *Record) error {
 		return err
 	}
 	s.lsn++
-	s.sinceCheck++
 	s.gens = rec.Gens
 	if s.opts.Fsync == FsyncAlways {
 		if err := s.f.Sync(); err != nil {
@@ -213,7 +213,7 @@ func (s *Store) append(rec *Record) error {
 
 // Checkpoint forces a checkpoint: write a new log whose base section
 // recreates every table, make it the append target, and delete the log it
-// supersedes.
+// supersedes. A log with no record after its base is left as it is.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -227,6 +227,9 @@ func (s *Store) checkpointLocked() error {
 	if s.failed != nil {
 		return s.failed
 	}
+	if s.lsn == s.startLSN {
+		return nil // nothing follows the base: the log is its own checkpoint
+	}
 	// Until writeLog's rename the old log governs, and a failure leaves it
 	// the append target. The new log holds every effect of the old one,
 	// so the old one needs no sync first.
@@ -236,8 +239,7 @@ func (s *Store) checkpointLocked() error {
 	}
 	oldPath := s.logPath
 	s.f.Close()
-	s.f, s.logPath = f, path
-	s.sinceCheck = 0
+	s.f, s.logPath, s.startLSN = f, path, s.lsn
 	s.dirty = false
 	// After the rename the new log is the append target whatever happens:
 	// if the rename cannot be made durable, appends to it could vanish
@@ -246,12 +248,10 @@ func (s *Store) checkpointLocked() error {
 		s.failed = err
 		return err
 	}
-	// A checkpoint with no record since the last one rewrites the same
-	// name; otherwise the superseded log goes (recovery deletes it too,
-	// so a crash before this line is fine).
-	if oldPath != path {
-		os.Remove(oldPath)
-	}
+	// The new log starts at a later LSN than the one it supersedes, so
+	// its name differs; the old log goes (recovery deletes it too, so a
+	// crash before this line is fine).
+	os.Remove(oldPath)
 	return nil
 }
 
@@ -445,7 +445,7 @@ func (s *Store) recover() error {
 	if err != nil {
 		return err
 	}
-	s.f, s.logPath = f, newest
+	s.f, s.logPath, s.startLSN = f, newest, sl.startLSN
 	s.lsn = sl.startLSN + uint64(n-int(sl.base))
 	s.gens = gens
 	s.recovered = RecoveryInfo{

@@ -283,6 +283,52 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestIdleCheckpointLeavesLog: a checkpoint with nothing logged after the
+// governing log's base — a second one in a row, or one right after
+// reopening a store with no tail — leaves that log as it is, the same
+// file rather than an identical rewrite under the same name. A tail
+// recovered by Open counts toward CheckpointEvery.
+func TestIdleCheckpointLeavesLog(t *testing.T) {
+	dir := t.TempDir()
+	checkpointKeeps := func(s *Store, label string) {
+		t.Helper()
+		before, err := os.Stat(s.LogPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.Stat(s.LogPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(before, after) {
+			t.Fatalf("%s: the checkpoint rewrote %s", label, filepath.Base(s.LogPath()))
+		}
+	}
+	e, store := durableEngine(t, dir, Options{})
+	mustExec(t, e, "CREATE TABLE t (a INT)")
+	mustExec(t, e, "INSERT INTO t VALUES (1)")
+	if err := store.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	checkpointKeeps(store, "second checkpoint")
+	store.Close()
+
+	e, store = durableEngine(t, dir, Options{})
+	checkpointKeeps(store, "checkpoint after reopening")
+	mustExec(t, e, "INSERT INTO t VALUES (2)")
+	store.Close()
+
+	e, store = durableEngine(t, dir, Options{CheckpointEvery: 2})
+	defer store.Close()
+	mustExec(t, e, "INSERT INTO t VALUES (3)") // the 2nd record after the base
+	if got := filepath.Base(store.LogPath()); got != "wal-0000000000000004.log" {
+		t.Fatalf("log after two records past the base = %s, want the checkpoint at LSN 4", got)
+	}
+}
+
 // TestTornTailDiscarded truncates the final record at every byte offset
 // inside it and verifies recovery drops exactly that record.
 func TestTornTailDiscarded(t *testing.T) {

@@ -346,8 +346,15 @@ go test -race -count=1 ${SHORT_FLAG} -run 'Snapshot|Mixed|MVCC' \
 # context.Canceled at once and leave no lock behind (nor the locks of the
 # tables they took before), and a waiting exclusive taker holds back new
 # shared ones; twenty fresh runs give the race detector interleavings
-# around it.
-go test -race -count=20 -run 'DuringRotation|CancelWhileWaitingOnRotation|KeyLock' ./internal/proxy
+# around it. The DO's write-ahead rule rides along: a rotation whose
+# pending-key write fails must not reach the SP, one whose final write
+# fails must leave a pending entry a reopened proxy settles on the new key
+# (column and mask legs), one whose UPDATE answer is lost must settle by
+# probe on the key the SP holds (or, with the SP gone, refuse the table's
+# next key change until a reopen settles it), and a pending key that
+# decodes under neither key must fail NewFromStateFile with the state
+# file unchanged.
+go test -race -count=20 -run 'DuringRotation|CancelWhileWaitingOnRotation|KeyLock|RotationStateWrite|RotationLostAnswer|RotationUnsettled|PendingKey' ./internal/proxy
 
 echo "== concurrent spill suite under the race detector"
 # The spill differential and parallel-schedule suites again, with the
@@ -366,9 +373,14 @@ echo "== crash-recovery / durability suite under the race detector"
 # temp file of the new one, new log beside the old — with decrypted
 # answers compared against the committed prefix, and a log cut inside its
 # base section refused with every file left as it was), the SIGKILL
-# subprocess test, the refusal of the previous on-disk format, and the
-# fsync-policy and debris unit tests — with the race detector on, so the
-# store's lock and the engine's checkpoint locking are checked under real
+# subprocess test, the refusal of the previous on-disk format, the DO
+# state-file kill points inside a column and a mask rotation
+# (TestKillPointRotationStateWrite: after the pending-key write and before
+# the re-key UPDATE, after the SP's commit and before the final rename),
+# the idle checkpoint that must leave its log as it is
+# (TestIdleCheckpointLeavesLog), and the fsync-policy and debris unit
+# tests — with the race detector on, so the store's lock and the
+# engine's checkpoint locking are checked under real
 # interleavings.
 go test -race -count=1 ./internal/wal
 
