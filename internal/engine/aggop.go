@@ -37,7 +37,8 @@ func (t firstTag) before(u firstTag) bool { return t.a < u.a || (t.a == u.a && t
 // hashAggOp is streaming hash aggregation: input batches drain at open into
 // one grouped state table (groupTable) whose groups emit in
 // first-encounter order. Retained memory is O(#groups), not O(#input
-// rows), and every group counts once against the budget.
+// rows), and every group counts once against the budget. SELECT DISTINCT
+// is one with no aggregates (planDistinct).
 //
 // Parallel shape: the operator's pool is serial unless keys, arguments or
 // sdb_min/sdb_max do secure arithmetic, and then rows fold straight into
@@ -841,6 +842,28 @@ func (op *hashAggOp) close() error {
 
 func (op *hashAggOp) resident() int {
 	return op.win.remaining() + op.merge.resident() + op.child.resident()
+}
+
+// planDistinct builds SELECT DISTINCT over child: an aggregation without
+// aggregates whose group keys are child's columns (the visible output), so
+// DISTINCT shares GROUP BY's budgeted, spilling group table and emits each
+// distinct row where it first occurs.
+func (e *Engine) planDistinct(child planNode, qs *querySpill) *hashAggOp {
+	cols := child.op.columns()
+	sb := newSetBuilder(&relation{cols: cols}, e.evalCtx(), nil)
+	for i := range cols {
+		sb.addFn(func(row types.Row) (types.Value, error) { return row[i], nil })
+	}
+	op := &hashAggOp{
+		pool: serialPool, child: child.op, schema: cols,
+		set: sb.build(), nkeys: len(cols), groupBy: true,
+		batch: e.batchRows(),
+		qs:    qs,
+	}
+	if !e.plannerOff {
+		op.groupHint = estGroups(child.est)
+	}
+	return op
 }
 
 // planAggregate builds the aggregation operator over child for GROUP BY +

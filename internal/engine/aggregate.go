@@ -83,7 +83,7 @@ func (e *Engine) compileAggs(keys []sqlparser.Expr, aggs []*sqlparser.FuncCall, 
 				return nil, nil, fmt.Errorf("engine: %s expects (tag, mtag, p, n)", spec.name)
 			}
 			var err error
-			if spec.reveal, err = newMaskedReveal(spec.name, a.Args[2], a.Args[3], 1, ctx); err != nil {
+			if spec.reveal, err = newMaskedReveal(spec.name, a.Args[2], a.Args[3], ctx); err != nil {
 				return nil, nil, err
 			}
 			args = a.Args[:2]
@@ -643,18 +643,6 @@ func (st *secExtremeState) loadSpillRow(row types.Row) error {
 		return nil
 	}
 	return fmt.Errorf("engine: malformed sdb_min/sdb_max spill state")
-}
-
-// secureCompare orders two rows by their flat-key tags using per-pair mask
-// products: sign of (tagA − tagB)·mtagA·mtagB revealed with P = m_F·m_R².
-func secureCompare(tagA, mtagA, tagB, mtagB types.Value, reveal *maskedReveal) (int, error) {
-	if tagA.K != types.KindShare || tagB.K != types.KindShare {
-		return 0, fmt.Errorf("engine: sdb_ord keys must be shares")
-	}
-	if mtagA.K != types.KindShare || mtagB.K != types.KindShare {
-		return 0, fmt.Errorf("engine: sdb_ord masks must be shares")
-	}
-	return reveal.sign(tagA.B, tagB.B, mtagA.B, mtagB.B), nil
 }
 
 // substExpr structurally replaces sub-expressions whose String() matches a

@@ -11,15 +11,6 @@ import "sdb/internal/types"
 // sequences. Callers append into a reused scratch buffer and convert to a
 // string only where a map has to own the key.
 
-// rowKey renders a whole row as a composite hash key (DISTINCT dedup).
-func rowKey(row types.Row) string {
-	buf := make([]byte, 0, 16*len(row))
-	for _, v := range row {
-		buf = v.AppendGroupKey(buf)
-	}
-	return string(buf)
-}
-
 // appendJoinKey evaluates the join-key expressions over a row and appends
 // the composite key to dst. hasNull reports a NULL component: SQL equality
 // never matches NULL, so rows with NULL keys are excluded from both build

@@ -8,6 +8,17 @@ import (
 	"sdb/internal/types"
 )
 
+// groupKey is the composite key the group table (GROUP BY and DISTINCT)
+// and the hash join build for a value tuple: its values' AppendGroupKey
+// encodings, concatenated.
+func groupKey(row types.Row) string {
+	var buf []byte
+	for _, v := range row {
+		buf = v.AppendGroupKey(buf)
+	}
+	return string(buf)
+}
+
 // TestKeyEncodingInjective is the regression for the concatenated-key
 // collision: ("ab","c") and ("a","bc") concatenate identically without
 // framing, so they used to share GROUP BY / DISTINCT / hash-join keys. The
@@ -30,13 +41,13 @@ func TestKeyEncodingInjective(t *testing.T) {
 		{{share(1), share(2)}, {share(1, 2)}},
 	}
 	for _, p := range distinct {
-		if rowKey(p[0]) == rowKey(p[1]) {
-			t.Errorf("rowKey collision: %v vs %v (%q)", p[0], p[1], rowKey(p[0]))
+		if groupKey(p[0]) == groupKey(p[1]) {
+			t.Errorf("group key collision: %v vs %v (%q)", p[0], p[1], groupKey(p[0]))
 		}
 	}
 	// Leading zero bytes do not change a residue, so they must not change
 	// its key: equal shares join and group together however they were built.
-	if rowKey(types.Row{share(0, 0, 7)}) != rowKey(types.Row{share(7)}) {
+	if groupKey(types.Row{share(0, 0, 7)}) != groupKey(types.Row{share(7)}) {
 		t.Errorf("equal shares encode differently")
 	}
 }
@@ -93,7 +104,7 @@ func FuzzGroupKeyInjective(f *testing.F) {
 		for i := 0; same && i < len(a); i++ {
 			same = a[i].K == b[i].K && a[i].Compare(b[i]) == 0
 		}
-		if got := rowKey(a) == rowKey(b); got != same {
+		if got := groupKey(a) == groupKey(b); got != same {
 			t.Fatalf("%v vs %v: keys equal = %v, values equal = %v", a, b, got, same)
 		}
 	})

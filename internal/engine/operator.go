@@ -381,57 +381,6 @@ func (op *projectOp) next() ([]types.Row, error) {
 func (op *projectOp) close() error  { return op.child.close() }
 func (op *projectOp) resident() int { return op.child.resident() }
 
-// ---- distinct ------------------------------------------------------------
-
-// distinctOp streams the first occurrence of every distinct row, keying
-// each row as it passes (DISTINCT runs no secure arithmetic). Retained
-// state is the key set, O(#distinct rows).
-type distinctOp struct {
-	child operator
-	// hint pre-sizes the key set (planner distinct-row estimate; 0 =
-	// unknown).
-	hint int
-	seen map[string]bool
-	ctx  context.Context
-}
-
-func (op *distinctOp) columns() []relCol { return op.child.columns() }
-
-func (op *distinctOp) open(ctx context.Context) error {
-	op.ctx = ctx
-	op.seen = make(map[string]bool, op.hint)
-	return op.child.open(ctx)
-}
-
-func (op *distinctOp) next() ([]types.Row, error) {
-	for {
-		if err := op.ctx.Err(); err != nil {
-			return nil, err
-		}
-		batch, err := op.child.next()
-		if err != nil {
-			return nil, err
-		}
-		uniq := batch[:0:0]
-		for _, row := range batch {
-			if k := rowKey(row); !op.seen[k] {
-				op.seen[k] = true
-				uniq = append(uniq, row)
-			}
-		}
-		if len(uniq) > 0 {
-			return uniq, nil
-		}
-	}
-}
-
-func (op *distinctOp) close() error {
-	op.seen = nil
-	return op.child.close()
-}
-
-func (op *distinctOp) resident() int { return len(op.seen) + op.child.resident() }
-
 // ---- limit ---------------------------------------------------------------
 
 // limitOp stops pulling from its child once the limit is reached — upstream

@@ -1,8 +1,8 @@
 package engine
 
 import (
+	"cmp"
 	"context"
-	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -11,15 +11,11 @@ import (
 	"sdb/internal/types"
 )
 
-// sortKey is one ORDER BY key over the projected-plus-hidden row layout.
-// Plain keys read one column; secure keys (the sdb_ord comparator) read a
-// flat-key tag and mask column and compare with the masked-sign protocol.
+// sortKey is one ORDER BY key: a column of the projected-plus-hidden row
+// layout.
 type sortKey struct {
-	desc   bool
-	col    int // plain key: index into the extended row; -1 for secure keys
-	tagCol int // secure key: tag column index
-	mskCol int // secure key: mask column index
-	reveal *maskedReveal
+	desc bool
+	col  int // index into the extended row
 }
 
 // orderSpec is a compiled ORDER BY: the keys, whose hidden columns the
@@ -33,48 +29,21 @@ type orderSpec struct {
 // (aliases and projected column names first) and the pre-projection
 // relation otherwise; unresolvable-from-output keys become hidden columns
 // of the projection's expression set sb, evaluated alongside the visible
-// output. The secure comparator sdb_ord(tag, mtag, p, n) contributes two
-// hidden columns.
-func (e *Engine) compileOrderKeys(s *sqlparser.Select, rel *relation, outCols []ResultColumn, sb *setBuilder) (*orderSpec, error) {
-	ctx := e.evalCtx()
+// output.
+func compileOrderKeys(s *sqlparser.Select, outCols []ResultColumn, sb *setBuilder) (*orderSpec, error) {
 	spec := &orderSpec{}
 	for _, item := range s.OrderBy {
 		k := sortKey{desc: item.Desc, col: -1}
-		if fc, ok := item.Expr.(*sqlparser.FuncCall); ok && strings.EqualFold(fc.Name, "sdb_ord") {
-			if len(fc.Args) != 4 {
-				return nil, fmt.Errorf("engine: sdb_ord expects (tag, mtag, p, n)")
-			}
-			var err error
-			if k.reveal, err = newMaskedReveal("sdb_ord", fc.Args[2], fc.Args[3], 2, ctx); err != nil {
-				return nil, err
-			}
-			for i, arg := range fc.Args[:2] {
-				if err := checkShareColumn(arg, rel, "sdb_ord", i+1); err != nil {
-					return nil, err
-				}
-			}
-			if k.tagCol, err = sb.add(fc.Args[0]); err != nil {
-				return nil, err
-			}
-			if k.mskCol, err = sb.add(fc.Args[1]); err != nil {
-				return nil, err
-			}
-			spec.keys = append(spec.keys, k)
-			continue
-		}
-
 		// Alias or projected-column reference?
-		resolved := false
 		if cr, ok := item.Expr.(sqlparser.ColRef); ok && cr.Table == "" {
 			for c, oc := range outCols {
 				if strings.EqualFold(oc.Name, cr.Name) {
 					k.col = c
-					resolved = true
 					break
 				}
 			}
 		}
-		if !resolved {
+		if k.col < 0 {
 			var err error
 			if k.col, err = sb.add(item.Expr); err != nil {
 				return nil, err
@@ -86,32 +55,22 @@ func (e *Engine) compileOrderKeys(s *sqlparser.Select, rel *relation, outCols []
 }
 
 // compare orders two extended rows: negative when a sorts before b.
-func (sp *orderSpec) compare(a, b types.Row) (int, error) {
+func (sp *orderSpec) compare(a, b types.Row) int {
 	for _, k := range sp.keys {
-		var c int
-		if k.col >= 0 {
-			c = a[k.col].Compare(b[k.col])
-		} else {
-			var err error
-			c, err = secureCompare(a[k.tagCol], a[k.mskCol], b[k.tagCol], b[k.mskCol], k.reveal)
-			if err != nil {
-				return 0, err
+		if c := a[k.col].Compare(b[k.col]); c != 0 {
+			if k.desc {
+				return -c
 			}
+			return c
 		}
-		if c == 0 {
-			continue
-		}
-		if k.desc {
-			return -c, nil
-		}
-		return c, nil
 	}
-	return 0, nil
+	return 0
 }
 
 // sortOp is the blocking ORDER BY sink: it materializes its input at open,
 // stable-sorts it and serves batches with the hidden key columns stripped.
-// The planner prefers topKOp when a LIMIT bounds the resident set.
+// The planner prefers topKOp when a LIMIT bounds the resident set within
+// the budget.
 //
 // Past the query's memory budget it degrades to an external merge sort:
 // each budget-sized buffer stable-sorts into a run file whose rows carry
@@ -168,17 +127,7 @@ func (op *sortOp) open(ctx context.Context) error {
 
 	if len(op.runs) == 0 {
 		// Everything fit: plain in-memory stable sort.
-		var sortErr error
-		sort.SliceStable(buf, func(i, j int) bool {
-			c, err := op.spec.compare(buf[i], buf[j])
-			if err != nil && sortErr == nil {
-				sortErr = err
-			}
-			return c < 0
-		})
-		if sortErr != nil {
-			return sortErr
-		}
+		sort.SliceStable(buf, func(i, j int) bool { return op.spec.compare(buf[i], buf[j]) < 0 })
 		op.win = rowWindow{rows: buf, batch: op.batch, width: op.outWidth}
 		return nil
 	}
@@ -204,17 +153,7 @@ func (op *sortOp) flushRun(buf []types.Row, base int) error {
 	for i, row := range buf {
 		tagged[i] = taggedRow{a: int64(base + i), row: row}
 	}
-	var sortErr error
-	sort.SliceStable(tagged, func(i, j int) bool {
-		c, err := op.spec.compare(tagged[i].row, tagged[j].row)
-		if err != nil && sortErr == nil {
-			sortErr = err
-		}
-		return c < 0
-	})
-	if sortErr != nil {
-		return sortErr
-	}
+	sort.SliceStable(tagged, func(i, j int) bool { return op.spec.compare(tagged[i].row, tagged[j].row) < 0 })
 	rf, err := newRunFile(op.qs)
 	if err != nil {
 		return err
@@ -234,19 +173,11 @@ func (op *sortOp) flushRun(buf []types.Row, base int) error {
 
 // runCompare orders merged rows by the ORDER BY keys, then arrival index
 // (stability tie-break).
-func (op *sortOp) runCompare(x, y *taggedRow) (int, error) {
-	c, err := op.spec.compare(x.row, y.row)
-	if err != nil || c != 0 {
-		return c, err
+func (op *sortOp) runCompare(x, y *taggedRow) int {
+	if c := op.spec.compare(x.row, y.row); c != 0 {
+		return c
 	}
-	switch {
-	case x.a < y.a:
-		return -1, nil
-	case x.a > y.a:
-		return 1, nil
-	default:
-		return 0, nil
-	}
+	return cmp.Compare(x.a, y.a)
 }
 
 func (op *sortOp) next() ([]types.Row, error) {
@@ -296,7 +227,6 @@ type topKOp struct {
 	ctx  context.Context
 	heap []heapItem // max-heap: worst retained row at the root
 	win  rowWindow
-	err  error
 }
 
 type heapItem struct {
@@ -307,13 +237,9 @@ type heapItem struct {
 func (op *topKOp) columns() []relCol { return op.child.columns()[:op.outWidth] }
 
 // worse reports whether a sorts after b (later keys, or equal keys and
-// later arrival). Comparator errors latch into op.err.
+// later arrival).
 func (op *topKOp) worse(a, b heapItem) bool {
-	c, err := op.spec.compare(a.row, b.row)
-	if err != nil && op.err == nil {
-		op.err = err
-	}
-	if c != 0 {
+	if c := op.spec.compare(a.row, b.row); c != 0 {
 		return c > 0
 	}
 	return a.seq > b.seq
@@ -339,9 +265,6 @@ func (op *topKOp) open(ctx context.Context) error {
 		for _, row := range batch {
 			op.push(heapItem{row: row, seq: seq})
 			seq++
-			if op.err != nil {
-				return op.err
-			}
 		}
 		op.qs.peak.latch(len(op.heap) + len(batch) + op.child.resident())
 	}
@@ -351,9 +274,6 @@ func (op *topKOp) open(ctx context.Context) error {
 	rows := make([]types.Row, len(op.heap))
 	for i := len(rows) - 1; i >= 0; i-- {
 		rows[i] = op.pop().row
-		if op.err != nil {
-			return op.err
-		}
 	}
 	op.win = rowWindow{rows: rows, batch: op.batch, width: op.outWidth}
 	return nil

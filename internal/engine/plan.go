@@ -34,7 +34,7 @@ func (e *Engine) planQuery(s *sqlparser.Select, snap *Snapshot, qs *querySpill) 
 // planSelect compiles a SELECT into an operator tree:
 //
 //	scan/join → filter(WHERE) → hashAgg → filter(HAVING) → project
-//	  → topK|sort(ORDER BY) → distinct → limit
+//	  → topK|sort(ORDER BY) → hashAgg(DISTINCT) → limit
 //
 // FROM and WHERE plan as one unit over the leaves of the join tree
 // (planFrom): unless the planner pass is disabled (Options.Planner),
@@ -99,7 +99,7 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 	}
 	var ospec *orderSpec
 	if len(s.OrderBy) > 0 {
-		if ospec, err = e.compileOrderKeys(s, inRel, outCols, sb); err != nil {
+		if ospec, err = compileOrderKeys(s, outCols, sb); err != nil {
 			return nil, err
 		}
 	}
@@ -114,10 +114,12 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 	est := src.est
 	var root operator = &projectOp{pool: e.rowPool(ctx.secure), child: src.op, set: set, schema: projSchema}
 
-	// ORDER BY: a bounded top-K heap when LIMIT caps the result (and
-	// DISTINCT does not need the full sorted set first), else a sort sink.
+	// ORDER BY: a bounded top-K heap when LIMIT caps the result within the
+	// budget (the heap reserves nothing) and DISTINCT does not need the
+	// full sorted set first, else a sort sink, which spills.
 	if ospec != nil {
-		if s.Limit != nil && !s.Distinct {
+		limit := qs.budget.Limit()
+		if s.Limit != nil && !s.Distinct && (limit <= 0 || *s.Limit <= int64(limit)) {
 			root = &topKOp{child: root, spec: ospec, k: *s.Limit, outWidth: len(outCols), batch: e.batchRows(), qs: qs}
 		} else {
 			root = &sortOp{child: root, spec: ospec, outWidth: len(outCols), batch: e.batchRows(), qs: qs}
@@ -126,11 +128,7 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 
 	// DISTINCT, then LIMIT (legacy stage order).
 	if s.Distinct {
-		d := &distinctOp{child: root}
-		if !e.plannerOff {
-			d.hint = estGroups(est)
-		}
-		root = d
+		root = e.planDistinct(planNode{op: root, est: est}, qs)
 		est = estGroups(est)
 	}
 	if s.Limit != nil {

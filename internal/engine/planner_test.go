@@ -62,8 +62,6 @@ func opsIn(op operator) []operator {
 		out = append(out, opsIn(o.child)...)
 	case *limitOp:
 		out = append(out, opsIn(o.child)...)
-	case *distinctOp:
-		out = append(out, opsIn(o.child)...)
 	case *sortOp:
 		out = append(out, opsIn(o.child)...)
 	case *topKOp:
@@ -124,8 +122,6 @@ func treeSig(op operator) string {
 		return unary("π"+par(o.pool), o.child)
 	case *limitOp:
 		return unary("limit", o.child)
-	case *distinctOp:
-		return unary("distinct", o.child)
 	case *sortOp:
 		return unary("sort", o.child)
 	case *topKOp:

@@ -9,11 +9,13 @@
 //   - Grace hash join: leaf joins emit runs sorted by (probe row index,
 //     build row index), whose merge reproduces the exact streaming
 //     probe-order × build-order output of the in-memory join;
-//   - spilled aggregation: per-partition group outputs sorted by
-//     first-encounter index, merged into first-encounter order.
+//   - spilled aggregation (GROUP BY, and DISTINCT, which plans as an
+//     aggregation without aggregates): per-partition group outputs sorted
+//     by first-encounter index, merged into first-encounter order.
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"io"
 	"os"
@@ -171,31 +173,20 @@ func truncated(err error) error {
 
 // tagCompare orders tagged rows by (a, b) — the join and aggregation
 // merge order. Sort merges use the ORDER BY comparator instead.
-func tagCompare(x, y *taggedRow) (int, error) {
-	switch {
-	case x.a != y.a:
-		if x.a < y.a {
-			return -1, nil
-		}
-		return 1, nil
-	case x.b != y.b:
-		if x.b < y.b {
-			return -1, nil
-		}
-		return 1, nil
-	default:
-		return 0, nil
+func tagCompare(x, y *taggedRow) int {
+	if c := cmp.Compare(x.a, y.a); c != 0 {
+		return c
 	}
+	return cmp.Compare(x.b, y.b)
 }
 
 // mergeIter k-way merges sorted runs. Resident state is one look-ahead
 // row per run; output is served in batches of at most batch rows.
 type mergeIter struct {
-	cmp   func(x, y *taggedRow) (int, error)
+	cmp   func(x, y *taggedRow) int
 	heads []*runHead // binary min-heap by cmp
 	batch int
 	files []*runFile // closed when the merge is done
-	err   error
 }
 
 type runHead struct {
@@ -207,8 +198,8 @@ type runHead struct {
 // runs' descriptors from this call on: they are closed at close(), and
 // on any construction error every run is closed before returning, so no
 // caller path can leak them.
-func newMergeIter(runs []*runFile, cmp func(x, y *taggedRow) (int, error), batch int) (*mergeIter, error) {
-	m := &mergeIter{cmp: cmp, batch: batch, files: runs}
+func newMergeIter(runs []*runFile, order func(x, y *taggedRow) int, batch int) (*mergeIter, error) {
+	m := &mergeIter{cmp: order, batch: batch, files: runs}
 	fail := func(err error) (*mergeIter, error) {
 		closeRunFiles(runs)
 		return nil, err
@@ -230,20 +221,12 @@ func newMergeIter(runs []*runFile, cmp func(x, y *taggedRow) (int, error), batch
 	// Heapify bottom-up.
 	for i := len(m.heads)/2 - 1; i >= 0; i-- {
 		m.siftDown(i)
-		if m.err != nil {
-			return fail(m.err)
-		}
 	}
 	return m, nil
 }
 
-// less compares heap entries, latching comparator errors.
 func (m *mergeIter) less(i, j int) bool {
-	c, err := m.cmp(&m.heads[i].cur, &m.heads[j].cur)
-	if err != nil && m.err == nil {
-		m.err = err
-	}
-	return c < 0
+	return m.cmp(&m.heads[i].cur, &m.heads[j].cur) < 0
 }
 
 func (m *mergeIter) siftDown(i int) {
@@ -268,9 +251,6 @@ func (m *mergeIter) siftDown(i int) {
 // nextTagged pops the next tagged row in merge order, or io.EOF when
 // every run is exhausted.
 func (m *mergeIter) nextTagged() (taggedRow, error) {
-	if m.err != nil {
-		return taggedRow{}, m.err
-	}
 	if len(m.heads) == 0 {
 		return taggedRow{}, io.EOF
 	}
@@ -289,9 +269,6 @@ func (m *mergeIter) nextTagged() (taggedRow, error) {
 	}
 	if len(m.heads) > 1 {
 		m.siftDown(0)
-	}
-	if m.err != nil {
-		return taggedRow{}, m.err
 	}
 	return tr, nil
 }
@@ -363,8 +340,8 @@ func mergeFanIn(limit int) int {
 // mergeRunsToFile k-way merges one group of runs into a single
 // intermediate run on disk. It takes ownership of the group (closed on
 // success and on every error path); the output run is closed on error.
-func mergeRunsToFile(qs *querySpill, group []*runFile, cmp func(x, y *taggedRow) (int, error), batch int) (*runFile, error) {
-	m, err := newMergeIter(group, cmp, batch) // closes group on error
+func mergeRunsToFile(qs *querySpill, group []*runFile, order func(x, y *taggedRow) int, batch int) (*runFile, error) {
+	m, err := newMergeIter(group, order, batch) // closes group on error
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +378,7 @@ func mergeRunsToFile(qs *querySpill, group []*runFile, cmp func(x, y *taggedRow)
 // more than fan-in look-ahead rows. Like newMergeIter it takes ownership
 // of the runs: on any error every run (original or intermediate) is
 // closed.
-func boundedMerge(qs *querySpill, runs []*runFile, cmp func(x, y *taggedRow) (int, error), batch int) (*mergeIter, error) {
+func boundedMerge(qs *querySpill, runs []*runFile, order func(x, y *taggedRow) int, batch int) (*mergeIter, error) {
 	fanIn := mergeFanIn(qs.budget.Limit())
 	// Each in-flight group merge holds up to fanIn unreserved look-ahead
 	// rows. The serial design sized one group's look-ahead inside the
@@ -431,7 +408,7 @@ func boundedMerge(qs *querySpill, runs []*runFile, cmp func(x, y *taggedRow) (in
 				}
 				leave := qs.enterSpillWorker()
 				qs.peak.latch(int(lookAhead.Add(int64(ghi - glo))))
-				out, err := mergeRunsToFile(qs, runs[glo:ghi], cmp, batch)
+				out, err := mergeRunsToFile(qs, runs[glo:ghi], order, batch)
 				lookAhead.Add(int64(glo - ghi))
 				leave()
 				if err != nil {
@@ -459,5 +436,5 @@ func boundedMerge(qs *querySpill, runs []*runFile, cmp func(x, y *taggedRow) (in
 		}
 		runs = outs
 	}
-	return newMergeIter(runs, cmp, batch)
+	return newMergeIter(runs, order, batch)
 }

@@ -103,29 +103,6 @@ func TestEngineSdbMinMaxViaSQL(t *testing.T) {
 	}
 }
 
-func TestEngineSdbOrdViaSQL(t *testing.T) {
-	// Server-side ORDER BY over encrypted values using the masked pairwise
-	// comparator with per-pair mask products: P = m_flat · m_maskflat².
-	f := newSecureFixture(t, []int64{10, -3, 42, 1000})
-	flat, _ := f.s.FlatKey()
-	mflat, _ := f.s.FlatKey()
-	p2 := bigmod.Mul(flat.M, bigmod.Mul(mflat.M, mflat.M, f.s.N()), f.s.N())
-	sql := fmt.Sprintf(`SELECT id FROM enc ORDER BY sdb_ord(%s, %s, %s, %s)`,
-		f.flattenSQL("v", f.ck, flat), f.flattenSQL("m", f.mask, mflat),
-		hex(p2), hex(f.s.N()))
-	res, err := f.eng.ExecuteSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// values -3 < 10 < 42 < 1000 → ids 2, 1, 3, 4
-	want := []int64{2, 1, 3, 4}
-	for i, w := range want {
-		if res.Rows[i][0].I != w {
-			t.Fatalf("order: %v", res.Rows)
-		}
-	}
-}
-
 func TestEngineSdbSignViaSQL(t *testing.T) {
 	// Filter v > 20 entirely in SQL, crafting the tokens by hand.
 	f := newSecureFixture(t, []int64{10, -3, 42, 1000})

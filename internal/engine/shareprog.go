@@ -37,13 +37,13 @@ import (
 //     residues with a conditional subtract (aggregate.go);
 //   - instructions are hash-consed per operator, so a (helper, exponent)
 //     pair several expressions of the operator share is looked up once per
-//     row, and so is any common subtree (a projection's order-key tags, Q1's
-//     key-updated discount under three SUMs).
+//     row, and so is any common subtree (Q1's key-updated discount under
+//     three SUMs).
 //
 // What stays outside: a subtree that is not a share UDF over the program's
 // modulus (CASE, plaintext arithmetic, a tree over another modulus) is a
-// leaf, evaluated by its own closure; sdb_ord and sdb_min/sdb_max compare
-// shares that arrive as values and reveal through maskedReveal below.
+// leaf, evaluated by its own closure; sdb_min/sdb_max compare shares that
+// arrive as values and reveal through maskedReveal below.
 // Token material and moduli must be constants: a malformed one (even or
 // zero modulus, non-share token) is a plan-time error, never a panic on a
 // pool worker.
@@ -759,9 +759,8 @@ func compileShareExpr(x *sqlparser.FuncCall, rel *relation, ctx *evalCtx) (compi
 // ---- masked reveal --------------------------------------------------------
 
 // maskedReveal is the comparison protocol's reveal over shares that arrive
-// as values — sdb_min/sdb_max candidates and sdb_ord keys: the sign of
-// (a − b)·m₁⋯m_j·P mod n for j masks. P·R^(j+1) is folded at plan time, so
-// the reveal is j + 1 REDCs and no division.
+// as values — sdb_min/sdb_max candidates: the sign of (a − b)·m·P mod n.
+// P·R² is folded at plan time, so the reveal is two REDCs and no division.
 type maskedReveal struct {
 	mc   *bigmod.MontCtx
 	c    []big.Word
@@ -773,7 +772,7 @@ type revealScratch struct {
 	d, t []big.Word
 }
 
-func newMaskedReveal(fname string, pEx, nEx sqlparser.Expr, masks int, ctx *evalCtx) (*maskedReveal, error) {
+func newMaskedReveal(fname string, pEx, nEx sqlparser.Expr, ctx *evalCtx) (*maskedReveal, error) {
 	n, err := constModulus(fname, nEx, ctx)
 	if err != nil {
 		return nil, err
@@ -787,14 +786,12 @@ func newMaskedReveal(fname string, pEx, nEx sqlparser.Expr, masks int, ctx *eval
 	}
 	mc := bigmod.MontCtxFor(n)
 	ctx.secure = true
-	c := new(big.Int).Mod(p.B, n)
-	for i := 0; i <= masks; i++ {
-		c.Mul(c, mc.R()).Mod(c, n)
-	}
+	c := new(big.Int).Mul(p.B, mc.R()) // P·R²: two REDCs leave P·(a − b)·m
+	c.Mul(c, mc.R()).Mod(c, n)
 	return &maskedReveal{mc: mc, c: mc.Limbs(c)}, nil
 }
 
-func (r *maskedReveal) sign(a, b *big.Int, masks ...*big.Int) int {
+func (r *maskedReveal) sign(a, b, m *big.Int) int {
 	s, ok := r.pool.Get().(*revealScratch)
 	if !ok {
 		k := r.mc.Words()
@@ -804,10 +801,8 @@ func (r *maskedReveal) sign(a, b *big.Int, masks ...*big.Int) int {
 	r.mc.Reduce(s.d, a)
 	r.mc.Reduce(s.t, b)
 	r.mc.SubTo(s.d, s.d, s.t)
-	for _, m := range masks {
-		r.mc.Reduce(s.t, m)
-		r.mc.MulTo(s.ms, s.d, s.d, s.t)
-	}
+	r.mc.Reduce(s.t, m)
+	r.mc.MulTo(s.ms, s.d, s.d, s.t)
 	r.mc.MulTo(s.ms, s.d, s.d, r.c)
 	return r.mc.SignOf(s.d)
 }

@@ -471,28 +471,22 @@ func TestShareProgramFolding(t *testing.T) {
 }
 
 // TestShareProgramReveal checks the comparison kernel of sdb_min/sdb_max
-// (one mask) and sdb_ord (two masks) against the scalar protocol.
+// against the scalar protocol.
 func TestShareProgramReveal(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		c := newProgCase(seed, int(seed))
 		n := c.n
-		for masks := 1; masks <= 2; masks++ {
-			p, _ := c.token(n)
-			rev, err := newMaskedReveal("sdb_ord", p, hexLit(n), masks, &evalCtx{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 50; i++ {
-				a, b := c.residue(), c.residue()
-				ms := []*big.Int{c.residue(), c.residue()}[:masks]
-				x := secure.SubShares(a, b, n)
-				for _, m := range ms {
-					x = secure.Multiply(x, m, n)
-				}
-				want := secure.MaskedSign(secure.Multiply(x, p.(sqlparser.HexLit).V, n), new(big.Int).Rsh(n, 1))
-				if got := rev.sign(a, b, ms...); got != want {
-					t.Fatalf("seed %d masks %d: sign %d, oracle %d", seed, masks, got, want)
-				}
+		p, _ := c.token(n)
+		rev, err := newMaskedReveal("sdb_min", p, hexLit(n), &evalCtx{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			a, b, m := c.residue(), c.residue(), c.residue()
+			x := secure.Multiply(secure.SubShares(a, b, n), m, n)
+			want := secure.MaskedSign(secure.Multiply(x, p.(sqlparser.HexLit).V, n), new(big.Int).Rsh(n, 1))
+			if got := rev.sign(a, b, m); got != want {
+				t.Fatalf("seed %d: sign %d, oracle %d", seed, got, want)
 			}
 		}
 	}

@@ -445,29 +445,43 @@ func TestSecExtremeSpillRowRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestSecureOrderBySpill pins the masked-comparator external sort: ORDER
-// BY sdb_ord over encrypted tags must produce the in-memory order when
-// the sort sink spills (the comparator runs inside run generation and
-// the k-way merge).
-func TestSecureOrderBySpill(t *testing.T) {
-	vals := make([]int64, 40)
-	for i := range vals {
-		vals[i] = int64((i*53)%97 - 48)
+// TestDistinctAndTopKSpillUnderBudget: DISTINCT and ORDER BY … LIMIT hold
+// their state within the budget like every other blocking operator.
+// DISTINCT is an aggregation without aggregates, so its 4 000 distinct rows
+// spill and re-split through the group table; a LIMIT whose K exceeds the
+// budget sorts through the spilling sort sink instead of an unreserved
+// top-K heap. Each must match the unbudgeted answer row for row — order
+// included: first encounter for DISTINCT, the stable sort for the LIMIT.
+func TestDistinctAndTopKSpillUnderBudget(t *testing.T) {
+	const budget = 100
+	mem := newSpillEngine(t, -1)
+	spl := newSpillEngine(t, budget)
+	for _, e := range []*Engine{mem, spl} {
+		mustExec(t, e, `CREATE TABLE big (id INT, v INT)`)
 	}
-	f := newSecureFixture(t, vals)
-	flat, _ := f.s.FlatKey()
-	mflat, _ := f.s.FlatKey()
-	p2 := hex(bigmod.Mul(flat.M, bigmod.Mul(mflat.M, mflat.M, f.s.N()), f.s.N()))
-	sql := fmt.Sprintf(`SELECT id FROM enc ORDER BY sdb_ord(%s, %s, %s, %s)`,
-		f.flattenSQL("v", f.ck, flat), f.flattenSQL("m", f.mask, mflat), p2, hex(f.s.N()))
-
-	want, _ := queryWithStats(t, f.eng, sql)
-	f.eng.SetOptions(spillOptions(16, t.TempDir()))
-	got, gotSt := queryWithStats(t, f.eng, sql)
-	if gotSt.Spills == 0 {
-		t.Fatalf("secure ORDER BY did not spill: %+v", gotSt)
+	// 5 000 rows, 4 000 distinct v in scrambled order; the last 1 000 rows
+	// repeat earlier values.
+	loadRows(t, []*Engine{mem, spl}, "big", 5000, func(i int) string {
+		return fmt.Sprintf("(%d, %d)", i, (i%4000)*2957%4001)
+	})
+	for _, sql := range []string{
+		`SELECT DISTINCT v FROM big`,
+		`SELECT DISTINCT v FROM big ORDER BY v DESC`,
+		`SELECT id FROM big ORDER BY v LIMIT 3000`,
+	} {
+		t.Run(sql, func(t *testing.T) {
+			want, wantSt := queryWithStats(t, mem, sql)
+			got, gotSt := queryWithStats(t, spl, sql)
+			if wantSt.Spills != 0 {
+				t.Fatalf("reference engine spilled: %+v", wantSt)
+			}
+			if n := len(want.Rows); n != 3000 && n != 4000 {
+				t.Fatalf("%s: %d rows, want 4000 distinct or 3000 limited", sql, n)
+			}
+			checkSpilled(t, sql, gotSt, budget)
+			requireSameRows(t, sql, got, want)
+		})
 	}
-	requireSameRows(t, sql, got, want)
 }
 
 // TestCloseMidSpillCleansTempFiles closes a cursor between batches of a

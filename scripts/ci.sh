@@ -272,14 +272,18 @@ if [[ "${CONFIG_SURFACE}" != "${CONFIG_ALLOWED}" ]]; then
   exit 1
 fi
 
-echo "== the exported surface is what the product calls"
+echo "== the exported surface is what the product calls, and the SP's SDB functions are what the DO sends"
 # Every exported top-level name and method declared in a non-test file of
 # the root module is mentioned by a non-test file other than its
 # declaration (bench/ counts), or is on the allow-list in
 # internal/surface/surface_test.go with its reason; an allow-list entry
 # that is no longer needed fails too. A name only tests call belongs in
-# its package's _test.go files. The test also runs under go test below.
-go test -count=1 -run 'TestExportedSurfaceIsCalled' ./internal/surface
+# its package's _test.go files. Every "sdb_…" name a non-test engine file
+# spells must occur in the SQL a proxy sends for a fixed DO corpus (TPC-H
+# schema, an INSERT, the 22 queries, both rotations, a masked MIN/MAX and
+# comparison; internal/surface/sdbfuncs_test.go). The tests also run under
+# go test below.
+go test -count=1 -run 'TestExportedSurfaceIsCalled|TestEngineSDBNamesAreSent' ./internal/surface
 
 echo "== go build"
 go build ./...
