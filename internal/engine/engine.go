@@ -131,8 +131,8 @@ type Options struct {
 	// the pool is exhausted. nil means per-query budgets only.
 	BudgetPool *spill.Pool
 	// Planner "off" disables the planning pass — SELECTs then compile to
-	// the naive AST-shaped tree (comma joins stay nested-loop cross
-	// products, WHERE stays one post-join filter, hash maps stay
+	// the naive AST-shaped tree (comma joins stay cross products — joins
+	// on the empty key — WHERE stays one post-join filter, hash maps stay
 	// unsized). It exists as the reference side of the planner
 	// differential suite; "" and "on" run the pass.
 	Planner string

@@ -9,9 +9,9 @@ import (
 	"sdb/internal/types"
 )
 
-// joinOutput is the pending-output buffer shared by both join operators:
-// one probe batch can produce anywhere between zero and build-side-many
-// joined rows, so output is re-batched to the pipeline granularity.
+// joinOutput is the join's pending-output buffer: one probe batch can
+// produce anywhere between zero and build-side-many joined rows, so output
+// is re-batched to the pipeline granularity.
 type joinOutput struct {
 	out   []types.Row
 	pos   int
@@ -33,22 +33,22 @@ func (jo *joinOutput) serve() []types.Row {
 
 func (jo *joinOutput) pending() int { return len(jo.out) - jo.pos }
 
-func concatRows(a, b types.Row) types.Row {
-	row := make(types.Row, 0, len(a)+len(b))
-	row = append(row, a...)
-	return append(row, b...)
-}
-
-// hashJoinOp is an equi-join: the build side (right) is drained and hashed
-// at open into one index — the only materialized state — and the probe
-// side (left) streams through in batches. Join keys are computed on the
-// keys' pool (the worker pool when they are encrypted: key-update
-// programs), the index is built on the calling goroutine in build order,
-// and each probe batch is looked up in chunks on the pool of keys and
-// residual (the worker pool when either does secure arithmetic, e.g. a
-// residual running sdb_sign on every match). Output order is probe order ×
-// build insertion order, matching the serial nested loop on the same
-// inputs.
+// hashJoinOp is the engine's one join operator: the build side (right) is
+// drained and hashed at open into one index — the only materialized state
+// — and the probe side (left) streams through in batches. Join keys are
+// computed on the keys' pool (the worker pool when they are encrypted:
+// key-update programs), the index is built on the calling goroutine in
+// build order, and each probe batch is looked up in chunks on the pool of
+// keys and residual (the worker pool when either does secure arithmetic,
+// e.g. a residual running sdb_sign on every match). Output order is probe
+// order × build insertion order, matching the serial nested loop on the
+// same inputs.
+//
+// A join with no equality key (a cross join, or a theta join whose whole
+// condition is the residual) is this operator on the empty key: every row
+// has it, so the index is one entry holding the build rows in build order,
+// the probe is a nested loop over them, and a spilled join is one Grace
+// partition pair, which joinChunked runs as a block nested loop.
 //
 // When the build side would cross the query's memory budget the join goes
 // Grace: both inputs are hash-partitioned to spill files, and the
@@ -443,7 +443,8 @@ func (op *hashJoinOp) joinPartition(build, probe *runFile, depth int) ([]*runFil
 	if op.qs.budget.TryReserve(n) {
 		return op.joinChunked(build, probe, n)
 	}
-	if depth < maxSpillDepth && n > minSpillChunkRows {
+	// Re-hashing the empty key cannot split a keyless partition.
+	if len(op.rightKeys) > 0 && depth < maxSpillDepth && n > minSpillChunkRows {
 		return op.repartition(build, probe, depth)
 	}
 	return op.joinChunked(build, probe, 0)
@@ -666,100 +667,4 @@ func (op *hashJoinOp) loadChunk(br *runReader, n int) (map[string][]taggedRow, e
 		table[string(key)] = append(table[string(key)], tr)
 	}
 	return table, nil
-}
-
-// nestedLoopJoinOp handles non-equi ON conditions and cross joins: the
-// right side is materialized at open, the left streams through, and each
-// probe batch evaluates the condition over the cross product in chunks on
-// the condition's pool. cond == nil is a cross join.
-type nestedLoopJoinOp struct {
-	pool        *parallel.Pool
-	left, right operator
-	schema      []relCol
-	cond        compiledExpr
-	batch       int
-	qs          *querySpill
-
-	ctx   context.Context
-	build []types.Row
-	out   joinOutput
-}
-
-func (op *nestedLoopJoinOp) columns() []relCol { return op.schema }
-
-func (op *nestedLoopJoinOp) open(ctx context.Context) error {
-	op.ctx = ctx
-	op.out.batch = op.batch
-	if err := op.left.open(ctx); err != nil {
-		return err
-	}
-	if err := op.right.open(ctx); err != nil {
-		return err
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		batch, err := op.right.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		op.build = append(op.build, batch...)
-		op.qs.peak.latch(len(op.build) + op.right.resident())
-	}
-	return op.right.close()
-}
-
-func (op *nestedLoopJoinOp) next() ([]types.Row, error) {
-	for op.out.pending() == 0 {
-		if err := op.ctx.Err(); err != nil {
-			return nil, err
-		}
-		batch, err := op.left.next()
-		if err != nil {
-			return nil, err
-		}
-		chunks := make([][]types.Row, op.pool.NumChunks(len(batch)))
-		err = op.pool.ForEachChunk(len(batch), func(chunk, lo, hi int) error {
-			var buf []types.Row
-			for i := lo; i < hi; i++ {
-				for _, rb := range op.build {
-					row := concatRows(batch[i], rb)
-					if op.cond != nil {
-						ok, err := op.cond(row)
-						if err != nil {
-							return err
-						}
-						if !ok.Bool() {
-							continue
-						}
-					}
-					buf = append(buf, row)
-				}
-			}
-			chunks[chunk] = buf
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, buf := range chunks {
-			op.out.out = append(op.out.out, buf...)
-		}
-	}
-	return op.out.serve(), nil
-}
-
-func (op *nestedLoopJoinOp) close() error {
-	op.build = nil
-	op.out = joinOutput{}
-	op.left.close()
-	return op.right.close()
-}
-
-func (op *nestedLoopJoinOp) resident() int {
-	return len(op.build) + op.out.pending() + op.left.resident() + op.right.resident()
 }

@@ -40,9 +40,9 @@ func runQuery(t *testing.T, e *Engine, sql string) []string {
 }
 
 // TestHashVsNestedLoopDifferential runs the same join through the hash path
-// (equality conjunct) and the nested-loop path (the equality rewritten as a
-// <=/>= conjunction the planner cannot hash) and requires identical rows in
-// identical order.
+// (equality conjunct) and the nested-loop path — the join on the empty key,
+// with the equality rewritten as a <=/>= conjunction the planner cannot
+// hash — and requires identical rows in identical order.
 func TestHashVsNestedLoopDifferential(t *testing.T) {
 	e := joinEngine(t)
 	cases := []struct{ hash, nested string }{

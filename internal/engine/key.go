@@ -14,8 +14,8 @@ import "sdb/internal/types"
 // appendJoinKey evaluates the join-key expressions over a row and appends
 // the composite key to dst. hasNull reports a NULL component: SQL equality
 // never matches NULL, so rows with NULL keys are excluded from both build
-// and probe sides (matching the compiled `=` evaluator the nested-loop join
-// uses).
+// and probe sides (matching the compiled `=` evaluator a cross product
+// under a WHERE filter applies).
 func appendJoinKey(dst []byte, keys []compiledExpr, row types.Row) (key []byte, hasNull bool, err error) {
 	for _, k := range keys {
 		v, err := k(row)

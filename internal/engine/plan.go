@@ -116,9 +116,14 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 
 	// ORDER BY: a bounded top-K heap when LIMIT caps the result within the
 	// budget (the heap reserves nothing) and DISTINCT does not need the
-	// full sorted set first, else a sort sink, which spills.
+	// full sorted set first, else a sort sink, which spills. The bound is
+	// the tighter of the query's own limit and the shared pool's, either of
+	// which may be unset.
 	if ospec != nil {
 		limit := qs.budget.Limit()
+		if pl := e.budgetPool.Limit(); pl > 0 && (limit <= 0 || pl < limit) {
+			limit = pl
+		}
 		if s.Limit != nil && !s.Distinct && (limit <= 0 || *s.Limit <= int64(limit)) {
 			root = &topKOp{child: root, spec: ospec, k: *s.Limit, outWidth: len(outCols), batch: e.batchRows(), qs: qs}
 		} else {

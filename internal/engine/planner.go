@@ -2,10 +2,11 @@ package engine
 
 // This file is the planner pass between parse and operator construction.
 // The naive tree evaluates predicates where the statement writes them:
-// `FROM a, b WHERE a.k = b.k` is a nested-loop cross product under one
-// filter, and `FROM a JOIN b ON a.k = b.k WHERE a.x > 5` joins every row of
-// a before looking at x. The pass fixes that in three moves, none of which
-// changes the result (docs/planner.md states the order contract):
+// `FROM a, b WHERE a.k = b.k` is a cross product (the join on the empty
+// key) under one filter, and `FROM a JOIN b ON a.k = b.k WHERE a.x > 5`
+// joins every row of a before looking at x. The pass fixes that in three
+// moves, none of which changes the result (docs/planner.md states the
+// order contract):
 //
 //  1. FROM is flattened to the leaves of its inner-join tree and the ON and
 //     WHERE conjuncts pooled (planFrom); each conjunct naming a single leaf
@@ -91,47 +92,42 @@ func estLimited(n int, limit *int64) int {
 
 // buildJoinOp assembles one left-deep join step between the covered leaves
 // (left) and the next FROM leaf (right). With key pairs it plans a hash
-// join, else a nested loop over cond (nil cond = pure cross join). Unless
-// the planner is off, a hash join builds on the smaller estimated input: a
+// join on them; without, the same operator on the empty key, with the
+// whole of cond as its residual (nil cond = pure cross join). Unless the
+// planner is off, a keyed join builds on the smaller estimated input: a
 // swap exchanges the operator's internal probe/build children and sets
 // flip, which restores the declared left++right column order on every
-// emitted row. Nested loops never swap — their output order is the visible
-// row order of WHERE-less cross products, which the planner must not
-// change.
+// emitted row. A keyless join never swaps — its output order is the
+// visible row order of WHERE-less cross products, which the planner must
+// not change.
 //
 // leftKeys must be compiled against left's schema and rightKeys against
 // right's; cond against the joined (left++right) schema. The keys are
 // computed on their pool, the probe (keys, then cond) runs on both's.
 func (e *Engine) buildJoinOp(left, right planNode, leftKeys, rightKeys []compiledExpr, cond compiledExpr, keysSecure, condSecure bool, qs *querySpill) planNode {
 	schema := append(append([]relCol{}, left.op.columns()...), right.op.columns()...)
-	pool := e.rowPool(keysSecure || condSecure)
-
-	if len(leftKeys) > 0 {
-		op := &hashJoinOp{keyPool: e.rowPool(keysSecure), pool: pool, schema: schema, residual: cond, batch: e.batchRows(), qs: qs}
-		if !e.plannerOff && right.est > swapBuildFactor*left.est {
-			op.left, op.right = right.op, left.op
-			op.leftKeys, op.rightKeys = rightKeys, leftKeys
-			op.flip = true
-			op.buildHint = left.est
-		} else {
-			op.left, op.right = left.op, right.op
-			op.leftKeys, op.rightKeys = leftKeys, rightKeys
-			if !e.plannerOff {
-				op.buildHint = right.est
-			}
-		}
-		return planNode{op: op, est: estJoinEqui(left.est, right.est)}
-	}
-
-	op := &nestedLoopJoinOp{
-		pool: pool, left: left.op, right: right.op, schema: schema, cond: cond,
+	op := &hashJoinOp{
+		keyPool: e.rowPool(keysSecure), pool: e.rowPool(keysSecure || condSecure),
+		left: left.op, right: right.op, schema: schema,
+		leftKeys: leftKeys, rightKeys: rightKeys, residual: cond,
 		batch: e.batchRows(), qs: qs,
 	}
-	est := estCross(left.est, right.est)
-	if cond != nil {
-		est = estFilter(est)
+	if len(leftKeys) == 0 {
+		est := estCross(left.est, right.est)
+		if cond != nil {
+			est = estFilter(est)
+		}
+		return planNode{op: op, est: est}
 	}
-	return planNode{op: op, est: est}
+	if !e.plannerOff && right.est > swapBuildFactor*left.est {
+		op.left, op.right = right.op, left.op
+		op.leftKeys, op.rightKeys = rightKeys, leftKeys
+		op.flip = true
+		op.buildHint = left.est
+	} else if !e.plannerOff {
+		op.buildHint = right.est
+	}
+	return planNode{op: op, est: estJoinEqui(left.est, right.est)}
 }
 
 // referencedColumns is the statement-wide analysis behind column pruning:

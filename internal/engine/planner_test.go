@@ -71,9 +71,6 @@ func opsIn(op operator) []operator {
 	case *hashJoinOp:
 		out = append(out, opsIn(o.left)...)
 		out = append(out, opsIn(o.right)...)
-	case *nestedLoopJoinOp:
-		out = append(out, opsIn(o.left)...)
-		out = append(out, opsIn(o.right)...)
 	}
 	return out
 }
@@ -93,7 +90,8 @@ func countOps[T operator](ops []operator) (n int, last T) {
 // a derived table is bracketed around its own plan, σ is a filter and π the
 // projection; a join prints its children in declared order, with the number
 // of hash keys, "~" when the build side is swapped and "+" when it carries a
-// residual condition: `π(hash1(σ(a), σ(b)))`. "‖" marks a filter,
+// residual condition: `π(hash1(σ(a), σ(b)))`; a join on the empty key (a
+// cross or theta join) prints as "loop": `π(loop+(a, b))`. "‖" marks a filter,
 // projection, aggregation or join given the worker pool because it does
 // secure arithmetic per row: `π‖(agg‖(σ(lineitem)))`.
 func treeSig(op operator) string {
@@ -130,13 +128,14 @@ func treeSig(op operator) string {
 		return unary("agg"+par(o.pool), o.child)
 	case *hashJoinOp:
 		l, r := o.left, o.right
+		if len(o.leftKeys) == 0 {
+			return fmt.Sprintf("loop%s%s(%s, %s)", mark(o.residual != nil, "+"), par(o.pool), treeSig(l), treeSig(r))
+		}
 		if o.flip {
 			l, r = r, l
 		}
 		return fmt.Sprintf("hash%d%s%s%s(%s, %s)", len(o.leftKeys), mark(o.flip, "~"), mark(o.residual != nil, "+"),
 			par(o.pool), treeSig(l), treeSig(r))
-	case *nestedLoopJoinOp:
-		return fmt.Sprintf("loop%s%s(%s, %s)", mark(o.cond != nil, "+"), par(o.pool), treeSig(o.left), treeSig(o.right))
 	}
 	return fmt.Sprintf("%T", op)
 }
@@ -170,9 +169,10 @@ func plannerEngines(t *testing.T) (on, off *Engine) {
 }
 
 // TestCommaJoinPlansHashJoin is the headline plan-shape regression: a
-// comma join with an equi-join WHERE predicate must plan a hash join. On
-// the pre-planner tree (still reachable via Planner: "off") the same
-// statement plans a nested-loop cross product with a post-join filter.
+// comma join with an equi-join WHERE predicate must plan a hash join on
+// that key. On the pre-planner tree (still reachable via Planner: "off")
+// the same statement plans a cross product — the join on the empty key —
+// with a post-join filter.
 func TestCommaJoinPlansHashJoin(t *testing.T) {
 	on, off := plannerEngines(t)
 	for _, e := range []*Engine{on, off} {
@@ -183,20 +183,24 @@ func TestCommaJoinPlansHashJoin(t *testing.T) {
 	}
 	sql := `SELECT a.x, b.y FROM a, b WHERE a.k = b.k`
 
-	ops := opsIn(planFor(t, on, sql).root)
-	if n, _ := countOps[*hashJoinOp](ops); n != 1 {
-		t.Fatalf("planner on: %d hashJoinOps, want 1", n)
+	// joins counts the plan's hash joins on a key and on the empty key.
+	joins := func(e *Engine) (keyed, keyless int) {
+		for _, op := range opsIn(planFor(t, e, sql).root) {
+			j, ok := op.(*hashJoinOp)
+			switch {
+			case ok && len(j.leftKeys) > 0:
+				keyed++
+			case ok:
+				keyless++
+			}
+		}
+		return keyed, keyless
 	}
-	if n, _ := countOps[*nestedLoopJoinOp](ops); n != 0 {
-		t.Fatalf("planner on: comma join still plans a nested-loop cross product")
+	if keyed, keyless := joins(on); keyed != 1 || keyless != 0 {
+		t.Fatalf("planner on: %d keyed and %d keyless joins, want 1 and 0", keyed, keyless)
 	}
-
-	ops = opsIn(planFor(t, off, sql).root)
-	if n, _ := countOps[*nestedLoopJoinOp](ops); n != 1 {
-		t.Fatalf("planner off: %d nestedLoopJoinOps, want 1 (naive tree)", n)
-	}
-	if n, _ := countOps[*hashJoinOp](ops); n != 0 {
-		t.Fatalf("planner off: unexpected hashJoinOp in naive tree")
+	if keyed, keyless := joins(off); keyed != 0 || keyless != 1 {
+		t.Fatalf("planner off: %d keyed and %d keyless joins, want 0 and 1 (naive cross product)", keyed, keyless)
 	}
 
 	// The conversion is exactly order-preserving: a hash join emits probe

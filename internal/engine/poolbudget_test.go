@@ -44,7 +44,8 @@ func TestStmtCloseRefusesQuery(t *testing.T) {
 // TestBudgetPoolExhaustionSpills wires a deployment-wide resident-row
 // pool smaller than one sort's input: reservations get refused, the sort
 // spills instead of erroring, results stay correct, and the pool drains
-// back to zero when the query finishes.
+// back to zero when the query finishes. A LIMIT larger than the pool
+// sorts through the same spilling sink.
 func TestBudgetPoolExhaustionSpills(t *testing.T) {
 	pool := spill.NewPool(48)
 	e := NewWithOptions(storage.NewCatalog(), nil, Options{
@@ -80,5 +81,22 @@ func TestBudgetPoolExhaustionSpills(t *testing.T) {
 	}
 	if hi, limit := pool.MaxUsed(), pool.Limit(); hi > limit {
 		t.Fatalf("pool high-water %d exceeded limit %d", hi, limit)
+	}
+
+	// A LIMIT beyond the pool is no top-K heap, which reserves nothing: the
+	// query's own limit is unset, so the pool's is the bound, and the
+	// sort sink spills.
+	sql := `SELECT id, v FROM big ORDER BY id DESC LIMIT 150`
+	got, st := queryWithStats(t, e, sql)
+	if len(got.Rows) != 150 {
+		t.Fatalf("%s: %d rows, want 150", sql, len(got.Rows))
+	}
+	for i, row := range got.Rows {
+		if int(row[0].I) != 199-i || int(row[1].I) != 3*(199-i) {
+			t.Fatalf("%s: row %d is %v, want (%d, %d)", sql, i, row, 199-i, 3*(199-i))
+		}
+	}
+	if st.Spills == 0 || st.PeakResidentRows > pool.Limit() {
+		t.Fatalf("%s: want spilling within the %d-row pool, got stats %+v", sql, pool.Limit(), st)
 	}
 }

@@ -230,6 +230,58 @@ func TestJoinSpillDuplicateKeySkew(t *testing.T) {
 	requireSameRows(t, sql, got, want)
 }
 
+// TestKeylessJoinSpillsUnderBudget: a join with no equality key — a theta
+// condition in WHERE or ON, or none at all — is the hash join on the empty
+// key, so its build side reserves from the budget like any other and, when
+// refused, spills as one Grace partition pair joined as a block nested
+// loop. Re-hashing the empty key cannot split that pair, so it is never
+// re-partitioned: with the planner on (the condition is the join's
+// residual, and the aggregation folds inside the leaves, so no joined row
+// is written) the COUNT(*) writes each input row once.
+func TestKeylessJoinSpillsUnderBudget(t *testing.T) {
+	const budget = 100
+	const na, nb = 300, 2000
+	mem := newSpillEngine(t, -1)
+	spl := newSpillEngine(t, budget)
+	onOpts := spillOptions(budget, t.TempDir())
+	onOpts.Planner = "on"
+	on := NewWithOptions(storage.NewCatalog(), nil, onOpts)
+	engines := []*Engine{mem, spl, on}
+	for _, e := range engines {
+		mustExec(t, e, `CREATE TABLE a (id INT, v INT)`)
+		mustExec(t, e, `CREATE TABLE b (id INT, w INT)`)
+	}
+	loadRows(t, engines, "a", na, func(i int) string {
+		return fmt.Sprintf("(%d, %d)", i, i*37%na)
+	})
+	loadRows(t, engines, "b", nb, func(i int) string {
+		return fmt.Sprintf("(%d, %d)", i, i*53%nb)
+	})
+	for _, sql := range []string{
+		`SELECT COUNT(*) FROM a, b WHERE a.v > b.w`,
+		`SELECT a.id, b.id FROM a JOIN b ON a.v + 1700 < b.w`,
+		`SELECT COUNT(*) FROM a, b`,
+	} {
+		t.Run(sql, func(t *testing.T) {
+			want, wantSt := queryWithStats(t, mem, sql)
+			got, gotSt := queryWithStats(t, spl, sql)
+			if wantSt.Spills != 0 {
+				t.Fatalf("reference engine spilled: %+v", wantSt)
+			}
+			if len(want.Rows) == 0 {
+				t.Fatalf("%s: empty reference result, test is vacuous", sql)
+			}
+			checkSpilled(t, sql, gotSt, budget)
+			requireSameRows(t, sql, got, want)
+		})
+	}
+	sql := `SELECT COUNT(*) FROM a, b WHERE a.v > b.w`
+	if _, st := queryWithStats(t, on, sql); st.SpilledRows >= 2*(na+nb) {
+		t.Fatalf("%s: %d spilled rows, want < %d (a keyless partition is never re-partitioned): %+v",
+			sql, st.SpilledRows, 2*(na+nb), st)
+	}
+}
+
 // TestAggSpillMatchesInMemory forces grouped-state spilling across every
 // aggregate kind (COUNT, COUNT(x), COUNT(DISTINCT), SUM, SUM(DISTINCT),
 // AVG, MIN, MAX) with NULLs in both keys and arguments.

@@ -211,7 +211,7 @@ func genQuery(rng *rand.Rand, family string) string {
 		// Shapes the one FROM/WHERE planner rearranges: the filters below
 		// run under the join, on whichever side they name.
 		x, y := rng.Intn(100)-80, rng.Intn(100)+20
-		switch rng.Intn(7) {
+		switch rng.Intn(9) {
 		case 0: // WHERE filters on each side
 			return fmt.Sprintf(`SELECT l.k, a, s, b FROM l JOIN r ON l.k = r.k WHERE a > %d AND b < %d`, x, y)
 		case 1: // a single-side ON conjunct, no WHERE
@@ -225,6 +225,10 @@ func genQuery(rng *rand.Rand, family string) string {
 				WHERE a > %d AND r.b < %d AND r2.b > 150`, x, y)
 		case 5: // a key usable one step before the clause that declares it
 			return `SELECT l.k, a, r.b, r2.b FROM l JOIN r ON a < r.b + 150 JOIN r AS r2 ON r2.b > 150 AND r.k = r2.k AND l.k = r.k`
+		case 6: // no equality key: a theta ON, the join on the empty key
+			return fmt.Sprintf(`SELECT l.k, a, s, b FROM l JOIN r ON a + b > %d`, 200+rng.Intn(150))
+		case 7: // the same through a comma join and WHERE
+			return fmt.Sprintf(`SELECT a, b FROM l, r WHERE a > b + %d`, 150+rng.Intn(150))
 		default: // a pushed filter that empties the build side (never spills)
 			return `SELECT l.k, a, b FROM l JOIN r ON l.k = r.k WHERE b > 1000`
 		}

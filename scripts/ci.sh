@@ -309,7 +309,7 @@ go test ${SHORT_FLAG} ./internal/engine -args -engine.mem-budget=48
 
 echo "== engine suite with the planner pass disabled"
 # Re-run the engine suite with the planner off: every query falls back to
-# the naive AST-shaped tree (nested-loop comma joins, top-level WHERE
+# the naive AST-shaped tree (comma joins as cross products, top-level WHERE
 # filter, no pushdown, no build-side swap, no map pre-sizing). The planner
 # is a pure plan-shape rewrite — results and row order must be identical
 # — so every engine test doubles as a planner differential. Tests that
