@@ -3,7 +3,7 @@
 // is an operator with the same batched cursor interface, composed by the
 // planner in plan.go. Batches flow up the tree one at a time, so the peak
 // resident memory of a pipeline is the sum of what each operator retains
-// (a hash-join build side, an aggregation state table, a top-K heap) plus
+// (a hash-join build side, an aggregation state table, a sort buffer) plus
 // one in-flight batch per stage — never a materialized intermediate result.
 package engine
 
@@ -96,7 +96,7 @@ type ExecStats struct {
 	// PeakResidentRows is the maximum, over all batch boundaries, of the
 	// rows retained across the operator tree plus the in-flight batch. For
 	// a pipelined plan it is bounded by blocking-state sizes (hash-join
-	// build side, aggregation groups, top-K heap) plus O(batch) per stage,
+	// build side, aggregation groups, sort buffer) plus O(batch) per stage,
 	// independent of intermediate result cardinality. Under a memory
 	// budget it is additionally bounded by BudgetRows: blocking operators
 	// spill instead of crossing it.

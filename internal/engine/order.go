@@ -4,7 +4,8 @@ import (
 	"cmp"
 	"context"
 	"io"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"sdb/internal/sqlparser"
@@ -67,19 +68,28 @@ func (sp *orderSpec) compare(a, b types.Row) int {
 	return 0
 }
 
-// sortOp is the blocking ORDER BY sink: it materializes its input at open,
-// stable-sorts it and serves batches with the hidden key columns stripped.
-// The planner prefers topKOp when a LIMIT bounds the resident set within
-// the budget.
+// sortOp is the one ORDER BY sink: it materializes its input at open,
+// sorts it and serves batches with the hidden key columns stripped. Every
+// buffered row carries its arrival index, and every ordering step — the
+// in-memory sort, the LIMIT cut, the run files and their merge — orders by
+// runCompare (keys, then arrival index), so the output is the stable sort.
 //
-// Past the query's memory budget it degrades to an external merge sort:
-// each budget-sized buffer stable-sorts into a run file whose rows carry
-// their global arrival index, and the k-way merge breaks comparator ties
-// by that index — reproducing the in-memory stable sort exactly with one
-// look-ahead row per run resident.
+// Every buffered row is reserved from the budget. With a LIMIT K (limit
+// >= 0; -1 when there is none, or when a DISTINCT stands between the sort
+// and the LIMIT) the sort keeps only the first K rows: it cuts its buffer
+// to them, releasing the reservation of the rest, when the buffer reaches
+// 2K rows, when a reservation is refused while more than K rows are
+// buffered, and in every run it writes. After a cut, a row that sorts after
+// the last kept row is dropped on arrival: K rows ahead of it are known.
+//
+// When even the kept rows cannot be reserved it degrades to an external
+// merge sort: each buffer sorts into a run file, and the k-way merge of
+// the runs reproduces the in-memory order with one look-ahead row per run
+// resident.
 type sortOp struct {
 	child    operator
 	spec     *orderSpec
+	limit    int64
 	outWidth int
 	batch    int
 	qs       *querySpill
@@ -87,6 +97,7 @@ type sortOp struct {
 	ctx      context.Context
 	win      rowWindow
 	reserved int
+	bound    *taggedRow // the last row the latest cut kept
 	runs     []*runFile
 	merge    *mergeIter
 }
@@ -98,8 +109,14 @@ func (op *sortOp) open(ctx context.Context) error {
 	if err := op.child.open(ctx); err != nil {
 		return err
 	}
-	var buf []types.Row
-	base := 0 // arrival index of buf[0]
+	// The buffer is cut back to K rows whenever it reaches 2K; the bound
+	// saturates so that a K near the int64 limit never cuts.
+	cutAt := int64(math.MaxInt64)
+	if op.limit >= 0 && op.limit <= math.MaxInt64/2 {
+		cutAt = 2 * op.limit
+	}
+	var buf []taggedRow
+	var seq int64 // arrival index of the next row
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -111,14 +128,25 @@ func (op *sortOp) open(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		buf = append(buf, batch...)
-		if op.qs.budget.TryReserve(len(batch)) {
-			op.reserved += len(batch)
-		} else {
-			if err := op.flushRun(buf, base); err != nil {
+		for _, row := range batch {
+			tr := taggedRow{a: seq, row: row}
+			seq++
+			if op.bound == nil || op.runCompare(&tr, op.bound) < 0 {
+				buf = append(buf, tr)
+			}
+		}
+		if int64(len(buf)) >= cutAt {
+			buf = op.cut(buf)
+		}
+		fits := op.reserveTo(len(buf))
+		if !fits && op.limit >= 0 && int64(len(buf)) > op.limit {
+			buf = op.cut(buf)
+			fits = op.reserveTo(len(buf))
+		}
+		if !fits {
+			if err := op.flushRun(buf); err != nil {
 				return err
 			}
-			base += len(buf)
 			buf = nil
 		}
 		op.qs.peak.latch(len(buf) + op.child.resident())
@@ -126,13 +154,17 @@ func (op *sortOp) open(ctx context.Context) error {
 	op.child.close()
 
 	if len(op.runs) == 0 {
-		// Everything fit: plain in-memory stable sort.
-		sort.SliceStable(buf, func(i, j int) bool { return op.spec.compare(buf[i], buf[j]) < 0 })
-		op.win = rowWindow{rows: buf, batch: op.batch, width: op.outWidth}
+		// Everything fit: an in-memory sort.
+		buf = op.cut(buf)
+		rows := make([]types.Row, len(buf))
+		for i := range buf {
+			rows[i] = buf[i].row
+		}
+		op.win = rowWindow{rows: rows, batch: op.batch, width: op.outWidth}
 		return nil
 	}
 	if len(buf) > 0 {
-		if err := op.flushRun(buf, base); err != nil {
+		if err := op.flushRun(buf); err != nil {
 			return err
 		}
 	}
@@ -145,20 +177,44 @@ func (op *sortOp) open(ctx context.Context) error {
 	return nil
 }
 
-// flushRun stable-sorts the buffered rows and writes them as one run;
-// the rows' arrival indices make the later merge a stable sort.
-func (op *sortOp) flushRun(buf []types.Row, base int) error {
-	op.qs.sess.AddSpill()
-	tagged := make([]taggedRow, len(buf))
-	for i, row := range buf {
-		tagged[i] = taggedRow{a: int64(base + i), row: row}
+// reserveTo brings the reservation to n rows, releasing any surplus; it
+// reports false, reserving nothing, when the budget refuses the growth.
+func (op *sortOp) reserveTo(n int) bool {
+	if n <= op.reserved {
+		op.qs.budget.Release(op.reserved - n)
+	} else if !op.qs.budget.TryReserve(n - op.reserved) {
+		return false
 	}
-	sort.SliceStable(tagged, func(i, j int) bool { return op.spec.compare(tagged[i].row, tagged[j].row) < 0 })
+	op.reserved = n
+	return true
+}
+
+// cut sorts buf and, under a LIMIT K, keeps its first K rows, releasing
+// the reservation of the rest.
+func (op *sortOp) cut(buf []taggedRow) []taggedRow {
+	slices.SortFunc(buf, func(x, y taggedRow) int { return op.runCompare(&x, &y) })
+	if op.limit >= 0 && int64(len(buf)) > op.limit {
+		clear(buf[op.limit:]) // drop the cut rows' references
+		buf = buf[:op.limit]
+		op.reserveTo(min(op.reserved, len(buf)))
+		if len(buf) > 0 {
+			bound := buf[len(buf)-1]
+			op.bound = &bound
+		}
+	}
+	return buf
+}
+
+// flushRun sorts the buffered rows (at most K of them under a LIMIT) and
+// writes them as one run, releasing their reservation.
+func (op *sortOp) flushRun(buf []taggedRow) error {
+	op.qs.sess.AddSpill()
+	buf = op.cut(buf)
 	rf, err := newRunFile(op.qs)
 	if err != nil {
 		return err
 	}
-	for _, tr := range tagged {
+	for _, tr := range buf {
 		op.qs.sess.AddSpilledRows(1)
 		if err := rf.write(tr); err != nil {
 			rf.close()
@@ -166,12 +222,11 @@ func (op *sortOp) flushRun(buf []types.Row, base int) error {
 		}
 	}
 	op.runs = append(op.runs, rf)
-	op.qs.budget.Release(op.reserved)
-	op.reserved = 0
+	op.reserveTo(0)
 	return nil
 }
 
-// runCompare orders merged rows by the ORDER BY keys, then arrival index
+// runCompare orders rows by the ORDER BY keys, then arrival index
 // (stability tie-break).
 func (op *sortOp) runCompare(x, y *taggedRow) int {
 	if c := op.spec.compare(x.row, y.row); c != 0 {
@@ -199,8 +254,7 @@ func (op *sortOp) next() ([]types.Row, error) {
 
 func (op *sortOp) close() error {
 	op.win = rowWindow{}
-	op.qs.budget.Release(op.reserved)
-	op.reserved = 0
+	op.reserveTo(0)
 	op.merge.close()
 	op.merge = nil
 	closeRunFiles(op.runs)
@@ -210,143 +264,4 @@ func (op *sortOp) close() error {
 
 func (op *sortOp) resident() int {
 	return op.win.remaining() + op.merge.resident() + op.child.resident()
-}
-
-// topKOp is ORDER BY + LIMIT K with a bounded heap: it retains only the K
-// best rows while streaming its input, so resident memory is O(K) instead
-// of the full input. Ties break by arrival order, reproducing a stable
-// sort followed by LIMIT exactly.
-type topKOp struct {
-	child    operator
-	spec     *orderSpec
-	k        int64
-	outWidth int
-	batch    int
-	qs       *querySpill
-
-	ctx  context.Context
-	heap []heapItem // max-heap: worst retained row at the root
-	win  rowWindow
-}
-
-type heapItem struct {
-	row types.Row
-	seq int
-}
-
-func (op *topKOp) columns() []relCol { return op.child.columns()[:op.outWidth] }
-
-// worse reports whether a sorts after b (later keys, or equal keys and
-// later arrival).
-func (op *topKOp) worse(a, b heapItem) bool {
-	if c := op.spec.compare(a.row, b.row); c != 0 {
-		return c > 0
-	}
-	return a.seq > b.seq
-}
-
-func (op *topKOp) open(ctx context.Context) error {
-	op.ctx = ctx
-	if err := op.child.open(ctx); err != nil {
-		return err
-	}
-	seq := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		batch, err := op.child.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		for _, row := range batch {
-			op.push(heapItem{row: row, seq: seq})
-			seq++
-		}
-		op.qs.peak.latch(len(op.heap) + len(batch) + op.child.resident())
-	}
-	op.child.close()
-
-	// Pop worst-first into the tail of the result slice.
-	rows := make([]types.Row, len(op.heap))
-	for i := len(rows) - 1; i >= 0; i-- {
-		rows[i] = op.pop().row
-	}
-	op.win = rowWindow{rows: rows, batch: op.batch, width: op.outWidth}
-	return nil
-}
-
-func (op *topKOp) push(it heapItem) {
-	if int64(len(op.heap)) < op.k {
-		op.heap = append(op.heap, it)
-		i := len(op.heap) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !op.worse(op.heap[i], op.heap[parent]) {
-				break
-			}
-			op.heap[i], op.heap[parent] = op.heap[parent], op.heap[i]
-			i = parent
-		}
-		return
-	}
-	if op.k == 0 || !op.worse(op.heap[0], it) {
-		return // not better than the worst retained row
-	}
-	op.heap[0] = it
-	op.siftDown(0)
-}
-
-func (op *topKOp) pop() heapItem {
-	top := op.heap[0]
-	last := len(op.heap) - 1
-	op.heap[0] = op.heap[last]
-	op.heap = op.heap[:last]
-	if last > 0 {
-		op.siftDown(0)
-	}
-	return top
-}
-
-func (op *topKOp) siftDown(i int) {
-	n := len(op.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < n && op.worse(op.heap[l], op.heap[worst]) {
-			worst = l
-		}
-		if r < n && op.worse(op.heap[r], op.heap[worst]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		op.heap[i], op.heap[worst] = op.heap[worst], op.heap[i]
-		i = worst
-	}
-}
-
-func (op *topKOp) next() ([]types.Row, error) {
-	if err := op.ctx.Err(); err != nil {
-		return nil, err
-	}
-	return op.win.next()
-}
-
-func (op *topKOp) close() error {
-	op.heap = nil
-	op.win = rowWindow{}
-	return op.child.close()
-}
-
-func (op *topKOp) resident() int {
-	n := len(op.heap)
-	if len(op.win.rows) > 0 {
-		n = op.win.remaining()
-	}
-	return n + op.child.resident()
 }

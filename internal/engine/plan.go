@@ -34,7 +34,7 @@ func (e *Engine) planQuery(s *sqlparser.Select, snap *Snapshot, qs *querySpill) 
 // planSelect compiles a SELECT into an operator tree:
 //
 //	scan/join → filter(WHERE) → hashAgg → filter(HAVING) → project
-//	  → topK|sort(ORDER BY) → hashAgg(DISTINCT) → limit
+//	  → sort(ORDER BY, cut to LIMIT) → hashAgg(DISTINCT) → limit
 //
 // FROM and WHERE plan as one unit over the leaves of the join tree
 // (planFrom): unless the planner pass is disabled (Options.Planner),
@@ -114,21 +114,14 @@ func (e *Engine) planSelect(s *sqlparser.Select, snap *Snapshot, qs *querySpill)
 	est := src.est
 	var root operator = &projectOp{pool: e.rowPool(ctx.secure), child: src.op, set: set, schema: projSchema}
 
-	// ORDER BY: a bounded top-K heap when LIMIT caps the result within the
-	// budget (the heap reserves nothing) and DISTINCT does not need the
-	// full sorted set first, else a sort sink, which spills. The bound is
-	// the tighter of the query's own limit and the shared pool's, either of
-	// which may be unset.
+	// ORDER BY: the sort sink keeps only the first LIMIT rows, unless a
+	// DISTINCT between the sort and the LIMIT needs the whole sorted set.
 	if ospec != nil {
-		limit := qs.budget.Limit()
-		if pl := e.budgetPool.Limit(); pl > 0 && (limit <= 0 || pl < limit) {
-			limit = pl
+		limit := int64(-1)
+		if s.Limit != nil && !s.Distinct {
+			limit = *s.Limit
 		}
-		if s.Limit != nil && !s.Distinct && (limit <= 0 || *s.Limit <= int64(limit)) {
-			root = &topKOp{child: root, spec: ospec, k: *s.Limit, outWidth: len(outCols), batch: e.batchRows(), qs: qs}
-		} else {
-			root = &sortOp{child: root, spec: ospec, outWidth: len(outCols), batch: e.batchRows(), qs: qs}
-		}
+		root = &sortOp{child: root, spec: ospec, limit: limit, outWidth: len(outCols), batch: e.batchRows(), qs: qs}
 	}
 
 	// DISTINCT, then LIMIT (legacy stage order).

@@ -64,8 +64,6 @@ func opsIn(op operator) []operator {
 		out = append(out, opsIn(o.child)...)
 	case *sortOp:
 		out = append(out, opsIn(o.child)...)
-	case *topKOp:
-		out = append(out, opsIn(o.child)...)
 	case *hashAggOp:
 		out = append(out, opsIn(o.child)...)
 	case *hashJoinOp:
@@ -122,8 +120,6 @@ func treeSig(op operator) string {
 		return unary("limit", o.child)
 	case *sortOp:
 		return unary("sort", o.child)
-	case *topKOp:
-		return unary("topK", o.child)
 	case *hashAggOp:
 		return unary("agg"+par(o.pool), o.child)
 	case *hashJoinOp:

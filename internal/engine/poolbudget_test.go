@@ -83,9 +83,9 @@ func TestBudgetPoolExhaustionSpills(t *testing.T) {
 		t.Fatalf("pool high-water %d exceeded limit %d", hi, limit)
 	}
 
-	// A LIMIT beyond the pool is no top-K heap, which reserves nothing: the
-	// query's own limit is unset, so the pool's is the bound, and the
-	// sort sink spills.
+	// A LIMIT beyond the pool: the sort reserves the rows it keeps, the
+	// query's own limit is unset, so the pool's is the bound, and the sort
+	// spills.
 	sql := `SELECT id, v FROM big ORDER BY id DESC LIMIT 150`
 	got, st := queryWithStats(t, e, sql)
 	if len(got.Rows) != 150 {
@@ -98,5 +98,59 @@ func TestBudgetPoolExhaustionSpills(t *testing.T) {
 	}
 	if st.Spills == 0 || st.PeakResidentRows > pool.Limit() {
 		t.Fatalf("%s: want spilling within the %d-row pool, got stats %+v", sql, pool.Limit(), st)
+	}
+}
+
+// TestBudgetPoolHoldsSortedLimitRows: the rows an ORDER BY … LIMIT keeps
+// are reserved from the pool for as long as the cursor holds them. Cursor A
+// keeps its 40 rows charged to the 48-row pool while it streams, so cursor
+// B, the same query run beside it, finds the pool nearly spent and spills
+// instead of growing past it — and still answers row for row.
+func TestBudgetPoolHoldsSortedLimitRows(t *testing.T) {
+	pool := spill.NewPool(48)
+	e := NewWithOptions(storage.NewCatalog(), nil, Options{
+		Parallelism: 2, ChunkSize: 16,
+		MemBudgetRows: -1, // per-query budget off: only the pool bounds residency
+		BudgetPool:    pool,
+		SpillDir:      t.TempDir(),
+	})
+	mustExec(t, e, `CREATE TABLE big (id INT, v INT)`)
+	var sb strings.Builder
+	for i := 0; i < 200; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d)", i, (i*37)%23)
+	}
+	mustExec(t, e, "INSERT INTO big VALUES "+sb.String())
+	const sql = `SELECT id, v FROM big ORDER BY v, id LIMIT 40`
+	want := mustExec(t, e, sql)
+	if len(want.Rows) != 40 || pool.Used() != 0 {
+		t.Fatalf("reference run: %d rows, pool left at %d", len(want.Rows), pool.Used())
+	}
+
+	a, err := e.QuerySQL(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if _, err := a.NextBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if used := pool.Used(); used < 40 {
+		t.Errorf("open cursor keeps 40 sorted rows but the pool holds %d", used)
+	}
+
+	got, st := queryWithStats(t, e, sql)
+	requireSameRows(t, sql, got, want)
+	if st.Spills == 0 {
+		t.Errorf("%s beside an open cursor: want spilling, got stats %+v", sql, st)
+	}
+	if hi, limit := pool.MaxUsed(), pool.Limit(); hi > limit {
+		t.Fatalf("pool high-water %d exceeded limit %d", hi, limit)
+	}
+	a.Close()
+	if used := pool.Used(); used != 0 {
+		t.Fatalf("pool has %d rows still reserved after both cursors closed", used)
 	}
 }

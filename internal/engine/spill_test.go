@@ -158,6 +158,28 @@ func TestSortSpillMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestSortSpillMaxLimitIsNoLimit: a LIMIT of the largest int64 keeps every
+// row, so it answers exactly as the same ORDER BY without a LIMIT, in memory
+// and spilled. The sort's 2K cut threshold saturates instead of wrapping
+// negative, which would cut (and re-sort) on every batch.
+func TestSortSpillMaxLimitIsNoLimit(t *testing.T) {
+	const budget = 96
+	mem := newSpillEngine(t, -1)
+	spl := newSpillEngine(t, budget)
+	for _, e := range []*Engine{mem, spl} {
+		mustExec(t, e, `CREATE TABLE s (id INT, v INT)`)
+	}
+	loadRows(t, []*Engine{mem, spl}, "s", 1000, func(i int) string {
+		return fmt.Sprintf("(%d, %d)", i, (i*31)%101)
+	})
+	const sql = `SELECT id, v FROM s ORDER BY v`
+	want := mustExec(t, mem, sql)
+	for _, e := range []*Engine{mem, spl} {
+		got := mustExec(t, e, sql+` LIMIT 9223372036854775807`)
+		requireSameRows(t, sql+" LIMIT max", got, want)
+	}
+}
+
 // TestJoinSpillMatchesInMemory forces the Grace path: a build side well
 // beyond the budget, duplicate and NULL keys, and a residual predicate.
 // Output must match the in-memory hash join row for row.
@@ -500,10 +522,11 @@ func TestSecExtremeSpillRowRejectsGarbage(t *testing.T) {
 // TestDistinctAndTopKSpillUnderBudget: DISTINCT and ORDER BY … LIMIT hold
 // their state within the budget like every other blocking operator.
 // DISTINCT is an aggregation without aggregates, so its 4 000 distinct rows
-// spill and re-split through the group table; a LIMIT whose K exceeds the
-// budget sorts through the spilling sort sink instead of an unreserved
-// top-K heap. Each must match the unbudgeted answer row for row — order
-// included: first encounter for DISTINCT, the stable sort for the LIMIT.
+// spill and re-split through the group table; the sort sink reserves every
+// row it keeps, so a K beyond the budget's reservation threshold — 3 000,
+// or 100 against a 100-row budget — spills its runs. Each must match the
+// unbudgeted answer row for row — order included: first encounter for
+// DISTINCT, the stable sort for the LIMIT.
 func TestDistinctAndTopKSpillUnderBudget(t *testing.T) {
 	const budget = 100
 	mem := newSpillEngine(t, -1)
@@ -520,6 +543,7 @@ func TestDistinctAndTopKSpillUnderBudget(t *testing.T) {
 		`SELECT DISTINCT v FROM big`,
 		`SELECT DISTINCT v FROM big ORDER BY v DESC`,
 		`SELECT id FROM big ORDER BY v LIMIT 3000`,
+		`SELECT id FROM big ORDER BY v LIMIT 100`,
 	} {
 		t.Run(sql, func(t *testing.T) {
 			want, wantSt := queryWithStats(t, mem, sql)
@@ -527,8 +551,8 @@ func TestDistinctAndTopKSpillUnderBudget(t *testing.T) {
 			if wantSt.Spills != 0 {
 				t.Fatalf("reference engine spilled: %+v", wantSt)
 			}
-			if n := len(want.Rows); n != 3000 && n != 4000 {
-				t.Fatalf("%s: %d rows, want 4000 distinct or 3000 limited", sql, n)
+			if n := len(want.Rows); n != 100 && n != 3000 && n != 4000 {
+				t.Fatalf("%s: %d rows, want 4000 distinct or 3000 or 100 limited", sql, n)
 			}
 			checkSpilled(t, sql, gotSt, budget)
 			requireSameRows(t, sql, got, want)

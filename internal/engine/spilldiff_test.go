@@ -249,7 +249,13 @@ func genQuery(rng *rand.Rand, family string) string {
 			{"k" + desc(), "a * 3" + desc()},
 			{"a % 7" + desc(), "s", "a"},
 		}
-		return `SELECT k, a, s FROM l ORDER BY ` + strings.Join(keys[rng.Intn(len(keys))], ", ")
+		q := `SELECT k, a, s FROM l ORDER BY ` + strings.Join(keys[rng.Intn(len(keys))], ", ")
+		if rng.Intn(3) == 0 {
+			// A LIMIT cuts the sort's buffer and its runs; the ties of
+			// a % 7 check that the cut keeps the stable order.
+			q += fmt.Sprintf(" LIMIT %d", rng.Intn(120))
+		}
+		return q
 	case "distinct":
 		switch rng.Intn(4) {
 		case 0:

@@ -75,7 +75,7 @@ func (s *Stmt) Close() error {
 
 // Query executes the statement and returns a streaming cursor. SELECTs
 // plan the full operator tree — every stage streams, blocking operators
-// (hash-join build, aggregation state, top-K heaps) retain only their
+// (hash-join build, aggregation state, sort buffers) retain only their
 // bounded state — with ctx checked between batches at every operator.
 // Non-SELECT statements execute eagerly and return their (small) result as
 // a one-shot stream.
