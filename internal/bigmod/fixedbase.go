@@ -27,8 +27,10 @@ import (
 //
 // A table is built once, immutable afterwards and read without locks. Row
 // helpers are NOT fixed bases in this sense — each is raised to a handful
-// of distinct exponents, which internal/secure memoises as whole powers
-// instead (see secure/powmemo.go).
+// of distinct exponents, once each: internal/secure memoises the whole
+// powers (see secure/powmemo.go), and the powers of one helper that are
+// not memoised yet come from one squaring chain of it (PowersTo), which
+// is built per call and shared only by that call's exponents.
 
 // fbWindow is the comb radix exponent: 7 bits per digit, 127 table
 // entries per digit row (at 512 bits ~8 KB and 127 multiplications per
@@ -118,12 +120,7 @@ func (t *FixedBase) MulExpTo(s *MontScratch, acc []big.Word, e []big.Word) {
 		panic("bigmod: exponent wider than the fixed-base table")
 	}
 	for i := 0; i*fbWindow < n; i++ {
-		wi, off := i*fbWindow/montWordBits, uint(i*fbWindow%montWordBits)
-		d := uint(e[wi]) >> off
-		if off+fbWindow > montWordBits && wi+1 < len(e) {
-			d |= uint(e[wi+1]) << (montWordBits - off)
-		}
-		if d &= 1<<fbWindow - 1; d != 0 {
+		if d := digit(e, i*fbWindow, fbWindow); d != 0 {
 			t.mctx.MulTo(s, acc, acc, t.mrows[i][d-1])
 		}
 	}

@@ -1,6 +1,7 @@
 package bigmod
 
 import (
+	"bytes"
 	"math/big"
 	"testing"
 )
@@ -17,13 +18,16 @@ func fuzzOddMod(nb []byte) *big.Int {
 	return n
 }
 
-// FuzzMontMulVsBigInt cross-checks the CIOS REDC core against big.Int
-// Mul+Mod over arbitrary operands and moduli, including unreduced and
-// limb-boundary-straddling inputs.
+// FuzzMontMulVsBigInt cross-checks the CIOS REDC core and
+// exponentiation's multiply and square against big.Int Mul+Mod over arbitrary operands and moduli,
+// including unreduced and limb-boundary-straddling inputs, and math/big's
+// assembly row kernel against the pure-Go loop.
 func FuzzMontMulVsBigInt(f *testing.F) {
 	f.Add([]byte{5}, []byte{7}, []byte{15})
 	f.Add([]byte{0}, []byte{1}, []byte{3})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{2}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfd})
+	wide := bytes.Repeat([]byte{0xff}, 8*montAsmWords) // exponentiation's hybrid multiply
+	f.Add(wide, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, append(wide[1:], 0xef))
 	f.Fuzz(func(t *testing.T, ab, bb, nb []byte) {
 		n := fuzzOddMod(nb)
 		if n == nil {
@@ -44,6 +48,29 @@ func FuzzMontMulVsBigInt(f *testing.F) {
 		wantA := new(big.Int).Mod(a, n)
 		if got := ctx.FromMont(s, ctx.ToMont(s, a)); got.Cmp(wantA) != 0 {
 			t.Fatalf("round trip %v mod %v = %v, want %v", a, n, got, wantA)
+		}
+		// Exponentiation's multiply, of two operands and of one by itself
+		// (a chain step's square).
+		aM, bM, z := ctx.ToMont(s, a), ctx.ToMont(s, b), make([]big.Word, ctx.Words())
+		ctx.expMul(s, z, aM, bM)
+		if got := ctx.FromMont(s, z); got.Cmp(want) != 0 {
+			t.Fatalf("expMul(%v, %v) mod %v = %v, want %v", a, b, n, got, want)
+		}
+		ctx.expMul(s, aM, aM, aM)
+		if got, want := ctx.FromMont(s, aM), Mul(wantA, wantA, n); got.Cmp(want) != 0 {
+			t.Fatalf("expMul(%v, %[1]v) mod %v = %v, want %v", a, n, got, want)
+		}
+		// The assembly rows the wide reductions run on, against the
+		// pure-Go loop: z += x·y over a's limbs, one word of b, and n's
+		// limbs as the accumulator.
+		x, acc := a.Bits(), padTo(make([]big.Word, len(a.Bits())), n.Bits())
+		var y big.Word
+		if bw := b.Bits(); len(bw) > 0 {
+			y = bw[0]
+		}
+		acc2 := append([]big.Word(nil), acc...)
+		if c, c2 := addMulVVW(acc, x, y), addMulVVWAsm(acc2, x, y); c != c2 || cmpVV(acc, acc2) != 0 {
+			t.Fatalf("addMulVVWAsm(%x, %x, %x) = %x, %x; pure Go %x, %x", n.Bits(), x, y, acc2, c2, acc, c)
 		}
 	})
 }

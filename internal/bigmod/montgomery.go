@@ -53,6 +53,11 @@ type MontScratch struct {
 	// calls, so wide multiplies run on math/big's assembly kernels with
 	// no steady-state allocation.
 	xi, yi, prod big.Int
+	// PowersTo's chain, digit buckets and accumulators, and InvertAll's
+	// prefix products: grown on first use and kept, so a worker's cold
+	// exponentiations allocate them once.
+	exp, inv []big.Word
+	negs     [][]big.Word
 }
 
 // montHybridWords is the limb count above which mulTo switches from
@@ -62,6 +67,17 @@ type MontScratch struct {
 // overhead; for wide ones the assembly multiply dominates. Tuned on the
 // benchmark container (see EXPERIMENTS.md).
 const montHybridWords = 16
+
+// montAsmWords is the limb count from which a separate reduction (reduce:
+// the hybrid product's, Redc's) runs its rows on math/big's assembly
+// kernel, and from which exponentiation multiplies in the hybrid form
+// (expMul). At 512 bits (8 limbs), on the benchmark container, a hybrid
+// square took 171–175 ns against the interleaved loop's 211 ns (a square
+// with each cross product once took 191 ns on assembly rows and 275 ns in
+// pure Go, the calls outweighing the saved products); at 4 and 6 limbs the
+// interleaved loop was faster. The hit path's single products keep
+// mulTo's own threshold, montHybridWords.
+const montAsmWords = 8
 
 // montCache memoises contexts per modulus. Moduli are few (one per
 // deployment, one per test Setup); the bound only guards pathological
@@ -150,6 +166,7 @@ func (m *MontCtx) One() []big.Word {
 // z and x have equal length. The per-step sum x[i]·y + z[i] + c is at
 // most (2^W−1)² + 2(2^W−1) = 2^2W − 1, so the high word cannot overflow.
 func addMulVVW(z, x []big.Word, y big.Word) (c big.Word) {
+	z = z[:len(x)] // one bounds check instead of one per limb
 	for i := range x {
 		hi, lo := bits.Mul(uint(x[i]), uint(y))
 		lo, cc := bits.Add(lo, uint(z[i]), 0)
@@ -257,40 +274,61 @@ func (m *MontCtx) mulTo(s *MontScratch, z, x []big.Word, y []big.Word) {
 // mulToHybrid is the wide-modulus form of mulTo: the 2k-limb product
 // comes from big.Int.Mul (math/big's assembly kernels), and only the
 // Montgomery reduction — the part that replaces trial division — runs as
-// a pure-Go limb loop. Same contract and bounds as the CIOS form.
+// a limb loop of its own (reduce). Same contract and bounds as the CIOS
+// form. When x and y are one operand, the product is a square, which
+// math/big computes with each cross product once from its
+// basicSqrThreshold of 20 limbs (a schoolbook product below).
 func (m *MontCtx) mulToHybrid(s *MontScratch, z, x []big.Word, y []big.Word) {
 	k := m.k
 	// SetBits aliases the operand limbs read-only; prod reuses its own
 	// buffer across calls.
 	s.xi.SetBits(x)
-	s.yi.SetBits(y)
-	s.prod.Mul(&s.xi, &s.yi)
+	yi := &s.xi
+	if len(y) != len(x) || len(x) > 0 && &y[0] != &x[0] {
+		yi = &s.yi
+		yi.SetBits(y)
+	}
+	s.prod.Mul(&s.xi, yi)
 	m.reduce(z, padTo(s.t[:2*k], s.prod.Bits()))
 }
 
+// expMul is the multiply of exponentiation (PowersTo's chain, buckets and
+// combination, InvertAll's prefix products): the hybrid form from
+// montAsmWords limbs, mulTo below. A chain step squares an operand, which
+// the hybrid form does as a square.
+func (m *MontCtx) expMul(s *MontScratch, z, x, y []big.Word) {
+	if m.k >= montAsmWords {
+		m.mulToHybrid(s, z, x, y)
+	} else {
+		m.mulTo(s, z, x, y)
+	}
+}
+
 // reduce is the Montgomery reduction proper: z = t·R⁻¹ mod n for a 2k-limb
-// t of value below n·R, which it clobbers. It clears t word by word; each
-// round's carry lands at t[i+k] and propagates only as far as it actually
-// carries. The pre-reduction value is < n·R + R·n = 2·R·n, so the word
-// above t[2k-1] is at most 1 (tracked in extra) and one conditional
-// subtraction finishes.
+// t of value below n·R, which it clobbers. Round i clears t[i] by adding
+// u·n at t[i:]; its carry lands on t[i+k], and the carry out of that word
+// is deferred to the next round's (top). The pre-reduction value is
+// < n·R + R·n = 2·R·n, so what is left in top at the end is at most 1 and
+// one conditional subtraction finishes. From montAsmWords limbs up each
+// round is math/big's assembly kernel; below it the pure-Go loop, which
+// the call overhead of assembly would not beat (and which the fuzz tests
+// hold the kernel to).
 func (m *MontCtx) reduce(z, t []big.Word) {
 	k := m.k
-	var extra big.Word
+	var top uint
 	for i := 0; i < k; i++ {
 		u := t[i] * m.n0inv
-		c := addMulVVW(t[i:i+k], m.nw, u)
-		for j := i + k; c != 0; j++ {
-			if j == 2*k {
-				extra += c
-				break
-			}
-			sum, cc := bits.Add(uint(t[j]), uint(c), 0)
-			t[j] = big.Word(sum)
-			c = big.Word(cc)
+		var c big.Word
+		if k >= montAsmWords {
+			c = addMulVVWAsm(t[i:i+k], m.nw, u)
+		} else {
+			c = addMulVVW(t[i:i+k], m.nw, u)
 		}
+		var sum uint
+		sum, top = bits.Add(uint(t[i+k]), uint(c), top)
+		t[i+k] = big.Word(sum)
 	}
-	if extra != 0 || cmpVV(t[k:2*k], m.nw) >= 0 {
+	if top != 0 || cmpVV(t[k:2*k], m.nw) >= 0 {
 		subVV(z, t[k:2*k], m.nw)
 	} else {
 		copy(z, t[k:2*k])
@@ -509,65 +547,190 @@ func (m *MontCtx) FromMont(s *MontScratch, x []big.Word) *big.Int {
 	return new(big.Int).SetBits(z)
 }
 
-// MontExp returns base^exp mod n by 4-bit-window square-and-multiply in
+// MontExp returns base^exp mod n: PowersTo's one-exponent case, out of
 // the Montgomery domain. Semantics match big.Int.Exp, including negative
 // exponents (the inverse of base^|exp|, or nil when base is not
 // invertible modulo n).
 func (m *MontCtx) MontExp(base, exp *big.Int) *big.Int {
-	if exp.Sign() < 0 {
-		r := m.MontExp(base, new(big.Int).Neg(exp))
-		return r.ModInverse(r, m.n)
-	}
 	s := m.NewScratch()
-	// table[d] = base^(d+1) in the Montgomery domain.
-	var table [15][]big.Word
-	table[0] = m.ToMont(s, base)
-	for d := 1; d < len(table); d++ {
-		table[d] = make([]big.Word, m.k)
-		m.mulTo(s, table[d], table[d-1], table[0])
+	z := [1][]big.Word{make([]big.Word, m.k)}
+	if !m.PowersTo(s, z[:], base, []*big.Int{exp}) {
+		return nil
 	}
-	acc := m.One()
-	for i := (exp.BitLen() + 3) / 4; i > 0; i-- {
-		if i != (exp.BitLen()+3)/4 {
-			for j := 0; j < 4; j++ {
-				m.mulTo(s, acc, acc, acc)
-			}
-		}
-		d := 0
-		for j := 0; j < 4; j++ {
-			b := 4*(i-1) + j
-			d |= int(exp.Bit(b)) << j
-		}
-		if d != 0 {
-			m.mulTo(s, acc, acc, table[d-1])
-		}
-	}
-	return m.FromMont(s, acc)
+	return m.FromMont(s, z[0])
 }
 
-// BatchInv inverts every element of xs modulo n with Montgomery's batch
-// trick: one ModInverse plus three multiplications per element, instead
-// of one ModInverse each. It returns ErrNotInvertible (wrapped) if any
-// element shares a factor with n — the same failure the scalar Inv path
-// reports — without identifying which element. Inputs are not modified.
-func BatchInv(xs []*big.Int, n *big.Int) ([]*big.Int, error) {
-	if len(xs) == 0 {
-		return nil, nil
+// PowersTo sets out[e] = ToMont(w^exps[e] mod n) for every exponent, each
+// out[e] being k limbs of the caller's memory, by Yao's method over one
+// chain: c_j = w^(2^(d·j)) is built once, with d squarings a step, for
+// the widest |exp|. An exponent with base-2^d digits a_j is then
+// Π_a B_a^a, where bucket B_a is the product of the c_j whose digit is
+// a: one multiply per nonzero digit, and about 2·2^d to combine the
+// buckets (an accumulator of B_(2^d−1)…B_a, multiplied in once per a).
+// The squarings, which dominate one exponent's cost, are shared by all of
+// them, and d minimises what is left (expWindow). Negative exponents take
+// w^|exp| and are inverted together (InvertAll: one ModInverse per call).
+// It reports false, leaving out unspecified, when an exponent is negative
+// and w is not invertible modulo n — exactly where big.Int.Exp returns
+// nil. w may be any integer; exps may be any width and sign.
+//
+// One exponent below montHybridWords limbs is big.Int.Exp's: there
+// math/big's own Montgomery loop, on its assembly rows, beats a chain
+// with nothing to share. On the benchmark container, in medians of calls
+// alternating with one big.Int.Exp per exponent, the chain took 1.10× its
+// time for one exponent at 512 bits and 0.62×, 0.53×, 0.45× for two,
+// three, four; at 2048 bits 0.90× for one and 0.35× for four. Exponents
+// of more than twice n's bit length — far past any token's, a sum or
+// difference of a few column-key exponents below n — are big.Int.Exp's
+// one at a time too: the chain's memory grows with their width, and
+// big.Int.Exp's does not.
+func (m *MontCtx) PowersTo(s *MontScratch, out [][]big.Word, w *big.Int, exps []*big.Int) bool {
+	k, b, negs := m.k, 0, 0
+	for _, q := range exps {
+		b = max(b, q.BitLen())
+		if q.Sign() < 0 {
+			negs++
+		}
 	}
-	// prefix[i] = xs[0]·…·xs[i-1] mod n (prefix[0] = 1).
-	prefix := make([]*big.Int, len(xs)+1)
-	prefix[0] = big.NewInt(1)
-	for i, x := range xs {
-		prefix[i+1] = Mul(prefix[i], x, n)
+	if len(exps) == 1 && k < montHybridWords || b > 2*m.n.BitLen() {
+		for e, q := range exps {
+			y := new(big.Int).Exp(w, q, m.n)
+			if y == nil {
+				return false
+			}
+			m.mulTo(s, out[e], m.r2, y.Bits())
+		}
+		return true
 	}
-	acc, err := Inv(prefix[len(xs)], n)
-	if err != nil {
-		return nil, err
+	d := expWindow(len(exps), b)
+	steps, nb := max(1, (b+d-1)/d), 1<<d-1
+	s.exp = grow(s.exp, (steps+nb+1)*k)
+	chain, buckets := s.exp[:steps*k], s.exp[steps*k:(steps+nb)*k]
+	acc := s.exp[(steps+nb)*k:]
+	at := func(v []big.Word, i int) []big.Word { return v[i*k : (i+1)*k : (i+1)*k] }
+	m.mulTo(s, chain[:k], m.r2, m.reducedBits(w))
+	for j := 1; j < steps; j++ {
+		c, prev := at(chain, j), at(chain, j-1)
+		m.expMul(s, c, prev, prev)
+		for i := 1; i < d; i++ {
+			m.expMul(s, c, c, c)
+		}
 	}
-	out := make([]*big.Int, len(xs))
-	for i := len(xs) - 1; i >= 0; i-- {
-		out[i] = Mul(acc, prefix[i], n)
-		acc = Mul(acc, xs[i], n)
+	for e, q := range exps {
+		var filled [4]uint64 // bucket a−1 holds a product (nb ≤ 255)
+		qb := q.Bits()
+		for j := 0; j < steps; j++ {
+			a := digit(qb, j*d, d)
+			if a == 0 {
+				continue
+			}
+			bk := at(buckets, int(a-1))
+			if filled[(a-1)/64]&(1<<((a-1)%64)) != 0 {
+				m.expMul(s, bk, bk, at(chain, j))
+			} else {
+				copy(bk, at(chain, j))
+				filled[(a-1)/64] |= 1 << ((a - 1) % 64)
+			}
+		}
+		z, started := out[e], false
+		copy(z, m.one)
+		for a := nb; a >= 1; a-- {
+			if filled[(a-1)/64]&(1<<((a-1)%64)) != 0 {
+				if started {
+					m.expMul(s, acc, acc, at(buckets, a-1))
+				} else {
+					copy(acc, at(buckets, a-1))
+					started = true
+				}
+			}
+			if started {
+				m.expMul(s, z, z, acc)
+			}
+		}
 	}
-	return out, nil
+	if negs == 0 {
+		return true
+	}
+	s.negs = s.negs[:0]
+	for e, q := range exps {
+		if q.Sign() < 0 {
+			s.negs = append(s.negs, out[e])
+		}
+	}
+	return m.InvertAll(s, s.negs)
 }
+
+// expWindow is PowersTo's digit width for e exponents of at most b bits:
+// the d in [1, 8] that minimises the chain's squarings (⌈b/d⌉ − 1 steps of
+// d) plus, per exponent, a multiply per digit and 2^(d+1) to combine.
+func expWindow(e, b int) int {
+	best, cost := 1, -1
+	for d := 1; d <= 8; d++ {
+		steps := max(1, (b+d-1)/d)
+		if c := (steps-1)*d + e*(steps+2<<d); cost < 0 || c < cost {
+			best, cost = d, c
+		}
+	}
+	return best
+}
+
+// digit returns the d bits of the little-endian limbs e from bit i up.
+func digit(e []big.Word, i, d int) uint {
+	wi, off := i/montWordBits, uint(i%montWordBits)
+	if wi >= len(e) {
+		return 0
+	}
+	v := uint(e[wi]) >> off
+	if off+uint(d) > montWordBits && wi+1 < len(e) {
+		v |= uint(e[wi+1]) << (montWordBits - off)
+	}
+	return v & (1<<d - 1)
+}
+
+// grow returns v with length n, reusing its memory when it is large
+// enough.
+func grow(v []big.Word, n int) []big.Word {
+	if cap(v) < n {
+		return make([]big.Word, n)
+	}
+	return v[:n]
+}
+
+// InvertAll replaces every Montgomery residue in xs by its inverse, in
+// place, with Montgomery's batch trick: prefix products, one ModInverse of
+// the last, and two multiplies per residue on the way back. It reports
+// false, leaving xs unchanged, when some residue shares a factor with n —
+// the scalar inversion's failure — without saying which.
+func (m *MontCtx) InvertAll(s *MontScratch, xs [][]big.Word) bool {
+	if len(xs) == 0 {
+		return true
+	}
+	k := m.k
+	s.inv = grow(s.inv, (len(xs)+1)*k)
+	pre, inv := s.inv[:len(xs)*k], s.inv[len(xs)*k:]
+	at := func(i int) []big.Word { return pre[i*k : (i+1)*k : (i+1)*k] }
+	copy(at(0), xs[0])
+	for i := 1; i < len(xs); i++ {
+		m.expMul(s, at(i), at(i-1), xs[i])
+	}
+	// The product is P·R; its normal form P inverts to P⁻¹, whose
+	// Montgomery form is P⁻¹·R.
+	m.mulTo(s, inv, at(len(xs)-1), oneWord[:])
+	v := new(big.Int).SetBits(inv)
+	if v.ModInverse(v, m.n) == nil {
+		return false
+	}
+	m.mulTo(s, inv, m.r2, v.Bits())
+	for i := len(xs) - 1; i > 0; i-- {
+		x := xs[i]
+		m.expMul(s, at(i), inv, at(i-1)) // x⁻¹, kept until x is used
+		m.expMul(s, inv, inv, x)
+		copy(x, at(i))
+	}
+	copy(xs[0], inv)
+	return true
+}
+
+// oneWord is the normal-domain 1 a Montgomery residue is multiplied by to
+// leave the domain.
+var oneWord = [1]big.Word{1}

@@ -169,42 +169,124 @@ func TestMontExpNonInvertible(t *testing.T) {
 	}
 }
 
-func TestBatchInv(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	n := randOddMod(r, 256)
-	xs := make([]*big.Int, 33)
-	for i := range xs {
-		for {
-			x := new(big.Int).Rand(r, n)
-			if Coprime(x, n) {
-				xs[i] = x
-				break
+// TestPowersToMatchesBigInt holds the chain to big.Int.Exp: one to six
+// exponents of mixed sign and width (one bit, a word, the modulus, wider)
+// per call, over the CIOS, assembly-squared and hybrid widths, with bases
+// that are zero, one, n−1, past n and non-units.
+func TestPowersToMatchesBigInt(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, bits := range []int{64, 200, 512, 1100} {
+		n := randOddMod(r, bits)
+		n.Mul(n, big.NewInt(3)) // 3 divides n: base 3 is a non-unit
+		ctx := MontCtxFor(n)
+		s := ctx.NewScratch()
+		bases := []*big.Int{new(big.Int), big.NewInt(1), new(big.Int).Sub(n, big.NewInt(1)),
+			new(big.Int).Add(n, big.NewInt(5)), big.NewInt(3), new(big.Int).Rand(r, n)}
+		for i, w := range bases {
+			for e := 1; e <= 6; e++ {
+				exps := make([]*big.Int, e)
+				for j := range exps {
+					switch (i + j) % 4 {
+					case 0:
+						exps[j] = big.NewInt(1)
+					case 1:
+						exps[j] = new(big.Int).Rand(r, big.NewInt(1<<62))
+					case 2:
+						exps[j] = new(big.Int).Rand(r, n)
+					default:
+						exps[j] = new(big.Int).Rand(r, new(big.Int).Lsh(n, 70))
+					}
+					if r.Intn(3) == 0 {
+						exps[j].Neg(exps[j])
+					}
+				}
+				out := make([][]big.Word, e)
+				for j := range out {
+					out[j] = make([]big.Word, ctx.Words())
+				}
+				ok, refused := ctx.PowersTo(s, out, w, exps), false
+				for j, q := range exps {
+					want := new(big.Int).Exp(w, q, n)
+					if want == nil {
+						refused = true
+						continue
+					}
+					if ok {
+						if got := ctx.FromMont(s, out[j]); got.Cmp(want) != 0 {
+							t.Fatalf("%d bits, base %d, %d exponents: power %d = %v, want %v", bits, i, e, j, got, want)
+						}
+					}
+				}
+				if ok == refused {
+					t.Fatalf("%d bits, base %d, %d exponents: ok %v, big.Int.Exp refused one: %v", bits, i, e, ok, refused)
+				}
 			}
 		}
 	}
-	invs, err := BatchInv(xs, n)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// batchInv inverts xs modulo n through InvertAll, in and out of the
+// Montgomery domain.
+func batchInv(xs []*big.Int, n *big.Int) ([]*big.Int, bool) {
+	ctx := MontCtxFor(n)
+	s := ctx.NewScratch()
+	ms := make([][]big.Word, len(xs))
+	for i, x := range xs {
+		ms[i] = ctx.ToMont(s, x)
 	}
-	for i, inv := range invs {
-		if Mul(xs[i], inv, n).Cmp(big.NewInt(1)) != 0 {
-			t.Fatalf("element %d: x·inv != 1", i)
+	if !ctx.InvertAll(s, ms) {
+		for i, x := range xs { // unchanged on failure
+			if ctx.FromMont(s, ms[i]).Cmp(new(big.Int).Mod(x, n)) != 0 {
+				panic("InvertAll changed its input on failure")
+			}
 		}
+		return nil, false
 	}
-	if out, err := BatchInv(nil, n); err != nil || out != nil {
-		t.Fatalf("empty batch: got %v, %v", out, err)
+	out := make([]*big.Int, len(xs))
+	for i := range ms {
+		out[i] = ctx.FromMont(s, ms[i])
+	}
+	return out, true
+}
+
+func TestBatchInv(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, bits := range []int{64, 256, 1100} { // CIOS and hybrid
+		n := randOddMod(r, bits)
+		xs := make([]*big.Int, 33)
+		for i := range xs {
+			for {
+				x := new(big.Int).Rand(r, n)
+				if Coprime(x, n) {
+					xs[i] = x
+					break
+				}
+			}
+		}
+		invs, ok := batchInv(xs, n)
+		if !ok {
+			t.Fatalf("%d bits: units refused", bits)
+		}
+		for i, inv := range invs {
+			if Mul(xs[i], inv, n).Cmp(big.NewInt(1)) != 0 {
+				t.Fatalf("%d bits, element %d: x·inv != 1", bits, i)
+			}
+		}
+		if out, ok := batchInv(nil, n); !ok || len(out) != 0 {
+			t.Fatalf("empty batch: got %v, %v", out, ok)
+		}
 	}
 }
 
 func TestBatchInvNotInvertible(t *testing.T) {
 	n := big.NewInt(15)
 	xs := []*big.Int{big.NewInt(2), big.NewInt(5), big.NewInt(4)} // gcd(5,15)=5
-	if _, err := BatchInv(xs, n); err == nil {
-		t.Fatal("expected ErrNotInvertible for batch containing 5 mod 15")
+	if _, ok := batchInv(xs, n); ok {
+		t.Fatal("expected a refusal for a batch containing 5 mod 15")
 	}
 	xs = []*big.Int{big.NewInt(2), big.NewInt(0)}
-	if _, err := BatchInv(xs, n); err == nil {
-		t.Fatal("expected ErrNotInvertible for batch containing 0")
+	if _, ok := batchInv(xs, n); ok {
+		t.Fatal("expected a refusal for a batch containing 0")
 	}
 }
 

@@ -38,7 +38,11 @@ import (
 //   - instructions are hash-consed per operator, so a (helper, exponent)
 //     pair several expressions of the operator share is looked up once per
 //     row, and so is any common subtree (Q1's key-updated discount under
-//     three SUMs).
+//     three SUMs);
+//   - every exponent one helper source is raised to joins that source's
+//     one opPow, so a row's helper is hashed once, its powers are probed
+//     together, and the ones no earlier row left in the memo are computed
+//     together, from one squaring chain (secure.PowerSet).
 //
 // What stays outside: a subtree that is not a share UDF over the program's
 // modulus (CASE, plaintext arithmetic, a tree over another modulus) is a
@@ -60,7 +64,7 @@ type opcode uint8
 const (
 	opLoad  opcode = iota // r[dst] = the share src yields, reduced mod n
 	opCheck               // src must yield a share (helper of a Q = 0 token)
-	opPow                 // r[dst] = ToMont(w^Q) for helper w = src (memo entry, read-only)
+	opPow                 // r[regs[e]] = ToMont(w^qs[e]) for helper w = src, every e (read-only)
 	opMul                 // r[dst] = r[a] ⊙ r[b]
 	opScale               // r[dst] = r[a] ⊙ (plaintext src mod n)
 	opAdd                 // r[dst] = r[a] + r[b] mod n
@@ -71,15 +75,18 @@ type instr struct {
 	op        opcode
 	dst, a, b int
 	src       *shareSrc
-	pow       *secure.PowerTable
+	regs      []int            // opPow: one register per exponent
+	qs        []*big.Int       // opPow: the exponents
+	pows      *secure.PowerSet // opPow: the memo's view of qs
 }
 
-// insKey identifies an instruction for hash-consing.
+// insKey identifies an instruction for hash-consing; an opPow key names
+// one exponent of its source (q).
 type insKey struct {
 	op   opcode
 	a, b int
 	src  string
-	pow  *secure.PowerTable
+	q    string
 }
 
 // shareSrc is a program leaf: a column of the row, or a value the program
@@ -123,11 +130,12 @@ type progRoot struct {
 // shareProg is a compiled program. It is immutable after compilation and
 // shared by every worker; each worker evaluates it in its own frame.
 type shareProg struct {
-	mc     *bigmod.MontCtx
-	ins    []instr
-	nregs  int
-	consts []progConst
-	pool   sync.Pool // *frame
+	mc      *bigmod.MontCtx
+	ins     []instr
+	nregs   int
+	maxPows int // the most exponents of one opPow
+	consts  []progConst
+	pool    sync.Pool // *frame
 }
 
 type progConst struct {
@@ -135,12 +143,16 @@ type progConst struct {
 	val []big.Word
 }
 
-// frame is one worker's registers and scratch for a program. Registers
-// written by opPow alias memo entries; every other register is the
-// frame's own memory, constants pre-loaded. hits counts the frame's memo
-// hits until put publishes them, once per chunk or call.
+// frame is one worker's registers and scratch for a program. A register
+// is k limbs of the frame's slab, constants pre-loaded, except that opPow
+// points its registers at memo entries on a hit (out is the scratch it
+// does that through). ms holds, after a row's first memo miss, the squaring
+// chain the misses are computed from. hits counts the frame's memo hits
+// until put publishes them, once per chunk or call.
 type frame struct {
 	r    [][]big.Word
+	slab []big.Word
+	out  [][]big.Word
 	ms   *bigmod.MontScratch
 	tmp  []big.Word
 	hits int64
@@ -151,15 +163,21 @@ func (p *shareProg) get() *frame {
 		return fr
 	}
 	k := p.mc.Words()
-	slab := make([]big.Word, p.nregs*k)
-	fr := &frame{r: make([][]big.Word, p.nregs), ms: p.mc.NewScratch(), tmp: make([]big.Word, k)}
+	fr := &frame{r: make([][]big.Word, p.nregs), slab: make([]big.Word, p.nregs*k),
+		out: make([][]big.Word, p.maxPows), ms: p.mc.NewScratch(), tmp: make([]big.Word, k)}
 	for i := range fr.r {
-		fr.r[i] = slab[i*k : (i+1)*k : (i+1)*k]
+		fr.r[i] = fr.own(i)
 	}
 	for _, c := range p.consts {
 		copy(fr.r[c.reg], c.val)
 	}
 	return fr
+}
+
+// own is register i's own memory.
+func (fr *frame) own(i int) []big.Word {
+	k := len(fr.tmp)
+	return fr.slab[i*k : (i+1)*k : (i+1)*k]
 }
 
 func (p *shareProg) put(fr *frame) {
@@ -188,11 +206,16 @@ func (p *shareProg) run(fr *frame, row types.Row) error {
 			if err != nil {
 				return err
 			}
-			yM, err := in.pow.Lookup(fr.ms, &fr.hits, w)
-			if err != nil {
+			out := fr.out[:len(in.regs)]
+			for e, reg := range in.regs {
+				out[e] = fr.own(reg)
+			}
+			if err := in.pows.Powers(fr.ms, &fr.hits, w, out); err != nil {
 				return fmt.Errorf("engine: %s: %w", in.src.fname, err)
 			}
-			r[in.dst] = yM
+			for e, reg := range in.regs {
+				r[reg] = out[e]
+			}
 		case opMul:
 			p.mc.MulTo(fr.ms, r[in.dst], r[in.a], r[in.b])
 		case opScale:
@@ -249,7 +272,7 @@ type progBuilder struct {
 	ctx    *evalCtx
 	seen   map[insKey]int
 	consts map[string]int
-	tables map[string]*secure.PowerTable
+	pows   map[string]int // helper source key → its opPow's index in p.ins
 }
 
 func newProgBuilder(n *big.Int, rel *relation, ctx *evalCtx) *progBuilder {
@@ -258,7 +281,7 @@ func newProgBuilder(n *big.Int, rel *relation, ctx *evalCtx) *progBuilder {
 	return &progBuilder{
 		p: &shareProg{mc: mc},
 		n: n, r: mc.R(), rI: mc.RInv(), rel: rel, ctx: ctx,
-		seen: map[insKey]int{}, consts: map[string]int{}, tables: map[string]*secure.PowerTable{},
+		seen: map[insKey]int{}, consts: map[string]int{}, pows: map[string]int{},
 	}
 }
 
@@ -473,16 +496,46 @@ func (b *progBuilder) keyUpdate(x *sqlparser.FuncCall) (pval, error) {
 		}
 		return pval{reg: ve.reg, f: b.mul(p, ve.f)}, nil
 	}
-	t := b.tables[q.String()]
-	if t == nil {
-		t = secure.NewPowerTable(q, b.n)
-		b.tables[q.String()] = t
-	}
-	y := b.emit(insKey{op: opPow, src: w.key, pow: t}, instr{op: opPow, src: w, pow: t})
+	y := b.pow(w, q)
 	if ve.reg < 0 { // y·R residue: the constant joins the factor with R⁻¹
 		return pval{reg: y, f: b.mul(p, ve.c, b.rI)}, nil
 	}
 	return pval{reg: b.redc(ve.reg, y), f: b.mul(p, ve.f)}, nil
+}
+
+// pow returns the register of ToMont(w^q), q ≠ 0. The exponent joins the
+// source's one opPow, emitted where the source is first raised: an opPow
+// reads only the row, so its later registers are ready before anything
+// emitted after them reads them.
+func (b *progBuilder) pow(w *shareSrc, q *big.Int) int {
+	key := insKey{op: opPow, src: w.key, q: q.String()}
+	if dst, ok := b.seen[key]; ok {
+		return dst
+	}
+	i, ok := b.pows[w.key]
+	if !ok {
+		i = len(b.p.ins)
+		b.pows[w.key] = i
+		b.p.ins = append(b.p.ins, instr{op: opPow, src: w})
+	}
+	reg := b.p.nregs
+	b.p.nregs++
+	b.seen[key] = reg
+	in := &b.p.ins[i]
+	in.regs, in.qs = append(in.regs, reg), append(in.qs, q)
+	b.p.maxPows = max(b.p.maxPows, len(in.regs))
+	return reg
+}
+
+// build resolves every opPow's exponents in the memo and returns the
+// finished program.
+func (b *progBuilder) build() *shareProg {
+	for i := range b.p.ins {
+		if in := &b.p.ins[i]; in.op == opPow {
+			in.pows = secure.NewPowerSet(b.n, in.qs...)
+		}
+	}
+	return b.p
 }
 
 func (b *progBuilder) mulNodes(l, r pval) pval {
@@ -731,7 +784,7 @@ func (sb *setBuilder) addSum(ex sqlparser.Expr, sumMod *big.Int) (int, []big.Wor
 
 func (sb *setBuilder) build() *exprSet {
 	if sb.pb != nil {
-		sb.set.prog = sb.pb.p
+		sb.set.prog = sb.pb.build()
 	}
 	return &sb.set
 }

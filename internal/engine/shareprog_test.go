@@ -458,16 +458,86 @@ func TestShareProgramFolding(t *testing.T) {
 		}
 	}
 	set := sb.build()
-	count := map[opcode]int{}
+	count, exps := map[opcode]int{}, 0
 	for _, in := range set.prog.ins {
 		count[in.op]++
+		exps += len(in.regs)
 	}
-	// Loads v, m, sdb_w's check-free pows: 2 lookups; REDCs: v·y_E, m·y_D,
-	// v·(77/P − m·y_D), that·y_E; one subtract.
-	if count[opPow] != 2 || count[opMul] != 4 || count[opSub] != 1 || count[opLoad] != 2 || len(set.prog.ins) != 9 {
-		t.Errorf("program %v, want 2 loads, 2 lookups, 4 REDCs, 1 subtract", count)
+	// Loads v, m; sdb_w's check-free powers: one instruction, 2 exponents;
+	// REDCs: v·y_E, m·y_D, v·(77/P − m·y_D), that·y_E; one subtract.
+	if count[opPow] != 1 || exps != 2 || count[opMul] != 4 || count[opSub] != 1 || count[opLoad] != 2 || len(set.prog.ins) != 8 {
+		t.Errorf("program %v with %d exponents, want 2 loads, 1 lookup of 2 exponents, 4 REDCs, 1 subtract", count, exps)
 	}
 	c.check(t, trees)
+}
+
+// TestShareProgramHelperPowerSet: one helper feeds four exponents, one of
+// them negative, so the set compiles to one opPow of four registers. It
+// runs on an empty memo — every power computed from one chain per row,
+// the negative one inverted — and again warm, over the composite (helpers
+// without inverses), 512-bit and hybrid-width moduli; each time every
+// output, and every failure, is the scalar ApplyToken's.
+func TestShareProgramHelperPowerSet(t *testing.T) {
+	for _, modulus := range []int{1, 4, 5} {
+		c := newProgCase(int64(46+modulus), modulus)
+		n, nh := c.n, hexLit(c.n)
+		qs := []*big.Int{big.NewInt(37), new(big.Int).Rand(c.r, n), new(big.Int).Lsh(n, 3), new(big.Int).Rand(c.r, n)}
+		qs[3].Neg(qs[3])
+		trees := make([]sqlparser.Expr, len(qs))
+		for i, q := range qs {
+			trees[i] = call("sdb_keyupdate", sqlparser.ColRef{Name: "v"}, sqlparser.ColRef{Name: "sdb_w"}, hexLit(c.unit(false)), hexLit(q), nh)
+		}
+		want := make([][]types.Value, len(c.rows))
+		wantErr := make([]error, len(c.rows))
+		for j, row := range c.rows {
+			for _, tr := range trees {
+				v, err := oracleEval(tr, c.rel, row)
+				want[j] = append(want[j], v)
+				if wantErr[j] == nil {
+					wantErr[j] = err
+				}
+			}
+		}
+		secure.ResetHelperPowers() // before build, which resolves the memo's tables
+		sb := newSetBuilder(c.rel, &evalCtx{n: n}, n)
+		for _, tr := range trees {
+			if _, err := sb.add(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		set := sb.build()
+		var pows []int
+		for _, in := range set.prog.ins {
+			if in.op == opPow {
+				pows = append(pows, len(in.regs))
+			}
+		}
+		if len(pows) != 1 || pows[0] != len(qs) {
+			t.Fatalf("modulus %d: opPow registers %v, want one opPow of %d", modulus, pows, len(qs))
+		}
+		for _, pass := range []string{"cold", "warm"} {
+			before := secure.HelperPowers()
+			fr := set.frame()
+			out := make([]types.Value, len(trees))
+			for j, row := range c.rows {
+				err := set.eval(fr, row, out)
+				if errClass(err) != errClass(wantErr[j]) {
+					t.Fatalf("modulus %d %s row %d: error %v, scalar %v", modulus, pass, j, err, wantErr[j])
+				}
+				for i := range trees {
+					if err == nil && !sameValue(out[i], want[j][i]) {
+						t.Fatalf("modulus %d %s row %d exponent %d: %v, scalar %v", modulus, pass, j, i, out[i], want[j][i])
+					}
+				}
+			}
+			set.release(fr)
+			after := secure.HelperPowers()
+			t.Logf("modulus %d %s: %d hits, %d misses", modulus, pass, after.Hits-before.Hits, after.Misses-before.Misses)
+			if pass == "cold" && after.Misses == before.Misses || pass == "warm" && after.Hits == before.Hits {
+				t.Fatalf("modulus %d %s: %+v → %+v", modulus, pass, before, after)
+			}
+		}
+	}
 }
 
 // TestShareProgramReveal checks the comparison kernel of sdb_min/sdb_max

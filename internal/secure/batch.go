@@ -60,40 +60,79 @@ func (s *Secret) NewMaskEncRequest(mask *big.Int, r RowID, ck ColumnKey) (EncReq
 	return EncRequest{Enc: mask, Rid: r, Key: ck}, nil
 }
 
-// EncryptBatch mints all requested shares with ONE modular inversion:
-// item keys are derived per request through the column keys' comb tables,
-// each resolved once per distinct key in the batch (an INSERT chunk has a
-// handful), then inverted together with Montgomery's batch trick.
-// Semantically identical to calling Encrypt/EncryptMask per request; an
-// error means some item key shared a factor with n (degenerate column
-// key), the same condition the scalar paths report per share.
+// EncryptBatch mints all requested shares with ONE modular inversion, in
+// the Montgomery domain: each request's item key m·h^r is its column key's
+// ToMont(m) walked through h's comb table (the table and ToMont(m)
+// resolved once per distinct column key in the batch — an INSERT chunk
+// has a handful), the keys are inverted together (InvertAll: prefix
+// products, one ModInverse, two multiplies back per key) in the kernel's
+// pooled scratch, and each share is one REDC of its inverse with the
+// encoded value, which lands in the normal domain. Semantically identical
+// to calling Encrypt/EncryptMask per request; an error means some item
+// key shared a factor with n (degenerate column key), the same condition
+// the scalar paths report per share.
 func (s *Secret) EncryptBatch(reqs []EncRequest) ([]*big.Int, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
+	n, k := s.params.N, s.full
+	if k.ctx == nil { // no Montgomery form: one inversion per share
+		out := make([]*big.Int, len(reqs))
+		for i, rq := range reqs {
+			inv, err := bigmod.Inv(s.itemKey(rq.Rid, rq.Key, nil), n)
+			if err != nil {
+				return nil, errItemKey(err)
+			}
+			out[i] = bigmod.Mul(rq.Enc, inv, n)
+		}
+		return out, nil
+	}
+	mc, w := k.ctx, k.ctx.Words()
+	ks := k.scratch()
+	defer k.pool.Put(ks)
+	if cap(ks.vks) < len(reqs)*w {
+		ks.vks = make([]big.Word, len(reqs)*w)
+	}
+	ks.views = ks.views[:0]
 	type resolved struct {
-		x *big.Int
-		t *bigmod.FixedBase
+		x  *big.Int
+		t  *bigmod.FixedBase
+		mM []big.Word // ToMont(m)
 	}
 	var tables []resolved
-	vks := make([]*big.Int, len(reqs))
 	for i, rq := range reqs {
 		j := 0
 		for j < len(tables) && tables[j].x.Cmp(rq.Key.X) != 0 {
 			j++
 		}
 		if j == len(tables) {
-			tables = append(tables, resolved{rq.Key.X, s.keyTable(s.full, rq.Key.X)})
+			tables = append(tables, resolved{rq.Key.X, s.keyTable(k, rq.Key.X), mc.ToMont(ks.ms, rq.Key.M)})
 		}
-		vks[i] = s.itemKey(rq.Rid, rq.Key, tables[j].t)
+		vk := ks.vks[i*w : (i+1)*w : (i+1)*w]
+		if tb := tables[j]; tb.t != nil && rq.Rid>>RowIDBits == 0 {
+			copy(vk, tb.mM)
+			e := wordsOf(rq.Rid)
+			tb.t.MulExpTo(ks.ms, vk, e[:])
+		} else { // flat and malformed keys, wide row ids: square-and-multiply
+			copy(vk, mc.ToMont(ks.ms, s.itemKey(rq.Rid, rq.Key, nil)))
+		}
+		ks.views = append(ks.views, vk)
 	}
-	invs, err := bigmod.BatchInv(vks, s.params.N)
-	if err != nil {
-		return nil, fmt.Errorf("secure: item key not invertible (degenerate column key?): %w", err)
+	if !mc.InvertAll(ks.ms, ks.views) {
+		return nil, errItemKey(bigmod.ErrNotInvertible)
 	}
 	out := make([]*big.Int, len(reqs))
+	ints := make([]big.Int, len(reqs))
+	slab := make([]big.Word, len(reqs)*w)
 	for i, rq := range reqs {
-		out[i] = bigmod.Mul(rq.Enc, invs[i], s.params.N)
+		z := slab[i*w : (i+1)*w : (i+1)*w]
+		mc.MulBig(ks.ms, z, ks.views[i], rq.Enc) // vk⁻¹·R ⊙ enc = enc·vk⁻¹
+		out[i] = ints[i].SetBits(z)
 	}
 	return out, nil
+}
+
+// errItemKey is the failure of an item key that shares a factor with n.
+func errItemKey(err error) error {
+	return fmt.Errorf("secure: item key not invertible (degenerate column key?): %w", err)
 }

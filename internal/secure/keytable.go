@@ -80,10 +80,13 @@ func newKernel(mod, order *big.Int) *kernel {
 	return &kernel{mod: mod, order: order, half: new(big.Int).Rsh(mod, 1), ctx: bigmod.MontCtxFor(mod)}
 }
 
-// keyScratch is the pooled working memory of one item-key evaluation.
+// keyScratch is the pooled working memory of one item-key evaluation, or
+// of one EncryptBatch (vks, views: its item keys, k limbs each).
 type keyScratch struct {
 	ms       *bigmod.MontScratch
 	acc, red []big.Word // k limbs each: the item key so far, the reduced share
+	vks      []big.Word
+	views    [][]big.Word
 }
 
 func (k *kernel) scratch() *keyScratch {

@@ -26,17 +26,22 @@ import (
 // by construction and nothing ever invalidates one: a key rotation changes
 // x and hence Q (the old exponent's entries just stop being asked for),
 // while MVCC versions and recovery keep helper values. The first level
-// maps (n, Q) to a per-exponent table, which a PowerTable resolves once;
-// PowerTable.Lookup is the memo's one entry point. A table keeps each
+// maps (n, Q) to a per-exponent table; a PowerSet resolves the tables of
+// a set of exponents once, and PowerSet.Powers is the memo's one entry
+// point (Lookup is its one-exponent case). A table keeps each
 // entry — w's limbs beside ToMont(w^Q) — in chunked limb arrays and finds
 // it through one open-addressed array of atomic slots; a helper's home
 // slot is a seeded mix of its limbs, so helpers a client crafts without
 // the process's seed cannot pile onto one probe sequence. A hit is then an
 // atomic load per probe and a limb compare: no lock, no byte key, and no
-// write to memory any other worker reads. A miss inserts under the table's
-// one mutex, growing the slot array by copy-and-publish. Neither the slots
-// nor the limb chunks hold pointers, so the memo adds nothing for the
-// garbage collector to scan however many powers it holds. Hits are counted
+// write to memory any other worker reads. The exponents that miss for one
+// helper are computed together from one squaring chain of it (bigmod's
+// PowersTo: Yao's method, the negative ones inverted with one ModInverse),
+// so a row's cold powers share their squarings; each counts as one miss
+// and is inserted on its own, under its table's one mutex, growing the
+// slot array by copy-and-publish. Neither the slots nor the limb chunks
+// hold pointers, so the memo adds nothing for the garbage collector to
+// scan however many powers it holds. Hits are counted
 // by the caller (a row program's frame, one ApplyToken call) and published
 // with FlushHelperPowerHits once per chunk or call.
 //
@@ -203,7 +208,7 @@ func (m *powMemo) fit(keep *powTable) bool {
 	return true
 }
 
-// drop removes t from the memo and empties it. PowerTables still holding t
+// drop removes t from the memo and empties it. PowerSets still holding t
 // read an empty table and can no longer add to it. Callers hold m.mu.
 func (m *powMemo) drop(t *powTable) {
 	delete(m.tables, t.key)
@@ -318,60 +323,97 @@ func (m *powMemo) put(t *powTable, h uint64, w, yM []big.Word) {
 	m.entries.Add(1)
 }
 
-// PowerTable is one exponent's view of the memo: ToMont(w^Q mod n) for any
-// helper w, resolved once per (w, Q) per process. The engine's row programs
-// hold one per distinct exponent of a statement, so a key update costs one
-// Lookup however many tokens of that exponent an operator applies to the
-// row; ApplyToken resolves one per call. It is immutable and safe
-// for concurrent use; callers bring their own scratch and hit counter.
-type PowerTable struct {
-	n, q *big.Int
+// PowerSet is the memo's view for a set of exponents Q₁…Q_E modulo one n:
+// ToMont(w^Q_e mod n) for any helper w, each (w, Q_e) resolved once per
+// process. The engine's row programs hold one per helper source, over
+// every exponent a statement raises that helper to, so a row's helper is
+// hashed once and its powers are probed together; ApplyToken holds a set
+// of one. It is immutable and safe for concurrent use; callers bring
+// their own scratch and hit counter.
+type PowerSet struct {
+	n    *big.Int
 	ctx  *bigmod.MontCtx
-	pows *powTable
+	qs   []*big.Int
+	pows []*powTable // pows[e] holds the powers of qs[e]
 }
 
-// NewPowerTable resolves the memo table of exponent q modulo n. It returns
-// nil when q is zero (w^0 = 1 needs no table) or n has no Montgomery
-// context (n must be odd and at least 3). q must not be mutated afterwards.
-func NewPowerTable(q, n *big.Int) *PowerTable {
+// NewPowerSet resolves the memo tables of exponents qs modulo n. It
+// returns nil when n has no Montgomery context (n must be odd and at least
+// 3) or some exponent is zero (w^0 = 1 needs no table). The exponents must
+// not be mutated afterwards.
+func NewPowerSet(n *big.Int, qs ...*big.Int) *PowerSet {
 	ctx := bigmod.MontCtxFor(n)
-	if ctx == nil || q.Sign() == 0 {
+	if ctx == nil || len(qs) == 0 {
 		return nil
 	}
 	n = ctx.N()
-	return &PowerTable{n: n, q: q, ctx: ctx, pows: powers.table(n, q, ctx.Words())}
+	ps := &PowerSet{n: n, ctx: ctx, qs: qs, pows: make([]*powTable, len(qs))}
+	for e, q := range qs {
+		if q.Sign() == 0 {
+			return nil
+		}
+		ps.pows[e] = powers.table(n, q, ctx.Words())
+	}
+	return ps
 }
 
-// Lookup returns ToMont(w^Q mod n) as k limbs that the caller must not
-// modify: the memoised residue on a hit, a fresh one (memoised for the
-// next caller) on a miss. It is the memo's one entry point. A hit adds one
-// to *hits, the caller's own counter, which it publishes with
+// Powers sets out[e] to ToMont(w^Q_e mod n) for every exponent of the set,
+// as k limbs the caller must not modify: the memoised residue on a hit,
+// else the residue computed into out[e]'s own memory (k limbs of the
+// caller's, or nil for fresh memory) and memoised for the next caller. It
+// is the memo's one entry point. The helper is hashed once; the exponents
+// that miss are computed together, from one squaring chain of w
+// (bigmod's PowersTo), and each counts as one miss. A hit adds one to
+// *hits, the caller's own counter, which it publishes with
 // FlushHelperPowerHits once per chunk or call. The error is the
 // non-invertible-helper failure of a negative exponent.
-func (t *PowerTable) Lookup(ms *bigmod.MontScratch, hits *int64, w *big.Int) ([]big.Word, error) {
+func (ps *PowerSet) Powers(ms *bigmod.MontScratch, hits *int64, w *big.Int, out [][]big.Word) error {
 	// Only helpers in [0, n) are memoised, so a nonnegative helper no
 	// wider than n is looked up without a comparison with n: one that is
 	// out of range has no stored twin.
 	wb := w.Bits()
-	memo := w.Sign() >= 0 && len(wb) <= t.pows.k
+	memo := w.Sign() >= 0 && len(wb) <= ps.ctx.Words()
 	var h uint64
 	if memo {
 		h = powHash(powSeed, wb)
-		if yM := t.pows.get(h, wb); yM != nil {
-			*hits++
-			return yM, nil
+	}
+	var qs []*big.Int // the exponents that miss, their residues and tables
+	var ys [][]big.Word
+	var tabs []*powTable
+	for e, t := range ps.pows {
+		if memo {
+			if yM := t.get(h, wb); yM != nil {
+				out[e] = yM
+				*hits++
+				continue
+			}
+		}
+		if out[e] == nil {
+			out[e] = make([]big.Word, ps.ctx.Words())
+		}
+		qs, ys, tabs = append(qs, ps.qs[e]), append(ys, out[e]), append(tabs, t)
+	}
+	if len(qs) == 0 {
+		return nil
+	}
+	powers.misses.Add(int64(len(qs)))
+	if !ps.ctx.PowersTo(ms, ys, w, qs) {
+		return errNotInvertible()
+	}
+	if memo && w.Cmp(ps.n) < 0 {
+		for i, t := range tabs {
+			powers.put(t, h, wb, ys[i])
 		}
 	}
-	powers.misses.Add(1)
-	y := new(big.Int).Exp(w, t.q, t.n)
-	if y == nil {
-		return nil, errNotInvertible()
-	}
-	yM := t.ctx.ToMont(ms, y)
-	if memo && w.Cmp(t.n) < 0 {
-		powers.put(t.pows, h, wb, yM)
-	}
-	return yM, nil
+	return nil
+}
+
+// Lookup is Powers for a set of one exponent: the residue of w^Q in fresh
+// memory on a miss.
+func (ps *PowerSet) Lookup(ms *bigmod.MontScratch, hits *int64, w *big.Int) ([]big.Word, error) {
+	var out [1][]big.Word
+	err := ps.Powers(ms, hits, w, out[:])
+	return out[0], err
 }
 
 // FlushHelperPowerHits publishes hits counted by one caller of Lookup to

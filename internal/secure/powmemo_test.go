@@ -176,7 +176,7 @@ func memoCases(t *testing.T) []memoCase {
 }
 
 // checkMemoCase runs one case through the scalar UDF, the batch entry
-// point and a PowerTable's Lookup (finished by big.Int multiplies),
+// point and a PowerSet's Lookup (finished by big.Int multiplies),
 // demanding bit-identical agreement with the reference each time. The
 // Lookup path is skipped where there is no table: Q = 0 or a modulus
 // without a Montgomery context.
@@ -186,7 +186,7 @@ func checkMemoCase(t *testing.T, state string, c memoCase) {
 	if err != nil {
 		t.Fatalf("%s/%s: batch: %v", state, c.name, err)
 	}
-	pt := NewPowerTable(c.tok.Q, c.n)
+	pt := NewPowerSet(c.n, c.tok.Q)
 	var ms *bigmod.MontScratch
 	if pt != nil {
 		ms = pt.ctx.NewScratch()
@@ -285,7 +285,7 @@ func TestPowMemoNonInvertible(t *testing.T) {
 		}
 		var hits int64
 		ms := bigmod.MontCtxFor(n).NewScratch()
-		if _, err := NewPowerTable(tok.Q, n).Lookup(ms, &hits, ws[1]); !errors.Is(err, bigmod.ErrNotInvertible) {
+		if _, err := NewPowerSet(n, tok.Q).Lookup(ms, &hits, ws[1]); !errors.Is(err, bigmod.ErrNotInvertible) {
 			t.Fatalf("pass %d Lookup: error %v does not wrap ErrNotInvertible", pass, err)
 		}
 		if _, err := ApplyTokenBatch(tok, ves, ws, n); !errors.Is(err, bigmod.ErrNotInvertible) {
@@ -365,7 +365,7 @@ func TestPowMemoConcurrent(t *testing.T) {
 	}
 
 	// Readers race a table's growth from empty and its eviction. Every
-	// goroutine walks the same helpers through a PowerTable of its own,
+	// goroutine walks the same helpers through a PowerSet of its own,
 	// of one of two exponents, from an empty memo: first lookups insert
 	// (replacing the slot array at 8, 16, 32, … entries) while others
 	// probe the arrays being replaced, and under the tiny bound each
@@ -398,7 +398,7 @@ func TestPowMemoConcurrent(t *testing.T) {
 				defer FlushHelperPowerHits(&hits)
 				for round := 0; round < rounds; round++ {
 					k := (g + round) % len(qs)
-					pt := NewPowerTable(qs[k], n)
+					pt := NewPowerSet(n, qs[k])
 					for j := range rg {
 						i := (j + 37*g) % len(rg)
 						yM, err := pt.Lookup(ms, &hits, rg[i])
@@ -420,6 +420,75 @@ func TestPowMemoConcurrent(t *testing.T) {
 		if bound == powMemoBytes && st.Hits == 0 {
 			t.Fatalf("unbounded memo: no lookup hit (%+v)", st)
 		}
+	}
+}
+
+// TestPowMemoConcurrentGroupMiss has two workers cold-miss the same group
+// at the same time: one PowerSet of four exponents (one negative) each,
+// over the same helpers in the same order, released together on an empty
+// memo, so both compute the same powers from chains of their own and race
+// to insert them. Every answer must equal big.Int.Exp, the memo must hold
+// each power once, and the published counters must add up to the lookups
+// made; ci.sh runs it with the race detector.
+func TestPowMemoConcurrentGroupMiss(t *testing.T) {
+	s := batchSecret(t)
+	n := s.N()
+	ctx := bigmod.MontCtxFor(n)
+	r := rand.New(rand.NewSource(46))
+	qs := make([]*big.Int, 4)
+	for e := range qs {
+		qs[e] = new(big.Int).Rand(r, n)
+	}
+	qs[3].Neg(qs[3])
+	ws := make([]*big.Int, 64)
+	ref := make([][]*big.Int, len(ws))
+	for i := range ws {
+		rid, err := s.NewRowID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = s.RowHelper(rid)
+		for _, q := range qs {
+			ref[i] = append(ref[i], new(big.Int).Exp(ws[i], q, n))
+		}
+	}
+	ResetHelperPowers()
+	t.Cleanup(ResetHelperPowers)
+	const workers = 2
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ps := NewPowerSet(n, qs...)
+			ms := ctx.NewScratch()
+			var hits int64
+			defer FlushHelperPowerHits(&hits)
+			out := make([][]big.Word, len(qs))
+			<-release
+			for i, w := range ws {
+				clear(out) // a hit left memo entries there: misses get fresh memory
+				if err := ps.Powers(ms, &hits, w, out); err != nil {
+					t.Errorf("worker %d helper %d: %v", g, i, err)
+					return
+				}
+				for e := range qs {
+					if ctx.FromMont(ms, out[e]).Cmp(ref[i][e]) != 0 {
+						t.Errorf("worker %d helper %d exponent %d diverges", g, i, e)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	close(release)
+	wg.Wait()
+	auditPowMemo(t)
+	st, powers := HelperPowers(), int64(len(ws)*len(qs))
+	t.Logf("%d workers: %+v", workers, st)
+	if st.Hits+st.Misses != workers*powers || st.Entries != powers || st.Misses < powers {
+		t.Fatalf("%+v: want %d lookups, %d entries, at least %d misses", st, workers*powers, powers, powers)
 	}
 }
 
@@ -494,7 +563,7 @@ func TestPowMemoSameLowLimb(t *testing.T) {
 				t.Helper()
 				var hits int64
 				for k, q := range exps {
-					pt := NewPowerTable(q, n)
+					pt := NewPowerSet(n, q)
 					for i, w := range ws {
 						yM, err := pt.Lookup(ms, &hits, w)
 						if err != nil || ctx.FromMont(ms, yM).Cmp(want[k][i]) != 0 {
@@ -516,7 +585,7 @@ func TestPowMemoSameLowLimb(t *testing.T) {
 			// limbs or its low limbs; neither may find its power.
 			for _, w := range []*big.Int{new(big.Int).Neg(ws[0]), new(big.Int).Add(ws[0], n)} {
 				var hits int64
-				yM, err := NewPowerTable(pos, n).Lookup(ms, &hits, w)
+				yM, err := NewPowerSet(n, pos).Lookup(ms, &hits, w)
 				if err != nil || hits != 0 || ctx.FromMont(ms, yM).Cmp(new(big.Int).Exp(w, pos, n)) != 0 {
 					t.Fatalf("helper %v of a memoised one: %d hits, err %v, or not its own power", w.Sign(), hits, err)
 				}
@@ -529,11 +598,12 @@ func TestPowMemoSameLowLimb(t *testing.T) {
 	}
 }
 
-// BenchmarkPowerTableHit measures memo hits alone: 4 exponents × 2 400
+// BenchmarkPowerSetHit measures memo hits alone: 4 exponents × 2 400
 // resident helpers at 512 bits, one op being one helper looked up under
-// all four exponents. The parallel form runs one hit counter and scratch
-// per goroutine, as chunk workers do.
-func BenchmarkPowerTableHit(b *testing.B) {
+// all four exponents of one set, as a row program's opPow does. The
+// parallel form runs one hit counter and scratch per goroutine, as chunk
+// workers do.
+func BenchmarkPowerSetHit(b *testing.B) {
 	r := rand.New(rand.NewSource(24))
 	n := new(big.Int).Rand(r, new(big.Int).Lsh(big.NewInt(1), 512))
 	n.SetBit(n, 511, 1).SetBit(n, 0, 1)
@@ -542,26 +612,25 @@ func BenchmarkPowerTableHit(b *testing.B) {
 	for i := range ws {
 		ws[i] = new(big.Int).Rand(r, n)
 	}
-	tabs := make([]*PowerTable, 4)
+	qs := make([]*big.Int, 4)
+	for k := range qs {
+		qs[k] = new(big.Int).Rand(r, new(big.Int).Lsh(big.NewInt(1), 64))
+	}
+	ps := NewPowerSet(n, qs...)
 	ms := ctx.NewScratch()
 	var hits int64
-	for k := range tabs {
-		tabs[k] = NewPowerTable(new(big.Int).Rand(r, new(big.Int).Lsh(big.NewInt(1), 64)), n)
-		for _, w := range ws {
-			if _, err := tabs[k].Lookup(ms, &hits, w); err != nil {
-				b.Fatal(err)
-			}
+	for _, w := range ws {
+		if err := ps.Powers(ms, &hits, w, make([][]big.Word, len(qs))); err != nil {
+			b.Fatal(err)
 		}
 	}
 	FlushHelperPowerHits(&hits)
 	b.Run("serial", func(b *testing.B) {
 		var hits int64
+		out := make([][]big.Word, len(qs))
 		for i := 0; i < b.N; i++ {
-			w := ws[i%len(ws)]
-			for _, pt := range tabs {
-				if _, err := pt.Lookup(ms, &hits, w); err != nil {
-					b.Fatal(err)
-				}
+			if err := ps.Powers(ms, &hits, ws[i%len(ws)], out); err != nil {
+				b.Fatal(err)
 			}
 		}
 		FlushHelperPowerHits(&hits)
@@ -570,15 +639,13 @@ func BenchmarkPowerTableHit(b *testing.B) {
 		var start atomic.Int64
 		b.RunParallel(func(pb *testing.PB) {
 			ms := ctx.NewScratch()
+			out := make([][]big.Word, len(qs))
 			var hits int64
 			defer FlushHelperPowerHits(&hits)
 			for i := int(start.Add(997)); pb.Next(); i++ {
-				w := ws[i%len(ws)]
-				for _, pt := range tabs {
-					if _, err := pt.Lookup(ms, &hits, w); err != nil {
-						b.Error(err)
-						return
-					}
+				if err := ps.Powers(ms, &hits, ws[i%len(ws)], out); err != nil {
+					b.Error(err)
+					return
 				}
 			}
 		})

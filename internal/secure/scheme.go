@@ -84,7 +84,7 @@ func (s *Secret) Encrypt(v *big.Int, r RowID, ck ColumnKey) (*big.Int, error) {
 	vk := s.ItemKey(r, ck)
 	inv, err := bigmod.Inv(vk, s.params.N)
 	if err != nil {
-		return nil, fmt.Errorf("secure: item key not invertible (degenerate column key?): %w", err)
+		return nil, errItemKey(err)
 	}
 	return bigmod.Mul(enc, inv, s.params.N), nil
 }

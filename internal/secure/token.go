@@ -93,7 +93,7 @@ func ApplyToken(t Token, ve, w, n *big.Int) *big.Int {
 	}
 	ms := mc.NewScratch()
 	var yM []big.Word // ToMont(w^Q); nil for Q = 0, where w^Q = 1
-	if pt := NewPowerTable(t.Q, n); pt != nil {
+	if pt := NewPowerSet(n, t.Q); pt != nil {
 		var hits int64
 		var err error
 		yM, err = pt.Lookup(ms, &hits, w)

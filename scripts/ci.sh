@@ -9,7 +9,7 @@
 # exactly the allow-listed four, a gate that only rowPool, batchRows
 # and the spill scheduler read the engine's worker pool, and a gate that
 # only FlushHelperPowerHits writes the memo's hit counter, that only
-# PowerTable.Lookup (and the reset) writes its miss counter and that the
+# PowerSet.Powers (and the reset) writes its miss counter and that the
 # memo renders no helper to bytes, a gate that every comb table the
 # secure package builds covers RowIDBits and no wider, and a gate that
 # the Options fields, DSN keys and sdb-server flags are exactly the
@@ -61,7 +61,8 @@
 # smoke over every fuzz target (parser, proxy
 # pipeline incl. the COUNT() crasher seed, the value codec,
 # wire frame decoding, mutated response frames through a live decrypting
-# cursor, WAL records, Montgomery multiply/exponentiate and the item-key tables vs
+# cursor, WAL records, Montgomery multiply/exponentiate, the helper-power
+# set and the item-key tables vs
 # math/big, half-width vs full-width decrypt, composite hash-key injectivity,
 # share row programs vs the scalar secure operators).
 #
@@ -178,14 +179,15 @@ if [[ "${POOL_READS}" != "${POOL_ALLOWED}" ]]; then
   exit 1
 fi
 
-echo "== helper-power memo: hits counted by the caller, misses by Lookup alone"
+echo "== helper-power memo: hits counted by the caller, misses by Powers alone"
 # A memo hit is an atomic load and a limb compare: no byte key, no lock
 # and no write to memory that another worker reads. Row-program frames
 # and ApplyToken calls count their own hits and publish them through one
 # function, FlushHelperPowerHits, once per chunk or call; a second writer
-# of powers.hits is a shared cache line back on the hit path. Lookup is
-# the memo's one entry point, so it is the one function that counts a
-# miss (ResetHelperPowers zeroes the counter); a second writer of
+# of powers.hits is a shared cache line back on the hit path.
+# PowerSet.Powers is the memo's one entry point (Lookup is its
+# one-exponent case), so it is the one function that counts a miss
+# (ResetHelperPowers zeroes the counter); a second writer of
 # powers.misses is a second path to the memo. The memo key is the
 # helper's limbs, so its files render no helper to bytes.
 HITS_WRITES=$(awk 'FNR==1{f=""} /^func /{ s=$0; sub(/^func (\([^)]*\) )?/, "", s); sub(/[^A-Za-z0-9_].*/, "", s); f=s }
@@ -200,7 +202,7 @@ MISS_WRITES=$(awk 'FNR==1{f=""} /^func /{ s=$0; sub(/^func (\([^)]*\) )?/, "", s
   /misses\.(Add|Store|Swap|CompareAndSwap)\(/ { print FILENAME ": " f }' \
   $(ls internal/secure/*.go | grep -v '_test\.go$') | sort -u)
 MISS_ALLOWED=$(printf '%s\n' \
-  'internal/secure/powmemo.go: Lookup' \
+  'internal/secure/powmemo.go: Powers' \
   'internal/secure/powmemo.go: ResetHelperPowers' | sort)
 if [[ "${MISS_WRITES}" != "${MISS_ALLOWED}" ]]; then
   echo "functions writing powers.misses differ from the allow-list (< allowed, > found):"
@@ -588,6 +590,7 @@ if [[ -z "${SHORT_FLAG}" ]]; then
   go test -run xxx -fuzz FuzzMontMulVsBigInt -fuzztime 10s ./internal/bigmod
   go test -run xxx -fuzz FuzzMontExpVsBigInt -fuzztime 10s ./internal/bigmod
   go test -run xxx -fuzz FuzzItemKeyTable -fuzztime 10s ./internal/secure
+  go test -run xxx -fuzz FuzzPowerSet -fuzztime 10s ./internal/secure
   go test -run xxx -fuzz FuzzDecryptHalfVsFull -fuzztime 10s ./internal/secure
   go test -run xxx -fuzz FuzzGroupKeyInjective -fuzztime 10s ./internal/engine
   go test -run xxx -fuzz FuzzShareProgram -fuzztime 10s ./internal/engine
