@@ -42,7 +42,7 @@ func main() {
 		printCoverage(rows)
 	case "breakdown", "shipall":
 		start := time.Now()
-		p, err := deployment(*sf, *bits)
+		p, err := deployment(*sf, *bits, engine.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -92,13 +92,14 @@ func coverage() ([]coverageRow, error) {
 	return rows, nil
 }
 
-// deployment builds an SDB proxy over an in-process SP loaded with TPC-H.
-func deployment(sf float64, bits int) (*proxy.Proxy, error) {
+// deployment builds an SDB proxy over an in-process SP, run with opts,
+// loaded with TPC-H.
+func deployment(sf float64, bits int, opts engine.Options) (*proxy.Proxy, error) {
 	secret, err := secure.Setup(bits, secure.DefaultValueBits, secure.DefaultMaskBits)
 	if err != nil {
 		return nil, err
 	}
-	p, err := proxy.New(secret, engine.New(storage.NewCatalog(), secret.N()))
+	p, err := proxy.New(secret, engine.NewWithOptions(storage.NewCatalog(), secret.N(), opts))
 	if err != nil {
 		return nil, err
 	}

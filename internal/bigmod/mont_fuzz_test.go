@@ -18,15 +18,15 @@ func fuzzOddMod(nb []byte) *big.Int {
 	return n
 }
 
-// FuzzMontMulVsBigInt cross-checks the CIOS REDC core and
-// exponentiation's multiply and square against big.Int Mul+Mod over arbitrary operands and moduli,
-// including unreduced and limb-boundary-straddling inputs, and math/big's
-// assembly row kernel against the pure-Go loop.
+// FuzzMontMulVsBigInt cross-checks the REDC core, of two operands and of
+// one by itself, against big.Int Mul+Mod over arbitrary operands and
+// moduli, including unreduced and limb-boundary-straddling inputs, and
+// math/big's assembly row kernel against the pure-Go loop.
 func FuzzMontMulVsBigInt(f *testing.F) {
 	f.Add([]byte{5}, []byte{7}, []byte{15})
 	f.Add([]byte{0}, []byte{1}, []byte{3})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{2}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfd})
-	wide := bytes.Repeat([]byte{0xff}, 8*montAsmWords) // exponentiation's hybrid multiply
+	wide := bytes.Repeat([]byte{0xff}, 8*montHybridWords) // the hybrid form
 	f.Add(wide, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, append(wide[1:], 0xef))
 	f.Fuzz(func(t *testing.T, ab, bb, nb []byte) {
 		n := fuzzOddMod(nb)
@@ -49,16 +49,12 @@ func FuzzMontMulVsBigInt(f *testing.F) {
 		if got := ctx.FromMont(s, ctx.ToMont(s, a)); got.Cmp(wantA) != 0 {
 			t.Fatalf("round trip %v mod %v = %v, want %v", a, n, got, wantA)
 		}
-		// Exponentiation's multiply, of two operands and of one by itself
-		// (a chain step's square).
-		aM, bM, z := ctx.ToMont(s, a), ctx.ToMont(s, b), make([]big.Word, ctx.Words())
-		ctx.expMul(s, z, aM, bM)
-		if got := ctx.FromMont(s, z); got.Cmp(want) != 0 {
-			t.Fatalf("expMul(%v, %v) mod %v = %v, want %v", a, b, n, got, want)
-		}
-		ctx.expMul(s, aM, aM, aM)
+		// One operand by itself, in place: a chain step's square, which
+		// the hybrid form computes as a square.
+		aM := ctx.ToMont(s, a)
+		ctx.mulTo(s, aM, aM, aM)
 		if got, want := ctx.FromMont(s, aM), Mul(wantA, wantA, n); got.Cmp(want) != 0 {
-			t.Fatalf("expMul(%v, %[1]v) mod %v = %v, want %v", a, n, got, want)
+			t.Fatalf("mulTo(%v, %[1]v) mod %v = %v, want %v", a, n, got, want)
 		}
 		// The assembly rows the wide reductions run on, against the
 		// pure-Go loop: z += x·y over a's limbs, one word of b, and n's

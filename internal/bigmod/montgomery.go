@@ -60,24 +60,15 @@ type MontScratch struct {
 	negs     [][]big.Word
 }
 
-// montHybridWords is the limb count above which mulTo switches from
+// montHybridWords is the limb count from which mulTo switches from
 // interleaved pure-Go CIOS to the hybrid form: full product via
-// big.Int.Mul (assembly vector kernels) followed by a separate pure-Go
-// Montgomery reduction. For small moduli the interleaved loop wins on
-// overhead; for wide ones the assembly multiply dominates. Tuned on the
+// big.Int.Mul (assembly vector kernels) followed by a separate Montgomery
+// reduction on math/big's assembly rows (reduce). For small moduli the
+// interleaved loop wins on overhead; for wide ones the assembly kernels
+// dominate. It is the one width rule of every REDC: the hit path's and
+// exponentiation's multiplies take the same side of it. Tuned on the
 // benchmark container (see EXPERIMENTS.md).
 const montHybridWords = 16
-
-// montAsmWords is the limb count from which a separate reduction (reduce:
-// the hybrid product's, Redc's) runs its rows on math/big's assembly
-// kernel, and from which exponentiation multiplies in the hybrid form
-// (expMul). At 512 bits (8 limbs), on the benchmark container, a hybrid
-// square took 171–175 ns against the interleaved loop's 211 ns (a square
-// with each cross product once took 191 ns on assembly rows and 275 ns in
-// pure Go, the calls outweighing the saved products); at 4 and 6 limbs the
-// interleaved loop was faster. The hit path's single products keep
-// mulTo's own threshold, montHybridWords.
-const montAsmWords = 8
 
 // montCache memoises contexts per modulus. Moduli are few (one per
 // deployment, one per test Setup); the bound only guards pathological
@@ -292,34 +283,22 @@ func (m *MontCtx) mulToHybrid(s *MontScratch, z, x []big.Word, y []big.Word) {
 	m.reduce(z, padTo(s.t[:2*k], s.prod.Bits()))
 }
 
-// expMul is the multiply of exponentiation (PowersTo's chain, buckets and
-// combination, InvertAll's prefix products): the hybrid form from
-// montAsmWords limbs, mulTo below. A chain step squares an operand, which
-// the hybrid form does as a square.
-func (m *MontCtx) expMul(s *MontScratch, z, x, y []big.Word) {
-	if m.k >= montAsmWords {
-		m.mulToHybrid(s, z, x, y)
-	} else {
-		m.mulTo(s, z, x, y)
-	}
-}
-
 // reduce is the Montgomery reduction proper: z = t·R⁻¹ mod n for a 2k-limb
 // t of value below n·R, which it clobbers. Round i clears t[i] by adding
 // u·n at t[i:]; its carry lands on t[i+k], and the carry out of that word
 // is deferred to the next round's (top). The pre-reduction value is
 // < n·R + R·n = 2·R·n, so what is left in top at the end is at most 1 and
-// one conditional subtraction finishes. From montAsmWords limbs up each
-// round is math/big's assembly kernel; below it the pure-Go loop, which
-// the call overhead of assembly would not beat (and which the fuzz tests
-// hold the kernel to).
+// one conditional subtraction finishes. From montHybridWords limbs up
+// each round is math/big's assembly kernel; below it the pure-Go loop,
+// which the call overhead of assembly would not beat (and which the fuzz
+// tests hold the kernel to).
 func (m *MontCtx) reduce(z, t []big.Word) {
 	k := m.k
 	var top uint
 	for i := 0; i < k; i++ {
 		u := t[i] * m.n0inv
 		var c big.Word
-		if k >= montAsmWords {
+		if k >= montHybridWords {
 			c = addMulVVWAsm(t[i:i+k], m.nw, u)
 		} else {
 			c = addMulVVW(t[i:i+k], m.nw, u)
@@ -577,13 +556,13 @@ func (m *MontCtx) MontExp(base, exp *big.Int) *big.Int {
 // One exponent below montHybridWords limbs is big.Int.Exp's: there
 // math/big's own Montgomery loop, on its assembly rows, beats a chain
 // with nothing to share. On the benchmark container, in medians of calls
-// alternating with one big.Int.Exp per exponent, the chain took 1.10× its
-// time for one exponent at 512 bits and 0.62×, 0.53×, 0.45× for two,
-// three, four; at 2048 bits 0.90× for one and 0.35× for four. Exponents
-// of more than twice n's bit length — far past any token's, a sum or
-// difference of a few column-key exponents below n — are big.Int.Exp's
-// one at a time too: the chain's memory grows with their width, and
-// big.Int.Exp's does not.
+// alternating with one big.Int.Exp per exponent, the chain took 1.40× its
+// time for one exponent at 512 bits and 0.80×, 0.61×, 0.53× for two,
+// three, four; 0.92× for one at 1024 bits; at 2048 bits 0.87× for one and
+// 0.35× for four. Exponents of more than twice n's bit length — far past
+// any token's, a sum or difference of a few column-key exponents below
+// n — are big.Int.Exp's one at a time too: the chain's memory grows with
+// their width, and big.Int.Exp's does not.
 func (m *MontCtx) PowersTo(s *MontScratch, out [][]big.Word, w *big.Int, exps []*big.Int) bool {
 	k, b, negs := m.k, 0, 0
 	for _, q := range exps {
@@ -611,9 +590,9 @@ func (m *MontCtx) PowersTo(s *MontScratch, out [][]big.Word, w *big.Int, exps []
 	m.mulTo(s, chain[:k], m.r2, m.reducedBits(w))
 	for j := 1; j < steps; j++ {
 		c, prev := at(chain, j), at(chain, j-1)
-		m.expMul(s, c, prev, prev)
+		m.mulTo(s, c, prev, prev)
 		for i := 1; i < d; i++ {
-			m.expMul(s, c, c, c)
+			m.mulTo(s, c, c, c)
 		}
 	}
 	for e, q := range exps {
@@ -626,7 +605,7 @@ func (m *MontCtx) PowersTo(s *MontScratch, out [][]big.Word, w *big.Int, exps []
 			}
 			bk := at(buckets, int(a-1))
 			if filled[(a-1)/64]&(1<<((a-1)%64)) != 0 {
-				m.expMul(s, bk, bk, at(chain, j))
+				m.mulTo(s, bk, bk, at(chain, j))
 			} else {
 				copy(bk, at(chain, j))
 				filled[(a-1)/64] |= 1 << ((a - 1) % 64)
@@ -637,14 +616,14 @@ func (m *MontCtx) PowersTo(s *MontScratch, out [][]big.Word, w *big.Int, exps []
 		for a := nb; a >= 1; a-- {
 			if filled[(a-1)/64]&(1<<((a-1)%64)) != 0 {
 				if started {
-					m.expMul(s, acc, acc, at(buckets, a-1))
+					m.mulTo(s, acc, acc, at(buckets, a-1))
 				} else {
 					copy(acc, at(buckets, a-1))
 					started = true
 				}
 			}
 			if started {
-				m.expMul(s, z, z, acc)
+				m.mulTo(s, z, z, acc)
 			}
 		}
 	}
@@ -711,7 +690,7 @@ func (m *MontCtx) InvertAll(s *MontScratch, xs [][]big.Word) bool {
 	at := func(i int) []big.Word { return pre[i*k : (i+1)*k : (i+1)*k] }
 	copy(at(0), xs[0])
 	for i := 1; i < len(xs); i++ {
-		m.expMul(s, at(i), at(i-1), xs[i])
+		m.mulTo(s, at(i), at(i-1), xs[i])
 	}
 	// The product is P·R; its normal form P inverts to P⁻¹, whose
 	// Montgomery form is P⁻¹·R.
@@ -723,8 +702,8 @@ func (m *MontCtx) InvertAll(s *MontScratch, xs [][]big.Word) bool {
 	m.mulTo(s, inv, m.r2, v.Bits())
 	for i := len(xs) - 1; i > 0; i-- {
 		x := xs[i]
-		m.expMul(s, at(i), inv, at(i-1)) // x⁻¹, kept until x is used
-		m.expMul(s, inv, inv, x)
+		m.mulTo(s, at(i), inv, at(i-1)) // x⁻¹, kept until x is used
+		m.mulTo(s, inv, inv, x)
 		copy(x, at(i))
 	}
 	copy(xs[0], inv)

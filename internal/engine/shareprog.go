@@ -145,13 +145,15 @@ type progConst struct {
 
 // frame is one worker's registers and scratch for a program. A register
 // is k limbs of the frame's slab, constants pre-loaded, except that opPow
-// points its registers at memo entries on a hit (out is the scratch it
-// does that through). ms holds, after a row's first memo miss, the squaring
-// chain the misses are computed from. hits counts the frame's memo hits
-// until put publishes them, once per chunk or call.
+// points its registers at memo entries on a hit: own[i] is instruction i's
+// registers' own memory, where its misses are computed, and out the
+// scratch its results come back through. ms holds, after a row's first
+// memo miss, the squaring chain the misses are computed from. hits counts
+// the frame's memo hits until put publishes them, once per chunk or call.
 type frame struct {
 	r    [][]big.Word
 	slab []big.Word
+	own  [][][]big.Word
 	out  [][]big.Word
 	ms   *bigmod.MontScratch
 	tmp  []big.Word
@@ -164,9 +166,15 @@ func (p *shareProg) get() *frame {
 	}
 	k := p.mc.Words()
 	fr := &frame{r: make([][]big.Word, p.nregs), slab: make([]big.Word, p.nregs*k),
-		out: make([][]big.Word, p.maxPows), ms: p.mc.NewScratch(), tmp: make([]big.Word, k)}
+		own: make([][][]big.Word, len(p.ins)), out: make([][]big.Word, p.maxPows),
+		ms: p.mc.NewScratch(), tmp: make([]big.Word, k)}
 	for i := range fr.r {
-		fr.r[i] = fr.own(i)
+		fr.r[i] = fr.reg(i)
+	}
+	for i := range p.ins {
+		for _, reg := range p.ins[i].regs {
+			fr.own[i] = append(fr.own[i], fr.reg(reg))
+		}
 	}
 	for _, c := range p.consts {
 		copy(fr.r[c.reg], c.val)
@@ -174,8 +182,8 @@ func (p *shareProg) get() *frame {
 	return fr
 }
 
-// own is register i's own memory.
-func (fr *frame) own(i int) []big.Word {
+// reg is register i's own memory.
+func (fr *frame) reg(i int) []big.Word {
 	k := len(fr.tmp)
 	return fr.slab[i*k : (i+1)*k : (i+1)*k]
 }
@@ -207,10 +215,7 @@ func (p *shareProg) run(fr *frame, row types.Row) error {
 				return err
 			}
 			out := fr.out[:len(in.regs)]
-			for e, reg := range in.regs {
-				out[e] = fr.own(reg)
-			}
-			if err := in.pows.Powers(fr.ms, &fr.hits, w, out); err != nil {
+			if err := in.pows.Powers(fr.ms, &fr.hits, w, fr.own[i], out); err != nil {
 				return fmt.Errorf("engine: %s: %w", in.src.fname, err)
 			}
 			for e, reg := range in.regs {

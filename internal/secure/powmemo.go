@@ -359,15 +359,19 @@ func NewPowerSet(n *big.Int, qs ...*big.Int) *PowerSet {
 
 // Powers sets out[e] to ToMont(w^Q_e mod n) for every exponent of the set,
 // as k limbs the caller must not modify: the memoised residue on a hit,
-// else the residue computed into out[e]'s own memory (k limbs of the
-// caller's, or nil for fresh memory) and memoised for the next caller. It
-// is the memo's one entry point. The helper is hashed once; the exponents
-// that miss are computed together, from one squaring chain of w
-// (bigmod's PowersTo), and each counts as one miss. A hit adds one to
-// *hits, the caller's own counter, which it publishes with
-// FlushHelperPowerHits once per chunk or call. The error is the
-// non-invertible-helper failure of a negative exponent.
-func (ps *PowerSet) Powers(ms *bigmod.MontScratch, hits *int64, w *big.Int, out [][]big.Word) error {
+// else the residue computed into own[e] and memoised for the next caller.
+// own[e] is k limbs of the caller's own memory, or nil for fresh memory;
+// Powers writes through it and never replaces it, while out is only
+// written. own and out must therefore be distinct, and own must never hold
+// a residue out returned: memo entries are shared, and a miss computed
+// into one would overwrite it under every reader. It is the memo's one
+// entry point. The helper is hashed once; the exponents that miss are
+// computed together, from one squaring chain of w (bigmod's PowersTo), and
+// each counts as one miss. A hit adds one to *hits, the caller's own
+// counter, which it publishes with FlushHelperPowerHits once per chunk or
+// call. The error is the non-invertible-helper failure of a negative
+// exponent.
+func (ps *PowerSet) Powers(ms *bigmod.MontScratch, hits *int64, w *big.Int, own, out [][]big.Word) error {
 	// Only helpers in [0, n) are memoised, so a nonnegative helper no
 	// wider than n is looked up without a comparison with n: one that is
 	// out of range has no stored twin.
@@ -388,10 +392,12 @@ func (ps *PowerSet) Powers(ms *bigmod.MontScratch, hits *int64, w *big.Int, out 
 				continue
 			}
 		}
-		if out[e] == nil {
-			out[e] = make([]big.Word, ps.ctx.Words())
+		y := own[e]
+		if y == nil {
+			y = make([]big.Word, ps.ctx.Words())
 		}
-		qs, ys, tabs = append(qs, ps.qs[e]), append(ys, out[e]), append(tabs, t)
+		out[e] = y
+		qs, ys, tabs = append(qs, ps.qs[e]), append(ys, y), append(tabs, t)
 	}
 	if len(qs) == 0 {
 		return nil
@@ -411,8 +417,8 @@ func (ps *PowerSet) Powers(ms *bigmod.MontScratch, hits *int64, w *big.Int, out 
 // Lookup is Powers for a set of one exponent: the residue of w^Q in fresh
 // memory on a miss.
 func (ps *PowerSet) Lookup(ms *bigmod.MontScratch, hits *int64, w *big.Int) ([]big.Word, error) {
-	var out [1][]big.Word
-	err := ps.Powers(ms, hits, w, out[:])
+	var own, out [1][]big.Word
+	err := ps.Powers(ms, hits, w, own[:], out[:])
 	return out[0], err
 }
 

@@ -427,7 +427,10 @@ func TestPowMemoConcurrent(t *testing.T) {
 // at the same time: one PowerSet of four exponents (one negative) each,
 // over the same helpers in the same order, released together on an empty
 // memo, so both compute the same powers from chains of their own and race
-// to insert them. Every answer must equal big.Int.Exp, the memo must hold
+// to insert them. Each worker reuses one set of buffers for every helper,
+// as a row program's frame does, so a miss after a hit must not write
+// through the memo entry the hit returned. Every answer must equal
+// big.Int.Exp, the memo must hold
 // each power once, and the published counters must add up to the lookups
 // made; ci.sh runs it with the race detector.
 func TestPowMemoConcurrentGroupMiss(t *testing.T) {
@@ -465,11 +468,13 @@ func TestPowMemoConcurrentGroupMiss(t *testing.T) {
 			ms := ctx.NewScratch()
 			var hits int64
 			defer FlushHelperPowerHits(&hits)
-			out := make([][]big.Word, len(qs))
+			own, out := make([][]big.Word, len(qs)), make([][]big.Word, len(qs))
+			for e := range own {
+				own[e] = make([]big.Word, ctx.Words())
+			}
 			<-release
 			for i, w := range ws {
-				clear(out) // a hit left memo entries there: misses get fresh memory
-				if err := ps.Powers(ms, &hits, w, out); err != nil {
+				if err := ps.Powers(ms, &hits, w, own, out); err != nil {
 					t.Errorf("worker %d helper %d: %v", g, i, err)
 					return
 				}
@@ -489,6 +494,50 @@ func TestPowMemoConcurrentGroupMiss(t *testing.T) {
 	t.Logf("%d workers: %+v", workers, st)
 	if st.Hits+st.Misses != workers*powers || st.Entries != powers || st.Misses < powers {
 		t.Fatalf("%+v: want %d lookups, %d entries, at least %d misses", st, workers*powers, powers, powers)
+	}
+}
+
+// TestPowerSetReusedBuffers reuses one own and one out across calls, as a
+// row program's frame does: a helper that hits leaves memo entries in
+// out, and the next helper's misses must be computed into own, leaving
+// the entries the hit returned as they were.
+func TestPowerSetReusedBuffers(t *testing.T) {
+	s := batchSecret(t)
+	n := s.N()
+	ctx := bigmod.MontCtxFor(n)
+	r := rand.New(rand.NewSource(47))
+	qs := []*big.Int{new(big.Int).Rand(r, n), new(big.Int).Neg(new(big.Int).Rand(r, n))}
+	ws := make([]*big.Int, 2)
+	for i := range ws {
+		rid, err := s.NewRowID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = s.RowHelper(rid)
+	}
+	ResetHelperPowers()
+	t.Cleanup(ResetHelperPowers)
+	ps := NewPowerSet(n, qs...)
+	ms := ctx.NewScratch()
+	var hits int64
+	defer FlushHelperPowerHits(&hits)
+	own, out := make([][]big.Word, len(qs)), make([][]big.Word, len(qs))
+	for e := range own {
+		own[e] = make([]big.Word, ctx.Words())
+	}
+	// ws[0] misses, then hits; ws[1] misses after that hit; ws[0] again.
+	for step, i := range []int{0, 0, 1, 0} {
+		if err := ps.Powers(ms, &hits, ws[i], own, out); err != nil {
+			t.Fatal(err)
+		}
+		for e, q := range qs {
+			if got, want := ctx.FromMont(ms, out[e]), new(big.Int).Exp(ws[i], q, n); got.Cmp(want) != 0 {
+				t.Fatalf("step %d: helper %d exponent %d = %v, want %v", step, i, e, got, want)
+			}
+		}
+	}
+	if hits != 4 {
+		t.Fatalf("%d hits, want 4", hits)
 	}
 }
 
@@ -620,16 +669,16 @@ func BenchmarkPowerSetHit(b *testing.B) {
 	ms := ctx.NewScratch()
 	var hits int64
 	for _, w := range ws {
-		if err := ps.Powers(ms, &hits, w, make([][]big.Word, len(qs))); err != nil {
+		if err := ps.Powers(ms, &hits, w, make([][]big.Word, len(qs)), make([][]big.Word, len(qs))); err != nil {
 			b.Fatal(err)
 		}
 	}
 	FlushHelperPowerHits(&hits)
 	b.Run("serial", func(b *testing.B) {
 		var hits int64
-		out := make([][]big.Word, len(qs))
+		own, out := make([][]big.Word, len(qs)), make([][]big.Word, len(qs))
 		for i := 0; i < b.N; i++ {
-			if err := ps.Powers(ms, &hits, ws[i%len(ws)], out); err != nil {
+			if err := ps.Powers(ms, &hits, ws[i%len(ws)], own, out); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -639,11 +688,11 @@ func BenchmarkPowerSetHit(b *testing.B) {
 		var start atomic.Int64
 		b.RunParallel(func(pb *testing.PB) {
 			ms := ctx.NewScratch()
-			out := make([][]big.Word, len(qs))
+			own, out := make([][]big.Word, len(qs)), make([][]big.Word, len(qs))
 			var hits int64
 			defer FlushHelperPowerHits(&hits)
 			for i := int(start.Add(997)); pb.Next(); i++ {
-				if err := ps.Powers(ms, &hits, ws[i%len(ws)], out); err != nil {
+				if err := ps.Powers(ms, &hits, ws[i%len(ws)], own, out); err != nil {
 					b.Error(err)
 					return
 				}

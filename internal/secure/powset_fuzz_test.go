@@ -83,9 +83,9 @@ func FuzzPowerSet(f *testing.F) {
 		ps := NewPowerSet(n, qs...)
 		ms := ctx.NewScratch()
 		for _, pass := range []string{"first", "again"} {
-			out := make([][]big.Word, len(qs))
+			own, out := make([][]big.Word, len(qs)), make([][]big.Word, len(qs))
 			var hits int64
-			err := ps.Powers(ms, &hits, w, out)
+			err := ps.Powers(ms, &hits, w, own, out)
 			FlushHelperPowerHits(&hits)
 			if refused {
 				if err == nil || !errors.Is(err, bigmod.ErrNotInvertible) || err.Error() != errNotInvertible().Error() {
