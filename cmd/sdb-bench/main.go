@@ -1,7 +1,7 @@
 // Command sdb-bench prints the paper's three tables:
 //
 //	sdb-bench -exp coverage            # E2: TPC-H coverage, SDB vs the onion rules
-//	sdb-bench -exp breakdown -sf 0.001 # E3: client vs server cost per query, cold and repeated
+//	sdb-bench -exp breakdown -sf 0.001 # E3: client vs server cost per loaded table and per query, cold and repeated
 //	sdb-bench -exp shipall  -sf 0.001  # E7: SDB vs shipping every table to the DO
 //
 // Each experiment is a function returning typed rows; main_test.go pins
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -42,12 +43,14 @@ func main() {
 		printCoverage(rows)
 	case "breakdown", "shipall":
 		start := time.Now()
-		p, err := deployment(*sf, *bits, engine.Options{})
+		p, load, err := deployment(*sf, *bits, engine.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("loaded TPC-H SF %g in %v (%d-bit modulus)\n\n", *sf, time.Since(start).Round(time.Millisecond), *bits)
 		if *exp == "breakdown" {
+			printLoad(load)
+			fmt.Println()
 			rows, err := breakdown(p)
 			if err != nil {
 				log.Fatal(err)
@@ -93,24 +96,66 @@ func coverage() ([]coverageRow, error) {
 }
 
 // deployment builds an SDB proxy over an in-process SP, run with opts,
-// loaded with TPC-H.
-func deployment(sf float64, bits int, opts engine.Options) (*proxy.Proxy, error) {
+// loaded with TPC-H, and reports where each table's load went.
+func deployment(sf float64, bits int, opts engine.Options) (*proxy.Proxy, []loadRow, error) {
 	secret, err := secure.Setup(bits, secure.DefaultValueBits, secure.DefaultMaskBits)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p, err := proxy.New(secret, engine.NewWithOptions(storage.NewCatalog(), secret.N(), opts))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	exec := func(sql string) error { _, err := p.Exec(sql); return err }
 	for _, ddl := range tpch.CreateStatements() {
-		if err := exec(ddl); err != nil {
-			return nil, err
+		if _, err := p.Exec(ddl); err != nil {
+			return nil, nil, err
 		}
 	}
-	return p, tpch.Generate(tpch.Config{ScaleFactor: sf, Seed: 42}, exec)
+	var load []loadRow
+	at := make(map[string]int) // table → its row of load, in load order
+	err = tpch.Generate(tpch.Config{ScaleFactor: sf, Seed: 42}, func(sql string) error {
+		res, err := p.Exec(sql)
+		if err != nil {
+			return err
+		}
+		table := strings.Fields(sql)[2] // INSERT INTO table VALUES …
+		i, ok := at[table]
+		if !ok {
+			i, at[table] = len(load), len(load)
+			load = append(load, loadRow{Table: table})
+		}
+		l := &load[i]
+		l.Stmts++
+		l.Parse += res.Stats.Parse
+		l.Rewrite += res.Stats.Rewrite
+		l.Server += res.Stats.Server
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range load {
+		res, err := p.Exec("SELECT COUNT(*) FROM " + load[i].Table)
+		if err != nil {
+			return nil, nil, err
+		}
+		load[i].Rows = int(res.Rows[0][0].I)
+	}
+	return p, load, nil
 }
+
+// loadRow is one table of the TPC-H load: its rows and generated INSERTs,
+// and where their time went, summed over the INSERTs: the DO's parse, its
+// rewrite (encrypting and rendering the upload) and the SP's share
+// (parsing the rewritten text and inserting).
+type loadRow struct {
+	Table                  string
+	Rows, Stmts            int
+	Parse, Rewrite, Server time.Duration
+}
+
+// Client is the DO's share of the load: parse and rewrite.
+func (r loadRow) Client() time.Duration { return r.Parse + r.Rewrite }
 
 // breakdownRow is one query of E3: its result size, where its time went
 // on its first execution, the SP's time on a second one (Repeat), and the
@@ -222,6 +267,18 @@ func yn(b bool) string {
 		return "yes"
 	}
 	return "NO"
+}
+
+func printLoad(rows []loadRow) {
+	w := tw()
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	fmt.Fprintln(w, "load\trows\tinserts\tparse\trewrite\tclient\tserver\tclient share")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%s\t%d\t%d\t%v\t%v\t%v\t%v\t%.1f%%\n", r.Table, r.Rows, r.Stmts,
+			us(r.Parse), us(r.Rewrite), us(r.Client()), us(r.Server),
+			float64(r.Client())/float64(r.Client()+r.Server)*100)
+	}
+	w.Flush()
 }
 
 func printBreakdown(rows []breakdownRow) {

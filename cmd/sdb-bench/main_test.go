@@ -10,10 +10,10 @@ import (
 
 // TestPaperTables runs the paper's three experiments at SF 0.0004 with a
 // 512-bit modulus and holds every column that does not depend on timing to
-// the table written here: the whole E2 coverage matrix, the result rows
-// and the helper-power memo misses of every runnable query in E3, and
-// SDB's answer rows beside the rows the ship-everything baseline moved in
-// E7. Of the timings it asserts only the paper's split in its weakest
+// the table written here: the whole E2 coverage matrix, the rows and
+// INSERTs of every table E3's load line prints, the result rows and the
+// helper-power memo misses of every runnable query in E3, and SDB's
+// answer rows beside the rows the ship-everything baseline moved in E7. Of the timings it asserts only the paper's split in its weakest
 // form: summed over the runnable queries, the DO's work (parse, rewrite,
 // decrypt) is below the SP's.
 func TestPaperTables(t *testing.T) {
@@ -56,10 +56,33 @@ func TestPaperTables(t *testing.T) {
 		}
 	})
 
-	p, err := deployment(0.0004, 512, engine.Options{})
+	p, load, err := deployment(0.0004, 512, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	t.Run("load", func(t *testing.T) {
+		want := []loadRow{
+			{Table: "region", Rows: 5, Stmts: 1}, {Table: "nation", Rows: 25, Stmts: 1},
+			{Table: "supplier", Rows: 4, Stmts: 1}, {Table: "customer", Rows: 60, Stmts: 1},
+			{Table: "part", Rows: 80, Stmts: 1}, {Table: "partsupp", Rows: 320, Stmts: 2},
+			{Table: "lineitem", Rows: 2739, Stmts: 14}, {Table: "orders", Rows: 600, Stmts: 3},
+		}
+		if len(load) != len(want) {
+			t.Fatalf("%d load rows, want %d", len(load), len(want))
+		}
+		for i, w := range want {
+			g := load[i]
+			if g.Table != w.Table || g.Rows != w.Rows || g.Stmts != w.Stmts {
+				t.Errorf("load: %s has %d rows in %d INSERTs, want %s with %d in %d",
+					g.Table, g.Rows, g.Stmts, w.Table, w.Rows, w.Stmts)
+			}
+			if g.Parse <= 0 || g.Rewrite <= 0 || g.Server <= 0 {
+				t.Errorf("load: %s spent parse %v, rewrite %v, server %v: want each above 0",
+					g.Table, g.Parse, g.Rewrite, g.Server)
+			}
+		}
+	})
 
 	// Cold memo misses per runnable query on one worker (the rest miss
 	// none). They are fixed by the queries, their order and the data seed:
@@ -110,7 +133,7 @@ func TestPaperTables(t *testing.T) {
 	})
 
 	t.Run("misses", func(t *testing.T) {
-		p, err := deployment(0.0004, 512, engine.Options{Parallelism: 1})
+		p, _, err := deployment(0.0004, 512, engine.Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

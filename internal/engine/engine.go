@@ -534,20 +534,22 @@ func (e *Engine) execInsert(s *sqlparser.Insert) (*Result, error) {
 	// mid-statement leaves no partial insert behind, the durability layer
 	// can log the whole batch as one record (one fsync) before any row is
 	// published, and readers observe the batch all-or-nothing.
+	width := t.Schema.Len()
+	slab := make([]types.Value, len(s.Rows)*width)
 	rows := make([]types.Row, 0, len(s.Rows))
 	rowEncs := make([]*big.Int, 0, len(s.Rows))
 	helpers := make([]*big.Int, 0, len(s.Rows))
-	for _, exprRow := range s.Rows {
+	ctx := e.evalCtx()
+	for r, exprRow := range s.Rows {
 		if len(exprRow) != len(idx) {
 			return nil, fmt.Errorf("engine: INSERT arity %d != %d columns", len(exprRow), len(idx))
 		}
-		row := make(types.Row, t.Schema.Len())
-		for i := range row {
-			row[i] = types.Null
-		}
+		row := types.Row(slab[r*width : (r+1)*width : (r+1)*width]) // all NULL
 		var rowEnc, helper *big.Int
 		for k, ex := range exprRow {
-			v, err := evalConst(ex, e.evalCtx())
+			// Every upload the proxy renders holds only literals, which
+			// evalConst turns into values without compiling.
+			v, err := evalConst(ex, ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -567,6 +569,11 @@ func (e *Engine) execInsert(s *sqlparser.Insert) (*Result, error) {
 			v, err = coerceForColumn(v, col)
 			if err != nil {
 				return nil, fmt.Errorf("engine: column %q: %w", col.Name, err)
+			}
+			if v.K == types.KindString {
+				// A lexed string is a slice of the statement's text: the
+				// table keeps a copy, not the whole upload.
+				v.S = strings.Clone(v.S)
 			}
 			row[idx[k]] = v
 		}

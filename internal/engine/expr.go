@@ -65,30 +65,34 @@ func walkExpr(ex sqlparser.Expr, visit func(sqlparser.Expr) bool) bool {
 	return known
 }
 
-// compile binds an expression against a relation's columns.
-func compile(ex sqlparser.Expr, rel *relation, ctx *evalCtx) (compiledExpr, error) {
+// literalValue is the value of a literal expression; ok is false for
+// anything else.
+func literalValue(ex sqlparser.Expr) (v types.Value, ok bool) {
 	switch x := ex.(type) {
 	case sqlparser.IntLit:
-		v := types.NewInt(x.V)
-		return constExpr(v), nil
+		return types.NewInt(x.V), true
 	case sqlparser.DecLit:
-		v := types.NewDecimal(x.Scaled)
-		return constExpr(v), nil
+		return types.NewDecimal(x.Scaled), true
 	case sqlparser.StrLit:
-		v := types.NewString(x.V)
-		return constExpr(v), nil
+		return types.NewString(x.V), true
 	case sqlparser.DateLit:
-		v := types.NewDate(x.Days)
-		return constExpr(v), nil
+		return types.NewDate(x.Days), true
 	case sqlparser.BoolLit:
-		v := types.NewBool(x.V)
-		return constExpr(v), nil
+		return types.NewBool(x.V), true
 	case sqlparser.NullLit:
-		return constExpr(types.Null), nil
+		return types.Null, true
 	case sqlparser.HexLit:
-		v := types.NewShare(x.V)
-		return constExpr(v), nil
+		return types.NewShare(x.V), true
+	}
+	return types.Null, false
+}
 
+// compile binds an expression against a relation's columns.
+func compile(ex sqlparser.Expr, rel *relation, ctx *evalCtx) (compiledExpr, error) {
+	if v, ok := literalValue(ex); ok {
+		return constExpr(v), nil
+	}
+	switch x := ex.(type) {
 	case sqlparser.ColRef:
 		idx, err := rel.resolve(x.Table, x.Name)
 		if err != nil {
@@ -570,6 +574,9 @@ func compileFunc(x *sqlparser.FuncCall, rel *relation, ctx *evalCtx) (compiledEx
 
 // evalConst evaluates an expression with no column references.
 func evalConst(ex sqlparser.Expr, ctx *evalCtx) (types.Value, error) {
+	if v, ok := literalValue(ex); ok {
+		return v, nil
+	}
 	empty := &relation{}
 	c, err := compile(ex, empty, ctx)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -116,7 +117,9 @@ func (p *Proxy) SetOptions(opts Options) {
 }
 
 // Stats is the per-query cost breakdown the demo shows in step 2: the
-// client cost (parse + rewrite + decrypt) versus the server cost.
+// client cost (parse + rewrite + decrypt) versus the server cost. For a
+// write, Rewrite covers building and rendering the SP's statement
+// (encryption included) and Server the SP call alone.
 type Stats struct {
 	Parse        time.Duration
 	Rewrite      time.Duration
@@ -197,14 +200,13 @@ func (p *Proxy) execCreate(ctx context.Context, s *sqlparser.CreateTable, st Sta
 	if _, err := p.store.Get(s.Name); err == nil {
 		return nil, fmt.Errorf("proxy: table %q already registered", s.Name)
 	}
+	sql := spStmt.String()
 	st.Rewrite = time.Since(t0)
 
-	t1 := time.Now()
-	if err := p.writeAhead(s.Name, meta, spStmt.String()); err != nil {
+	if st.Server, err = p.writeAhead(s.Name, meta, sql); err != nil {
 		return nil, err
 	}
-	st.Server = time.Since(t1)
-	st.RewrittenSQL = spStmt.String()
+	st.RewrittenSQL = sql
 	return &Result{Stats: st}, nil
 }
 
@@ -225,8 +227,11 @@ func (p *Proxy) execDrop(ctx context.Context, s *sqlparser.DropTable, st Stats) 
 	if _, err := p.store.Get(s.Name); err != nil {
 		return nil, err
 	}
+	t0 := time.Now()
+	sql := s.String()
+	st.Rewrite = time.Since(t0)
 	t1 := time.Now()
-	if _, err := p.exec.ExecuteSQL(s.String()); err != nil {
+	if _, err := p.exec.ExecuteSQL(sql); err != nil {
 		return nil, err
 	}
 	st.Server = time.Since(t1)
@@ -235,14 +240,19 @@ func (p *Proxy) execDrop(ctx context.Context, s *sqlparser.DropTable, st Stats) 
 	if err := p.persistState(); err != nil {
 		return nil, err
 	}
-	st.RewrittenSQL = s.String()
+	st.RewrittenSQL = sql
 	return &Result{Stats: st}, nil
 }
 
 // execInsert encrypts sensitive values and forwards a rewritten INSERT that
 // carries shares, the encrypted row id and the row helper, holding the
 // table's key lock shared from the key lookup until the SP acknowledges.
-// ctx is checked per encryption chunk and before the upload is forwarded.
+// A table with no SENSITIVE column stores what the user wrote: no row id
+// is drawn, nothing is encrypted and the rows go out as parsed. The
+// statement is rendered once; that text is what the SP receives and what
+// Stats.RewrittenSQL holds. Encryption and rendering count as Rewrite,
+// the SP call alone as Server. ctx is checked per encryption chunk and
+// before the upload is forwarded.
 func (p *Proxy) execInsert(ctx context.Context, s *sqlparser.Insert, st Stats) (*Result, error) {
 	unlock, err := p.store.lock(ctx, false, s.Table)
 	if err != nil {
@@ -254,7 +264,7 @@ func (p *Proxy) execInsert(ctx context.Context, s *sqlparser.Insert, st Stats) (
 	if err != nil {
 		return nil, err
 	}
-	// Resolve the user's column order.
+	// Resolve the user's column list against the table once.
 	names := s.Columns
 	if len(names) == 0 {
 		names = make([]string, meta.Schema.Len())
@@ -262,71 +272,84 @@ func (p *Proxy) execInsert(ctx context.Context, s *sqlparser.Insert, st Stats) (
 			names[i] = c.Name
 		}
 	}
-
-	out := &sqlparser.Insert{Table: s.Table}
-	hasSensitive := len(meta.Keys) > 0
-	out.Columns = append(out.Columns, names...)
-	if hasSensitive {
-		out.Columns = append(out.Columns, MaskColumn, engine.RowIDColumn, engine.HelperColumn)
-	}
-
-	// Upload-side encryption is the INSERT hot path (one share per
-	// sensitive value plus mask, row id and helper per row, all modular
-	// exponentiations); rows are independent, so they encrypt in parallel
-	// chunks on the proxy's pool, and each chunk mints all its shares
-	// through secure.EncryptBatch — the per-share item-key inversions
-	// collapse to one ModInverse per chunk.
-	encRows := make([][]sqlparser.Expr, len(s.Rows))
-	err = p.pool.ForEachChunk(len(s.Rows), func(_, lo, hi int) error {
-		if err := ctx.Err(); err != nil {
-			return err
+	cols := make([]insertCol, len(names))
+	for i, name := range names {
+		col, ok := meta.Column(name)
+		if !ok {
+			return nil, fmt.Errorf("proxy: table %q has no column %q", s.Table, name)
 		}
-		return p.encryptInsertChunk(meta, s.Table, names, s.Rows[lo:hi], encRows[lo:hi], hasSensitive)
-	})
-	if err != nil {
-		return nil, err
+		cols[i] = insertCol{Column: col, key: meta.Keys[strings.ToLower(col.Name)]}
 	}
-	out.Rows = encRows
+	for _, row := range s.Rows {
+		if len(row) != len(names) {
+			return nil, fmt.Errorf("proxy: INSERT arity %d != %d columns", len(row), len(names))
+		}
+	}
+
+	out := &sqlparser.Insert{Table: s.Table, Columns: names, Rows: s.Rows}
+	if len(meta.Keys) > 0 {
+		out.Columns = append(slices.Clip(names), MaskColumn, engine.RowIDColumn, engine.HelperColumn)
+		// Upload-side encryption is the INSERT hot path (one share per
+		// sensitive value plus mask, row id and helper per row, all
+		// modular exponentiations); rows are independent, so they
+		// encrypt in parallel chunks on the proxy's pool, and each chunk
+		// mints all its shares through secure.EncryptBatch — the
+		// per-share item-key inversions collapse to one ModInverse per
+		// chunk.
+		out.Rows = make([][]sqlparser.Expr, len(s.Rows))
+		err = p.pool.ForEachChunk(len(s.Rows), func(_, lo, hi int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return p.encryptInsertChunk(meta, cols, s.Rows[lo:hi], out.Rows[lo:hi])
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	sql := out.String()
 	st.Rewrite = time.Since(t0)
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	t1 := time.Now()
-	if _, err := p.exec.ExecuteSQL(out.String()); err != nil {
+	if _, err := p.exec.ExecuteSQL(sql); err != nil {
 		return nil, err
 	}
 	st.Server = time.Since(t1)
-	st.RewrittenSQL = out.String()
+	st.RewrittenSQL = sql
 	return &Result{Stats: st}, nil
 }
 
-// encryptInsertChunk rewrites a chunk of INSERT rows: sensitive values
-// become encrypted shares under fresh row ids, and the hidden mask,
-// encrypted row id and row helper are appended per row. It is called
-// concurrently by execInsert's chunks; everything it touches on the proxy
-// (scheme secret, key store metadata, SIES cipher) is read-only or
-// internally atomic. All of the chunk's shares — values and masks alike —
-// are minted in one secure.EncryptBatch call, so the chunk pays a single
-// modular inversion however many shares it produces.
-func (p *Proxy) encryptInsertChunk(meta *TableMeta, table string, names []string, rows [][]sqlparser.Expr, out [][]sqlparser.Expr, hasSensitive bool) error {
+// insertCol is one column of an INSERT's column list, resolved against
+// the table's metadata: its definition and, if SENSITIVE, its key.
+type insertCol struct {
+	types.Column
+	key secure.ColumnKey
+}
+
+// encryptInsertChunk rewrites a chunk of INSERT rows of a table with
+// SENSITIVE columns: sensitive values become encrypted shares under fresh
+// row ids, and the hidden mask, encrypted row id and row helper are
+// appended per row. It is called concurrently by execInsert's chunks;
+// everything it touches on the proxy (scheme secret, key store metadata,
+// SIES cipher) is read-only or internally atomic. All of the chunk's
+// shares — values and masks alike — are minted in one secure.EncryptBatch
+// call, so the chunk pays a single modular inversion however many shares
+// it produces.
+func (p *Proxy) encryptInsertChunk(meta *TableMeta, cols []insertCol, rows [][]sqlparser.Expr, out [][]sqlparser.Expr) error {
 	type slot struct{ row, col int }
 	var reqs []secure.EncRequest
 	var slots []slot
 	for ri, row := range rows {
-		if len(row) != len(names) {
-			return fmt.Errorf("proxy: INSERT arity %d != %d columns", len(row), len(names))
-		}
 		rid, rowEnc, err := p.newRowID()
 		if err != nil {
 			return err
 		}
 		outRow := make([]sqlparser.Expr, 0, len(row)+3)
 		for i, ex := range row {
-			col, ok := meta.Column(names[i])
-			if !ok {
-				return fmt.Errorf("proxy: table %q has no column %q", table, names[i])
-			}
+			col := cols[i]
 			if !col.Type.Sensitive {
 				outRow = append(outRow, ex)
 				continue
@@ -339,8 +362,7 @@ func (p *Proxy) encryptInsertChunk(meta *TableMeta, table string, names []string
 			if err != nil {
 				return fmt.Errorf("proxy: column %q: %w", col.Name, err)
 			}
-			ck := meta.Keys[strings.ToLower(col.Name)]
-			rq, err := p.secret.NewEncRequest(big.NewInt(plain), rid, ck)
+			rq, err := p.secret.NewEncRequest(big.NewInt(plain), rid, col.key)
 			if err != nil {
 				return err
 			}
@@ -348,23 +370,20 @@ func (p *Proxy) encryptInsertChunk(meta *TableMeta, table string, names []string
 			reqs = append(reqs, rq)
 			outRow = append(outRow, nil) // patched after EncryptBatch
 		}
-		if hasSensitive {
-			mask, err := p.secret.NewMaskValue()
-			if err != nil {
-				return err
-			}
-			rq, err := p.secret.NewMaskEncRequest(mask, rid, meta.MaskKey)
-			if err != nil {
-				return err
-			}
-			slots = append(slots, slot{row: ri, col: len(outRow)})
-			reqs = append(reqs, rq)
-			outRow = append(outRow, nil,
-				sqlparser.HexLit{V: rowEnc},
-				sqlparser.HexLit{V: p.secret.RowHelper(rid)},
-			)
+		mask, err := p.secret.NewMaskValue()
+		if err != nil {
+			return err
 		}
-		out[ri] = outRow
+		rq, err := p.secret.NewMaskEncRequest(mask, rid, meta.MaskKey)
+		if err != nil {
+			return err
+		}
+		slots = append(slots, slot{row: ri, col: len(outRow)})
+		reqs = append(reqs, rq)
+		out[ri] = append(outRow, nil,
+			sqlparser.HexLit{V: rowEnc},
+			sqlparser.HexLit{V: p.secret.RowHelper(rid)},
+		)
 	}
 	shares, err := p.secret.EncryptBatch(reqs)
 	if err != nil {

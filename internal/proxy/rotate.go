@@ -75,10 +75,8 @@ func (p *Proxy) rotate(table, column string) (Stats, error) {
 
 	// Written ahead as pending, published (advancing the key-store version
 	// cached plans carry) once the SP answers; docs/storage.md.
-	t1 := time.Now()
 	next := &TableMeta{Schema: meta.Schema, Keys: meta.Keys, MaskKey: meta.MaskKey,
 		Pending: &pendingKey{Column: column, Key: newKey}}
-	err = p.writeAhead(table, next, st.RewrittenSQL)
-	st.Server = time.Since(t1)
+	st.Server, err = p.writeAhead(table, next, st.RewrittenSQL)
 	return st, err
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"sdb/internal/engine"
 	"sdb/internal/secure"
@@ -107,20 +108,23 @@ func (p *Proxy) persistState() error {
 // failed is settled by a probe, as the SP may have committed before its
 // answer was lost. If the last write fails, the new key stays published
 // and the pending entry on disk, for the next save or a restart to settle.
-func (p *Proxy) writeAhead(table string, next *TableMeta, sql string) error {
+// sp is the time the SP statement took, the state writes not included.
+func (p *Proxy) writeAhead(table string, next *TableMeta, sql string) (sp time.Duration, err error) {
 	if !p.setAhead(table, next) {
-		return fmt.Errorf("proxy: table %q has a key change in flight, or one to settle by reopening the proxy", table)
+		return 0, fmt.Errorf("proxy: table %q has a key change in flight, or one to settle by reopening the proxy", table)
 	}
 	if err := p.persistState(); err != nil {
 		p.setAhead(table, nil)
-		return err
+		return 0, err
 	}
-	_, err := p.exec.ExecuteSQL(sql)
+	t0 := time.Now()
+	_, err = p.exec.ExecuteSQL(sql)
+	sp = time.Since(t0)
 	applied := err == nil
 	if err != nil && next.Pending != nil {
 		var serr error
 		if applied, serr = p.settle(table, next); serr != nil {
-			return errors.Join(err, serr) // next stays ahead, in every later save
+			return sp, errors.Join(err, serr) // next stays ahead, in every later save
 		}
 	}
 	if applied {
@@ -131,7 +135,7 @@ func (p *Proxy) writeAhead(table string, next *TableMeta, sql string) error {
 	if werr := p.persistState(); err == nil {
 		err = werr
 	}
-	return err
+	return sp, err
 }
 
 // setAhead makes next table's entry in ahead unless it has one; nil

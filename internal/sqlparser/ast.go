@@ -3,6 +3,8 @@ package sqlparser
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
+	"strconv"
 	"strings"
 
 	"sdb/internal/types"
@@ -236,19 +238,15 @@ func (c ColRef) String() string {
 	return c.Name
 }
 
-func (l IntLit) String() string { return fmt.Sprintf("%d", l.V) }
+func (l IntLit) String() string { return strconv.FormatInt(l.V, 10) }
 
 func (l DecLit) String() string {
 	return types.FormatDecimal(l.Scaled, l.Scale)
 }
 
-func (l StrLit) String() string {
-	return "'" + strings.ReplaceAll(l.V, "'", "''") + "'"
-}
+func (l StrLit) String() string { return string(l.appendTo(nil)) }
 
-func (l DateLit) String() string {
-	return "DATE '" + types.FormatDate(types.NewDate(l.Days)) + "'"
-}
+func (l DateLit) String() string { return string(l.appendTo(nil)) }
 
 func (l BoolLit) String() string {
 	if l.V {
@@ -259,11 +257,60 @@ func (l BoolLit) String() string {
 
 func (NullLit) String() string { return "NULL" }
 
-func (l HexLit) String() string {
-	if l.V.Sign() < 0 {
-		return "-0x" + new(big.Int).Neg(l.V).Text(16)
+func (l HexLit) String() string { return string(l.appendTo(nil)) }
+
+// A literal's appendTo appends its String() to dst; Insert.String writes
+// every cell of an upload through it into one buffer.
+func (l IntLit) appendTo(dst []byte) []byte { return strconv.AppendInt(dst, l.V, 10) }
+
+func (l DecLit) appendTo(dst []byte) []byte { return types.AppendDecimal(dst, l.Scaled, l.Scale) }
+
+func (l StrLit) appendTo(dst []byte) []byte {
+	dst = append(dst, '\'')
+	for v := l.V; ; {
+		i := strings.IndexByte(v, '\'')
+		if i < 0 {
+			dst = append(dst, v...)
+			break
+		}
+		dst = append(dst, v[:i+1]...)
+		dst = append(dst, '\'')
+		v = v[i+1:]
 	}
-	return "0x" + l.V.Text(16)
+	return append(dst, '\'')
+}
+
+func (l DateLit) appendTo(dst []byte) []byte {
+	dst = append(dst, "DATE '"...)
+	return append(types.AppendDate(dst, types.NewDate(l.Days)), '\'')
+}
+
+func (l BoolLit) appendTo(dst []byte) []byte { return append(dst, l.String()...) }
+
+func (l NullLit) appendTo(dst []byte) []byte { return append(dst, "NULL"...) }
+
+// HexLit's digits are written from the words of the magnitude, most
+// significant first, as big.Int.Text(16) writes them.
+func (l HexLit) appendTo(dst []byte) []byte {
+	if l.V.Sign() < 0 {
+		dst = append(dst, '-')
+	}
+	dst = append(dst, "0x"...)
+	words := l.V.Bits()
+	if len(words) == 0 {
+		return append(dst, '0')
+	}
+	top := len(words) - 1
+	dst = strconv.AppendUint(dst, uint64(words[top]), 16)
+	var buf [bits.UintSize / 4]byte
+	for i := top - 1; i >= 0; i-- {
+		digits := strconv.AppendUint(buf[:0], uint64(words[i]), 16)
+		for k := len(digits); k < len(buf); k++ {
+			dst = append(dst, '0')
+		}
+		dst = append(dst, digits...)
+	}
+	return dst
 }
 
 func (b *BinaryExpr) String() string {
@@ -408,23 +455,62 @@ func (u *Update) String() string {
 }
 
 func (i *Insert) String() string {
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO " + i.Table)
+	b := make([]byte, 0, i.renderSize())
+	b = append(b, "INSERT INTO "...)
+	b = append(b, i.Table...)
 	if len(i.Columns) > 0 {
-		sb.WriteString(" (" + strings.Join(i.Columns, ", ") + ")")
+		b = append(b, " ("...)
+		for k, c := range i.Columns {
+			if k > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, c...)
+		}
+		b = append(b, ')')
 	}
-	sb.WriteString(" VALUES ")
+	b = append(b, " VALUES "...)
 	for r, row := range i.Rows {
 		if r > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		vals := make([]string, len(row))
+		b = append(b, '(')
 		for k, e := range row {
-			vals[k] = e.String()
+			if k > 0 {
+				b = append(b, ", "...)
+			}
+			if lit, ok := e.(interface{ appendTo([]byte) []byte }); ok {
+				b = lit.appendTo(b)
+			} else {
+				b = append(b, e.String()...)
+			}
 		}
-		sb.WriteString("(" + strings.Join(vals, ", ") + ")")
+		b = append(b, ')')
 	}
-	return sb.String()
+	return string(b)
+}
+
+// renderSize estimates the length of String() from above for an upload
+// of literals, so one allocation usually holds the whole statement.
+func (i *Insert) renderSize() int {
+	n := len("INSERT INTO  () VALUES ") + len(i.Table)
+	for _, c := range i.Columns {
+		n += len(c) + 2
+	}
+	for _, row := range i.Rows {
+		n += 4
+		for _, e := range row {
+			switch l := e.(type) {
+			case HexLit:
+				n += 3 + (l.V.BitLen()+3)/4 // sign, 0x and digits
+			case StrLit:
+				n += len(l.V) + 4
+			default:
+				n += 20 // an int64, decimal or DATE literal
+			}
+			n += 2
+		}
+	}
+	return n
 }
 
 func (s *Select) String() string {

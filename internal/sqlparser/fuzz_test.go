@@ -36,6 +36,11 @@ var fuzzSeeds = []string{
 	`UPDATE t SET v = sdb_keyupdate(v, sdb_w, 0x1f, -0x2c, 0xffef) WHERE id > 3`,
 	`INSERT INTO t (id, v, row_id, sdb_w) VALUES (1, 0xabc, 0xdef, 0x123)`,
 	`SELECT a FROM t ORDER BY sdb_ord(tag, mtag, 0x11, 0xffef) DESC`,
+	// Multi-row uploads: what the VALUES fast path reads, and a literal
+	// followed by an operator, which it must leave to parseExpr.
+	`INSERT INTO t VALUES (1, 'it''s', -0x1f, DATE '1995-01-01', NULL), (-2, '', 0xABC, '世界', TRUE)`,
+	`INSERT INTO t (a, b, c) VALUES (-1.25, 'x''''y', -0x00ff), (0.00, 'été', 0x0), (3, 'a' || 'b', 2 * -3)`,
+	`INSERT INTO t VALUES (5 - 1, -5, - 5), (-(5), 'q', FALSE)`,
 	// Expressions: nesting, CASE, IN, BETWEEN, unary minus, concat.
 	`SELECT CASE WHEN a > 0 THEN -(a * (b + 3)) ELSE a END FROM t
      WHERE a IN (1, 2, 3) AND b NOT BETWEEN -5 AND 5 AND c IS NOT NULL`,
@@ -86,6 +91,21 @@ func FuzzParse(f *testing.F) {
 		}
 		if got := again.String(); got != rendered {
 			t.Fatalf("String() not stable: %q -> %q -> %q", src, rendered, got)
+		}
+	})
+}
+
+// FuzzInsertValues checks the VALUES fast path against the general
+// expression path: an expression parseExpr accepts parses to the same AST
+// as every cell of a two-row INSERT, and the INSERT's String() re-parses
+// to the same text.
+func FuzzInsertValues(f *testing.F) {
+	for _, c := range valueCells {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, cell string) {
+		if msg := valuesAgree(cell); msg != "" {
+			t.Fatal(msg)
 		}
 	})
 }

@@ -9,6 +9,22 @@
 // IN/BETWEEN/LIKE/IS NULL, scalar functions and aggregates, subqueries in
 // FROM, and arbitrary-precision hex literals (0x…) used to carry SDB
 // tokens inside rewritten queries.
+//
+// Uploads are the longest text either side handles: the proxy renders
+// every rewritten INSERT once, and the engine parses it back. So the
+// VALUES path is short at every step:
+//   - the lexer sizes its token slice from the input, slices a quoted
+//     string with no doubled quote out of the source, and matches
+//     keywords without allocating;
+//   - the parser reads a VALUES cell that is one literal (or a minus and
+//     a numeric literal) followed by ',' or ')' with parsePrimary, not
+//     through the ten precedence levels of parseExpr, and decodes hex
+//     digits straight into words;
+//   - the renderer writes an INSERT into one pre-sized buffer, its
+//     literals through strconv.
+//
+// Each short cut yields the AST and the text the general path would
+// (TestValuesFastPathMatchesExpr, TestInsertRenderGolden, FuzzInsertValues).
 package sqlparser
 
 import (
@@ -46,20 +62,25 @@ func (t token) String() string {
 	return t.text
 }
 
-// keywords is the reserved-word set. Function names (SUM, COUNT, sdb_mul…)
-// are deliberately NOT keywords; they lex as identifiers.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"AS": true, "AND": true, "OR": true, "NOT": true, "IN": true,
-	"BETWEEN": true, "LIKE": true, "IS": true, "NULL": true,
-	"CREATE": true, "TABLE": true, "INSERT": true, "INTO": true,
-	"UPDATE": true, "SET": true, "DROP": true,
-	"VALUES": true, "JOIN": true, "INNER": true, "ON": true,
-	"DISTINCT": true, "CASE": true, "WHEN": true, "THEN": true,
-	"ELSE": true, "END": true, "SENSITIVE": true, "TRUE": true,
-	"FALSE": true, "DATE": true, "INTERVAL": true,
-}
+// keywords is the reserved-word set, each mapped to itself so a lexed
+// keyword's text is this string, not a fresh copy. Function names (SUM,
+// COUNT, sdb_mul…) are deliberately NOT keywords; they lex as identifiers.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "ASC",
+		"DESC", "LIMIT", "AS", "AND", "OR", "NOT", "IN", "BETWEEN", "LIKE",
+		"IS", "NULL", "CREATE", "TABLE", "INSERT", "INTO", "UPDATE", "SET",
+		"DROP", "VALUES", "JOIN", "INNER", "ON", "DISTINCT", "CASE", "WHEN",
+		"THEN", "ELSE", "END", "SENSITIVE", "TRUE", "FALSE", "DATE", "INTERVAL",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword (SENSITIVE).
+const maxKeywordLen = 9
 
 type lexer struct {
 	src  string
@@ -69,7 +90,10 @@ type lexer struct {
 
 // lex tokenizes the whole input.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// A VALUES list, the longest input the lexer meets, has about two
+	// tokens per comma (the cell and the comma); three leave room for
+	// signs, DATE and parentheses, so an upload lexes into one slice.
+	l := &lexer{src: src, toks: make([]token, 0, 3*strings.Count(src, ",")+16)}
 	for {
 		tok, err := l.next()
 		if err != nil {
@@ -130,18 +154,30 @@ scan:
 	switch c {
 	case '+', '-', '*', '/', '%', '=', '<', '>', '.':
 		l.pos++
-		return token{kind: tokOp, text: string(c), pos: start}, nil
+		return token{kind: tokOp, text: l.src[start:l.pos], pos: start}, nil
 	case '(', ')', ',', ';':
 		l.pos++
-		return token{kind: tokPunct, text: string(c), pos: start}, nil
+		return token{kind: tokPunct, text: l.src[start:l.pos], pos: start}, nil
 	}
 	return token{}, fmt.Errorf("sqlparser: unexpected character %q at offset %d", c, start)
 }
 
 func (l *lexer) lexString() (token, error) {
 	start := l.pos
-	l.pos++ // opening quote
+	body := start + 1
+	end := strings.IndexByte(l.src[body:], '\'')
+	if end < 0 {
+		return token{}, fmt.Errorf("sqlparser: unterminated string at offset %d", start)
+	}
+	end += body
+	if end+1 >= len(l.src) || l.src[end+1] != '\'' {
+		// No '' escape: the token is a slice of the source.
+		l.pos = end + 1
+		return token{kind: tokString, text: l.src[body:end], pos: start}, nil
+	}
 	var sb strings.Builder
+	sb.Grow(end - body + 16)
+	l.pos = body
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == '\'' {
@@ -189,6 +225,13 @@ func (l *lexer) lexNumber() (token, error) {
 func (l *lexer) lexIdent() (token, error) {
 	start := l.pos
 	for l.pos < len(l.src) {
+		if c := l.src[l.pos]; c < utf8.RuneSelf {
+			if c != '_' && !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9') {
+				break
+			}
+			l.pos++
+			continue
+		}
 		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
 		if !isIdentPart(r) {
 			break
@@ -196,11 +239,36 @@ func (l *lexer) lexIdent() (token, error) {
 		l.pos += size
 	}
 	text := l.src[start:l.pos]
-	upper := strings.ToUpper(text)
-	if keywords[upper] {
-		return token{kind: tokKeyword, text: upper, pos: start}, nil
+	if kw, ok := keyword(text); ok {
+		return token{kind: tokKeyword, text: kw, pos: start}, nil
 	}
 	return token{kind: tokIdent, text: text, pos: start}, nil
+}
+
+// keyword reports whether an identifier's text is a keyword in any case,
+// and returns the keyword. An ASCII word is upper-cased in a stack buffer;
+// anything else goes through strings.ToUpper, whose Unicode case mapping
+// folds some non-ASCII letters (ſ, ı) into keyword letters.
+func keyword(text string) (string, bool) {
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			kw, ok := keywords[strings.ToUpper(text)]
+			return kw, ok
+		}
+		if i < len(buf) {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			buf[i] = c
+		}
+	}
+	if len(text) > len(buf) {
+		return "", false
+	}
+	kw, ok := keywords[string(buf[:len(text)])]
+	return kw, ok
 }
 
 func isIdentStart(r rune) bool {

@@ -2,7 +2,9 @@ package sqlparser
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -331,8 +333,11 @@ func (p *parser) parseInsert() (Statement, error) {
 			return nil, err
 		}
 		var row []Expr
+		if len(ins.Rows) > 0 {
+			row = make([]Expr, 0, len(ins.Rows[0]))
+		}
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseValue()
 			if err != nil {
 				return nil, err
 			}
@@ -352,6 +357,53 @@ func (p *parser) parseInsert() (Statement, error) {
 		break
 	}
 	return ins, nil
+}
+
+// parseValue parses one VALUES cell. A cell that is one literal, or a
+// minus and a numeric literal, followed by ',' or ')' is read by
+// parsePrimary directly: it is what every generated and rewritten upload
+// holds, and the general path would descend ten precedence levels to the
+// same AST. Anything else, such as a literal followed by an operator,
+// goes through parseExpr.
+func (p *parser) parseValue() (Expr, error) {
+	n, neg := p.literalLen(0), false
+	if n == 0 && p.peek().kind == tokOp && p.peek().text == "-" {
+		switch p.peekAhead(1).kind {
+		case tokInt, tokDecimal, tokHex:
+			n, neg = 2, true
+		}
+	}
+	if end := p.peekAhead(n); n == 0 || end.kind != tokPunct || end.text != "," && end.text != ")" {
+		return p.parseExpr()
+	}
+	if neg {
+		p.advance()
+	}
+	e, err := p.parsePrimary()
+	if err != nil || !neg {
+		return e, err
+	}
+	return negate(e), nil
+}
+
+// literalLen is the number of tokens of the literal starting k tokens
+// ahead (DATE 'YYYY-MM-DD' spans two), or 0 if none starts there.
+func (p *parser) literalLen(k int) int {
+	t := p.peekAhead(k)
+	switch t.kind {
+	case tokInt, tokDecimal, tokHex, tokString:
+		return 1
+	case tokKeyword:
+		switch t.text {
+		case "NULL", "TRUE", "FALSE":
+			return 1
+		case "DATE":
+			if p.peekAhead(k+1).kind == tokString {
+				return 2
+			}
+		}
+	}
+	return 0
 }
 
 func (p *parser) parseSelect() (*Select, error) {
@@ -760,21 +812,26 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		// fold -literal
-		switch lit := e.(type) {
-		case IntLit:
-			return IntLit{V: -lit.V}, nil
-		case DecLit:
-			return DecLit{Scaled: -lit.Scaled, Scale: lit.Scale}, nil
-		case HexLit:
-			return HexLit{V: new(big.Int).Neg(lit.V)}, nil
-		}
-		return &UnaryExpr{Op: "-", E: e}, nil
+		return negate(e), nil
 	}
 	if p.acceptOp("+") {
 		return p.parseUnary()
 	}
 	return p.parsePrimary()
+}
+
+// negate is unary minus over a freshly parsed e, folded into a numeric
+// literal (a hex literal's value is negated in place).
+func negate(e Expr) Expr {
+	switch lit := e.(type) {
+	case IntLit:
+		return IntLit{V: -lit.V}
+	case DecLit:
+		return DecLit{Scaled: -lit.Scaled, Scale: lit.Scale}
+	case HexLit:
+		return HexLit{V: lit.V.Neg(lit.V)}
+	}
+	return &UnaryExpr{Op: "-", E: e}
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
@@ -794,11 +851,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 
 	case tokHex:
 		p.advance()
-		v, ok := new(big.Int).SetString(t.text, 16)
-		if !ok {
-			return nil, fmt.Errorf("sqlparser: bad hex literal %q", t.text)
-		}
-		return HexLit{V: v}, nil
+		return HexLit{V: hexInt(t.text)}, nil
 
 	case tokString:
 		p.advance()
@@ -864,13 +917,53 @@ func (p *parser) parsePrimary() (Expr, error) {
 	return nil, fmt.Errorf("sqlparser: unexpected token %q in expression", t.text)
 }
 
+// hexInt decodes the digits of a lexed hex literal (at least one, all
+// hex digits) straight into words, least significant word first.
+func hexInt(digits string) *big.Int {
+	const perWord = bits.UintSize / 4
+	words := make([]big.Word, (len(digits)+perWord-1)/perWord)
+	for i, end := 0, len(digits); end > 0; i, end = i+1, end-perWord {
+		var w big.Word
+		for j := max(end-perWord, 0); j < end; j++ {
+			c := digits[j]
+			switch {
+			case c <= '9':
+				c -= '0'
+			case c >= 'a':
+				c -= 'a' - 10
+			default:
+				c -= 'A' - 10
+			}
+			w = w<<4 | big.Word(c)
+		}
+		words[i] = w
+	}
+	return new(big.Int).SetBits(words)
+}
+
+// maxDecimalScale is the most fraction digits a decimal literal may
+// have: 10^18 is the largest power of ten an int64 holds, and the engine
+// rescales decimals by powers of ten in int64.
+const maxDecimalScale = 18
+
+// parseDecimalLit reads a lexed decimal (digits '.' digits) as a scaled
+// integer.
 func parseDecimalLit(text string) (Expr, error) {
 	dot := strings.IndexByte(text, '.')
-	whole, frac := text[:dot], text[dot+1:]
-	scale := len(frac)
-	scaled, err := strconv.ParseInt(whole+frac, 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("sqlparser: bad decimal %q", text)
+	scale := len(text) - dot - 1
+	if scale > maxDecimalScale {
+		return nil, fmt.Errorf("sqlparser: decimal %q has more than %d fraction digits", text, maxDecimalScale)
+	}
+	var scaled int64
+	for i := 0; i < len(text); i++ {
+		if i == dot {
+			continue
+		}
+		d := int64(text[i] - '0')
+		if scaled > (math.MaxInt64-d)/10 {
+			return nil, fmt.Errorf("sqlparser: bad decimal %q", text)
+		}
+		scaled = scaled*10 + d
 	}
 	return DecLit{Scaled: scaled, Scale: scale}, nil
 }

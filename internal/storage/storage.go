@@ -137,16 +137,26 @@ func (t *Table) AppendLocked(rows []types.Row, rowEnc, helper []*big.Int) (*Vers
 		Helper: cur.Helper,
 		Cols:   append([][]types.Value(nil), cur.Cols...),
 	}
+	var zeros []big.Int // one allocation for every missing row id and helper
 	for i, row := range rows {
 		if err := t.validateRow(row); err != nil {
 			return nil, err
 		}
-		enc, help := big.NewInt(0), big.NewInt(0)
-		if i < len(rowEnc) && rowEnc[i] != nil {
+		var enc, help *big.Int
+		if i < len(rowEnc) {
 			enc = rowEnc[i]
 		}
-		if i < len(helper) && helper[i] != nil {
+		if i < len(helper) {
 			help = helper[i]
+		}
+		if (enc == nil || help == nil) && zeros == nil {
+			zeros = make([]big.Int, 2*len(rows))
+		}
+		if enc == nil {
+			enc = &zeros[2*i]
+		}
+		if help == nil {
+			help = &zeros[2*i+1]
 		}
 		next.RowEnc = append(next.RowEnc, enc)
 		next.Helper = append(next.Helper, help)

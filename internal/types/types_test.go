@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -131,6 +132,9 @@ func TestFormatDecimal(t *testing.T) {
 		{5, 2, "0.05"},
 		{7, 0, "7"},
 		{100, 3, "0.100"},
+		{math.MinInt64, 2, "-92233720368547758.08"},
+		{1, 19, "0.0000000000000000001"},
+		{-3, 20, "-0.00000000000000000003"},
 	}
 	for _, c := range cases {
 		if got := FormatDecimal(c.scaled, c.scale); got != c.want {

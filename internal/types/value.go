@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -125,7 +126,13 @@ func ParseDate(s string) (Value, error) {
 
 // FormatDate renders a DATE value as YYYY-MM-DD.
 func FormatDate(v Value) string {
-	return time.Unix(v.I*86400, 0).UTC().Format("2006-01-02")
+	var buf [16]byte
+	return string(AppendDate(buf[:0], v))
+}
+
+// AppendDate appends FormatDate(v) to dst.
+func AppendDate(dst []byte, v Value) []byte {
+	return time.Unix(v.I*86400, 0).UTC().AppendFormat(dst, "2006-01-02")
 }
 
 // Compare orders two values of compatible kinds: -1, 0, +1. NULL sorts
@@ -232,20 +239,33 @@ func (v Value) String() string {
 // FormatDecimal renders a scaled decimal with the given scale, e.g.
 // FormatDecimal(12345, 2) = "123.45".
 func FormatDecimal(scaled int64, scale int) string {
+	var buf [24]byte
+	return string(AppendDecimal(buf[:0], scaled, scale))
+}
+
+// AppendDecimal appends FormatDecimal(scaled, scale) to dst.
+func AppendDecimal(dst []byte, scaled int64, scale int) []byte {
 	if scale <= 0 {
-		return fmt.Sprintf("%d", scaled)
+		return strconv.AppendInt(dst, scaled, 10)
 	}
-	neg := scaled < 0
-	if neg {
-		scaled = -scaled
+	u := uint64(scaled) // the magnitude, math.MinInt64's included
+	if scaled < 0 {
+		dst = append(dst, '-')
+		u = -u
 	}
-	pow := int64(1)
-	for i := 0; i < scale; i++ {
-		pow *= 10
+	whole, frac := uint64(0), u
+	if scale < 20 { // 10^20 is past every uint64
+		pow := uint64(1)
+		for i := 0; i < scale; i++ {
+			pow *= 10
+		}
+		whole, frac = u/pow, u%pow
 	}
-	s := fmt.Sprintf("%d.%0*d", scaled/pow, scale, scaled%pow)
-	if neg {
-		return "-" + s
+	dst = append(strconv.AppendUint(dst, whole, 10), '.')
+	var buf [20]byte
+	digits := strconv.AppendUint(buf[:0], frac, 10)
+	for i := len(digits); i < scale; i++ {
+		dst = append(dst, '0')
 	}
-	return s
+	return append(dst, digits...)
 }

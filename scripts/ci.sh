@@ -582,6 +582,7 @@ if [[ -z "${SHORT_FLAG}" ]]; then
   echo "== fuzz smoke (10s per target)"
   go test -run xxx -fuzz FuzzLex        -fuzztime 10s ./internal/sqlparser
   go test -run xxx -fuzz FuzzParse      -fuzztime 10s ./internal/sqlparser
+  go test -run xxx -fuzz FuzzInsertValues -fuzztime 10s ./internal/sqlparser
   go test -run xxx -fuzz FuzzExecSelect -fuzztime 10s ./internal/proxy
   go test -run xxx -fuzz FuzzValueRoundTrip -fuzztime 10s ./internal/types
   go test -run xxx -fuzz FuzzFrameDecode -fuzztime 10s ./internal/wire
